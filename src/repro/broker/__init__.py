@@ -2,6 +2,5 @@
 
 from repro.broker.partition import TopicPartition, PartitionState
 from repro.broker.cluster import Cluster
-from repro.broker.fetch import FetchResult
 
-__all__ = ["TopicPartition", "PartitionState", "Cluster", "FetchResult"]
+__all__ = ["TopicPartition", "PartitionState", "Cluster"]

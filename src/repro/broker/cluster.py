@@ -20,7 +20,7 @@ from repro.errors import (
     TopicAlreadyExistsError,
     UnknownTopicOrPartitionError,
 )
-from repro.broker.fetch import FetchResult, fetch, fetch_columnar
+from repro.broker.fetch import fetch
 from repro.broker.group_coordinator import GroupCoordinator
 from repro.broker.partition import (
     CONSUMER_OFFSETS_TOPIC,
@@ -30,6 +30,7 @@ from repro.broker.partition import (
     TopicPartition,
 )
 from repro.broker.txn_coordinator import TransactionCoordinator
+from repro.log.columnar import ColumnarBatch
 from repro.log.compaction import compact_log
 from repro.log.partition_log import AppendResult
 from repro.log.record import RecordBatch
@@ -302,61 +303,34 @@ class Cluster:
         from_offset: int,
         max_records: int,
         isolation_level: str,
-    ) -> FetchResult:
-        log = self.partition_state(tp).leader_log()
-        result = fetch(log, from_offset, max_records, isolation_level)
-        if result.records:
-            self.metrics.counter("broker.fetched_records").increment(
-                len(result.records)
-            )
-        return result
-
-    def handle_fetch_replica(
-        self,
-        tp: TopicPartition,
-        broker_id: int,
-        from_offset: int,
-        max_records: int,
-        isolation_level: str,
-    ) -> FetchResult:
-        """Fetch from a *specific* in-sync replica (KIP-392-style follower
-        read), used by the gray-failure hedge when the leader is demoted.
+        replica: Optional[int] = None,
+    ) -> ColumnarBatch:
+        """Serve a fetch from the leader, or — with ``replica`` — from that
+        *specific* in-sync replica (KIP-392-style follower read), used by
+        the gray-failure hedge when the leader is demoted.
 
         Only ISR members serve: their logs hold every acked record and —
         since followers mirror the leader's index state — the same
         high-watermark/LSO bounds, so a follower read never returns
         uncommitted or unreplicated data."""
         state = self.partition_state(tp)
-        if not self.brokers[broker_id].alive:
-            raise BrokerUnavailableError(f"broker {broker_id} is down (fetch)")
-        if broker_id not in state.isr:
-            raise NotLeaderError(
-                f"{tp}: broker {broker_id} is not in the ISR; cannot serve reads"
-            )
-        result = fetch(state.replicas[broker_id], from_offset, max_records,
-                       isolation_level)
-        if result.records:
-            self.metrics.counter("broker.fetched_records").increment(
-                len(result.records)
-            )
-            self.metrics.counter("broker.follower_reads").increment()
-        return result
-
-    def handle_fetch_columnar(
-        self,
-        tp: TopicPartition,
-        from_offset: int,
-        max_records: int,
-        isolation_level: str,
-    ):
-        """Columnar fetch: returns a ColumnarBatch (slice + validity runs)
-        instead of materialized records."""
-        log = self.partition_state(tp).leader_log()
-        batch = fetch_columnar(log, from_offset, max_records, isolation_level)
+        if replica is None:
+            log = state.leader_log()
+        else:
+            if not self.brokers[replica].alive:
+                raise BrokerUnavailableError(f"broker {replica} is down (fetch)")
+            if replica not in state.isr:
+                raise NotLeaderError(
+                    f"{tp}: broker {replica} is not in the ISR; cannot serve reads"
+                )
+            log = state.replicas[replica]
+        batch = fetch(log, from_offset, max_records, isolation_level)
         if batch.valid_count:
             self.metrics.counter("broker.fetched_records").increment(
                 batch.valid_count
             )
+            if replica is not None:
+                self.metrics.counter("broker.follower_reads").increment()
         return batch
 
     def end_offset(self, tp: TopicPartition, isolation_level: str) -> int:

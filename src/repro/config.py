@@ -207,12 +207,13 @@ class StreamsConfig:
     # standby is still catching up.
     probing_rebalance_interval_ms: float = 1_000.0
     # Columnar batch execution: tasks whose processors are all batch-aware
-    # consume ColumnarBatches from the consumer and push whole column
-    # chunks through the fused processor graph, materializing no per-record
-    # objects on the hot path. Committed output is byte-identical to the
-    # scalar path; tasks with punctuators or non-batch-aware processors
-    # fall back to scalar processing automatically. Ignored (scalar) when
-    # ``speculative`` is set — speculation needs per-record dependency
+    # push the fetched ColumnarBatches through the fused processor graph as
+    # whole column chunks, materializing no per-record objects on the hot
+    # path (every task is *handed* batches either way; this selects how it
+    # processes them). Committed output is byte-identical to
+    # record-at-a-time processing; tasks with punctuators or
+    # non-batch-aware processors fall back to it automatically. Ignored
+    # when ``speculative`` is set — speculation needs per-record dependency
     # tracking.
     batch_execution: bool = False
     # Restore throttling: >0 caps how many changelog records one instance

@@ -1,18 +1,15 @@
-"""Columnar record batches: the zero-materialization hot path.
+"""Columnar record batches: the one read path and the one write path.
 
-The scalar read path materializes one :class:`~repro.log.record.Record`
-per event at every hop. This module defines the columnar ABI that lets the
-hot path move *batches* instead:
+Records move between the log and the clients as *batches*; nothing is
+materialized per event until a caller asks for it:
 
-* :class:`ColumnarBatch` — the read-side view. It wraps a contiguous slice
+* :class:`ColumnarBatch` — the fetch result. It wraps a contiguous slice
   of a partition log's backing record list plus a set of *validity runs*:
-  half-open ``(start, end)`` index ranges covering exactly the records a
-  scalar read-committed fetch would have returned (control markers and
+  half-open ``(start, end)`` index ranges covering exactly the records
+  visible at the fetch's isolation level (control markers and
   aborted-transaction records fall in the gaps between runs). Column
-  accessors (``keys()``, ``values()``, ``timestamps()``, ...) are built
-  lazily, once, as plain lists; scalar ``Record`` views stay available via
-  ``records()`` / ``iter_records()`` for any consumer that is not
-  batch-aware.
+  accessors (``keys()``, ``values()``, ``timestamps()``, ...) and the
+  scalar ``records`` view are built lazily, once, as plain lists.
 
 * :class:`ColumnarSlab` — the write-side twin. A producer accumulates
   pending sends as parallel columns and ships the slab straight to the
@@ -22,13 +19,12 @@ hot path move *batches* instead:
 
 The validity runs are the compressed form of a validity/abort bitmap: a
 batch with no skipped records is one run, and masking an aborted span is a
-run split, not a per-record scan. ``validity_bitmap()`` derives the
-expanded bitmap when callers want the flat form.
+run split, not a per-record scan.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.log.record import NO_PRODUCER_ID, NO_SEQUENCE, Record
 
@@ -41,10 +37,13 @@ class ColumnarBatch:
     half-open ``(start, end)`` pairs into that slice, ascending and
     disjoint, covering the valid (visible, committed) records.
 
-    Carries the fetch-result metadata (``next_offset``, watermarks) so the
-    broker fetch path can hand the batch to the consumer without an extra
-    wrapper, and the consumer stamps ``topic`` / ``partition`` before
-    handing it to the app.
+    Carries the fetch-result metadata: ``next_offset`` (which can exceed
+    the last returned record's offset + 1, because markers and aborted
+    records are consumed position-wise but not returned) and the
+    watermarks. The consumer stamps the origin ``topic`` / ``partition``
+    and ``origin`` — the headers (routing, stage stamp) that whoever
+    materializes records from the batch merges into theirs — before
+    handing the batch to the app.
     """
 
     __slots__ = (
@@ -55,6 +54,8 @@ class ColumnarBatch:
         "last_stable_offset",
         "topic",
         "partition",
+        "origin",
+        "_records",
         "_keys",
         "_values",
         "_timestamps",
@@ -81,6 +82,8 @@ class ColumnarBatch:
         self.last_stable_offset = last_stable_offset
         self.topic = topic
         self.partition = partition
+        self.origin: Optional[Dict[str, Any]] = None
+        self._records: Optional[List[Record]] = None
         self._keys: Optional[List[Any]] = None
         self._values: Optional[List[Any]] = None
         self._timestamps: Optional[List[float]] = None
@@ -157,49 +160,28 @@ class ColumnarBatch:
             ]
         return self._producer_ids
 
-    # -- validity bitmap --------------------------------------------------------
+    # -- lazy scalar view -------------------------------------------------------
 
-    def validity_bitmap(self) -> bytearray:
-        """Expanded per-slot validity bitmap over the backing slice (1 =
-        valid). The runs are the authoritative compressed form; this is
-        derived for callers that want flat masking."""
-        bitmap = bytearray(len(self.backing))
-        for start, end in self.runs:
-            for i in range(start, end):
-                bitmap[i] = 1
-        return bitmap
-
-    # -- lazy scalar views ------------------------------------------------------
-
-    def iter_records(self) -> Iterator[Record]:
-        """Yield the valid records (materialize-on-demand scalar view)."""
-        backing = self.backing
-        for start, end in self.runs:
-            for record in backing[start:end]:
-                yield record
-
+    @property
     def records(self) -> List[Record]:
-        """The valid records as a list (scalar-fallback view)."""
-        if len(self.runs) == 1:
-            start, end = self.runs[0]
-            return self.backing[start:end]
-        backing = self.backing
-        return [r for s, e in self.runs for r in backing[s:e]]
+        """The valid records as a list — the log's own (shared) record
+        objects, so callers that hand them on must copy."""
+        if self._records is None:
+            backing = self.backing
+            if len(self.runs) == 1:
+                start, end = self.runs[0]
+                self._records = backing[start:end]
+            else:
+                self._records = [
+                    r for s, e in self.runs for r in backing[s:e]
+                ]
+        return self._records
 
     def __repr__(self) -> str:
         return (
             f"ColumnarBatch(valid={self._count}, backing={len(self.backing)}, "
             f"runs={len(self.runs)}, next_offset={self.next_offset})"
         )
-
-
-def empty_batch(
-    next_offset: int, high_watermark: int = 0, last_stable_offset: int = 0
-) -> ColumnarBatch:
-    """A batch with no records (fetch past the end / empty window)."""
-    return ColumnarBatch(
-        [], [], next_offset, high_watermark, last_stable_offset
-    )
 
 
 class ColumnarSlab:

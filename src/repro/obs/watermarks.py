@@ -59,10 +59,10 @@ def partition_frontier(log, committed: Optional[int], isolation: str) -> float:
         return COMPLETE
     if from_offset >= log.high_watermark:
         return COMPLETE
-    result = fetch(log, from_offset, 2**31, isolation)
-    if not result.records:
+    batch = fetch(log, from_offset, 2**31, isolation)
+    if not batch:
         return COMPLETE
-    return min(r.timestamp for r in result.records)  # lint: allow-record-loop
+    return min(batch.timestamps())
 
 
 class WatermarkTracker:

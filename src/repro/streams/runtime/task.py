@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
 from repro.errors import RetriableError, TopologyError
-from repro.log.record import Record
 from repro.obs.stages import EMITTED_AT_HEADER, PROCESSED_AT_HEADER
 from repro.obs.tracer import TRACE_ID_HEADER
 from repro.streams.processor import (
@@ -66,6 +65,7 @@ class StreamTask:
         restore_listener: Optional[Callable] = None,
         store_listeners: Optional[Dict[str, List[Callable]]] = None,
         restore_budget_per_poll: int = 0,
+        batch_execution: bool = False,
     ) -> None:
         # (tp, producer_id) -> [min offset, max offset] consumed from that
         # producer's (possibly still open) transaction — the commit
@@ -149,13 +149,14 @@ class StreamTask:
         self._punctuations: List[Any] = []
         self._processors: Dict[str, Processor] = {}
         self._build_processors()
-        # Columnar eligibility is all-or-nothing per task: every processor
-        # must take whole chunks, no punctuator may need per-record stream
-        # time, and speculation tracking needs per-record producer ids.
-        # Decided once, after processors initialized (a caching aggregate
-        # only knows its capability post-init).
+        # Chunk processing is all-or-nothing per task: the app must ask for
+        # it, every processor must take whole chunks, and no punctuator may
+        # need per-record stream time. Decided once, after processors
+        # initialized (a caching aggregate only knows its capability
+        # post-init).
+        self._batch_execution = batch_execution
         self.batch_capable = (
-            not self._track_speculation
+            batch_execution
             and not self._punctuations
             and all(p.batch_aware for p in self._processors.values())
         )
@@ -371,41 +372,14 @@ class StreamTask:
 
     # -- record intake -------------------------------------------------------------------
 
-    def add_records(self, tp: TopicPartition, records: List[Record]) -> None:
-        if self._track_speculation:
-            for r in records:
-                if r.is_transactional and r.producer_id >= 0:
-                    span = self.speculative_deps.setdefault(
-                        (tp, r.producer_id), [r.offset, r.offset]
-                    )
-                    span[0] = min(span[0], r.offset)
-                    span[1] = max(span[1], r.offset)
-        topic = tp.topic
-        partition = tp.partition
-        stream_records = [
-            StreamRecord(
-                key=r.key,
-                value=r.value,
-                timestamp=r.timestamp,
-                # Copy only when there is something to copy — an empty
-                # headers dict is never shared with the log's record.
-                headers=dict(r.headers) if r.headers else {},
-                offset=r.offset,
-                topic=topic,
-                partition=partition,
-            )
-            for r in records
-        ]
-        self._queues.add_records(tp, stream_records)
-
     def add_batch(self, tp: TopicPartition, batch) -> None:
-        """Intake a :class:`~repro.log.columnar.ColumnarBatch`.
+        """Intake a fetched :class:`~repro.log.columnar.ColumnarBatch`.
 
-        On the fast path the batch's columns are enqueued as-is (plus the
-        ``__topic`` / ``__partition`` routing headers the scalar consumer
-        injects, merged per record — the only per-record allocation).
-        Non-batch-capable tasks materialize scalar records instead, so a
-        mixed topology runs each task in its best mode.
+        A batch-capable task enqueues the batch's columns as-is (plus the
+        ``__topic`` / ``__partition`` routing headers, merged per record —
+        the only per-record allocation). Any other task materializes its
+        ``StreamRecord`` s here, straight from the log's records: the one
+        copy on the record-at-a-time path.
         """
         count = batch.valid_count
         if count == 0:
@@ -413,22 +387,30 @@ class StreamTask:
         topic = tp.topic
         partition = tp.partition
         if not self.batch_capable:
-            self._batch_fallback.increment(count)
+            if self._batch_execution:
+                self._batch_fallback.increment(count)
+            if self._track_speculation:
+                # Producers that never open a transaction are tracked too,
+                # and always resolve clean: only transactional appends enter
+                # a log's open-transaction map or aborted index.
+                deps = self.speculative_deps
+                for pid, offset in zip(batch.producer_ids(), batch.offsets()):
+                    if pid >= 0:
+                        span = deps.setdefault((tp, pid), [offset, offset])
+                        span[0] = min(span[0], offset)
+                        span[1] = max(span[1], offset)
+            origin = batch.origin
             stream_records = [
                 StreamRecord(
                     key=r.key,
                     value=r.value,
                     timestamp=r.timestamp,
-                    headers={
-                        **r.headers,
-                        "__topic": topic,
-                        "__partition": partition,
-                    },
+                    headers={**r.headers, **origin},
                     offset=r.offset,
                     topic=topic,
                     partition=partition,
                 )
-                for r in batch.iter_records()
+                for r in batch.records
             ]
             self._queues.add_records(tp, stream_records)
             return
@@ -557,8 +539,8 @@ class StreamTask:
         return count
 
     def process_chunk_at(self, node_name: str, chunk: ColumnChunk) -> None:
-        """Columnar twin of :meth:`process_at`: deliver a whole chunk to a
-        node (batch-aware processor or sink)."""
+        """Deliver a whole chunk to a node (batch-aware processor or
+        sink) — :meth:`process_at` for a batch-capable task."""
         node = self.sub.nodes[node_name]
         if isinstance(node, SinkNode):
             self._send_chunk_to_sink(node, chunk)

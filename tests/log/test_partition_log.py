@@ -175,29 +175,14 @@ class TestTransactions:
 
 
 class TestReplication:
-    def test_replicate_from_copies_records(self):
-        leader = PartitionLog("leader")
-        follower = PartitionLog("follower")
-        leader.append_batch(plain_batch(1, 2, 3))
-        follower.replicate_from(leader.read(0, up_to_offset=3))
-        assert follower.log_end_offset == 3
-
-    def test_replicate_from_rejects_gaps(self):
+    def test_replicate_mirror_tracks_open_then_aborted_txn(self):
         leader = PartitionLog()
         follower = PartitionLog()
-        leader.append_batch(plain_batch(1, 2, 3))
-        with pytest.raises(ValueError):
-            follower.replicate_from(leader.read(1, up_to_offset=3))
-
-    def test_replicated_follower_reconstructs_txn_state(self):
-        leader = PartitionLog()
         leader.append_batch(txn_batch(1, 0, 0, "a"))
-        follower = PartitionLog()
-        follower.replicate_from(leader.read(0, up_to_offset=leader.log_end_offset))
+        follower.replicate_mirror(leader)
         assert follower.open_transactions() == {1: 0}
-        follower.replicate_from([])
         leader.append_marker(control_marker(ABORT_MARKER, 1, 0))
-        follower.replicate_from(leader.read(1, up_to_offset=leader.log_end_offset))
+        follower.replicate_mirror(leader)
         assert follower.open_transactions() == {}
         assert len(follower.aborted_transactions()) == 1
 

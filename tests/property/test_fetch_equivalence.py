@@ -1,17 +1,19 @@
 """The indexed fetch path must be observably identical to a naive scan.
 
-The optimised ``fetch()`` bounds its log reads with bisect and filters
-aborted data through the per-producer interval index. These properties pit
-it against a straight-line reference implementation — full-tail read plus a
-linear scan of the aborted-transaction list — over randomly interleaved
-open/committed/aborted transactions, control markers, and plain
-(non-transactional) records, across all three isolation levels and
-arbitrary ``from_offset`` / ``max_records`` combinations.
+``fetch()`` bounds its log reads with bisect and masks markers and aborted
+data as validity runs built from the per-producer interval index. These
+properties pit it against a straight-line reference implementation —
+full-tail read plus a linear scan of the aborted-transaction list — over
+randomly interleaved open/committed/aborted transactions, control markers,
+and plain (non-transactional) records, across all three isolation levels
+and arbitrary ``from_offset`` / ``max_records`` combinations.
 """
+
+from typing import List, NamedTuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.broker.fetch import FetchResult, fetch, fetch_columnar
+from repro.broker.fetch import fetch
 from repro.config import READ_COMMITTED, READ_SPECULATIVE, READ_UNCOMMITTED
 from repro.log.partition_log import PartitionLog
 from repro.log.record import (
@@ -27,27 +29,29 @@ ISOLATION_LEVELS = (READ_UNCOMMITTED, READ_COMMITTED, READ_SPECULATIVE)
 PIDS = (1, 2, 3)
 
 
+class ReferenceResult(NamedTuple):
+    records: List[Record]
+    next_offset: int
+    high_watermark: int
+    last_stable_offset: int
+
+
 def reference_fetch(
     log: PartitionLog,
     from_offset: int,
     max_records: int,
     isolation_level: str,
-) -> FetchResult:
-    """The pre-index fetch semantics, spelled out naively: scan the whole
-    visible tail record by record and test aborted membership by a linear
-    walk over every aborted span."""
+) -> ReferenceResult:
+    """The fetch semantics, spelled out naively: scan the whole visible
+    tail record by record and test aborted membership by a linear walk
+    over every aborted span."""
     if isolation_level == READ_COMMITTED:
         limit = log.last_stable_offset
     else:
         limit = log.high_watermark
     from_offset = max(from_offset, log.log_start_offset)
-    result = FetchResult(
-        next_offset=from_offset,
-        high_watermark=log.high_watermark,
-        last_stable_offset=log.last_stable_offset,
-    )
-    if from_offset >= limit:
-        return result
+    records: List[Record] = []
+    next_offset = from_offset
     filter_aborted = isolation_level in (READ_COMMITTED, READ_SPECULATIVE)
     aborted = list(log.aborted_transactions())
     for record in log.records():
@@ -55,9 +59,9 @@ def reference_fetch(
             continue
         if record.offset >= limit:
             break
-        if len(result.records) >= max_records:
+        if len(records) >= max_records:
             break
-        result.next_offset = record.offset + 1
+        next_offset = record.offset + 1
         if record.is_control:
             continue
         if filter_aborted and any(
@@ -66,8 +70,10 @@ def reference_fetch(
             for span in aborted
         ):
             continue
-        result.records.append(record)
-    return result
+        records.append(record)
+    return ReferenceResult(
+        records, next_offset, log.high_watermark, log.last_stable_offset
+    )
 
 
 @st.composite
@@ -175,50 +181,74 @@ def test_paged_fetch_equals_one_shot_fetch(steps, page_size):
     st.integers(min_value=1, max_value=50),
 )
 @settings(max_examples=120, deadline=None)
-def test_columnar_fetch_matches_scalar_fetch(steps, from_offset, max_records):
-    """fetch_columnar() — validity runs over a log slice — must agree with
-    the record-by-record scalar fetch on every observable: the materialized
-    records, every column accessor, the resume position, and the
-    watermarks. Run masking and per-record scanning are two encodings of
-    one visibility rule."""
+def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
+    """Every column accessor of the fetched batch lines up, position for
+    position, with the records the naive scan returns: run masking and
+    per-record scanning are two encodings of one visibility rule."""
     log = build_log(steps)
     from_offset = min(from_offset, log.log_end_offset)
     for isolation in ISOLATION_LEVELS:
-        want = fetch(log, from_offset, max_records, isolation)
-        got = fetch_columnar(log, from_offset, max_records, isolation)
-        assert got.records() == want.records, isolation
-        assert got.next_offset == want.next_offset, isolation
-        assert got.high_watermark == want.high_watermark
-        assert got.last_stable_offset == want.last_stable_offset
-        assert got.valid_count == len(want.records)
+        want = reference_fetch(log, from_offset, max_records, isolation)
+        got = fetch(log, from_offset, max_records, isolation)
+        assert got.valid_count == len(got) == len(want.records)
+        assert bool(got) == bool(want.records)
         assert got.keys() == [r.key for r in want.records]
         assert got.values() == [r.value for r in want.records]
         assert got.timestamps() == [r.timestamp for r in want.records]
         assert got.offsets() == [r.offset for r in want.records]
         assert got.headers() == [r.headers for r in want.records]
-        assert list(got.iter_records()) == want.records
-        assert sum(got.validity_bitmap()) == got.valid_count
+        assert got.producer_ids() == [r.producer_id for r in want.records]
 
 
 @given(log_scripts(), st.integers(min_value=1, max_value=7))
 @settings(max_examples=80, deadline=None)
-def test_paged_columnar_fetch_equals_one_shot(steps, page_size):
-    """Chaining next_offset across bounded columnar fetches walks exactly
-    the records of one unbounded columnar fetch — budget clamping never
-    loses or duplicates a record at a page boundary."""
+def test_paged_fetch_equals_one_shot_reference(steps, page_size):
+    """Chaining next_offset across bounded fetches walks exactly the
+    records of one unbounded naive scan — budget clamping never loses or
+    duplicates a record at a page boundary."""
     log = build_log(steps)
     for isolation in ISOLATION_LEVELS:
-        whole = fetch_columnar(log, 0, 10**9, isolation)
+        whole = reference_fetch(log, 0, 10**9, isolation)
         paged = []
         position = 0
         while True:
-            batch = fetch_columnar(log, position, page_size, isolation)
-            paged.extend(batch.records())
+            batch = fetch(log, position, page_size, isolation)
+            paged.extend(batch.records)
             if batch.next_offset == position:
                 break
             position = batch.next_offset
-        assert paged == whole.records(), isolation
+        assert paged == whole.records, isolation
         assert position == whole.next_offset, isolation
+
+
+def test_page_boundary_between_aborted_span_and_commit_marker():
+    """A page that fills while an aborted span is open and a commit marker
+    is next in line: the position must stop right after the last returned
+    record, and the following page must step over the marker, the rest of
+    the aborted span and its abort marker without returning any of them."""
+    log = build_log([
+        ("send", 1, 1),        # 0: a0 (committed)
+        ("send", 2, 1),        # 1: x0 (aborted)
+        ("send", 1, 1),        # 2: a1 (committed)
+        ("end", 1, True),      # 3: commit marker
+        ("send", 2, 1),        # 4: x1 (aborted)
+        ("end", 2, False),     # 5: abort marker
+        ("plain",),            # 6: b
+        ("plain",),            # 7: c
+    ])
+    first = fetch(log, 0, 2, READ_COMMITTED)
+    assert first.offsets() == [0, 2]
+    assert first.next_offset == 3
+    second = fetch(log, first.next_offset, 2, READ_COMMITTED)
+    assert second.offsets() == [6, 7]
+    assert second.next_offset == 8
+    for isolation in ISOLATION_LEVELS:
+        for from_offset in range(log.log_end_offset + 1):
+            for max_records in range(1, 6):
+                got = fetch(log, from_offset, max_records, isolation)
+                want = reference_fetch(log, from_offset, max_records, isolation)
+                assert got.records == want.records
+                assert got.next_offset == want.next_offset
 
 
 @given(log_scripts())

@@ -239,11 +239,13 @@ def test_fault_metrics_exposed(golden):
 
 
 @pytest.mark.chaos
+@pytest.mark.parametrize("batch", [False, True])
 @pytest.mark.parametrize("seed", [7, 11, 23])
-def test_gray_broker_scenario_hardening_engages(seed, golden):
+def test_gray_broker_scenario_hardening_engages(seed, batch, golden):
     """The gray-broker scenario on a latency-charging cluster: the EWMA
     detector demotes the slow broker, fetches hedge to a replica, and the
-    committed output still equals the fault-free golden run."""
+    committed output still equals the fault-free golden run — with and
+    without batch execution (the hedge lives on the one fetch path)."""
     from repro.broker.cluster import Cluster
     from repro.sim.scenarios import ScenarioHarness
 
@@ -251,7 +253,7 @@ def test_gray_broker_scenario_hardening_engages(seed, golden):
         cluster = Cluster(num_brokers=3, seed=5)   # latency charged
         cluster.create_topic("in", 2)
         cluster.create_topic("out", 2)
-        app = make_app(cluster)
+        app = make_app(cluster, batch=batch and with_faults)
         app.config.hedged_fetch = True
         app.start(2)
         return cluster, app
