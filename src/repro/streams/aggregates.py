@@ -121,8 +121,21 @@ class StreamAggregateProcessor(Processor):
             append_h(h)
         if pending:
             store.put_many(list(pending.items()))
-        if out_k:
-            self.context.forward_chunk(ColumnChunk(out_k, out_v, out_t, out_h))
+        if not out_k:
+            return
+        stream_times = chunk.stream_times
+        if len(out_k) != n:
+            # Null-key records were not forwarded but did advance stream time.
+            stream_times = [
+                st
+                for key, st in zip(
+                    keys, chunk.stream_times_from(self.context.stream_time)
+                )
+                if key is not None
+            ]
+        self.context.forward_chunk(
+            ColumnChunk(out_k, out_v, out_t, out_h, stream_times)
+        )
 
     def _emit(self, key: Any, new: Any, old: Any, timestamp: float, headers=None) -> None:
         self._store.put(key, new)
@@ -168,6 +181,9 @@ class WindowedAggregateProcessor(Processor):
         self.records_processed = 0
         self.dropped_records = 0
         self.revisions_emitted = 0
+        # (key, window start) -> the Windowed output key of a live window,
+        # so the chunk path builds it once per window rather than per record.
+        self._windowed_keys: dict = {}
 
     def init(self, context) -> None:
         super().init(context)
@@ -179,66 +195,86 @@ class WindowedAggregateProcessor(Processor):
     def process_batch(self, chunk: ColumnChunk) -> None:
         """Grouped column scan over windowed updates.
 
-        Stream time advances record by record inside the scan (the task
-        only publishes the chunk's max afterwards), so the per-record
-        expiry bound — and therefore which late records are dropped — is
-        identical to the scalar path. Store writes consolidate to one put
-        per (key, window) at chunk end; the trailing ``expire_before``
-        with the final bound removes the same windows the scalar path's
-        monotonically increasing per-record calls would have.
+        Each record is judged against the stream time the scalar path
+        would show it (``chunk.stream_times_from``: the task only publishes
+        the chunk's max afterwards), so the per-record expiry bound — and
+        therefore which late records are dropped — is identical. That
+        stream time travels on with every output, for operators downstream
+        that close windows on it. Store writes consolidate to one entry per
+        (key, window) in a single ``put_many`` at chunk end; the trailing
+        ``expire_before`` with the final bound removes the same windows the
+        scalar path's monotonically increasing per-record calls would have.
         """
         keys = chunk.keys
-        values = chunk.values
-        ts = chunk.timestamps
-        hdrs = chunk.headers
-        n = len(keys)
-        self.records_processed += n
-        stream_time = self.context.stream_time
-        grace = self._windows.grace_ms
+        self.records_processed += len(keys)
+        windows = self._windows
+        grace = windows.grace_ms
+        size = windows.size_ms
+        tumbling = windows.advance_ms == size
         store = self._store
         initializer = self._initializer
         aggregator = self._aggregator
-        windows_for = self._windows.windows_for
+        windowed_keys = self._windowed_keys
         pending: dict = {}
         out_k: list = []
         out_v: list = []
         out_t: list = []
         out_h: list = []
+        out_st: list = []
         # The scalar path garbage-collects while processing keyed records
         # only; mirror that so store contents match exactly even when a
         # chunk ends in key-less records.
         gc_bound: Optional[float] = None
-        for key, value, timestamp, h in zip(keys, values, ts, hdrs):
-            if timestamp > stream_time:
-                stream_time = timestamp
+        for key, value, timestamp, h, stream_time in zip(
+            keys, chunk.values, chunk.timestamps, chunk.headers,
+            chunk.stream_times_from(self.context.stream_time),
+        ):
             if key is None:
                 continue
-            expiry_bound = stream_time - grace
-            gc_bound = expiry_bound
-            for window in windows_for(timestamp):
-                if window.start < expiry_bound:
+            expiry_bound = gc_bound = stream_time - grace
+            starts = None
+            if tumbling:
+                start = (timestamp // size) * size
+                if start >= 0 and start + size > timestamp >= (start - size) + size:
+                    # Exactly when windows_for returns this one window.
+                    starts = (start,)
+            if starts is None:
+                starts = [w.start for w in windows.windows_for(timestamp)]
+            for start in starts:
+                if start < expiry_bound:
                     self.dropped_records += 1
                     continue
-                cache_key = (key, window.start)
+                cache_key = (key, start)
                 if cache_key in pending:
                     old = pending[cache_key]
                 else:
-                    old = store.fetch(key, window.start)
+                    old = store.fetch(key, start)
                 base = old if old is not None else initializer()
                 new = aggregator(key, value, base)
                 if old is not None:
                     self.revisions_emitted += 1
                 pending[cache_key] = new
-                out_k.append(Windowed(key, window))
+                windowed = windowed_keys.get(cache_key)
+                if windowed is None:
+                    windowed = windowed_keys[cache_key] = Windowed(
+                        key, Window(start, start + size)
+                    )
+                out_k.append(windowed)
                 out_v.append(Change(new, old))
                 out_t.append(timestamp)
                 out_h.append(h)
-        for (key, window_start), value in pending.items():
-            store.put(key, window_start, value)
-        if gc_bound is not None:
-            store.expire_before(gc_bound)
+                out_st.append(stream_time)
+        store.put_many(list(pending.items()))
+        if gc_bound is not None and store.expire_before(gc_bound):
+            self._windowed_keys = {
+                cache_key: windowed
+                for cache_key, windowed in windowed_keys.items()
+                if cache_key[1] >= gc_bound
+            }
         if out_k:
-            self.context.forward_chunk(ColumnChunk(out_k, out_v, out_t, out_h))
+            self.context.forward_chunk(
+                ColumnChunk(out_k, out_v, out_t, out_h, out_st)
+            )
 
     def process(self, record: StreamRecord) -> None:
         self.records_processed += 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.streams.processor import Processor
-from repro.streams.records import Change, StreamRecord
+from repro.streams.records import Change, ColumnChunk, StreamRecord
 
 Joiner = Callable[[Any, Any], Any]
 
@@ -164,6 +164,8 @@ class StreamTableJoinProcessor(Processor):
     """Stream-table join: each stream record is enriched with the table's
     current value for its key (no windowing; the table side drives nothing)."""
 
+    batch_aware = True
+
     def __init__(self, table_store: str, joiner: Joiner, left_join: bool) -> None:
         self._table_store_name = table_store
         self._joiner = joiner
@@ -182,6 +184,30 @@ class StreamTableJoinProcessor(Processor):
         self.context.forward(
             record.with_value(self._joiner(record.value, table_value))
         )
+
+    def process_batch(self, chunk: ColumnChunk) -> None:
+        """One table lookup per record, as in :meth:`process`. The table
+        cannot change under the scan: its updates arrive as chunks of their
+        own, from another queue of the same task."""
+        keys = chunk.keys
+        get = self._table.get
+        joiner = self._joiner
+        left_join = self._left_join
+        kept: List[int] = []
+        out_v: list = []
+        for i, (key, value) in enumerate(zip(keys, chunk.values)):
+            if key is None:
+                continue
+            table_value = get(key)
+            if table_value is None and not left_join:
+                continue
+            kept.append(i)
+            out_v.append(joiner(value, table_value))
+        if not kept:
+            return
+        if len(kept) != len(keys):
+            chunk = chunk.take(kept, self.context.stream_time)
+        self.context.forward_chunk(chunk.with_values(out_v))
 
 
 class TableTableJoinProcessor(Processor):

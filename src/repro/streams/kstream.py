@@ -32,7 +32,12 @@ class _AbsorbProcessor(Processor):
     """Consumes records without forwarding; used to merge a table's
     sub-topology with a join's without leaking its Changes into the join."""
 
+    batch_aware = True
+
     def process(self, record: StreamRecord) -> None:
+        return None
+
+    def process_batch(self, chunk) -> None:
         return None
 
 

@@ -181,18 +181,9 @@ class FusedStatelessProcessor(Processor):
         idx = [i for i in range(len(keys)) if fn(keys[i], values[i])]
         if not idx:
             return
-        if len(idx) == len(keys):
-            self.context.forward_chunk(chunk)
-            return
-        ts, hdrs = chunk.timestamps, chunk.headers
-        self.context.forward_chunk(
-            ColumnChunk(
-                [keys[i] for i in idx],
-                [values[i] for i in idx],
-                [ts[i] for i in idx],
-                [hdrs[i] for i in idx],
-            )
-        )
+        if len(idx) != len(keys):
+            chunk = chunk.take(idx, self.context.stream_time)
+        self.context.forward_chunk(chunk)
 
     def _batch_filter_not(self, chunk: ColumnChunk) -> None:
         fn = self._fn
@@ -200,18 +191,9 @@ class FusedStatelessProcessor(Processor):
         idx = [i for i in range(len(keys)) if not fn(keys[i], values[i])]
         if not idx:
             return
-        if len(idx) == len(keys):
-            self.context.forward_chunk(chunk)
-            return
-        ts, hdrs = chunk.timestamps, chunk.headers
-        self.context.forward_chunk(
-            ColumnChunk(
-                [keys[i] for i in idx],
-                [values[i] for i in idx],
-                [ts[i] for i in idx],
-                [hdrs[i] for i in idx],
-            )
-        )
+        if len(idx) != len(keys):
+            chunk = chunk.take(idx, self.context.stream_time)
+        self.context.forward_chunk(chunk)
 
     def _batch_map(self, chunk: ColumnChunk) -> None:
         fn = self._fn
@@ -222,18 +204,14 @@ class FusedStatelessProcessor(Processor):
                 [kv[1] for kv in mapped],
                 chunk.timestamps,
                 chunk.headers,
+                chunk.stream_times,
             )
         )
 
     def _batch_map_values(self, chunk: ColumnChunk) -> None:
         fn = self._fn
         self.context.forward_chunk(
-            ColumnChunk(
-                chunk.keys,
-                [fn(v) for v in chunk.values],
-                chunk.timestamps,
-                chunk.headers,
-            )
+            chunk.with_values([fn(v) for v in chunk.values])
         )
 
     def _batch_flat_map(self, chunk: ColumnChunk) -> None:
@@ -242,15 +220,21 @@ class FusedStatelessProcessor(Processor):
         out_v: list = []
         out_t: list = []
         out_h: list = []
-        ts, hdrs = chunk.timestamps, chunk.headers
-        for i, (k, v) in enumerate(zip(chunk.keys, chunk.values)):
+        out_st: list = []
+        for k, v, t, h, st in zip(
+            chunk.keys, chunk.values, chunk.timestamps, chunk.headers,
+            chunk.stream_times_from(self.context.stream_time),
+        ):
             for k2, v2 in fn(k, v):
                 out_k.append(k2)
                 out_v.append(v2)
-                out_t.append(ts[i])
-                out_h.append(hdrs[i])
+                out_t.append(t)
+                out_h.append(h)
+                out_st.append(st)
         if out_k:
-            self.context.forward_chunk(ColumnChunk(out_k, out_v, out_t, out_h))
+            self.context.forward_chunk(
+                ColumnChunk(out_k, out_v, out_t, out_h, out_st)
+            )
 
     def _batch_flat_map_values(self, chunk: ColumnChunk) -> None:
         fn = self._fn
@@ -258,15 +242,21 @@ class FusedStatelessProcessor(Processor):
         out_v: list = []
         out_t: list = []
         out_h: list = []
-        keys, ts, hdrs = chunk.keys, chunk.timestamps, chunk.headers
-        for i, v in enumerate(chunk.values):
+        out_st: list = []
+        for k, v, t, h, st in zip(
+            chunk.keys, chunk.values, chunk.timestamps, chunk.headers,
+            chunk.stream_times_from(self.context.stream_time),
+        ):
             for v2 in fn(v):
-                out_k.append(keys[i])
+                out_k.append(k)
                 out_v.append(v2)
-                out_t.append(ts[i])
-                out_h.append(hdrs[i])
+                out_t.append(t)
+                out_h.append(h)
+                out_st.append(st)
         if out_k:
-            self.context.forward_chunk(ColumnChunk(out_k, out_v, out_t, out_h))
+            self.context.forward_chunk(
+                ColumnChunk(out_k, out_v, out_t, out_h, out_st)
+            )
 
     def _batch_select_key(self, chunk: ColumnChunk) -> None:
         fn = self._fn
@@ -276,6 +266,7 @@ class FusedStatelessProcessor(Processor):
                 chunk.values,
                 chunk.timestamps,
                 chunk.headers,
+                chunk.stream_times,
             )
         )
 

@@ -9,8 +9,9 @@ to retract the effect of the prior result before accumulating the update
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, NamedTuple, Optional
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Any, Dict, List, NamedTuple, Optional
 
 
 @dataclass(slots=True)
@@ -25,14 +26,27 @@ class StreamRecord:
     topic: Optional[str] = None
     partition: Optional[int] = None
 
+    # Direct construction, not ``dataclasses.replace``: every stateless
+    # operator and join on the record-at-a-time path makes one copy per
+    # record. The ``headers`` dict is shared with the original.
+
     def with_kv(self, key: Any, value: Any) -> "StreamRecord":
-        return replace(self, key=key, value=value)
+        return StreamRecord(
+            key, value, self.timestamp, self.headers,
+            self.offset, self.topic, self.partition,
+        )
 
     def with_value(self, value: Any) -> "StreamRecord":
-        return replace(self, value=value)
+        return StreamRecord(
+            self.key, value, self.timestamp, self.headers,
+            self.offset, self.topic, self.partition,
+        )
 
     def with_timestamp(self, timestamp: float) -> "StreamRecord":
-        return replace(self, timestamp=timestamp)
+        return StreamRecord(
+            self.key, self.value, timestamp, self.headers,
+            self.offset, self.topic, self.partition,
+        )
 
 
 class ColumnChunk:
@@ -44,9 +58,17 @@ class ColumnChunk:
     transform whole columns in a single pass and forward a new (or the
     same) chunk; columns are never mutated in place, so unchanged columns
     are shared by reference between stages.
+
+    ``stream_times`` is the task stream time the record-at-a-time path
+    shows a processor at each position. ``None`` means the chunk still has
+    one position per record of the task's source run, so that value is the
+    running maximum of the timestamps on top of the pre-chunk stream time.
+    An operator that drops or multiplies positions (null keys, unmatched
+    joins, late records, filters) fills the column in, because the records
+    it did not forward advanced stream time all the same.
     """
 
-    __slots__ = ("keys", "values", "timestamps", "headers")
+    __slots__ = ("keys", "values", "timestamps", "headers", "stream_times")
 
     def __init__(
         self,
@@ -54,11 +76,44 @@ class ColumnChunk:
         values: list,
         timestamps: list,
         headers: list,
+        stream_times: Optional[list] = None,
     ) -> None:
         self.keys = keys
         self.values = values
         self.timestamps = timestamps
         self.headers = headers
+        self.stream_times = stream_times
+
+    def stream_times_from(self, stream_time: float) -> List[float]:
+        """Per-position stream time, given the task's pre-chunk value
+        (``context.stream_time`` during ``process_batch``)."""
+        if self.stream_times is not None:
+            return self.stream_times
+        times = list(accumulate(self.timestamps, max, initial=stream_time))
+        del times[0]
+        return times
+
+    def with_values(self, values: list) -> "ColumnChunk":
+        """The same records with a new value column (one value each)."""
+        return ColumnChunk(
+            self.keys, values, self.timestamps, self.headers, self.stream_times
+        )
+
+    def take(self, positions: List[int], stream_time: float) -> "ColumnChunk":
+        """The records at ``positions`` (ascending) as a new chunk that
+        remembers the stream time each one was processed at; the caller
+        passes the pre-chunk value, as for :meth:`stream_times_from`."""
+        keys, values, timestamps, headers = (
+            self.keys, self.values, self.timestamps, self.headers
+        )
+        stream_times = self.stream_times_from(stream_time)
+        return ColumnChunk(
+            [keys[i] for i in positions],
+            [values[i] for i in positions],
+            [timestamps[i] for i in positions],
+            [headers[i] for i in positions],
+            [stream_times[i] for i in positions],
+        )
 
     def __len__(self) -> int:
         return len(self.keys)

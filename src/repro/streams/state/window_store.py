@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 UpdateHook = Callable[[Any, Any], None]   # key=(record_key, window_start)
+BulkUpdateHook = Callable[[List[Tuple[Tuple[Any, float], Any]]], None]
 
 
 class WindowStore:
@@ -27,6 +28,12 @@ class WindowStore:
 
     def put(self, key: Any, window_start: float, value: Any) -> None:
         raise NotImplementedError
+
+    def put_many(self, items: List[Tuple[Tuple[Any, float], Any]]) -> None:
+        """Apply many ``((key, window_start), value)`` puts at once; the
+        default is one :meth:`put` each."""
+        for (key, window_start), value in items:
+            self.put(key, window_start, value)
 
     def flush(self) -> None:
         """Flush any buffered writes."""
@@ -61,12 +68,21 @@ class InMemoryWindowStore(WindowStore):
         self.retention_ms = retention_ms
         self._data: Dict[Tuple[Any, float], Any] = {}
         self._on_update = on_update
+        self._on_update_many: Optional[BulkUpdateHook] = None
         self._listeners: List[UpdateHook] = []
         self._position = 0
         self.expired_entries = 0
+        # Lower bound on every live entry's window start (exact until an
+        # entry is deleted): lets expire_before answer without a scan.
+        self._min_start = float("inf")
 
     def set_update_hook(self, on_update: Optional[UpdateHook]) -> None:
         self._on_update = on_update
+
+    def set_bulk_update_hook(
+        self, on_update_many: Optional[BulkUpdateHook]
+    ) -> None:
+        self._on_update_many = on_update_many
 
     def add_listener(self, listener: UpdateHook) -> None:
         """Subscribe to live updates; called with the (key, window start)
@@ -80,12 +96,17 @@ class InMemoryWindowStore(WindowStore):
     def fetch(self, key: Any, window_start: float) -> Any:
         return self._data.get((key, window_start))
 
-    def put(self, key: Any, window_start: float, value: Any) -> None:
-        composite = (key, window_start)
+    def _apply_put(self, composite: Tuple[Any, float], value: Any) -> None:
         if value is None:
             self._data.pop(composite, None)
         else:
             self._data[composite] = value
+            if composite[1] < self._min_start:
+                self._min_start = composite[1]
+
+    def put(self, key: Any, window_start: float, value: Any) -> None:
+        composite = (key, window_start)
+        self._apply_put(composite, value)
         self._position += 1
         if self._on_update is not None:
             self._on_update(composite, value)
@@ -93,12 +114,30 @@ class InMemoryWindowStore(WindowStore):
             for listener in self._listeners:
                 listener(composite, value)
 
+    def put_many(self, items: List[Tuple[Tuple[Any, float], Any]]) -> None:
+        """Apply many ``((key, window_start), value)`` puts at once: the
+        same store contents, position and listener calls as one
+        :meth:`put` each, but a single bulk-hook call, so the changelog
+        gets one column slab instead of one send per entry."""
+        if not items:
+            return
+        apply_put = self._apply_put
+        for composite, value in items:
+            apply_put(composite, value)
+        self._position += len(items)
+        if self._on_update_many is not None:
+            self._on_update_many(items)
+        elif self._on_update is not None:
+            for composite, value in items:
+                self._on_update(composite, value)
+        if self._listeners:
+            for composite, value in items:
+                for listener in self._listeners:
+                    listener(composite, value)
+
     def restore_put(self, composite_key: Tuple[Any, float], value: Any) -> None:
         """Apply a changelog record during restoration."""
-        if value is None:
-            self._data.pop(composite_key, None)
-        else:
-            self._data[composite_key] = value
+        self._apply_put(composite_key, value)
 
     def fetch_key_windows(self, key: Any) -> List[Tuple[float, Any]]:
         """All (window_start, value) entries for ``key``, oldest first."""
@@ -127,10 +166,14 @@ class InMemoryWindowStore(WindowStore):
     def expire_before(self, min_window_start: float) -> int:
         """Drop windows starting before ``min_window_start`` (grace-period
         GC, Figure 6.d). Returns how many entries were collected."""
-        doomed = [ck for ck in self._data if ck[1] < min_window_start]
+        if min_window_start <= self._min_start:
+            return 0
+        data = self._data
+        doomed = [ck for ck in data if ck[1] < min_window_start]
         for composite in doomed:
-            del self._data[composite]
-            self.expired_entries += 1
+            del data[composite]
             # GC is local bookkeeping: the changelog keeps its (compacted)
             # history; restoration re-applies retention separately.
+        self.expired_entries += len(doomed)
+        self._min_start = min((ck[1] for ck in data), default=float("inf"))
         return len(doomed)

@@ -14,10 +14,11 @@ each other. ``suppress`` buffers a table's Changes and emits per key:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Dict, List, Tuple
 
 from repro.streams.processor import Processor
-from repro.streams.records import Change, StreamRecord
+from repro.streams.records import Change, ColumnChunk, StreamRecord
 from repro.streams.windows import Windowed
 
 UNTIL_WINDOW_CLOSES = "until_window_closes"
@@ -47,68 +48,113 @@ class SuppressProcessor(Processor):
 
     The consolidated Change spans from the value before the first buffered
     update to the latest one, so downstream retractions remain exact.
+
+    One emission rule serves both execution modes: a buffered key is due
+    once ``stream_time - due >= wait``, where ``due`` is the window's close
+    time (end + grace, ``wait`` 0) or the time the key was first buffered
+    (``wait`` = the time limit). A heap on ``due`` makes the check O(1)
+    per record when nothing is due; keys that fall due on the same record
+    are emitted in buffer-insertion order.
     """
 
+    batch_aware = True
+
     def __init__(self, suppressed: Suppressed, grace_ms: float = 0.0) -> None:
-        self._config = suppressed
         self._grace_ms = grace_ms
+        self._final = suppressed.mode == UNTIL_WINDOW_CLOSES
+        self._wait = 0.0 if self._final else suppressed.time_limit_ms
         # key -> (latest_new, pre-run old, latest ts, first buffered at, headers)
         self._buffer: Dict[Any, Tuple[Any, Any, float, float, dict]] = {}
+        # (due, insertion number, key) for exactly the buffered keys.
+        self._index: List[Tuple[float, int, Any]] = []
+        self._inserted = 0
         self.records_suppressed = 0
         self.records_emitted = 0
 
     def process(self, record: StreamRecord) -> None:
-        change: Change = record.value
-        key = record.key
-        pending = self._buffer.get(key)
-        old = pending[1] if pending is not None else change.old
-        first_at = pending[3] if pending is not None else record.timestamp
-        if pending is not None:
-            self.records_suppressed += 1
-        self._buffer[key] = (
-            change.new, old, record.timestamp, first_at, dict(record.headers)
+        self._forward_records(
+            self._absorb(
+                (record.key,), (record.value,), (record.timestamp,),
+                (record.headers,), (self.context.stream_time,),
+            )
         )
-        self._maybe_emit()
 
-    def _maybe_emit(self) -> None:
-        stream_time = self.context.stream_time
-        if self._config.mode == UNTIL_WINDOW_CLOSES:
-            self._emit_closed_windows(stream_time)
-        else:
-            self._emit_past_time_limit(stream_time)
+    def process_batch(self, chunk: ColumnChunk) -> None:
+        out = self._absorb(
+            chunk.keys, chunk.values, chunk.timestamps, chunk.headers,
+            chunk.stream_times_from(self.context.stream_time),
+        )
+        if out[0]:
+            self.context.forward_chunk(ColumnChunk(*out))
 
-    def _emit_closed_windows(self, stream_time: float) -> None:
-        for key in list(self._buffer):
-            if not isinstance(key, Windowed):
-                raise TypeError(
-                    "until_window_closes requires windowed keys; got "
-                    f"{type(key).__name__}"
+    def _absorb(self, keys, values, timestamps, headers, stream_times) -> tuple:
+        """Buffer each Change, then emit whatever is due at the stream time
+        its record was processed at. Returns the emissions as five columns
+        (keys, Changes, timestamps, headers, stream times)."""
+        buffer = self._buffer
+        index = self._index
+        wait = self._wait
+        out: tuple = ([], [], [], [], [])
+        for key, change, timestamp, h, stream_time in zip(
+            keys, values, timestamps, headers, stream_times
+        ):
+            pending = buffer.get(key)
+            if pending is None:
+                if not self._final:
+                    due = timestamp
+                elif isinstance(key, Windowed):
+                    due = key.window.end + self._grace_ms
+                else:
+                    raise TypeError(
+                        "until_window_closes requires windowed keys; got "
+                        f"{type(key).__name__}"
+                    )
+                buffer[key] = (change.new, change.old, timestamp, timestamp, dict(h))
+                heappush(index, (due, self._inserted, key))
+                self._inserted += 1
+            else:
+                self.records_suppressed += 1
+                buffer[key] = (
+                    change.new, pending[1], timestamp, pending[3], dict(h)
                 )
-            if key.window.end + self._grace_ms <= stream_time:
-                self._emit(key)
+            if stream_time - index[0][0] >= wait:
+                self._emit_due(stream_time, out)
+        return out
 
-    def _emit_past_time_limit(self, stream_time: float) -> None:
-        for key, entry in list(self._buffer.items()):
-            if stream_time - entry[3] >= self._config.time_limit_ms:
-                self._emit(key)
+    def _emit_due(self, stream_time: float, out: tuple) -> None:
+        index = self._index
+        wait = self._wait
+        due = []
+        while index and stream_time - index[0][0] >= wait:
+            due.append(heappop(index)[1:])
+        due.sort()   # by insertion number: the buffer's own order
+        out_k, out_v, out_t, out_h, out_st = out
+        for _, key in due:
+            new, old, ts, _first, headers = self._buffer.pop(key)
+            if new is None and old is None:
+                continue
+            self.records_emitted += 1
+            out_k.append(key)
+            out_v.append(Change(new, old))
+            out_t.append(ts)
+            out_h.append(headers)
+            out_st.append(stream_time)
 
-    def _emit(self, key: Any) -> None:
-        new, old, ts, _first, headers = self._buffer.pop(key)
-        if new is None and old is None:
-            return
-        self.records_emitted += 1
-        self.context.forward(
-            StreamRecord(key=key, value=Change(new, old), timestamp=ts,
-                         headers=headers)
-        )
+    def _forward_records(self, out: tuple) -> None:
+        for key, change, ts, headers, _ in zip(*out):
+            self.context.forward(
+                StreamRecord(key=key, value=change, timestamp=ts, headers=headers)
+            )
 
     def on_commit(self) -> None:
         """Commit flush: time-limited buffers drain (their consolidation
         window is the commit interval); final-mode buffers keep waiting for
         the window to close."""
-        if self._config.mode == UNTIL_TIME_LIMIT:
-            for key in list(self._buffer):
-                self._emit(key)
+        if not self._final and self._buffer:
+            out: tuple = ([], [], [], [], [])
+            self._emit_due(float("inf"), out)
+            self._forward_records(out)
 
     def close(self) -> None:
         self._buffer.clear()
+        self._index.clear()

@@ -17,6 +17,8 @@ class TableSourceProcessor(Processor):
     """Materializes a changelog-stream topic into a table store and turns
     plain records into Changes (old value looked up from the store)."""
 
+    batch_aware = True
+
     def __init__(self, store_name: str) -> None:
         self._store_name = store_name
 
@@ -34,6 +36,35 @@ class TableSourceProcessor(Processor):
         else:
             self._store.put(record.key, new)
         self.context.forward(record.with_value(Change(new, old)))
+
+    def process_batch(self, chunk: ColumnChunk) -> None:
+        """Grouped column scan: one store get per distinct key on first
+        touch, the latest value kept in a dict, one store write per key at
+        chunk end (a ``put_many`` of the live rows, then the deletes). The
+        forwarded Changes are those :meth:`process` emits record by record;
+        no reader sees the store mid-chunk, since stream-side records come
+        in chunks of their own."""
+        keys = chunk.keys
+        store = self._store
+        pending: dict = {}
+        kept: list = []
+        out_v: list = []
+        for i, (key, new) in enumerate(zip(keys, chunk.values)):
+            if key is None:
+                continue
+            old = pending[key] if key in pending else store.get(key)
+            pending[key] = new
+            kept.append(i)
+            out_v.append(Change(new, old))
+        if not kept:
+            return
+        store.put_many([kv for kv in pending.items() if kv[1] is not None])
+        for key, value in pending.items():
+            if value is None:
+                store.delete(key)
+        if len(kept) != len(keys):
+            chunk = chunk.take(kept, self.context.stream_time)
+        self.context.forward_chunk(chunk.with_values(out_v))
 
 
 class TableFilterProcessor(Processor):
@@ -97,12 +128,7 @@ class TableToStreamProcessor(Processor):
 
     def process_batch(self, chunk: ColumnChunk) -> None:
         self.context.forward_chunk(
-            ColumnChunk(
-                chunk.keys,
-                [change.new for change in chunk.values],
-                chunk.timestamps,
-                chunk.headers,
-            )
+            chunk.with_values([change.new for change in chunk.values])
         )
 
 

@@ -1,0 +1,138 @@
+"""Section 5's completeness path end to end: table join -> re-key ->
+windowed count with grace -> suppress, through the application runtime."""
+
+import pytest
+
+from repro.clients.producer import Producer
+from repro.config import EXACTLY_ONCE, StreamsConfig
+from repro.streams import KafkaStreams, StreamsBuilder
+from repro.streams.suppress import Suppressed
+from repro.streams.windows import TimeWindows, Window, Windowed
+
+from tests.streams.harness import drain_topic, make_cluster
+
+USERS = 12
+SEGMENTS = 3
+
+
+def build_join_count_suppress():
+    builder = StreamsBuilder()
+    profiles = builder.table("profiles", store_name="profiles")
+    (
+        builder.stream("events")
+        .join(profiles, lambda event, profile: profile["segment"])
+        .select_key(lambda user, segment: segment)
+        .group_by_key()
+        .windowed_by(TimeWindows.of(25.0).grace(50.0))
+        .count(store_name="segment-counts")
+        .suppress(Suppressed.until_window_closes())
+        .to_stream()
+        .to("counts")
+    )
+    return builder.build()
+
+
+def test_every_task_of_the_completeness_path_is_chunk_native():
+    """Two instances, batch execution requested: no task may fall back to
+    record-at-a-time, and the final counts are still the offline counts."""
+    cluster = make_cluster(events=4, profiles=4, counts=4)
+    app = KafkaStreams(
+        build_join_count_suppress(),
+        cluster,
+        StreamsConfig(
+            application_id="completeness",
+            processing_guarantee=EXACTLY_ONCE,
+            commit_interval_ms=20.0,
+            batch_execution=True,
+        ),
+    )
+    app.start(2)
+    producer = Producer(cluster)
+    for user in range(USERS):
+        producer.send("profiles", key=f"u{user}",
+                      value={"segment": f"s{user % SEGMENTS}"}, timestamp=0.0)
+    producer.flush()
+    app.run_until_idle()
+
+    # Paced in 20 ms slices: a chunk is one fetched batch, so the four
+    # joining tasks reorder the repartition topic by at most a slice's
+    # event-time span, well inside the 50 ms grace.
+    expected = {}
+    for i in range(400):
+        user, timestamp = i % USERS, float(i)
+        producer.send("events", key=f"u{user}", value=i, timestamp=timestamp)
+        start = timestamp // 25 * 25
+        cell = Windowed(f"s{user % SEGMENTS}", Window(start, start + 25))
+        expected[cell] = expected.get(cell, 0) + 1
+        if i % 20 == 19:
+            producer.flush()
+            app.run_until_idle()
+    # One far-future event per segment closes every real window.
+    for user in range(SEGMENTS):
+        producer.send("events", key=f"u{user}", value=-1, timestamp=10_000.0)
+    producer.flush()
+    for _ in range(3):
+        cluster.clock.advance(100.0)
+        app.run_until_idle()
+
+    tasks = [task for instance in app.instances for task in instance.tasks.values()]
+    assert len(tasks) == 8
+    assert all(len(instance.tasks) == 4 for instance in app.instances)
+    assert all(task.batch_capable for task in tasks)
+    metrics = cluster.metrics
+    assert sum(metrics.counters("streams.batch_fallback_total").values()) == 0
+    assert sum(metrics.counters("streams.batch_fastpath_total").values()) > 400
+    assert app.metric_total("dropped_records") == 0
+    results = {r.key: r.value for r in drain_topic(cluster, "counts")}
+    assert results == expected
+    app.close()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="SuppressProcessor's buffer lives only in processor memory: it is "
+    "neither changelogged nor rebuilt from the upstream store on restore, so "
+    "a window buffered before an instance loss never emits its final result "
+    "(ROADMAP, robustness item).",
+)
+def test_suppress_buffer_survives_instance_loss():
+    cluster = make_cluster(input=1, output=1)
+    builder = StreamsBuilder()
+    (
+        builder.stream("input")
+        .group_by_key()
+        .windowed_by(TimeWindows.of(25.0).grace(10.0))
+        .count(store_name="wcounts")
+        .suppress(Suppressed.until_window_closes())
+        .to_stream()
+        .to("output")
+    )
+    app = KafkaStreams(
+        builder.build(),
+        cluster,
+        StreamsConfig(
+            application_id="suppress-loss",
+            processing_guarantee=EXACTLY_ONCE,
+            commit_interval_ms=20.0,
+        ),
+    )
+    app.start(1)
+    producer = Producer(cluster)
+    for timestamp in (1.0, 2.0, 3.0):
+        producer.send("input", key="a", value=1, timestamp=timestamp)
+    producer.flush()
+    cluster.clock.advance(50.0)
+    app.run_until_idle()       # three records counted into a[0, 25), committed
+    assert drain_topic(cluster, "output") == []
+
+    app.crash_instance(app.instances[0])
+    app.add_instance()
+    producer.send("input", key="b", value=1, timestamp=100.0)   # closes a[0, 25)
+    producer.flush()
+    cluster.clock.advance(70_000.0)    # expire any dangling transaction
+    app.run_until_idle()
+    cluster.clock.advance(50.0)
+    app.run_until_idle()
+
+    results = [(r.key, r.value) for r in drain_topic(cluster, "output")]
+    assert results == [(Windowed("a", Window(0.0, 25.0)), 3)]

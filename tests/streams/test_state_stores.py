@@ -75,6 +75,52 @@ class TestWindowStore:
         assert store.fetch("k", 50.0) == "new"
         assert store.expired_entries == 1
 
+    def test_expire_before_without_a_scan_keeps_the_accounting(self):
+        """The minimum live window start answers most calls; it must stay
+        right across puts, restores, deletes and collections."""
+        store = InMemoryWindowStore("w", retention_ms=100)
+        assert store.expire_before(1e9) == 0          # empty store
+        store.put("k", 50.0, "b")
+        store.restore_put(("k", 20.0), "a")            # lowers the minimum
+        assert store.expire_before(20.0) == 0          # bound not above it
+        assert store.expire_before(20.5) == 1
+        store.put("j", 30.0, "c")                      # below the survivor
+        store.put("j", 30.0, None)                     # delete: bound stays low
+        assert store.expire_before(40.0) == 0          # nothing live below 40
+        assert store.expire_before(60.0) == 1
+        assert store.expired_entries == 2
+        assert store.approximate_num_entries() == 0
+        store.put("k", 10.0, "d")                      # older than anything seen
+        assert store.expire_before(11.0) == 1
+
+    def test_put_many_equals_puts_with_one_bulk_hook_call(self):
+        items = [(("k", 0.0), 1), (("k", 5.0), 2), (("k", 0.0), None)]
+        single, seen = [], []
+        one = InMemoryWindowStore("w", retention_ms=100)
+        one.set_update_hook(lambda k, v: single.append((k, v)))
+        one.add_listener(lambda k, v: seen.append((k, v)))
+        for (key, start), value in items:
+            one.put(key, start, value)
+
+        slabs, bulk_seen = [], []
+        many = InMemoryWindowStore("w", retention_ms=100)
+        many.set_update_hook(lambda k, v: pytest.fail("scalar hook used"))
+        many.set_bulk_update_hook(slabs.append)
+        many.add_listener(lambda k, v: bulk_seen.append((k, v)))
+        many.put_many(items)
+        many.put_many([])
+
+        assert slabs == [items] and single == items
+        assert bulk_seen == seen == items
+        assert dict(many.all()) == dict(one.all()) == {("k", 5.0): 2}
+        assert many.position() == one.position() == 3
+        assert many.expire_before(5.0) == 0            # (k, 0.0) was deleted
+
+        fallback = InMemoryWindowStore("w", retention_ms=100)
+        fallback.set_update_hook(lambda k, v: single.append((k, v)))
+        fallback.put_many(items[:1])                   # no bulk hook: per item
+        assert single[-1] == items[0]
+
     def test_update_hook_uses_composite_key(self):
         events = []
         store = InMemoryWindowStore(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.streams.records import Change, StreamRecord
+from repro.streams.records import Change, ColumnChunk, StreamRecord
 from repro.streams.suppress import SuppressProcessor, Suppressed
 from repro.streams.windows import Window, Windowed
 
@@ -44,6 +44,48 @@ class TestUntilWindowCloses:
         feed(processor, task, change_record(Windowed("k", Window(5, 10)), 1, None, 5))
         assert [r.key for r in forwarded_records(task)] == [key]
         assert processor.records_emitted == 1
+
+    def test_windows_closing_together_emit_in_buffer_order(self):
+        """A late record opened [0, 5) after [5, 10) was buffered; both
+        close on one record and leave first-buffered first, not
+        earliest-closing first."""
+        processor, task = self.make(grace=10)
+        later = Windowed("k", Window(5, 10))
+        earlier = Windowed("k", Window(0, 5))
+        feed(processor, task, change_record(later, 1, None, 6))
+        feed(processor, task, change_record(earlier, 1, None, 4))
+        feed(processor, task, change_record(later, 2, 1, 7))
+        assert forwarded_records(task) == []
+        feed(processor, task, change_record(Windowed("k", Window(95, 100)), 1, None, 99))
+        assert [r.key for r in forwarded_records(task)] == [later, earlier]
+        assert [r.value for r in forwarded_records(task)] == [
+            Change(2, None), Change(1, None)
+        ]
+
+    def test_chunk_emits_at_each_records_stream_time(self):
+        """process_batch judges every record against the stream time that
+        came down with it, not against the timestamps it was forwarded: the
+        second record's stream time (19, set by a record dropped upstream)
+        closes [0, 5) even though no forwarded timestamp reaches 15."""
+        processor, task = self.make(grace=10)
+        first = Windowed("k", Window(0, 5))
+        second = Windowed("k", Window(5, 10))
+        chunks = []
+        task.process_chunk_at = lambda node, chunk: chunks.append(chunk)
+        processor.process_batch(
+            ColumnChunk(
+                [first, second],
+                [Change(1, None), Change(1, None)],
+                [2.0, 7.0],
+                [{}, {}],
+                stream_times=[2.0, 19.0],
+            )
+        )
+        (out,) = chunks
+        assert out.keys == [first]
+        assert out.values == [Change(1, None)]
+        assert out.stream_times == [19.0]
+        assert list(processor._buffer) == [second]
 
     def test_requires_windowed_keys(self):
         processor, task = self.make()
