@@ -10,6 +10,7 @@ losing acknowledged data.
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Dict, List, NamedTuple, Optional, Set
 
 from repro.errors import (
@@ -137,31 +138,40 @@ class PartitionState:
             self.isr = {broker_id}
             self._eligible_leaders = set()
             for waiting in sorted(self._waiting_replicas):
-                self._truncate_divergence(waiting)
-                self._sync_follower(waiting)
-                self.isr.add(waiting)
+                self._rejoin(waiting)
             self._waiting_replicas.clear()
             return
         # The returning replica may have diverged (e.g. it led briefly with
         # unacked appends). Truncate to its longest common prefix with the
         # current leader before catching up — the in-memory equivalent of
         # Kafka's leader-epoch-based truncation.
+        self._rejoin(broker_id)
+
+    def _rejoin(self, broker_id: int) -> None:
         self._truncate_divergence(broker_id)
-        self._sync_follower(broker_id)
+        self._sync_follower(self.replicas[broker_id], self.leader_log())
         self.isr.add(broker_id)
 
     def _truncate_divergence(self, broker_id: int) -> None:
+        """Cut the replica at the first offset of the overlap that one log
+        holds and the other does not, or holds differently."""
         leader_log = self.leader_log()
         follower = self.replicas[broker_id]
         start = max(follower.log_start_offset, leader_log.log_start_offset)
         end = min(follower.log_end_offset, leader_log.log_end_offset)
-        follower_records = {r.offset: r for r in follower.records()}
-        leader_records = {r.offset: r for r in leader_log.records()}
-        for offset in range(start, end):
-            if follower_records.get(offset) != leader_records.get(offset):
-                follower.truncate_to(offset)
-                return
-        follower.truncate_to(end)
+        cut = end
+        if start < end:
+            mine = follower.read(start, end - start, end)
+            theirs = leader_log.read(start, end - start, end)
+            # Mirrored records are the leader's own objects and list
+            # equality tests identity first: pointer compares if undiverged.
+            if mine != theirs:
+                cut = next(
+                    min(r.offset for r in pair if r is not None)
+                    for pair in zip_longest(mine, theirs)
+                    if pair[0] != pair[1]
+                )
+        follower.truncate_to(cut)
 
     def _elect_leader(self) -> None:
         """Prefer an in-sync replica (clean election)."""
@@ -202,37 +212,30 @@ class PartitionState:
         """Follower fetch round: copy new leader records to in-sync
         followers and advance the high watermark to min(ISR log ends)."""
         leader_log = self.leader_log()
+        hw = leader_log.log_end_offset
         for broker_id in self.isr:
-            if broker_id == self.leader:
-                continue
-            self._sync_follower(broker_id)
-        self._advance_high_watermark()
+            if broker_id != self.leader:
+                follower = self.replicas[broker_id]
+                self._sync_follower(follower, leader_log)
+                hw = min(hw, follower.log_end_offset)
+        if hw > leader_log.high_watermark:
+            leader_log.high_watermark = hw
+            for broker_id in self.isr:
+                self.replicas[broker_id].high_watermark = hw
 
-    def _sync_follower(self, broker_id: int) -> None:
-        leader_log = self.leader_log()
-        follower = self.replicas[broker_id]
-        if follower.log_end_offset < leader_log.log_start_offset:
-            # The records the follower is missing were already deleted on
-            # the leader (e.g. repartition-topic purging): full resync from
-            # the leader's earliest retained offset.
+    @staticmethod
+    def _sync_follower(follower: PartitionLog, leader_log: PartitionLog) -> None:
+        if follower.log_start_offset < leader_log.log_start_offset:
+            # The follower missed a delete on the leader (e.g. repartition-
+            # topic purging): what it holds can no longer be checked against
+            # the leader and may end before the leader's log starts. Resync.
             follower.reset_to(leader_log.log_start_offset)
         if follower.log_end_offset > leader_log.log_end_offset:
             # The follower diverged (e.g. it briefly led with unacked
             # appends); truncate to the leader.
             follower.truncate_to(leader_log.log_end_offset)
-        if follower.log_end_offset < leader_log.log_end_offset:
-            # Mirror the leader's records and index state by slice — the
-            # follower is a prefix of the leader at this point (truncated/
-            # reset above), so no per-record metadata walk is needed.
-            follower.replicate_mirror(leader_log)
+        # A prefix of the leader now. Mirror even if no record is missing:
+        # a truncation leaves index state that only a sync replaces.
+        follower.replicate_mirror(leader_log)
         follower.high_watermark = leader_log.high_watermark
         follower.log_start_offset = leader_log.log_start_offset
-
-    def _advance_high_watermark(self) -> None:
-        leader_log = self.leader_log()
-        ends = [self.replicas[b].log_end_offset for b in self.isr]
-        hw = min(ends) if ends else leader_log.log_end_offset
-        if hw > leader_log.high_watermark:
-            leader_log.high_watermark = hw
-            for broker_id in self.isr:
-                self.replicas[broker_id].high_watermark = hw

@@ -14,7 +14,8 @@ offset-ordered sequence of records. On top of plain appends it implements
   repartition-topic truncation.
 
 The log itself is single-writer (the partition leader); replication copies
-appended entries verbatim (see :mod:`repro.broker.replication`).
+appended entries verbatim (:meth:`PartitionLog.replicate_mirror`, driven by
+:class:`repro.broker.partition.PartitionState`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.errors import (
     InvalidProducerEpochError,
@@ -63,8 +64,9 @@ class AppendResult:
     duplicate: bool = False
 
 
-@dataclass
-class _BatchMeta:
+class _BatchMeta(NamedTuple):
+    """Immutable, so a follower sync shares it with the leader by reference."""
+
     base_sequence: int
     last_sequence: int
     base_offset: int
@@ -74,9 +76,9 @@ class _BatchMeta:
 class _ProducerIdState:
     """Sequence/epoch bookkeeping for one producer id on one partition."""
 
-    def __init__(self, epoch: int) -> None:
+    def __init__(self, epoch: int, batches: Iterable[_BatchMeta] = ()) -> None:
         self.epoch = epoch
-        self.batches: Deque[_BatchMeta] = deque(maxlen=_PRODUCER_BATCH_CACHE)
+        self.batches: Deque[_BatchMeta] = deque(batches, _PRODUCER_BATCH_CACHE)
 
     @property
     def last_sequence(self) -> int:
@@ -137,6 +139,9 @@ class PartitionLog:
         # touching individual records.
         self._pid_offsets: Dict[int, List[int]] = {}
         self._control_offsets: List[int] = []
+        # truncate_to/reset_to removed records: producer and transaction
+        # state may describe them still. The next replicate_mirror heals it.
+        self._stale = False
 
     # -- basic accessors -------------------------------------------------------
 
@@ -399,29 +404,34 @@ class PartitionLog:
 
     def replicate_mirror(self, source: "PartitionLog") -> None:
         """Follower fetch against a live leader log: copy the missing
-        record suffix by slice and *mirror* the leader's index state
-        instead of re-deriving it record by record.
+        record suffix by slice and mirror the leader's index state for what
+        that suffix touched (DESIGN.md, "Replication: what a follower sync
+        touches").
 
         Valid only when this log is a prefix of ``source`` (which
-        :meth:`repro.broker.partition.Partition._sync_follower` guarantees
-        by truncating or resetting first) and the sync runs to the
-        leader's log end — afterwards both logs hold the same records, so
-        every index must equal the leader's:
+        :meth:`repro.broker.partition.PartitionState._sync_follower`
+        guarantees by truncating or resetting first); the sync runs to the
+        leader's log end. The leader changes a producer's sequence or
+        transaction state only while appending a record of that producer
+        id, so:
 
-        * record/offset/control/producer-offset lists grow by bisected
-          slice extension (follower lists never hold offsets >= its log
-          end — ``truncate_to``/``reset_to`` maintain that);
-        * producer sequence state and open transactions are snapshots of
-          the leader's (which also heals state left stale by a divergence
-          truncation, where the record walk could only append);
-        * aborted spans whose markers sit in the copied suffix are pushed
-          through :meth:`_index_aborted` in leader order (``_aborted`` is
-          sorted by ``last_offset`` — each abort marker at offset ``m``
-          indexes a span ending at ``m - 1``, and markers append in offset
-          order).
+        * record/offset/control lists grow by bisected slice extension
+          (follower lists never hold offsets >= its log end);
+        * the producer ids *in the suffix* get their offset list extended
+          and their sequence state and open-transaction entry replaced by
+          the leader's; every other producer's state is left alone;
+        * aborted spans are indexed only if the suffix holds a marker, in
+          leader order (``_aborted`` is sorted by ``last_offset``: an
+          abort marker at offset ``m`` indexes a span ending at ``m - 1``).
+
+        After :meth:`truncate_to` / :meth:`reset_to` removed records, or
+        over a suffix with holes (compaction can take a producer's records
+        out of it entirely), that one sync mirrors every producer id and
+        the whole aborted index instead.
         """
         start = self._next_offset
-        if start >= source._next_offset:
+        end = source._next_offset
+        if start >= end and not self._stale:
             return
         if start < source.log_start_offset:
             raise ValueError(
@@ -429,39 +439,59 @@ class PartitionLog:
                 f"log starts at {source.log_start_offset}"
             )
         idx = bisect.bisect_left(source._offsets, start)
-        self._records.extend(source._records[idx:])
+        suffix = source._records[idx:]
+        self._records.extend(suffix)
         self._offsets.extend(source._offsets[idx:])
-        self._next_offset = source._next_offset
-
+        self._next_offset = end
         controls = source._control_offsets
-        self._control_offsets.extend(
-            controls[bisect.bisect_left(controls, start):]
-        )
-        for pid, offs in source._pid_offsets.items():
+        markers = controls[bisect.bisect_left(controls, start):]
+        self._control_offsets.extend(markers)
+
+        n = len(suffix)
+        spans: Iterable[AbortedTxn] = ()
+        if self._stale or n != end - start:
+            self._stale = False
+            self._producers.clear()
+            self._open_txns.clear()
+            self._aborted.clear()
+            self._aborted_index.clear()
+            pids: Iterable[int] = (
+                source._producers.keys()
+                | source._pid_offsets.keys()
+                | source._open_txns.keys()
+            )
+            spans = source._aborted
+        else:
+            head = suffix[0].producer_id
+            offs = source._pid_offsets.get(head, ())
+            if len(offs) >= n and offs[-n] == start:
+                # n ascending offsets from `start`, all below `end`: one
+                # producer's data is the whole suffix (every acks=all sync).
+                pids = (head,)
+            else:
+                pids = {record.producer_id for record in suffix}
+            if markers:
+                # k markers indexed at most the last k spans, each ending
+                # at >= start - 1; earlier markers' spans end below that.
+                spans = [
+                    span
+                    for span in source._aborted[-len(markers):]
+                    if span.last_offset >= start - 1
+                ]
+        for pid in pids:
+            offs = source._pid_offsets.get(pid, ())
             tail = offs[bisect.bisect_left(offs, start):]
             if tail:
                 self._pid_offsets.setdefault(pid, []).extend(tail)
-
-        self._open_txns = dict(source._open_txns)
-        producers: Dict[int, _ProducerIdState] = {}
-        for pid, state in source._producers.items():
-            mirrored = _ProducerIdState(state.epoch)
-            mirrored.batches.extend(
-                _BatchMeta(
-                    m.base_sequence, m.last_sequence,
-                    m.base_offset, m.last_offset,
-                )
-                for m in state.batches
-            )
-            producers[pid] = mirrored
-        self._producers = producers
-
-        # Spans indexed by markers in [start, end) end at >= start - 1;
-        # spans from earlier markers end at <= start - 2.
-        lo = bisect.bisect_left(
-            source._aborted, start - 1, key=lambda s: s.last_offset
-        )
-        for span in source._aborted[lo:]:
+            state = source._producers.get(pid)
+            if state is not None:
+                self._producers[pid] = _ProducerIdState(state.epoch, state.batches)
+            first_offset = source._open_txns.get(pid)
+            if first_offset is None:
+                self._open_txns.pop(pid, None)
+            else:
+                self._open_txns[pid] = first_offset
+        for span in spans:
             self._index_aborted(span)
 
     # -- reads -------------------------------------------------------------------
@@ -619,6 +649,8 @@ class PartitionLog:
     def truncate_to(self, offset: int) -> None:
         """Remove records with offsets >= ``offset`` (follower reconciliation)."""
         keep = bisect.bisect_left(self._offsets, offset)
+        if keep < len(self._offsets):
+            self._stale = True
         del self._records[keep:]
         del self._offsets[keep:]
         for offs in self._pid_offsets.values():
@@ -643,6 +675,9 @@ class PartitionLog:
         self._aborted_index.clear()
         self._pid_offsets.clear()
         self._control_offsets.clear()
+        # Producers whose records the leader already deleted still have
+        # sequence state there; no suffix will ever name them.
+        self._stale = True
 
     def delete_records_before(self, offset: int) -> int:
         """Advance the log start offset (repartition-topic purge).

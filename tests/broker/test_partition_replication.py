@@ -4,7 +4,13 @@ import pytest
 
 from repro.broker.partition import PartitionState, TopicPartition
 from repro.errors import NotEnoughReplicasError, NotLeaderError
-from repro.log.record import Record, RecordBatch
+from repro.log.record import (
+    ABORT_MARKER,
+    COMMIT_MARKER,
+    Record,
+    RecordBatch,
+    control_marker,
+)
 
 
 def batch(*values):
@@ -147,3 +153,76 @@ def test_single_replica_partition():
     p = PartitionState(TopicPartition("t", 0), broker_ids=[0], min_insync_replicas=1)
     p.append(batch(1), acks="all")
     assert p.leader_log().high_watermark == 1
+
+
+def test_restarted_replica_forgets_transactions_it_aborted_while_diverged():
+    """Replica 1 leads briefly and aborts pid 1's transaction without
+    replicating; the next leader commits it. After the restart truncates the
+    divergent suffix, replica 1 must serve the committed records, not mask
+    them with the aborted span of the marker it lost."""
+    partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1, 2])
+
+    def txn(sequence, *values):
+        return RecordBatch(
+            [Record(key="k", value=v) for v in values],
+            producer_id=1, producer_epoch=0, base_sequence=sequence,
+            is_transactional=True,
+        )
+
+    partition.append(txn(0, "a"))
+    partition.on_broker_failure(0)
+    assert partition.leader == 1
+    diverged = partition.leader_log()           # unreplicated leader appends
+    diverged.append_batch(txn(1, "b"))
+    diverged.append_marker(control_marker(ABORT_MARKER, 1, 0))
+    partition.on_broker_failure(1)
+    assert partition.leader == 2
+    partition.append(txn(1, "c", "d", "e"))
+    partition.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+
+    partition.on_broker_restart(1)
+
+    leader, replica = partition.leader_log(), partition.replicas[1]
+    assert replica.records() == leader.records()
+    assert replica.aborted_transactions() == leader.aborted_transactions() == []
+    assert replica.open_transactions() == leader.open_transactions() == {}
+    committed = leader.read_columnar(0, filter_aborted=True).values()
+    assert committed == ["a", "c", "d", "e"]
+    assert replica.read_columnar(0, filter_aborted=True).values() == committed
+
+
+def test_sync_cost_is_proportional_to_the_suffix_not_the_producers(monkeypatch):
+    """Structural guard (no clock): with 64 producer ids cached, syncing one
+    producer's batch leaves the other 63 producers' follower state the very
+    same objects, and an append without a marker never reaches the aborted
+    index. A sync that re-snapshots every producer fails this."""
+    partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1])
+
+    def idempotent(pid, sequence, *values):
+        return RecordBatch(
+            [Record(key="k", value=v) for v in values],
+            producer_id=pid, producer_epoch=0, base_sequence=sequence,
+        )
+
+    for pid in range(64):
+        partition.append(idempotent(pid, 0, "first"))
+    leader, follower = partition.leader_log(), partition.replicas[1]
+    states = dict(follower._producers)
+    offset_lists = dict(follower._pid_offsets)
+    assert len(states) == len(offset_lists) == 64
+    indexed = []
+    monkeypatch.setattr(follower, "_index_aborted", indexed.append)
+
+    partition.append(idempotent(7, 1, "second", "third"))
+
+    assert follower.records() == leader.records()
+    for pid in set(range(64)) - {7}:
+        assert follower._producers[pid] is states[pid]
+        assert follower._pid_offsets[pid] is offset_lists[pid]
+        assert follower._pid_offsets[pid] == [pid]
+    assert follower._pid_offsets[7] == [7, 64, 65]
+    assert follower._producers[7] is not leader._producers[7]
+    assert follower._producers[7].last_sequence == 2
+    assert indexed == []
+    # The metadata itself is immutable and shared, not copied.
+    assert follower._producers[7].batches[-1] is leader._producers[7].batches[-1]

@@ -7,6 +7,7 @@ from repro.errors import (
     OffsetOutOfRangeError,
     OutOfOrderSequenceError,
 )
+from repro.log.compaction import compact_log
 from repro.log.partition_log import PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
@@ -256,6 +257,22 @@ class TestReplication:
         with pytest.raises(ValueError):
             follower.replicate_mirror(leader)
 
+    def test_replicate_mirror_over_a_compacted_suffix_learns_every_producer(self):
+        """Compaction can take a producer's records out of the suffix the
+        follower still has to copy; its sequence state must arrive anyway."""
+        leader = PartitionLog()
+        follower = PartitionLog()
+        leader.append_batch(idem_batch(1, 0, 0, "v1"))
+        follower.replicate_mirror(leader)
+        leader.append_batch(idem_batch(2, 0, 0, "v2"))
+        leader.append_batch(idem_batch(1, 0, 1, "v3"))
+        leader.high_watermark = leader.log_end_offset
+        compact_log(leader)                      # same key: only "v3" stays
+        assert [r.value for r in leader.records()] == ["v3"]
+        follower.replicate_mirror(leader)
+        assert [r.value for r in follower.records()] == ["v1", "v3"]
+        assert follower.append_batch(idem_batch(2, 0, 0, "v2")).duplicate
+
     def test_truncate_to(self):
         log = PartitionLog()
         log.append_batch(plain_batch(*range(5)))
@@ -263,6 +280,50 @@ class TestReplication:
         log.truncate_to(2)
         assert log.log_end_offset == 2
         assert log.high_watermark == 2
+
+    def test_sync_after_truncation_drops_the_cut_transaction_state(self):
+        """A follower that aborted a transaction while briefly leading, and
+        is then truncated below that marker, must not keep the aborted span
+        (nor the marker's closed transaction) once it follows a leader that
+        went on to commit the same transaction."""
+        leader = PartitionLog()
+        follower = PartitionLog()
+        leader.append_batch(txn_batch(1, 0, 0, "a"))
+        follower.replicate_mirror(leader)
+        follower.append_batch(txn_batch(1, 0, 1, "b"))
+        follower.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        assert follower.is_offset_aborted(1, 0)
+        follower.truncate_to(1)
+        leader.append_batch(txn_batch(1, 0, 1, "c", "d", "e"))
+        follower.replicate_mirror(leader)
+        assert follower.open_transactions() == leader.open_transactions() == {1: 0}
+        leader.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+        follower.replicate_mirror(leader)
+        leader.high_watermark = follower.high_watermark = leader.log_end_offset
+        assert follower.aborted_transactions() == []
+        assert not follower.is_offset_aborted(1, 0)
+        committed = leader.read_columnar(0, filter_aborted=True).values()
+        assert committed == ["a", "c", "d", "e"]
+        assert follower.read_columnar(0, filter_aborted=True).values() == committed
+        # The cut batch's sequence numbers are free again: the leader's
+        # record at those sequences is a duplicate, a new one is not.
+        assert follower.append_batch(txn_batch(1, 0, 1, "c", "d", "e")).duplicate
+
+    def test_truncation_to_the_leaders_end_still_resyncs_state(self):
+        """No records are missing after the cut, so nothing is copied, but
+        the transaction the follower closed on its own is open again."""
+        leader = PartitionLog()
+        follower = PartitionLog()
+        leader.append_batch(txn_batch(1, 0, 0, "a"))
+        follower.replicate_mirror(leader)
+        follower.append_marker(control_marker(ABORT_MARKER, 1, 1))
+        follower.truncate_to(leader.log_end_offset)
+        follower.replicate_mirror(leader)
+        assert follower.records() == leader.records()
+        assert follower.open_transactions() == {1: 0}
+        assert follower.aborted_transactions() == []
+        # The cut marker had bumped the epoch; the leader never saw that.
+        follower.append_batch(txn_batch(1, 0, 1, "b"))
 
 
 class TestRetention:
