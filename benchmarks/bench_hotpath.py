@@ -13,10 +13,10 @@ the batch-aware read-path work targets:
 * ``produce`` — a tight `Producer.send` loop (metadata + leader routing per
   record, batch assembly, sequence accounting).
 * ``streams`` — the full Figure 5 scenario (generator → stateful reduce →
-  read-committed verifier) timed in wall-clock seconds, once per execution
-  mode (``StreamsConfig.batch_execution`` off and on). The batch row must
-  never be slower than the scalar row — asserted here, enforced by the CI
-  ``hotpath-batch-smoke`` job.
+  read-committed verifier) timed in wall-clock seconds. The app has one
+  execution mode (chunks); the second row swaps the *benchmark's* own
+  generator and verifier for their columnar forms, so the pair prices the
+  per-record work of the clients around the app, not of the app.
 * ``tracing overhead`` — the produce loop with the (disabled) tracer
   instrumentation in place vs a baseline with the network's tracer guard
   bypassed entirely; disabled tracing must stay within 5% of the baseline.
@@ -226,7 +226,7 @@ def run_tracing_overhead_scenario(total_records: int, rounds: int = 5):
 def run_streams_scenario(
     duration_ms: float,
     rate_per_sec: float = 10_000.0,
-    batch_execution: bool = False,
+    columnar_clients: bool = False,
     rounds: int = 5,
 ):
     """The Figure 5 reduce scenario, timed in wall-clock seconds
@@ -243,7 +243,7 @@ def run_streams_scenario(
                 commit_interval_ms=100.0,
                 duration_ms=duration_ms,
                 rate_per_sec=rate_per_sec,
-                batch_execution=batch_execution,
+                columnar_clients=columnar_clients,
             )
             best = min(best, time.perf_counter() - start)
     return {
@@ -294,15 +294,15 @@ def run_all():
             round(streams_stats["records_per_sec"]),
         ]
     )
-    streams_batch_stats = run_streams_scenario(
-        duration_ms=streams_duration, batch_execution=True
+    streams_columnar_stats = run_streams_scenario(
+        duration_ms=streams_duration, columnar_clients=True
     )
     rows.append(
         [
-            "streams reduce (EOS, batch)",
-            streams_batch_stats["records"],
-            f"{streams_batch_stats['elapsed_s']:.2f}",
-            round(streams_batch_stats["records_per_sec"]),
+            "streams reduce (EOS, columnar clients)",
+            streams_columnar_stats["records"],
+            f"{streams_columnar_stats['elapsed_s']:.2f}",
+            round(streams_columnar_stats["records_per_sec"]),
         ]
     )
     # Floor at 20k records: shorter rounds put a 5% ratio threshold inside
@@ -340,8 +340,8 @@ def run_all():
         f"disabled-tracer produce throughput fell to "
         f"{overhead['throughput_ratio']:.3f}x of the no-tracer baseline"
     )
-    # Staying columnar exists only for speed: same-run, the batch rows
-    # must never be slower than the rows that materialize per record (the
+    # Staying columnar exists only for speed: same-run, the batch fetch
+    # must never be slower than the one that materializes per record (the
     # CI hotpath-batch smoke job fails on this; the full-scale
     # before/after numbers live in EXPERIMENTS.md).
     fetch_ratio = fetch_col_stats["records_per_sec"] / max(
@@ -349,12 +349,6 @@ def run_all():
     )
     assert fetch_ratio >= 1.0, (
         f"columnar fetch is slower than its scalar view ({fetch_ratio:.2f}x)"
-    )
-    streams_ratio = streams_batch_stats["records_per_sec"] / max(
-        streams_stats["records_per_sec"], 1e-9
-    )
-    assert streams_ratio >= 1.0, (
-        f"batch streams path is slower than scalar ({streams_ratio:.2f}x)"
     )
     timer.__exit__()
     write_bench_json(
@@ -365,7 +359,7 @@ def run_all():
             {"label": "fetch_columnar", **fetch_col_stats},
             {"label": "produce", **produce_stats},
             {"label": "streams", **streams_stats},
-            {"label": "streams_batch", **streams_batch_stats},
+            {"label": "streams_columnar_clients", **streams_columnar_stats},
             {"label": "tracing_overhead", **overhead},
         ],
         wall_seconds=timer.seconds,
@@ -375,7 +369,7 @@ def run_all():
         "fetch_columnar": fetch_col_stats,
         "produce": produce_stats,
         "streams": streams_stats,
-        "streams_batch": streams_batch_stats,
+        "streams_columnar_clients": streams_columnar_stats,
         "tracing_overhead": overhead,
         "table": table,
     }
@@ -392,10 +386,7 @@ def test_hotpath_throughput(benchmark):
     # The scalar view and the batch agree on what a read-committed consumer sees.
     assert stats["fetch_columnar"]["returned"] == stats["fetch"]["returned"]
     assert stats["fetch_columnar"]["scanned"] == stats["fetch"]["scanned"]
-    # Batch execution processed the same workload (modulo the columnar
-    # generator's different rng draw order — record counts match because
-    # the slice boundaries are time-driven, not rng-driven).
-    assert stats["streams_batch"]["records"] > 0
+    assert stats["streams_columnar_clients"]["records"] > 0
     # Tracing-disabled overhead stays within 10% (also asserted in run_all).
     assert stats["tracing_overhead"]["throughput_ratio"] >= 0.90
 

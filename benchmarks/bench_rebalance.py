@@ -27,15 +27,18 @@ from repro.streams import KafkaStreams, StreamsBuilder
 
 PARTITIONS = 4
 KEY_SPACE = 50
-STATE_RECORDS = 4000     # changelog size before the first roll
+# Keys written (one record each) before the first roll: the state a cold
+# restore replays. Distinct keys make that a property of the data — a task
+# folds a chunk's updates of one key into one changelog append.
+STATE_RECORDS = 4000
 ROLL_RECORDS = 30        # records pumped per slice while rolling
 ROLLS = 2
 
 
-def _produce(cluster, start, n):
+def _produce(cluster, start, n, key_space=KEY_SPACE):
     producer = Producer(cluster)
     for i in range(start, start + n):
-        producer.send("in", key=f"k{i % KEY_SPACE}", value=1, timestamp=float(i))
+        producer.send("in", key=f"k{i % key_space}", value=1, timestamp=float(i))
     producer.flush()
     return start + n
 
@@ -75,7 +78,7 @@ def run_one(protocol):
     )
     app.start(2)
     state_records = max(200, int(STATE_RECORDS * bench_scale()))
-    cursor = _produce(cluster, 0, state_records)
+    cursor = _produce(cluster, 0, state_records, key_space=state_records)
     app.run_until_idle(max_steps=50_000)
 
     # Rolling restart: retire one instance, let the group re-absorb its

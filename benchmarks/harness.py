@@ -171,9 +171,14 @@ def run_streams_reduce(
     seed: int = 101,
     label: Optional[str] = None,
     trace: bool = False,
-    batch_execution: bool = False,
+    columnar_clients: bool = False,
 ) -> BenchResult:
     """One full run of the Figure 5 scenario; returns throughput+latency.
+
+    ``columnar_clients`` selects the load generator's slab producer
+    (``produce_for_columnar``) and a sink drain that reads header columns
+    instead of records — the benchmark's own per-record work, not the
+    app's: the app runs the same way either way.
 
     With ``trace=True`` the cluster's tracer records the full span timeline,
     stage stamps decompose end-to-end latency (see
@@ -194,7 +199,6 @@ def run_streams_reduce(
             application_id="bench",
             processing_guarantee=guarantee,
             commit_interval_ms=commit_interval_ms,
-            batch_execution=batch_execution,
         ),
     )
     app.start(1)
@@ -220,7 +224,7 @@ def run_streams_reduce(
     driver = Driver(cluster.clock, tracer=cluster.tracer)
     driver.register(app)
     driver.register(
-        _SinkDrain(cluster, sink_consumer, tracker, columnar=batch_execution)
+        _SinkDrain(cluster, sink_consumer, tracker, columnar=columnar_clients)
     )
     telemetry = None
     if trace:
@@ -235,7 +239,7 @@ def run_streams_reduce(
     deadline = start + duration_ms
     slice_ms = min(commit_interval_ms / 2, 25.0)
     produce_slice = (
-        generator.produce_for_columnar if batch_execution
+        generator.produce_for_columnar if columnar_clients
         else generator.produce_for
     )
     while cluster.clock.now < deadline:
@@ -249,7 +253,7 @@ def run_streams_reduce(
     # Visibility tail (pure waiting for the last transaction markers):
     # counts toward latency, not throughput.
     cluster.clock.advance(10.0 + output_partitions * 0.5)
-    _drain_outputs(cluster, sink_consumer, tracker, columnar=batch_execution)
+    _drain_outputs(cluster, sink_consumer, tracker, columnar=columnar_clients)
 
     result = BenchResult(
         label=label or f"{guarantee}/{output_partitions}p",

@@ -345,7 +345,7 @@ class Producer:
     ) -> TopicPartition:
         """Bulk-buffer a column chunk for one explicit partition.
 
-        The batch-execution hot path lands here: sink and changelog chunks
+        The chunk-execution hot path lands here: sink and changelog chunks
         arrive as parallel columns and are appended by list extension —
         no per-record ``Record`` (or even per-record method call) exists
         between the operator and the broker log. Header dicts are taken by

@@ -171,6 +171,11 @@ class StreamsConfig:
     (the knob on the x-axis of Figure 5.b); ``processing_guarantee``
     switches between at-least-once and exactly-once with a single value,
     as the paper describes in Section 4.3.
+
+    How a task executes is not a setting: a task whose sub-topology can
+    take whole column chunks does, and any other task runs record at a
+    time (``StreamTask.fallback_reason`` says why). Committed output is
+    identical either way.
     """
 
     application_id: str = "streams-app"
@@ -191,7 +196,8 @@ class StreamsConfig:
     # data *before* its transaction commits (read_speculative sources) and
     # gate this instance's own commit on the upstream outcome, rolling the
     # speculation back if the upstream transaction aborts. Requires
-    # processing_guarantee=EXACTLY_ONCE.
+    # processing_guarantee=EXACTLY_ONCE. Tasks run record at a time:
+    # commit dependencies are tracked per consumed record.
     speculative: bool = False
     # KIP-429: "cooperative" rebalances incrementally — retained tasks keep
     # processing while moved partitions are handed over in a follow-up
@@ -206,16 +212,6 @@ class StreamsConfig:
     # Virtual-time interval between probing rebalances while any warmup
     # standby is still catching up.
     probing_rebalance_interval_ms: float = 1_000.0
-    # Columnar batch execution: tasks whose processors are all batch-aware
-    # push the fetched ColumnarBatches through the fused processor graph as
-    # whole column chunks, materializing no per-record objects on the hot
-    # path (every task is *handed* batches either way; this selects how it
-    # processes them). Committed output is byte-identical to
-    # record-at-a-time processing; tasks with punctuators or
-    # non-batch-aware processors fall back to it automatically. Ignored
-    # when ``speculative`` is set — speculation needs per-record dependency
-    # tracking.
-    batch_execution: bool = False
     # Restore throttling: >0 caps how many changelog records one instance
     # replays per poll cycle, spread across its restoring tasks
     # (smallest-lag-first), so a mass restore after instance loss cannot

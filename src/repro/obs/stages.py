@@ -8,9 +8,9 @@ telescoping virtual-time stamps in their headers, one per pipeline hop:
 header                    stamped by
 ========================  ======================================================
 ``created_at``            the workload generator, at produce time (existing)
-``__t_fetched``           the streams consumer, when the record is fetched
-``__t_processed``         the task, when the record is dequeued for processing
-``__t_emitted``           the task, when the result is produced to the sink
+``__t_fetched``           the streams consumer, when the record's batch is fetched
+``__t_processed``         the task, when the record (or its chunk) is dequeued
+``__t_emitted``           the task, when the result (or its chunk) goes to the sink
 (received)                the verifier/drain, when the committed result is read
 ========================  ======================================================
 
@@ -30,6 +30,11 @@ Because the stamps telescope, the stage durations sum *exactly* to the
 end-to-end latency per record, so the breakdown's stage sum matches the
 e2e histogram mean by construction (the acceptance check allows 1% for
 float accumulation).
+
+A task that processes column chunks stamps at chunk granularity: every
+record of a chunk shares one ``__t_processed`` and every record of a sink
+slab one ``__t_emitted``, which is when the virtual clock says they
+happened — the stamps still telescope per record.
 
 Stamping is gated twice: the consumer only stamps when its
 ``stage_stamping`` flag is set (the streams instance sets it; the verifier

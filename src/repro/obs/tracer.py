@@ -185,8 +185,13 @@ class Tracer:
 
     def by_trace(self, trace_id: str) -> List[Span]:
         """Every span/event tagged with one record's trace id — the causal
-        chain across repartition and changelog hops."""
-        return [s for s in self.spans if s.args.get("trace") == trace_id]
+        chain across repartition and changelog hops. A span over a whole
+        chunk lists the ids of its records under ``traces``."""
+        return [
+            s for s in self.spans
+            if s.args.get("trace") == trace_id
+            or trace_id in s.args.get("traces", ())
+        ]
 
     def reset(self) -> None:
         """Drop recorded spans (keeps `enabled` and the trace-id counter)."""

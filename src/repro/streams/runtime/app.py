@@ -167,8 +167,9 @@ class KafkaStreams:
 
     def note_task_closed(self, task_id: TaskId, since_ms: float) -> None:
         """Open an unavailability window for ``task_id`` at ``since_ms``
-        (the last commit before it closed). The earliest close wins when a
-        task bounces through several instances before reopening."""
+        (when the progress it closed with was committed). The earliest
+        close wins when a task bounces through several instances before
+        reopening."""
         self._task_unavailable_since.setdefault(task_id, since_ms)
 
     def first_process_listener_for(self, task_id: TaskId):

@@ -76,10 +76,6 @@ class StreamsInstance:
             isolation = READ_COMMITTED
         else:
             isolation = READ_UNCOMMITTED
-        # Columnar batch execution: batch-capable tasks process column
-        # chunks. Speculative mode needs per-record transaction-dependency
-        # tracking, so it stays record-at-a-time.
-        self._batch_mode = self.config.batch_execution and not self.config.speculative
         self.consumer = Consumer(
             self.cluster,
             ConsumerConfig(
@@ -93,11 +89,10 @@ class StreamsInstance:
                 hedged_fetch=self.config.hedged_fetch,
             ),
         )
-        # The pipeline's own consumer stamps `__t_fetched` on records (when
-        # tracing is on) so e2e latency decomposes into stages; downstream
-        # verifier consumers leave the stamps alone. Batch execution traces
-        # per-batch spans instead (obs/stages.py), on every task.
-        self.consumer.stage_stamping = not self._batch_mode
+        # The pipeline's own consumer stamps `__t_fetched` on fetched
+        # batches (when tracing is on) so e2e latency decomposes into
+        # stages; downstream verifier consumers leave the stamps alone.
+        self.consumer.stage_stamping = True
         self._tracer = self.cluster.tracer
         self._trace_pid = f"streams-{self.config.application_id}"
         self._trace_tid = f"instance-{instance_id}"
@@ -190,8 +185,13 @@ class StreamsInstance:
                 # A commit failure here means this member was fenced; let
                 # the error surface through poll() to the migration path.
                 self.commit()
+                committed_at = self._last_commit_ms
+            else:
+                # Nothing uncommitted: the lost tasks are committed as of
+                # now, however long ago an idle instance last had to commit.
+                committed_at = self.cluster.clock.now
             for task_id in sorted(lost_tasks):
-                self.app.note_task_closed(task_id, self._last_commit_ms)
+                self.app.note_task_closed(task_id, committed_at)
                 self.tasks.pop(task_id).close()
                 producer = self._task_producers.pop(task_id, None)
                 if producer is not None:
@@ -278,12 +278,12 @@ class StreamsInstance:
                     ).set(task.buffered())
             if self.config.eos_enabled:
                 self._ensure_transactions()
-            # Process one record per task per round: tasks interleave
-            # finely, as in the real stream thread's loop, so a task with a
-            # deep buffer does not starve others (and does not flood
-            # repartition topics with long out-of-order timestamp runs).
-            # For a batch-capable task the unit of interleaving is one
-            # column chunk per round instead — commit boundaries land on
+            # One column chunk per batch-capable task per round, one
+            # record per round for a task that falls back
+            # (task.fallback_reason): tasks interleave finely, as in the
+            # real stream thread's loop, so a task with a deep buffer does
+            # not starve others (and does not flood repartition topics with
+            # long out-of-order timestamp runs). Commit boundaries land on
             # chunk boundaries, with identical committed output.
             processed = 0
             while True:
@@ -413,7 +413,6 @@ class StreamsInstance:
                     name: gs.store for name, gs in self.global_state.items()
                 },
                 track_speculation=self.config.speculative,
-                batch_execution=self._batch_mode,
                 restore_listener=self._notify_restore,
                 store_listeners=self.app.store_listeners,
                 restore_budget_per_poll=self.config.restore_max_records_per_poll,

@@ -65,7 +65,6 @@ class StreamTask:
         restore_listener: Optional[Callable] = None,
         store_listeners: Optional[Dict[str, List[Callable]]] = None,
         restore_budget_per_poll: int = 0,
-        batch_execution: bool = False,
     ) -> None:
         # (tp, producer_id) -> [min offset, max offset] consumed from that
         # producer's (possibly still open) transaction — the commit
@@ -84,6 +83,10 @@ class StreamTask:
         self.producer = producer
         self.resolve = resolve
         self.stream_time = float("-inf")
+        # Max timestamp of the chunk being dispatched. Operators see the
+        # pre-chunk ``stream_time`` until the chunk is done; changelog
+        # appends are stamped with the time the chunk closes at.
+        self._chunk_max_ts = float("-inf")
         self.records_processed = 0
         self.restored_records = 0
         self._restore_listener = restore_listener
@@ -149,20 +152,32 @@ class StreamTask:
         self._punctuations: List[Any] = []
         self._processors: Dict[str, Processor] = {}
         self._build_processors()
-        # Chunk processing is all-or-nothing per task: the app must ask for
-        # it, every processor must take whole chunks, and no punctuator may
-        # need per-record stream time. Decided once, after processors
-        # initialized (a caching aggregate only knows its capability
-        # post-init).
-        self._batch_execution = batch_execution
-        self.batch_capable = (
-            batch_execution
-            and not self._punctuations
-            and all(p.batch_aware for p in self._processors.values())
-        )
+        # Chunk processing is all-or-nothing per task and a fact about its
+        # sub-topology: no punctuator may need per-record stream time, every
+        # processor must take whole chunks, and speculation tracks commit
+        # dependencies per record. None when the task takes chunks, else the
+        # first cause. Decided once, after processors initialized (a caching
+        # aggregate only knows its capability post-init).
+        self.fallback_reason: Optional[str] = self._fallback_reason()
         metrics = cluster.metrics
         self._batch_fastpath = metrics.counter("streams.batch_fastpath_total")
         self._batch_fallback = metrics.counter("streams.batch_fallback_total")
+
+    def _fallback_reason(self) -> Optional[str]:
+        if self._punctuations:
+            return "punctuator"
+        for name, processor in self._processors.items():
+            if not processor.batch_aware:
+                return f"processor {name} is not batch_aware"
+        if self._track_speculation:
+            return "speculative"
+        return None
+
+    @property
+    def batch_capable(self) -> bool:
+        """Whether this task processes column chunks
+        (:meth:`process_next_chunk`) or records (:meth:`process_batch`)."""
+        return self.fallback_reason is None
 
     # -- construction ---------------------------------------------------------------
 
@@ -288,6 +303,11 @@ class StreamTask:
             return InMemoryWindowStore(spec.name, retention_ms=spec.retention_ms)
         raise TopologyError(f"unknown store kind: {spec.kind}")
 
+    def _changelog_time(self) -> float:
+        """Timestamp of a changelog append: stream time once the record or
+        chunk being processed is done."""
+        return max(self.stream_time, self._chunk_max_ts, 0.0)
+
     def _changelog_hook(self, spec: StateStoreSpec):
         topic = spec.changelog_topic(self.application_id)
         partition = self.task_id.partition
@@ -301,7 +321,7 @@ class StreamTask:
                     topic,
                     key=key,
                     value=value,
-                    timestamp=max(self.stream_time, 0.0),
+                    timestamp=self._changelog_time(),
                     partition=partition,
                 )
                 return
@@ -321,7 +341,7 @@ class StreamTask:
                 topic,
                 key=key,
                 value=value,
-                timestamp=max(self.stream_time, 0.0),
+                timestamp=self._changelog_time(),
                 partition=partition,
                 headers={TRACE_ID_HEADER: trace} if trace else None,
             )
@@ -342,9 +362,7 @@ class StreamTask:
                 for key, value in items:
                     scalar_hook(key, value)
                 return
-            timestamp = self.stream_time
-            if timestamp < 0.0:
-                timestamp = 0.0
+            timestamp = self._changelog_time()
             self.producer.send_columns(
                 topic,
                 partition,
@@ -376,19 +394,18 @@ class StreamTask:
         """Intake a fetched :class:`~repro.log.columnar.ColumnarBatch`.
 
         A batch-capable task enqueues the batch's columns as-is (plus the
-        ``__topic`` / ``__partition`` routing headers, merged per record —
-        the only per-record allocation). Any other task materializes its
-        ``StreamRecord`` s here, straight from the log's records: the one
-        copy on the record-at-a-time path.
+        batch's origin — ``__topic`` / ``__partition`` routing headers and,
+        in a traced run, the ``__t_fetched`` stage stamp — merged per
+        record: the only per-record allocation). Any other task
+        materializes its ``StreamRecord`` s here, straight from the log's
+        records: the one copy on the record-at-a-time path.
         """
         count = batch.valid_count
         if count == 0:
             return
-        topic = tp.topic
-        partition = tp.partition
+        origin = batch.origin
         if not self.batch_capable:
-            if self._batch_execution:
-                self._batch_fallback.increment(count)
+            self._batch_fallback.increment(count)
             if self._track_speculation:
                 # Producers that never open a transaction are tracked too,
                 # and always resolve clean: only transactional appends enter
@@ -399,7 +416,8 @@ class StreamTask:
                         span = deps.setdefault((tp, pid), [offset, offset])
                         span[0] = min(span[0], offset)
                         span[1] = max(span[1], offset)
-            origin = batch.origin
+            topic = tp.topic
+            partition = tp.partition
             stream_records = [
                 StreamRecord(
                     key=r.key,
@@ -415,16 +433,12 @@ class StreamTask:
             self._queues.add_records(tp, stream_records)
             return
         self._batch_fastpath.increment(count)
-        headers = [
-            {**h, "__topic": topic, "__partition": partition}
-            for h in batch.headers()
-        ]
         self._queues.add_columns(
             tp,
             batch.keys(),
             batch.values(),
             batch.timestamps(),
-            headers,
+            [{**h, **origin} for h in batch.headers()],
             batch.offsets(),
         )
 
@@ -490,10 +504,12 @@ class StreamTask:
         return processed
 
     def process_next_chunk(self) -> int:
-        """Process one column chunk through the fused graph (batch mode).
+        """Process one column chunk through the fused graph.
 
         Returns the number of records processed. One tracing span covers
-        the whole chunk (per-batch span mode); stream time is published to
+        the whole chunk (per-batch span mode, listing the trace ids it
+        carried) and every record in it takes the same ``__t_processed``
+        stage stamp; stream time is published to
         the task only after the chunk is dispatched — batch-aware
         processors that need finer-grained stream time (windowed
         aggregates) track it internally from the pre-chunk value, exactly
@@ -510,7 +526,11 @@ class StreamTask:
         if children is None:
             children = self._source_children[tp.topic]
             self._children_by_tp[tp] = children
+        max_ts = self._chunk_max_ts = max(chunk.timestamps)
         if self._tracer.enabled:
+            now = self.cluster.clock.now
+            for headers in chunk.headers:
+                headers[PROCESSED_AT_HEADER] = now
             with self._tracer.begin(
                 "task.process_chunk",
                 self._trace_pid,
@@ -518,13 +538,13 @@ class StreamTask:
                 category="task",
                 topic=tp.topic,
                 records=count,
+                traces=[h.get(TRACE_ID_HEADER) for h in chunk.headers],
             ):
                 for child in children:
                     self.process_chunk_at(child, chunk)
         else:
             for child in children:
                 self.process_chunk_at(child, chunk)
-        max_ts = max(chunk.timestamps)
         if max_ts > self.stream_time:
             self.stream_time = max_ts
         if max_ts > self._processed_ts.get(tp, float("-inf")):
@@ -553,10 +573,14 @@ class StreamTask:
         objects exist until the broker appends the slab to its log."""
         topic, num_partitions = self._sink_route(node)
         keys = chunk.keys
+        headers = chunk.headers
+        if self._tracer.enabled:
+            now = self.cluster.clock.now
+            headers = [{**h, EMITTED_AT_HEADER: now} for h in headers]
         partitioner = node.partitioner
         if num_partitions == 1 and partitioner is None:
             self.producer.send_columns(
-                topic, 0, keys, chunk.values, chunk.timestamps, chunk.headers
+                topic, 0, keys, chunk.values, chunk.timestamps, headers
             )
             return
         buckets: Dict[int, List[int]] = {}
@@ -581,7 +605,6 @@ class StreamTask:
                 ).append(i)
         values = chunk.values
         timestamps = chunk.timestamps
-        headers = chunk.headers
         for partition, idx in buckets.items():
             self.producer.send_columns(
                 topic,

@@ -1,8 +1,10 @@
-"""Columnar batch execution must be unobservable in committed output.
+"""Chunk execution must be unobservable in committed output.
 
 These properties run the same workload through the same topology twice —
-``batch_execution`` off (scalar records through the processor graph) and
-on (column chunks through the fused batch path) — and require the
+once with every task forced onto the record path by a test-side patch
+(scalar records through the processor graph; the product has no switch for
+it) and once as the runtime runs it (column chunks through the fused batch
+path) — and require the
 committed output records (key, value, timestamp, headers, partition
 order) and the final state-store contents to be identical. The Figure 5
 reduce topology is the anchor case from the paper's throughput
@@ -15,6 +17,8 @@ stream time each record is processed at — including the advance made by
 records that were never forwarded to them.
 """
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +28,7 @@ from repro.streams import KafkaStreams, StreamsBuilder
 from repro.streams.suppress import SuppressProcessor, Suppressed
 from repro.streams.windows import TimeWindows
 
-from tests.streams.harness import drain_topic, make_cluster
+from tests.streams.harness import drain_topic, make_cluster, record_path
 
 KEYS = ["a", "b", "c", "d"]
 
@@ -70,6 +74,16 @@ def table_updates(draw):
 
 def run_topology(build, events, batch, guarantee, partitions=1,
                  table=(), commit_interval_ms=20.0):
+    with nullcontext() if batch else record_path():
+        result = _run_topology(
+            build, events, guarantee, partitions, table, commit_interval_ms
+        )
+    assert batch or result[2] == 0, "the reference run took chunks"
+    return result
+
+
+def _run_topology(build, events, guarantee, partitions, table,
+                  commit_interval_ms):
     cluster = make_cluster(input=partitions, table=partitions, output=partitions)
     app = KafkaStreams(
         build(),
@@ -79,7 +93,6 @@ def run_topology(build, events, batch, guarantee, partitions=1,
             processing_guarantee=guarantee,
             commit_interval_ms=commit_interval_ms,
             transaction_timeout_ms=300.0,
-            batch_execution=batch,
         ),
     )
     app.start(1)
@@ -174,7 +187,7 @@ def build_filtered_windowed_count():
 @settings(max_examples=10, deadline=None)
 def test_reduce_topology_batch_equals_scalar(guarantee, events):
     """Figure 5's reduce topology: committed output and final store
-    contents are byte-identical with batch execution on and off."""
+    contents are byte-identical on the chunk path and the record path."""
     scalar_out, scalar_stores, _ = run_topology(
         build_reduce, events, batch=False, guarantee=guarantee
     )

@@ -30,21 +30,28 @@ from repro.sim.invariants import (
 )
 from repro.streams import KafkaStreams, StreamsBuilder
 
-from tests.streams.harness import drain_topic, latest_by_key, make_cluster
+from tests.streams.harness import Ticker, drain_topic, latest_by_key, make_cluster
 
 CATEGORIES = ["a", "b", "c", "d", "e"]
 
 
-def make_app(cluster, protocol=EAGER, standbys=0, batch=False):
+def make_app(cluster, protocol=EAGER, standbys=0, record_path=False):
+    """The two-stage counting app. With ``record_path`` each sub-topology
+    carries a :class:`Ticker`, so every task falls back to the per-record
+    loop by construction; the committed output is the same."""
     builder = StreamsBuilder()
-    (
-        builder.stream("in")
-        .map(lambda k, v: (v, 1))
+    stream = builder.stream("in")
+    if record_path:
+        stream = stream.process(Ticker)
+    counts = (
+        stream.map(lambda k, v: (v, 1))
         .group_by_key()
         .count(store_name="counts")
         .to_stream()
-        .to("out")
     )
+    if record_path:
+        counts = counts.process(Ticker)
+    counts.to("out")
     return KafkaStreams(
         builder.build(),
         cluster,
@@ -55,7 +62,6 @@ def make_app(cluster, protocol=EAGER, standbys=0, batch=False):
             transaction_timeout_ms=300.0,
             rebalance_protocol=protocol,
             num_standby_replicas=standbys,
-            batch_execution=batch,
         ),
     )
 
@@ -92,12 +98,14 @@ def drain(cluster, app):
 
 def run_chaos(
     seed, golden, config=None, n=120, trace=False,
-    protocol=EAGER, standbys=0, batch=False,
+    protocol=EAGER, standbys=0, record_path=False,
 ):
     cluster = make_cluster(**{"in": 2, "out": 2})
     if trace:
         cluster.enable_tracing()
-    app = make_app(cluster, protocol=protocol, standbys=standbys, batch=batch)
+    app = make_app(
+        cluster, protocol=protocol, standbys=standbys, record_path=record_path
+    )
     app.start(2)
     produce_workload(cluster, n)
 
@@ -164,20 +172,26 @@ def test_chaos_matrix_invariants_hold(seed, protocol, golden):
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", list(range(10)))
-def test_chaos_matrix_batch_execution(seed, golden):
-    """The same ten-seed chaos matrix with columnar batch execution on:
-    the committed output must equal the *scalar* fault-free golden run —
-    the batch path changes how records move, never what is committed."""
-    cluster, app, chaos, suite = run_chaos(seed=seed, golden=golden, batch=True)
+def test_chaos_matrix_record_path(seed, golden):
+    """The ten-seed chaos matrix over a topology whose tasks all fall back
+    to the per-record loop (a punctuator in each sub-topology): the
+    committed output must equal the chunk-executed fault-free golden run —
+    the path changes how records move, never what is committed."""
+    cluster, app, chaos, suite = run_chaos(
+        seed=seed, golden=golden, record_path=True
+    )
     assert chaos.faults_injected > 0
-    fastpath = cluster.metrics.counter("streams.batch_fastpath_total").value
-    assert fastpath > 0, "batch mode never took the columnar fast path"
+    tasks = [t for instance in app.instances for t in instance.tasks.values()]
+    assert tasks and all(t.fallback_reason == "punctuator" for t in tasks)
+    metrics = cluster.metrics
+    assert metrics.counter("streams.batch_fastpath_total").value == 0
+    assert metrics.counter("streams.batch_fallback_total").value > 0
     final = latest_by_key(drain_topic(cluster, "out"))
     expected = {}
     for i in range(120):
         category = CATEGORIES[i % len(CATEGORIES)]
         expected[category] = expected.get(category, 0) + 1
-    assert final == expected, f"seed {seed} violated exactly-once under batching"
+    assert final == expected, f"seed {seed} violated exactly-once on the record path"
 
 
 @pytest.mark.chaos
@@ -229,7 +243,11 @@ def test_quiesce_heals_cluster_and_instances(golden):
 
 
 def test_fault_metrics_exposed(golden):
-    cluster, _, chaos, _ = run_chaos(seed=11, golden=golden)
+    # On the record path: seed 11 severs instance 0's producer link at
+    # 242 ms, while the per-record loop is still sending the second
+    # stage's output; a chunk-executed task has sent it all by then, and a
+    # link nobody uses counts nothing.
+    cluster, _, chaos, _ = run_chaos(seed=11, golden=golden, record_path=True)
     if any("ack_drop" in desc or "link_fault" in desc for _, desc in chaos.timeline):
         counts = cluster.network.fault_counts()
         assert counts.get("network.faults.injected", 0) > 0
@@ -239,13 +257,13 @@ def test_fault_metrics_exposed(golden):
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("batch", [False, True])
+@pytest.mark.parametrize("record_path", [False, True])
 @pytest.mark.parametrize("seed", [7, 11, 23])
-def test_gray_broker_scenario_hardening_engages(seed, batch, golden):
+def test_gray_broker_scenario_hardening_engages(seed, record_path, golden):
     """The gray-broker scenario on a latency-charging cluster: the EWMA
     detector demotes the slow broker, fetches hedge to a replica, and the
-    committed output still equals the fault-free golden run — with and
-    without batch execution (the hedge lives on the one fetch path)."""
+    committed output still equals the fault-free golden run — on chunk
+    and on record-path tasks (the hedge lives on the one fetch path)."""
     from repro.broker.cluster import Cluster
     from repro.sim.scenarios import ScenarioHarness
 
@@ -253,7 +271,7 @@ def test_gray_broker_scenario_hardening_engages(seed, batch, golden):
         cluster = Cluster(num_brokers=3, seed=5)   # latency charged
         cluster.create_topic("in", 2)
         cluster.create_topic("out", 2)
-        app = make_app(cluster, batch=batch and with_faults)
+        app = make_app(cluster, record_path=record_path and with_faults)
         app.config.hedged_fetch = True
         app.start(2)
         return cluster, app

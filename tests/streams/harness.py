@@ -1,13 +1,19 @@
 """Shared helpers for streams-layer tests."""
 
 from typing import Any, Dict, List, Optional
+from unittest import mock
 
 from repro.broker.cluster import Cluster
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import READ_COMMITTED, ConsumerConfig, StreamsConfig
-from repro.streams.processor import ProcessorContext
+from repro.streams.processor import (
+    PUNCTUATION_STREAM_TIME,
+    Processor,
+    ProcessorContext,
+)
 from repro.streams.records import StreamRecord
+from repro.streams.runtime.task import StreamTask
 
 
 def make_cluster(**topics) -> Cluster:
@@ -34,6 +40,29 @@ def drain_topic(cluster: Cluster, topic: str, read_committed: bool = True):
         if not batch:
             return records
         records.extend(batch)
+
+
+def record_path():
+    """Context manager: every StreamTask built inside runs record at a
+    time, whatever its topology could take — the reference side of the
+    chunk-vs-record equivalence tests. Patched in from the test side on
+    purpose: the product has no switch that selects the path."""
+    return mock.patch.object(
+        StreamTask, "_fallback_reason", lambda task: "forced by the test"
+    )
+
+
+class Ticker(Processor):
+    """Forwards every record unchanged and keeps a stream-time punctuator,
+    which needs per-record stream time: a sub-topology holding one falls
+    back to the record path by construction."""
+
+    def init(self, context):
+        super().init(context)
+        context.schedule(50.0, PUNCTUATION_STREAM_TIME, lambda now: None)
+
+    def process(self, record):
+        self.context.forward(record)
 
 
 def latest_by_key(records) -> Dict[Any, Any]:

@@ -33,8 +33,8 @@ def build_join_count_suppress():
 
 
 def test_every_task_of_the_completeness_path_is_chunk_native():
-    """Two instances, batch execution requested: no task may fall back to
-    record-at-a-time, and the final counts are still the offline counts."""
+    """Two instances: no task may fall back to record-at-a-time, and the
+    final counts are still the offline counts."""
     cluster = make_cluster(events=4, profiles=4, counts=4)
     app = KafkaStreams(
         build_join_count_suppress(),
@@ -43,7 +43,6 @@ def test_every_task_of_the_completeness_path_is_chunk_native():
             application_id="completeness",
             processing_guarantee=EXACTLY_ONCE,
             commit_interval_ms=20.0,
-            batch_execution=True,
         ),
     )
     app.start(2)

@@ -146,6 +146,25 @@ class TestTwoPhaseHandover:
         )
         assert histogram.count > 0, "no unavailability window was measured"
 
+    def test_idle_time_before_a_revocation_is_not_unavailability(self):
+        """A task with nothing uncommitted is committed as of the moment it
+        is revoked: the window must not reach back to the last time the
+        (since idle) instance had something to commit."""
+        cluster = make_cluster(**{"in": PARTITIONS, "out": PARTITIONS})
+        app = make_app(cluster)
+        app.start(1)
+        produce(cluster, 40)
+        app.run_until_idle()
+        cluster.clock.advance(5_000.0)        # idle, fully committed
+        app.add_instance()
+        produce(cluster, 40, start=40)
+        app.run_until_idle()
+        histogram = cluster.metrics.histogram(
+            "rebalance_unavailability_ms", app="coop"
+        )
+        assert histogram.count > 0
+        assert histogram.percentile(100) < 1_000.0
+
 
 class TestLagAwarePlacement:
     def test_warmup_then_probing_rebalance_migrates(self):

@@ -120,7 +120,9 @@ class TestThrottledMigration:
         self,
     ):
         cluster, app = build_app(budget=7)
-        produce(cluster, 0, 120)
+        # Distinct keys: changelog depth is then a property of the data,
+        # however many updates of one key a task folds into one append.
+        produce(cluster, 0, 120, keys=120)
         app.run_until_idle(max_steps=50_000)
 
         victim = app.instances[0]
@@ -156,9 +158,9 @@ class TestThrottledMigration:
         assert survivor.records_processed > survivor_before
 
         app.run_until_idle(max_steps=50_000)
-        assert latest_by_key(drain_topic(cluster, "out")) == {
-            f"k{i}": 138 + i for i in range(6)
-        }
+        expected = {f"k{i}": i for i in range(120)}
+        expected.update({f"k{i}": 138 + i for i in range(6)})
+        assert latest_by_key(drain_topic(cluster, "out")) == expected
 
     def test_throttled_and_unthrottled_restores_agree(self):
         results = []
@@ -178,20 +180,21 @@ class TestThrottledMigration:
         # same replacement: the shallow task must come online first.
         cluster, app = build_app(budget=4)
         producer = Producer(cluster)
-        # Partition routing is by key hash; find keys for each partition.
+        # Partition routing is by key hash; find distinct keys for each
+        # partition, so depth does not depend on how many updates of one
+        # key a task folds into one changelog append.
+        wanted = {0: 80, 1: 6}
         by_partition = {0: [], 1: []}
         i = 0
-        while any(len(v) < 1 for v in by_partition.values()):
+        while any(len(by_partition[p]) < n for p, n in wanted.items()):
             key = f"p{i}"
             partition = partition_for(key, 2)
-            if len(by_partition[partition]) < 1:
+            if len(by_partition[partition]) < wanted[partition]:
                 by_partition[partition].append(key)
             i += 1
-        deep_key, shallow_key = by_partition[0][0], by_partition[1][0]
-        for j in range(80):
-            producer.send("in", key=deep_key, value=j, timestamp=float(j))
-        for j in range(6):
-            producer.send("in", key=shallow_key, value=j, timestamp=float(j))
+        for keys in by_partition.values():
+            for j, key in enumerate(keys):
+                producer.send("in", key=key, value=j, timestamp=float(j))
         producer.flush()
         app.run_until_idle(max_steps=50_000)
 
