@@ -6,10 +6,10 @@ the batch-aware read-path work targets:
 
 * ``fetch`` — paging a read-committed consumer through a large log full of
   interleaved committed/aborted transactions and control markers. There is
-  one fetch (column slices + validity runs built from the
-  aborted-transaction index); the first row also takes the scalar
-  ``result.records`` view of every page, the second row only counts the
-  batch, so the pair prices per-record materialization.
+  one fetch (the visible run of the log's stored batches, visibility
+  decided per batch against the aborted-transaction index); the first row
+  also lists the scalar ``result.records`` view of every page, the second
+  row only counts the batch, so the pair prices per-record materialization.
 * ``produce`` — a tight `Producer.send` loop (metadata + leader routing per
   record, batch assembly, sequence accounting).
 * ``streams`` — the full Figure 5 scenario (generator → stateful reduce →
@@ -123,9 +123,10 @@ def run_fetch_scenario(
     """Page a read-committed consumer through the whole log.
 
     With ``scalar_view`` every page is also materialized through
-    ``result.records`` (what a record-at-a-time caller pays); without it
-    the page stays a :class:`ColumnarBatch` — validity runs over the
-    shared backing slice — and only its size is read.
+    ``result.records`` (what a record-at-a-time caller pays: the view's
+    ``len()`` alone is free, so the page is listed); without it the page
+    stays a :class:`ColumnarBatch` — the visible run of the log's stored
+    batches — and only its size is read.
     """
     log = build_txn_log(total_records)
     best = float("inf")
@@ -144,7 +145,7 @@ def run_fetch_scenario(
                     isolation_level=READ_COMMITTED,
                 )
                 if scalar_view:
-                    returned += len(result.records)
+                    returned += len(list(result.records))
                 else:
                     returned += result.valid_count
                 if result.next_offset == position:

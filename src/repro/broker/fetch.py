@@ -27,10 +27,10 @@ def fetch(
 ) -> ColumnarBatch:
     """Fetch visible records from ``log`` starting at ``from_offset``.
 
-    The result is a :class:`ColumnarBatch` — a slice of the log plus
-    validity runs — with no per-record scanning or materialization:
-    marker skipping and aborted-span filtering happen as bisected run
-    masking inside :meth:`PartitionLog.read_columnar`. ``result.records``
+    The result is a :class:`ColumnarBatch` — the visible run of the log's
+    stored batches — with no per-record scanning or materialization:
+    marker skipping and aborted-span filtering are decided per stored
+    batch inside :meth:`PartitionLog.read_columnar`. ``result.records``
     is the scalar view for callers that want one.
     """
     if isolation_level == READ_COMMITTED:
@@ -45,7 +45,7 @@ def fetch(
     from_offset = max(from_offset, log.log_start_offset)
     if from_offset >= limit:
         return ColumnarBatch(
-            [], [], from_offset, log.high_watermark, log.last_stable_offset
+            from_offset, log.high_watermark, log.last_stable_offset
         )
     return log.read_columnar(
         from_offset,

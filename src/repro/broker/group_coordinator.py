@@ -642,9 +642,8 @@ class GroupCoordinator:
         )
         latest: Dict[TopicPartition, Optional[int]] = {p: None for p in partitions}
         wanted = set(partitions)
-        for record in result.records:
-            group, topic, partition = record.key
+        for (group, topic, partition), offset in zip(result.keys(), result.values()):
             target = TopicPartition(topic, partition)
             if group == group_id and target in wanted:
-                latest[target] = record.value
+                latest[target] = offset
         return latest

@@ -163,8 +163,9 @@ class PartitionState:
         if start < end:
             mine = follower.read(start, end - start, end)
             theirs = leader_log.read(start, end - start, end)
-            # Mirrored records are the leader's own objects and list
-            # equality tests identity first: pointer compares if undiverged.
+            # Mirrored stored batches are the leader's own objects, and two
+            # views over the same batches are equal without materializing a
+            # record: pointer compares if undiverged.
             if mine != theirs:
                 cut = next(
                     min(r.offset for r in pair if r is not None)

@@ -40,7 +40,8 @@ class _ColumnBuffer:
     ``send()`` appends four scalars instead of building an intermediate
     ``Record``; the flush path hands the columns to the broker as one
     :class:`~repro.log.columnar.ColumnarSlab`, and the partition log
-    constructs the final offset-stamped records in a single pass."""
+    stores those very lists — a buffer whose slab was delivered is
+    replaced, never appended to again."""
 
     __slots__ = ("keys", "values", "timestamps", "headers")
 
@@ -55,6 +56,14 @@ class _ColumnBuffer:
 
     def __bool__(self) -> bool:
         return bool(self.keys)
+
+    def disown(self) -> None:
+        """Move the pending records onto fresh lists, leaving the old ones
+        to whoever else holds them."""
+        self.keys = list(self.keys)
+        self.values = list(self.values)
+        self.timestamps = list(self.timestamps)
+        self.headers = list(self.headers)
 
 
 class Producer:
@@ -440,34 +449,46 @@ class Producer:
         )
         attempts = 0
         send_started = self._clock.now if self._tracer.enabled else 0.0
-        while True:
-            try:
-                leader = self._leader_of(tp)
-                self._network.call(
-                    "produce",
-                    leader,
-                    lambda: self.cluster.handle_produce(tp, batch, self.config.acks),
-                    base_cost_ms=self._network.produce_cost(record_count),
-                    src=self.config.client_id,
-                )
-                break
-            except ProducerFencedError:
-                raise
-            except RetriableError:
-                attempts += 1
-                self.retries_performed += 1
-                rec = self.cluster.recovery
-                if rec is not None:
-                    rec.note_detection(
-                        "send_retry", client=self.config.client_id, tp=str(tp)
+        try:
+            while True:
+                try:
+                    leader = self._leader_of(tp)
+                    self._network.call(
+                        "produce",
+                        leader,
+                        lambda: self.cluster.handle_produce(
+                            tp, batch, self.config.acks
+                        ),
+                        base_cost_ms=self._network.produce_cost(record_count),
+                        src=self.config.client_id,
                     )
-                remaining = deadline - self._clock.now
-                if attempts > self.config.retries or remaining <= 0:
+                    break
+                except ProducerFencedError:
                     raise
-                # Metadata refresh + backoff before the retry: the cached
-                # route is suspect even if the cluster epoch is unchanged.
-                self._leader_cache.pop(tp, None)
-                self._clock.advance(min(backoff.next_delay_ms(), remaining))
+                except RetriableError:
+                    attempts += 1
+                    self.retries_performed += 1
+                    rec = self.cluster.recovery
+                    if rec is not None:
+                        rec.note_detection(
+                            "send_retry", client=self.config.client_id, tp=str(tp)
+                        )
+                    remaining = deadline - self._clock.now
+                    if attempts > self.config.retries or remaining <= 0:
+                        raise
+                    # Metadata refresh + backoff before the retry: the cached
+                    # route is suspect even if the cluster epoch is unchanged.
+                    self._leader_cache.pop(tp, None)
+                    self._clock.advance(min(backoff.next_delay_ms(), remaining))
+        except BaseException:
+            # The failed buffer keeps its records, and so does every buffer
+            # an interrupted flush() already delivered — but the broker's
+            # log stores a delivered slab's lists as they are (this one's
+            # too, if only the ack was lost): whatever is buffered next
+            # must land on lists of the buffer's own.
+            for pending in self._pending.values():
+                pending.disown()
+            raise
         if base_sequence != NO_SEQUENCE:
             self._sequences[tp] = base_sequence + record_count
         if self._tracer.enabled:

@@ -1,96 +1,343 @@
-"""Columnar record batches: the one read path and the one write path.
+"""Columnar record batches: what the log stores, reads back and takes in.
 
-Records move between the log and the clients as *batches*; nothing is
-materialized per event until a caller asks for it:
+Records move between producer, log and consumer as *batches* of parallel
+columns; a per-record object exists only where a caller asks for one:
 
-* :class:`ColumnarBatch` — the fetch result. It wraps a contiguous slice
-  of a partition log's backing record list plus a set of *validity runs*:
-  half-open ``(start, end)`` index ranges covering exactly the records
-  visible at the fetch's isolation level (control markers and
-  aborted-transaction records fall in the gaps between runs). Column
-  accessors (``keys()``, ``values()``, ``timestamps()``, ...) and the
-  scalar ``records`` view are built lazily, once, as plain lists.
+* :class:`ColumnarSlab` — the write side. A producer accumulates pending
+  sends as parallel columns and ships the slab to the partition log.
 
-* :class:`ColumnarSlab` — the write-side twin. A producer accumulates
-  pending sends as parallel columns and ships the slab straight to the
-  partition log, which constructs the final offset-stamped records in a
-  single pass — skipping the intermediate per-record ``Record`` the scalar
-  path built only to tear apart again at append time.
+* :class:`StoredBatch` — what the log keeps. Appending a slab wraps its
+  column lists, *by reference*, in one immutable stored batch: a base
+  offset plus the batch-level producer id, epoch, base sequence and
+  transactional / control flags (Kafka's batch header). A stored batch is
+  never mutated and never merged with a neighbour, so followers hold the
+  leader's stored batches by reference; truncation, deletion and
+  compaction *inside* a batch build a new one from slices.
 
-The validity runs are the compressed form of a validity/abort bitmap: a
-batch with no skipped records is one run, and masking an aborted span is a
-run split, not a per-record scan.
+* :class:`ColumnarBatch` — the fetch result: the run of stored batches
+  visible at the fetch's isolation level (control batches and the batches
+  of aborted transactions are left out), trimmed at both ends to the
+  fetch window. Column accessors (``keys()``, ``values()``, ...)
+  concatenate C-level slices of the stored columns on demand.
+
+* :class:`RecordView` — the scalar edge: a lazy, list-like view of a run
+  of stored batches as :class:`~repro.log.record.Record` objects. Each
+  stored batch materializes its record list once and every view (and
+  every replica sharing the batch) hands out those same objects.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+import bisect
+from collections.abc import Sequence
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.log.record import NO_PRODUCER_ID, NO_SEQUENCE, Record
 
 
-class ColumnarBatch:
-    """A read-side batch: a backing record slice plus validity runs.
+class StoredBatch:
+    """One appended batch as the log stores it. Immutable once built.
 
-    ``backing`` is a snapshot slice of the partition log (so later
-    truncation or compaction cannot corrupt the view); ``runs`` are
-    half-open ``(start, end)`` pairs into that slice, ascending and
-    disjoint, covering the valid (visible, committed) records.
-
-    Carries the fetch-result metadata: ``next_offset`` (which can exceed
-    the last returned record's offset + 1, because markers and aborted
-    records are consumed position-wise but not returned) and the
-    watermarks. The consumer stamps the origin ``topic`` / ``partition``
-    and ``origin`` — the headers (routing, stage stamp) that whoever
-    materializes records from the batch merges into theirs — before
-    handing the batch to the app.
+    ``keys`` / ``values`` / ``timestamps`` / ``headers`` are the parallel
+    columns of the retained records. ``base_offset`` is the offset of the
+    first and ``end_offset`` one past the offset of the last of them;
+    ``offsets`` lists every offset explicitly only once compaction has
+    punched holes (``None`` means contiguous from ``base_offset``).
+    ``base_sequence`` is the sequence number of the first retained record;
+    sequences advance with offsets. A control batch (``control_type`` set)
+    holds one transaction marker.
     """
 
     __slots__ = (
-        "backing",
-        "runs",
+        "base_offset",
+        "end_offset",
+        "keys",
+        "values",
+        "timestamps",
+        "headers",
+        "offsets",
+        "producer_id",
+        "producer_epoch",
+        "base_sequence",
+        "is_transactional",
+        "control_type",
+        "_records",
+    )
+
+    def __init__(
+        self,
+        base_offset: int,
+        keys: List[Any],
+        values: List[Any],
+        timestamps: List[float],
+        headers: List[Dict[str, Any]],
+        producer_id: int = NO_PRODUCER_ID,
+        producer_epoch: int = -1,
+        base_sequence: int = NO_SEQUENCE,
+        is_transactional: bool = False,
+        control_type: Optional[str] = None,
+        offsets: Optional[List[int]] = None,
+    ) -> None:
+        self.base_offset = base_offset
+        self.end_offset = (
+            base_offset + len(keys) if offsets is None else offsets[-1] + 1
+        )
+        self.keys = keys
+        self.values = values
+        self.timestamps = timestamps
+        self.headers = headers
+        self.offsets = offsets
+        self.producer_id = producer_id
+        self.producer_epoch = producer_epoch
+        self.base_sequence = base_sequence
+        self.is_transactional = is_transactional
+        self.control_type = control_type
+        self._records: Optional[List[Record]] = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def position(self, offset: int) -> int:
+        """Index of the first retained record at or beyond ``offset``."""
+        if self.offsets is not None:
+            return bisect.bisect_left(self.offsets, offset)
+        return min(max(offset - self.base_offset, 0), len(self.keys))
+
+    def offset_at(self, position: int) -> int:
+        if self.offsets is not None:
+            return self.offsets[position]
+        return self.base_offset + position
+
+    # -- derived columns (sliceable, one entry per retained record) -------------
+
+    def offset_column(self) -> Sequence:
+        if self.offsets is not None:
+            return self.offsets
+        return range(self.base_offset, self.end_offset)
+
+    def sequence_column(self) -> Sequence:
+        first = self.base_sequence
+        if first == NO_SEQUENCE:
+            return [NO_SEQUENCE] * len(self.keys)
+        if self.offsets is None:
+            return range(first, first + len(self.keys))
+        shift = first - self.base_offset
+        return [offset + shift for offset in self.offsets]
+
+    def producer_id_column(self) -> List[int]:
+        return [self.producer_id] * len(self.keys)
+
+    def producer_epoch_column(self) -> List[int]:
+        return [self.producer_epoch] * len(self.keys)
+
+    def transactional_column(self) -> List[bool]:
+        return [self.is_transactional] * len(self.keys)
+
+    # -- copy-on-write ------------------------------------------------------------
+
+    def _derive(self, pick: Callable[[Sequence], List[Any]]) -> "StoredBatch":
+        offsets = pick(self.offset_column())
+        base_offset = offsets[0]
+        base_sequence = self.base_sequence
+        if base_sequence != NO_SEQUENCE:
+            base_sequence += base_offset - self.base_offset
+        return StoredBatch(
+            base_offset,
+            pick(self.keys),
+            pick(self.values),
+            pick(self.timestamps),
+            pick(self.headers),
+            self.producer_id,
+            self.producer_epoch,
+            base_sequence,
+            self.is_transactional,
+            self.control_type,
+            None if offsets[-1] - base_offset == len(offsets) - 1 else offsets,
+        )
+
+    def slice(self, lo: int, hi: Optional[int] = None) -> "StoredBatch":
+        """A new batch holding positions ``[lo, hi)`` (must be non-empty)."""
+        return self._derive(lambda column: list(column[lo:hi]))
+
+    def take(self, positions: List[int]) -> "StoredBatch":
+        """A new batch holding ``positions`` (ascending, non-empty)."""
+        return self._derive(lambda column: [column[i] for i in positions])
+
+    # -- the scalar edge ------------------------------------------------------------
+
+    def records(self) -> List[Record]:
+        """The batch as ``Record`` objects, built once and shared by every
+        view and replica that holds this batch. Read-only."""
+        records = self._records
+        if records is None:
+            pid = self.producer_id
+            epoch = self.producer_epoch
+            transactional = self.is_transactional
+            control_type = self.control_type
+            is_control = control_type is not None
+            # Positional construction: Record is a slots dataclass and the
+            # keyword form measurably slows this loop.
+            records = self._records = [
+                Record(
+                    key, value, timestamp, headers, offset, pid, epoch,
+                    sequence, transactional, is_control, control_type,
+                )
+                for key, value, timestamp, headers, offset, sequence in zip(
+                    self.keys, self.values, self.timestamps, self.headers,
+                    self.offset_column(), self.sequence_column(),
+                )
+            ]
+        return records
+
+    def __repr__(self) -> str:
+        kind = self.control_type or ("txn" if self.is_transactional else "data")
+        return (
+            f"StoredBatch({kind}, [{self.base_offset}, {self.end_offset}), "
+            f"n={len(self.keys)}, pid={self.producer_id})"
+        )
+
+
+class _BatchRun:
+    """A run of stored batches, the first one trimmed to start at position
+    ``lo`` and the last one to stop before position ``hi``."""
+
+    __slots__ = ("_batches", "_lo", "_hi", "_count")
+
+    def __init__(
+        self, batches: Sequence, lo: int = 0, hi: int = 0, count: int = 0
+    ) -> None:
+        self._batches = batches
+        self._lo = lo
+        self._hi = hi
+        self._count = count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _gather(self, column: Callable[[StoredBatch], Iterable]) -> List[Any]:
+        """``column(batch)`` of every batch of the run, end to end: one
+        C-level slice or list extension per stored batch."""
+        batches = self._batches
+        last = len(batches) - 1
+        if last < 0:
+            return []
+        if last == 0:
+            return list(column(batches[0])[self._lo:self._hi])
+        out = list(column(batches[0])[self._lo:])
+        for i in range(1, last):
+            out += column(batches[i])
+        out += column(batches[last])[:self._hi]
+        return out
+
+
+class RecordView(_BatchRun, Sequence):
+    """A lazy, read-only, list-like view of a run of stored batches as
+    ``Record`` objects — the log's own, shared ones, so callers that hand
+    them on must copy. ``len()`` is free; anything that touches a record
+    concatenates the batches' cached record lists, once."""
+
+    __slots__ = ("_list",)
+
+    def __init__(
+        self, batches: Sequence, lo: int = 0, hi: int = 0, count: int = 0
+    ) -> None:
+        super().__init__(batches, lo, hi, count)
+        self._list: Optional[List[Record]] = None
+
+    def _records(self) -> List[Record]:
+        if self._list is None:
+            self._list = self._gather(StoredBatch.records)
+        return self._list
+
+    def __getitem__(self, index):
+        if self._list is None and self._count and index in (0, -1):
+            # Peeking at either end (a pager's ``page[-1].offset``) touches
+            # one stored batch, not the whole run.
+            if index == 0:
+                return self._batches[0].records()[self._lo]
+            return self._batches[-1].records()[self._hi - 1]
+        return self._records()[index]
+
+    def __iter__(self) -> Iterator[Record]:
+        return iter(self._records())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordView):
+            if (
+                (self._count, self._lo, self._hi)
+                == (other._count, other._lo, other._hi)
+                and self._batches == other._batches
+            ):
+                # The same stored batches (a follower holds its leader's):
+                # equal without materializing a record.
+                return True
+            return self._records() == other._records()
+        if isinstance(other, list):
+            return self._records() == other
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"RecordView({self._records()!r})"
+
+
+_KEYS = attrgetter("keys")
+_VALUES = attrgetter("values")
+_TIMESTAMPS = attrgetter("timestamps")
+_HEADERS = attrgetter("headers")
+
+
+class ColumnarBatch(_BatchRun):
+    """A fetch result: the visible run of stored batches plus the fetch
+    metadata.
+
+    The run holds exactly the records visible at the fetch's isolation
+    level, in offset order; its stored batches are the log's own and are
+    immutable, so later truncation or compaction cannot corrupt the view.
+    Every accessor returns a fresh list the caller owns (the *elements* —
+    keys, values, header dicts — are shared with the log).
+
+    ``next_offset`` can exceed the last returned record's offset + 1,
+    because markers and aborted records are consumed position-wise but not
+    returned; ``scanned`` counts those positions too. The consumer stamps
+    the origin ``topic`` / ``partition`` and ``origin`` — the headers
+    (routing, stage stamp) that whoever materializes records from the
+    batch merges into theirs — before handing the batch to the app.
+    """
+
+    __slots__ = (
+        "scanned",
         "next_offset",
         "high_watermark",
         "last_stable_offset",
         "topic",
         "partition",
         "origin",
-        "_records",
-        "_keys",
-        "_values",
-        "_timestamps",
-        "_offsets",
-        "_headers",
-        "_producer_ids",
-        "_count",
+        "_view",
     )
 
     def __init__(
         self,
-        backing: List[Record],
-        runs: List[Tuple[int, int]],
         next_offset: int = 0,
         high_watermark: int = 0,
         last_stable_offset: int = 0,
-        topic: Optional[str] = None,
-        partition: Optional[int] = None,
+        batches: Sequence = (),
+        lo: int = 0,
+        hi: int = 0,
+        count: int = 0,
+        scanned: int = 0,
     ) -> None:
-        self.backing = backing
-        self.runs = runs
+        super().__init__(batches, lo, hi, count)
+        self.scanned = scanned
         self.next_offset = next_offset
         self.high_watermark = high_watermark
         self.last_stable_offset = last_stable_offset
-        self.topic = topic
-        self.partition = partition
+        self.topic: Optional[str] = None
+        self.partition: Optional[int] = None
         self.origin: Optional[Dict[str, Any]] = None
-        self._records: Optional[List[Record]] = None
-        self._keys: Optional[List[Any]] = None
-        self._values: Optional[List[Any]] = None
-        self._timestamps: Optional[List[float]] = None
-        self._offsets: Optional[List[int]] = None
-        self._headers: Optional[List[Dict[str, Any]]] = None
-        self._producer_ids: Optional[List[int]] = None
-        self._count = sum(end - start for start, end in runs)
+        self._view: Optional[RecordView] = None
 
     # -- size -------------------------------------------------------------------
 
@@ -99,88 +346,61 @@ class ColumnarBatch:
         """Number of valid (visible) records in the batch."""
         return self._count
 
-    def __len__(self) -> int:
-        return self._count
-
     def __bool__(self) -> bool:
         return self._count > 0
 
-    # -- lazy columns -----------------------------------------------------------
-    #
-    # Each accessor walks the validity runs once and caches the resulting
-    # plain list; slicing the backing list is a C-level copy, so per-column
-    # cost is one comprehension, not one method call per record.
+    @property
+    def backing(self) -> range:
+        """The scanned positions, masked ones included: ``len(backing)``
+        against ``valid_count`` is the share of the scan that was returned."""
+        return range(self.scanned)
+
+    # -- columns ------------------------------------------------------------------
 
     def keys(self) -> List[Any]:
-        if self._keys is None:
-            backing = self.backing
-            self._keys = [
-                r.key for s, e in self.runs for r in backing[s:e]
-            ]
-        return self._keys
+        return self._gather(_KEYS)
 
     def values(self) -> List[Any]:
-        if self._values is None:
-            backing = self.backing
-            self._values = [
-                r.value for s, e in self.runs for r in backing[s:e]
-            ]
-        return self._values
+        return self._gather(_VALUES)
 
     def timestamps(self) -> List[float]:
-        if self._timestamps is None:
-            backing = self.backing
-            self._timestamps = [
-                r.timestamp for s, e in self.runs for r in backing[s:e]
-            ]
-        return self._timestamps
-
-    def offsets(self) -> List[int]:
-        if self._offsets is None:
-            backing = self.backing
-            self._offsets = [
-                r.offset for s, e in self.runs for r in backing[s:e]
-            ]
-        return self._offsets
+        return self._gather(_TIMESTAMPS)
 
     def headers(self) -> List[Dict[str, Any]]:
         """Raw (shared, not copied) header dicts of the valid records."""
-        if self._headers is None:
-            backing = self.backing
-            self._headers = [
-                r.headers for s, e in self.runs for r in backing[s:e]
-            ]
-        return self._headers
+        return self._gather(_HEADERS)
+
+    def offsets(self) -> List[int]:
+        return self._gather(StoredBatch.offset_column)
 
     def producer_ids(self) -> List[int]:
-        if self._producer_ids is None:
-            backing = self.backing
-            self._producer_ids = [
-                r.producer_id for s, e in self.runs for r in backing[s:e]
-            ]
-        return self._producer_ids
+        return self._gather(StoredBatch.producer_id_column)
+
+    def producer_epochs(self) -> List[int]:
+        return self._gather(StoredBatch.producer_epoch_column)
+
+    def sequences(self) -> List[int]:
+        return self._gather(StoredBatch.sequence_column)
+
+    def transactional(self) -> List[bool]:
+        return self._gather(StoredBatch.transactional_column)
 
     # -- lazy scalar view -------------------------------------------------------
 
     @property
-    def records(self) -> List[Record]:
-        """The valid records as a list — the log's own (shared) record
-        objects, so callers that hand them on must copy."""
-        if self._records is None:
-            backing = self.backing
-            if len(self.runs) == 1:
-                start, end = self.runs[0]
-                self._records = backing[start:end]
-            else:
-                self._records = [
-                    r for s, e in self.runs for r in backing[s:e]
-                ]
-        return self._records
+    def records(self) -> RecordView:
+        """The valid records as a list-like view of the log's own (shared)
+        record objects, so callers that hand them on must copy."""
+        if self._view is None:
+            self._view = RecordView(
+                self._batches, self._lo, self._hi, self._count
+            )
+        return self._view
 
     def __repr__(self) -> str:
         return (
-            f"ColumnarBatch(valid={self._count}, backing={len(self.backing)}, "
-            f"runs={len(self.runs)}, next_offset={self.next_offset})"
+            f"ColumnarBatch(valid={self._count}, scanned={self.scanned}, "
+            f"batches={len(self._batches)}, next_offset={self.next_offset})"
         )
 
 
@@ -189,8 +409,8 @@ class ColumnarSlab:
 
     Quacks like :class:`~repro.log.record.RecordBatch` for everything the
     append path needs (producer metadata, ``record_count``,
-    ``last_sequence``), but the per-record ``Record`` objects are only
-    constructed once, inside ``PartitionLog`` at offset-assignment time.
+    ``last_sequence``). The log adopts the column lists by reference, so
+    whoever builds a slab hands them over for good.
     """
 
     __slots__ = (

@@ -19,14 +19,24 @@ Rules implemented here:
 
 from __future__ import annotations
 
-from typing import Iterable, List, Set, Tuple
+from typing import Any, Iterable, List, Set, Tuple
 
 from repro.log.partition_log import AbortedTxn, PartitionLog
 from repro.log.record import Record
 
 
-def _aborted_offsets(aborted: Iterable[AbortedTxn]) -> List[Tuple[int, int, int]]:
-    return [(a.first_offset, a.last_offset, a.producer_id) for a in aborted]
+def _survivors(
+    rows: Iterable[Tuple[Any, Any, int]], drop_tombstones: bool
+) -> Set[int]:
+    """Offsets that survive among the *clean, visible* records, given as
+    (key, value, offset) in offset order: per key the latest one, unless
+    it is a dropped tombstone."""
+    latest = {key: (value, offset) for key, value, offset in rows}
+    return {
+        offset
+        for value, offset in latest.values()
+        if not (drop_tombstones and value is None)
+    }
 
 
 def compact(
@@ -41,7 +51,7 @@ def compact(
     safe to compact). Offsets of retained records are preserved, so the
     result is a sparse but still offset-ordered log.
     """
-    spans = _aborted_offsets(aborted)
+    spans = [(a.first_offset, a.last_offset, a.producer_id) for a in aborted]
 
     def is_aborted(record: Record) -> bool:
         for first, last, pid in spans:
@@ -49,40 +59,36 @@ def compact(
                 return True
         return False
 
-    clean = [r for r in records if r.offset < dirty_from]
-    dirty = [r for r in records if r.offset >= dirty_from]
-
-    # Latest clean offset per key (aborted and control records never count).
-    latest: dict = {}
-    for record in clean:
-        if record.is_control or is_aborted(record):
-            continue
-        latest[record.key] = record.offset
-
     # Records beyond the dirty point may still belong to open transactions,
     # so they must NOT shadow clean records: if the transaction aborts, the
     # older value is still the live one.
-    kept: List[Record] = []
-    for record in clean:
-        if record.is_control or is_aborted(record):
-            continue
-        if latest.get(record.key) != record.offset:
-            continue
-        if drop_tombstones and record.value is None:
-            continue
-        kept.append(record)
-    kept.extend(dirty)
-    return kept
+    keep = _survivors(
+        (
+            (r.key, r.value, r.offset)
+            for r in records
+            if r.offset < dirty_from and not r.is_control and not is_aborted(r)
+        ),
+        drop_tombstones,
+    )
+    return [r for r in records if r.offset >= dirty_from or r.offset in keep]
 
 
 def compact_log(log: PartitionLog, drop_tombstones: bool = False) -> int:
-    """Compact a partition log in place; returns records removed."""
+    """Compact a partition log in place; returns records removed.
+
+    The clean, visible records are what a read-committed fetch below the
+    last stable offset returns, so the log's own visibility rule picks
+    them, as columns."""
     before = len(log)
-    compacted = compact(
-        log.records(),
-        aborted=log.aborted_transactions(),
-        dirty_from=log.last_stable_offset,
-        drop_tombstones=drop_tombstones,
+    dirty_from = log.last_stable_offset
+    clean = log.read_columnar(
+        log.log_start_offset, max_records=before, up_to_offset=dirty_from,
+        filter_aborted=True,
     )
-    log.replace_records(compacted)
+    log.retain_offsets(
+        _survivors(
+            zip(clean.keys(), clean.values(), clean.offsets()), drop_tombstones
+        ),
+        below=dirty_from,
+    )
     return before - len(log)

@@ -1,7 +1,14 @@
 """The append-only partition log.
 
 This is the storage primitive the whole paper builds on: an immutable,
-offset-ordered sequence of records. On top of plain appends it implements
+offset-ordered sequence of records, stored the way it arrives — as
+*batches*. An append adopts the producer's column lists by reference as
+one :class:`~repro.log.columnar.StoredBatch`, a transaction marker is a
+one-record control batch, and a follower holds the leader's stored
+batches by reference, so append, marker append and follower sync cost
+O(batches), never O(records); ``Record`` objects exist only behind the
+lazy scalar views (:meth:`PartitionLog.read`, :meth:`PartitionLog.records`).
+On top of plain appends the log implements
 
 * **idempotent appends** (Section 4.1): per-producer-id sequence validation
   with a bounded cache of recent batch metadata, so a retried batch (after a
@@ -9,13 +16,17 @@ offset-ordered sequence of records. On top of plain appends it implements
 * **transactional visibility** (Section 4.2.3): the log tracks the first
   offset of every open transaction and exposes the *last stable offset*
   (LSO). Read-committed consumers never read past the LSO, and spans of
-  aborted transactions are recorded in an index so they can be filtered out;
+  aborted transactions are recorded in an index so they can be filtered
+  out — a whole stored batch at a time, since a batch has one producer
+  and a transaction's span begins and ends on batch boundaries;
 * **log compaction** hooks for changelog topics, and ``delete_records`` for
   repartition-topic truncation.
 
-The log itself is single-writer (the partition leader); replication copies
-appended entries verbatim (:meth:`PartitionLog.replicate_mirror`, driven by
-:class:`repro.broker.partition.PartitionState`).
+The log itself is single-writer (the partition leader); replication shares
+the appended batches (:meth:`PartitionLog.replicate_mirror`, driven by
+:class:`repro.broker.partition.PartitionState`). Stored batches are never
+mutated and never merged: whatever cuts inside one (truncation, deletion,
+compaction) replaces it with a new batch built from slices.
 """
 
 from __future__ import annotations
@@ -23,26 +34,32 @@ from __future__ import annotations
 import bisect
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from itertools import islice
+from operator import attrgetter
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
     InvalidProducerEpochError,
     OffsetOutOfRangeError,
     OutOfOrderSequenceError,
 )
-from repro.log.columnar import ColumnarBatch, ColumnarSlab
+from repro.log.columnar import ColumnarBatch, ColumnarSlab, RecordView, StoredBatch
 from repro.log.record import (
     ABORT_MARKER,
     NO_PRODUCER_ID,
     NO_SEQUENCE,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 # How many recent batches of metadata to retain per producer id for
 # duplicate detection (Kafka retains 5).
 _PRODUCER_BATCH_CACHE = 5
+
+# Bisect keys: the stored-batch list is sorted by base offset, the aborted
+# spans by last offset.
+_BASE_OFFSET = attrgetter("base_offset")
+_LAST_OFFSET = attrgetter("last_offset")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,7 +103,7 @@ class _ProducerIdState:
             return NO_SEQUENCE
         return self.batches[-1].last_sequence
 
-    def find_duplicate(self, batch: RecordBatch) -> Optional[_BatchMeta]:
+    def find_duplicate(self, batch: ColumnarSlab) -> Optional[_BatchMeta]:
         """Metadata of an already-appended copy of ``batch``, if any.
 
         Containment (not just exact equality) counts as a duplicate: a
@@ -114,31 +131,27 @@ class _ProducerIdState:
 
 
 class PartitionLog:
-    """One partition's log: records, producer state, and txn visibility."""
+    """One partition's log: stored batches, producer state, txn visibility."""
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._records: List[Record] = []
-        self._offsets: List[int] = []        # parallel array for bisect
+        # Sorted by base offset, non-overlapping; entries are immutable and
+        # may be shared with other replicas' logs.
+        self._batches: List[StoredBatch] = []
+        self._count = 0                      # retained records
         self._next_offset = 0
         self.log_start_offset = 0
         self.high_watermark = 0              # managed by replication
         self._producers: Dict[int, _ProducerIdState] = {}
         # producer_id -> first offset of its currently open transaction
         self._open_txns: Dict[int, int] = {}
+        # Aborted spans in marker order, i.e. sorted by last offset.
         self._aborted: List[AbortedTxn] = []
         # Interval index over `_aborted`: producer_id -> parallel, sorted
         # (first_offsets, last_offsets, spans). One producer's transactions
         # are serial, so its spans are disjoint and both offset lists are
         # ascending — membership and overlap queries are a bisect away.
         self._aborted_index: Dict[int, Tuple[List[int], List[int], List[AbortedTxn]]] = {}
-        # Columnar-read auxiliaries: sorted offsets of every *data* record
-        # carrying a real producer id, and of every control marker. Aborted
-        # filtering and control skipping then become bisected slices of
-        # these lists — validity runs are built from the gaps, without
-        # touching individual records.
-        self._pid_offsets: Dict[int, List[int]] = {}
-        self._control_offsets: List[int] = []
         # truncate_to/reset_to removed records: producer and transaction
         # state may describe them still. The next replicate_mirror heals it.
         self._stale = False
@@ -158,16 +171,17 @@ class PartitionLog:
             return min(min(self._open_txns.values()), self.high_watermark)
         return self.high_watermark
 
-    def records(self) -> List[Record]:
-        """All retained records, oldest first (includes control markers).
-
-        Read-only view of the live backing list — do not mutate. Returning
-        the list itself keeps per-poll accessor cost O(1) instead of O(log).
-        """
-        return self._records
+    def records(self) -> RecordView:
+        """All retained records, oldest first (includes control markers):
+        a lazy scalar view — ``len()`` is free, and a stored batch builds
+        its ``Record`` objects the first time any view touches them."""
+        batches = self._batches
+        return RecordView(
+            list(batches), 0, len(batches[-1]) if batches else 0, self._count
+        )
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def open_transactions(self) -> Dict[int, int]:
         """producer_id -> first offset of its open transaction.
@@ -193,6 +207,24 @@ class PartitionLog:
         lasts.append(span.last_offset)
         spans.append(span)
 
+    def _prune_aborted(self) -> None:
+        """Forget the spans that lie wholly below the log start: nothing
+        they could mask is retained. Spans are indexed in marker order, so
+        both the list and each producer's entry lose a prefix."""
+        start = self.log_start_offset
+        aborted = self._aborted
+        if not aborted or aborted[0].last_offset >= start:
+            return
+        del aborted[: bisect.bisect_left(aborted, start, key=_LAST_OFFSET)]
+        index = self._aborted_index
+        for pid in list(index):
+            firsts, lasts, spans = index[pid]
+            gone = bisect.bisect_left(lasts, start)
+            if gone == len(lasts):
+                del index[pid]
+            elif gone:
+                del firsts[:gone], lasts[:gone], spans[:gone]
+
     def is_offset_aborted(self, producer_id: int, offset: int) -> bool:
         """True iff ``offset`` lies in an aborted span of ``producer_id``.
 
@@ -204,17 +236,6 @@ class PartitionLog:
         firsts, lasts, _ = entry
         i = bisect.bisect_right(firsts, offset) - 1
         return i >= 0 and lasts[i] >= offset
-
-    def aborted_overlapping(
-        self, from_offset: int, up_to_offset: int
-    ) -> List[AbortedTxn]:
-        """Aborted spans intersecting ``[from_offset, up_to_offset)``."""
-        out: List[AbortedTxn] = []
-        for firsts, lasts, spans in self._aborted_index.values():
-            lo = bisect.bisect_left(lasts, from_offset)
-            hi = bisect.bisect_left(firsts, up_to_offset, lo)
-            out.extend(spans[lo:hi])
-        return out
 
     def producer_aborted_in_range(
         self, producer_id: int, first_offset: int, last_offset: int
@@ -230,15 +251,20 @@ class PartitionLog:
 
     # -- appends ---------------------------------------------------------------
 
-    def append_batch(self, batch: RecordBatch) -> AppendResult:
+    def append_batch(self, batch) -> AppendResult:
         """Append a producer batch with idempotence validation.
 
         Returns the assigned offsets; a recognised retry of an already
         appended batch returns the *original* offsets with
-        ``duplicate=True`` instead of appending again.
+        ``duplicate=True`` instead of appending again. A
+        :class:`ColumnarSlab`'s column lists are adopted by reference (the
+        sender must not touch them again); a scalar :class:`RecordBatch`
+        is turned into columns first.
         """
+        if not isinstance(batch, ColumnarSlab):
+            batch = _slab_of(batch)
         if batch.producer_id == NO_PRODUCER_ID:
-            return self._do_append(batch)
+            return self._adopt(batch)
 
         state = self._producers.get(batch.producer_id)
         if state is None:
@@ -264,7 +290,7 @@ class PartitionLog:
             # Sequence-less batch (e.g. a coordinator-side offset commit):
             # epoch-validated above, but exempt from idempotence dedup —
             # two such batches are distinct appends, not retries.
-            return self._do_append(batch)
+            return self._adopt(batch)
 
         duplicate = state.find_duplicate(batch)
         if duplicate is not None:
@@ -279,7 +305,7 @@ class PartitionLog:
                 f"{batch.base_sequence}, expected {expected}"
             )
 
-        result = self._do_append(batch)
+        result = self._adopt(batch)
         state.batches.append(
             _BatchMeta(
                 batch.base_sequence,
@@ -290,100 +316,41 @@ class PartitionLog:
         )
         return result
 
-    def _do_append(self, batch) -> AppendResult:
-        # Offset assignment and producer-metadata stamping fused into one
-        # record construction (instead of stamped_records() + with_offset(),
-        # two dataclass copies per record on the produce hot path). For a
-        # ColumnarSlab this is the *only* per-record Record construction on
-        # the whole produce path — the producer ships raw columns.
+    def _adopt(
+        self, batch: ColumnarSlab, control_type: Optional[str] = None
+    ) -> AppendResult:
+        """Store ``batch``'s column lists, as they are, at the log end."""
         base_offset = self._next_offset
-        offset = base_offset
-        base_sequence = batch.base_sequence
+        count = len(batch.keys)
         pid = batch.producer_id
-        epoch = batch.producer_epoch
-        transactional = batch.is_transactional
-        append_record = self._records.append
-        append_offset = self._offsets.append
-        pid_append = (
-            self._pid_offsets.setdefault(pid, []).append
-            if pid != NO_PRODUCER_ID
-            else None
-        )
-        if isinstance(batch, ColumnarSlab):
-            keys = batch.keys
-            values = batch.values
-            timestamps = batch.timestamps
-            headers = batch.headers
-            # Positional construction: Record is a slots dataclass and the
-            # keyword form measurably slows this, the innermost produce loop.
-            # A slab is all-data, one-producer, contiguous, so the offset
-            # and producer indexes grow by a single range extension.
-            seq = base_sequence
-            seq_step = 0 if base_sequence == NO_SEQUENCE else 1
-            for key, value, timestamp, hdrs in zip(
-                keys, values, timestamps, headers
-            ):
-                append_record(
-                    Record(
-                        key, value, timestamp, hdrs,
-                        offset, pid, epoch, seq, transactional,
-                    )
-                )
-                offset += 1
-                seq += seq_step
-            assigned = range(base_offset, offset)
-            self._offsets.extend(assigned)
-            if pid_append is not None:
-                self._pid_offsets[pid].extend(assigned)
-        else:
-            control_append = self._control_offsets.append
-            # Scalar RecordBatch intake, not a columnar read path.
-            for i, record in enumerate(batch.records):  # lint: allow-record-loop
-                append_record(
-                    Record(
-                        key=record.key,
-                        value=record.value,
-                        timestamp=record.timestamp,
-                        headers=record.headers,
-                        offset=offset,
-                        producer_id=pid,
-                        producer_epoch=epoch,
-                        sequence=(
-                            NO_SEQUENCE
-                            if base_sequence == NO_SEQUENCE
-                            else base_sequence + i
-                        ),
-                        is_transactional=transactional,
-                        is_control=record.is_control,
-                        control_type=record.control_type,
-                    )
-                )
-                append_offset(offset)
-                if record.is_control:
-                    control_append(offset)
-                elif pid_append is not None:
-                    pid_append(offset)
-                offset += 1
-        self._next_offset = offset
-        if transactional and pid not in self._open_txns:
-            self._open_txns[pid] = base_offset
-        return AppendResult(base_offset, offset - 1)
-
-    def _append_record(self, record: Record) -> None:
-        stamped = record.with_offset(self._next_offset)
-        self._records.append(stamped)
-        self._offsets.append(self._next_offset)
-        if stamped.is_control:
-            self._control_offsets.append(self._next_offset)
-        elif stamped.producer_id != NO_PRODUCER_ID:
-            self._pid_offsets.setdefault(stamped.producer_id, []).append(
-                self._next_offset
+        self._batches.append(
+            StoredBatch(
+                base_offset,
+                batch.keys,
+                batch.values,
+                batch.timestamps,
+                batch.headers,
+                pid,
+                batch.producer_epoch,
+                batch.base_sequence,
+                batch.is_transactional,
+                control_type,
             )
-        self._next_offset += 1
+        )
+        self._count += count
+        self._next_offset = base_offset + count
+        if (
+            batch.is_transactional
+            and control_type is None
+            and pid not in self._open_txns
+        ):
+            self._open_txns[pid] = base_offset
+        return AppendResult(base_offset, base_offset + count - 1)
 
     def append_marker(self, marker: Record) -> int:
-        """Append a transaction commit/abort marker, closing the producer's
-        open transaction on this partition. Returns the marker's offset."""
+        """Append a transaction commit/abort marker — a one-record control
+        batch — closing the producer's open transaction on this partition.
+        Returns the marker's offset."""
         if not marker.is_control:
             raise ValueError("append_marker requires a control record")
         state = self._producers.get(marker.producer_id)
@@ -394,8 +361,19 @@ class PartitionLog:
             state.epoch = marker.producer_epoch
             state.batches.clear()
         first_offset = self._open_txns.pop(marker.producer_id, None)
-        offset = self._next_offset
-        self._append_record(marker)
+        offset = self._adopt(
+            ColumnarSlab(
+                [marker.key],
+                [marker.value],
+                [marker.timestamp],
+                [marker.headers],
+                marker.producer_id,
+                marker.producer_epoch,
+                marker.sequence,
+                marker.is_transactional,
+            ),
+            marker.control_type,
+        ).base_offset
         if marker.control_type == ABORT_MARKER and first_offset is not None:
             self._index_aborted(
                 AbortedTxn(marker.producer_id, first_offset, offset - 1)
@@ -403,26 +381,29 @@ class PartitionLog:
         return offset
 
     def replicate_mirror(self, source: "PartitionLog") -> None:
-        """Follower fetch against a live leader log: copy the missing
-        record suffix by slice and mirror the leader's index state for what
-        that suffix touched (DESIGN.md, "Replication: what a follower sync
-        touches").
+        """Follower fetch against a live leader log: take the missing
+        suffix of stored batches *by reference* and mirror the leader's
+        index state for what that suffix touched (DESIGN.md, "Replication:
+        what a follower sync touches").
 
         Valid only when this log is a prefix of ``source`` (which
         :meth:`repro.broker.partition.PartitionState._sync_follower`
         guarantees by truncating or resetting first); the sync runs to the
         leader's log end. The leader changes a producer's sequence or
-        transaction state only while appending a record of that producer
+        transaction state only while appending a batch of that producer
         id, so:
 
-        * record/offset/control lists grow by bisected slice extension
-          (follower lists never hold offsets >= its log end);
-        * the producer ids *in the suffix* get their offset list extended
-          and their sequence state and open-transaction entry replaced by
-          the leader's; every other producer's state is left alone;
-        * aborted spans are indexed only if the suffix holds a marker, in
-          leader order (``_aborted`` is sorted by ``last_offset``: an
-          abort marker at offset ``m`` indexes a span ending at ``m - 1``).
+        * the batch list grows by the leader's batches from this log's
+          end on, found by walking back from the leader's end (a follower
+          that was cut inside a batch first takes the rest of it as a
+          batch of its own);
+        * the producer ids *heading the suffix's batches* get their
+          sequence state and open-transaction entry replaced by the
+          leader's; every other producer's state is left alone;
+        * aborted spans are indexed only if the suffix holds a control
+          batch, in leader order (``_aborted`` is sorted by
+          ``last_offset``: an abort marker at offset ``m`` indexes a span
+          ending at ``m - 1``).
 
         After :meth:`truncate_to` / :meth:`reset_to` removed records, or
         over a suffix with holes (compaction can take a producer's records
@@ -438,51 +419,49 @@ class PartitionLog:
                 f"{self.name}: cannot mirror from offset {start}; source "
                 f"log starts at {source.log_start_offset}"
             )
-        idx = bisect.bisect_left(source._offsets, start)
-        suffix = source._records[idx:]
-        self._records.extend(suffix)
-        self._offsets.extend(source._offsets[idx:])
+        # Walk back from the leader's end over the batches this log lacks:
+        # the sync costs what it copies, not a search of the whole log.
+        theirs = source._batches
+        idx = len(theirs)
+        copied = 0
+        markers = 0
+        pids: Set[int] = set()
+        while idx and theirs[idx - 1].base_offset >= start:
+            idx -= 1
+            batch = theirs[idx]
+            copied += len(batch.keys)
+            pids.add(batch.producer_id)
+            if batch.control_type is not None:
+                markers += 1
+        suffix = theirs[idx:]
+        if idx and theirs[idx - 1].end_offset > start:
+            straddler = theirs[idx - 1]
+            rest = straddler.slice(straddler.position(start))
+            suffix.insert(0, rest)
+            copied += len(rest)
+            pids.add(rest.producer_id)
+        self._batches += suffix
+        self._count += copied
         self._next_offset = end
-        controls = source._control_offsets
-        markers = controls[bisect.bisect_left(controls, start):]
-        self._control_offsets.extend(markers)
 
-        n = len(suffix)
         spans: Iterable[AbortedTxn] = ()
-        if self._stale or n != end - start:
+        if self._stale or copied != end - start:
             self._stale = False
             self._producers.clear()
             self._open_txns.clear()
             self._aborted.clear()
             self._aborted_index.clear()
-            pids: Iterable[int] = (
-                source._producers.keys()
-                | source._pid_offsets.keys()
-                | source._open_txns.keys()
-            )
+            pids = source._producers.keys() | source._open_txns.keys()
             spans = source._aborted
-        else:
-            head = suffix[0].producer_id
-            offs = source._pid_offsets.get(head, ())
-            if len(offs) >= n and offs[-n] == start:
-                # n ascending offsets from `start`, all below `end`: one
-                # producer's data is the whole suffix (every acks=all sync).
-                pids = (head,)
-            else:
-                pids = {record.producer_id for record in suffix}
-            if markers:
-                # k markers indexed at most the last k spans, each ending
-                # at >= start - 1; earlier markers' spans end below that.
-                spans = [
-                    span
-                    for span in source._aborted[-len(markers):]
-                    if span.last_offset >= start - 1
-                ]
+        elif markers:
+            # k markers indexed at most the last k spans, each ending
+            # at >= start - 1; earlier markers' spans end below that.
+            spans = [
+                span
+                for span in source._aborted[-markers:]
+                if span.last_offset >= start - 1
+            ]
         for pid in pids:
-            offs = source._pid_offsets.get(pid, ())
-            tail = offs[bisect.bisect_left(offs, start):]
-            if tail:
-                self._pid_offsets.setdefault(pid, []).extend(tail)
             state = source._producers.get(pid)
             if state is not None:
                 self._producers[pid] = _ProducerIdState(state.epoch, state.batches)
@@ -496,34 +475,88 @@ class PartitionLog:
 
     # -- reads -------------------------------------------------------------------
 
-    def read(
+    def _scan(
         self,
         from_offset: int,
-        max_records: int = 1_000_000,
-        up_to_offset: Optional[int] = None,
-    ) -> List[Record]:
-        """Records with ``from_offset <= offset < up_to_offset`` (default:
-        the high watermark), oldest first, including control markers. At
-        most ``max_records`` are returned.
-
-        Both bounds are located by bisect, so the work done (and the list
-        returned) is proportional to the records returned, never to the
-        size of the tail.
-
-        Raises OffsetOutOfRangeError if ``from_offset`` precedes the log
-        start (records were deleted) or exceeds the log end.
+        max_records: int,
+        limit: int,
+        mask_controls: bool,
+        filter_aborted: bool,
+    ) -> Tuple[List[StoredBatch], int, int, int, int, int]:
+        """Walk the stored batches over ``[from_offset, limit)`` until
+        ``max_records`` visible records are found: one step per *batch*,
+        visibility decided per batch. Returns the visible run as
+        ``(batches, lo, hi, visible, scanned, next_offset)`` — the first
+        batch starts at position ``lo``, the last stops before ``hi``.
         """
         if from_offset < self.log_start_offset or from_offset > self._next_offset:
             raise OffsetOutOfRangeError(
                 f"{self.name}: offset {from_offset} outside "
                 f"[{self.log_start_offset}, {self._next_offset}]"
             )
+        batches = self._batches
+        aborted = self._aborted_index if filter_aborted else None
+        run: List[StoredBatch] = []
+        lo = hi = visible = scanned = 0
+        last: Optional[StoredBatch] = None
+        first = max(bisect.bisect_right(batches, from_offset, key=_BASE_OFFSET) - 1, 0)
+        for batch in islice(batches, first, None):
+            base = batch.base_offset
+            if base >= limit or visible >= max_records:
+                break
+            # Positions [a, b) of the batch lie inside the window; only the
+            # first and the last batch of a scan can be cut.
+            a = 0 if base >= from_offset else batch.position(from_offset)
+            b = len(batch.keys) if batch.end_offset <= limit else batch.position(limit)
+            if a >= b:
+                continue
+            if mask_controls and batch.control_type is not None:
+                masked = True
+            elif aborted:
+                # A batch has one producer and a transaction's span begins
+                # and ends on batch boundaries, so any one offset of the
+                # batch decides for all of it (is_offset_aborted, inlined).
+                entry = aborted.get(batch.producer_id)
+                if entry is None:
+                    masked = False
+                else:
+                    span = bisect.bisect_right(entry[0], base) - 1
+                    masked = span >= 0 and entry[1][span] >= base
+            else:
+                masked = False
+            if not masked:
+                if visible + (b - a) > max_records:
+                    b = a + max_records - visible
+                if not run:
+                    lo = a
+                run.append(batch)
+                hi = b
+                visible += b - a
+            scanned += b - a
+            last, end = batch, b
+        next_offset = from_offset if last is None else last.offset_at(end - 1) + 1
+        return run, lo, hi, visible, scanned, next_offset
+
+    def read(
+        self,
+        from_offset: int,
+        max_records: int = 1_000_000,
+        up_to_offset: Optional[int] = None,
+    ) -> RecordView:
+        """Records with ``from_offset <= offset < up_to_offset`` (default:
+        the high watermark), oldest first, including control markers. At
+        most ``max_records`` are returned — as a lazy scalar view, so the
+        work done is proportional to the batches covered until a record is
+        touched.
+
+        Raises OffsetOutOfRangeError if ``from_offset`` precedes the log
+        start (records were deleted) or exceeds the log end.
+        """
         limit = self.high_watermark if up_to_offset is None else up_to_offset
-        start = bisect.bisect_left(self._offsets, from_offset)
-        end = bisect.bisect_left(self._offsets, limit, start)
-        if max_records < end - start:
-            end = start + max_records
-        return self._records[start:end]
+        run, lo, hi, count, _, _ = self._scan(
+            from_offset, max_records, limit, False, False
+        )
+        return RecordView(run, lo, hi, count)
 
     def read_columnar(
         self,
@@ -535,137 +568,51 @@ class PartitionLog:
         """The fetch read: :meth:`read`'s window with visibility filtering
         built in — the one implementation of Section 4.2.3's rule.
 
-        Returns a :class:`ColumnarBatch` whose validity runs cover exactly
-        the visible records: control markers are always masked, and with
-        ``filter_aborted`` the aborted spans of the interval index are
-        masked too. No per-record work happens here — the skipped
-        positions are found by bisecting the control-offset and
-        per-producer offset lists, so the cost is O(skips · log n) plus one
-        C-level slice of the backing list.
+        Returns a :class:`ColumnarBatch` over exactly the visible records:
+        control batches are always left out, and with ``filter_aborted``
+        the batches inside aborted spans of the interval index are too.
+        No per-record work happens here — visibility is decided per stored
+        batch, and ``from_offset`` / ``up_to_offset`` / ``max_records`` may
+        still cut inside the first and the last one.
 
         ``next_offset`` advances past every *scanned* position (including
         masked ones), and scanning stops as soon as ``max_records`` valid
         records are found.
         """
-        if from_offset < self.log_start_offset or from_offset > self._next_offset:
-            raise OffsetOutOfRangeError(
-                f"{self.name}: offset {from_offset} outside "
-                f"[{self.log_start_offset}, {self._next_offset}]"
-            )
         limit = self.high_watermark if up_to_offset is None else up_to_offset
-        offsets = self._offsets
-        start = bisect.bisect_left(offsets, from_offset)
-        hard_end = bisect.bisect_left(offsets, limit, start)
-        hw = self.high_watermark
-        lso = self.last_stable_offset
-        if hard_end <= start or max_records <= 0:
-            return ColumnarBatch([], [], from_offset, hw, lso)
+        run, lo, hi, valid, scanned, next_offset = self._scan(
+            from_offset, max_records, limit, True, filter_aborted
+        )
+        return ColumnarBatch(
+            next_offset, self.high_watermark, self.last_stable_offset,
+            run, lo, hi, valid, scanned,
+        )
 
-        # Offsets inside the window that the fetch skips. The
-        # harvest is bounded to the prefix the budget can actually consume:
-        # start from a fully-valid window of ``max_records`` positions and
-        # grow it geometrically while masked positions eat into the budget,
-        # so a bounded page against a huge tail never walks the tail's
-        # whole skip index (which would make paging quadratic).
-        window_lo = offsets[start]
-        controls = self._control_offsets
-        span = min(max_records, hard_end - start)
-        while True:
-            scan_end = start + span if start + span < hard_end else hard_end
-            window_hi = offsets[scan_end - 1] + 1
-            invalid_lists: List[List[int]] = []
-            lo = bisect.bisect_left(controls, window_lo)
-            hi = bisect.bisect_left(controls, window_hi, lo)
-            if hi > lo:
-                invalid_lists.append(controls[lo:hi])
-            if filter_aborted:
-                for span_txn in self.aborted_overlapping(window_lo, window_hi):
-                    per_pid = self._pid_offsets.get(span_txn.producer_id)
-                    if per_pid is None:
-                        continue
-                    a = bisect.bisect_left(
-                        per_pid, max(span_txn.first_offset, window_lo)
-                    )
-                    b = bisect.bisect_right(
-                        per_pid, min(span_txn.last_offset, window_hi - 1), a
-                    )
-                    if b > a:
-                        invalid_lists.append(per_pid[a:b])
-            masked = sum(len(chunk) for chunk in invalid_lists)
-            if scan_end == hard_end or (scan_end - start) - masked >= max_records:
-                break
-            span *= 2
-        if not invalid_lists:
-            invalid: List[int] = []
-        elif len(invalid_lists) == 1:
-            invalid = invalid_lists[0]
-        else:
-            # The sources are mutually disjoint sorted lists (control
-            # markers never carry data producer-id entries; aborted spans
-            # partition per-producer offsets), so merging is enough — and
-            # timsort's gallop over concatenated sorted runs beats a
-            # generator-based k-way merge.
-            invalid = [o for chunk in invalid_lists for o in chunk]
-            invalid.sort()
-
-        # Build validity runs between skipped positions, stopping the scan
-        # once the budget of valid records is filled.
-        runs: List[Tuple[int, int]] = []
-        valid = 0
-        cursor = start
-        end_idx = start
-        budget_filled = False
-        for skip_offset in invalid:
-            idx = bisect.bisect_left(offsets, skip_offset, cursor, hard_end)
-            take = idx - cursor
-            if valid + take >= max_records:
-                take = max_records - valid
-                if take:
-                    runs.append((cursor, cursor + take))
-                    valid += take
-                end_idx = cursor + take
-                budget_filled = True
-                break
-            if take:
-                runs.append((cursor, idx))
-                valid += take
-            cursor = idx + 1
-            end_idx = cursor
-        if not budget_filled:
-            take = hard_end - cursor
-            if take > 0:
-                if valid + take > max_records:
-                    take = max_records - valid
-                runs.append((cursor, cursor + take))
-                valid += take
-                end_idx = cursor + take
-
-        next_offset = offsets[end_idx - 1] + 1 if end_idx > start else from_offset
-        backing = self._records[start:end_idx]
-        if start:
-            runs = [(s - start, e - start) for s, e in runs]
-        return ColumnarBatch(backing, runs, next_offset, hw, lso)
+    # -- cuts (copy-on-write: stored batches may be shared) ------------------------
 
     def truncate_to(self, offset: int) -> None:
         """Remove records with offsets >= ``offset`` (follower reconciliation)."""
-        keep = bisect.bisect_left(self._offsets, offset)
-        if keep < len(self._offsets):
+        batches = self._batches
+        keep = bisect.bisect_left(batches, offset, key=_BASE_OFFSET)
+        head: Optional[StoredBatch] = None
+        if keep and batches[keep - 1].end_offset > offset:
+            keep -= 1
+            head = batches[keep].slice(0, batches[keep].position(offset))
+        if keep < len(batches):
             self._stale = True
-        del self._records[keep:]
-        del self._offsets[keep:]
-        for offs in self._pid_offsets.values():
-            del offs[bisect.bisect_left(offs, offset):]
-        del self._control_offsets[
-            bisect.bisect_left(self._control_offsets, offset):
-        ]
-        self._next_offset = offset if not self._offsets else self._offsets[-1] + 1
+            self._count -= sum(len(batch.keys) for batch in batches[keep:])
+            del batches[keep:]
+            if head is not None:
+                batches.append(head)
+                self._count += len(head)
+        self._next_offset = batches[-1].end_offset if batches else offset
         self.high_watermark = min(self.high_watermark, self._next_offset)
 
     def reset_to(self, offset: int) -> None:
         """Discard everything and restart the log at ``offset`` (a follower
         resyncing against a leader whose older records were deleted)."""
-        self._records.clear()
-        self._offsets.clear()
+        self._batches.clear()
+        self._count = 0
         self._next_offset = offset
         self.log_start_offset = offset
         self.high_watermark = offset
@@ -673,56 +620,82 @@ class PartitionLog:
         self._open_txns.clear()
         self._aborted.clear()
         self._aborted_index.clear()
-        self._pid_offsets.clear()
-        self._control_offsets.clear()
         # Producers whose records the leader already deleted still have
         # sequence state there; no suffix will ever name them.
         self._stale = True
 
     def delete_records_before(self, offset: int) -> int:
-        """Advance the log start offset (repartition-topic purge).
+        """Advance the log start offset (repartition-topic purge), and
+        forget the aborted spans that end below it.
 
         Returns how many records were physically removed.
         """
         offset = min(offset, self.high_watermark)
         if offset <= self.log_start_offset:
             return 0
-        keep = bisect.bisect_left(self._offsets, offset)
-        removed = keep
-        del self._records[:keep]
-        del self._offsets[:keep]
-        for offs in self._pid_offsets.values():
-            del offs[: bisect.bisect_left(offs, offset)]
-        del self._control_offsets[
-            : bisect.bisect_left(self._control_offsets, offset)
-        ]
+        batches = self._batches
+        gone = bisect.bisect_left(batches, offset, key=_BASE_OFFSET)
+        tail: Optional[StoredBatch] = None
+        if gone and batches[gone - 1].end_offset > offset:
+            straddler = batches[gone - 1]
+            tail = straddler.slice(straddler.position(offset))
+        removed = sum(len(batch.keys) for batch in batches[:gone])
+        if tail is not None:
+            removed -= len(tail)
+            batches[:gone] = [tail]
+        else:
+            del batches[:gone]
+        self._count -= removed
         self.log_start_offset = offset
+        self._prune_aborted()
         return removed
 
     # -- compaction hook ---------------------------------------------------------
 
-    def replace_records(self, records: List[Record]) -> None:
-        """Install a compacted record list (offsets must stay ascending)."""
-        offsets = [r.offset for r in records]
-        if offsets != sorted(offsets):
-            raise ValueError("compacted records must keep ascending offsets")
-        self._records = list(records)
-        self._offsets = offsets
-        pid_offsets: Dict[int, List[int]] = {}
-        control_offsets: List[int] = []
-        for record in records:
-            if record.is_control:
-                control_offsets.append(record.offset)
-            elif record.producer_id != NO_PRODUCER_ID:
-                pid_offsets.setdefault(record.producer_id, []).append(
-                    record.offset
-                )
-        self._pid_offsets = pid_offsets
-        self._control_offsets = control_offsets
+    def retain_offsets(self, keep: Set[int], below: int) -> None:
+        """Drop every record below offset ``below`` whose offset is not in
+        ``keep`` (log compaction). Offsets of retained records stay; a
+        batch that loses records is replaced, one that loses all of them
+        disappears."""
+        compacted: List[StoredBatch] = []
+        for batch in self._batches:
+            if batch.base_offset < below:
+                offsets = batch.offset_column()
+                kept = [
+                    i for i, o in enumerate(offsets) if o >= below or o in keep
+                ]
+                if len(kept) < len(offsets):
+                    self._count -= len(offsets) - len(kept)
+                    if kept:
+                        compacted.append(batch.take(kept))
+                    continue
+            compacted.append(batch)
+        self._batches = compacted
 
     # -- queries used by coordinators ---------------------------------------------
 
     def last_timestamp(self) -> float:
-        if not self._records:
+        if not self._batches:
             return -1.0
-        return self._records[-1].timestamp
+        return self._batches[-1].timestamps[-1]
+
+
+def _slab_of(batch: RecordBatch) -> ColumnarSlab:
+    """Scalar intake: a ``RecordBatch``'s records as columns, built once at
+    the edge. Markers are not data; they arrive through ``append_marker``."""
+    keys: List[Any] = []
+    values: List[Any] = []
+    timestamps: List[float] = []
+    headers: List[Dict[str, Any]] = []
+    for record in batch.records:  # lint: allow-record-loop
+        if record.is_control:
+            raise ValueError("control records are appended with append_marker")
+        keys.append(record.key)
+        values.append(record.value)
+        timestamps.append(record.timestamp)
+        headers.append(record.headers)
+    return ColumnarSlab(
+        keys, values, timestamps, headers,
+        batch.producer_id, batch.producer_epoch, batch.base_sequence,
+        batch.is_transactional,
+    )

@@ -8,7 +8,7 @@ for transaction commit/abort markers (Section 4.2.2 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 NO_PRODUCER_ID = -1
@@ -38,9 +38,6 @@ class Record:
     is_transactional: bool = False
     is_control: bool = False
     control_type: Optional[str] = None   # COMMIT_MARKER | ABORT_MARKER
-
-    def with_offset(self, offset: int) -> "Record":
-        return replace(self, offset=offset)
 
     def __repr__(self) -> str:  # compact, log-friendly
         if self.is_control:
@@ -79,35 +76,6 @@ class RecordBatch:
     @property
     def record_count(self) -> int:
         return len(self.records)
-
-    def stamped_records(self) -> List[Record]:
-        """Records carrying the batch's producer metadata."""
-        if (
-            self.producer_id == NO_PRODUCER_ID
-            and self.producer_epoch == -1
-            and self.base_sequence == NO_SEQUENCE
-            and not self.is_transactional
-        ):
-            # Nothing to stamp: a non-idempotent batch carries no producer
-            # metadata, so the per-record replace() would copy every record
-            # only to write back the defaults it already has.
-            return self.records
-        stamped = []
-        # Lazy scalar-view helper for batches that carry producer metadata.
-        for i, record in enumerate(self.records):  # lint: allow-record-loop
-            seq = NO_SEQUENCE
-            if self.base_sequence != NO_SEQUENCE:
-                seq = self.base_sequence + i
-            stamped.append(
-                replace(
-                    record,
-                    producer_id=self.producer_id,
-                    producer_epoch=self.producer_epoch,
-                    sequence=seq,
-                    is_transactional=self.is_transactional,
-                )
-            )
-        return stamped
 
 
 def control_marker(

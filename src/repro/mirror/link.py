@@ -144,9 +144,9 @@ class MirrorLink:
             log, log.log_start_offset, max_records=2**31,
             isolation_level=READ_UNCOMMITTED,
         )
-        for record in result.records:
-            _kind, _group, topic, partition = record.key
-            src, dst = record.value
+        for (_kind, _group, topic, partition), (src, dst) in zip(
+            result.keys(), result.values()
+        ):
             self.translator.record_checkpoint(
                 TopicPartition(topic, partition), src, dst
             )

@@ -21,6 +21,7 @@ The invariants encode the paper's core claims:
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.broker.fetch import fetch
@@ -251,11 +252,11 @@ class ChangelogStateEquivalence(Invariant):
             isolation_level=READ_COMMITTED,
         )
         view: Dict[Any, Any] = {}
-        for record in result.records:
-            if record.value is None:
-                view.pop(record.key, None)
+        for key, value in zip(result.keys(), result.values()):
+            if value is None:
+                view.pop(key, None)
             else:
-                view[record.key] = record.value
+                view[key] = value
         return view
 
     def check(self, cluster, final: bool = False) -> None:
@@ -529,7 +530,7 @@ class MirrorPrefixEquality(Invariant):
             max_records=2**31,
             isolation_level=READ_COMMITTED,
         )
-        return [(r.key, r.value) for r in result.records]
+        return list(zip(result.keys(), result.values()))
 
 
 def _multiset_diff(left: List[Any], right: List[Any]) -> List[Any]:
@@ -565,7 +566,7 @@ def committed_records(
                 isolation_level=READ_COMMITTED,
             )
             rows.extend(
-                (tp.partition, r.key, r.value) for r in result.records
+                zip(repeat(tp.partition), result.keys(), result.values())
             )
         out[topic] = rows
     return out

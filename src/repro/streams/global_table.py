@@ -75,9 +75,9 @@ class GlobalStateStore:
                 max_records=2**31,
                 isolation_level=READ_COMMITTED,
             )
-            for record in result.records:
-                self.store.restore_put(record.key, record.value)
-                applied += 1
+            for key, value in zip(result.keys(), result.values()):
+                self.store.restore_put(key, value)
+            applied += result.valid_count
             self._positions[tp] = result.next_offset
         self.records_applied += applied
         return applied

@@ -91,10 +91,9 @@ def _replay(
         max_records=max_records if max_records > 0 else _UNBOUNDED,
         isolation_level=READ_COMMITTED,
     )
-    applied = 0
-    for record in result.records:
-        store.restore_put(record.key, record.value)
-        applied += 1
+    applied = result.valid_count
+    for key, value in zip(result.keys(), result.values()):
+        store.restore_put(key, value)
     # The replay pins the store's position watermark to the exact next
     # offset of the committed prefix — the staleness bound every
     # interactive-query read from this store (standby or restored active)

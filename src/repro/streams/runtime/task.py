@@ -397,8 +397,8 @@ class StreamTask:
         batch's origin — ``__topic`` / ``__partition`` routing headers and,
         in a traced run, the ``__t_fetched`` stage stamp — merged per
         record: the only per-record allocation). Any other task
-        materializes its ``StreamRecord`` s here, straight from the log's
-        records: the one copy on the record-at-a-time path.
+        materializes its ``StreamRecord`` s here, straight from the
+        columns: the one copy on the record-at-a-time path.
         """
         count = batch.valid_count
         if count == 0:
@@ -420,15 +420,18 @@ class StreamTask:
             partition = tp.partition
             stream_records = [
                 StreamRecord(
-                    key=r.key,
-                    value=r.value,
-                    timestamp=r.timestamp,
-                    headers={**r.headers, **origin},
-                    offset=r.offset,
+                    key=key,
+                    value=value,
+                    timestamp=timestamp,
+                    headers={**headers, **origin},
+                    offset=offset,
                     topic=topic,
                     partition=partition,
                 )
-                for r in batch.records
+                for key, value, timestamp, headers, offset in zip(
+                    batch.keys(), batch.values(), batch.timestamps(),
+                    batch.headers(), batch.offsets(),
+                )
             ]
             self._queues.add_records(tp, stream_records)
             return

@@ -208,8 +208,8 @@ def test_sync_cost_is_proportional_to_the_suffix_not_the_producers(monkeypatch):
         partition.append(idempotent(pid, 0, "first"))
     leader, follower = partition.leader_log(), partition.replicas[1]
     states = dict(follower._producers)
-    offset_lists = dict(follower._pid_offsets)
-    assert len(states) == len(offset_lists) == 64
+    held = list(follower._batches)
+    assert len(states) == len(held) == 64
     indexed = []
     monkeypatch.setattr(follower, "_index_aborted", indexed.append)
 
@@ -218,9 +218,10 @@ def test_sync_cost_is_proportional_to_the_suffix_not_the_producers(monkeypatch):
     assert follower.records() == leader.records()
     for pid in set(range(64)) - {7}:
         assert follower._producers[pid] is states[pid]
-        assert follower._pid_offsets[pid] is offset_lists[pid]
-        assert follower._pid_offsets[pid] == [pid]
-    assert follower._pid_offsets[7] == [7, 64, 65]
+    # The sync added the leader's one new stored batch and rebuilt none.
+    assert len(follower._batches) == 65
+    assert all(a is b for a, b in zip(follower._batches, held))
+    assert follower._batches[64] is leader._batches[64]
     assert follower._producers[7] is not leader._producers[7]
     assert follower._producers[7].last_sequence == 2
     assert indexed == []

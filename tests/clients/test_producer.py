@@ -101,6 +101,32 @@ class TestIdempotence:
         with pytest.raises(RequestTimeoutError):
             p.flush()
 
+    def test_failed_send_never_grows_a_batch_the_log_already_stores(
+        self, fast_cluster, topic
+    ):
+        """The log stores a slab's lists as they are. When only acks are lost
+        the broker has the batch while the producer still buffers it (and,
+        in an interrupted flush, the partitions it delivered before), so
+        whatever is sent next must not land on those lists."""
+        injector = FailureInjector(fast_cluster)
+        p = Producer(fast_cluster, ProducerConfig(retries=1))
+        p.send(topic, key="k", value="delivered", partition=0)
+        p.send(topic, key="k", value="ack lost", partition=1)
+        leaders = [fast_cluster.leader_of(TopicPartition(topic, n)) for n in (0, 1)]
+        assert leaders[0] != leaders[1]
+        injector.drop_next_produce_ack(count=2, broker_id=leaders[1])
+        with pytest.raises(RequestTimeoutError):
+            p.flush()
+        logs = [
+            fast_cluster.partition_state(TopicPartition(topic, n)).leader_log()
+            for n in (0, 1)
+        ]
+        stored = [log._batches[0] for log in logs]
+        p.send(topic, key="k", value="later", partition=0)
+        p.send(topic, key="k", value="later", partition=1)
+        assert [batch.values for batch in stored] == [["delivered"], ["ack lost"]]
+        assert [log._batches[0] for log in logs] == stored
+
     def test_sequences_per_partition(self, fast_cluster, topic):
         p = Producer(fast_cluster)
         for i in range(3):

@@ -91,14 +91,6 @@ class TestPartitionLogEdges:
         log.append_batch(RecordBatch([Record(key="k", value=1, timestamp=42.0)]))
         assert log.last_timestamp() == 42.0
 
-    def test_replace_records_requires_ascending_offsets(self):
-        log = PartitionLog()
-        log.append_batch(RecordBatch([Record(key="a", value=1),
-                                      Record(key="b", value=2)]))
-        records = log.records()
-        with pytest.raises(ValueError):
-            log.replace_records([records[1], records[0]])
-
     def test_reset_to_clears_everything(self):
         log = PartitionLog()
         log.append_batch(

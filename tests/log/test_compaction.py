@@ -1,5 +1,7 @@
 """Unit tests for changelog-topic compaction."""
 
+from dataclasses import replace
+
 from repro.log.compaction import compact, compact_log
 from repro.log.partition_log import AbortedTxn, PartitionLog
 from repro.log.record import (
@@ -60,7 +62,7 @@ def test_aborted_records_removed():
 def test_control_markers_dropped_when_clean():
     records = [
         rec(0, "a", 1),
-        control_marker(COMMIT_MARKER, 7, 0).with_offset(1),
+        replace(control_marker(COMMIT_MARKER, 7, 0), offset=1),
     ]
     out = compact(records, dirty_from=10)
     assert [(r.key, r.value) for r in out] == [("a", 1)]
@@ -122,3 +124,14 @@ def test_compaction_after_abort_then_commit():
     log.high_watermark = log.log_end_offset
     compact_log(log)
     assert [r.value for r in log.records() if not r.is_control] == ["committed"]
+
+
+def test_compact_log_leaves_the_dirty_part_of_a_batch_alone():
+    """The dirty point can fall inside a stored batch (a high watermark that
+    lags the leader's last append): the batch is cut, not dropped."""
+    log = PartitionLog()
+    log.append_batch(RecordBatch([Record(key="k", value=i) for i in range(4)]))
+    log.high_watermark = 2
+    assert compact_log(log) == 1
+    assert [(r.offset, r.value) for r in log.records()] == [(1, 1), (2, 2), (3, 3)]
+    assert log.log_end_offset == 4

@@ -20,13 +20,6 @@ def test_record_defaults():
     assert not r.is_control
 
 
-def test_with_offset_returns_new_record():
-    r = Record(key="k", value="v")
-    r2 = r.with_offset(7)
-    assert r2.offset == 7
-    assert r.offset == -1
-
-
 def test_batch_requires_records():
     with pytest.raises(ValueError):
         RecordBatch(records=[])
@@ -46,21 +39,6 @@ def test_batch_last_sequence_inferred():
 def test_batch_without_sequence_has_no_last_sequence():
     batch = RecordBatch(records=[Record(key=1, value=1)])
     assert batch.last_sequence == NO_SEQUENCE
-
-
-def test_stamped_records_carry_producer_metadata():
-    batch = RecordBatch(
-        records=[Record(key=i, value=i) for i in range(3)],
-        producer_id=9,
-        producer_epoch=2,
-        base_sequence=5,
-        is_transactional=True,
-    )
-    stamped = batch.stamped_records()
-    assert [r.sequence for r in stamped] == [5, 6, 7]
-    assert all(r.producer_id == 9 for r in stamped)
-    assert all(r.producer_epoch == 2 for r in stamped)
-    assert all(r.is_transactional for r in stamped)
 
 
 def test_control_marker_fields():

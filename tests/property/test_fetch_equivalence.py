@@ -1,12 +1,14 @@
 """The indexed fetch path must be observably identical to a naive scan.
 
-``fetch()`` bounds its log reads with bisect and masks markers and aborted
-data as validity runs built from the per-producer interval index. These
-properties pit it against a straight-line reference implementation —
-full-tail read plus a linear scan of the aborted-transaction list — over
-randomly interleaved open/committed/aborted transactions, control markers,
-and plain (non-transactional) records, across all three isolation levels
-and arbitrary ``from_offset`` / ``max_records`` combinations.
+``fetch()`` finds its window by bisect over the stored batches and decides
+per *batch* whether it is a marker or lies in an aborted span of the
+per-producer interval index. These properties pit it against a
+straight-line reference implementation — full-tail read, record by record,
+plus a linear scan of the aborted-transaction list — over randomly
+interleaved open/committed/aborted transactions, control markers, and
+plain (non-transactional) records in batches of up to 16 (so a fetch
+starts and stops inside a stored batch), across all three isolation
+levels and arbitrary ``from_offset`` / ``max_records`` combinations.
 """
 
 from typing import List, NamedTuple
@@ -27,6 +29,8 @@ from repro.log.record import (
 ISOLATION_LEVELS = (READ_UNCOMMITTED, READ_COMMITTED, READ_SPECULATIVE)
 
 PIDS = (1, 2, 3)
+SIZES = st.sampled_from([1, 1, 2, 3, 5, 8, 16])
+OFFSETS = st.integers(min_value=0, max_value=400)
 
 
 class ReferenceResult(NamedTuple):
@@ -78,20 +82,19 @@ def reference_fetch(
 
 @st.composite
 def log_scripts(draw):
-    """A random interleaving of transactional sends from three producers
-    (each randomly committed, aborted, or left open), plus plain
-    non-transactional sends."""
+    """A random interleaving of transactional batches from three producers
+    (each transaction randomly committed, aborted, or left open), plus
+    plain non-transactional batches."""
     steps = []
     open_txns = set()
     n = draw(st.integers(min_value=1, max_value=40))
     for _ in range(n):
         kind = draw(st.sampled_from(["txn_send", "txn_send", "plain", "end"]))
         if kind == "plain":
-            steps.append(("plain",))
+            steps.append(("plain", draw(SIZES)))
         elif kind == "txn_send":
             pid = draw(st.sampled_from(PIDS))
-            size = draw(st.integers(min_value=1, max_value=3))
-            steps.append(("send", pid, size))
+            steps.append(("send", pid, draw(SIZES)))
             open_txns.add(pid)
         elif open_txns:
             pid = draw(st.sampled_from(sorted(open_txns)))
@@ -111,11 +114,22 @@ def build_log(steps) -> PartitionLog:
     value = 0
     for step in steps:
         if step[0] == "plain":
-            log.append_batch(RecordBatch([Record(key="p", value=value)]))
-            value += 1
+            size = step[1]
+            log.append_batch(
+                RecordBatch(
+                    [
+                        Record(key="p", value=value + i, timestamp=float(value + i))
+                        for i in range(size)
+                    ]
+                )
+            )
+            value += size
         elif step[0] == "send":
             _, pid, size = step
-            records = [Record(key="t", value=value + i) for i in range(size)]
+            records = [
+                Record(key="t", value=value + i, headers={"n": value + i})
+                for i in range(size)
+            ]
             value += size
             log.append_batch(
                 RecordBatch(
@@ -135,11 +149,7 @@ def build_log(steps) -> PartitionLog:
     return log
 
 
-@given(
-    log_scripts(),
-    st.integers(min_value=0, max_value=120),
-    st.integers(min_value=1, max_value=50),
-)
+@given(log_scripts(), OFFSETS, st.integers(min_value=1, max_value=50))
 @settings(max_examples=120, deadline=None)
 def test_fetch_matches_reference_scan(steps, from_offset, max_records):
     """fetch() returns the same records and the same next_offset as the
@@ -155,7 +165,7 @@ def test_fetch_matches_reference_scan(steps, from_offset, max_records):
         assert got.last_stable_offset == want.last_stable_offset
 
 
-@given(log_scripts(), st.integers(min_value=1, max_value=7))
+@given(log_scripts(), st.integers(min_value=1, max_value=21))
 @settings(max_examples=80, deadline=None)
 def test_paged_fetch_equals_one_shot_fetch(steps, page_size):
     """Repeatedly fetching ``page_size`` records and chaining next_offset
@@ -175,11 +185,7 @@ def test_paged_fetch_equals_one_shot_fetch(steps, page_size):
         assert position == whole.next_offset, isolation
 
 
-@given(
-    log_scripts(),
-    st.integers(min_value=0, max_value=120),
-    st.integers(min_value=1, max_value=50),
-)
+@given(log_scripts(), OFFSETS, st.integers(min_value=1, max_value=50))
 @settings(max_examples=120, deadline=None)
 def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
     """Every column accessor of the fetched batch lines up, position for
@@ -191,16 +197,21 @@ def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
         want = reference_fetch(log, from_offset, max_records, isolation)
         got = fetch(log, from_offset, max_records, isolation)
         assert got.valid_count == len(got) == len(want.records)
+        assert len(got.records) == len(want.records)
         assert bool(got) == bool(want.records)
+        assert got.next_offset == want.next_offset
         assert got.keys() == [r.key for r in want.records]
         assert got.values() == [r.value for r in want.records]
         assert got.timestamps() == [r.timestamp for r in want.records]
         assert got.offsets() == [r.offset for r in want.records]
         assert got.headers() == [r.headers for r in want.records]
         assert got.producer_ids() == [r.producer_id for r in want.records]
+        assert got.producer_epochs() == [r.producer_epoch for r in want.records]
+        assert got.sequences() == [r.sequence for r in want.records]
+        assert got.transactional() == [r.is_transactional for r in want.records]
 
 
-@given(log_scripts(), st.integers(min_value=1, max_value=7))
+@given(log_scripts(), st.integers(min_value=1, max_value=21))
 @settings(max_examples=80, deadline=None)
 def test_paged_fetch_equals_one_shot_reference(steps, page_size):
     """Chaining next_offset across bounded fetches walks exactly the
@@ -233,8 +244,8 @@ def test_page_boundary_between_aborted_span_and_commit_marker():
         ("end", 1, True),      # 3: commit marker
         ("send", 2, 1),        # 4: x1 (aborted)
         ("end", 2, False),     # 5: abort marker
-        ("plain",),            # 6: b
-        ("plain",),            # 7: c
+        ("plain", 1),          # 6: b
+        ("plain", 1),          # 7: c
     ])
     first = fetch(log, 0, 2, READ_COMMITTED)
     assert first.offsets() == [0, 2]
@@ -266,16 +277,3 @@ def test_interval_index_agrees_with_span_list(steps):
                 for s in spans
             )
             assert log.is_offset_aborted(pid, offset) == naive
-    # aborted_overlapping over every window agrees with a naive filter.
-    end = log.log_end_offset
-    for lo in range(0, end + 1, 3):
-        for hi in range(lo + 1, end + 2, 4):
-            naive = [
-                s
-                for s in spans
-                if s.first_offset < hi and s.last_offset >= lo
-            ]
-            got = log.aborted_overlapping(lo, hi)
-            assert sorted(got, key=lambda s: (s.producer_id, s.first_offset)) == sorted(
-                naive, key=lambda s: (s.producer_id, s.first_offset)
-            )

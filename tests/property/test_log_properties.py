@@ -1,9 +1,14 @@
 """Property-based tests on the log layer's core invariants."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
-from repro.log.compaction import compact
-from repro.log.partition_log import PartitionLog
+from repro.broker.partition import PartitionState
+from repro.errors import InvalidProducerEpochError, OutOfOrderSequenceError
+from repro.log.columnar import ColumnarSlab
+from repro.log.compaction import compact, compact_log
+from repro.log.partition_log import AbortedTxn, PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
     COMMIT_MARKER,
@@ -181,3 +186,209 @@ def test_compaction_preserves_latest_value_per_key(puts):
     # At most one record per key survives.
     surviving_keys = [r.key for r in compacted]
     assert len(surviving_keys) == len(set(surviving_keys))
+
+
+# -- the stored-batch log against the per-record log it replaced ---------------------
+
+
+class FlatLog:
+    """Reference model: the per-record rule the log followed while it stored
+    one ``Record`` per record — a flat list built the way ``_do_append`` and
+    ``append_marker`` built it, cut the way the offset-list bisects cut it.
+    Sequence validation is not modelled: the driver only feeds it what the
+    real log accepted."""
+
+    def __init__(self):
+        self.records, self.open, self.aborted = [], {}, []
+        self.start = self.end = self.hw = 0
+
+    @property
+    def lso(self):
+        return min([self.hw, *self.open.values()])
+
+    def append(self, columns, pid, epoch, sequence, transactional):
+        if transactional and pid not in self.open:
+            self.open[pid] = self.end
+        for i, (key, value, timestamp, headers) in enumerate(zip(*columns)):
+            self.records.append(Record(
+                key, value, timestamp, headers, self.end, pid, epoch,
+                sequence if sequence < 0 else sequence + i, transactional,
+            ))
+            self.end += 1
+
+    def marker(self, marker):
+        first = self.open.pop(marker.producer_id, None)
+        if marker.control_type == ABORT_MARKER and first is not None:
+            self.aborted.append(AbortedTxn(marker.producer_id, first, self.end - 1))
+        self.records.append(replace(marker, offset=self.end))
+        self.end += 1
+
+    def truncate_to(self, offset):
+        self.records = [r for r in self.records if r.offset < offset]
+        self.end = self.records[-1].offset + 1 if self.records else offset
+        self.hw = min(self.hw, self.end)
+
+    def reset_to(self, offset):
+        self.__init__()
+        self.start = self.end = self.hw = offset
+
+    def delete_records_before(self, offset):
+        offset = min(offset, self.hw)
+        if offset > self.start:
+            self.records = [r for r in self.records if r.offset >= offset]
+            self.start = offset
+            self.aborted = [s for s in self.aborted if s.last_offset >= offset]
+
+    def compact(self):
+        self.records = compact(self.records, self.aborted, dirty_from=self.lso)
+
+    def sync_from(self, leader):
+        """``PartitionState._sync_follower`` for a follower that never
+        appended on its own."""
+        if self.start < leader.start:
+            self.reset_to(leader.start)
+        if self.end > leader.end:
+            self.truncate_to(leader.end)
+        self.records += [r for r in leader.records if r.offset >= self.end]
+        self.open, self.aborted = dict(leader.open), list(leader.aborted)
+        self.start, self.end, self.hw = leader.start, leader.end, leader.hw
+
+    def read(self, from_offset, max_records, up_to_offset):
+        return [
+            r for r in self.records if from_offset <= r.offset < up_to_offset
+        ][:max_records]
+
+
+def assert_matches_model(log, model, windows):
+    assert list(log.records()) == model.records
+    assert len(log) == len(log.records()) == len(model.records)
+    assert (log.log_start_offset, log.log_end_offset) == (model.start, model.end)
+    assert (log.high_watermark, log.last_stable_offset) == (model.hw, model.lso)
+    assert log.open_transactions() == model.open
+    assert log.aborted_transactions() == model.aborted
+    span = model.end - model.start
+    for lo, width, max_records in windows:
+        from_offset = model.start + int(lo * span)
+        up_to = from_offset + int(width * (model.end - from_offset)) + 1
+        want = model.read(from_offset, max_records, up_to)
+        got = log.read(from_offset, max_records, up_to)
+        assert len(got) == len(want) and list(got) == want
+        assert log.read(from_offset) == model.read(from_offset, 10**6, model.hw)
+
+
+FRACTIONS = st.floats(min_value=0.0, max_value=1.0)
+# One flat tuple per step, read according to its first field: (what, batch
+# kind, producer id, batch size, two coin flips, where to cut).
+MODEL_OPS = st.tuples(
+    st.sampled_from(
+        ["append"] * 6 + ["marker"] * 4 + ["sync"] * 3 + ["delete"] * 2
+        + ["retry", "bump", "truncate", "reset", "compact"]
+    ),
+    st.sampled_from(
+        ["plain", "idempotent", "transactional", "transactional", "sequence-less"]
+    ),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=9),
+    st.booleans(),
+    st.booleans(),
+    FRACTIONS,
+)
+
+
+@given(
+    st.lists(MODEL_OPS, min_size=12, max_size=60),
+    st.lists(
+        st.tuples(FRACTIONS, FRACTIONS, st.integers(min_value=1, max_value=12)),
+        min_size=2, max_size=2,
+    ),
+)
+@settings(max_examples=100, deadline=None)
+def test_stored_batch_log_equals_the_per_record_model(ops, windows):
+    """Slab and scalar appends, markers, retries, epoch bumps, cuts inside
+    batches, compaction and follower syncs in any order: every scalar
+    accessor of the leader and of the follower reads exactly what a flat
+    per-record log would hold."""
+    leader, follower = PartitionLog("leader"), PartitionLog("follower")
+    models = {id(leader): FlatLog(), id(follower): FlatLog()}
+    epochs = {pid: 0 for pid in (1, 2, 3)}
+    last_sent = {}
+    value = 0
+    for name, kind, pid, size, flag, other, fraction in ops:
+        lead = models[id(leader)]
+        if name == "append":
+            columns = (
+                [f"k{(value + i) % 4}" for i in range(size)],
+                [None if (value + i) % 5 == 0 else value + i for i in range(size)],
+                [float(value + i) for i in range(size)],
+                [{"n": value + i} for i in range(size)],
+            )
+            value += size
+            pid, epoch, sequence = (-1, -1, -1) if kind == "plain" else (pid, epochs[pid], -1)
+            if kind in ("idempotent", "transactional"):
+                state = leader._producers.get(pid)
+                fresh = state is None or state.epoch != epoch or not state.batches
+                sequence = 0 if fresh else state.last_sequence + 1
+            header = (pid, epoch, sequence, kind in ("transactional", "sequence-less"))
+            if flag:
+                batch = ColumnarSlab(*(list(c) for c in columns), *header)
+            else:
+                batch = RecordBatch([Record(*row) for row in zip(*columns)], *header)
+            try:
+                result = leader.append_batch(batch)
+            except (InvalidProducerEpochError, OutOfOrderSequenceError):
+                continue
+            assert not result.duplicate
+            assert result.base_offset == lead.end
+            lead.append(columns, *header)
+            assert result.last_offset == lead.end - 1
+            if sequence >= 0:
+                last_sent[pid] = (batch, result)
+        elif name == "retry" and pid in last_sent:
+            batch, first = last_sent[pid]
+            try:
+                retry = leader.append_batch(batch)
+            except (InvalidProducerEpochError, OutOfOrderSequenceError):
+                continue                              # fenced, or out of the cache
+            assert retry.duplicate
+            assert (retry.base_offset, retry.last_offset) == (
+                first.base_offset, first.last_offset
+            )
+        elif name == "marker":
+            epochs[pid] += other
+            marker = control_marker(
+                COMMIT_MARKER if flag else ABORT_MARKER, pid, epochs[pid], 7.0
+            )
+            assert leader.append_marker(marker) == lead.end
+            lead.marker(marker)
+            last_sent.pop(pid, None)
+        elif name == "bump":
+            epochs[pid] += 1
+            last_sent.pop(pid, None)
+        elif name == "sync":
+            leader.high_watermark = lead.hw = lead.end
+            PartitionState._sync_follower(follower, leader)
+            models[id(follower)].sync_from(lead)
+        elif name == "truncate":
+            model = models[id(follower)]
+            cut = model.start + int(fraction * (model.end - model.start))
+            follower.truncate_to(cut)
+            model.truncate_to(cut)
+        elif name == "reset":
+            follower.reset_to(leader.log_start_offset)
+            models[id(follower)].reset_to(lead.start)
+        elif name == "delete":
+            leader.high_watermark = lead.hw = lead.end
+            before = int(fraction * lead.end)
+            for log in (leader, follower) if flag else (leader,):
+                model = models[id(log)]
+                kept = len(model.records)
+                model.delete_records_before(before)
+                assert log.delete_records_before(before) == kept - len(model.records)
+        elif name == "compact":
+            log = follower if flag else leader
+            model = models[id(log)]
+            kept = len(model.records)
+            model.compact()
+            assert compact_log(log) == kept - len(model.records)
+        for log in (leader, follower):
+            assert_matches_model(log, models[id(log)], windows)

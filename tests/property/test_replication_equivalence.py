@@ -1,11 +1,12 @@
-"""Property test: a follower sync costs O(suffix) but must leave the
-follower indistinguishable from the leader.
+"""Property test: a follower sync costs O(batches in the suffix) but must
+leave the follower indistinguishable from the leader.
 
-``PartitionLog.replicate_mirror`` only refreshes the producer ids that
-appear in the copied suffix. Hypothesis interleaves every kind of leader
-append with follower divergence, truncation, resets and record deletion,
-syncs at arbitrary points (so suffixes span zero, one and many batches) and
-after each sync compares everything a leader-to-be will be asked about.
+``PartitionLog.replicate_mirror`` takes the leader's missing stored batches
+by reference and only refreshes the producer ids that head them. Hypothesis
+interleaves every kind of leader append with follower divergence,
+truncation (inside batches too), resets and record deletion, syncs at
+arbitrary points (so suffixes span zero, one and many batches) and after
+each sync compares everything a leader-to-be will be asked about.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -93,13 +94,13 @@ def retried(pid, state):
 
 
 def describe(log):
-    """Every piece of state a sync maintains, copied out of the log."""
+    """Every piece of state a sync maintains, copied out of the log. How
+    the records are cut into stored batches is not part of it: a follower
+    that was truncated inside a batch holds it in two pieces."""
     return {
-        "records": list(log._records),
-        "offsets": list(log._offsets),
+        "records": list(log.records()),
+        "count": (len(log), sum(len(batch) for batch in log._batches)),
         "end": log.log_end_offset,
-        "controls": list(log._control_offsets),
-        "pid_offsets": {p: list(o) for p, o in log._pid_offsets.items() if o},
         "open": dict(log.open_transactions()),
         "aborted": list(log.aborted_transactions()),
         "aborted_index": {
@@ -113,10 +114,19 @@ def describe(log):
     }
 
 
-def assert_follower_equals_leader(follower, leader):
+def assert_follower_equals_leader(follower, leader, synced_from):
     start = leader.log_start_offset
     assert follower.log_start_offset == start
     assert describe(follower) == describe(leader)
+    # Whole batches the sync added are the leader's own objects, in order.
+    mirrored = [b for b in leader._batches if b.base_offset >= synced_from]
+    assert len(follower._batches) >= len(mirrored)
+    assert all(
+        mine is theirs
+        for mine, theirs in zip(reversed(follower._batches), reversed(mirrored))
+    )
+    bases = [batch.base_offset for batch in follower._batches]
+    assert bases == sorted(set(bases))
     assert follower.last_stable_offset == leader.last_stable_offset
     for pid in range(0, 6):
         for offset in range(leader.log_end_offset + 1):
@@ -128,15 +138,19 @@ def assert_follower_equals_leader(follower, leader):
     theirs = leader.read_columnar(start, up_to_offset=end, filter_aborted=True)
     assert mine.offsets() == theirs.offsets()
     assert mine.values() == theirs.values()
+    assert mine.sequences() == theirs.sequences()
     assert mine.next_offset == theirs.next_offset
     # Equal but never shared: what the leader mutates, the follower owns.
+    assert follower._batches is not leader._batches
     assert follower._open_txns is not leader._open_txns
     assert follower._aborted is not leader._aborted
     for pid, state in leader._producers.items():
         assert follower._producers[pid] is not state
         assert follower._producers[pid].batches is not state.batches
-    for pid, offs in follower._pid_offsets.items():
-        assert offs is not leader._pid_offsets.get(pid)
+    for pid, (firsts, lasts, spans) in follower._aborted_index.items():
+        assert firsts is not leader._aborted_index[pid][0]
+        assert lasts is not leader._aborted_index[pid][1]
+        assert spans is not leader._aborted_index[pid][2]
     # Promoted to leader, the follower answers a retry like the leader does.
     for pid, state in leader._producers.items():
         if state.batches:
@@ -201,8 +215,13 @@ def test_follower_equals_leader_after_every_sync(ops):
                 # Only the leader moved since the last sync.
                 assert describe(follower) == snapshot
             partition._truncate_divergence(1)
+            synced_from = (
+                leader.log_start_offset
+                if follower.log_start_offset < leader.log_start_offset
+                else min(follower.log_end_offset, leader.log_end_offset)
+            )
             partition._sync_follower(follower, leader)
-            assert_follower_equals_leader(follower, leader)
+            assert_follower_equals_leader(follower, leader, synced_from)
             synced_to = follower.log_end_offset
             snapshot = describe(follower)
     # The leader moves on for every producer; the synced follower does not.

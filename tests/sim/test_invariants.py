@@ -7,6 +7,7 @@ from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, ProducerConfig, StreamsConfig
+from repro.log.columnar import StoredBatch
 from repro.sim.invariants import (
     ChangelogStateEquivalence,
     CommittedOutputEquality,
@@ -85,18 +86,19 @@ def test_replica_consistency_catches_dead_broker_in_isr(cluster):
 
 
 def test_replica_consistency_catches_divergence_below_hw(cluster):
-    import dataclasses
-
     produce(cluster)
     tp = TopicPartition("t", 0)
     state = cluster.partition_state(tp)
     follower_id = next(b for b in state.isr if b != state.leader)
     follower = state.replicas[follower_id]
-    # Replace (not mutate) the follower's copy: replicated record objects
+    # Replace (not mutate) the follower's copy: replicated stored batches
     # are shared with the leader, so in-place mutation corrupts both sides
     # identically and is invisible by construction.
-    follower.records()[0] = dataclasses.replace(
-        follower.records()[0], value="corrupted"
+    shared = follower._batches[0]
+    assert shared is state.leader_log()._batches[0]
+    follower._batches[0] = StoredBatch(
+        shared.base_offset, shared.keys, ["corrupted"] + shared.values[1:],
+        shared.timestamps, shared.headers,
     )
     with pytest.raises(InvariantViolation, match="diverges"):
         ReplicaConsistency().check(cluster)

@@ -1,11 +1,13 @@
-"""Structural guard: the read path hands out column slices, not records.
+"""Structural guard: the log moves column lists, not records.
 
 ``repro/log`` and ``repro/broker/fetch.py`` are the one implementation of
 the fetch; a ``for record in batch.records``-style loop there reintroduces
 per-record materialization (and a second copy of the visibility rule).
 Write-side intake of a scalar ``RecordBatch`` is the only legitimate
 per-record loop in these files and carries a ``# lint: allow-record-loop``
-marker on the loop line.
+marker on the loop line. On the write path the log stores the batches it
+is given, so ``Record(...)`` is constructed in ``repro/log`` only behind
+the lazy scalar view and by the marker factory.
 """
 
 import ast
@@ -50,3 +52,38 @@ def test_broker_fetch_is_loop_free():
     tree = ast.parse((SRC / "broker" / "fetch.py").read_text())
     assert not loops(tree)
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+
+
+# Where ``repro/log`` may build a ``Record``: the per-batch scalar view
+# (``PartitionLog.read`` / ``records`` / ``ColumnarBatch.records`` all end
+# there) and the factory for the marker a coordinator hands to
+# ``append_marker``.
+RECORD_BUILDERS = {("columnar.py", "StoredBatch.records"), ("record.py", "control_marker")}
+
+
+def record_constructions(path):
+    """(file, enclosing qualified name) of every ``Record(...)`` call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = scope + [child.name]
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "Record"
+            ):
+                found.append((path.name, ".".join(scope)))
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), [])
+    return found
+
+
+def test_the_log_builds_records_only_behind_the_scalar_view():
+    built = {
+        site for path in (SRC / "log").glob("*.py") for site in record_constructions(path)
+    }
+    assert built == RECORD_BUILDERS
