@@ -172,10 +172,9 @@ class StreamsConfig:
     switches between at-least-once and exactly-once with a single value,
     as the paper describes in Section 4.3.
 
-    How a task executes is not a setting: a task whose sub-topology can
-    take whole column chunks does, and any other task runs record at a
-    time (``StreamTask.fallback_reason`` says why). Committed output is
-    identical either way.
+    How a task executes is not a setting: every task processes column
+    chunks, and an operator defined only per record is walked through
+    them (``Processor.process_batch``).
     """
 
     application_id: str = "streams-app"
@@ -196,8 +195,8 @@ class StreamsConfig:
     # data *before* its transaction commits (read_speculative sources) and
     # gate this instance's own commit on the upstream outcome, rolling the
     # speculation back if the upstream transaction aborts. Requires
-    # processing_guarantee=EXACTLY_ONCE. Tasks run record at a time:
-    # commit dependencies are tracked per consumed record.
+    # processing_guarantee=EXACTLY_ONCE. Commit dependencies are tracked
+    # per fetched batch.
     speculative: bool = False
     # KIP-429: "cooperative" rebalances incrementally — retained tasks keep
     # processing while moved partitions are handed over in a follow-up

@@ -185,7 +185,7 @@ class Tracer:
 
     def by_trace(self, trace_id: str) -> List[Span]:
         """Every span/event tagged with one record's trace id — the causal
-        chain across repartition and changelog hops. A span over a whole
+        chain across repartition hops. A span over a whole
         chunk lists the ids of its records under ``traces``."""
         return [
             s for s in self.spans

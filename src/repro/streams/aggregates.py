@@ -53,10 +53,6 @@ class StreamAggregateProcessor(Processor):
         self._store = context.state_store(self._store_name)
         if self._cache_entries > 0:
             self._cache = StoreCache(self._cache_entries, self._emit)
-        # Caching consolidates emissions across records, which is a
-        # per-record protocol; only the cache-less processor can take the
-        # grouped column scan.
-        self.batch_aware = self._cache is None
 
     def process(self, record: StreamRecord) -> None:
         self.records_processed += 1
@@ -86,7 +82,11 @@ class StreamAggregateProcessor(Processor):
         """Grouped column scan: one store get per distinct key on first
         touch, the running aggregate kept in a dict, one store put per key
         at chunk end. The emitted Change sequence is exactly what the
-        scalar path would forward record by record."""
+        scalar path would forward record by record. A cache consolidates
+        emissions across records, which is a per-record protocol: with one,
+        the chunk is walked through :meth:`process`."""
+        if self._cache is not None:
+            return super().process_batch(chunk)
         keys = chunk.keys
         values = chunk.values
         n = len(keys)
@@ -190,7 +190,6 @@ class WindowedAggregateProcessor(Processor):
         self._store = context.state_store(self._store_name)
         if self._cache_entries > 0:
             self._cache = StoreCache(self._cache_entries, self._emit_windowed)
-        self.batch_aware = self._cache is None
 
     def process_batch(self, chunk: ColumnChunk) -> None:
         """Grouped column scan over windowed updates.
@@ -204,7 +203,10 @@ class WindowedAggregateProcessor(Processor):
         (key, window) in a single ``put_many`` at chunk end; the trailing
         ``expire_before`` with the final bound removes the same windows the
         scalar path's monotonically increasing per-record calls would have.
+        A caching aggregate walks the chunk through :meth:`process`.
         """
+        if self._cache is not None:
+            return super().process_batch(chunk)
         keys = chunk.keys
         self.records_processed += len(keys)
         windows = self._windows

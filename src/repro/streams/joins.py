@@ -164,8 +164,6 @@ class StreamTableJoinProcessor(Processor):
     """Stream-table join: each stream record is enriched with the table's
     current value for its key (no windowing; the table side drives nothing)."""
 
-    batch_aware = True
-
     def __init__(self, table_store: str, joiner: Joiner, left_join: bool) -> None:
         self._table_store_name = table_store
         self._joiner = joiner

@@ -32,8 +32,6 @@ class _AbsorbProcessor(Processor):
     """Consumes records without forwarding; used to merge a table's
     sub-topology with a join's without leaking its Changes into the join."""
 
-    batch_aware = True
-
     def process(self, record: StreamRecord) -> None:
         return None
 
@@ -42,8 +40,6 @@ class _AbsorbProcessor(Processor):
 
 
 class _PassThroughProcessor(Processor):
-    batch_aware = True
-
     def process(self, record: StreamRecord) -> None:
         self.context.forward(record)
 

@@ -1,10 +1,12 @@
 """The Processor API: the low-level layer the DSL compiles onto.
 
-A :class:`Processor` receives records via :meth:`process` and forwards
-results to child nodes through its :class:`ProcessorContext`. Within a
-sub-topology, forwarding is a direct method call — the operator fusion the
-paper describes in Section 3.2 ("operators within a sub-topology are
-effectively fused together ... without incurring any network overhead").
+A :class:`Processor` defines what happens to one record in :meth:`process`
+and forwards results to child nodes through its :class:`ProcessorContext`.
+The runtime hands it column chunks (:meth:`Processor.process_batch`) and
+passes what it forwarded on as chunks too. Within a sub-topology that is a
+direct method call — the operator fusion the paper describes in Section
+3.2 ("operators within a sub-topology are effectively fused together ...
+without incurring any network overhead").
 """
 
 from __future__ import annotations
@@ -61,18 +63,13 @@ class Punctuation:
 
 
 class Processor:
-    """Base class for all processors; subclasses override :meth:`process`.
+    """Base class for all processors; subclasses define :meth:`process`.
 
-    ``batch_aware`` marks processors that additionally implement
-    :meth:`process_batch` over a whole :class:`ColumnChunk`. A task runs
-    its columnar fast path only when *every* processor in its sub-topology
-    is batch-aware (all-or-nothing); otherwise incoming batches are
-    materialized to scalar records. Processors whose capability depends on
-    runtime configuration (e.g. caching aggregates) may override the class
-    attribute with an instance attribute during :meth:`init`.
+    A task only ever calls :meth:`process_batch`. The default walks the
+    chunk through :meth:`process`, so every processor takes chunks; an
+    override that works on whole columns is an optimisation and must emit
+    what the walk would, record for record.
     """
-
-    batch_aware = False
 
     def init(self, context: "ProcessorContext") -> None:
         self.context = context
@@ -81,9 +78,19 @@ class Processor:
         raise NotImplementedError
 
     def process_batch(self, chunk: ColumnChunk) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} is not batch-aware"
-        )
+        """One :meth:`process` call per position, each seeing
+        ``context.stream_time`` as a record-at-a-time run would show it."""
+        context = self.context
+        process = self.process
+        try:
+            for key, value, timestamp, headers, stream_time in zip(
+                chunk.keys, chunk.values, chunk.timestamps, chunk.headers,
+                chunk.stream_times_from(context.stream_time),
+            ):
+                context._position_time = stream_time
+                process(StreamRecord(key, value, timestamp, headers))
+        finally:
+            context._position_time = None
 
     def on_commit(self) -> None:
         """Hook invoked when the owning task commits (flush caches etc.)."""
@@ -106,17 +113,15 @@ class ForwardingProcessor(Processor):
 
 class FusedStatelessProcessor(Processor):
     """The DSL's stateless operators (filter / map / flatMap / selectKey /
-    peek and friends) as one processor with both execution modes.
+    peek and friends) as one processor.
 
-    The scalar path mirrors the per-record semantics the operators always
-    had; the columnar path transforms whole columns in a single pass —
-    list comprehensions over the key/value columns — and forwards a new
-    chunk, sharing untouched columns by reference. Both paths call the
-    same user function with the same (key, value) arguments in the same
-    order, so outputs are identical record-for-record.
+    The scalar methods define each operator per record; the columnar ones
+    transform whole columns in a single pass — list comprehensions over
+    the key/value columns — and forward a new chunk, sharing untouched
+    columns by reference. Both call the same user function with the same
+    (key, value) arguments in the same order, so outputs are identical
+    record-for-record.
     """
-
-    batch_aware = True
 
     KINDS = (
         "filter",
@@ -291,32 +296,54 @@ class ProcessorContext:
         self.node_name = node_name
         self._children = children
         self._store_names = set(store_names)
+        # Stream time of the position Processor.process_batch's walk is
+        # at; None outside the walk.
+        self._position_time: Optional[float] = None
+        # Records forwarded since the last drain, as five columns (the
+        # fifth is stream time) per ``to`` target.
+        self._pending: Dict[Optional[str], tuple] = {}
 
     # -- forwarding -----------------------------------------------------------
 
+    def _check_child(self, to: str) -> None:
+        if to not in self._children:
+            raise ValueError(
+                f"{self.node_name}: {to!r} is not a child "
+                f"(children: {self._children})"
+            )
+
     def forward(self, record: StreamRecord, to: Optional[str] = None) -> None:
-        """Send ``record`` to child node(s) — a direct call, no network."""
-        if to is not None:
-            if to not in self._children:
-                raise ValueError(
-                    f"{self.node_name}: {to!r} is not a child "
-                    f"(children: {self._children})"
-                )
-            self._task.process_at(to, record)
-            return
-        for child in self._children:
-            self._task.process_at(child, record)
+        """Send ``record`` to child node(s): it joins this node's output
+        columns, which whoever called into the processor hands on as one
+        chunk when the call returns (:meth:`drain`)."""
+        columns = self._pending.get(to)
+        if columns is None:
+            if to is not None:
+                self._check_child(to)
+            columns = self._pending[to] = ([], [], [], [], [])
+        columns[0].append(record.key)
+        columns[1].append(record.value)
+        columns[2].append(record.timestamp)
+        columns[3].append(record.headers)
+        columns[4].append(self.stream_time)
+
+    def drain(self) -> None:
+        """Pass on what :meth:`forward` collected, one chunk per target in
+        first-forward order. Called by the runtime after every call into
+        the processor that may forward (``process_batch``, ``on_commit``,
+        a punctuation)."""
+        pending = self._pending
+        if pending:
+            self._pending = {}
+            for to, columns in pending.items():
+                self.forward_chunk(ColumnChunk(*columns), to)
 
     def forward_chunk(self, chunk: ColumnChunk, to: Optional[str] = None) -> None:
-        """Columnar twin of :meth:`forward`: hand a whole chunk to child
-        node(s). Chunks are immutable between stages, so one chunk may be
-        forwarded to several children without copying."""
+        """Hand a whole chunk to child node(s) — a direct call, no network.
+        Chunks are immutable between stages, so one chunk may be forwarded
+        to several children without copying."""
         if to is not None:
-            if to not in self._children:
-                raise ValueError(
-                    f"{self.node_name}: {to!r} is not a child "
-                    f"(children: {self._children})"
-                )
+            self._check_child(to)
             self._task.process_chunk_at(to, chunk)
             return
         for child in self._children:
@@ -339,7 +366,12 @@ class ProcessorContext:
         """Register a recurring callback on stream time or wall-clock time
         (the Processor API's ``schedule``). ``callback(timestamp)`` may
         forward records through this context."""
-        punctuation = Punctuation(interval_ms, punctuation_type, callback)
+
+        def fire(timestamp: float) -> None:
+            callback(timestamp)
+            self.drain()
+
+        punctuation = Punctuation(interval_ms, punctuation_type, fire)
         self._task.register_punctuation(punctuation)
         return punctuation
 
@@ -351,7 +383,11 @@ class ProcessorContext:
 
     @property
     def stream_time(self) -> float:
-        """Largest record timestamp observed by this task so far."""
+        """Largest record timestamp observed by this task so far: up to
+        the record being processed inside :meth:`Processor.process`, up to
+        the last completed chunk anywhere else."""
+        if self._position_time is not None:
+            return self._position_time
         return self._task.stream_time
 
     @property

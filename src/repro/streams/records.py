@@ -22,47 +22,36 @@ class StreamRecord:
     value: Any
     timestamp: float
     headers: Dict[str, Any] = field(default_factory=dict)
-    offset: int = -1
-    topic: Optional[str] = None
-    partition: Optional[int] = None
 
-    # Direct construction, not ``dataclasses.replace``: every stateless
-    # operator and join on the record-at-a-time path makes one copy per
-    # record. The ``headers`` dict is shared with the original.
+    # Direct construction, not ``dataclasses.replace``: a scalar operator
+    # makes one copy per record. The ``headers`` dict is shared with the
+    # original (it carries the source ``__topic`` / ``__partition``).
 
     def with_kv(self, key: Any, value: Any) -> "StreamRecord":
-        return StreamRecord(
-            key, value, self.timestamp, self.headers,
-            self.offset, self.topic, self.partition,
-        )
+        return StreamRecord(key, value, self.timestamp, self.headers)
 
     def with_value(self, value: Any) -> "StreamRecord":
-        return StreamRecord(
-            self.key, value, self.timestamp, self.headers,
-            self.offset, self.topic, self.partition,
-        )
+        return StreamRecord(self.key, value, self.timestamp, self.headers)
 
     def with_timestamp(self, timestamp: float) -> "StreamRecord":
-        return StreamRecord(
-            self.key, self.value, timestamp, self.headers,
-            self.offset, self.topic, self.partition,
-        )
+        return StreamRecord(self.key, self.value, timestamp, self.headers)
 
 
 class ColumnChunk:
-    """A run of records as parallel columns, flowing between batch-aware
-    processors of one sub-topology.
+    """A run of records as parallel columns: the unit a task processes
+    and the processors of one sub-topology exchange.
 
-    The columnar twin of a sequence of :class:`StreamRecord`: position
-    ``i`` across the four lists is one record. Batch-aware processors
-    transform whole columns in a single pass and forward a new (or the
-    same) chunk; columns are never mutated in place, so unchanged columns
-    are shared by reference between stages.
+    Position ``i`` across the four lists is one record (a
+    :class:`StreamRecord` inside ``Processor.process``). Vectorised
+    processors transform whole columns in a single pass and forward a new
+    (or the same) chunk; columns are never mutated in place, so unchanged
+    columns are shared by reference between stages.
 
-    ``stream_times`` is the task stream time the record-at-a-time path
-    shows a processor at each position. ``None`` means the chunk still has
-    one position per record of the task's source run, so that value is the
-    running maximum of the timestamps on top of the pre-chunk stream time.
+    ``stream_times`` is the task stream time a processor sees at each
+    position when records are processed one at a time. ``None`` means the
+    chunk still has one position per record of the task's source run, so
+    that value is the running maximum of the timestamps on top of the
+    pre-chunk stream time.
     An operator that drops or multiplies positions (null keys, unmatched
     joins, late records, filters) fills the column in, because the records
     it did not forward advanced stream time all the same.

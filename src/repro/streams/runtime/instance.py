@@ -278,21 +278,16 @@ class StreamsInstance:
                     ).set(task.buffered())
             if self.config.eos_enabled:
                 self._ensure_transactions()
-            # One column chunk per batch-capable task per round, one
-            # record per round for a task that falls back
-            # (task.fallback_reason): tasks interleave finely, as in the
-            # real stream thread's loop, so a task with a deep buffer does
-            # not starve others (and does not flood repartition topics with
-            # long out-of-order timestamp runs). Commit boundaries land on
-            # chunk boundaries, with identical committed output.
+            # One column chunk per task per round: tasks interleave, as in
+            # the real stream thread's loop, so a task with a deep buffer
+            # does not starve others (and does not flood repartition topics
+            # with long out-of-order timestamp runs). Commit boundaries land
+            # on chunk boundaries.
             processed = 0
             while True:
                 round_count = 0
                 for task in self.tasks.values():
-                    if task.batch_capable:
-                        round_count += task.process_next_chunk()
-                    else:
-                        round_count += task.process_batch(1)
+                    round_count += task.process_next_chunk()
                 if round_count == 0:
                     break
                 processed += round_count

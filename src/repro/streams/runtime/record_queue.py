@@ -6,17 +6,11 @@ smallest timestamp. This is the deterministic, timestamp-based incoming
 record choice the paper credits for Kafka Streams' determinism when
 multiple input streams feed one task (Section 7).
 
-Two representations coexist:
-
-* scalar — a deque of :class:`StreamRecord`, one pop per record;
-* columnar — a deque of :class:`ColumnCursor` (parallel key / value /
-  timestamp / header / offset columns plus a read position), from which
-  :meth:`PartitionGroup.next_chunk` slices maximal runs that the scalar
-  choice would have consumed back-to-back from the same queue. Batch
-  tasks enqueue columns; scalar (fallback) tasks enqueue records; one
-  queue never mixes the two, but both kinds pop either way, so a scalar
-  drain of a columnar queue still works (records materialize lazily, one
-  at a time).
+A queue is a deque of :class:`ColumnCursor` (the parallel key / value /
+timestamp / header / offset columns of one fetched batch plus a read
+position), from which :meth:`PartitionGroup.next_chunk` slices the maximal
+run that a record-at-a-time choice would consume back-to-back from the
+same queue.
 """
 
 from __future__ import annotations
@@ -25,7 +19,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.broker.partition import TopicPartition
-from repro.streams.records import ColumnChunk, StreamRecord
+from repro.streams.records import ColumnChunk
 
 
 class ColumnCursor:
@@ -50,11 +44,7 @@ class RecordQueue:
 
     def __init__(self, tp: TopicPartition) -> None:
         self.tp = tp
-        self._queue: Deque[StreamRecord] = deque()
         self._cursors: Deque[ColumnCursor] = deque()
-
-    def push(self, record: StreamRecord) -> None:
-        self._queue.append(record)
 
     def push_columns(self, keys, values, timestamps, headers, offsets) -> None:
         if keys:
@@ -63,39 +53,16 @@ class RecordQueue:
             )
 
     def head_timestamp(self) -> Optional[float]:
-        if self._queue:
-            return self._queue[0].timestamp
         if self._cursors:
             cursor = self._cursors[0]
             return cursor.timestamps[cursor.pos]
         return None
 
-    def pop(self) -> StreamRecord:
-        if self._queue:
-            return self._queue.popleft()
-        # Lazy scalar view of a columnar queue: materialize exactly one
-        # record from the head cursor.
-        cursor = self._cursors[0]
-        i = cursor.pos
-        record = StreamRecord(
-            key=cursor.keys[i],
-            value=cursor.values[i],
-            timestamp=cursor.timestamps[i],
-            headers=cursor.headers[i],
-            offset=cursor.offsets[i],
-            topic=self.tp.topic,
-            partition=self.tp.partition,
-        )
-        cursor.pos = i + 1
-        if cursor.pos == len(cursor.keys):
-            self._cursors.popleft()
-        return record
-
     def head_cursor(self) -> Optional[ColumnCursor]:
         return self._cursors[0] if self._cursors else None
 
     def __len__(self) -> int:
-        return len(self._queue) + sum(c.remaining() for c in self._cursors)
+        return sum(c.remaining() for c in self._cursors)
 
 
 class PartitionGroup:
@@ -110,66 +77,34 @@ class PartitionGroup:
             self._queues[self._order[0]] if len(self._order) == 1 else None
         )
 
-    def add_records(self, tp: TopicPartition, records: List[StreamRecord]) -> None:
-        queue = self._queues[tp]
-        for record in records:
-            queue.push(record)
-
     def add_columns(self, tp, keys, values, timestamps, headers, offsets) -> None:
         self._queues[tp].push_columns(keys, values, timestamps, headers, offsets)
 
-    def next_record(self) -> Optional[Tuple[TopicPartition, StreamRecord]]:
-        """Pop from the non-empty queue with the smallest head timestamp
-        (ties broken by partition for determinism)."""
-        best: Optional[RecordQueue] = None
-        best_ts: Optional[float] = None
-        for tp in self._order:
-            queue = self._queues[tp]
-            ts = queue.head_timestamp()
-            if ts is None:
-                continue
-            if best_ts is None or ts < best_ts:
-                best, best_ts = queue, ts
-        if best is None:
-            return None
-        return best.tp, best.pop()
-
     def next_chunk(self) -> Optional[Tuple[TopicPartition, ColumnChunk, int]]:
-        """Slice the maximal run of records the scalar choice would pop
-        consecutively from one queue, as a column chunk.
+        """Slice the next run of records as a column chunk: from the
+        non-empty queue with the smallest head timestamp (ties broken by
+        sorted partition order, for determinism), for as long as choosing
+        record by record would stay on that queue.
 
         Returns ``(tp, chunk, last_offset)`` or ``None`` when empty. The
         run extends while the cursor's next timestamp stays below every
         other queue's head — or equal to it, when this queue wins the
-        sorted-partition tie-break — exactly the condition under which
-        :meth:`next_record` would keep choosing this queue. Queues are
-        static while a chunk is built (intake happens between polls), so
-        the other-queue minimum is computed once. Chunks never span
-        cursors: a fetch batch boundary ends the run.
+        tie-break. Queues are static while a chunk is built (intake happens
+        between polls), so the other-queue minimum is computed once. Chunks
+        never span cursors: a fetch batch boundary ends the run.
         """
         # Single-input tasks (the common case) have no competing queue:
-        # the whole cursor remainder is one chunk.
+        # a whole cursor is one chunk (only a competing queue ever leaves
+        # a cursor part-read).
         single = self._single
         if single is not None:
-            cursor = single.head_cursor()
-            if cursor is None:
+            if not single._cursors:
                 return None
-            start = cursor.pos
-            if start == 0:
-                chunk = ColumnChunk(
-                    cursor.keys, cursor.values, cursor.timestamps, cursor.headers
-                )
-                last_offset = cursor.offsets[-1]
-            else:
-                chunk = ColumnChunk(
-                    cursor.keys[start:],
-                    cursor.values[start:],
-                    cursor.timestamps[start:],
-                    cursor.headers[start:],
-                )
-                last_offset = cursor.offsets[-1]
-            single._cursors.popleft()
-            return single.tp, chunk, last_offset
+            cursor = single._cursors.popleft()
+            chunk = ColumnChunk(
+                cursor.keys, cursor.values, cursor.timestamps, cursor.headers
+            )
+            return single.tp, chunk, cursor.offsets[-1]
 
         best: Optional[RecordQueue] = None
         best_ts: Optional[float] = None
@@ -183,8 +118,6 @@ class PartitionGroup:
         if best is None:
             return None
         cursor = best.head_cursor()
-        if cursor is None:
-            return None
 
         # Minimum head timestamp among the *other* queues, and whether the
         # chosen queue wins a tie against every holder of that minimum

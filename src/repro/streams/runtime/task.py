@@ -2,9 +2,9 @@
 
 A task executes one sub-topology for one partition. Input records from its
 source topic partitions are chosen in timestamp order, traverse the fused
-processor graph synchronously, update the task's state stores (mirrored to
-changelog topics), and emit output records to sink topic partitions —
-the read-process-write cycle of Section 4.2.
+processor graph synchronously as column chunks, update the task's state
+stores (mirrored to changelog topics), and emit output records to sink
+topic partitions — the read-process-write cycle of Section 4.2.
 
 Tasks are stateless to lose: both their inputs and outputs live in Kafka
 logs, so a task can be closed on one instance and recreated on another by
@@ -13,6 +13,7 @@ replaying its changelogs (see :mod:`repro.streams.runtime.restore`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
@@ -25,7 +26,7 @@ from repro.streams.processor import (
     Processor,
     ProcessorContext,
 )
-from repro.streams.records import ColumnChunk, StreamRecord
+from repro.streams.records import ColumnChunk
 from repro.streams.runtime.record_queue import PartitionGroup
 from repro.streams.runtime.restore import restore_store
 from repro.streams.state.kv_store import InMemoryKeyValueStore
@@ -109,9 +110,6 @@ class StreamTask:
         # Trace track: one process per application, one lane per task.
         self._trace_pid = f"streams-{application_id}"
         self._trace_tid = repr(task_id)
-        # Trace id of the record currently being processed; the changelog
-        # hook has no record context, so it propagates this instead.
-        self._current_trace: Optional[str] = None
 
         self.partitions = sorted(
             TopicPartition(resolve(topic), task_id.partition)
@@ -134,12 +132,6 @@ class StreamTask:
                 self._source_children.setdefault(resolve(topic), []).extend(
                     node.children
                 )
-        # Memoized per-partition child lists: the processing loop looks
-        # children up once per record, so it gets a direct tp -> children
-        # mapping instead of a topic-name hop.
-        self._children_by_tp: Dict[TopicPartition, List[str]] = {
-            tp: self._source_children.get(tp.topic, []) for tp in self.partitions
-        }
         # Sink routing cache (resolved topic, partition count) per sink
         # topic, valid for one cluster metadata epoch.
         self._sink_routes: Dict[str, tuple] = {}
@@ -152,32 +144,9 @@ class StreamTask:
         self._punctuations: List[Any] = []
         self._processors: Dict[str, Processor] = {}
         self._build_processors()
-        # Chunk processing is all-or-nothing per task and a fact about its
-        # sub-topology: no punctuator may need per-record stream time, every
-        # processor must take whole chunks, and speculation tracks commit
-        # dependencies per record. None when the task takes chunks, else the
-        # first cause. Decided once, after processors initialized (a caching
-        # aggregate only knows its capability post-init).
-        self.fallback_reason: Optional[str] = self._fallback_reason()
-        metrics = cluster.metrics
-        self._batch_fastpath = metrics.counter("streams.batch_fastpath_total")
-        self._batch_fallback = metrics.counter("streams.batch_fallback_total")
-
-    def _fallback_reason(self) -> Optional[str]:
-        if self._punctuations:
-            return "punctuator"
-        for name, processor in self._processors.items():
-            if not processor.batch_aware:
-                return f"processor {name} is not batch_aware"
-        if self._track_speculation:
-            return "speculative"
-        return None
-
-    @property
-    def batch_capable(self) -> bool:
-        """Whether this task processes column chunks
-        (:meth:`process_next_chunk`) or records (:meth:`process_batch`)."""
-        return self.fallback_reason is None
+        self._batch_fastpath = cluster.metrics.counter(
+            "streams.batch_fastpath_total"
+        )
 
     # -- construction ---------------------------------------------------------------
 
@@ -304,8 +273,8 @@ class StreamTask:
         raise TopologyError(f"unknown store kind: {spec.kind}")
 
     def _changelog_time(self) -> float:
-        """Timestamp of a changelog append: stream time once the record or
-        chunk being processed is done."""
+        """Timestamp of a changelog append: stream time once the chunk
+        being processed is done."""
         return max(self.stream_time, self._chunk_max_ts, 0.0)
 
     def _changelog_hook(self, spec: StateStoreSpec):
@@ -315,35 +284,21 @@ class StreamTask:
         store_name = spec.name
 
         def on_update(key: Any, value: Any) -> None:
-            tracer = self._tracer
-            if not tracer.enabled:
-                self.producer.send(
-                    topic,
-                    key=key,
-                    value=value,
-                    timestamp=self._changelog_time(),
-                    partition=partition,
+            if self._tracer.enabled:
+                self._tracer.event(
+                    "store.put",
+                    self._trace_pid,
+                    self._trace_tid,
+                    category="state",
+                    store=store_name,
+                    changelog=topic,
                 )
-                return
-            trace = self._current_trace or ""
-            tracer.event(
-                "store.put",
-                self._trace_pid,
-                self._trace_tid,
-                category="state",
-                store=store_name,
-                changelog=topic,
-                trace=trace,
-            )
-            # Propagate the triggering record's trace id onto the changelog
-            # append so the causal chain survives the state-store hop.
             self.producer.send(
                 topic,
                 key=key,
                 value=value,
                 timestamp=self._changelog_time(),
                 partition=partition,
-                headers={TRACE_ID_HEADER: trace} if trace else None,
             )
 
         return on_update
@@ -351,8 +306,8 @@ class StreamTask:
     def _changelog_bulk_hook(self, spec: StateStoreSpec):
         """Columnar twin of :meth:`_changelog_hook`: one chunk's worth of
         store puts becomes a single column slab on the changelog topic.
-        Traced runs fall back to the scalar hook so per-put store events
-        and trace propagation stay intact."""
+        Traced runs go through the scalar hook so per-put store events
+        stay intact."""
         topic = spec.changelog_topic(self.application_id)
         partition = self.task_id.partition
         scalar_hook = self._changelog_hook(spec)
@@ -391,50 +346,26 @@ class StreamTask:
     # -- record intake -------------------------------------------------------------------
 
     def add_batch(self, tp: TopicPartition, batch) -> None:
-        """Intake a fetched :class:`~repro.log.columnar.ColumnarBatch`.
-
-        A batch-capable task enqueues the batch's columns as-is (plus the
-        batch's origin — ``__topic`` / ``__partition`` routing headers and,
-        in a traced run, the ``__t_fetched`` stage stamp — merged per
-        record: the only per-record allocation). Any other task
-        materializes its ``StreamRecord`` s here, straight from the
-        columns: the one copy on the record-at-a-time path.
+        """Intake a fetched :class:`~repro.log.columnar.ColumnarBatch`:
+        its columns are enqueued as-is, plus the batch's origin —
+        ``__topic`` / ``__partition`` routing headers and, in a traced run,
+        the ``__t_fetched`` stage stamp — merged per record (the only
+        per-record allocation).
         """
         count = batch.valid_count
         if count == 0:
             return
         origin = batch.origin
-        if not self.batch_capable:
-            self._batch_fallback.increment(count)
-            if self._track_speculation:
-                # Producers that never open a transaction are tracked too,
-                # and always resolve clean: only transactional appends enter
-                # a log's open-transaction map or aborted index.
-                deps = self.speculative_deps
-                for pid, offset in zip(batch.producer_ids(), batch.offsets()):
-                    if pid >= 0:
-                        span = deps.setdefault((tp, pid), [offset, offset])
-                        span[0] = min(span[0], offset)
-                        span[1] = max(span[1], offset)
-            topic = tp.topic
-            partition = tp.partition
-            stream_records = [
-                StreamRecord(
-                    key=key,
-                    value=value,
-                    timestamp=timestamp,
-                    headers={**headers, **origin},
-                    offset=offset,
-                    topic=topic,
-                    partition=partition,
-                )
-                for key, value, timestamp, headers, offset in zip(
-                    batch.keys(), batch.values(), batch.timestamps(),
-                    batch.headers(), batch.offsets(),
-                )
-            ]
-            self._queues.add_records(tp, stream_records)
-            return
+        if self._track_speculation:
+            # Producers that never open a transaction are tracked too,
+            # and always resolve clean: only transactional appends enter
+            # a log's open-transaction map or aborted index.
+            deps = self.speculative_deps
+            for pid, offset in zip(batch.producer_ids(), batch.offsets()):
+                if pid >= 0:
+                    span = deps.setdefault((tp, pid), [offset, offset])
+                    span[0] = min(span[0], offset)
+                    span[1] = max(span[1], offset)
         self._batch_fastpath.increment(count)
         self._queues.add_columns(
             tp,
@@ -460,63 +391,18 @@ class StreamTask:
 
     # -- processing -------------------------------------------------------------------------
 
-    def process_batch(self, max_records: int = 2**31) -> int:
-        """Process up to ``max_records`` buffered records in timestamp order."""
-        if self._pending_restores:
-            return 0
-        processed = 0
-        while processed < max_records:
-            item = self._queues.next_record()
-            if item is None:
-                break
-            tp, record = item
-            self.stream_time = max(self.stream_time, record.timestamp)
-            if record.timestamp > self._processed_ts.get(tp, float("-inf")):
-                self._processed_ts[tp] = record.timestamp
-            children = self._children_by_tp.get(tp)
-            if children is None:
-                children = self._source_children[tp.topic]
-                self._children_by_tp[tp] = children
-            traced = self._tracer.enabled
-            if traced:
-                record.headers[PROCESSED_AT_HEADER] = self.cluster.clock.now
-                self._current_trace = record.headers.get(TRACE_ID_HEADER)
-                handle = self._tracer.begin(
-                    "task.process",
-                    self._trace_pid,
-                    self._trace_tid,
-                    category="task",
-                    topic=tp.topic,
-                    offset=record.offset,
-                    trace=self._current_trace or "",
-                )
-            for child in children:
-                self.process_at(child, record)
-            if traced:
-                handle.end()
-                self._current_trace = None
-            self._consumed[tp] = record.offset + 1
-            self.records_processed += 1
-            processed += 1
-            if self.first_process_listener is not None:
-                listener, self.first_process_listener = (
-                    self.first_process_listener, None
-                )
-                listener()
-            self._punctuate(PUNCTUATION_STREAM_TIME, self.stream_time)
-        return processed
-
     def process_next_chunk(self) -> int:
-        """Process one column chunk through the fused graph.
+        """Process the next run of buffered records, in timestamp order,
+        through the fused graph; returns how many.
 
-        Returns the number of records processed. One tracing span covers
-        the whole chunk (per-batch span mode, listing the trace ids it
-        carried) and every record in it takes the same ``__t_processed``
-        stage stamp; stream time is published to
-        the task only after the chunk is dispatched — batch-aware
-        processors that need finer-grained stream time (windowed
-        aggregates) track it internally from the pre-chunk value, exactly
-        replaying the scalar per-record advance.
+        Stream time is published to the task only after a chunk is
+        dispatched; processors see finer-grained stream time per position
+        (``ColumnChunk.stream_times_from``, ``context.stream_time`` inside
+        ``Processor.process``). A stream-time punctuation is a chunk
+        boundary: the run is cut after the first position whose stream
+        time reaches the earliest deadline — after the first position while
+        a punctuation is still unarmed — so punctuators are armed and fire
+        exactly where they would when processing record by record.
         """
         if self._pending_restores:
             return 0
@@ -525,10 +411,44 @@ class StreamTask:
             return 0
         tp, chunk, last_offset = item
         count = len(chunk)
-        children = self._children_by_tp.get(tp)
-        if children is None:
-            children = self._source_children[tp.topic]
-            self._children_by_tp[tp] = children
+        children = self._source_children[tp.topic]
+        stream_times = None
+        start = 0
+        while start < count:
+            end = count
+            due = self._next_punctuation(
+                PUNCTUATION_STREAM_TIME, unarmed=float("-inf")
+            )
+            if due is not None:
+                if stream_times is None:
+                    stream_times = chunk.stream_times_from(self.stream_time)
+                end = min(count, bisect_left(stream_times, due, start) + 1)
+            if end - start == count:
+                part = chunk
+            else:
+                part = ColumnChunk(
+                    chunk.keys[start:end],
+                    chunk.values[start:end],
+                    chunk.timestamps[start:end],
+                    chunk.headers[start:end],
+                )
+            self._dispatch(tp, children, part)
+            self._punctuate(PUNCTUATION_STREAM_TIME, self.stream_time)
+            start = end
+        self._consumed[tp] = last_offset + 1
+        self.records_processed += count
+        if self.first_process_listener is not None:
+            listener, self.first_process_listener = (
+                self.first_process_listener, None
+            )
+            listener()
+        return count
+
+    def _dispatch(self, tp: TopicPartition, children: List[str],
+                  chunk: ColumnChunk) -> None:
+        """Run one chunk through the graph, then publish its stream time.
+        Traced, one span covers the chunk (listing the trace ids it
+        carried) and every record takes the same ``__t_processed`` stamp."""
         max_ts = self._chunk_max_ts = max(chunk.timestamps)
         if self._tracer.enabled:
             now = self.cluster.clock.now
@@ -540,7 +460,7 @@ class StreamTask:
                 self._trace_tid,
                 category="task",
                 topic=tp.topic,
-                records=count,
+                records=len(chunk),
                 traces=[h.get(TRACE_ID_HEADER) for h in chunk.headers],
             ):
                 for child in children:
@@ -552,23 +472,29 @@ class StreamTask:
             self.stream_time = max_ts
         if max_ts > self._processed_ts.get(tp, float("-inf")):
             self._processed_ts[tp] = max_ts
-        self._consumed[tp] = last_offset + 1
-        self.records_processed += count
-        if self.first_process_listener is not None:
-            listener, self.first_process_listener = (
-                self.first_process_listener, None
-            )
-            listener()
-        return count
 
     def process_chunk_at(self, node_name: str, chunk: ColumnChunk) -> None:
-        """Deliver a whole chunk to a node (batch-aware processor or
-        sink) — :meth:`process_at` for a batch-capable task."""
+        """Deliver a chunk to a node (processor or sink) — the fused
+        direct call between operators of one sub-topology. Whatever the
+        processor forwarded record by record follows as one chunk."""
         node = self.sub.nodes[node_name]
         if isinstance(node, SinkNode):
             self._send_chunk_to_sink(node, chunk)
             return
-        self._processors[node_name].process_batch(chunk)
+        processor = self._processors[node_name]
+        if self._tracer.enabled:
+            with self._tracer.begin(
+                f"process.{node_name}",
+                self._trace_pid,
+                self._trace_tid,
+                category="task",
+                records=len(chunk),
+            ):
+                processor.process_batch(chunk)
+                processor.context.drain()
+            return
+        processor.process_batch(chunk)
+        processor.context.drain()
 
     def _send_chunk_to_sink(self, node: SinkNode, chunk: ColumnChunk) -> None:
         """Partition a chunk and hand the column slabs straight to the
@@ -632,27 +558,29 @@ class StreamTask:
             if punctuation.punctuation_type == punctuation_type:
                 punctuation.maybe_fire(now)
 
-    def process_at(self, node_name: str, record: StreamRecord) -> None:
-        """Deliver a record to a node (processor or sink) — the fused
-        direct call between operators of one sub-topology."""
-        node = self.sub.nodes[node_name]
-        if isinstance(node, SinkNode):
-            self._send_to_sink(node, record)
-            return
-        if self._tracer.enabled:
-            with self._tracer.begin(
-                f"process.{node_name}",
-                self._trace_pid,
-                self._trace_tid,
-                category="task",
+    def _next_punctuation(
+        self, punctuation_type: str, unarmed: Optional[float] = None
+    ) -> Optional[float]:
+        """Earliest deadline among the live punctuations of one type, None
+        without one; a punctuation its first ``maybe_fire`` has yet to arm
+        counts as due at ``unarmed`` (not at all, by default)."""
+        best: Optional[float] = None
+        for punctuation in self._punctuations:
+            if (
+                punctuation.punctuation_type != punctuation_type
+                or punctuation.cancelled
             ):
-                self._processors[node_name].process(record)
-            return
-        self._processors[node_name].process(record)
+                continue
+            fire = punctuation.next_fire
+            if fire is None:
+                fire = unarmed
+            if fire is not None and (best is None or fire < best):
+                best = fire
+        return best
 
     def _sink_route(self, node: SinkNode) -> tuple:
         """(resolved topic, partition count) for a sink, cached per cluster
-        metadata epoch — not re-resolved for every record."""
+        metadata epoch — not re-resolved for every chunk."""
         epoch = self.cluster.metadata_epoch
         if epoch != self._sink_routes_epoch:
             self._sink_routes.clear()
@@ -664,24 +592,6 @@ class StreamTask:
             self._sink_routes[node.topic] = route
         return route
 
-    def _send_to_sink(self, node: SinkNode, record: StreamRecord) -> None:
-        topic, num_partitions = self._sink_route(node)
-        if node.partitioner is not None:
-            partition = node.partitioner(record.key, record.value, num_partitions)
-        else:
-            partition = partition_for(record.key, num_partitions)
-        headers = record.headers
-        if self._tracer.enabled:
-            headers = {**headers, EMITTED_AT_HEADER: self.cluster.clock.now}
-        self.producer.send(
-            topic,
-            key=record.key,
-            value=record.value,
-            timestamp=record.timestamp,
-            partition=partition,
-            headers=headers,
-        )
-
     # -- commit hooks --------------------------------------------------------------------------
 
     def prepare_commit(self) -> None:
@@ -689,6 +599,7 @@ class StreamTask:
         then flush stores. Must run inside the ongoing transaction."""
         for processor in self._processors.values():
             processor.on_commit()
+            processor.context.drain()
         for store in self._stores.values():
             store.flush()
 
@@ -755,17 +666,7 @@ class StreamTask:
         Drivers register this as a wake timer so idle time jumps straight
         to the next punctuation instead of creeping toward it.
         """
-        best: Optional[float] = None
-        for punctuation in self._punctuations:
-            if (
-                punctuation.punctuation_type != PUNCTUATION_WALL_CLOCK
-                or punctuation.cancelled
-                or punctuation.next_fire is None
-            ):
-                continue
-            if best is None or punctuation.next_fire < best:
-                best = punctuation.next_fire
-        return best
+        return self._next_punctuation(PUNCTUATION_WALL_CLOCK)
 
     def close(self) -> None:
         for processor in self._processors.values():

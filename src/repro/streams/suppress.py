@@ -57,8 +57,6 @@ class SuppressProcessor(Processor):
     are emitted in buffer-insertion order.
     """
 
-    batch_aware = True
-
     def __init__(self, suppressed: Suppressed, grace_ms: float = 0.0) -> None:
         self._grace_ms = grace_ms
         self._final = suppressed.mode == UNTIL_WINDOW_CLOSES

@@ -17,8 +17,6 @@ class TableSourceProcessor(Processor):
     """Materializes a changelog-stream topic into a table store and turns
     plain records into Changes (old value looked up from the store)."""
 
-    batch_aware = True
-
     def __init__(self, store_name: str) -> None:
         self._store_name = store_name
 
@@ -119,8 +117,6 @@ class TableMapValuesProcessor(Processor):
 
 class TableToStreamProcessor(Processor):
     """Unwrap Changes into plain new-value records (KTable#toStream)."""
-
-    batch_aware = True
 
     def process(self, record: StreamRecord) -> None:
         change: Change = record.value

@@ -1,20 +1,29 @@
-"""Chunk execution must be unobservable in committed output.
+"""Vectorised chunk routines must be unobservable in committed output.
 
-These properties run the same workload through the same topology twice —
-once with every task forced onto the record path by a test-side patch
-(scalar records through the processor graph; the product has no switch for
-it) and once as the runtime runs it (column chunks through the fused batch
-path) — and require the
-committed output records (key, value, timestamp, headers, partition
-order) and the final state-store contents to be identical. The Figure 5
-reduce topology is the anchor case from the paper's throughput
-experiment; a stateless chain exercises the fused filter/flatMap column
-pass, and a windowed count exercises the grouped window scan with
-per-record expiry bounds. The Section 5 completeness path is covered
-operator by operator: stream-table joins (with table tombstones and null
-stream keys), and both suppress modes, whose emissions depend on the
-stream time each record is processed at — including the advance made by
-records that were never forwarded to them.
+Every task processes column chunks; an operator's meaning is its scalar
+``process``, which the base ``Processor.process_batch`` walks a chunk
+through. These properties run the same workload through the same topology
+twice — once with every vectorised ``process_batch`` override swapped for
+that base walk by a test-side patch (``record_path()``; the product has no
+switch for it) and once as the runtime runs it — and require the committed
+output records (key, value, timestamp, headers, partition order) and the
+final state-store contents to be identical. The Figure 5 reduce topology is
+the anchor case from the paper's throughput experiment; a stateless chain
+exercises the fused filter/flatMap column pass, and a windowed count
+exercises the grouped window scan with per-record expiry bounds. The
+Section 5 completeness path is covered operator by operator: stream-table
+joins (with table tombstones and null stream keys), and both suppress
+modes, whose emissions depend on the stream time each record is processed
+at — including the advance made by records that were never forwarded to
+them.
+
+The walk itself — forward-and-drain, stream time per position, chunks cut
+at stream-time punctuations, the commit-flush cascade — has a reference
+too: ``ReferenceTask``, a test-side fold of the sub-topology over its input
+one record at a time through ``Processor.process`` alone. The cases at the
+end of the file (a scalar-only operator between vectorised ones, a
+punctuator, a caching aggregate, a speculative app whose upstream aborts)
+must equal it.
 """
 
 from contextlib import nullcontext
@@ -22,13 +31,27 @@ from contextlib import nullcontext
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.broker.partition import TopicPartition
 from repro.clients.producer import Producer
-from repro.config import AT_LEAST_ONCE, EXACTLY_ONCE, StreamsConfig
-from repro.streams import KafkaStreams, StreamsBuilder
+from repro.config import (
+    AT_LEAST_ONCE,
+    EXACTLY_ONCE,
+    ProducerConfig,
+    StreamsConfig,
+)
+from repro.streams import JoinWindows, KafkaStreams, StreamsBuilder
+from repro.streams.processor import PUNCTUATION_STREAM_TIME, Processor
+from repro.streams.records import StreamRecord
 from repro.streams.suppress import SuppressProcessor, Suppressed
-from repro.streams.windows import TimeWindows
+from repro.streams.windows import SessionWindows, TimeWindows
 
-from tests.streams.harness import drain_topic, make_cluster, record_path
+from tests.streams.harness import (
+    ReferenceTask,
+    drain_topic,
+    make_cluster,
+    merge_by_timestamp,
+    record_path,
+)
 
 KEYS = ["a", "b", "c", "d"]
 
@@ -75,16 +98,16 @@ def table_updates(draw):
 def run_topology(build, events, batch, guarantee, partitions=1,
                  table=(), commit_interval_ms=20.0):
     with nullcontext() if batch else record_path():
-        result = _run_topology(
+        return _run_topology(
             build, events, guarantee, partitions, table, commit_interval_ms
         )
-    assert batch or result[2] == 0, "the reference run took chunks"
-    return result
 
 
 def _run_topology(build, events, guarantee, partitions, table,
                   commit_interval_ms):
-    cluster = make_cluster(input=partitions, table=partitions, output=partitions)
+    cluster = make_cluster(
+        input=partitions, table=partitions, output=partitions, other=partitions
+    )
     app = KafkaStreams(
         build(),
         cluster,
@@ -105,9 +128,18 @@ def _run_topology(build, events, guarantee, partitions, table,
     app.run_until_idle(max_steps=20_000)
     cluster.clock.advance(400.0)
     app.run_until_idle(max_steps=20_000)
+    output, stores = observe(cluster, app)
+    fastpath = cluster.metrics.counter("streams.batch_fastpath_total").value
+    app.close()
+    return output, stores, fastpath
+
+
+def observe(cluster, app):
+    """Committed output of both sink topics, and every task's state."""
     output = [
         (r.key, r.value, r.timestamp, dict(r.headers), r.headers["__partition"])
-        for r in drain_topic(cluster, "output")
+        for topic in ("output", "other")
+        for r in drain_topic(cluster, topic)
     ]
     stores = {}
     for instance in app.instances:
@@ -122,9 +154,7 @@ def _run_topology(build, events, guarantee, partitions, table,
                         list(processor._buffer.items()),
                         sorted(processor._index),
                     )
-    fastpath = cluster.metrics.counter("streams.batch_fastpath_total").value
-    app.close()
-    return output, stores, fastpath
+    return output, stores
 
 
 def build_reduce():
@@ -356,3 +386,270 @@ def test_suppress_until_time_limit_batch_equals_scalar(events):
     assert batch_out == scalar_out
     assert batch_stores == scalar_stores
     assert fastpath == len(events)
+
+
+# -- the walk against a record-at-a-time fold ---------------------------------------
+
+
+def reference_fold(build, events, table=()):
+    """What the (single sub-topology, single partition) app must commit
+    and hold after the whole input and one commit: ``ReferenceTask`` over
+    the timestamp-ordered merge of the two inputs (ties to the partition
+    that sorts first, FIFO within one)."""
+    (sub,) = build().sub_topologies()
+    queues = {
+        TopicPartition(topic, 0): [(topic, *record) for record in records]
+        for topic, records in (("input", events), ("table", table))
+    }
+    task = ReferenceTask(sub)
+    task.run(
+        record for _, record in merge_by_timestamp(queues, lambda r: r[3])
+    )
+    task.commit()
+    return (
+        [record for topic in ("output", "other")
+         for record in task.output if record[0] == topic],
+        {name: dict(store._data) for name, store in task._stores.items()},
+    )
+
+
+def assert_equals_walk_and_fold(build, events, table=()):
+    """Chunk run == base-walk run (everything), and == the fold (output
+    key / value / timestamp per sink topic, store contents). One commit
+    after the whole input, so commit-time flushes see the same state."""
+    walk_out, walk_stores, _ = run_topology(
+        build, events, batch=False, guarantee=EXACTLY_ONCE, table=table,
+        commit_interval_ms=500.0,
+    )
+    out, stores, fastpath = run_topology(
+        build, events, batch=True, guarantee=EXACTLY_ONCE, table=table,
+        commit_interval_ms=500.0,
+    )
+    assert out == walk_out
+    assert stores == walk_stores
+    assert fastpath == len(events) + len(table)
+    fold_out, fold_stores = reference_fold(build, events, table)
+    assert [
+        (h["__topic"], k, v, ts) for k, v, ts, h, _ in out
+    ] == fold_out
+    assert {
+        name: data for (_, name), data in stores.items() if name in fold_stores
+    } == fold_stores
+
+
+def build_branch_count():
+    """vectorised filter -> scalar-only branch -> vectorised count: the
+    branch hands each child one chunk per input chunk."""
+    builder = StreamsBuilder()
+    small, large = (
+        builder.stream("input")
+        .filter(lambda k, v: v != 0)
+        .branch(lambda k, v: abs(v) < 3, lambda k, v: v > 0)
+    )
+    small.group_by_key().count(store_name="small").to_stream().to("output")
+    large.map_values(lambda v: v * 100).to("other")
+    return builder.build()
+
+
+def build_stream_join_windowed_count():
+    """scalar-only stream-stream left join (unmatched results wait for
+    stream time to pass window + grace) -> vectorised map_values ->
+    vectorised windowed count, whose late-record drops depend on the
+    stream time each join result was forwarded at."""
+    builder = StreamsBuilder()
+    (
+        builder.stream("input")
+        .left_join(
+            builder.stream("table"),
+            lambda left, right: (left, right),
+            JoinWindows.of(15.0).grace(10.0),
+        )
+        .map_values(lambda pair: pair[0])
+        .group_by_key()
+        .windowed_by(TimeWindows.of(25.0).grace(10.0))
+        .count(store_name="wcounts")
+        .to_stream()
+        .to("output")
+    )
+    return builder.build()
+
+
+def build_session_count():
+    builder = StreamsBuilder()
+    (
+        builder.stream("input")
+        .group_by_key()
+        .windowed_by(SessionWindows.with_gap(12.0).grace(15.0))
+        .count(store_name="sessions")
+        .to_stream()
+        .to("output")
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build_branch_count, build_stream_join_windowed_count, build_session_count],
+    ids=["branch", "stream_join", "sessions"],
+)
+@given(workloads(), table_updates())
+@settings(max_examples=10, deadline=None)
+def test_scalar_only_operator_between_vectorised_ones(build, events, table):
+    if build is not build_stream_join_windowed_count:
+        table = []
+    assert_equals_walk_and_fold(build, events, table)
+
+
+class Pulse(Processor):
+    """Tags every record with the stream time it was processed at and, on
+    a stream-time punctuation, reports how many records it has seen since
+    the last one — so a misplaced cut, a stale stream time or a forward
+    handed on late each change the output."""
+
+    def __init__(self, interval_ms):
+        self._interval_ms = interval_ms
+        self.seen = 0
+
+    def init(self, context):
+        super().init(context)
+        context.schedule(self._interval_ms, PUNCTUATION_STREAM_TIME, self.tick)
+
+    def process(self, record):
+        self.seen += 1
+        self.context.forward(
+            record.with_value((record.value, self.context.stream_time))
+        )
+
+    def tick(self, fire_at):
+        self.context.forward(
+            StreamRecord(
+                "tick", (fire_at, self.seen, self.context.stream_time), fire_at
+            )
+        )
+        self.seen = 0
+
+
+def build_pulse():
+    """Two punctuators on different periods, the second counting what the
+    first forwards (its ticks included), then a vectorised operator."""
+    builder = StreamsBuilder()
+    (
+        builder.stream("input")
+        .process(lambda: Pulse(30.0))
+        .process(lambda: Pulse(45.0))
+        .map_values(lambda tagged: tagged)
+        .to("output")
+    )
+    return builder.build()
+
+
+@given(workloads())
+@settings(max_examples=15, deadline=None)
+def test_stream_time_punctuator_cuts_chunks_where_records_would_fire_it(events):
+    """Fire times, the records seen between fires and the order of ticks
+    among the forwarded records equal the per-record fold."""
+    assert_equals_walk_and_fold(build_pulse, events)
+
+
+def build_cached_count_time_limited():
+    """A caching count (evictions forward mid-chunk, the rest at commit)
+    feeding a time-limited suppress, which must see that commit flush
+    before its own."""
+    builder = StreamsBuilder()
+    (
+        builder.stream("input")
+        .group_by_key()
+        .count(store_name="counts", cache_entries=2)
+        .suppress(Suppressed.until_time_limit(30.0))
+        .to_stream()
+        .to("output")
+    )
+    return builder.build()
+
+
+def build_cached_windowed_count():
+    builder = StreamsBuilder()
+    (
+        builder.stream("input")
+        .group_by_key()
+        .windowed_by(TimeWindows.of(25.0).grace(10.0))
+        .count(store_name="wcounts", cache_entries=3)
+        .to_stream()
+        .to("output")
+    )
+    return builder.build()
+
+
+@pytest.mark.parametrize(
+    "build", [build_cached_count_time_limited, build_cached_windowed_count],
+    ids=["count_suppress", "windowed"],
+)
+@given(workloads())
+@settings(max_examples=10, deadline=None)
+def test_caching_aggregate_equals_fold(build, events):
+    assert_equals_walk_and_fold(build, events)
+
+
+def run_speculative(events, aborts, batch):
+    """The reduce app, speculative, below a transactional producer that
+    writes seven records a transaction and aborts those ``aborts`` picks;
+    the app processes each transaction while it is still open."""
+    with nullcontext() if batch else record_path():
+        cluster = make_cluster(input=1, output=1, other=1)
+        app = KafkaStreams(
+            build_reduce(),
+            cluster,
+            StreamsConfig(
+                application_id="equiv",
+                processing_guarantee=EXACTLY_ONCE,
+                commit_interval_ms=20.0,
+                transaction_timeout_ms=300.0,
+                speculative=True,
+            ),
+        )
+        app.start(1)
+        (instance,) = app.instances
+        upstream = Producer(cluster, ProducerConfig(transactional_id="upstream"))
+        upstream.init_transactions()
+        committed = []
+        for number, start in enumerate(range(0, len(events), 7)):
+            transaction = events[start:start + 7]
+            upstream.begin_transaction()
+            for key, value, timestamp in transaction:
+                upstream.send("input", key=key, value=value, timestamp=timestamp)
+            upstream.flush()
+            assert app.step() == len(transaction)     # speculated on open data
+            cluster.clock.advance(30.0)
+            deferred = instance.commits_deferred
+            app.step()
+            assert instance.commits_deferred > deferred
+            if aborts[number % len(aborts)]:
+                upstream.abort_transaction()
+            else:
+                upstream.commit_transaction()
+                committed.extend(transaction)
+            cluster.clock.advance(30.0)
+            app.run_until_idle(max_steps=20_000)
+        output, stores = observe(cluster, app)
+        rollbacks = instance.speculation_rollbacks
+        app.close()
+    return output, stores, rollbacks, committed
+
+
+@given(workloads(), st.lists(st.booleans(), min_size=1, max_size=5))
+@settings(max_examples=10, deadline=None)
+def test_speculative_app_below_an_aborting_upstream(events, aborts):
+    """Commit dependencies are read per fetched batch: a chunk that held
+    records of an aborted upstream transaction rolls back, and what is
+    committed is the fold over the committed transactions alone."""
+    walk_out, walk_stores, _, _ = run_speculative(events, aborts, batch=False)
+    out, stores, rollbacks, committed = run_speculative(events, aborts, batch=True)
+    assert out == walk_out
+    assert stores == walk_stores
+    transactions = -(-len(events) // 7)
+    assert rollbacks == sum(
+        aborts[number % len(aborts)] for number in range(transactions)
+    )
+    fold_out, fold_stores = reference_fold(build_reduce, committed)
+    assert [(h["__topic"], k, v, ts) for k, v, ts, h, _ in out] == fold_out
+    assert {name: data for (_, name), data in stores.items()} == fold_stores

@@ -37,8 +37,9 @@ CATEGORIES = ["a", "b", "c", "d", "e"]
 
 def make_app(cluster, protocol=EAGER, standbys=0, record_path=False):
     """The two-stage counting app. With ``record_path`` each sub-topology
-    carries a :class:`Ticker`, so every task falls back to the per-record
-    loop by construction; the committed output is the same."""
+    carries a :class:`Ticker`, so every task walks a scalar-only operator
+    through its chunks and cuts them at its stream-time punctuations; the
+    committed output is the same."""
     builder = StreamsBuilder()
     stream = builder.stream("in")
     if record_path:
@@ -173,25 +174,24 @@ def test_chaos_matrix_invariants_hold(seed, protocol, golden):
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", list(range(10)))
 def test_chaos_matrix_record_path(seed, golden):
-    """The ten-seed chaos matrix over a topology whose tasks all fall back
-    to the per-record loop (a punctuator in each sub-topology): the
-    committed output must equal the chunk-executed fault-free golden run —
-    the path changes how records move, never what is committed."""
+    """The ten-seed chaos matrix over the ``Ticker`` topology (the base
+    ``process_batch`` walk and punctuation cuts in each sub-topology): the
+    committed output must equal the fault-free golden run of the plain
+    topology — how records move never changes what is committed."""
     cluster, app, chaos, suite = run_chaos(
         seed=seed, golden=golden, record_path=True
     )
     assert chaos.faults_injected > 0
     tasks = [t for instance in app.instances for t in instance.tasks.values()]
-    assert tasks and all(t.fallback_reason == "punctuator" for t in tasks)
-    metrics = cluster.metrics
-    assert metrics.counter("streams.batch_fastpath_total").value == 0
-    assert metrics.counter("streams.batch_fallback_total").value > 0
+    assert tasks and all(
+        any(isinstance(p, Ticker) for p in t.processors().values()) for t in tasks
+    )
     final = latest_by_key(drain_topic(cluster, "out"))
     expected = {}
     for i in range(120):
         category = CATEGORIES[i % len(CATEGORIES)]
         expected[category] = expected.get(category, 0) + 1
-    assert final == expected, f"seed {seed} violated exactly-once on the record path"
+    assert final == expected, f"seed {seed} violated exactly-once on the Ticker topology"
 
 
 @pytest.mark.chaos
@@ -243,14 +243,12 @@ def test_quiesce_heals_cluster_and_instances(golden):
 
 
 def test_fault_metrics_exposed(golden):
-    # On the record path: seed 11 severs instance 0's producer link at
-    # 242 ms, while the per-record loop is still sending the second
-    # stage's output; a chunk-executed task has sent it all by then, and a
-    # link nobody uses counts nothing.
-    cluster, _, chaos, _ = run_chaos(seed=11, golden=golden, record_path=True)
-    if any("ack_drop" in desc or "link_fault" in desc for _, desc in chaos.timeline):
-        counts = cluster.network.fault_counts()
-        assert counts.get("network.faults.injected", 0) > 0
+    # Seed 8: its link faults land while the links are in use (a severed
+    # link nobody sends on counts nothing — seed 11, since tasks send a
+    # chunk's output at once).
+    cluster, _, chaos, _ = run_chaos(seed=8, golden=golden)
+    assert any("ack_drop" in desc or "link_fault" in desc for _, desc in chaos.timeline)
+    assert cluster.network.fault_counts().get("network.faults.injected", 0) > 0
 
 
 # -- scenario-layer cells: targeted fault shapes on the chaos topology ---------------
@@ -262,8 +260,8 @@ def test_fault_metrics_exposed(golden):
 def test_gray_broker_scenario_hardening_engages(seed, record_path, golden):
     """The gray-broker scenario on a latency-charging cluster: the EWMA
     detector demotes the slow broker, fetches hedge to a replica, and the
-    committed output still equals the fault-free golden run — on chunk
-    and on record-path tasks (the hedge lives on the one fetch path)."""
+    committed output still equals the fault-free golden run — on the
+    plain and on the ``Ticker`` topology."""
     from repro.broker.cluster import Cluster
     from repro.sim.scenarios import ScenarioHarness
 

@@ -1,5 +1,6 @@
 """Shared helpers for streams-layer tests."""
 
+from contextlib import ExitStack, contextmanager
 from typing import Any, Dict, List, Optional
 from unittest import mock
 
@@ -9,11 +10,14 @@ from repro.clients.producer import Producer
 from repro.config import READ_COMMITTED, ConsumerConfig, StreamsConfig
 from repro.streams.processor import (
     PUNCTUATION_STREAM_TIME,
+    FusedStatelessProcessor,
     Processor,
     ProcessorContext,
 )
-from repro.streams.records import StreamRecord
-from repro.streams.runtime.task import StreamTask
+from repro.streams.records import ColumnChunk, StreamRecord
+from repro.streams.state.kv_store import InMemoryKeyValueStore
+from repro.streams.state.window_store import InMemoryWindowStore
+from repro.streams.topology import ProcessorNode, SinkNode
 
 
 def make_cluster(**topics) -> Cluster:
@@ -42,20 +46,45 @@ def drain_topic(cluster: Cluster, topic: str, read_committed: bool = True):
         records.extend(batch)
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@contextmanager
 def record_path():
-    """Context manager: every StreamTask built inside runs record at a
-    time, whatever its topology could take — the reference side of the
-    chunk-vs-record equivalence tests. Patched in from the test side on
-    purpose: the product has no switch that selects the path."""
-    return mock.patch.object(
-        StreamTask, "_fallback_reason", lambda task: "forced by the test"
-    )
+    """Context manager: every processor built inside handles its chunks
+    with the base walk (one ``process`` call per position), whatever
+    vectorised ``process_batch`` it has — the reference side of the
+    equivalence tests. Patched in from the test side on purpose: the
+    product has no switch that selects it."""
+    fused_init = FusedStatelessProcessor.__init__
+
+    def init_without_binding(self, kind, fn):
+        fused_init(self, kind, fn)
+        del self.process_batch      # bound per instance, over the class's
+
+    with ExitStack() as stack:
+        stack.enter_context(
+            mock.patch.object(
+                FusedStatelessProcessor, "__init__", init_without_binding
+            )
+        )
+        for cls in _subclasses(Processor):
+            if "process_batch" in vars(cls):
+                stack.enter_context(
+                    mock.patch.object(
+                        cls, "process_batch", Processor.process_batch
+                    )
+                )
+        yield
 
 
 class Ticker(Processor):
-    """Forwards every record unchanged and keeps a stream-time punctuator,
-    which needs per-record stream time: a sub-topology holding one falls
-    back to the record path by construction."""
+    """Forwards every record unchanged and keeps a stream-time punctuator:
+    a scalar-only operator whose sub-topology's chunks are cut where the
+    punctuation falls due."""
 
     def init(self, context):
         super().init(context)
@@ -63,6 +92,29 @@ class Ticker(Processor):
 
     def process(self, record):
         self.context.forward(record)
+
+
+def vectorised(processor) -> bool:
+    """Whether ``processor`` has a column routine of its own, rather than
+    the base walk through ``process`` (read off the instance:
+    ``FusedStatelessProcessor`` binds its routine per instance)."""
+    return processor.process_batch.__func__ is not Processor.process_batch
+
+
+def merge_by_timestamp(queues, timestamp):
+    """The record-at-a-time choice, test side: repeatedly take the head of
+    the non-empty queue whose head ``timestamp(item)`` is smallest, sorted
+    partition order on ties, FIFO within a queue. ``queues`` maps tp ->
+    list of items; returns [(tp, item)]."""
+    heads = {tp: 0 for tp in queues}
+    merged = []
+    while True:
+        live = [tp for tp in sorted(queues) if heads[tp] < len(queues[tp])]
+        if not live:
+            return merged
+        best = min(live, key=lambda tp: timestamp(queues[tp][heads[tp]]))
+        merged.append((best, queues[best][heads[best]]))
+        heads[best] += 1
 
 
 def latest_by_key(records) -> Dict[Any, Any]:
@@ -85,8 +137,13 @@ class FakeTask:
         self.application_id = "test-app"
         self._sink = None
 
-    def process_at(self, node_name: str, record: StreamRecord) -> None:
-        self.forwarded.append((node_name, record))
+    def process_chunk_at(self, node_name: str, chunk) -> None:
+        self.forwarded.extend(
+            (node_name, StreamRecord(*fields))
+            for fields in zip(
+                chunk.keys, chunk.values, chunk.timestamps, chunk.headers
+            )
+        )
 
     def state_store(self, name: str):
         return self._stores[name]
@@ -100,10 +157,19 @@ class FakeTask:
                 punctuation.maybe_fire(now)
 
 
+class EagerContext(ProcessorContext):
+    """Context of a processor that a test drives by hand: no runtime
+    drains it after each call, so every forward is handed on at once."""
+
+    def forward(self, record, to=None):
+        super().forward(record, to)
+        self.drain()
+
+
 def init_processor(processor, stores=None, children=("child",)):
     """Wire a processor to a FakeTask; returns (processor, task)."""
     task = FakeTask(stores)
-    context = ProcessorContext(
+    context = EagerContext(
         task=task,
         node_name="node-under-test",
         children=list(children),
@@ -115,3 +181,57 @@ def init_processor(processor, stores=None, children=("child",)):
 
 def forwarded_records(task: FakeTask) -> List[StreamRecord]:
     return [record for _, record in task.forwarded]
+
+
+class ReferenceTask(FakeTask):
+    """One sub-topology folded over its input a record at a time, depth
+    first, through nothing but ``Processor.process`` — the order of
+    execution the operators are defined against, and the test-side
+    reference a chunk-executed task's committed output must equal. Stream
+    time advances before each source record; stream-time punctuations are
+    checked after it; ``commit`` runs the commit hooks in task order."""
+
+    def __init__(self, sub_topology):
+        super().__init__({
+            spec.name: (
+                InMemoryWindowStore(spec.name, retention_ms=spec.retention_ms)
+                if spec.kind == "window" else InMemoryKeyValueStore(spec.name)
+            )
+            for spec in sub_topology.stores
+        })
+        self.sub = sub_topology
+        self.processors = {}
+        self.output: List[tuple] = []      # (sink topic, key, value, timestamp)
+        for name, node in sub_topology.nodes.items():
+            if isinstance(node, ProcessorNode):
+                processor = self.processors[name] = node.supplier()
+                processor.init(
+                    EagerContext(self, name, list(node.children), list(node.stores))
+                )
+
+    def process_chunk_at(self, node_name: str, chunk) -> None:
+        node = self.sub.nodes[node_name]
+        for key, value, timestamp, headers in zip(
+            chunk.keys, chunk.values, chunk.timestamps, chunk.headers
+        ):
+            if isinstance(node, SinkNode):
+                self.output.append((node.topic, key, value, timestamp))
+            else:
+                self.processors[node_name].process(
+                    StreamRecord(key, value, timestamp, headers)
+                )
+
+    def run(self, records) -> None:
+        """``records``: (topic, key, value, timestamp) in processing order."""
+        for topic, key, value, timestamp in records:
+            self.stream_time = max(self.stream_time, timestamp)
+            for source in self.sub.sources_for_topic(topic):
+                for child in source.children:
+                    self.process_chunk_at(
+                        child, ColumnChunk([key], [value], [timestamp], [{}])
+                    )
+            self.punctuate(PUNCTUATION_STREAM_TIME, self.stream_time)
+
+    def commit(self) -> None:
+        for processor in self.processors.values():
+            processor.on_commit()

@@ -1,8 +1,9 @@
-"""Which path a task runs on is a fact about its sub-topology: chunks when
-every processor takes them, else records — with the cause on the task and
-every record counted. Neither path may change what is committed, and what
-the chunk path reports (stage stamps, changelog timestamps) must be what
-the record path would have reported."""
+"""Every task runs column chunks, whatever its sub-topology is made of:
+vectorised operators, operators defined only per record (walked through
+the chunk), punctuators (the chunk is cut where they fall due) and
+speculative reads. None of that may change what is committed, and what a
+chunk reports (stage stamps, changelog timestamps, per-node spans) must be
+what processing its records one by one would have reported."""
 
 from contextlib import nullcontext
 
@@ -14,8 +15,18 @@ from repro.config import EXACTLY_ONCE, StreamsConfig
 from repro.metrics.latency import CREATED_AT_HEADER
 from repro.obs import StageLatencyTracker
 from repro.streams import JoinWindows, KafkaStreams, StreamsBuilder
+from repro.streams.processor import Processor, ProcessorContext
+from repro.streams.records import ColumnChunk, StreamRecord
 
-from tests.streams.harness import Ticker, drain_topic, make_cluster, record_path
+from tests.streams.harness import (
+    FakeTask,
+    Ticker,
+    drain_topic,
+    init_processor,
+    make_cluster,
+    record_path,
+    vectorised,
+)
 
 
 def build_reduce():
@@ -79,7 +90,6 @@ def test_stage_stamps_survive_chunk_execution():
     cluster.clock.advance(50.0)
     app.run_until_idle()
 
-    assert all(task.batch_capable for task in tasks_of(app))
     tracker = StageLatencyTracker()
     outputs = drain_topic(cluster, "output")
     for record in outputs:
@@ -108,44 +118,186 @@ def test_untraced_chunks_carry_no_stage_stamps():
 # -- changelog timestamps ----------------------------------------------------------
 
 
-def changelog_timestamps(forced_record_path):
-    """Last changelog (value, timestamp) per key after three rounds; every
-    record of a round shares one timestamp, so the record path's
-    per-record stream time and the chunk's closing stream time are the
-    same number."""
+def changelog_timestamps(walked):
+    """Last changelog (value, timestamp) per key after three rounds, from
+    the reduce's chunk routine (one bulk append per chunk) or, ``walked``,
+    from its scalar ``process`` (one append per record)."""
     cluster = make_cluster(input=1, output=1)
-    with record_path() if forced_record_path else nullcontext():
+    with record_path() if walked else nullcontext():
         app = start(cluster, build_reduce())
         producer = Producer(cluster)
         for round_no in range(3):
-            for key in ("a", "b", "a", "c"):
+            for key, timestamp in (("a", 4.0), ("b", 10.0), ("a", 7.0), ("c", 2.0)):
                 producer.send(
-                    "input", key=key, value=1, timestamp=10.0 * (round_no + 1)
+                    "input", key=key, value=1, timestamp=10.0 * round_no + timestamp
                 )
             producer.flush()
             app.run_until_idle()
         cluster.clock.advance(50.0)
         app.run_until_idle()
-    (task,) = tasks_of(app)
-    assert task.batch_capable == (task.fallback_reason is None)
     last = {}
     for record in drain_topic(cluster, "path-sums-changelog"):
         last[record.key] = (record.value, record.timestamp)
-    return task.batch_capable, last
+    return last
 
 
 def test_bulk_changelog_hook_stamps_the_closing_stream_time():
-    """The chunk path's changelog appends carry the stream time the chunk
-    closes at — not the stale pre-chunk value (0.0 for a task's first
-    chunk, one chunk behind ever after)."""
-    took_chunks, by_chunks = changelog_timestamps(forced_record_path=False)
-    took_chunks_ref, by_records = changelog_timestamps(forced_record_path=True)
-    assert took_chunks and not took_chunks_ref
-    assert by_records == {"a": (6, 30.0), "b": (3, 30.0), "c": (3, 30.0)}
-    assert by_chunks == by_records
+    """Changelog appends carry the stream time the chunk closes at — not
+    the stale pre-chunk value (0.0 for a task's first chunk, one chunk
+    behind ever after) — from the bulk hook and the per-put hook alike."""
+    assert changelog_timestamps(walked=False) == {
+        "a": (6, 30.0), "b": (3, 30.0), "c": (3, 30.0)
+    }
+    assert changelog_timestamps(walked=True) == changelog_timestamps(walked=False)
 
 
-# -- fallback is not silent -------------------------------------------------------
+# -- forward and drain ----------------------------------------------------------------
+
+
+def test_forward_collects_until_drain_then_one_chunk_per_target():
+    class Router(Processor):
+        def process(self, record):
+            self.context.forward(record, to="odd" if record.value % 2 else "even")
+            if record.value == 3:
+                self.context.forward(record.with_value("both"))
+
+    task = FakeTask()
+    context = ProcessorContext(task, "router", ["even", "odd"], [])
+    processor = Router()
+    processor.init(context)
+    chunks = []
+    task.process_chunk_at = lambda node, chunk: chunks.append((node, chunk))
+    task.stream_time = 100.0
+    for value in (1, 2, 3, 4):
+        processor.process(StreamRecord("k", value, float(value)))
+    assert chunks == []
+    with pytest.raises(ValueError, match="not a child"):
+        context.forward(StreamRecord("k", 0, 0.0), to="elsewhere")
+    context.drain()
+    # Targets in first-forward order; the untargeted chunk goes to every child.
+    assert [(node, chunk.values) for node, chunk in chunks] == [
+        ("odd", [1, 3]), ("even", [2, 4]), ("even", ["both"]), ("odd", ["both"]),
+    ]
+    assert chunks[0][1].stream_times == [100.0, 100.0]
+    context.drain()
+    assert len(chunks) == 4, "a drain hands each record on once"
+
+
+def test_default_process_batch_shows_each_position_its_stream_time():
+    class Probe(Processor):
+        def process(self, record):
+            self.context.forward(
+                record.with_value((record.value, self.context.stream_time))
+            )
+
+    processor, task = init_processor(Probe())
+    task.stream_time = 5.0
+    processor.process_batch(
+        ColumnChunk(["k"] * 4, [0, 1, 2, 3], [3.0, 9.0, 7.0, 12.0], [{}] * 4)
+    )
+    assert [r.value for _, r in task.forwarded] == [
+        (0, 5.0), (1, 9.0), (2, 9.0), (3, 12.0)
+    ]
+    assert processor.context.stream_time == 5.0     # published value again
+
+
+# -- mixed sub-topologies ---------------------------------------------------------------
+
+
+def build_mixed():
+    """vectorised filter -> Ticker (scalar only, stream-time punctuator) ->
+    branch (scalar only, one child each) -> vectorised count / map_values."""
+    builder = StreamsBuilder()
+    evens, odds = (
+        builder.stream("input")
+        .filter(lambda k, v: v % 5 != 0)
+        .process(Ticker)
+        .branch(lambda k, v: v % 2 == 0, lambda k, v: True)
+    )
+    evens.group_by_key().count(store_name="counts").to_stream().to("output")
+    odds.map_values(lambda v: v * 10).to("other")
+    return builder.build()
+
+
+def run_mixed(traced):
+    cluster = make_cluster(input=1, output=1, other=1)
+    if traced:
+        cluster.enable_tracing()
+    app = start(cluster, build_mixed())
+    producer = Producer(cluster)
+    for round_no in range(3):
+        for i in range(round_no * 20, round_no * 20 + 20):
+            producer.send("input", key=f"k{i % 7}", value=i, timestamp=float(i * 4))
+        producer.flush()
+        app.run_until_idle()
+    cluster.clock.advance(50.0)
+    app.run_until_idle()
+    return cluster, app
+
+
+def test_mixed_topology_runs_chunks_and_commits_golden_output():
+    cluster, app = run_mixed(traced=False)
+    (task,) = tasks_of(app)
+    kinds = {vectorised(p) for p in task.processors().values()}
+    assert kinds == {True, False}, "the topology should mix both kinds"
+    assert cluster.metrics.counter("streams.batch_fastpath_total").value == 60
+
+    counts, expected_counts, expected_other = {}, [], []
+    for i in range(60):
+        key = f"k{i % 7}"
+        if i % 5 == 0:
+            continue
+        if i % 2 == 0:
+            counts[key] = counts.get(key, 0) + 1
+            expected_counts.append((0, key, counts[key], float(i * 4)))
+        else:
+            expected_other.append((0, key, i * 10, float(i * 4)))
+    assert committed(cluster) == expected_counts
+    assert committed(cluster, "other") == expected_other
+    (ticker,) = [p for p in task.processors().values() if isinstance(p, Ticker)]
+    (punctuation,) = task._punctuations
+    # Armed by the first record (stream time 0; that the filter drops it
+    # upstream of the Ticker changes nothing), due every 50 ms from then
+    # on, last record at 236.
+    assert punctuation.fired == 4 and punctuation.next_fire == 250.0
+
+
+def test_traced_chunks_carry_one_span_per_node():
+    """``process.<node>`` spans: one per node per chunk it received, sized
+    by ``records``, nested under the task's chunk span, at no virtual
+    cost — the committed output is the untraced run's."""
+    cluster, app = run_mixed(traced=True)
+    untraced, _ = run_mixed(traced=False)
+    assert committed(cluster) == committed(untraced)
+    assert committed(cluster, "other") == committed(untraced, "other")
+    (task,) = tasks_of(app)
+    spans = [s for s in cluster.tracer.spans if s.name.startswith("process.")]
+    received = {}
+    for span in spans:
+        node = span.name[len("process."):]
+        received[node] = received.get(node, 0) + span.args["records"]
+    assert set(received) == set(task.processors())
+    by_kind = {}
+    for name, processor in task.processors().items():
+        kind = type(processor).__name__
+        by_kind[kind] = by_kind.get(kind, 0) + received[name]
+    assert by_kind == {
+        "FusedStatelessProcessor": 60 + 24,       # filter, map_values
+        "Ticker": 48,
+        "_BranchProcessor": 48,
+        "_PassThroughProcessor": 24 + 24,         # the two branch heads
+        "StreamAggregateProcessor": 24,
+        "TableToStreamProcessor": 24,
+    }
+    chunk_spans = cluster.tracer.by_name("task.process_chunk")
+    assert sum(s.args["records"] for s in chunk_spans) == 60
+    for span in spans:
+        assert any(
+            outer.tid == span.tid
+            and outer.start_ms <= span.start_ms
+            and span.end_ms <= outer.end_ms
+            for outer in chunk_spans
+        )
 
 
 def run_counts(with_punctuator):
@@ -163,27 +315,18 @@ def run_counts(with_punctuator):
     app.run_until_idle()
     cluster.clock.advance(50.0)
     app.run_until_idle()
-    metrics = cluster.metrics
-    return (
-        committed(cluster),
-        {task.fallback_reason for task in tasks_of(app)},
-        metrics.counter("streams.batch_fastpath_total").value,
-        metrics.counter("streams.batch_fallback_total").value,
-    )
+    fastpath = cluster.metrics.counter("streams.batch_fastpath_total").value
+    return committed(cluster), fastpath
 
 
-def test_punctuator_task_names_its_fallback_and_commits_the_same_output():
-    chunk_out, chunk_reasons, chunk_fast, chunk_fallback = run_counts(False)
-    assert chunk_reasons == {None}
-    assert (chunk_fast, chunk_fallback) == (40, 0)
-
-    out, reasons, fast, fallback = run_counts(True)
-    assert reasons == {"punctuator"}
-    assert (fast, fallback) == (0, 40)
-    assert out == chunk_out
+def test_punctuator_task_runs_chunks_and_commits_the_same_output():
+    plain_out, plain_fast = run_counts(False)
+    out, fast = run_counts(True)
+    assert plain_fast == fast == 40
+    assert out == plain_out
 
 
-def test_stream_stream_join_task_names_the_processor_that_forces_fallback():
+def test_stream_stream_join_task_runs_chunks():
     cluster = make_cluster(clicks=1, impressions=1, output=1)
     builder = StreamsBuilder()
     builder.stream("clicks").join(
@@ -203,25 +346,22 @@ def test_stream_stream_join_task_names_the_processor_that_forces_fallback():
     app.run_until_idle()
 
     (task,) = tasks_of(app)
-    assert not task.batch_capable
-    prefix, suffix = "processor ", " is not batch_aware"
-    reason = task.fallback_reason
-    assert reason.startswith(prefix) and reason.endswith(suffix)
-    culprit = task.processors()[reason[len(prefix):-len(suffix)]]
-    assert not culprit.batch_aware
-    metrics = cluster.metrics
-    assert metrics.counter("streams.batch_fallback_total").value == 4
-    assert metrics.counter("streams.batch_fastpath_total").value == 0
+    assert not all(vectorised(p) for p in task.processors().values())
+    assert cluster.metrics.counter("streams.batch_fastpath_total").value == 4
     assert committed(cluster) == [(0, "ad1", ("click-A", "imp-A"), 50.0)]
 
 
-def test_speculative_task_falls_back():
+def test_speculative_task_runs_chunks():
     cluster = make_cluster(input=1, output=1)
     app = start(cluster, build_reduce(), speculative=True)
     producer = Producer(cluster)
-    producer.send("input", key="a", value=1, timestamp=1.0)
+    for i in range(5):
+        producer.send("input", key="a", value=1, timestamp=float(i))
     producer.flush()
-    app.run_until_idle()
+    assert app.step() == 5           # processed, commit interval not yet up
     (task,) = tasks_of(app)
-    assert task.fallback_reason == "speculative"
-    assert not task.batch_capable
+    assert cluster.metrics.counter("streams.batch_fastpath_total").value == 5
+    # Commit dependencies come off the fetched batch: one offset span for
+    # the (non-transactional, always clean) producer it held.
+    assert list(task.speculative_deps.values()) == [[0, 4]]
+    assert task.speculation_status() == "clean"

@@ -12,8 +12,12 @@ from repro.streams.records import Change, StreamRecord
 from repro.streams.state.kv_store import InMemoryKeyValueStore
 from repro.streams.state.window_store import InMemoryWindowStore
 
-from tests.streams.harness import FakeTask, forwarded_records, init_processor
-from repro.streams.processor import ProcessorContext
+from tests.streams.harness import (
+    EagerContext,
+    FakeTask,
+    forwarded_records,
+    init_processor,
+)
 
 
 def make_stream_join(windows, left_outer=False, right_outer=False):
@@ -25,7 +29,7 @@ def make_stream_join(windows, left_outer=False, right_outer=False):
     left = StreamJoinSideProcessor("L", "R", windows, joiner, True, left_outer)
     right = StreamJoinSideProcessor("R", "L", windows, joiner, False, right_outer)
     for proc in (left, right):
-        ctx = ProcessorContext(task, "join", ["out"], ["L", "R"])
+        ctx = EagerContext(task, "join", ["out"], ["L", "R"])
         proc.init(ctx)
     return left, right, task
 
@@ -152,7 +156,7 @@ class TestTableTableJoin:
         this = TableTableJoinProcessor("R", joiner, True, left_outer, right_outer)
         that = TableTableJoinProcessor("L", joiner, False, left_outer, right_outer)
         for proc in (this, that):
-            proc.init(ProcessorContext(task, "ttj", ["out"], ["L", "R"]))
+            proc.init(EagerContext(task, "ttj", ["out"], ["L", "R"]))
         return this, that, left_store, right_store, task
 
     def test_paper_amendment_sequence(self):

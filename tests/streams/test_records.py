@@ -6,10 +6,7 @@ from repro.streams.records import ColumnChunk, StreamRecord
 
 
 def test_with_copies_change_one_field_and_share_headers():
-    record = StreamRecord(
-        key="k", value=1, timestamp=5.0, headers={"h": 1},
-        offset=7, topic="t", partition=3,
-    )
+    record = StreamRecord(key="k", value=1, timestamp=5.0, headers={"h": 1})
     for copy, changed in (
         (record.with_kv("k2", 2), {"key": "k2", "value": 2}),
         (record.with_value(2), {"value": 2}),
