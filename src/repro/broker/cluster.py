@@ -31,7 +31,6 @@ from repro.broker.partition import (
 )
 from repro.broker.txn_coordinator import TransactionCoordinator
 from repro.log.columnar import ColumnarBatch
-from repro.log.compaction import compact_log
 from repro.log.partition_log import AppendResult
 from repro.log.record import RecordBatch
 from repro.metrics.registry import MetricsRegistry
@@ -260,7 +259,7 @@ class Cluster:
         if not candidates:
             return None
         old = state.leader
-        state.leader = candidates[0]
+        state.transfer_leadership(candidates[0])
         self._metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
@@ -323,7 +322,7 @@ class Cluster:
                 raise NotLeaderError(
                     f"{tp}: broker {replica} is not in the ISR; cannot serve reads"
                 )
-            log = state.replicas[replica]
+            log = state.replica_log(replica)
         batch = fetch(log, from_offset, max_records, isolation_level)
         if batch.valid_count:
             self.metrics.counter("broker.fetched_records").increment(
@@ -346,12 +345,7 @@ class Cluster:
 
     def delete_records(self, tp: TopicPartition, before_offset: int) -> int:
         """Purge records below ``before_offset`` (repartition-topic cleanup)."""
-        state = self.partition_state(tp)
-        removed = state.leader_log().delete_records_before(before_offset)
-        for broker_id, log in state.replicas.items():
-            if broker_id != state.leader:
-                log.delete_records_before(before_offset)
-        return removed
+        return self.partition_state(tp).delete_records_before(before_offset)
 
     def run_compaction(self) -> Dict[TopicPartition, int]:
         """Compact every compacted topic's partitions; returns removals."""
@@ -359,7 +353,7 @@ class Cluster:
         for tp, state in self._partitions.items():
             if not state.compacted or state.leader is None:
                 continue
-            n = compact_log(state.leader_log())
+            n = state.compact()
             if n:
                 removed[tp] = n
         return removed

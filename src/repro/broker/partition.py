@@ -6,6 +6,12 @@ and implements the replication contract of Section 4 of the paper: a record
 acknowledged with ``acks=all`` is replicated to every in-sync replica before
 the acknowledgement, so the partition survives n−1 broker failures without
 losing acknowledged data.
+
+Nothing reads a follower's log between faults, so the copy itself is made
+on demand: :meth:`PartitionState.replicate` notes what the in-sync followers
+owe and every path that could observe or freeze a follower pays the debt
+first (DESIGN.md, "Replication: what a follower sync touches"). All of
+those paths live in this module.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from repro.errors import (
     NotEnoughReplicasError,
     NotLeaderError,
 )
+from repro.log.compaction import compact_log
 from repro.log.partition_log import AppendResult, PartitionLog
 from repro.log.record import Record, RecordBatch
 
@@ -76,11 +83,14 @@ class PartitionState:
         if not broker_ids:
             raise ValueError("a partition needs at least one replica")
         self.tp = tp
-        self.replicas: Dict[int, PartitionLog] = {
+        self._replicas: Dict[int, PartitionLog] = {
             b: PartitionLog(name=f"{tp}@{b}") for b in broker_ids
         }
         self.leader: Optional[int] = broker_ids[0]
         self.isr: Set[int] = set(broker_ids)
+        # The leader log end the in-sync followers owe a sync up to, set by
+        # replicate() and paid by _settle(); None while they are level.
+        self._owed_end: Optional[int] = None
         self.min_insync_replicas = min_insync_replicas
         self.compacted = compacted
         # Clean-election bookkeeping: when the whole ISR is gone, only the
@@ -89,12 +99,62 @@ class PartitionState:
         self._eligible_leaders: Set[int] = set()
         self._waiting_replicas: Set[int] = set()
 
+    # -- replicas ----------------------------------------------------------------
+
+    def replica_log(self, broker_id: int) -> PartitionLog:
+        """One replica's log, level with the leader if it is in sync:
+        looking at a follower is what brings it level. The log is current
+        as returned; after a later append, ask again."""
+        self._settle()
+        return self._replicas[broker_id]
+
+    def _settle(self) -> None:
+        """Pay the sync :meth:`replicate` deferred: one mirror per in-sync
+        follower, over however many batches were acknowledged since.
+
+        Runs before anything observes a follower or changes who is one
+        (``replica_log``, broker failure / restart, leadership transfer) and
+        before the leader log changes in any way other than an acknowledged
+        append (``acks != "all"``, record deletion, compaction)."""
+        owed = self._owed_end
+        if owed is None:
+            return
+        leader_log = self._replicas[self.leader]
+        if leader_log.log_end_offset != owed:
+            # Syncing now would replicate records nobody acknowledged.
+            raise RuntimeError(
+                f"{self.tp}: followers owe a sync up to offset {owed} but the "
+                f"leader log ends at {leader_log.log_end_offset}; it was "
+                f"appended to without PartitionState.append"
+            )
+        self._owed_end = None
+        self._sync_followers()
+
+    def _sync_followers(self) -> None:
+        """Bring every in-sync follower to the leader's log: paying the
+        debt, and after an election.
+
+        Every in-sync log is a prefix of the leader's, and of the old
+        leader's when a new one is elected — so what a follower then holds
+        past the new leader's end is an ``acks=1`` suffix nobody
+        acknowledged (the old leader's own, or one a rejoining follower
+        copied). It is cut at the election, as Kafka's leader-epoch
+        truncation does: left in place it would be trimmed only by length,
+        and a record the new leader never had would sit below the high
+        watermark on an in-sync replica."""
+        leader_log = self._replicas[self.leader]
+        for broker_id in self.isr:
+            if broker_id != self.leader:
+                self._sync_follower(self._replicas[broker_id], leader_log)
+
     # -- leadership ------------------------------------------------------------
 
     def leader_log(self) -> PartitionLog:
+        """The leader's log as it is — on every fetch and append, so it
+        settles nothing: the leader is never behind itself."""
         if self.leader is None:
             raise NotLeaderError(f"{self.tp}: no leader available")
-        return self.replicas[self.leader]
+        return self._replicas[self.leader]
 
     def watermarks(self) -> PartitionOffsets:
         """The leader's offset landmarks (raises while leaderless)."""
@@ -108,8 +168,9 @@ class PartitionState:
 
     def on_broker_failure(self, broker_id: int) -> None:
         """Remove the broker from the ISR; elect a new leader if needed."""
-        if broker_id not in self.replicas:
+        if broker_id not in self._replicas:
             return
+        self._settle()
         was_last_insync = self.isr == {broker_id}
         self.isr.discard(broker_id)
         self._waiting_replicas.discard(broker_id)
@@ -118,12 +179,16 @@ class PartitionState:
             # allowed to lead when brokers return.
             self._eligible_leaders = {broker_id}
         if self.leader == broker_id:
-            self._elect_leader()
+            # Clean election: only an in-sync replica may lead.
+            self.leader = min(self.isr, default=None)
+            if self.leader is not None:
+                self._sync_followers()
 
     def on_broker_restart(self, broker_id: int) -> None:
         """Bring a restarted broker's replica back in sync and into the ISR."""
-        if broker_id not in self.replicas:
+        if broker_id not in self._replicas:
             return
+        self._settle()
         if self.leader is None:
             if broker_id not in self._eligible_leaders:
                 # Clean election only: this replica was already out of the
@@ -148,15 +213,26 @@ class PartitionState:
         self._rejoin(broker_id)
 
     def _rejoin(self, broker_id: int) -> None:
+        # Reached from on_broker_restart only, which has settled.
         self._truncate_divergence(broker_id)
-        self._sync_follower(self.replicas[broker_id], self.leader_log())
+        self._sync_follower(self._replicas[broker_id], self.leader_log())
         self.isr.add(broker_id)
+
+    def transfer_leadership(self, to: int) -> None:
+        """Hand leadership to the in-sync replica ``to``. It holds every
+        acknowledged record once the followers are level."""
+        self._settle()
+        if to not in self.isr:
+            raise NotLeaderError(f"{self.tp}: broker {to} is not in the ISR")
+        self.leader = to
+        # The old leader stays in the ISR, as a follower of the new log.
+        self._sync_followers()
 
     def _truncate_divergence(self, broker_id: int) -> None:
         """Cut the replica at the first offset of the overlap that one log
         holds and the other does not, or holds differently."""
         leader_log = self.leader_log()
-        follower = self.replicas[broker_id]
+        follower = self._replicas[broker_id]
         start = max(follower.log_start_offset, leader_log.log_start_offset)
         end = min(follower.log_end_offset, leader_log.log_end_offset)
         cut = end
@@ -174,34 +250,30 @@ class PartitionState:
                 )
         follower.truncate_to(cut)
 
-    def _elect_leader(self) -> None:
-        """Prefer an in-sync replica (clean election)."""
-        candidates = sorted(self.isr)
-        if candidates:
-            self.leader = candidates[0]
-        else:
-            self.leader = None
-
     # -- appends ------------------------------------------------------------------
 
     def append(self, batch: RecordBatch, acks: str = "all") -> AppendResult:
         """Append on the leader and replicate.
 
-        ``acks="all"`` replicates synchronously to every in-sync follower
-        and advances the high watermark before returning (the paper's
-        durability contract). ``acks="1"`` returns after the leader append;
-        the data is exposed only after a later replication round.
+        ``acks="all"`` returns with the batch owed to every in-sync
+        follower — none can be looked at, fail or lead before it holds the
+        batch — and the high watermark advanced (the paper's durability
+        contract). ``acks="1"`` returns after the leader append; the data
+        is exposed only after a later replication round.
         """
-        if acks == "all" and len(self.isr) < self.min_insync_replicas:
-            raise NotEnoughReplicasError(
-                f"{self.tp}: ISR {sorted(self.isr)} below min "
-                f"{self.min_insync_replicas}"
-            )
-        leader_log = self.leader_log()
-        result = leader_log.append_batch(batch)
         if acks == "all":
+            if len(self.isr) < self.min_insync_replicas:
+                raise NotEnoughReplicasError(
+                    f"{self.tp}: ISR {sorted(self.isr)} below min "
+                    f"{self.min_insync_replicas}"
+                )
+            result = self.leader_log().append_batch(batch)
             self.replicate()
-        return result
+            return result
+        # What is owed ends here: a later settle must not carry this batch
+        # to the followers, only a later replicate() may.
+        self._settle()
+        return self.leader_log().append_batch(batch)
 
     def append_marker(self, marker: Record) -> int:
         """Append a transaction marker on the leader and replicate it."""
@@ -210,19 +282,36 @@ class PartitionState:
         return offset
 
     def replicate(self) -> None:
-        """Follower fetch round: copy new leader records to in-sync
-        followers and advance the high watermark to min(ISR log ends)."""
+        """Follower fetch round: every in-sync follower holds the leader's
+        log up to its current end, and the high watermark says so.
+
+        A sync runs to the leader's end, so min(ISR log ends) is that end;
+        the copy itself waits for :meth:`_settle`, which takes the
+        followers' high watermark from the leader."""
         leader_log = self.leader_log()
-        hw = leader_log.log_end_offset
-        for broker_id in self.isr:
+        end = leader_log.log_end_offset
+        self._owed_end = end
+        if end > leader_log.high_watermark:
+            leader_log.high_watermark = end
+
+    def delete_records_before(self, offset: int) -> int:
+        """Purge records below ``offset`` on every replica (repartition-
+        topic cleanup); returns how many the leader removed."""
+        # Level first: a follower that misses a delete is reset and
+        # mirrored again from the leader's new log start.
+        self._settle()
+        removed = self.leader_log().delete_records_before(offset)
+        for broker_id, log in self._replicas.items():
             if broker_id != self.leader:
-                follower = self.replicas[broker_id]
-                self._sync_follower(follower, leader_log)
-                hw = min(hw, follower.log_end_offset)
-        if hw > leader_log.high_watermark:
-            leader_log.high_watermark = hw
-            for broker_id in self.isr:
-                self.replicas[broker_id].high_watermark = hw
+                log.delete_records_before(offset)
+        return removed
+
+    def compact(self) -> int:
+        """Compact the leader's log; returns how many records it removed."""
+        # Level first: followers take the batches as they were appended,
+        # never a suffix that compaction has already rewritten.
+        self._settle()
+        return compact_log(self.leader_log())
 
     @staticmethod
     def _sync_follower(follower: PartitionLog, leader_log: PartitionLog) -> None:

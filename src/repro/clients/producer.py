@@ -91,6 +91,8 @@ class Producer:
         self._routing_epoch = -1
         self._metadata_cache: Dict[str, TopicMetadata] = {}
         self._leader_cache: Dict[TopicPartition, int] = {}
+        # topic -> its TopicPartitions, indexed by partition number.
+        self._partition_table: Dict[str, List[TopicPartition]] = {}
         self._in_transaction = False
         self._txn_registered_partitions: set = set()
         # Partitions written this transaction but not yet registered with
@@ -278,6 +280,7 @@ class Producer:
         if epoch != self._routing_epoch:
             self._metadata_cache.clear()
             self._leader_cache.clear()
+            self._partition_table.clear()
             self._routing_epoch = epoch
 
     def _topic_metadata(self, topic: str) -> TopicMetadata:
@@ -313,31 +316,43 @@ class Producer:
         """
         if self._closed:
             raise KafkaError("producer is closed")
-        if self.transactional and not self._in_transaction:
+        in_transaction = self._in_transaction
+        if not in_transaction and self.config.transactional_id is not None:
             raise InvalidTxnStateError(
                 "transactional producers must send within a transaction"
             )
-        meta = self._topic_metadata(topic)
+        self._check_routing_epoch()
+        table = self._partition_table.get(topic)
+        if table is None:
+            table = self._partition_table[topic] = [
+                TopicPartition(topic, p)
+                for p in range(self._topic_metadata(topic).num_partitions)
+            ]
         if partition is None:
-            partition = partition_for(key, meta.num_partitions)
-        tp = TopicPartition(topic, partition)
-        if self._in_transaction and tp not in self._txn_registered_partitions:
+            tp = table[partition_for(key, len(table))]
+        elif 0 <= partition < len(table):
+            tp = table[partition]
+        else:
+            tp = TopicPartition(topic, partition)    # fails at leader lookup
+        if in_transaction and tp not in self._txn_registered_partitions:
             self._txn_unregistered.add(tp)
-        record_headers = dict(headers or {})
-        if self._tracer.enabled and TRACE_ID_HEADER not in record_headers:
+        record_headers = dict(headers) if headers else {}
+        tracer = self._tracer
+        if tracer.enabled and TRACE_ID_HEADER not in record_headers:
             # First send of a fresh record: root of its causal chain. Hops
             # (repartition, changelog, sink) keep the inherited id.
-            record_headers[TRACE_ID_HEADER] = self._tracer.new_trace_id()
+            record_headers[TRACE_ID_HEADER] = tracer.new_trace_id()
         bucket = self._pending.get(tp)
         if bucket is None:
             bucket = self._pending[tp] = _ColumnBuffer()
-        bucket.keys.append(key)
+        keys = bucket.keys
+        keys.append(key)
         bucket.values.append(value)
         bucket.timestamps.append(
             self._clock.now if timestamp is None else timestamp
         )
         bucket.headers.append(record_headers)
-        if len(bucket.keys) >= self.config.batch_max_records:
+        if len(keys) >= self.config.batch_max_records:
             self._register_pending_partitions()
             self._send_batch(tp, bucket)
             self._pending[tp] = _ColumnBuffer()
@@ -444,9 +459,7 @@ class Producer:
         # virtual clock, so recovery scheduled on timers — a broker
         # restart, a fault rule expiring — happens *during* the wait.
         deadline = self._clock.now + self.config.delivery_timeout_ms
-        backoff = ExponentialBackoff(
-            self.config.retry_backoff_ms, self.config.retry_backoff_max_ms
-        )
+        backoff: Optional[ExponentialBackoff] = None    # built on the first retry
         attempts = 0
         send_started = self._clock.now if self._tracer.enabled else 0.0
         try:
@@ -479,6 +492,11 @@ class Producer:
                     # Metadata refresh + backoff before the retry: the cached
                     # route is suspect even if the cluster epoch is unchanged.
                     self._leader_cache.pop(tp, None)
+                    if backoff is None:
+                        backoff = ExponentialBackoff(
+                            self.config.retry_backoff_ms,
+                            self.config.retry_backoff_max_ms,
+                        )
                     self._clock.advance(min(backoff.next_delay_ms(), remaining))
         except BaseException:
             # The failed buffer keeps its records, and so does every buffer

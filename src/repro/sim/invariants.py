@@ -103,7 +103,7 @@ class ReplicaConsistency(Invariant):
             for broker_id in state.isr:
                 if broker_id == state.leader:
                     continue
-                follower = state.replicas[broker_id]
+                follower = state.replica_log(broker_id)
                 if follower.log_end_offset < hw:
                     self._fail(
                         f"{tp}: in-sync replica {broker_id} ends at "

@@ -88,14 +88,30 @@ def test_produce_survives_leader_crash(cluster):
     assert [r.value for r in log.read(0)] == [1, 2]
 
 
+def test_follower_read_serves_every_acked_record(cluster):
+    """A fetch from a named in-sync replica is one of the moments a
+    follower is looked at: it is level with the leader by then."""
+    cluster.create_topic("t", 1)
+    tp = TopicPartition("t", 0)
+    for i in range(3):
+        cluster.handle_produce(tp, RecordBatch([Record(key="k", value=i)]))
+    state = cluster.partition_state(tp)
+    for follower in sorted(state.isr - {state.leader}):
+        served = cluster.handle_fetch(tp, 0, 100, "read_uncommitted", replica=follower)
+        assert served.values() == [0, 1, 2]
+        assert served.high_watermark == 3
+    assert cluster.metrics.counter("broker.follower_reads").value == 2
+
+
 def test_delete_records(cluster):
     cluster.create_topic("t", 1)
     tp = TopicPartition("t", 0)
     cluster.handle_produce(tp, RecordBatch([Record(key="k", value=i) for i in range(8)]))
     removed = cluster.delete_records(tp, 5)
     assert removed == 5
-    for log in cluster.partition_state(tp).replicas.values():
-        assert log.log_start_offset == 5
+    state = cluster.partition_state(tp)
+    for broker_id in cluster.brokers:
+        assert state.replica_log(broker_id).log_start_offset == 5
 
 
 def test_run_compaction_only_touches_compacted_topics(cluster):

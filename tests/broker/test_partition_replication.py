@@ -4,6 +4,7 @@ import pytest
 
 from repro.broker.partition import PartitionState, TopicPartition
 from repro.errors import NotEnoughReplicasError, NotLeaderError
+from repro.log.partition_log import PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
     COMMIT_MARKER,
@@ -24,9 +25,14 @@ def partition():
     )
 
 
+def logs(partition):
+    """Every replica's log as of now, in broker order."""
+    return [partition.replica_log(broker_id) for broker_id in (0, 1, 2)]
+
+
 def test_acks_all_replicates_to_all_and_advances_hw(partition):
     partition.append(batch(1, 2), acks="all")
-    for log in partition.replicas.values():
+    for log in logs(partition):
         assert log.log_end_offset == 2
         assert log.high_watermark == 2
 
@@ -35,10 +41,10 @@ def test_acks_one_defers_replication(partition):
     partition.append(batch(1), acks="1")
     assert partition.leader_log().log_end_offset == 1
     assert partition.leader_log().high_watermark == 0
-    assert partition.replicas[1].log_end_offset == 0
+    assert partition.replica_log(1).log_end_offset == 0
     partition.replicate()
     assert partition.leader_log().high_watermark == 1
-    assert partition.replicas[1].log_end_offset == 1
+    assert partition.replica_log(1).log_end_offset == 1
 
 
 def test_leader_failure_elects_in_sync_follower(partition):
@@ -74,7 +80,7 @@ def test_all_replicas_down_then_restart(partition):
     assert partition.leader == 2
     assert partition.isr == {1, 2}    # the waiting replica caught up
     assert [r.value for r in partition.leader_log().read(0)] == ["x"]
-    assert [r.value for r in partition.replicas[1].read(0)] == ["x"]
+    assert [r.value for r in partition.replica_log(1).read(0)] == ["x"]
 
 
 def test_unclean_candidate_never_leads(partition):
@@ -108,7 +114,7 @@ def test_restarted_broker_catches_up_and_rejoins_isr(partition):
     assert partition.isr == {0, 1}
     partition.on_broker_restart(2)
     assert partition.isr == {0, 1, 2}
-    assert partition.replicas[2].log_end_offset == 2
+    assert partition.replica_log(2).log_end_offset == 2
 
 
 def test_diverged_follower_truncates_on_rejoin(partition):
@@ -121,8 +127,8 @@ def test_diverged_follower_truncates_on_rejoin(partition):
     new_leader = partition.leader
     partition.append(batch("new-era"), acks="all")
     partition.on_broker_restart(0)
-    assert partition.replicas[0].log_end_offset == 2
-    values = [r.value for r in partition.replicas[0].read(0)]
+    assert partition.replica_log(0).log_end_offset == 2
+    values = [r.value for r in partition.replica_log(0).read(0)]
     assert values == ["both", "new-era"]
     assert new_leader == partition.leader
 
@@ -134,9 +140,9 @@ def test_follower_behind_purged_leader_resyncs(partition):
     partition.on_broker_failure(2)
     partition.append(batch(*range(10)), acks="all")
     partition.leader_log().delete_records_before(6)
-    partition.replicas[1].delete_records_before(6)
+    partition.replica_log(1).delete_records_before(6)
     partition.on_broker_restart(2)
-    follower = partition.replicas[2]
+    follower = partition.replica_log(2)
     assert follower.log_start_offset == 6
     assert [r.value for r in follower.read(6)] == [6, 7, 8, 9]
     assert 2 in partition.isr
@@ -182,7 +188,7 @@ def test_restarted_replica_forgets_transactions_it_aborted_while_diverged():
 
     partition.on_broker_restart(1)
 
-    leader, replica = partition.leader_log(), partition.replicas[1]
+    leader, replica = partition.leader_log(), partition.replica_log(1)
     assert replica.records() == leader.records()
     assert replica.aborted_transactions() == leader.aborted_transactions() == []
     assert replica.open_transactions() == leader.open_transactions() == {}
@@ -206,7 +212,7 @@ def test_sync_cost_is_proportional_to_the_suffix_not_the_producers(monkeypatch):
 
     for pid in range(64):
         partition.append(idempotent(pid, 0, "first"))
-    leader, follower = partition.leader_log(), partition.replicas[1]
+    leader, follower = partition.leader_log(), partition.replica_log(1)
     states = dict(follower._producers)
     held = list(follower._batches)
     assert len(states) == len(held) == 64
@@ -215,6 +221,8 @@ def test_sync_cost_is_proportional_to_the_suffix_not_the_producers(monkeypatch):
 
     partition.append(idempotent(7, 1, "second", "third"))
 
+    # Looking at the follower is what runs the sync the append owes.
+    assert partition.replica_log(1) is follower
     assert follower.records() == leader.records()
     for pid in set(range(64)) - {7}:
         assert follower._producers[pid] is states[pid]
@@ -227,3 +235,126 @@ def test_sync_cost_is_proportional_to_the_suffix_not_the_producers(monkeypatch):
     assert indexed == []
     # The metadata itself is immutable and shared, not copied.
     assert follower._producers[7].batches[-1] is leader._producers[7].batches[-1]
+
+
+# -- replication on demand ---------------------------------------------------------
+
+
+def test_acked_appends_sync_no_follower_until_one_is_looked_at(partition, monkeypatch):
+    """``replicate`` only notes the debt: N acknowledged appends and markers
+    run no follower sync; the first ``replica_log`` runs exactly one per
+    in-sync follower, over all N; the second has nothing left to do."""
+    mirrors = []
+    real = PartitionLog.replicate_mirror
+
+    def counted(self, source):
+        mirrors.append((self.name, source.log_end_offset - self.log_end_offset))
+        real(self, source)
+
+    monkeypatch.setattr(PartitionLog, "replicate_mirror", counted)
+
+    def txn(sequence, *values):
+        return RecordBatch(
+            [Record(key="k", value=v) for v in values],
+            producer_id=1, producer_epoch=0, base_sequence=sequence,
+            is_transactional=True,
+        )
+
+    for i in range(10):
+        partition.append(txn(2 * i, i, i), acks="all")
+        partition.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+    leader = partition.leader_log()
+    # Acknowledged means visible: the leader's watermarks do not wait.
+    assert leader.high_watermark == leader.last_stable_offset == 30
+    assert partition.watermarks().high_watermark == 30
+    assert mirrors == []
+
+    follower = partition.replica_log(1)
+    assert sorted(mirrors) == [("t-0@1", 30), ("t-0@2", 30)]
+    for log in (follower, partition._replicas[2]):
+        assert log.records() == leader.records()
+        assert log.high_watermark == log.last_stable_offset == 30
+
+    del mirrors[:]
+    assert partition.replica_log(1) is follower
+    assert partition.replica_log(2) is partition._replicas[2]
+    assert mirrors == []
+
+
+def test_append_behind_the_partitions_back_is_loud(partition):
+    """``leader_log()`` is the mutable leader log. Appending to it directly
+    while a sync is owed would hand the followers a record nobody
+    acknowledged; the next settle refuses, naming partition and offsets."""
+    partition.append(batch("acked"), acks="all")
+    partition.leader_log().append_batch(batch("smuggled", "in"))
+    with pytest.raises(RuntimeError, match=r"t-0.*offset 1\b.*ends at 3\b"):
+        partition.replica_log(1)
+    with pytest.raises(RuntimeError):
+        partition.on_broker_failure(0)
+
+
+def test_unreplicated_append_through_the_partition_is_not_over_replicated(partition):
+    partition.append(batch("acked"), acks="all")
+    partition.append(batch("leader-only"), acks="1")
+    assert [log.log_end_offset for log in logs(partition)] == [2, 1, 1]
+    assert partition.leader_log().high_watermark == 1
+    partition.replicate()
+    assert [log.log_end_offset for log in logs(partition)] == [2, 2, 2]
+    assert {log.high_watermark for log in logs(partition)} == {2}
+
+
+def test_leadership_transfer_hands_over_every_acked_record(partition):
+    """The new leader is settled before it leads."""
+    partition.append(batch("a", "b"), acks="all")
+    partition.transfer_leadership(2)
+    assert partition.leader == 2 and partition.isr == {0, 1, 2}
+    assert [r.value for r in partition.leader_log().read(0)] == ["a", "b"]
+    with pytest.raises(NotLeaderError):
+        partition.transfer_leadership(7)
+
+
+def test_leadership_transfer_cuts_the_old_leaders_unreplicated_suffix(partition):
+    """Behaviour change of the on-demand replication PR, not a restatement:
+    the old leader stays in the ISR, so what it never replicated (acks=1)
+    is cut at the transfer. Left in place, a later sync trims it only by
+    length, and a record the new leader never had sits below the high
+    watermark on an in-sync replica."""
+    partition.append(batch("a", "b"), acks="all")
+    partition.append(batch("leader-only"), acks="1")
+    partition.transfer_leadership(1)
+    assert partition.replica_log(0).log_end_offset == 2
+    partition.append(batch("c"), acks="all")
+    for log in logs(partition):
+        assert [r.value for r in log.read(0)] == ["a", "b", "c"]
+        assert log.high_watermark == 3
+
+
+def test_election_cuts_what_an_in_sync_follower_holds_past_the_new_leader(partition):
+    """The same behaviour change at a leader failure: a follower that
+    rejoins copies the leader's whole log, an unreplicated acks=1 suffix
+    included. If a shorter replica is then elected, that suffix is cut at
+    the election instead of being trimmed by length, append by append."""
+    partition.append(batch("acked"), acks="all")
+    partition.append(batch("leader-only", "leader-only"), acks="1")
+    partition.on_broker_failure(2)
+    partition.on_broker_restart(2)
+    assert partition.replica_log(2).log_end_offset == 3
+    partition.on_broker_failure(0)
+    assert partition.leader == 1 and partition.isr == {1, 2}
+    assert partition.replica_log(2).log_end_offset == 1
+    for value in ("x", "y", "z"):
+        partition.append(batch(value), acks="all")
+    for broker_id in (1, 2):
+        values = [r.value for r in partition.replica_log(broker_id).read(0)]
+        assert values == ["acked", "x", "y", "z"]
+
+
+def test_purge_and_compaction_reach_followers_that_were_behind(partition):
+    keyed = RecordBatch([Record(key=f"k{i % 2}", value=i) for i in range(6)])
+    partition.append(keyed, acks="all")
+    assert partition.delete_records_before(2) == 2
+    for log in logs(partition):
+        assert (log.log_start_offset, len(log)) == (2, 4)
+    assert partition.compact() == 2
+    # Compaction rewrites the leader only; followers keep what was appended.
+    assert [len(log) for log in logs(partition)] == [2, 4, 4]

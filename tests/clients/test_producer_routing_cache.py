@@ -14,6 +14,11 @@ from repro.clients.admin import AdminClient
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import ConsumerConfig, ProducerConfig
+from repro.errors import (
+    InvalidTxnStateError,
+    KafkaError,
+    UnknownTopicOrPartitionError,
+)
 from repro.sim.failures import FailureInjector
 from repro.util import partition_for
 
@@ -144,3 +149,86 @@ class TestRepartitionedTopic:
         AdminClient(fast_cluster).create_partitions(topic, 5)
         after = p._topic_metadata(topic).num_partitions
         assert (before, after) == (2, 5)
+
+
+class _Name(str):
+    """A str subclass hashes like the str it is."""
+
+
+class TestPartitionTable:
+    """``send`` routes through a per-topic list of ``TopicPartition``s,
+    rebuilt per routing epoch: every key must still land where
+    ``partition_for`` says."""
+
+    KEYS = (
+        [f"user-{i}" for i in range(200)]
+        + ["", "ünïcode-ключ", _Name("sub"), b"raw", 0, -7, 12345, True, None,
+           3.5, ("a", 1)]
+    )
+
+    def test_keys_land_where_partition_for_says_across_fig5_growth(
+        self, fast_cluster
+    ):
+        fast_cluster.create_topic("fig5", 4)
+        p = Producer(fast_cluster)
+
+        def send_all(count):
+            for key in self.KEYS:
+                tp = p.send("fig5", key=key, value=count)
+                assert tp == TopicPartition("fig5", partition_for(key, count)), key
+            p.flush()
+
+        send_all(4)
+        AdminClient(fast_cluster).create_partitions("fig5", 10)
+        send_all(10)
+        landed = [
+            log_values(fast_cluster, tp) for tp in fast_cluster.partitions_for("fig5")
+        ]
+        assert sum(len(values) for values in landed) == 2 * len(self.KEYS)
+        # Partitions 4..9 did not exist for the first round.
+        assert all(set(values) == {10} for values in landed[4:])
+
+    def test_table_follows_an_epoch_bump_seen_by_the_leader_cache_first(
+        self, fast_cluster, topic
+    ):
+        """``_leader_of`` and ``_topic_metadata`` advance the routing epoch
+        too: the table is dropped with it, wherever the bump is noticed."""
+        p = Producer(fast_cluster)
+        key = next(
+            k for k in (f"k{i}" for i in range(1000))
+            if partition_for(k, 2) != partition_for(k, 8)
+        )
+        p.send(topic, key=key, value=0)
+        AdminClient(fast_cluster).create_partitions(topic, 8)
+        p._leader_of(TopicPartition(topic, 0))      # notices the new epoch
+        assert p.send(topic, key=key, value=1).partition == partition_for(key, 8)
+
+    def test_explicit_partition_is_taken_as_given(self, fast_cluster, topic):
+        p = Producer(fast_cluster, ProducerConfig(retries=0))
+        assert p.send(topic, key="k", value=1, partition=1) == TopicPartition(topic, 1)
+        p.flush()
+        assert log_values(fast_cluster, TopicPartition(topic, 1)) == [1]
+        # Out of range: still a TopicPartition, refused at leader lookup.
+        for missing in (2, -1):
+            assert p.send(topic, key="k", value=2, partition=missing) == (
+                TopicPartition(topic, missing)
+            )
+            with pytest.raises(UnknownTopicOrPartitionError):
+                p.flush()
+            p._pending.clear()
+
+    def test_headers_are_copied_and_checks_survive(self, fast_cluster, topic):
+        headers = {"h": 1}
+        p = Producer(fast_cluster)
+        tp = p.send(topic, key="k", value=1, headers=headers)
+        headers["h"] = 2
+        p.flush()
+        stored = fast_cluster.partition_state(tp).leader_log().records()[0].headers
+        assert stored == {"h": 1}
+        p.close()
+        with pytest.raises(KafkaError):
+            p.send(topic, key="k", value=2)
+        t = Producer(fast_cluster, ProducerConfig(transactional_id="txn"))
+        t.init_transactions()
+        with pytest.raises(InvalidTxnStateError):
+            t.send(topic, key="k", value=3)

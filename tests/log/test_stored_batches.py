@@ -53,7 +53,7 @@ def write_and_read(partition, batch, marker) -> None:
     n = len(batch)
     partition.append(batch)                       # leader append + two syncs
     partition.append_marker(marker)
-    log = partition.replicas[2]
+    log = partition.replica_log(2)
     result = log.read_columnar(0, max_records=n - 1, filter_aborted=True)
     assert result.next_offset == n - 1
     assert result.keys() == batch.keys[:-1]
@@ -91,7 +91,7 @@ def test_followers_hold_the_leaders_stored_batches():
     partition.append_marker(control_marker(COMMIT_MARKER, 9, 0))
     leader = partition.leader_log()
     assert leader._batches[0].keys is batch.keys   # adopted, not copied
-    for follower in (partition.replicas[1], partition.replicas[2]):
+    for follower in (partition.replica_log(1), partition.replica_log(2)):
         assert len(follower._batches) == 2
         assert all(a is b for a, b in zip(follower._batches, leader._batches))
         # One materialization serves every replica.
@@ -101,7 +101,7 @@ def test_followers_hold_the_leaders_stored_batches():
 def test_cuts_inside_a_shared_batch_copy_instead_of_writing():
     partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1, 2])
     partition.append(slab(1000, key="same"))
-    leader, truncated, compacted = (partition.replicas[b] for b in (0, 1, 2))
+    leader, truncated, compacted = (partition.replica_log(b) for b in (0, 1, 2))
     shared = leader._batches[0]
     before = (list(shared.keys), list(shared.values), shared.base_offset, shared.end_offset)
 
@@ -170,7 +170,7 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
     below the log start would otherwise pile up for ever, and every
     read-committed fetch walks the index."""
     partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1])
-    leader, follower = partition.replicas[0], partition.replicas[1]
+    leader, follower = partition.replica_log(0), partition.replica_log(1)
     sequences = {1: 0, 2: 0}
     for round_ in range(20):
         for pid in (1, 2):
@@ -178,6 +178,8 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
             sequences[pid] += 3
             partition.append_marker(control_marker(ABORT_MARKER, pid, 0))
         purge_to = leader.log_end_offset - 4       # inside the last span
+        # Purging through the handles: the follower is brought level first.
+        assert partition.replica_log(1) is follower
         for log in (leader, follower):
             log.delete_records_before(purge_to)
             spans = log.aborted_transactions()
@@ -193,5 +195,6 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
     # And the follower still syncs by the "last k spans" rule.
     partition.append(slab(2, pid=1, sequence=sequences[1], transactional=True))
     partition.append_marker(control_marker(ABORT_MARKER, 1, 0))
+    assert partition.replica_log(1) is follower
     assert follower.aborted_transactions() == leader.aborted_transactions()
     assert follower._aborted_index == leader._aborted_index

@@ -1,5 +1,7 @@
-"""Property test: a follower sync costs O(batches in the suffix) but must
-leave the follower indistinguishable from the leader.
+"""Property tests: a follower sync costs O(batches in the suffix) but must
+leave the follower indistinguishable from the leader, and running it when
+a follower is looked at is indistinguishable from running it in every
+append (the twin run at the end of the file).
 
 ``PartitionLog.replicate_mirror`` takes the leader's missing stored batches
 by reference and only refreshes the producer ids that head them. Hypothesis
@@ -12,6 +14,7 @@ each sync compares everything a leader-to-be will be asked about.
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.partition import PartitionState, TopicPartition
+from repro.errors import KafkaError, NotLeaderError
 from repro.log.record import (
     ABORT_MARKER,
     COMMIT_MARKER,
@@ -163,7 +166,7 @@ def assert_follower_equals_leader(follower, leader, synced_from):
 @settings(max_examples=300, deadline=None)
 def test_follower_equals_leader_after_every_sync(ops):
     partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1])
-    leader, follower = partition.replicas[0], partition.replicas[1]
+    leader, follower = partition.replica_log(0), partition.replica_log(1)
     epochs = {pid: 0 for pid in range(1, 5)}
     synced_to = 0          # the follower is a prefix of the leader below this
     snapshot = None        # the follower as its last sync left it, if untouched
@@ -229,3 +232,205 @@ def test_follower_equals_leader_after_every_sync(ops):
         leader.append_batch(batch_for(leader, "idempotent", pid, epoch + 1, 2, "x"))
         leader.append_marker(control_marker(ABORT_MARKER, pid, epoch + 2))
     assert describe(follower) == snapshot
+
+
+# -- replication on demand: the twin run ------------------------------------------
+#
+# ``PartitionState.replicate`` only notes what the in-sync followers owe;
+# the copy runs when something looks at a follower or changes who is one.
+# One op sequence goes into two partitions: the code under test, which syncs
+# only where it decides to, and a reference whose ``replicate`` is the
+# copying round it replaced, so it never owes anything. Wherever a follower
+# can be observed, and at the end, the twins must be the same, and every
+# in-sync follower must hold what the leader has acknowledged.
+
+BROKERS = (0, 1, 2)
+BROKER = st.sampled_from(BROKERS)
+ACKS = st.sampled_from(["all", "all", "all", "1"])
+TWIN_KINDS = st.sampled_from(["plain", "idempotent", "transactional"])
+TWIN_OPS = st.one_of(
+    *[st.tuples(st.just("append"), ACKS, TWIN_KINDS, PIDS, SIZES)] * 6,
+    *[st.tuples(st.just("marker"), MARKERS, PIDS, st.booleans())] * 3,
+    st.tuples(st.just("replicate")),
+    st.tuples(st.just("bump"), PIDS),
+    st.tuples(st.just("delete"), FRACTION),
+    st.tuples(st.just("compact")),
+    *[st.tuples(st.just("crash"), BROKER)] * 2,
+    *[st.tuples(st.just("restart"), BROKER)] * 2,
+    st.tuples(st.just("transfer"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("read"), BROKER),
+    # Independent draws seldom leave an unreplicated suffix on a replica
+    # that then stops leading, or on one that rejoins: these do.
+    st.tuples(st.just("unreplicated, then"), st.just("transfer"), PIDS, SIZES),
+    st.tuples(st.just("unreplicated, then"), st.just("rejoin"), PIDS, SIZES, BROKER),
+)
+# The ops after which a follower's log may be looked at, frozen or promoted.
+OBSERVING = {"delete", "compact", "crash", "restart", "transfer", "read"}
+
+
+def twin_primitive(ops):
+    for op in ops:
+        if op[0] == "unreplicated, then":
+            _, then, pid, size, *broker = op
+            yield ("append", "1", "plain", pid, size)
+            if then == "transfer":
+                yield ("transfer", 0)
+            else:
+                yield ("crash", *broker)
+                yield ("restart", *broker)
+                yield ("crash", "leader")
+        else:
+            yield op
+
+
+class CopyingPartitionState(PartitionState):
+    """The reference: ``replicate`` as it was before the copy was deferred,
+    kept here so the twin run does not compare the code under test with
+    itself. Every in-sync follower is synced inside the call, so nothing
+    is ever owed and no settle point has work to do."""
+
+    def replicate(self):
+        leader_log = self.leader_log()
+        hw = leader_log.log_end_offset
+        for broker_id in self.isr:
+            if broker_id != self.leader:
+                follower = self._replicas[broker_id]
+                self._sync_follower(follower, leader_log)
+                hw = min(hw, follower.log_end_offset)
+        if hw > leader_log.high_watermark:
+            leader_log.high_watermark = hw
+            for broker_id in self.isr:
+                self._replicas[broker_id].high_watermark = hw
+
+
+def describe_partition(partition):
+    """The partition as it is, without looking through ``replica_log``."""
+    return {
+        "leader": partition.leader,
+        "isr": set(partition.isr),
+        "replicas": {
+            broker: {
+                **describe(log),
+                "start": log.log_start_offset,
+                "hw": log.high_watermark,
+                "lso": log.last_stable_offset,
+            }
+            for broker, log in partition._replicas.items()
+        },
+    }
+
+
+def assert_in_sync_followers_hold_the_acked_prefix(partition, compacted):
+    """Below the high watermark an in-sync follower is the leader's log.
+    Compaction rewrites the leader alone, so after one only the offsets
+    both still hold are compared."""
+    if partition.leader is None:
+        return
+    leader = partition.leader_log()
+    hw = leader.high_watermark
+    start = leader.log_start_offset
+    theirs = {r.offset: r for r in leader.read(start, up_to_offset=hw)}
+    for broker in partition.isr - {partition.leader}:
+        follower = partition._replicas[broker]
+        assert follower.high_watermark == hw <= follower.log_end_offset
+        assert follower.log_start_offset == start
+        assert follower.last_stable_offset == leader.last_stable_offset
+        mine = {r.offset: r for r in follower.read(start, up_to_offset=hw)}
+        if not compacted:
+            assert mine == theirs
+        assert all(mine[at] == theirs[at] for at in mine.keys() & theirs.keys())
+
+
+def apply(partition, op, batch):
+    """Run one op; what it returned, or the error it refused with."""
+    name, *args = op
+    try:
+        if name == "append":
+            result = partition.append(batch, acks=args[0])
+            return (result.base_offset, result.last_offset, result.duplicate)
+        if name == "marker":
+            return partition.append_marker(batch)
+        if name == "replicate":
+            return partition.replicate()
+        if name == "delete":
+            end = partition.leader_log().log_end_offset
+            return partition.delete_records_before(int(args[0] * end))
+        if name == "compact":
+            return partition.compact()
+        if name == "crash":
+            return partition.on_broker_failure(args[0])
+        if name == "restart":
+            return partition.on_broker_restart(args[0])
+        if name == "transfer":
+            candidates = sorted(partition.isr - {partition.leader})
+            if candidates:
+                partition.transfer_leadership(candidates[args[0] % len(candidates)])
+            return partition.leader
+        if name == "read":
+            log = partition.replica_log(args[0])
+            read = log.read_columnar(log.log_start_offset, filter_aborted=True)
+            return (read.offsets(), read.values(), read.next_offset)
+    except KafkaError as exc:
+        return type(exc)
+    raise AssertionError(f"unknown op {name}")
+
+
+@given(st.lists(TWIN_OPS, min_size=10, max_size=60))
+@settings(max_examples=300, deadline=None)
+def test_sync_on_demand_equals_sync_inside_every_append(ops):
+    def twin(cls):
+        return cls(
+            TopicPartition("t", 0), broker_ids=list(BROKERS), min_insync_replicas=2,
+            compacted=True,
+        )
+
+    lazy, eager = twin(PartitionState), twin(CopyingPartitionState)
+    epochs = {pid: 0 for pid in range(1, 5)}
+    down = set()
+    compacted = False
+    value = 0
+
+    def assert_twins_agree(op):
+        assert describe_partition(lazy) == describe_partition(eager), op
+        for partition in (lazy, eager):
+            assert_in_sync_followers_hold_the_acked_prefix(partition, compacted)
+
+    for op in twin_primitive(ops):
+        name, *args = op
+        batch = None
+        if name == "bump":
+            epochs[args[0]] += 1
+            continue
+        if args == ["leader"]:
+            if eager.leader is None:
+                continue
+            op, args = (name, eager.leader), [eager.leader]
+        if name in ("crash", "restart"):
+            # As the cluster does: only a live broker fails, only a dead
+            # one comes back.
+            if (args[0] in down) == (name == "crash"):
+                continue
+            down ^= {args[0]}
+        if eager.leader is not None:
+            # Both leaders hold the same log, so one batch suits both.
+            if name == "append":
+                _, kind, pid, size = args
+                value += 1
+                batch = batch_for(
+                    eager.leader_log(), kind, pid, epochs[pid], size, value % 5
+                )
+            elif name == "marker":
+                what, pid, bump = args
+                epochs[pid] += bump
+                batch = control_marker(what, pid, epochs[pid])
+        outcome = apply(lazy, op, batch)
+        assert outcome == apply(eager, op, batch), op
+        assert eager._owed_end is None
+        if name == "compact" and outcome not in (0, NotLeaderError):
+            compacted = True
+        if name in OBSERVING:
+            # Every in-sync follower is level after these: compare
+            # without looking.
+            assert_twins_agree(op)
+    lazy.replica_log(BROKERS[0])        # one look settles the partition
+    assert_twins_agree("end")

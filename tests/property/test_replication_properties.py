@@ -89,4 +89,4 @@ def test_isr_and_leader_invariants(steps):
         if partition.leader is not None:
             hw = partition.leader_log().high_watermark
             for broker_id in partition.isr:
-                assert partition.replicas[broker_id].log_end_offset >= hw
+                assert partition.replica_log(broker_id).log_end_offset >= hw

@@ -90,7 +90,7 @@ def test_replica_consistency_catches_divergence_below_hw(cluster):
     tp = TopicPartition("t", 0)
     state = cluster.partition_state(tp)
     follower_id = next(b for b in state.isr if b != state.leader)
-    follower = state.replicas[follower_id]
+    follower = state.replica_log(follower_id)
     # Replace (not mutate) the follower's copy: replicated stored batches
     # are shared with the leader, so in-place mutation corrupts both sides
     # identically and is invisible by construction.
