@@ -8,23 +8,45 @@ consumer's position still advances across markers and filtered spans.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import repeat
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
 from repro.clients.gray import GrayFailureDetector
 from repro.config import COOPERATIVE, READ_COMMITTED, ConsumerConfig
 from repro.errors import (
-    IllegalGenerationError,
     KafkaError,
     OffsetOutOfRangeError,
     RetriableError,
 )
 from repro.log.columnar import ColumnarBatch
-from repro.log.record import Record
 from repro.obs.stages import FETCHED_AT_HEADER
 from repro.util import ExponentialBackoff
+
+
+class ConsumerRecord(NamedTuple):
+    """One polled record: the fields Kafka's consumer record has.
+
+    ``topic`` / ``partition`` say where *this* consumer read it; ``headers``
+    is a client-owned copy of what the log holds, so on a Streams output it
+    still carries the upstream hop's lineage. Immutable. Producer id, epoch
+    and sequence are batch-level facts of the log and are not handed out.
+    """
+
+    topic: str
+    partition: int
+    offset: int
+    timestamp: float
+    key: Any
+    value: Any
+    headers: Dict[str, Any]
+
+
+#: ``ConsumerRecord._make`` in C: no Python frame per record and no length
+#: check (``poll`` zips exactly the seven fields).
+_consumer_record = partial(tuple.__new__, ConsumerRecord)
 
 
 class Consumer:
@@ -125,11 +147,17 @@ class Consumer:
         self._refresh_assignment()
 
     def assign(self, partitions: List[TopicPartition]) -> None:
-        """Manual assignment (no group membership)."""
+        """Manual assignment (no group membership).
+
+        The reset policy positions a partition that has no position now —
+        except ``auto_offset_reset="none"``: that one waits for ``seek``, and
+        the first ``poll()`` / ``position()`` without one raises.
+        """
         self._manual_assignment = True
         self._assignment = list(partitions)
-        for tp in partitions:
-            self._positions.setdefault(tp, self._reset_offset(tp))
+        if self.config.auto_offset_reset != "none":
+            for tp in partitions:
+                self.position(tp)
 
     def assignment(self) -> List[TopicPartition]:
         return list(self._assignment)
@@ -232,29 +260,28 @@ class Consumer:
 
     # -- polling ------------------------------------------------------------------------
 
-    def poll(self, max_records: Optional[int] = None) -> List[Record]:
+    def poll(self, max_records: Optional[int] = None) -> List[ConsumerRecord]:
         """Fetch the next visible records across assigned partitions.
 
         The scalar view of :meth:`poll_batches` for plain clients — the
-        one place fetched batches become client-owned ``Record`` copies.
+        one place fetched batches become client-owned records.
         """
-        out: List[Record] = []
+        out: List[ConsumerRecord] = []
         for batch in self.poll_batches(max_records):
-            # Client-owned records, built positionally straight from the
-            # columns (the log keeps no Record to copy): the origin headers
-            # must reflect *this* fetch, not any upstream hop.
-            origin = batch.origin
+            # The header dicts are copied (a client may mutate what it
+            # polled; the log's are shared with every replica) and nothing
+            # is added to them: origin is the two fields.
             out += map(
-                Record,
-                batch.keys(),
-                batch.values(),
-                batch.timestamps(),
-                [{**headers, **origin} for headers in batch.headers()],
-                batch.offsets(),
-                batch.producer_ids(),
-                batch.producer_epochs(),
-                batch.sequences(),
-                batch.transactional(),
+                _consumer_record,
+                zip(
+                    repeat(batch.topic),
+                    repeat(batch.partition),
+                    batch.offsets(),
+                    batch.timestamps(),
+                    batch.keys(),
+                    batch.values(),
+                    map(dict, batch.headers()),
+                ),
             )
         return out
 
@@ -271,6 +298,8 @@ class Consumer:
         """
         if self._closed:
             raise KafkaError("consumer is closed")
+        if max_records is not None and max_records < 1:
+            raise ValueError(f"max_records must be at least 1, got {max_records}")
         if self._member_id is not None and not self._manual_assignment:
             # Heartbeat piggybacks on poll (and is also a coordinator safe
             # point where deferred session evictions are applied).
@@ -278,7 +307,7 @@ class Consumer:
                 self.config.group_id, self._member_id
             )
         self._maybe_rejoin()
-        budget = max_records or self.config.max_poll_records
+        budget = self.config.max_poll_records if max_records is None else max_records
         out: List[ColumnarBatch] = []
         active = [tp for tp in self._assignment if tp not in self._paused]
         if not active:
@@ -377,8 +406,8 @@ class Consumer:
         self._positions[tp] = batch.next_offset
         self._note_fetch(tp, batch, fetch_started)
         # No per-record copies here: the batch view is read-only and origin
-        # metadata rides on the batch itself; whoever materializes records
-        # (poll, StreamTask.add_batch) merges it into their headers.
+        # metadata rides on the batch itself. ``poll`` hands out the two
+        # fields; ``StreamTask.add_batch`` merges ``origin`` into its headers.
         topic, partition = batch.topic, batch.partition = tp
         batch.origin = {"__topic": topic, "__partition": partition}
         if self._tracer.enabled:

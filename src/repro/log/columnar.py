@@ -128,12 +128,6 @@ class StoredBatch:
     def producer_id_column(self) -> List[int]:
         return [self.producer_id] * len(self.keys)
 
-    def producer_epoch_column(self) -> List[int]:
-        return [self.producer_epoch] * len(self.keys)
-
-    def transactional_column(self) -> List[bool]:
-        return [self.is_transactional] * len(self.keys)
-
     # -- copy-on-write ------------------------------------------------------------
 
     def _derive(self, pick: Callable[[Sequence], List[Any]]) -> "StoredBatch":
@@ -302,9 +296,9 @@ class ColumnarBatch(_BatchRun):
     ``next_offset`` can exceed the last returned record's offset + 1,
     because markers and aborted records are consumed position-wise but not
     returned; ``scanned`` counts those positions too. The consumer stamps
-    the origin ``topic`` / ``partition`` and ``origin`` — the headers
-    (routing, stage stamp) that whoever materializes records from the
-    batch merges into theirs — before handing the batch to the app.
+    the origin ``topic`` / ``partition`` and ``origin`` — the same two as
+    headers plus the stage stamp, which the Streams intake merges into each
+    record's — before handing the batch to the app.
     """
 
     __slots__ = (
@@ -375,15 +369,6 @@ class ColumnarBatch(_BatchRun):
 
     def producer_ids(self) -> List[int]:
         return self._gather(StoredBatch.producer_id_column)
-
-    def producer_epochs(self) -> List[int]:
-        return self._gather(StoredBatch.producer_epoch_column)
-
-    def sequences(self) -> List[int]:
-        return self._gather(StoredBatch.sequence_column)
-
-    def transactional(self) -> List[bool]:
-        return self._gather(StoredBatch.transactional_column)
 
     # -- lazy scalar view -------------------------------------------------------
 

@@ -42,8 +42,9 @@ from repro.mirror.netlink import InterClusterLink
 from repro.mirror.translation import OffsetTranslator
 from repro.obs.stages import FETCHED_AT_HEADER
 
-#: Headers the consumer stamps onto fetched records that describe *that*
-#: fetch, not the record — stripped before re-producing across a link.
+#: Headers that describe a fetch, not the record: the Streams intake merges
+#: them into what it processes, so a Streams output carries its upstream
+#: hop's in the log — stripped before re-producing across a link.
 _FETCH_HEADERS = ("__topic", "__partition", FETCHED_AT_HEADER)
 
 
@@ -194,9 +195,7 @@ class MirrorLink:
     def _mirror(self, records) -> int:
         by_tp: Dict[TopicPartition, List] = {}
         for record in records:
-            tp = TopicPartition(
-                record.headers["__topic"], record.headers["__partition"]
-            )
+            tp = TopicPartition(record.topic, record.partition)
             by_tp.setdefault(tp, []).append(record)
         bases: Dict[TopicPartition, int] = {
             tp: self.target.end_offset(tp, READ_UNCOMMITTED) for tp in by_tp

@@ -6,7 +6,7 @@ from repro.broker.partition import TopicPartition
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import READ_COMMITTED, ConsumerConfig
-from repro.errors import KafkaError
+from repro.errors import KafkaError, OffsetOutOfRangeError
 
 
 @pytest.fixture
@@ -48,7 +48,7 @@ class TestManualAssignment:
         c = Consumer(fast_cluster)
         c.assign(fast_cluster.partitions_for(topic))
         records = c.poll(max_records=10)
-        partitions = {r.headers["__partition"] for r in records}
+        partitions = {r.partition for r in records}
         assert partitions == {0, 1}
 
     def test_seek_and_position(self, fast_cluster, topic, producer):
@@ -88,19 +88,108 @@ class TestManualAssignment:
         produce(producer, topic, 0, "new")
         assert [r.value for r in c.poll()] == ["new"]
 
-    def test_headers_carry_origin(self, fast_cluster, topic, producer):
+    def test_topic_and_partition_are_the_origin(self, fast_cluster, topic, producer):
         produce(producer, topic, 1, "v")
         c = Consumer(fast_cluster)
         c.assign([TopicPartition(topic, 1)])
         record = c.poll()[0]
-        assert record.headers["__topic"] == topic
-        assert record.headers["__partition"] == 1
+        assert (record.topic, record.partition) == (topic, 1)
+        # The headers are the log's: the consumer adds nothing to them.
+        log = fast_cluster.partition_state(TopicPartition(topic, 1)).leader_log()
+        assert record.headers == log.records()[0].headers
 
     def test_end_offsets(self, fast_cluster, topic, producer):
         produce(producer, topic, 0, *range(4))
         c = Consumer(fast_cluster)
         tp = TopicPartition(topic, 0)
         assert c.end_offsets([tp])[tp] == 4
+
+    def test_polled_records_are_client_owned_and_immutable(
+        self, fast_cluster, topic, producer
+    ):
+        """Mutating a polled record's headers reaches neither the leader's
+        log, nor a replica's, nor another consumer; the record itself is
+        read-only."""
+        tp = TopicPartition(topic, 0)
+        producer.send(topic, key="k", value="v", headers={"h": 0}, partition=0)
+        producer.flush()
+        first = Consumer(fast_cluster)
+        first.assign([tp])
+        record = first.poll()[0]
+        original = dict(record.headers)
+        record.headers["x"] = 1
+        second = Consumer(fast_cluster)
+        second.assign([tp])
+        assert second.poll()[0].headers == original
+        state = fast_cluster.partition_state(tp)
+        assert state.leader_log().records()[0].headers == original
+        assert len(state.isr) == 3
+        for broker in state.isr:
+            assert state.replica_log(broker).records()[0].headers == original
+        with pytest.raises(AttributeError):
+            record.value = "w"
+        with pytest.raises(AttributeError):
+            record.headers = {}
+
+    @pytest.mark.parametrize("method", ["poll", "poll_batches"])
+    @pytest.mark.parametrize("max_records", [0, -1])
+    def test_max_records_below_one_is_rejected(
+        self, fast_cluster, topic, producer, method, max_records
+    ):
+        """``None`` is the only spelling of "the configured default": an
+        explicit 0 used to become ``max_poll_records`` silently."""
+        produce(producer, topic, 0, "v")
+        tp = TopicPartition(topic, 0)
+        c = Consumer(fast_cluster)
+        c.assign([tp])
+        with pytest.raises(ValueError, match=str(max_records)):
+            getattr(c, method)(max_records=max_records)
+        assert c.position(tp) == 0
+        assert [r.value for r in c.poll(max_records=1)] == ["v"]
+
+
+class TestResetPolicyNone:
+    """``auto_offset_reset="none"``: positions come from ``seek`` alone."""
+
+    @pytest.fixture
+    def consumer(self, fast_cluster, topic, producer):
+        produce(producer, topic, 0, *range(4))
+        return Consumer(fast_cluster, ConsumerConfig(auto_offset_reset="none"))
+
+    def test_seek_then_assign_then_poll(self, consumer, topic):
+        tp = TopicPartition(topic, 0)
+        consumer.seek(tp, 1)
+        consumer.assign([tp])
+        assert [r.value for r in consumer.poll()] == [1, 2, 3]
+
+    def test_assign_then_seek_then_poll(self, consumer, topic):
+        tp = TopicPartition(topic, 0)
+        consumer.assign([tp])
+        consumer.seek(tp, 2)
+        assert [r.value for r in consumer.poll()] == [2, 3]
+
+    def test_poll_without_a_position_raises(self, consumer, topic):
+        tp = TopicPartition(topic, 0)
+        consumer.assign([tp])
+        with pytest.raises(OffsetOutOfRangeError):
+            consumer.poll()
+        with pytest.raises(OffsetOutOfRangeError):
+            consumer.position(tp)
+
+    @pytest.mark.parametrize("policy", ["earliest", "latest", "none"])
+    def test_reassigning_a_positioned_partition_resolves_nothing(
+        self, fast_cluster, topic, producer, policy, monkeypatch
+    ):
+        produce(producer, topic, 0, *range(4))
+        tp = TopicPartition(topic, 0)
+        c = Consumer(fast_cluster, ConsumerConfig(auto_offset_reset=policy))
+        c.seek(tp, 3)
+        calls = []
+        monkeypatch.setattr(c, "_reset_offset", calls.append)
+        c.assign([tp])
+        c.assign([tp])
+        assert calls == []
+        assert [r.value for r in c.poll()] == [3]
 
 
 class TestGroups:

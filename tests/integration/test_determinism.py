@@ -71,7 +71,7 @@ def run_once(crash_round=None):
     # Committed output as (partition-ordered) sequences.
     by_partition = {}
     for record in records:
-        by_partition.setdefault(record.headers["__partition"], []).append(
+        by_partition.setdefault(record.partition, []).append(
             ((record.key.key, record.key.window.start), record.value)
         )
     return by_partition

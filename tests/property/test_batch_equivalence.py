@@ -137,7 +137,7 @@ def _run_topology(build, events, guarantee, partitions, table,
 def observe(cluster, app):
     """Committed output of both sink topics, and every task's state."""
     output = [
-        (r.key, r.value, r.timestamp, dict(r.headers), r.headers["__partition"])
+        (r.topic, r.partition, r.key, r.value, r.timestamp, dict(r.headers))
         for topic in ("output", "other")
         for r in drain_topic(cluster, topic)
     ]
@@ -430,7 +430,7 @@ def assert_equals_walk_and_fold(build, events, table=()):
     assert fastpath == len(events) + len(table)
     fold_out, fold_stores = reference_fold(build, events, table)
     assert [
-        (h["__topic"], k, v, ts) for k, v, ts, h, _ in out
+        (topic, k, v, ts) for topic, _, k, v, ts, _ in out
     ] == fold_out
     assert {
         name: data for (_, name), data in stores.items() if name in fold_stores
@@ -651,5 +651,5 @@ def test_speculative_app_below_an_aborting_upstream(events, aborts):
         aborts[number % len(aborts)] for number in range(transactions)
     )
     fold_out, fold_stores = reference_fold(build_reduce, committed)
-    assert [(h["__topic"], k, v, ts) for k, v, ts, h, _ in out] == fold_out
+    assert [(topic, k, v, ts) for topic, _, k, v, ts, _ in out] == fold_out
     assert {name: data for (_, name), data in stores.items()} == fold_stores

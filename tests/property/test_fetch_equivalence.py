@@ -9,14 +9,25 @@ interleaved open/committed/aborted transactions, control markers, and
 plain (non-transactional) records in batches of up to 16 (so a fetch
 starts and stops inside a stored batch), across all three isolation
 levels and arbitrary ``from_offset`` / ``max_records`` combinations.
+``Consumer.poll`` is held to the same standard one layer up: what it hands
+out is the log's own scalar view of each window plus the assignment.
 """
 
-from typing import List, NamedTuple
+from typing import List, NamedTuple, Optional
 
 from hypothesis import given, settings, strategies as st
 
+from repro.broker.cluster import Cluster
 from repro.broker.fetch import fetch
-from repro.config import READ_COMMITTED, READ_SPECULATIVE, READ_UNCOMMITTED
+from repro.broker.partition import TopicPartition
+from repro.clients import Consumer, ConsumerRecord
+from repro.config import (
+    READ_COMMITTED,
+    READ_SPECULATIVE,
+    READ_UNCOMMITTED,
+    BrokerConfig,
+    ConsumerConfig,
+)
 from repro.log.partition_log import PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
@@ -108,8 +119,9 @@ def log_scripts(draw):
     return steps
 
 
-def build_log(steps) -> PartitionLog:
-    log = PartitionLog("equiv")
+def build_log(steps, log: Optional[PartitionLog] = None) -> PartitionLog:
+    if log is None:
+        log = PartitionLog("equiv")
     seqs = {pid: 0 for pid in PIDS}
     value = 0
     for step in steps:
@@ -206,9 +218,54 @@ def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
         assert got.offsets() == [r.offset for r in want.records]
         assert got.headers() == [r.headers for r in want.records]
         assert got.producer_ids() == [r.producer_id for r in want.records]
-        assert got.producer_epochs() == [r.producer_epoch for r in want.records]
-        assert got.sequences() == [r.sequence for r in want.records]
-        assert got.transactional() == [r.is_transactional for r in want.records]
+        assert [
+            (r.producer_epoch, r.sequence, r.is_transactional) for r in got.records
+        ] == [
+            (r.producer_epoch, r.sequence, r.is_transactional) for r in want.records
+        ]
+
+
+@given(log_scripts(), st.data(), st.integers(min_value=1, max_value=21))
+@settings(max_examples=80, deadline=None)
+def test_poll_hands_out_the_logs_scalar_view(steps, data, max_records):
+    """Page by page, ``poll()`` returns the records ``fetch().records``
+    shows for the same window — offset, timestamp, key, value and headers
+    the log's, topic and partition the assignment's, never more than
+    ``max_records`` — over transactional logs with compaction holes, at
+    every isolation level, with pages that end inside a stored batch."""
+    cluster = Cluster(
+        num_brokers=1,
+        config=BrokerConfig(replication_factor=1, min_insync_replicas=1),
+        seed=7,
+    )
+    cluster.network.charge_latency = False
+    cluster.create_topic("equiv", 1)
+    tp = TopicPartition("equiv", 0)
+    log = build_log(steps, cluster.partition_state(tp).leader_log())
+    stable = log.last_stable_offset
+    if stable:
+        holes = data.draw(st.sets(st.integers(0, stable - 1)), label="compacted away")
+        log.retain_offsets(set(range(stable)) - holes, below=stable)
+    for isolation in ISOLATION_LEVELS:
+        consumer = Consumer(cluster, ConsumerConfig(isolation_level=isolation))
+        consumer.assign([tp])
+        position = 0
+        while True:
+            window = fetch(log, position, max_records, isolation)
+            polled = consumer.poll(max_records)
+            assert len(polled) <= max_records
+            assert all(type(record) is ConsumerRecord for record in polled)
+            assert [
+                (r.topic, r.partition, r.offset, r.timestamp, r.key, r.value, r.headers)
+                for r in polled
+            ] == [
+                ("equiv", 0, r.offset, r.timestamp, r.key, r.value, dict(r.headers))
+                for r in window.records
+            ], isolation
+            assert consumer.position(tp) == window.next_offset
+            if window.next_offset == position:
+                break
+            position = window.next_offset
 
 
 @given(log_scripts(), st.integers(min_value=1, max_value=21))

@@ -62,7 +62,7 @@ def tasks_of(app):
 
 def committed(cluster, topic="output"):
     return [
-        (r.headers["__partition"], r.key, r.value, r.timestamp)
+        (r.partition, r.key, r.value, r.timestamp)
         for r in drain_topic(cluster, topic)
     ]
 

@@ -7,7 +7,10 @@ Write-side intake of a scalar ``RecordBatch`` is the only legitimate
 per-record loop in these files and carries a ``# lint: allow-record-loop``
 marker on the loop line. On the write path the log stores the batches it
 is given, so ``Record(...)`` is constructed in ``repro/log`` only behind
-the lazy scalar view and by the marker factory.
+the lazy scalar view and by the marker factory. On the client side
+``Consumer.poll`` hands out ``ConsumerRecord``s built from the five columns
+a Kafka consumer can see; origin is the record's ``topic`` / ``partition``,
+and only the Streams intake still merges it into headers.
 """
 
 import ast
@@ -87,3 +90,84 @@ def test_the_log_builds_records_only_behind_the_scalar_view():
         site for path in (SRC / "log").glob("*.py") for site in record_constructions(path)
     }
     assert built == RECORD_BUILDERS
+
+
+# -- the client edge ------------------------------------------------------------
+
+
+def test_clients_neither_import_nor_build_the_log_record():
+    offenders = []
+    for path in sorted((SRC / "clients").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        offenders += record_constructions(path)
+        offenders += [
+            (path.name, f"import at line {node.lineno}")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name == "Record" for alias in node.names)
+        ]
+    assert not offenders
+
+
+# What a Kafka consumer can see of a fetched batch. Producer id, epoch,
+# sequence and the transactional flag are batch-level facts of the log.
+CLIENT_VISIBLE = {
+    "topic", "partition", "offsets", "timestamps", "keys", "values", "headers",
+}
+
+
+def test_poll_reads_only_the_client_visible_columns():
+    tree = ast.parse((SRC / "clients" / "consumer.py").read_text())
+    (consumer,) = [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Consumer"
+    ]
+    (poll,) = [
+        node for node in consumer.body
+        if isinstance(node, ast.FunctionDef) and node.name == "poll"
+    ]
+    read = {
+        node.attr
+        for node in ast.walk(poll)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "batch"
+    }
+    assert read == CLIENT_VISIBLE
+
+
+ORIGIN_HEADERS = ("__topic", "__partition")
+# Where the origin header names may be spelled at all (code, docstring or
+# comment): the consumer builds ``batch.origin``, the Streams intake merges
+# it per record, and a mirror strips it. Everyone else reads the fields.
+ORIGIN_HEADER_FILES = {
+    "clients/consumer.py",
+    "streams/runtime/task.py",
+    "streams/records.py",
+    "mirror/link.py",
+}
+
+
+def test_origin_headers_are_named_only_where_they_are_made_or_stripped():
+    named = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if any(header in path.read_text() for header in ORIGIN_HEADERS)
+    }
+    assert named == ORIGIN_HEADER_FILES
+    # ... and a mirror names them only in the tuple of headers it strips.
+    tree = ast.parse((SRC / "mirror" / "link.py").read_text())
+    (strip,) = [
+        node for node in tree.body
+        if isinstance(node, ast.Assign)
+        and [target.id for target in node.targets] == ["_FETCH_HEADERS"]
+    ]
+    assert origin_literals(tree) == origin_literals(strip) == list(ORIGIN_HEADERS)
+
+
+def origin_literals(tree):
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ORIGIN_HEADERS
+    ]
