@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import repeat
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
@@ -22,7 +22,6 @@ from repro.errors import (
     RetriableError,
 )
 from repro.log.columnar import ColumnarBatch
-from repro.obs.stages import FETCHED_AT_HEADER
 from repro.util import ExponentialBackoff
 
 
@@ -30,9 +29,10 @@ class ConsumerRecord(NamedTuple):
     """One polled record: the fields Kafka's consumer record has.
 
     ``topic`` / ``partition`` say where *this* consumer read it; ``headers``
-    is a client-owned copy of what the log holds, so on a Streams output it
-    still carries the upstream hop's lineage. Immutable. Producer id, epoch
-    and sequence are batch-level facts of the log and are not handed out.
+    is the mapping the log itself holds, shared with every replica and
+    every other reader and therefore read-only (``dict(record.headers)`` is
+    a copy to change). Immutable. Producer id, epoch and sequence are
+    batch-level facts of the log and are not handed out.
     """
 
     topic: str
@@ -41,7 +41,7 @@ class ConsumerRecord(NamedTuple):
     timestamp: float
     key: Any
     value: Any
-    headers: Dict[str, Any]
+    headers: Mapping[str, Any]
 
 
 #: ``ConsumerRecord._make`` in C: no Python frame per record and no length
@@ -67,11 +67,6 @@ class Consumer:
         # (repro.mirror.netlink) without knowing about regions itself.
         self._network = network if network is not None else cluster.network
         self._tracer = cluster.tracer
-        # Streams instances set this so fetched batches carry the
-        # `__t_fetched` stage stamp. Off for plain consumers — the
-        # verifier's final fetch must not overwrite the pipeline's stamp.
-        self.stage_stamping = False
-
         self._subscription: Tuple[str, ...] = ()
         self._assignment: List[TopicPartition] = []
         self._manual_assignment = False
@@ -263,14 +258,11 @@ class Consumer:
     def poll(self, max_records: Optional[int] = None) -> List[ConsumerRecord]:
         """Fetch the next visible records across assigned partitions.
 
-        The scalar view of :meth:`poll_batches` for plain clients — the
-        one place fetched batches become client-owned records.
+        The scalar view of :meth:`poll_batches` for plain clients: seven
+        fields zipped from the batch's columns, headers as the log holds them.
         """
         out: List[ConsumerRecord] = []
         for batch in self.poll_batches(max_records):
-            # The header dicts are copied (a client may mutate what it
-            # polled; the log's are shared with every replica) and nothing
-            # is added to them: origin is the two fields.
             out += map(
                 _consumer_record,
                 zip(
@@ -280,7 +272,7 @@ class Consumer:
                     batch.timestamps(),
                     batch.keys(),
                     batch.values(),
-                    map(dict, batch.headers()),
+                    batch.headers(),
                 ),
             )
         return out
@@ -405,18 +397,14 @@ class Consumer:
                 self.cluster.metrics.counter("consumer.hedged_fetches").increment()
         self._positions[tp] = batch.next_offset
         self._note_fetch(tp, batch, fetch_started)
-        # No per-record copies here: the batch view is read-only and origin
-        # metadata rides on the batch itself. ``poll`` hands out the two
-        # fields; ``StreamTask.add_batch`` merges ``origin`` into its headers.
+        # Nothing per record here: where and (traced) when the batch was
+        # fetched ride on the batch itself.
         topic, partition = batch.topic, batch.partition = tp
-        batch.origin = {"__topic": topic, "__partition": partition}
         if self._tracer.enabled:
-            now = self.cluster.clock.now
+            now = batch.fetched_at = self.cluster.clock.now
             self.cluster.metrics.histogram(
                 "fetch_latency_ms", topic=topic, partition=partition
             ).observe(now - fetch_started)
-            if self.stage_stamping:
-                batch.origin[FETCHED_AT_HEADER] = now
         return batch
 
     # -- lag bookkeeping --------------------------------------------------------------------

@@ -16,7 +16,7 @@ Reproduces the client-side behaviour of Sections 4.1–4.2:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.broker.cluster import Cluster, TopicMetadata
 from repro.broker.partition import TopicPartition
@@ -29,9 +29,12 @@ from repro.errors import (
     RetriableError,
 )
 from repro.log.columnar import ColumnarSlab
-from repro.log.record import NO_SEQUENCE
+from repro.log.record import NO_HEADERS, NO_SEQUENCE, FrozenHeaders
 from repro.obs.tracer import TRACE_ID_HEADER
 from repro.util import ExponentialBackoff, partition_for
+
+# "Every type in this iterable is FrozenHeaders", decided in C.
+_ALL_FROZEN = frozenset((FrozenHeaders,)).issuperset
 
 
 class _ColumnBuffer:
@@ -49,7 +52,7 @@ class _ColumnBuffer:
         self.keys: List[Any] = []
         self.values: List[Any] = []
         self.timestamps: List[float] = []
-        self.headers: List[Dict[str, Any]] = []
+        self.headers: List[Mapping[str, Any]] = []
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -308,11 +311,12 @@ class Producer:
         value: Any = None,
         timestamp: Optional[float] = None,
         partition: Optional[int] = None,
-        headers: Optional[Dict[str, Any]] = None,
+        headers: Optional[Mapping[str, Any]] = None,
     ) -> TopicPartition:
         """Buffer one record; batches flush when full or on ``flush()``.
 
-        Returns the destination partition.
+        ``headers`` are copied (see :class:`FrozenHeaders`); the caller's
+        dict stays the caller's. Returns the destination partition.
         """
         if self._closed:
             raise KafkaError("producer is closed")
@@ -336,12 +340,18 @@ class Producer:
             tp = TopicPartition(topic, partition)    # fails at leader lookup
         if in_transaction and tp not in self._txn_registered_partitions:
             self._txn_unregistered.add(tp)
-        record_headers = dict(headers) if headers else {}
         tracer = self._tracer
-        if tracer.enabled and TRACE_ID_HEADER not in record_headers:
+        if tracer.enabled and TRACE_ID_HEADER not in (headers or ()):
             # First send of a fresh record: root of its causal chain. Hops
             # (repartition, changelog, sink) keep the inherited id.
-            record_headers[TRACE_ID_HEADER] = tracer.new_trace_id()
+            headers = FrozenHeaders(
+                headers or (), **{TRACE_ID_HEADER: tracer.new_trace_id()}
+            )
+        elif not headers:
+            headers = NO_HEADERS
+        elif type(headers) is not FrozenHeaders:
+            # The one header copy in the system: the caller keeps its dict.
+            headers = FrozenHeaders(headers)
         bucket = self._pending.get(tp)
         if bucket is None:
             bucket = self._pending[tp] = _ColumnBuffer()
@@ -351,7 +361,7 @@ class Producer:
         bucket.timestamps.append(
             self._clock.now if timestamp is None else timestamp
         )
-        bucket.headers.append(record_headers)
+        bucket.headers.append(headers)
         if len(keys) >= self.config.batch_max_records:
             self._register_pending_partitions()
             self._send_batch(tp, bucket)
@@ -365,15 +375,16 @@ class Producer:
         keys: List[Any],
         values: List[Any],
         timestamps: List[float],
-        headers: List[Dict[str, Any]],
+        headers: List[Mapping[str, Any]],
     ) -> TopicPartition:
         """Bulk-buffer a column chunk for one explicit partition.
 
         The chunk-execution hot path lands here: sink and changelog chunks
         arrive as parallel columns and are appended by list extension —
         no per-record ``Record`` (or even per-record method call) exists
-        between the operator and the broker log. Header dicts are taken by
-        reference; callers hand over ownership.
+        between the operator and the broker log. A header column that
+        arrives frozen (forwarded from a poll or a chunk) is buffered by
+        reference — one C-level test per call; any other is copied.
         """
         if self._closed:
             raise KafkaError("producer is closed")
@@ -390,7 +401,10 @@ class Producer:
         bucket.keys.extend(keys)
         bucket.values.extend(values)
         bucket.timestamps.extend(timestamps)
-        bucket.headers.extend(headers)
+        bucket.headers.extend(
+            headers if _ALL_FROZEN(map(type, headers))
+            else map(FrozenHeaders, headers)
+        )
         if len(bucket.keys) >= self.config.batch_max_records:
             self._register_pending_partitions()
             self._send_batch(tp, bucket)
@@ -398,12 +412,15 @@ class Producer:
         return tp
 
     def flush(self) -> None:
-        """Send every buffered batch and await acknowledgements."""
+        """Send every buffered batch and await acknowledgements. A buffer
+        leaves ``_pending`` as it is acknowledged: left there by a later
+        failure, the next flush would send it again under fresh sequences."""
         self._register_pending_partitions()
-        for tp, bucket in list(self._pending.items()):
+        pending = self._pending
+        for tp, bucket in list(pending.items()):
             if bucket:
                 self._send_batch(tp, bucket)
-        self._pending.clear()
+            del pending[tp]
 
     def _register_pending_partitions(self) -> None:
         if not self._txn_unregistered:
@@ -499,13 +516,11 @@ class Producer:
                         )
                     self._clock.advance(min(backoff.next_delay_ms(), remaining))
         except BaseException:
-            # The failed buffer keeps its records, and so does every buffer
-            # an interrupted flush() already delivered — but the broker's
-            # log stores a delivered slab's lists as they are (this one's
-            # too, if only the ack was lost): whatever is buffered next
-            # must land on lists of the buffer's own.
-            for pending in self._pending.values():
-                pending.disown()
+            # The failed buffer keeps its records for the next attempt —
+            # but if only the ack was lost the broker's log stores this
+            # slab's lists as they are: whatever is buffered next must
+            # land on lists of the buffer's own.
+            bucket.disown()
             raise
         if base_sequence != NO_SEQUENCE:
             self._sequences[tp] = base_sequence + record_count

@@ -51,8 +51,6 @@ class BrokerConfig:
     transaction_log_partitions: int = 4
     offsets_topic_partitions: int = 4
     transaction_timeout_ms: float = 60_000.0
-    # How many records a replica fetches per replication round.
-    replica_fetch_max_records: int = 10_000
 
     def validate(self) -> None:
         if self.replication_factor < 1:
@@ -83,7 +81,6 @@ class ProducerConfig:
     retries: int = 2**31 - 1
     delivery_timeout_ms: float = 120_000.0
     batch_max_records: int = 500
-    linger_ms: float = 0.0
     transaction_timeout_ms: float = 60_000.0
     # How long a blocking call (e.g. CONCURRENT_TRANSACTIONS backoff in
     # add_partitions_to_txn) may wait before MaxBlockTimeoutError, and the
@@ -180,7 +177,6 @@ class StreamsConfig:
     application_id: str = "streams-app"
     processing_guarantee: str = AT_LEAST_ONCE
     commit_interval_ms: float = 100.0
-    num_stream_threads: int = 1
     max_poll_records: int = 500
     transaction_timeout_ms: float = 60_000.0
     # Group-membership session timeout for the instances' consumers: a
@@ -246,8 +242,6 @@ class StreamsConfig:
             )
         if self.commit_interval_ms <= 0:
             raise InvalidConfigError("commit_interval_ms must be > 0")
-        if self.num_stream_threads < 1:
-            raise InvalidConfigError("num_stream_threads must be >= 1")
         if not self.application_id:
             raise InvalidConfigError("application_id must be non-empty")
         if self.num_standby_replicas < 0:

@@ -12,7 +12,8 @@ columns; a per-record object exists only where a caller asks for one:
   transactional / control flags (Kafka's batch header). A stored batch is
   never mutated and never merged with a neighbour, so followers hold the
   leader's stored batches by reference; truncation, deletion and
-  compaction *inside* a batch build a new one from slices.
+  compaction *inside* a batch build a new one from slices. Its headers
+  (:class:`~repro.log.record.FrozenHeaders`) reach every reader as they are.
 
 * :class:`ColumnarBatch` — the fetch result: the run of stored batches
   visible at the fetch's isolation level (control batches and the batches
@@ -31,7 +32,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import Sequence
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Callable, Iterable, Iterator, List, Mapping, Optional
 
 from repro.log.record import NO_PRODUCER_ID, NO_SEQUENCE, Record
 
@@ -71,7 +72,7 @@ class StoredBatch:
         keys: List[Any],
         values: List[Any],
         timestamps: List[float],
-        headers: List[Dict[str, Any]],
+        headers: List[Mapping[str, Any]],
         producer_id: int = NO_PRODUCER_ID,
         producer_epoch: int = -1,
         base_sequence: int = NO_SEQUENCE,
@@ -291,14 +292,13 @@ class ColumnarBatch(_BatchRun):
     level, in offset order; its stored batches are the log's own and are
     immutable, so later truncation or compaction cannot corrupt the view.
     Every accessor returns a fresh list the caller owns (the *elements* —
-    keys, values, header dicts — are shared with the log).
+    keys, values, read-only header mappings — are shared with the log).
 
     ``next_offset`` can exceed the last returned record's offset + 1,
     because markers and aborted records are consumed position-wise but not
     returned; ``scanned`` counts those positions too. The consumer stamps
-    the origin ``topic`` / ``partition`` and ``origin`` — the same two as
-    headers plus the stage stamp, which the Streams intake merges into each
-    record's — before handing the batch to the app.
+    the origin ``topic`` / ``partition`` — and, traced, the virtual time
+    of the fetch as ``fetched_at`` — before handing the batch to the app.
     """
 
     __slots__ = (
@@ -308,7 +308,7 @@ class ColumnarBatch(_BatchRun):
         "last_stable_offset",
         "topic",
         "partition",
-        "origin",
+        "fetched_at",
         "_view",
     )
 
@@ -330,7 +330,7 @@ class ColumnarBatch(_BatchRun):
         self.last_stable_offset = last_stable_offset
         self.topic: Optional[str] = None
         self.partition: Optional[int] = None
-        self.origin: Optional[Dict[str, Any]] = None
+        self.fetched_at: Optional[float] = None
         self._view: Optional[RecordView] = None
 
     # -- size -------------------------------------------------------------------
@@ -360,8 +360,8 @@ class ColumnarBatch(_BatchRun):
     def timestamps(self) -> List[float]:
         return self._gather(_TIMESTAMPS)
 
-    def headers(self) -> List[Dict[str, Any]]:
-        """Raw (shared, not copied) header dicts of the valid records."""
+    def headers(self) -> List[Mapping[str, Any]]:
+        """The stored (shared, read-only) headers of the valid records."""
         return self._gather(_HEADERS)
 
     def offsets(self) -> List[int]:
@@ -414,7 +414,7 @@ class ColumnarSlab:
         keys: List[Any],
         values: List[Any],
         timestamps: List[float],
-        headers: List[Dict[str, Any]],
+        headers: List[Mapping[str, Any]],
         producer_id: int = NO_PRODUCER_ID,
         producer_epoch: int = -1,
         base_sequence: int = NO_SEQUENCE,

@@ -9,13 +9,42 @@ for transaction commit/abort markers (Section 4.2.2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Mapping, Optional
 
 NO_PRODUCER_ID = -1
 NO_SEQUENCE = -1
 
 COMMIT_MARKER = "commit"
 ABORT_MARKER = "abort"
+
+
+class FrozenHeaders(dict):
+    """Record headers as a log stores them: a ``dict`` that refuses writes.
+
+    The one ownership rule: headers are frozen exactly once, where a
+    producer takes them — ``Producer.send`` freezes a copy of the caller's
+    dict, ``send_columns`` keeps a column that arrives frozen and freezes a
+    copy of any other; the log's direct writers (coordinators, markers)
+    carry none — and that object is what the log, every replica, poll,
+    chunk, operator, sink and mirror share from then on. Reads, ``==``
+    against a plain dict and ``dict(headers)``, the caller's own mutable
+    copy, stay the C-level ``dict`` ones.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("record headers are read-only; change a dict(headers) copy")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):    # copy / pickle rebuild a dict subclass item by item
+        return FrozenHeaders, (dict(self),)
+
+
+#: The one shared empty instance: every record that has no headers.
+NO_HEADERS = FrozenHeaders()
 
 
 @dataclass(slots=True)
@@ -30,7 +59,7 @@ class Record:
     key: Any
     value: Any
     timestamp: float = -1.0
-    headers: Dict[str, Any] = field(default_factory=dict)
+    headers: Mapping[str, Any] = field(default_factory=lambda: NO_HEADERS)
     offset: int = -1
     producer_id: int = NO_PRODUCER_ID
     producer_epoch: int = -1

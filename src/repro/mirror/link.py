@@ -40,12 +40,6 @@ from repro.config import READ_COMMITTED, READ_UNCOMMITTED, ConsumerConfig, Produ
 from repro.errors import RetriableError
 from repro.mirror.netlink import InterClusterLink
 from repro.mirror.translation import OffsetTranslator
-from repro.obs.stages import FETCHED_AT_HEADER
-
-#: Headers that describe a fetch, not the record: the Streams intake merges
-#: them into what it processes, so a Streams output carries its upstream
-#: hop's in the log — stripped before re-producing across a link.
-_FETCH_HEADERS = ("__topic", "__partition", FETCHED_AT_HEADER)
 
 
 class MirrorLink:
@@ -202,17 +196,12 @@ class MirrorLink:
         }
         for tp, group in sorted(by_tp.items()):
             for record in group:
-                headers = {
-                    k: v
-                    for k, v in record.headers.items()
-                    if k not in _FETCH_HEADERS
-                }
                 self._producer.send(
                     tp.topic,
                     key=record.key,
                     value=record.value,
                     timestamp=record.timestamp,
-                    headers=headers,
+                    headers=record.headers,
                     partition=tp.partition,
                 )
         self._producer.flush()

@@ -8,7 +8,7 @@ telescoping virtual-time stamps in their headers, one per pipeline hop:
 header                    stamped by
 ========================  ======================================================
 ``created_at``            the workload generator, at produce time (existing)
-``__t_fetched``           the streams consumer, when the record's batch is fetched
+``__t_fetched``           the task, with the time its consumer fetched the batch
 ``__t_processed``         the task, when the record (or its chunk) is dequeued
 ``__t_emitted``           the task, when the result (or its chunk) goes to the sink
 (received)                the verifier/drain, when the committed result is read
@@ -36,10 +36,13 @@ record of a chunk shares one ``__t_processed`` and every record of a sink
 slab one ``__t_emitted``, which is when the virtual clock says they
 happened — the stamps still telescope per record.
 
-Stamping is gated twice: the consumer only stamps when its
-``stage_stamping`` flag is set (the streams instance sets it; the verifier
-consumer must not overwrite the stamps) and when the cluster tracer is
-enabled, so the hot path is untouched in non-traced runs.
+Stamps are added by copy, never in place (headers are read-only and
+shared, see ``FrozenHeaders``), and only when the cluster tracer is
+enabled: the consumer notes when it fetched a batch on the batch
+(``ColumnarBatch.fetched_at``, which only the Streams intake reads — a
+verifier's own fetch overwrites nothing), the task dispatching a chunk
+copies each record's headers with that value as ``__t_fetched`` plus
+``__t_processed``, and the sink copies them again with ``__t_emitted``.
 """
 
 from __future__ import annotations

@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a sim<->obs import cycle
 
 # Header key carrying the trace id through record hops (produce →
 # repartition → changelog → sink). Double-underscore prefixed like the
-# consumer's origin headers so it never collides with user headers.
+# stage stamps so it never collides with user headers.
 TRACE_ID_HEADER = "__trace_id"
 
 

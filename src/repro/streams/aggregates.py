@@ -74,7 +74,7 @@ class StreamAggregateProcessor(Processor):
                     key=key,
                     value=Change(new, old),
                     timestamp=record.timestamp,
-                    headers=dict(record.headers),
+                    headers=record.headers,
                 )
             )
 
@@ -137,14 +137,14 @@ class StreamAggregateProcessor(Processor):
             ColumnChunk(out_k, out_v, out_t, out_h, stream_times)
         )
 
-    def _emit(self, key: Any, new: Any, old: Any, timestamp: float, headers=None) -> None:
+    def _emit(self, key: Any, new: Any, old: Any, timestamp: float, headers) -> None:
         self._store.put(key, new)
         self.context.forward(
             StreamRecord(
                 key=key,
                 value=Change(new, old),
                 timestamp=timestamp,
-                headers=dict(headers or {}),
+                headers=headers,
             )
         )
 
@@ -314,11 +314,11 @@ class WindowedAggregateProcessor(Processor):
                     key=Windowed(key, window),
                     value=Change(new, old),
                     timestamp=record.timestamp,
-                    headers=dict(record.headers),
+                    headers=record.headers,
                 )
             )
 
-    def _emit_windowed(self, cache_key, new, old, timestamp: float, headers=None) -> None:
+    def _emit_windowed(self, cache_key, new, old, timestamp: float, headers) -> None:
         key, window_start = cache_key
         window = Window(window_start, window_start + self._windows.size_ms)
         self._store.put(key, window_start, new)
@@ -327,7 +327,7 @@ class WindowedAggregateProcessor(Processor):
                 key=Windowed(key, window),
                 value=Change(new, old),
                 timestamp=timestamp,
-                headers=dict(headers or {}),
+                headers=headers,
             )
         )
 

@@ -116,7 +116,7 @@ class StreamJoinSideProcessor(Processor):
                         key=record.key,
                         value=self._joiner(left_v, right_v),
                         timestamp=max(ts, other_ts),
-                        headers=dict(record.headers),
+                        headers=record.headers,
                     )
                 )
             if changed:

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Any, Dict, List, NamedTuple, Optional
+from typing import Any, List, Mapping, NamedTuple, Optional
+
+from repro.log.record import NO_HEADERS
 
 
 @dataclass(slots=True)
@@ -21,11 +23,11 @@ class StreamRecord:
     key: Any
     value: Any
     timestamp: float
-    headers: Dict[str, Any] = field(default_factory=dict)
+    headers: Mapping[str, Any] = field(default_factory=lambda: NO_HEADERS)
 
     # Direct construction, not ``dataclasses.replace``: a scalar operator
-    # makes one copy per record. The ``headers`` dict is shared with the
-    # original (it carries the source ``__topic`` / ``__partition``).
+    # makes one copy per record. ``headers`` — untraced, the very mapping
+    # the source log holds, read-only — is shared with the original.
 
     def with_kv(self, key: Any, value: Any) -> "StreamRecord":
         return StreamRecord(key, value, self.timestamp, self.headers)
@@ -55,9 +57,14 @@ class ColumnChunk:
     An operator that drops or multiplies positions (null keys, unmatched
     joins, late records, filters) fills the column in, because the records
     it did not forward advanced stream time all the same.
+
+    ``fetched_at``: traced, when a source chunk's batch was fetched (a
+    chunk never spans two).
     """
 
-    __slots__ = ("keys", "values", "timestamps", "headers", "stream_times")
+    __slots__ = (
+        "keys", "values", "timestamps", "headers", "stream_times", "fetched_at",
+    )
 
     def __init__(
         self,
@@ -66,12 +73,14 @@ class ColumnChunk:
         timestamps: list,
         headers: list,
         stream_times: Optional[list] = None,
+        fetched_at: Optional[float] = None,
     ) -> None:
         self.keys = keys
         self.values = values
         self.timestamps = timestamps
         self.headers = headers
         self.stream_times = stream_times
+        self.fetched_at = fetched_at
 
     def stream_times_from(self, stream_time: float) -> List[float]:
         """Per-position stream time, given the task's pre-chunk value

@@ -89,10 +89,6 @@ class StreamsInstance:
                 hedged_fetch=self.config.hedged_fetch,
             ),
         )
-        # The pipeline's own consumer stamps `__t_fetched` on fetched
-        # batches (when tracing is on) so e2e latency decomposes into
-        # stages; downstream verifier consumers leave the stamps alone.
-        self.consumer.stage_stamping = True
         self._tracer = self.cluster.tracer
         self._trace_pid = f"streams-{self.config.application_id}"
         self._trace_tid = f"instance-{instance_id}"

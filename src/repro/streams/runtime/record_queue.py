@@ -7,10 +7,10 @@ record choice the paper credits for Kafka Streams' determinism when
 multiple input streams feed one task (Section 7).
 
 A queue is a deque of :class:`ColumnCursor` (the parallel key / value /
-timestamp / header / offset columns of one fetched batch plus a read
-position), from which :meth:`PartitionGroup.next_chunk` slices the maximal
-run that a record-at-a-time choice would consume back-to-back from the
-same queue.
+timestamp / header / offset columns of one fetched batch, a read position
+and — traced — when the batch was fetched), from which
+:meth:`PartitionGroup.next_chunk` slices the maximal run that a
+record-at-a-time choice would consume back-to-back from the same queue.
 """
 
 from __future__ import annotations
@@ -25,14 +25,17 @@ from repro.streams.records import ColumnChunk
 class ColumnCursor:
     """One fetched batch as parallel columns plus a read position."""
 
-    __slots__ = ("keys", "values", "timestamps", "headers", "offsets", "pos")
+    __slots__ = (
+        "keys", "values", "timestamps", "headers", "offsets", "fetched_at", "pos",
+    )
 
-    def __init__(self, keys, values, timestamps, headers, offsets) -> None:
+    def __init__(self, keys, values, timestamps, headers, offsets, fetched_at=None):
         self.keys = keys
         self.values = values
         self.timestamps = timestamps
         self.headers = headers
         self.offsets = offsets
+        self.fetched_at = fetched_at
         self.pos = 0
 
     def remaining(self) -> int:
@@ -46,10 +49,12 @@ class RecordQueue:
         self.tp = tp
         self._cursors: Deque[ColumnCursor] = deque()
 
-    def push_columns(self, keys, values, timestamps, headers, offsets) -> None:
+    def push_columns(
+        self, keys, values, timestamps, headers, offsets, fetched_at=None
+    ) -> None:
         if keys:
             self._cursors.append(
-                ColumnCursor(keys, values, timestamps, headers, offsets)
+                ColumnCursor(keys, values, timestamps, headers, offsets, fetched_at)
             )
 
     def head_timestamp(self) -> Optional[float]:
@@ -77,8 +82,12 @@ class PartitionGroup:
             self._queues[self._order[0]] if len(self._order) == 1 else None
         )
 
-    def add_columns(self, tp, keys, values, timestamps, headers, offsets) -> None:
-        self._queues[tp].push_columns(keys, values, timestamps, headers, offsets)
+    def add_columns(
+        self, tp, keys, values, timestamps, headers, offsets, fetched_at=None
+    ) -> None:
+        self._queues[tp].push_columns(
+            keys, values, timestamps, headers, offsets, fetched_at
+        )
 
     def next_chunk(self) -> Optional[Tuple[TopicPartition, ColumnChunk, int]]:
         """Slice the next run of records as a column chunk: from the
@@ -102,7 +111,8 @@ class PartitionGroup:
                 return None
             cursor = single._cursors.popleft()
             chunk = ColumnChunk(
-                cursor.keys, cursor.values, cursor.timestamps, cursor.headers
+                cursor.keys, cursor.values, cursor.timestamps, cursor.headers,
+                fetched_at=cursor.fetched_at,
             )
             return single.tp, chunk, cursor.offsets[-1]
 
@@ -157,6 +167,7 @@ class PartitionGroup:
             cursor.values[start:end],
             timestamps[start:end],
             cursor.headers[start:end],
+            fetched_at=cursor.fetched_at,
         )
         last_offset = cursor.offsets[end - 1]
         if end == n:

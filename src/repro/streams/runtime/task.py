@@ -18,7 +18,12 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
 from repro.errors import RetriableError, TopologyError
-from repro.obs.stages import EMITTED_AT_HEADER, PROCESSED_AT_HEADER
+from repro.log.record import NO_HEADERS, FrozenHeaders
+from repro.obs.stages import (
+    EMITTED_AT_HEADER,
+    FETCHED_AT_HEADER,
+    PROCESSED_AT_HEADER,
+)
 from repro.obs.tracer import TRACE_ID_HEADER
 from repro.streams.processor import (
     PUNCTUATION_STREAM_TIME,
@@ -324,7 +329,7 @@ class StreamTask:
                 [key for key, _ in items],
                 [value for _, value in items],
                 [timestamp] * len(items),
-                [{} for _ in items],
+                [NO_HEADERS] * len(items),
             )
 
         return on_update_many
@@ -347,15 +352,12 @@ class StreamTask:
 
     def add_batch(self, tp: TopicPartition, batch) -> None:
         """Intake a fetched :class:`~repro.log.columnar.ColumnarBatch`:
-        its columns are enqueued as-is, plus the batch's origin —
-        ``__topic`` / ``__partition`` routing headers and, in a traced run,
-        the ``__t_fetched`` stage stamp — merged per record (the only
-        per-record allocation).
+        its columns are enqueued as they are and, in a traced run, when it
+        was fetched rides along for the ``__t_fetched`` stage stamp.
         """
         count = batch.valid_count
         if count == 0:
             return
-        origin = batch.origin
         if self._track_speculation:
             # Producers that never open a transaction are tracked too,
             # and always resolve clean: only transactional appends enter
@@ -372,8 +374,9 @@ class StreamTask:
             batch.keys(),
             batch.values(),
             batch.timestamps(),
-            [{**h, **origin} for h in batch.headers()],
+            batch.headers(),
             batch.offsets(),
+            batch.fetched_at,
         )
 
     def buffered(self) -> int:
@@ -431,6 +434,7 @@ class StreamTask:
                     chunk.values[start:end],
                     chunk.timestamps[start:end],
                     chunk.headers[start:end],
+                    fetched_at=chunk.fetched_at,
                 )
             self._dispatch(tp, children, part)
             self._punctuate(PUNCTUATION_STREAM_TIME, self.stream_time)
@@ -448,12 +452,15 @@ class StreamTask:
                   chunk: ColumnChunk) -> None:
         """Run one chunk through the graph, then publish its stream time.
         Traced, one span covers the chunk (listing the trace ids it
-        carried) and every record takes the same ``__t_processed`` stamp."""
+        carried) and every record travels on with a stamped, frozen *copy*
+        of its headers: its batch's ``__t_fetched`` and one ``__t_processed``."""
         max_ts = self._chunk_max_ts = max(chunk.timestamps)
         if self._tracer.enabled:
-            now = self.cluster.clock.now
-            for headers in chunk.headers:
-                headers[PROCESSED_AT_HEADER] = now
+            stamps = {PROCESSED_AT_HEADER: self.cluster.clock.now}
+            if chunk.fetched_at is not None:
+                stamps[FETCHED_AT_HEADER] = chunk.fetched_at
+            stamped = [FrozenHeaders(h, **stamps) for h in chunk.headers]
+            chunk = ColumnChunk(chunk.keys, chunk.values, chunk.timestamps, stamped)
             with self._tracer.begin(
                 "task.process_chunk",
                 self._trace_pid,

@@ -80,7 +80,7 @@ class SessionAggregateProcessor(Processor):
                     key=Windowed(key, session_window(start, end)),
                     value=Change(None, old_agg),
                     timestamp=ts,
-                    headers=dict(record.headers),
+                    headers=record.headers,
                 )
             )
         if len(touching) > 1:
@@ -96,7 +96,7 @@ class SessionAggregateProcessor(Processor):
                 key=Windowed(key, session_window(merged_start, merged_end)),
                 value=Change(aggregate, None),
                 timestamp=ts,
-                headers=dict(record.headers),
+                headers=record.headers,
             )
         )
         self._expire(expiry_bound)

@@ -11,10 +11,12 @@ network I/O (Section 6.2).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Mapping, Optional, Tuple
+
+from repro.log.record import NO_HEADERS
 
 # emit(key, new_value, old_value, timestamp, headers)
-EmitFn = Callable[[Any, Any, Any, float, Dict[str, Any]], None]
+EmitFn = Callable[[Any, Any, Any, float, Mapping[str, Any]], None]
 
 
 class StoreCache:
@@ -31,7 +33,7 @@ class StoreCache:
         self.max_entries = max_entries
         self._emit = emit
         # key -> (new_value, old_value, timestamp, headers)
-        self._dirty: "OrderedDict[Any, Tuple[Any, Any, float, dict]]" = OrderedDict()
+        self._dirty: "OrderedDict[Any, Tuple[Any, Any, float, Mapping]]" = OrderedDict()
         self.hits = 0
         self.evictions = 0
         self.flushes = 0
@@ -53,7 +55,7 @@ class StoreCache:
         new_value: Any,
         old_value: Any,
         timestamp: float,
-        headers: Optional[Dict[str, Any]] = None,
+        headers: Mapping[str, Any] = NO_HEADERS,
     ) -> None:
         """Buffer an update; consolidates with any pending one for the key.
 
@@ -63,7 +65,7 @@ class StoreCache:
         pending = self._dirty.pop(key, None)
         if pending is not None:
             old_value = pending[1]     # keep the pre-run old value
-        self._dirty[key] = (new_value, old_value, timestamp, dict(headers or {}))
+        self._dirty[key] = (new_value, old_value, timestamp, headers)
         if len(self._dirty) > self.max_entries:
             evict_key, (val, old, ts, hdrs) = self._dirty.popitem(last=False)
             self.evictions += 1

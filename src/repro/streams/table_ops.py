@@ -222,6 +222,6 @@ class TableAggregateProcessor(Processor):
                 key=key,
                 value=Change(agg, old_agg),
                 timestamp=record.timestamp,
-                headers=dict(record.headers),
+                headers=record.headers,
             )
         )

@@ -1,5 +1,8 @@
 """Consumer client: assignment, polling, positions, group rebalancing."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.broker.partition import TopicPartition
@@ -107,25 +110,56 @@ class TestManualAssignment:
     def test_polled_records_are_client_owned_and_immutable(
         self, fast_cluster, topic, producer
     ):
-        """Mutating a polled record's headers reaches neither the leader's
-        log, nor a replica's, nor another consumer; the record itself is
-        read-only."""
+        """A polled record's headers are the log's own mapping, so every
+        write through them raises — nothing can reach the leader's log, a
+        replica's or another consumer — while a ``dict()`` copy is the
+        caller's to change, and so is the dict the caller passed to
+        ``send()``. The record itself is read-only."""
         tp = TopicPartition(topic, 0)
-        producer.send(topic, key="k", value="v", headers={"h": 0}, partition=0)
+        sent = {"h": 0}
+        producer.send(topic, key="k", value="v", headers=sent, partition=0)
+        sent["h"] = 1                               # still the caller's dict
         producer.flush()
+        sent["late"] = True
         first = Consumer(fast_cluster)
         first.assign([tp])
         record = first.poll()[0]
-        original = dict(record.headers)
-        record.headers["x"] = 1
+        original = {"h": 0}
+        assert record.headers == original
+        with pytest.raises(TypeError):
+            record.headers["x"] = 1
+        with pytest.raises(TypeError):
+            del record.headers["h"]
+        for write in (
+            lambda h: h.update(x=1),
+            lambda h: h.pop("h"),
+            lambda h: h.popitem(),
+            lambda h: h.clear(),
+            lambda h: h.setdefault("x", 1),
+            lambda h: h.__ior__({"x": 1}),
+        ):
+            with pytest.raises(TypeError):
+                write(record.headers)
+        mine = dict(record.headers)
+        mine["x"] = 1                               # a copy is the caller's
+        for duplicate in (
+            copy.copy,
+            copy.deepcopy,
+            lambda r: pickle.loads(pickle.dumps(r)),
+        ):
+            twin = duplicate(record)                # ... a frozen one stays frozen
+            assert twin == record and type(twin.headers) is type(record.headers)
         second = Consumer(fast_cluster)
         second.assign([tp])
-        assert second.poll()[0].headers == original
         state = fast_cluster.partition_state(tp)
-        assert state.leader_log().records()[0].headers == original
         assert len(state.isr) == 3
+        stored = state.leader_log().records()[0].headers
+        assert stored == original
+        # One object, shared: what was polled (twice), what the leader and
+        # every replica hold.
+        assert second.poll()[0].headers is record.headers is stored
         for broker in state.isr:
-            assert state.replica_log(broker).records()[0].headers == original
+            assert state.replica_log(broker).records()[0].headers is stored
         with pytest.raises(AttributeError):
             record.value = "w"
         with pytest.raises(AttributeError):

@@ -127,6 +127,31 @@ class TestIdempotence:
         assert [batch.values for batch in stored] == [["delivered"], ["ack lost"]]
         assert [log._batches[0] for log in logs] == stored
 
+    def test_partial_flush_failure_does_not_resend_delivered_partitions(
+        self, fast_cluster, topic
+    ):
+        """A flush that fails for good on one partition has still delivered
+        the ones before it: they leave the buffer as they are acknowledged,
+        so the next flush sends only what is owed — no delivered record is
+        sent again under a fresh sequence number."""
+        injector = FailureInjector(fast_cluster)
+        p = Producer(fast_cluster, ProducerConfig(retries=1))
+        tps = [TopicPartition(topic, n) for n in (0, 1)]
+        leaders = [fast_cluster.leader_of(tp) for tp in tps]
+        assert leaders[0] != leaders[1]
+        p.send(topic, key="k", value=1, partition=0)
+        p.send(topic, key="k", value=1, partition=1)
+        injector.drop_next_produce_request(count=50, broker_id=leaders[1])
+        with pytest.raises(RequestTimeoutError):
+            p.flush()
+        fast_cluster.network.clear_faults()
+        p.send(topic, key="k", value=2, partition=0)
+        p.send(topic, key="k", value=2, partition=1)
+        p.flush()
+        for tp in tps:
+            records = fast_cluster.partition_state(tp).leader_log().records()
+            assert [(r.value, r.sequence) for r in records] == [(1, 0), (2, 1)]
+
     def test_sequences_per_partition(self, fast_cluster, topic):
         p = Producer(fast_cluster)
         for i in range(3):

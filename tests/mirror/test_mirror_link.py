@@ -13,6 +13,7 @@ from repro.config import (
 from repro.errors import RequestTimeoutError
 from repro.metrics.latency import CREATED_AT_HEADER
 from repro.mirror import Federation, InterClusterLink, MirrorLink
+from repro.sim.failures import FailureInjector
 from repro.sim.invariants import MirrorPrefixEquality, committed_records
 
 
@@ -61,6 +62,31 @@ class TestReplication:
         fed.run_until_idle()
         invariant.check(None, final=True)
         assert mirror.drained()
+
+    def test_failed_target_flush_duplicates_nothing(self):
+        """The target-side producer is idempotent, not transactional: when
+        its flush gives up on one partition, what it already delivered to
+        the other must not be sent again with the next batch."""
+        fed = make_federation()
+        east, west = fed.cluster("east"), fed.cluster("west")
+        mirror = fed.add_mirror("east", "west", ["orders"])
+        tps = [TopicPartition("orders", n) for n in (0, 1)]
+        leaders = [west.leader_of(tp) for tp in tps]
+        assert leaders[0] != leaders[1]
+        produce(east, 0, 10)
+        FailureInjector(west).drop_next_produce_request(
+            count=10**6, broker_id=leaders[1]
+        )
+        with pytest.raises(RequestTimeoutError):
+            mirror.poll()              # partition 0 delivered, 1 timed out
+        west.network.clear_faults()
+        produce(east, 10, 20)
+        fed.run_until_idle()
+        for tp in tps:
+            source = east.partition_state(tp).leader_log().records()
+            target = west.partition_state(tp).leader_log().records()
+            assert [r.value for r in target] == [r.value for r in source]
+            assert [r.sequence for r in target] == list(range(len(target)))
 
     def test_aborted_records_never_cross_the_link(self):
         """Read-committed source fetch: an aborted transaction's records

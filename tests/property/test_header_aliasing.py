@@ -1,0 +1,210 @@
+"""Headers are frozen once, where a producer takes them, and shared ever after.
+
+Records with drawn header dicts enter a source topic through both producer
+entry points (``send`` copies the caller's dict, ``send_columns`` hands a
+column of them over), are polled both ways, run through a pass-through and
+a reduce (a scalar operator on the way tries to write into what it is
+handed), land in a sink and a changelog, cross a ``MirrorLink`` into a
+second cluster and are read back from a follower there. Afterwards:
+
+* every header mapping reachable from any log of either cluster is frozen
+  (a write through it raises ``TypeError``);
+* nothing between ``Producer.send`` and the last reader built another one:
+  the pass-through's sink, the reduce's sink and every mirrored log hold the
+  *same objects* as the source log, which are what ``poll`` and
+  ``poll_batches`` hand out;
+* their contents are the drawn dicts, and the dicts the caller kept are
+  still the caller's — changing them afterwards reaches nothing.
+
+Traced, the task and the sink stamp copies — frozen ones: an operator's
+write raises all the same, and the source log's objects carry no stamp.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.broker.partition import TopicPartition
+from repro.clients.consumer import Consumer
+from repro.clients.producer import Producer
+from repro.config import EXACTLY_ONCE, StreamsConfig
+from repro.log.record import NO_HEADERS, FrozenHeaders
+from repro.mirror import Federation
+from repro.streams import KafkaStreams, StreamsBuilder
+from repro.streams.processor import Processor
+
+from tests.streams.harness import drain_topic, stored_headers
+
+TOPICS = ("in", "copy", "out")
+
+header_dicts = st.dictionaries(
+    st.sampled_from(["a", "b", "created_at", "trace"]),
+    st.one_of(st.integers(-3, 3), st.text(max_size=3), st.floats(0.0, 9.0)),
+    max_size=3,
+)
+# One record: (key, its headers, whether it goes through send_columns).
+records = st.lists(
+    st.tuples(st.sampled_from(["k0", "k1", "k2"]), header_dicts, st.booleans()),
+    min_size=1,
+    max_size=24,
+)
+
+
+class WritesToHeaders(Processor):
+    """A pass-through that tries to write into what it was handed."""
+
+    refused = 0
+
+    def process(self, record):
+        with pytest.raises(TypeError):
+            record.headers["seen"] = True
+        WritesToHeaders.refused += 1
+        self.context.forward(record)
+
+
+def build_topology():
+    builder = StreamsBuilder()
+    stream = builder.stream("in")
+    stream.process(WritesToHeaders).to("copy")
+    (
+        stream.group_by_key()
+        .reduce(lambda latest, value: value, store_name="latest")
+        .to_stream()
+        .to("out")
+    )
+    return builder.build()
+
+
+def produce(cluster, drawn):
+    """Record ``i`` carries value ``i``; returns the dicts handed in."""
+    producer = Producer(cluster)
+    handed = []
+    for i, (key, headers, columnar) in enumerate(drawn):
+        mine = dict(headers)
+        handed.append(mine)
+        if columnar:
+            producer.send_columns("in", 0, [key], [i], [float(i)], [mine])
+        else:
+            producer.send("in", key=key, value=i, timestamp=float(i),
+                          partition=0, headers=mine)
+    producer.flush()
+    return handed
+
+
+def run(drawn, traced=False):
+    """Produce ``drawn`` in the east, run the topology and the mirror to
+    idle; returns both clusters and the dicts the producer was handed."""
+    fed = Federation(regions=("east", "west"), seed=7, charge_latency=False)
+    east, west = fed.cluster("east"), fed.cluster("west")
+    if traced:
+        east.enable_tracing()
+    for topic in TOPICS:
+        east.create_topic(topic, 1)
+    fed.add_mirror("east", "west", TOPICS)
+    app = KafkaStreams(
+        build_topology(),
+        east,
+        StreamsConfig(
+            application_id="alias",
+            processing_guarantee=EXACTLY_ONCE,
+            commit_interval_ms=20.0,
+        ),
+    )
+    fed.register(app)
+    app.start(1)
+    WritesToHeaders.refused = 0
+    handed = produce(east, drawn)
+    fed.run_until_idle()
+    east.clock.advance(50.0)
+    fed.run_until_idle()
+    assert WritesToHeaders.refused == len(drawn)     # inside ``process`` too
+    return east, west, handed
+
+
+@settings(max_examples=15, deadline=None)
+@given(drawn=records)
+def test_every_reader_shares_the_headers_the_source_log_holds(drawn):
+    east, west, handed = run(drawn)
+
+    # What the source log holds: frozen, equal to what was drawn, whichever way in.
+    source = east.partition_state(TopicPartition("in", 0)).leader_log()
+    frozen = [record.headers for record in source.records()]
+    assert frozen == [headers for _, headers, _ in drawn]
+
+    # The caller's dicts are still the caller's; nothing they do reaches it.
+    for mine in handed:
+        mine["x"] = "mutated after send"
+        assert type(mine) is dict
+    assert frozen == [headers for _, headers, _ in drawn]
+
+    # poll and poll_batches hand out those very objects ...
+    polled = drain_topic(east, "in")
+    consumer = Consumer(east)
+    consumer.assign([TopicPartition("in", 0)])
+    (batch,) = consumer.poll_batches(max_records=100)
+    for got in ([r.headers for r in polled], batch.headers(),
+                [r.headers for r in batch.records]):
+        assert len(got) == len(frozen)
+        assert all(a is b for a, b in zip(got, frozen))
+
+    # ... and so do the sinks (value ``i`` names the input record), on both
+    # clusters, leader and follower alike. (``send`` — the mirror's way in —
+    # stores every empty mapping as the one shared empty.)
+    def same(headers, original):
+        return headers is original or (not original and headers is NO_HEADERS)
+
+    for cluster in (east, west):
+        for topic in ("copy", "out"):
+            state = cluster.partition_state(TopicPartition(topic, 0))
+            follower = next(b for b in sorted(state.isr) if b != state.leader)
+            for log in (state.leader_log(), state.replica_log(follower)):
+                outputs = [r for r in log.records() if not r.is_control]
+                assert len(outputs) == len(drawn)
+                assert all(same(r.headers, frozen[r.value]) for r in outputs)
+    mirrored = west.partition_state(TopicPartition("in", 0)).leader_log()
+    assert all(
+        same(record.headers, original)
+        for record, original in zip(mirrored.records(), frozen, strict=True)
+    )
+    changelog = east.partition_state(
+        TopicPartition("alias-latest-changelog", 0)
+    ).leader_log()
+    assert [r.headers for r in changelog.records() if not r.is_control]
+    assert all(r.headers is NO_HEADERS for r in changelog.records())
+
+    # By type, everywhere: data, changelog, offsets, transaction log, mirror
+    # checkpoints — a producer froze them, or the writer carried none.
+    for cluster in (east, west):
+        everything = list(stored_headers(cluster))
+        assert everything
+        assert {type(h) for h in everything} == {FrozenHeaders}
+    with pytest.raises(TypeError):
+        polled[0].headers["x"] = 1
+    with pytest.raises(TypeError):
+        mirrored.records()[0].headers.update(x=1)
+
+
+def unstamped(headers):
+    return {k: v for k, v in headers.items() if not k.startswith("__")}
+
+
+@settings(max_examples=5, deadline=None)
+@given(drawn=records)
+def test_a_traced_run_stamps_frozen_copies(drawn):
+    """Tracing must not change what a program may do: the stamped headers
+    an operator sees refuse writes like the log's own (checked inside
+    ``run``), everything stored is frozen, and the source log's objects —
+    shared with every other reader — were stamped by copy, not in place."""
+    east, west, _ = run(drawn, traced=True)
+    originals = [headers for _, headers, _ in drawn]
+    source = east.partition_state(TopicPartition("in", 0)).leader_log()
+    assert [unstamped(r.headers) for r in source.records()] == originals
+    assert not [k for r in source.records() for k in r.headers if k.startswith("__t_")]
+    for cluster in (east, west):
+        assert {type(h) for h in stored_headers(cluster)} == {FrozenHeaders}
+        for topic in ("copy", "out"):
+            log = cluster.partition_state(TopicPartition(topic, 0)).leader_log()
+            outputs = [r for r in log.records() if not r.is_control]
+            assert len(outputs) == len(drawn)
+            for record in outputs:
+                assert unstamped(record.headers) == originals[record.value]
+                assert {"__t_fetched", "__t_processed", "__t_emitted"} <= set(record.headers)

@@ -19,6 +19,7 @@ from repro.config import (
     ProducerConfig,
     StreamsConfig,
 )
+from repro.log.record import FrozenHeaders
 from repro.sim.chaos import ChaosConfig, ChaosController
 from repro.sim.invariants import (
     ChangelogStateEquivalence,
@@ -30,7 +31,13 @@ from repro.sim.invariants import (
 )
 from repro.streams import KafkaStreams, StreamsBuilder
 
-from tests.streams.harness import Ticker, drain_topic, latest_by_key, make_cluster
+from tests.streams.harness import (
+    Ticker,
+    drain_topic,
+    latest_by_key,
+    make_cluster,
+    stored_headers,
+)
 
 CATEGORIES = ["a", "b", "c", "d", "e"]
 
@@ -149,6 +156,19 @@ def test_different_seeds_different_timelines(golden):
     _, _, chaos_a, _ = run_chaos(seed=11, golden=golden)
     _, _, chaos_b, _ = run_chaos(seed=12, golden=golden)
     assert chaos_a.timeline != chaos_b.timeline
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_every_stored_header_is_frozen_after_chaos(golden, trace):
+    """Crashes, elections, truncations, restores and retried produces
+    later, every header mapping of every stored batch of every replica is
+    a ``FrozenHeaders``: every writer went through a producer or carried
+    none. Untraced, sink slabs hold the source log's own objects; traced,
+    freshly stamped dicts that ``send_columns`` freezes by copy."""
+    cluster, _, chaos, _ = run_chaos(seed=11, golden=golden, trace=trace)
+    assert chaos.faults_injected > 0
+    headers = list(stored_headers(cluster))
+    assert headers and {type(h) for h in headers} == {FrozenHeaders}
 
 
 @pytest.mark.chaos

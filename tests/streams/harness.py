@@ -46,6 +46,18 @@ def drain_topic(cluster: Cluster, topic: str, read_committed: bool = True):
         records.extend(batch)
 
 
+def stored_headers(cluster: Cluster):
+    """Every header mapping of every stored batch of every replica of
+    every partition, internal topics included — straight off the stored
+    batches, so a writer that bypassed the log's append path shows."""
+    for state in cluster.partition_states().values():
+        if state.leader is not None:
+            state.replica_log(state.leader)     # pay any owed follower sync
+        for log in state._replicas.values():
+            for batch in log._batches:
+                yield from batch.headers
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

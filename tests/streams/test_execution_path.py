@@ -102,6 +102,33 @@ def test_stage_stamps_survive_chunk_execution():
     assert tracker.stage_sum_ms() == pytest.approx(tracker.mean_ms())
 
 
+def test_stage_stamps_are_copies_and_the_input_log_keeps_its_headers():
+    """Traced, a record is stamped by copy: the input log's header objects
+    — shared with every other reader — are as the producer sent them, and
+    the stamped output reaches the sink log frozen like anyone else's."""
+    cluster = make_cluster(input=1, output=1)
+    cluster.enable_tracing()
+    app = start(cluster, build_reduce())
+    producer = Producer(cluster)
+    for i in range(10):
+        producer.send("input", key="a", value=1, timestamp=float(i),
+                      headers={CREATED_AT_HEADER: 0.0})
+    producer.flush()
+    before = [dict(r.headers) for r in drain_topic(cluster, "input")]
+    app.run_until_idle()
+    cluster.clock.advance(50.0)
+    app.run_until_idle()
+    inputs = drain_topic(cluster, "input")
+    assert [r.headers for r in inputs] == before
+    assert not [h for r in inputs for h in r.headers if h.startswith("__t_")]
+    outputs = drain_topic(cluster, "output")
+    assert len(outputs) == 10
+    for record in outputs:
+        assert {"__t_fetched", "__t_processed", "__t_emitted"} <= set(record.headers)
+        with pytest.raises(TypeError):
+            record.headers["__t_processed"] = 0.0
+
+
 def test_untraced_chunks_carry_no_stage_stamps():
     cluster = make_cluster(input=1, output=1)
     app = start(cluster, build_reduce())

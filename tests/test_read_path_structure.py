@@ -9,8 +9,10 @@ marker on the loop line. On the write path the log stores the batches it
 is given, so ``Record(...)`` is constructed in ``repro/log`` only behind
 the lazy scalar view and by the marker factory. On the client side
 ``Consumer.poll`` hands out ``ConsumerRecord``s built from the five columns
-a Kafka consumer can see; origin is the record's ``topic`` / ``partition``,
-and only the Streams intake still merges it into headers.
+a Kafka consumer can see; origin is the record's ``topic`` / ``partition``.
+Headers are frozen once, where a producer takes them, and shared from then
+on: no log, reader, intake, operator hop, sink or mirror builds, copies or
+merges a header mapping per record in an untraced run.
 """
 
 import ast
@@ -64,8 +66,9 @@ def test_broker_fetch_is_loop_free():
 RECORD_BUILDERS = {("columnar.py", "StoredBatch.records"), ("record.py", "control_marker")}
 
 
-def record_constructions(path):
-    """(file, enclosing qualified name) of every ``Record(...)`` call."""
+def sites(path, matches):
+    """Enclosing qualified name (``Class.method``, ``""`` at module level)
+    of every node of ``path`` that ``matches``."""
     found = []
 
     def visit(node, scope):
@@ -73,16 +76,25 @@ def record_constructions(path):
             inner = scope
             if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
                 inner = scope + [child.name]
-            if (
-                isinstance(child, ast.Call)
-                and isinstance(child.func, ast.Name)
-                and child.func.id == "Record"
-            ):
-                found.append((path.name, ".".join(scope)))
+            if matches(child):
+                found.append(".".join(scope))
             visit(child, inner)
 
     visit(ast.parse(path.read_text()), [])
     return found
+
+
+def record_constructions(path):
+    """(file, enclosing qualified name) of every ``Record(...)`` call."""
+    return [
+        (path.name, scope)
+        for scope in sites(
+            path,
+            lambda node: isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "Record",
+        )
+    ]
 
 
 def test_the_log_builds_records_only_behind_the_scalar_view():
@@ -116,16 +128,20 @@ CLIENT_VISIBLE = {
 }
 
 
+def function(relative, qualified):
+    """The ``ast.FunctionDef`` of ``Class.method`` in ``SRC / relative``."""
+    node = ast.parse((SRC / relative).read_text())
+    for name in qualified.split("."):
+        (node,) = [
+            child for child in node.body
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef))
+            and child.name == name
+        ]
+    return node
+
+
 def test_poll_reads_only_the_client_visible_columns():
-    tree = ast.parse((SRC / "clients" / "consumer.py").read_text())
-    (consumer,) = [
-        node for node in tree.body
-        if isinstance(node, ast.ClassDef) and node.name == "Consumer"
-    ]
-    (poll,) = [
-        node for node in consumer.body
-        if isinstance(node, ast.FunctionDef) and node.name == "poll"
-    ]
+    poll = function("clients/consumer.py", "Consumer.poll")
     read = {
         node.attr
         for node in ast.walk(poll)
@@ -137,37 +153,126 @@ def test_poll_reads_only_the_client_visible_columns():
 
 
 ORIGIN_HEADERS = ("__topic", "__partition")
-# Where the origin header names may be spelled at all (code, docstring or
-# comment): the consumer builds ``batch.origin``, the Streams intake merges
-# it per record, and a mirror strips it. Everyone else reads the fields.
-ORIGIN_HEADER_FILES = {
-    "clients/consumer.py",
-    "streams/runtime/task.py",
-    "streams/records.py",
-    "mirror/link.py",
-}
 
 
 def test_origin_headers_are_named_only_where_they_are_made_or_stripped():
+    """Nothing makes them and nothing strips them any more — where a
+    record was read is ``record.topic`` / ``record.partition`` — so they
+    are named nowhere: not in code, a docstring or a comment."""
     named = {
         path.relative_to(SRC).as_posix()
         for path in SRC.rglob("*.py")
         if any(header in path.read_text() for header in ORIGIN_HEADERS)
     }
-    assert named == ORIGIN_HEADER_FILES
-    # ... and a mirror names them only in the tuple of headers it strips.
-    tree = ast.parse((SRC / "mirror" / "link.py").read_text())
-    (strip,) = [
-        node for node in tree.body
-        if isinstance(node, ast.Assign)
-        and [target.id for target in node.targets] == ["_FETCH_HEADERS"]
-    ]
-    assert origin_literals(tree) == origin_literals(strip) == list(ORIGIN_HEADERS)
+    assert named == set()
 
 
-def origin_literals(tree):
-    return [
-        node.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and node.value in ORIGIN_HEADERS
+# -- headers: frozen once, shared by reference ever after --------------------------
+
+
+def is_traced_branch(node) -> bool:
+    """``if self._tracer.enabled:`` (or ``tracer.enabled``)."""
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Attribute)
+        and node.test.attr == "enabled"
+    )
+
+
+def untraced(node):
+    """Every node of ``node`` outside the bodies of its traced branches."""
+    for child in ast.iter_child_nodes(node):
+        if is_traced_branch(node) and child in node.body:
+            continue
+        yield child
+        yield from untraced(child)
+
+
+def mentions_headers(node) -> bool:
+    return any(
+        (isinstance(n, ast.Name) and n.id == "headers")
+        or (isinstance(n, ast.Attribute) and n.attr == "headers")
+        for n in ast.walk(node)
+    )
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def header_mappings_built(nodes):
+    """Line numbers where a header mapping is built, copied or merged: a
+    non-empty dict display, any use of the name ``dict`` (a call, or
+    ``map(dict, ...)``), a comprehension that iterates over headers."""
+    found = []
+    for node in nodes:
+        if (
+            (isinstance(node, ast.Dict) and node.values)
+            or (isinstance(node, ast.Name) and node.id == "dict")
+            or (
+                isinstance(node, COMPREHENSIONS)
+                and any(mentions_headers(g.iter) for g in node.generators)
+            )
+        ):
+            found.append(node.lineno)
+    return found
+
+
+# Every hop between ``Producer.send`` and the caller of ``poll()`` /
+# ``poll_batches()`` that used to build one header dict per record.
+HEADER_HOPS = [
+    ("log/partition_log.py", "PartitionLog._adopt"),
+    ("clients/consumer.py", "Consumer.poll"),
+    ("streams/runtime/task.py", "StreamTask.add_batch"),
+    ("streams/runtime/task.py", "StreamTask._dispatch"),
+    ("streams/runtime/task.py", "StreamTask._send_chunk_to_sink"),
+    ("mirror/link.py", "MirrorLink._mirror"),
+]
+
+
+def test_no_hop_builds_a_header_mapping_in_an_untraced_run():
+    offenders = {
+        (relative, qualified): lines
+        for relative, qualified in HEADER_HOPS
+        if (lines := header_mappings_built(untraced(function(relative, qualified))))
+    }
+    assert not offenders
+    # The guard sees what it guards against: traced, the task stamps by
+    # copy — one merged dict per record at dispatch, one at the sink.
+    for qualified in ("StreamTask._dispatch", "StreamTask._send_chunk_to_sink"):
+        task = function("streams/runtime/task.py", qualified)
+        assert header_mappings_built(ast.walk(task))
+
+
+def name_sites(name):
+    """(file, enclosing qualified name) of every use of the bare name
+    ``name`` anywhere in ``src`` (imports are not uses)."""
+    return {
+        (path.relative_to(SRC).as_posix(), scope)
+        for path in SRC.rglob("*.py")
+        for scope in sites(
+            path, lambda node: isinstance(node, ast.Name) and node.id == name
+        )
+    }
+
+
+def test_headers_are_frozen_where_a_producer_takes_them():
+    """``FrozenHeaders`` is constructed at the producer's two entry points
+    — ``send`` has to copy the caller's dict anyway, ``send_columns`` tests
+    a column per call (``_ALL_FROZEN``, at module level) and copies the
+    exceptions — and, traced only, where a task stamps a chunk. The log
+    adopts what it is given; everyone else shares what those made."""
+    assert name_sites("FrozenHeaders") == {
+        ("log/record.py", ""),                      # NO_HEADERS
+        ("log/record.py", "FrozenHeaders.__reduce__"),
+        ("clients/producer.py", ""),                # _ALL_FROZEN
+        ("clients/producer.py", "Producer.send"),
+        ("clients/producer.py", "Producer.send_columns"),
+        ("streams/runtime/task.py", "StreamTask._dispatch"),
+    }
+    # ... in ``_dispatch`` only under ``tracer.enabled``, and nowhere in the
+    # log: its direct writers (coordinators, markers) carry no headers.
+    dispatch = function("streams/runtime/task.py", "StreamTask._dispatch")
+    assert not [
+        node for node in untraced(dispatch)
+        if isinstance(node, ast.Name) and node.id == "FrozenHeaders"
     ]
