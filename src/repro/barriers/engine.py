@@ -241,12 +241,11 @@ class BarrierEngine:
         the object store, rewind the source, re-register the sink's
         transactional id (fencing/aborting the dangling transaction)."""
         rec = self.cluster.recovery
-        if rec is not None:
-            # The supervisor noticing the dead job and handing it back its
-            # slot is both the detection and the realignment for a
-            # single-job engine.
-            rec.note_detection("barrier_supervisor", job=self.job_name)
-            rec.note_realign("barrier_recover", job=self.job_name)
+        # The supervisor noticing the dead job and handing it back its
+        # slot is both the detection and the realignment for a
+        # single-job engine.
+        rec.note_detection("barrier_supervisor", job=self.job_name)
+        rec.note_realign("barrier_recover", job=self.job_name)
         self.producer.init_transactions()
         self.alive = True
         if not self.completed_checkpoints:
@@ -254,9 +253,8 @@ class BarrierEngine:
             self._dirty = set()
             for tp in self.consumer.assignment():
                 self.consumer.seek_to_beginning(tp)
-            if rec is not None:
-                rec.note_restore("barrier", records=0, complete=True,
-                                 job=self.job_name)
+            rec.note_restore("barrier", records=0, complete=True,
+                             job=self.job_name)
             return None
         latest = self.completed_checkpoints[-1]
         self.state = dict(self.store.get(latest.state_path))
@@ -266,7 +264,6 @@ class BarrierEngine:
         self._next_checkpoint_at = self.clock.now + self.checkpoint_interval_ms
         self._checkpoint_due = False
         self._arm_checkpoint_timer()
-        if rec is not None:
-            rec.note_restore("barrier", records=len(self.state), complete=True,
-                             job=self.job_name)
+        rec.note_restore("barrier", records=len(self.state), complete=True,
+                         job=self.job_name)
         return latest.checkpoint_id

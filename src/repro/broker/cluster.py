@@ -34,9 +34,14 @@ from repro.log.columnar import ColumnarBatch
 from repro.log.partition_log import AppendResult
 from repro.log.record import RecordBatch
 from repro.metrics.registry import MetricsRegistry
+from repro.obs.recovery import NO_RECOVERY
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
 from repro.sim.network import Network, NetworkCosts
+
+# How many partitions each coordinator's own log is spread over.
+OFFSETS_TOPIC_PARTITIONS = 4
+TRANSACTION_LOG_PARTITIONS = 4
 
 
 @dataclass
@@ -100,10 +105,9 @@ class Cluster:
         # Bumped whenever routing facts change (leadership, partition
         # counts); clients key their metadata/leader caches on it.
         self._metadata_epoch = 0
-        # Optional RecoveryTracker (repro.obs.recovery). Components feed
-        # it recovery milestones with the same cheap guarded idiom as the
-        # tracer: ``rec = cluster.recovery; if rec is not None: ...``.
-        self.recovery = None
+        # Where components note recovery milestones; a RecoveryTracker
+        # (repro.obs.recovery) puts itself here with ``install()``.
+        self.recovery = NO_RECOVERY
         # Optional HealthMonitor (repro.obs.health), installed by its
         # ``install()``; chaos debug bundles attach its report when set.
         self.health = None
@@ -115,13 +119,13 @@ class Cluster:
     def _create_internal_topics(self) -> None:
         self.create_topic(
             CONSUMER_OFFSETS_TOPIC,
-            self.config.offsets_topic_partitions,
+            OFFSETS_TOPIC_PARTITIONS,
             compacted=True,
             internal=True,
         )
         self.create_topic(
             TRANSACTION_STATE_TOPIC,
-            self.config.transaction_log_partitions,
+            TRANSACTION_LOG_PARTITIONS,
             compacted=True,
             internal=True,
         )

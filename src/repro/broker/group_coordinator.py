@@ -305,11 +305,9 @@ class GroupCoordinator:
                     "group.session_expired", "group-coordinator", group_id,
                     category="group", member=member_id,
                 )
-            rec = self._cluster.recovery
-            if rec is not None:
-                rec.note_detection(
-                    "session_expired", group=group_id, member=member_id
-                )
+            self._cluster.recovery.note_detection(
+                "session_expired", group=group_id, member=member_id
+            )
         for group in affected.values():
             if group.members:
                 self._rebalance(group)
@@ -436,14 +434,12 @@ class GroupCoordinator:
         self._note_realigned(group)
 
     def _note_realigned(self, group: GroupState) -> None:
-        rec = self._cluster.recovery
-        if rec is not None:
-            rec.note_realign(
-                "rebalance",
-                group=group.group_id,
-                generation=group.generation,
-                protocol=group.protocol,
-            )
+        self._cluster.recovery.note_realign(
+            "rebalance",
+            group=group.group_id,
+            generation=group.generation,
+            protocol=group.protocol,
+        )
 
     def _do_rebalance(self, group: GroupState) -> None:
         group.protocol = (

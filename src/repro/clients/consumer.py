@@ -22,7 +22,7 @@ from repro.errors import (
     RetriableError,
 )
 from repro.log.columnar import ColumnarBatch
-from repro.util import ExponentialBackoff
+from repro.sim.network import call_with_retry
 
 
 class ConsumerRecord(NamedTuple):
@@ -77,10 +77,6 @@ class Consumer:
         self._partitions_lost = False
         self._closed = False
         self._fetch_cursor = 0
-        # Leader routing cache, valid for one cluster metadata epoch (the
-        # fetch hot path otherwise re-resolves leadership on every poll).
-        self._routing_epoch = -1
-        self._leader_cache: Dict[TopicPartition, int] = {}
 
         # Stands in for the background heartbeat thread of a real consumer:
         # the coordinator calls it when this member's session deadline
@@ -313,11 +309,12 @@ class Consumer:
                 batch = self._fetch_one(tp, budget)
             except RetriableError:
                 # Leaderless partition, dropped fetch, dead broker: skip
-                # this partition for the round and let the next poll retry
-                # with refreshed routing. Positions are untouched, so
-                # nothing is lost or re-read.
-                self._leader_cache.pop(tp, None)
-                self._note_fetch_error(tp)
+                # this partition for the round and let the next poll try
+                # again. Positions are untouched, so nothing is lost or
+                # re-read.
+                self.cluster.recovery.note_detection(
+                    "fetch_error", client=self.config.client_id, partition=str(tp)
+                )
                 continue
             if batch.valid_count:
                 out.append(batch)
@@ -327,24 +324,6 @@ class Consumer:
         self.records_consumed += total
         self._records_per_poll.observe(total)
         return out
-
-    def _leader_of(self, tp: TopicPartition) -> int:
-        epoch = self.cluster.metadata_epoch
-        if epoch != self._routing_epoch:
-            self._leader_cache.clear()
-            self._routing_epoch = epoch
-        leader = self._leader_cache.get(tp)
-        if leader is None:
-            leader = self.cluster.leader_of(tp)
-            self._leader_cache[tp] = leader
-        return leader
-
-    def _note_fetch_error(self, tp: TopicPartition) -> None:
-        rec = self.cluster.recovery
-        if rec is not None:
-            rec.note_detection(
-                "fetch_error", client=self.config.client_id, partition=str(tp)
-            )
 
     def _alternate_replica(
         self, tp: TopicPartition, leader: int, gray: GrayFailureDetector
@@ -366,7 +345,7 @@ class Consumer:
         if position is None:
             position = self._reset_offset(tp)
             self._positions[tp] = position
-        leader = self._leader_of(tp)
+        leader = self.cluster.leader_of(tp)
         gray = self._gray
         replica = None
         if gray is not None and gray.is_demoted(leader):
@@ -385,13 +364,9 @@ class Consumer:
         if gray is not None:
             gray.observe(target, self.cluster.clock.now - fetch_started)
             if gray.check(target):
-                rec = self.cluster.recovery
-                if rec is not None:
-                    rec.note_detection(
-                        "gray_demotion",
-                        client=self.config.client_id,
-                        broker=target,
-                    )
+                self.cluster.recovery.note_detection(
+                    "gray_demotion", client=self.config.client_id, broker=target
+                )
             if replica is not None:
                 self.hedged_fetches += 1
                 self.cluster.metrics.counter("consumer.hedged_fetches").increment()
@@ -496,9 +471,12 @@ class Consumer:
         offsets_tp = coordinator.offsets_partition(self.config.group_id)
         # A plain offset commit is an append to the offsets topic — it
         # costs a produce round trip, not a coordinator metadata update.
-        self._call_coordinator(
-            "offset_commit",
-            lambda: self.cluster.leader_of(offsets_tp),
+        # Retriable failures (leaderless offsets partition, dead broker,
+        # dropped request) are ridden out for ``default_api_timeout_ms``;
+        # the last one is then the caller's to degrade on. Non-retriable
+        # rejections (stale generation) pass through.
+        call_with_retry(
+            self._network, self.cluster, self.config, "offset_commit", offsets_tp,
             lambda: coordinator.commit_offsets(
                 self.config.group_id,
                 offsets,
@@ -506,42 +484,9 @@ class Consumer:
                 generation=self._generation if self._member_id else None,
             ),
             self._network.produce_cost(len(offsets)),
+            timeout_ms=self.config.default_api_timeout_ms,
+            kind="coordinator_retry", detail={"api": "offset_commit"},
         )
-
-    def _call_coordinator(self, api: str, resolve_leader, fn, cost: float):
-        """Coordinator-RPC retry loop — the consumer twin of
-        ``Producer._call_coordinator``: retriable failures (leaderless
-        offsets partition, dead broker, dropped request) are retried with
-        capped exponential backoff, re-resolving the leader each attempt,
-        until ``default_api_timeout_ms`` elapses; the last retriable error
-        is then re-raised for the caller's degradation handling.
-        Non-retriable rejections (stale generation) pass through."""
-        clock = self.cluster.clock
-        deadline = clock.now + self.config.default_api_timeout_ms
-        backoff = ExponentialBackoff(
-            self.config.retry_backoff_ms, self.config.retry_backoff_max_ms
-        )
-        while True:
-            try:
-                return self._network.call(
-                    api,
-                    resolve_leader(),
-                    fn,
-                    base_cost_ms=cost,
-                    src=self.config.client_id,
-                )
-            except RetriableError:
-                rec = self.cluster.recovery
-                if rec is not None:
-                    rec.note_detection(
-                        "coordinator_retry",
-                        client=self.config.client_id,
-                        api=api,
-                    )
-                remaining = deadline - clock.now
-                if remaining <= 0:
-                    raise
-                clock.advance(min(backoff.next_delay_ms(), remaining))
 
     def committed(self, tp: TopicPartition) -> Optional[int]:
         if self.config.group_id is None:

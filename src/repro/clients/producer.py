@@ -16,22 +16,23 @@ Reproduces the client-side behaviour of Sections 4.1–4.2:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.broker.cluster import Cluster, TopicMetadata
+from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
 from repro.config import ProducerConfig
 from repro.errors import (
     InvalidTxnStateError,
     KafkaError,
     MaxBlockTimeoutError,
-    ProducerFencedError,
     RetriableError,
 )
 from repro.log.columnar import ColumnarSlab
 from repro.log.record import NO_HEADERS, NO_SEQUENCE, FrozenHeaders
 from repro.obs.tracer import TRACE_ID_HEADER
-from repro.util import ExponentialBackoff, partition_for
+from repro.sim.network import call_with_retry
+from repro.util import partition_for
 
 # "Every type in this iterable is FrozenHeaders", decided in C.
 _ALL_FROZEN = frozenset((FrozenHeaders,)).issuperset
@@ -88,13 +89,11 @@ class Producer:
 
         self._sequences: Dict[TopicPartition, int] = {}
         self._pending: Dict[TopicPartition, _ColumnBuffer] = {}
-        # Routing caches, valid for one cluster metadata epoch: topic
-        # metadata and partition leadership are looked up once per epoch
-        # instead of twice per record on the send hot path.
+        # topic -> its TopicPartitions, indexed by partition number, so
+        # that ``send`` builds none per record; rebuilt whenever the
+        # cluster's metadata epoch moves. Where a partition's leader is,
+        # is asked of the cluster at every RPC.
         self._routing_epoch = -1
-        self._metadata_cache: Dict[str, TopicMetadata] = {}
-        self._leader_cache: Dict[TopicPartition, int] = {}
-        # topic -> its TopicPartitions, indexed by partition number.
         self._partition_table: Dict[str, List[TopicPartition]] = {}
         self._in_transaction = False
         self._txn_registered_partitions: set = set()
@@ -117,46 +116,23 @@ class Producer:
     def transactional(self) -> bool:
         return self.config.transactional_id is not None
 
-    def _call_coordinator(self, api: str, resolve_leader, fn, cost: float):
-        """One coordinator RPC, retried through transient failures.
-
-        The coordinator's log partition can be leaderless or its broker
-        unreachable mid-failover; like every Kafka client RPC the call is
-        retried with exponential backoff (re-resolving the leader each
-        attempt) until it succeeds or ``max_block_ms`` of virtual time is
-        spent. Covers CONCURRENT_TRANSACTIONS backoff too — it is just
-        another retriable error.
-        """
-        deadline = self._clock.now + self.config.max_block_ms
-        backoff = ExponentialBackoff(
-            self.config.retry_backoff_ms, self.config.retry_backoff_max_ms
-        )
-        while True:
-            try:
-                return self._network.call(
-                    api,
-                    resolve_leader(),
-                    fn,
-                    base_cost_ms=cost,
-                    src=self.config.client_id,
-                )
-            except ProducerFencedError:
-                raise
-            except RetriableError as exc:
-                rec = self.cluster.recovery
-                if rec is not None:
-                    rec.note_detection(
-                        "coordinator_retry",
-                        client=self.config.client_id,
-                        api=api,
-                    )
-                remaining = deadline - self._clock.now
-                if remaining <= 0:
-                    raise MaxBlockTimeoutError(
-                        f"{api} for {self.config.transactional_id!r} blocked "
-                        f"longer than max_block_ms={self.config.max_block_ms}"
-                    ) from exc
-                self._clock.advance(min(backoff.next_delay_ms(), remaining))
+    def _call_coordinator(self, api: str, tp: TopicPartition, fn, cost: float):
+        """One coordinator RPC, to whoever leads the coordinator's log
+        partition ``tp`` — which can be leaderless, or its broker
+        unreachable, mid-failover: ridden out (CONCURRENT_TRANSACTIONS too,
+        it is just another retriable error) for at most ``max_block_ms``."""
+        config = self.config
+        try:
+            return call_with_retry(
+                self._network, self.cluster, config, api, tp, fn, cost,
+                timeout_ms=config.max_block_ms,
+                kind="coordinator_retry", detail={"api": api},
+            )
+        except RetriableError as exc:
+            raise MaxBlockTimeoutError(
+                f"{api} for {config.transactional_id!r} blocked "
+                f"longer than max_block_ms={config.max_block_ms}"
+            ) from exc
 
     def init_transactions(self) -> None:
         """Register the transactional id with the coordinator (Figure 4.b)."""
@@ -166,7 +142,7 @@ class Producer:
         coordinator = self.cluster.txn_coordinator
         self.producer_id, self.producer_epoch = self._call_coordinator(
             "init_producer_id",
-            lambda: self.cluster.leader_of(coordinator.txn_log_partition(tid)),
+            coordinator.txn_log_partition(tid),
             lambda: coordinator.init_producer_id(
                 tid, self.config.transaction_timeout_ms
             ),
@@ -231,7 +207,7 @@ class Producer:
         self._register_txn_partition(offsets_tp)
         self._call_coordinator(
             "txn_offset_commit",
-            lambda: self.cluster.leader_of(offsets_tp),
+            offsets_tp,
             lambda: group_coord.commit_offsets(
                 group_id,
                 offsets,
@@ -260,7 +236,7 @@ class Producer:
         try:
             self._call_coordinator(
                 "end_txn",
-                lambda: self.cluster.leader_of(coordinator.txn_log_partition(tid)),
+                coordinator.txn_log_partition(tid),
                 lambda: coordinator.end_transaction(
                     tid, self.producer_id, self.producer_epoch, commit
                 ),
@@ -275,32 +251,6 @@ class Producer:
             raise InvalidTxnStateError("producer has no transactional_id")
         if not self._initialized_transactions:
             raise InvalidTxnStateError("init_transactions() has not been called")
-
-    # -- metadata / leader routing ---------------------------------------------------
-
-    def _check_routing_epoch(self) -> None:
-        epoch = self.cluster.metadata_epoch
-        if epoch != self._routing_epoch:
-            self._metadata_cache.clear()
-            self._leader_cache.clear()
-            self._partition_table.clear()
-            self._routing_epoch = epoch
-
-    def _topic_metadata(self, topic: str) -> TopicMetadata:
-        self._check_routing_epoch()
-        meta = self._metadata_cache.get(topic)
-        if meta is None:
-            meta = self.cluster.topic_metadata(topic)
-            self._metadata_cache[topic] = meta
-        return meta
-
-    def _leader_of(self, tp: TopicPartition) -> int:
-        self._check_routing_epoch()
-        leader = self._leader_cache.get(tp)
-        if leader is None:
-            leader = self.cluster.leader_of(tp)
-            self._leader_cache[tp] = leader
-        return leader
 
     # -- sending -------------------------------------------------------------------
 
@@ -325,13 +275,13 @@ class Producer:
             raise InvalidTxnStateError(
                 "transactional producers must send within a transaction"
             )
-        self._check_routing_epoch()
+        epoch = self.cluster.metadata_epoch
+        if epoch != self._routing_epoch:
+            self._partition_table.clear()
+            self._routing_epoch = epoch
         table = self._partition_table.get(topic)
         if table is None:
-            table = self._partition_table[topic] = [
-                TopicPartition(topic, p)
-                for p in range(self._topic_metadata(topic).num_partitions)
-            ]
+            table = self._partition_table[topic] = self.cluster.partitions_for(topic)
         if partition is None:
             tp = table[partition_for(key, len(table))]
         elif 0 <= partition < len(table):
@@ -444,7 +394,7 @@ class Producer:
         cost = self._network.coordinator_cost() + 0.002 * len(partitions)
         self._call_coordinator(
             "add_partitions_to_txn",
-            lambda: self.cluster.leader_of(coordinator.txn_log_partition(tid)),
+            coordinator.txn_log_partition(tid),
             lambda: coordinator.add_partitions(
                 tid, self.producer_id, self.producer_epoch, partitions
             ),
@@ -470,51 +420,18 @@ class Producer:
             base_sequence=base_sequence,
             is_transactional=self._in_transaction,
         )
-        # Retriable failures (timeouts, leaderless partitions, ISR below
-        # min) are ridden out with exponential backoff until either the
-        # attempt cap or the delivery deadline is hit. Backoff advances the
-        # virtual clock, so recovery scheduled on timers — a broker
-        # restart, a fault rule expiring — happens *during* the wait.
-        deadline = self._clock.now + self.config.delivery_timeout_ms
-        backoff: Optional[ExponentialBackoff] = None    # built on the first retry
-        attempts = 0
+        config = self.config
         send_started = self._clock.now if self._tracer.enabled else 0.0
         try:
-            while True:
-                try:
-                    leader = self._leader_of(tp)
-                    self._network.call(
-                        "produce",
-                        leader,
-                        lambda: self.cluster.handle_produce(
-                            tp, batch, self.config.acks
-                        ),
-                        base_cost_ms=self._network.produce_cost(record_count),
-                        src=self.config.client_id,
-                    )
-                    break
-                except ProducerFencedError:
-                    raise
-                except RetriableError:
-                    attempts += 1
-                    self.retries_performed += 1
-                    rec = self.cluster.recovery
-                    if rec is not None:
-                        rec.note_detection(
-                            "send_retry", client=self.config.client_id, tp=str(tp)
-                        )
-                    remaining = deadline - self._clock.now
-                    if attempts > self.config.retries or remaining <= 0:
-                        raise
-                    # Metadata refresh + backoff before the retry: the cached
-                    # route is suspect even if the cluster epoch is unchanged.
-                    self._leader_cache.pop(tp, None)
-                    if backoff is None:
-                        backoff = ExponentialBackoff(
-                            self.config.retry_backoff_ms,
-                            self.config.retry_backoff_max_ms,
-                        )
-                    self._clock.advance(min(backoff.next_delay_ms(), remaining))
+            # Ridden out through timeouts, leaderless partitions and an ISR
+            # below min, until the attempt cap or the delivery deadline.
+            call_with_retry(
+                self._network, self.cluster, config, "produce", tp,
+                partial(self.cluster.handle_produce, tp, batch, config.acks),
+                self._network.produce_cost(record_count),
+                timeout_ms=config.delivery_timeout_ms, max_retries=config.retries,
+                kind="send_retry", detail={"tp": tp}, on_retry=self._count_retry,
+            )
         except BaseException:
             # The failed buffer keeps its records for the next attempt —
             # but if only the ack was lost the broker's log stores this
@@ -532,6 +449,9 @@ class Producer:
             ).observe(self._clock.now - send_started)
         self.records_sent += record_count
         self.batches_sent += 1
+
+    def _count_retry(self) -> None:
+        self.retries_performed += 1
 
     def close(self) -> None:
         if self._closed:

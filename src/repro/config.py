@@ -48,8 +48,6 @@ class BrokerConfig:
 
     replication_factor: int = 3
     min_insync_replicas: int = 2
-    transaction_log_partitions: int = 4
-    offsets_topic_partitions: int = 4
     transaction_timeout_ms: float = 60_000.0
 
     def validate(self) -> None:
@@ -59,10 +57,6 @@ class BrokerConfig:
             raise InvalidConfigError(
                 "min_insync_replicas must be in [1, replication_factor]"
             )
-        if self.transaction_log_partitions < 1:
-            raise InvalidConfigError("transaction_log_partitions must be >= 1")
-        if self.offsets_topic_partitions < 1:
-            raise InvalidConfigError("offsets_topic_partitions must be >= 1")
 
 
 @dataclass
@@ -123,9 +117,8 @@ class ConsumerConfig:
     # Protocol this member offers at join_group. The group coordinator
     # negotiates down to EAGER unless *every* member offers COOPERATIVE.
     rebalance_protocol: str = EAGER
-    # Coordinator-RPC retry policy (offset commits): retriable failures
-    # are retried with exponential backoff until default_api_timeout_ms
-    # elapses, mirroring the producer's _call_coordinator loop.
+    # Coordinator RPCs (offset commits): retriable failures are retried
+    # with exponential backoff until default_api_timeout_ms elapses.
     retry_backoff_ms: float = 0.5
     retry_backoff_max_ms: float = 50.0
     default_api_timeout_ms: float = 60_000.0
@@ -177,7 +170,6 @@ class StreamsConfig:
     application_id: str = "streams-app"
     processing_guarantee: str = AT_LEAST_ONCE
     commit_interval_ms: float = 100.0
-    max_poll_records: int = 500
     transaction_timeout_ms: float = 60_000.0
     # Group-membership session timeout for the instances' consumers: a
     # silently crashed instance is evicted (and its tasks migrated) when
@@ -215,16 +207,12 @@ class StreamsConfig:
     restore_max_records_per_poll: int = 0
     # Graceful degradation under sustained coordinator loss: when a
     # commit exhausts its blocking budget (MaxBlockTimeoutError from the
-    # producer, or a retriable coordinator error that outlived the
-    # consumer's retry deadline), the instance pauses for a bounded,
-    # exponentially growing window instead of retrying unboundedly; shed
-    # polls are accounted in streams.degraded_* metrics.
+    # producer after its max_block_ms, or a retriable coordinator error
+    # that outlived the consumer's retry deadline), the instance pauses
+    # for a bounded, exponentially growing window instead of retrying
+    # unboundedly; shed polls are accounted in streams.degraded_* metrics.
     degraded_pause_ms: float = 50.0
     degraded_pause_max_ms: float = 2_000.0
-    # max_block_ms handed to the instances' producers — how long one
-    # commit may block on an unavailable coordinator before the instance
-    # degrades.
-    producer_max_block_ms: float = 60_000.0
     # Gray-failure hardening for the instances' consumers: track per-broker
     # fetch latency and hedge fetches to another in-sync replica while a
     # broker is demoted (see repro.clients.gray). Only observable when the
@@ -265,8 +253,6 @@ class StreamsConfig:
             raise InvalidConfigError(
                 "degraded_pause_ms must be in (0, degraded_pause_max_ms]"
             )
-        if self.producer_max_block_ms <= 0:
-            raise InvalidConfigError("producer_max_block_ms must be > 0")
 
     @property
     def eos_enabled(self) -> bool:

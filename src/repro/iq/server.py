@@ -35,6 +35,7 @@ from repro.errors import (
 )
 from repro.streams.runtime.restore import restore_store
 from repro.streams.runtime.task import TaskId
+from repro.streams.state import create_store
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streams.runtime.instance import StreamsInstance
@@ -243,9 +244,7 @@ class QueryServer:
             # degenerates to reading it directly.
             return self.instance.tasks[task_id].state_store(store)
         if shadow is None:
-            from repro.streams.runtime.standby import StandbyTask
-
-            shadow = StandbyTask._create_store(spec)
+            shadow = create_store(spec)
             self._shadows[key] = shadow
         restore_store(
             self.cluster,

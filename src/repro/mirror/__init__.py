@@ -1,8 +1,9 @@
 """Multi-cluster federation: mirror links, offset translation, ordering.
 
 This package is the *only* place cross-cluster object references are
-allowed (CI lints the rest of ``src/repro`` against importing
-:mod:`repro.mirror.netlink` or holding two clusters at once). Everything
+allowed (``tests/test_layering_structure.py`` keeps the rest of
+``src/repro`` from importing :mod:`repro.mirror` or building its links).
+Everything
 else sees exactly one cluster and, at most, a ``network=`` handle it
 cannot distinguish from its local one.
 """

@@ -30,7 +30,7 @@ lets a restarted link resume without duplicating target records.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.broker.fetch import fetch
 from repro.broker.partition import TopicPartition
@@ -51,7 +51,6 @@ class MirrorLink:
         topics: Iterable[str],
         sync_groups: Iterable[str] = (),
         name: Optional[str] = None,
-        max_poll_records: int = 500,
         group_sync_interval_ms: float = 100.0,
         source=None,
         target=None,
@@ -109,7 +108,6 @@ class MirrorLink:
                 group_id=f"__{self.name}",
                 isolation_level=READ_COMMITTED,
                 auto_offset_reset="earliest",
-                max_poll_records=max_poll_records,
                 # Bounded WAN retries: a link cut mid-commit should stall
                 # this one cycle, not spin the clock through a 60s budget.
                 default_api_timeout_ms=500.0,
@@ -124,6 +122,12 @@ class MirrorLink:
         self._producer = Producer(
             self.target, ProducerConfig(client_id=f"{self.name}-producer")
         )
+
+        # Polled from the source and handed to the producer, but not yet
+        # in the target log (a flush gave up on them): per partition, the
+        # target offset they will land at and their source offsets. The
+        # records themselves wait in the producer's buffer.
+        self._in_flight: Dict[TopicPartition, Tuple[int, List[int]]] = {}
 
         self._lag_gauges: Dict[TopicPartition, object] = {}
         self._gap_gauges: Dict[TopicPartition, object] = {}
@@ -163,7 +167,7 @@ class MirrorLink:
         except RetriableError:
             self._update_gauges()
             return 0
-        mirrored = self._mirror(records) if records else 0
+        mirrored = self._mirror(records) if records or self._in_flight else 0
         now = self.source.clock.now
         if now - self._last_group_sync_ms >= self.group_sync_interval_ms:
             self._last_group_sync_ms = now
@@ -191,28 +195,46 @@ class MirrorLink:
         for record in records:
             tp = TopicPartition(record.topic, record.partition)
             by_tp.setdefault(tp, []).append(record)
-        bases: Dict[TopicPartition, int] = {
-            tp: self.target.end_offset(tp, READ_UNCOMMITTED) for tp in by_tp
-        }
-        for tp, group in sorted(by_tp.items()):
-            for record in group:
-                self._producer.send(
-                    tp.topic,
-                    key=record.key,
-                    value=record.value,
-                    timestamp=record.timestamp,
-                    headers=record.headers,
-                    partition=tp.partition,
+        try:
+            for tp, group in sorted(by_tp.items()):
+                # Polled, so not paused, so nothing of it is in flight.
+                self._in_flight[tp] = (
+                    self.target.end_offset(tp, READ_UNCOMMITTED),
+                    [r.offset for r in group],
                 )
-        self._producer.flush()
+                for record in group:
+                    self._producer.send(
+                        tp.topic,
+                        key=record.key,
+                        value=record.value,
+                        timestamp=record.timestamp,
+                        headers=record.headers,
+                        partition=tp.partition,
+                    )
+            self._producer.flush()
+        except RetriableError:
+            # The target gave up on one partition: what the flush delivered
+            # before it is accounted now, the rest stays in the producer's
+            # buffer (under the sequence numbers it was first sent with)
+            # and goes out with the next flush.
+            pass
         mirrored = 0
-        for tp, group in sorted(by_tp.items()):
-            src_offsets = [r.offset for r in group]
-            self.translator.record_batch(tp, src_offsets, bases[tp])
-            mirrored += len(group)
+        positions: Dict[TopicPartition, int] = {}
+        for tp, (base, src_offsets) in sorted(self._in_flight.items()):
+            # One poll's records of one partition are one slab (a poll
+            # returns no more than the producer batches): in the log
+            # whole, or not at all.
+            if self.target.end_offset(tp, READ_UNCOMMITTED) == base:
+                self._consumer.pause(tp)    # read no further ahead of it
+                continue
+            del self._in_flight[tp]
+            self._consumer.resume(tp)
+            positions[tp] = self._consumer.position(tp)
+            self.translator.record_batch(tp, src_offsets, base)
+            mirrored += len(src_offsets)
             # Every appended batch ends at an exact sync point: committed
             # offset src+1 on the source == dst+1 on the target.
-            last_src, last_dst = src_offsets[-1], bases[tp] + len(group) - 1
+            last_src, last_dst = src_offsets[-1], base + len(src_offsets) - 1
             self._checkpoint("sync", "", tp, last_src + 1, last_dst + 1)
         self.records_mirrored += mirrored
         # Persist the mirror's own position so a restarted link resumes
@@ -220,9 +242,7 @@ class MirrorLink:
         # lost to a link cut only widens the restart re-read window; the
         # in-memory position keeps this link exact.
         try:
-            self._consumer.commit_sync(
-                {tp: self._consumer.position(tp) for tp in by_tp}
-            )
+            self._consumer.commit_sync(positions)
         except RetriableError:
             pass
         return mirrored
@@ -260,7 +280,7 @@ class MirrorLink:
             for tp, src_offset in sorted(committed.items()):
                 if src_offset is None:
                     continue
-                if src_offset > self._consumer.position(tp):
+                if src_offset > self._consumer.position(tp) or tp in self._in_flight:
                     continue  # not yet mirrored: defer, don't approximate
                 dst_offset = self.translator.to_target(tp, src_offset)
                 self._checkpoint("group", group, tp, src_offset, dst_offset)
@@ -292,9 +312,11 @@ class MirrorLink:
     # -- observability ------------------------------------------------------
 
     def lag(self, tp: TopicPartition) -> int:
-        """Source records not yet mirrored (read-committed end - position)."""
+        """Source records not yet in the target log: those still to be
+        read (read-committed end - position) and those read but in flight."""
         end = self.source.end_offset(tp, READ_COMMITTED)
-        return max(0, end - self._consumer.position(tp))
+        _, in_flight = self._in_flight.get(tp, (0, ()))
+        return max(0, end - self._consumer.position(tp)) + len(in_flight)
 
     def lags(self) -> Dict[TopicPartition, int]:
         return {tp: self.lag(tp) for tp in self._partitions}

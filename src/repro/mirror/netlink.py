@@ -16,7 +16,8 @@ is partitioned every call raises :class:`~repro.errors.RequestTimeoutError`
 grows instead of anything breaking.
 
 Everything outside :mod:`repro.mirror` must route cross-cluster traffic
-through this module (CI lints for direct references).
+through this module (``tests/test_layering_structure.py`` holds the rest
+of ``src/repro`` to it).
 """
 
 from __future__ import annotations

@@ -368,7 +368,7 @@ class HealthMonitor:
         # Recovery gap: how long the oldest unrecovered fault has been open.
         gap = 0.0
         rec = self.cluster.recovery
-        if rec is not None and rec.fault_at is not None and rec.recovered_at is None:
+        if rec.fault_at is not None and rec.recovered_at is None:
             gap = now - rec.fault_at
         set_indicator("recovery_gap_ms", gap)
 

@@ -26,17 +26,17 @@ fault and the recovery instant, so the four phase durations sum to the
 observed end-to-end gap *by construction* (floating-point exact, well
 inside the 5% acceptance tolerance the benchmark asserts).
 
-Hook transport: the tracker installs itself as ``cluster.recovery``.
-Components feed it with the same cheap idiom the tracer uses —
+Hook transport: the tracker installs itself as ``cluster.recovery``, and
+components feed it unconditionally —
 
-    rec = self._cluster.recovery
-    if rec is not None:
-        rec.note_detection("session_expired", member=member_id)
+    self._cluster.recovery.note_detection("session_expired", member=member_id)
 
-— one attribute check when no tracker is installed, and no dependence on
-tracing being enabled. When the cluster's tracer *is* enabled, every
-milestone is additionally emitted as a ``recovery.*`` instant event so
-phase boundaries line up with the span log in trace exports.
+— with no dependence on tracing being enabled: while no tracker is
+installed the attribute holds :data:`NO_RECOVERY`, whose hooks do nothing.
+Every hook sits on a failure, rebalance or restore path, none on a
+per-record one. When the cluster's tracer *is* enabled, every milestone
+is additionally emitted as a ``recovery.*`` instant event so phase
+boundaries line up with the span log in trace exports.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class RecoveryTracker:
 
     @staticmethod
     def uninstall(cluster) -> None:
-        cluster.recovery = None
+        cluster.recovery = NO_RECOVERY
 
     # -- hook entry points ---------------------------------------------------
 
@@ -226,3 +226,18 @@ class RecoveryTracker:
         for name, dur in self.phases().items():
             out[f"{name}_ms"] = round(dur, 3)
         return out
+
+
+class _NoRecovery:
+    """``cluster.recovery`` while no tracker is installed: every hook can
+    be called and records nothing; no fault is ever open."""
+
+    fault_at = None
+
+    def _ignore(self, *args: Any, **details: Any) -> None:
+        pass
+
+    note_fault = note_detection = note_realign = note_restore = _ignore
+
+
+NO_RECOVERY = _NoRecovery()

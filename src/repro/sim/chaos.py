@@ -339,9 +339,7 @@ class ChaosController:
                 "chaos.fault", "chaos", "faults", category="chaos",
                 description=description,
             )
-        rec = self.cluster.recovery
-        if rec is not None:
-            rec.note_fault(description)
+        self.cluster.recovery.note_fault(description)
 
     def _record_repair(self, description: str) -> None:
         self.timeline.append((self.cluster.clock.now, description))

@@ -12,18 +12,22 @@ synchronous Python call routed through :meth:`Network.call`. The network
   retry, producing a duplicate send that only idempotence can de-duplicate.
 
 Latencies are deterministic: a seeded RNG adds bounded jitter.
+
+:func:`call_with_retry` is the other half of that failure model — the
+client's retries — and the only place it is written down.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
-from repro.errors import BrokerUnavailableError, RequestTimeoutError
+from repro.errors import BrokerUnavailableError, RequestTimeoutError, RetriableError
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.sim.clock import SimClock
+from repro.util import ExponentialBackoff
 
 
 @dataclass
@@ -199,50 +203,40 @@ class Network:
         caller's identity (client id), matched by link-level fault rules.
         """
         tracer = self.tracer
-        if not tracer.enabled:
-            return self._dispatch(api, dst, fn, base_cost_ms, src)
-        handle = tracer.begin(
-            api, f"broker-{dst}", api, category="rpc", src=src or ""
+        handle = (
+            tracer.begin(api, f"broker-{dst}", api, category="rpc", src=src or "")
+            if tracer.enabled
+            else None
         )
         try:
-            return self._dispatch(api, dst, fn, base_cost_ms, src)
+            self.rpc_counts[api] = self.rpc_counts.get(api, 0) + 1
+            if dst in self._down:
+                raise BrokerUnavailableError(f"broker {dst} is down ({api})")
+            cost = self.costs.rpc_base_ms if base_cost_ms is None else base_cost_ms
+            # Nothing armed is the common case: no scan, no clock read.
+            rule = self._first_match(api, dst, src) if self._rules else None
+            if rule is not None:
+                rule.triggered += 1
+                self._count_fault(rule.kind, api)
+                if rule.kind == "drop_request":
+                    self._charge(cost)
+                    raise RequestTimeoutError(f"{api} to broker {dst}: request lost")
+                if rule.kind == "drop_ack":
+                    fn()  # applied, but the ack never arrives
+                    self._charge(cost)
+                    raise RequestTimeoutError(f"{api} to broker {dst}: ack lost")
+                # "delay" / "slow" — kinds are validated in add_fault
+                self._charge(rule.delay_ms)
+            result = fn()
+            self._charge(cost)
+            return result
         except Exception as exc:
-            handle.add(error=type(exc).__name__)
+            if handle is not None:
+                handle.add(error=type(exc).__name__)
             raise
         finally:
-            handle.end()
-
-    def _dispatch(
-        self,
-        api: str,
-        dst: int,
-        fn: Callable[[], Any],
-        base_cost_ms: Optional[float],
-        src: Optional[str],
-    ) -> Any:
-        self.rpc_counts[api] = self.rpc_counts.get(api, 0) + 1
-        if dst in self._down:
-            raise BrokerUnavailableError(f"broker {dst} is down ({api})")
-
-        cost = self.costs.rpc_base_ms if base_cost_ms is None else base_cost_ms
-        rule = self._first_match(api, dst, src)
-        if rule is not None:
-            rule.triggered += 1
-            self._count_fault(rule.kind, api)
-            if rule.kind == "drop_request":
-                self._charge(cost)
-                raise RequestTimeoutError(f"{api} to broker {dst}: request lost")
-            if rule.kind == "drop_ack":
-                result = fn()
-                del result  # applied, but the ack never arrives
-                self._charge(cost)
-                raise RequestTimeoutError(f"{api} to broker {dst}: ack lost")
-            else:  # "delay" / "slow" — kinds are validated in add_fault
-                self._charge(rule.delay_ms)
-
-        result = fn()
-        self._charge(cost)
-        return result
+            if handle is not None:
+                handle.end()
 
     def _count_fault(self, kind: str, api: str) -> None:
         self.metrics.counter("network.faults.injected").increment()
@@ -287,3 +281,50 @@ class Network:
         Kafka; we approximate with a per-partition append cost plus one base.
         """
         return self.costs.rpc_base_ms + self.costs.marker_write_ms * partition_count
+
+
+def call_with_retry(
+    network, cluster, config, api: str, tp, fn: Callable[[], Any], cost_ms: float,
+    *, timeout_ms: float, kind: str, detail: Mapping[str, Any],
+    max_retries: Optional[int] = None,
+    on_retry: Optional[Callable[[], None]] = None,
+) -> Any:
+    """The client call path: ``network.call`` to the leader of ``tp``, sent
+    again through retriable failures (Section 4.1: it may or may not have
+    been applied; the broker de-duplicates).
+
+    Each attempt is exactly one ``network.call`` — of a :class:`Network` or
+    of anything else with ``call`` and ``clock``, such as an inter-cluster
+    link's proxy — to whoever ``cluster`` says leads ``tp`` *now*; a failed
+    lookup is retried like a failed call. Between attempts the virtual
+    clock advances by the capped exponential backoff of the client's
+    ``config``, so recovery scheduled on timers happens *during* the wait.
+    Gives up by re-raising the last error once ``timeout_ms`` have passed
+    since the first attempt, or after ``max_retries`` re-sends. Every failed
+    attempt calls ``on_retry`` and is noted on ``cluster.recovery`` as a
+    ``kind`` detection, ``detail`` rendered as strings only then.
+    """
+    clock, src = network.clock, config.client_id
+    deadline = clock.now + timeout_ms
+    backoff: Optional[ExponentialBackoff] = None    # built on the first retry
+    failures = 0
+    while True:
+        try:
+            return network.call(
+                api, cluster.leader_of(tp), fn, base_cost_ms=cost_ms, src=src
+            )
+        except RetriableError:
+            failures += 1
+            if on_retry is not None:
+                on_retry()
+            cluster.recovery.note_detection(
+                kind, client=src, **{name: str(value) for name, value in detail.items()}
+            )
+            remaining = deadline - clock.now
+            if remaining <= 0 or (max_retries is not None and failures > max_retries):
+                raise
+            if backoff is None:
+                backoff = ExponentialBackoff(
+                    config.retry_backoff_ms, config.retry_backoff_max_ms
+                )
+            clock.advance(min(backoff.next_delay_ms(), remaining))

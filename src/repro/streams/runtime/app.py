@@ -214,13 +214,11 @@ class KafkaStreams:
         if instance.consumer.member_id is not None:
             # The eviction below models the session timeout firing, so it
             # counts as the coordinator *detecting* the dead instance.
-            rec = self.cluster.recovery
-            if rec is not None:
-                rec.note_detection(
-                    "session_expired",
-                    group=self.config.application_id,
-                    member=instance.consumer.member_id,
-                )
+            self.cluster.recovery.note_detection(
+                "session_expired",
+                group=self.config.application_id,
+                member=instance.consumer.member_id,
+            )
             self.cluster.group_coordinator.leave_group(
                 self.config.application_id, instance.consumer.member_id
             )

@@ -212,13 +212,11 @@ class StreamsAssignor:
         self._sync_probing_timer()
         app = self._app
         if app is not None:
-            rec = app.cluster.recovery
-            if rec is not None:
-                rec.note_realign(
-                    "placement",
-                    members=len(member_ids),
-                    warmups=sum(len(w) for w in warmups.values()),
-                )
+            app.cluster.recovery.note_realign(
+                "placement",
+                members=len(member_ids),
+                warmups=sum(len(w) for w in warmups.values()),
+            )
 
         result: Dict[str, List[TopicPartition]] = {}
         for member_id, assigned_tasks in task_assignment.items():

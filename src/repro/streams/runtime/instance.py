@@ -83,7 +83,6 @@ class StreamsInstance:
                 group_id=self.config.application_id,
                 isolation_level=isolation,
                 auto_offset_reset="earliest",
-                max_poll_records=self.config.max_poll_records,
                 session_timeout_ms=self.config.session_timeout_ms,
                 rebalance_protocol=self.config.rebalance_protocol,
                 hedged_fetch=self.config.hedged_fetch,
@@ -207,7 +206,6 @@ class StreamsInstance:
                 client_id=f"{self.config.application_id}-producer-{self.instance_id}",
                 transactional_id=transactional_id,
                 transaction_timeout_ms=self.config.transaction_timeout_ms,
-                max_block_ms=self.config.producer_max_block_ms,
             ),
         )
         if transactional_id is not None:
@@ -505,11 +503,9 @@ class StreamsInstance:
         self.cluster.metrics.counter(
             "streams.degraded_pauses", app=self.config.application_id
         ).increment()
-        rec = self.cluster.recovery
-        if rec is not None:
-            rec.note_detection(
-                "degraded_pause", instance=self.instance_id, pause_ms=pause
-            )
+        self.cluster.recovery.note_detection(
+            "degraded_pause", instance=self.instance_id, pause_ms=pause
+        )
         # Wake timer: an idle driver jumps to the end of the pause.
         self.cluster.clock.schedule(pause, lambda: None)
 

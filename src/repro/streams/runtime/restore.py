@@ -107,7 +107,8 @@ def _replay(
             + applied * RESTORE_APPLY_COST_MS_PER_RECORD
         )
     complete = result.next_offset >= log.last_stable_offset
-    rec = cluster.recovery
-    if rec is not None and kind != "standby":
-        rec.note_restore(kind, records=applied, complete=complete, store=store.name)
+    if kind != "standby":
+        cluster.recovery.note_restore(
+            kind, records=applied, complete=complete, store=store.name
+        )
     return applied, result.next_offset, complete

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple, TYPE_CHECKING
 
-from repro.errors import TopologyError
 from repro.streams.runtime.restore import restore_store
 from repro.streams.runtime.task import TaskId
-from repro.streams.state.kv_store import InMemoryKeyValueStore
-from repro.streams.state.window_store import InMemoryWindowStore
-from repro.streams.topology import StateStoreSpec, SubTopology
+from repro.streams.state import create_store
+from repro.streams.topology import SubTopology
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.broker.cluster import Cluster
@@ -41,17 +39,9 @@ class StandbyTask:
         self.positions: Dict[str, int] = {}
         self.records_applied = 0
         for spec in self._specs:
-            self.stores[spec.name] = self._create_store(spec)
+            self.stores[spec.name] = create_store(spec)
             self.positions[spec.name] = 0
         self.update()
-
-    @staticmethod
-    def _create_store(spec: StateStoreSpec):
-        if spec.kind == "kv":
-            return InMemoryKeyValueStore(spec.name)
-        if spec.kind == "window":
-            return InMemoryWindowStore(spec.name, retention_ms=spec.retention_ms)
-        raise TopologyError(f"unknown store kind: {spec.kind}")
 
     @property
     def has_state(self) -> bool:

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
-from repro.errors import RetriableError, TopologyError
+from repro.errors import RetriableError
 from repro.log.record import NO_HEADERS, FrozenHeaders
 from repro.obs.stages import (
     EMITTED_AT_HEADER,
@@ -34,8 +34,7 @@ from repro.streams.processor import (
 from repro.streams.records import ColumnChunk
 from repro.streams.runtime.record_queue import PartitionGroup
 from repro.streams.runtime.restore import restore_store
-from repro.streams.state.kv_store import InMemoryKeyValueStore
-from repro.streams.state.window_store import InMemoryWindowStore
+from repro.streams.state import create_store
 from repro.streams.topology import (
     ProcessorNode,
     SinkNode,
@@ -161,7 +160,7 @@ class StreamTask:
             if handed is not None:
                 store, from_offset = handed
             else:
-                store, from_offset = self._create_store(spec), 0
+                store, from_offset = create_store(spec), 0
             self._stores[spec.name] = store
             listeners = self._store_listeners.get(spec.name)
             if listeners and hasattr(store, "add_listener"):
@@ -269,13 +268,6 @@ class StreamTask:
                 still.append(item)
         self._pending_restores = still
         return applied_total
-
-    def _create_store(self, spec: StateStoreSpec):
-        if spec.kind == "kv":
-            return InMemoryKeyValueStore(spec.name)
-        if spec.kind == "window":
-            return InMemoryWindowStore(spec.name, retention_ms=spec.retention_ms)
-        raise TopologyError(f"unknown store kind: {spec.kind}")
 
     def _changelog_time(self) -> float:
         """Timestamp of a changelog append: stream time once the chunk

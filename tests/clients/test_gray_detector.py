@@ -3,12 +3,14 @@
 import pytest
 
 from repro.broker.cluster import Cluster
+from repro.broker.partition import TopicPartition
 from repro.clients.consumer import Consumer
 from repro.clients.gray import GrayFailureDetector
 from repro.clients.producer import Producer
 from repro.config import ConsumerConfig
-from repro.errors import BrokerUnavailableError
+from repro.errors import RequestTimeoutError
 from repro.sim.clock import SimClock
+from repro.sim.network import FaultRule
 
 
 @pytest.fixture
@@ -159,16 +161,19 @@ class TestCoordinatorRetryBackoff:
                 default_api_timeout_ms=40.0,
             ),
         )
+        tp = TopicPartition("t", 0)
+        consumer.assign([tp])
+        cluster.network.charge_latency = False
+        cluster.network.add_fault(
+            FaultRule(kind="drop_request", match_api="offset_commit", count=10**6)
+        )
         attempts = []
-
-        def always_fails():
-            attempts.append(cluster.clock.now)
-            raise BrokerUnavailableError("down")
-
-        with pytest.raises(BrokerUnavailableError):
-            consumer._call_coordinator(
-                "offset_commit", lambda: 0, always_fails, cost=0.0
-            )
+        send = cluster.network.call
+        cluster.network.call = lambda *args, **kwargs: (
+            attempts.append(cluster.clock.now), send(*args, **kwargs)
+        )[1]
+        with pytest.raises(RequestTimeoutError):
+            consumer.commit_sync({tp: 1})
         gaps = [b - a for a, b in zip(attempts, attempts[1:])]
         # Capped exponential schedule: 1, 2, 4, 8, 8, ... within 40ms.
         assert gaps[:4] == pytest.approx([1.0, 2.0, 4.0, 8.0])

@@ -1,10 +1,10 @@
-"""Client routing caches: hit within an epoch, invalidate across one.
+"""Client routing: the cluster is the only routing truth.
 
-The producer and consumer cache topic metadata and partition leadership,
-keyed on the cluster's metadata epoch. These tests pin down both halves of
-the contract: routing facts are *not* re-resolved while the epoch is
-unchanged, and a leader failover or a repartitioned topic (both of which
-bump the epoch) must never be served from the stale cache.
+Producer and consumer ask the cluster who leads a partition at every RPC;
+the one thing the producer keeps is a per-topic table of
+``TopicPartition``s (so that ``send`` builds none per record), dropped
+whenever the cluster's metadata epoch moves. A leader failover or a
+repartitioned topic — both bump the epoch — must never be served stale.
 """
 
 import pytest
@@ -34,38 +34,6 @@ def log_values(cluster, tp):
     return [r.value for r in log.records() if not r.is_control]
 
 
-class TestCacheHits:
-    def test_leader_resolved_once_per_epoch(self, fast_cluster, topic):
-        p = Producer(fast_cluster)
-        calls = []
-        real = fast_cluster.leader_of
-        fast_cluster.leader_of = lambda tp: (calls.append(tp), real(tp))[1]
-        for i in range(10):
-            p.send(topic, key="k", value=i, partition=0)
-            p.flush()
-        assert calls == [TopicPartition(topic, 0)]
-
-    def test_topic_metadata_resolved_once_per_epoch(self, fast_cluster, topic):
-        p = Producer(fast_cluster)
-        calls = []
-        real = fast_cluster.topic_metadata
-        fast_cluster.topic_metadata = lambda name: (calls.append(name), real(name))[1]
-        for i in range(10):
-            p.send(topic, key=f"k{i}", value=i)
-        assert calls == [topic]
-
-    def test_consumer_leader_resolved_once_per_epoch(self, fast_cluster, topic):
-        Producer(fast_cluster).send(topic, key="k", value=1, partition=0)
-        c = Consumer(fast_cluster)
-        c.assign([TopicPartition(topic, 0)])
-        calls = []
-        real = fast_cluster.leader_of
-        fast_cluster.leader_of = lambda tp: (calls.append(tp), real(tp))[1]
-        for _ in range(5):
-            c.poll()
-        assert calls == [TopicPartition(topic, 0)]
-
-
 class TestLeaderFailover:
     def test_send_after_leader_crash_routes_to_new_leader(
         self, fast_cluster, topic
@@ -73,7 +41,7 @@ class TestLeaderFailover:
         tp = TopicPartition(topic, 0)
         p = Producer(fast_cluster)
         p.send(topic, key="k", value=1, partition=0)
-        p.flush()  # populates the leader cache
+        p.flush()
 
         old_leader = fast_cluster.leader_of(tp)
         FailureInjector(fast_cluster).crash_broker(old_leader)
@@ -84,8 +52,8 @@ class TestLeaderFailover:
         p.flush()
         # The record reached the new leader's log, with nothing lost.
         assert log_values(fast_cluster, tp) == [1, 2]
-        # And the send did not need the retry path: the epoch bump alone
-        # invalidated the cached route.
+        # And the send did not need the retry path: the route is the
+        # cluster's, as of this flush.
         assert p.retries_performed == 0
 
     def test_consumer_poll_after_leader_crash(self, fast_cluster, topic):
@@ -124,14 +92,14 @@ class TestLeaderFailover:
 class TestRepartitionedTopic:
     def test_send_uses_new_partition_count(self, fast_cluster, topic):
         p = Producer(fast_cluster)
-        # Populate the metadata cache at 2 partitions.
+        # Build the partition table at 2 partitions.
         p.send(topic, key="x", value=0)
         p.flush()
 
         AdminClient(fast_cluster).create_partitions(topic, 8)
 
         # Pick a key that maps differently under the two counts; the next
-        # send must use the *new* count, not the cached metadata.
+        # send must use the *new* count, not the table built before.
         key = next(
             k
             for k in (f"k{i}" for i in range(1000))
@@ -145,9 +113,10 @@ class TestRepartitionedTopic:
     def test_stale_metadata_object_is_not_reused(self, fast_cluster, topic):
         p = Producer(fast_cluster)
         p.send(topic, key="x", value=0)
-        before = p._topic_metadata(topic).num_partitions
+        before = len(p._partition_table[topic])
         AdminClient(fast_cluster).create_partitions(topic, 5)
-        after = p._topic_metadata(topic).num_partitions
+        p.send(topic, key="x", value=1)
+        after = len(p._partition_table[topic])
         assert (before, after) == (2, 5)
 
 
@@ -191,8 +160,9 @@ class TestPartitionTable:
     def test_table_follows_an_epoch_bump_seen_by_the_leader_cache_first(
         self, fast_cluster, topic
     ):
-        """``_leader_of`` and ``_topic_metadata`` advance the routing epoch
-        too: the table is dropped with it, wherever the bump is noticed."""
+        """A flush between the bump and the next send routes by the
+        cluster and keeps no epoch of its own: the table is still dropped
+        by the send that follows."""
         p = Producer(fast_cluster)
         key = next(
             k for k in (f"k{i}" for i in range(1000))
@@ -200,7 +170,7 @@ class TestPartitionTable:
         )
         p.send(topic, key=key, value=0)
         AdminClient(fast_cluster).create_partitions(topic, 8)
-        p._leader_of(TopicPartition(topic, 0))      # notices the new epoch
+        p.flush()
         assert p.send(topic, key=key, value=1).partition == partition_for(key, 8)
 
     def test_explicit_partition_is_taken_as_given(self, fast_cluster, topic):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.broker.cluster import Cluster
-from repro.obs.recovery import PHASES, RecoveryTracker
+from repro.obs.recovery import NO_RECOVERY, PHASES, RecoveryTracker
 from repro.sim.clock import SimClock
 
 
@@ -171,7 +171,7 @@ class TestInstall:
         tracker = RecoveryTracker(cluster.clock).install(cluster)
         assert cluster.recovery is tracker
         RecoveryTracker.uninstall(cluster)
-        assert cluster.recovery is None
+        assert cluster.recovery is NO_RECOVERY
 
     def test_tracer_mirrors_milestones(self):
         cluster = Cluster(num_brokers=1, seed=3)

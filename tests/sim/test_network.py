@@ -1,10 +1,16 @@
 """Unit tests for the network cost model and fault injection."""
 
+import sys
+
 import pytest
 
-from repro.errors import BrokerUnavailableError, RequestTimeoutError
+from repro.errors import (
+    BrokerUnavailableError,
+    ProducerFencedError,
+    RequestTimeoutError,
+)
 from repro.sim.clock import SimClock
-from repro.sim.network import FaultRule, Network, NetworkCosts
+from repro.sim.network import FaultRule, Network, NetworkCosts, call_with_retry
 
 
 @pytest.fixture
@@ -196,3 +202,107 @@ def test_marker_cost_grows_linearly():
 def test_produce_cost_scales_with_records():
     net = Network(SimClock(), NetworkCosts(jitter_frac=0.0))
     assert net.produce_cost(1000) > net.produce_cost(1)
+
+
+def test_an_untraced_call_with_nothing_armed_is_one_frame_and_no_rule_scan(net):
+    """The happy path of every RPC: ``fn`` runs directly under ``call``,
+    and the fault rules are not even walked while none is armed."""
+    net._first_match = None    # calling it would raise
+    callers = []
+
+    def fn():
+        frame = sys._getframe(1)
+        callers.extend([frame.f_code.co_name, frame.f_back.f_code.co_name])
+
+    net.call("produce", 0, fn)
+    assert callers == ["call", sys._getframe().f_code.co_name]
+
+
+class _OnlyCallAndClock:
+    """What an inter-cluster link's proxy offers, and all the retry policy
+    may ask for. Fails ``failures`` times, then answers."""
+
+    def __init__(self, failures):
+        self.clock = SimClock()
+        self.failures = failures
+        self.attempts = []
+
+    def call(self, api, dst, fn, base_cost_ms=None, src=None):
+        self.attempts.append((self.clock.now, api, dst, base_cost_ms, src))
+        if len(self.attempts) <= self.failures:
+            raise RequestTimeoutError("lost")
+        return fn()
+
+
+class _Notes:
+    """What the policy asks of a cluster: who leads, and where to note."""
+
+    def __init__(self):
+        self.recovery = self
+        self.noted = []
+        self._leaders = iter(range(100))
+
+    def leader_of(self, tp):
+        return next(self._leaders)
+
+    def note_detection(self, source, **details):
+        self.noted.append((source, details))
+
+
+class _Config:
+    client_id = "p"
+    retry_backoff_ms = 1.0
+    retry_backoff_max_ms = 4.0
+
+
+def retried(network, fn=lambda: "ok", timeout_ms=1_000.0, **policy):
+    cluster = _Notes()
+    try:
+        outcome = call_with_retry(
+            network, cluster, _Config, "produce", ("t", 0), fn, 0.5,
+            timeout_ms=timeout_ms, kind="send_retry", detail={"tp": ("t", 0)},
+            **policy,
+        )
+    except RequestTimeoutError:
+        outcome = "gave up"
+    return outcome, cluster.noted
+
+
+def test_retry_policy_needs_only_call_and_clock_and_reroutes_every_attempt():
+    network = _OnlyCallAndClock(failures=4)
+    counted = []
+    outcome, noted = retried(network, on_retry=lambda: counted.append(1))
+    assert outcome == "ok"
+    # Capped exponential backoff on the virtual clock; a fresh route each time.
+    assert network.attempts == [
+        (0.0, "produce", 0, 0.5, "p"),
+        (1.0, "produce", 1, 0.5, "p"),
+        (3.0, "produce", 2, 0.5, "p"),
+        (7.0, "produce", 3, 0.5, "p"),
+        (11.0, "produce", 4, 0.5, "p"),
+    ]
+    assert len(counted) == 4
+    assert noted == [("send_retry", {"client": "p", "tp": "('t', 0)"})] * 4
+
+
+def test_retry_policy_gives_up_at_the_cap_or_the_deadline_with_the_last_error():
+    capped = _OnlyCallAndClock(failures=10**6)
+    assert retried(capped, max_retries=2)[0] == "gave up"
+    assert len(capped.attempts) == 3            # the first try and two re-sends
+    timed = _OnlyCallAndClock(failures=10**6)
+    outcome, noted = retried(timed, timeout_ms=10.0)
+    assert outcome == "gave up"
+    # The last wait is cut to what is left of the budget: 1 + 2 + 4 + 3.
+    assert [at for at, *_ in timed.attempts] == [0.0, 1.0, 3.0, 7.0, 10.0]
+    assert len(noted) == 5
+
+
+def test_retry_policy_lets_everything_that_is_not_retriable_through():
+    network = _OnlyCallAndClock(failures=0)
+
+    def fenced():
+        raise ProducerFencedError("zombie")
+
+    with pytest.raises(ProducerFencedError):
+        retried(network, fn=fenced)
+    assert len(network.attempts) == 1

@@ -7,6 +7,7 @@ from repro.barriers.object_store import ObjectStore
 from repro.broker.cluster import Cluster
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, StreamsConfig
+from repro.obs.recovery import NO_RECOVERY
 from repro.sim.chaos import ALL_KINDS, ChaosConfig, ChaosController, validate_kinds
 from repro.sim.invariants import (
     CommittedOutputEquality,
@@ -225,7 +226,7 @@ class TestScenarioHarness:
             horizon_ms=800.0,
         )
         harness.run(golden_invariant=CommittedOutputEquality(golden))
-        assert cluster.recovery is None
+        assert cluster.recovery is NO_RECOVERY
         assert harness.chaos not in app.driver._actors
         assert all(cluster.is_broker_alive(b) for b in range(3))
         # The same process can run the next cell immediately.

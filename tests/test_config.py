@@ -1,5 +1,7 @@
 """Configuration validation tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import (
@@ -75,3 +77,19 @@ class TestStreamsConfig:
     def test_empty_application_id_rejected(self):
         with pytest.raises(InvalidConfigError):
             StreamsConfig(application_id="").validate()
+
+
+def test_field_count_is_pinned():
+    """Every independently settable value doubles what tests and benches
+    have to cover: a new knob has to show up as a diff of this number."""
+    counts = {
+        cls.__name__: len(dataclasses.fields(cls))
+        for cls in (BrokerConfig, ProducerConfig, ConsumerConfig, StreamsConfig)
+    }
+    assert counts == {
+        "BrokerConfig": 3,
+        "ProducerConfig": 11,
+        "ConsumerConfig": 11,
+        "StreamsConfig": 14,
+    }
+    assert sum(counts.values()) == 39

@@ -1,0 +1,194 @@
+"""Structural guard: who may reach into what, across ``src/repro``.
+
+Four layering rules used to be grep steps in CI; a fifth came with the
+one client call path. Each is a function from a module's place in the
+package and its syntax tree to the offences in it, run over every module
+of ``src/repro`` and, as a negative control, over the smallest snippet
+that breaks it — so a rule that stopped seeing anything fails too.
+
+1. *No busy-wait outside the simulator.* The discrete-event driver owns
+   idle time; engine code does not creep the clock forward while idle.
+2. *State stores are queried through the IQ layer.* A raw
+   ``task.stores()`` bypasses read-only views, position watermarks and
+   consistency levels; only the streams runtime and ``iq/`` may call it.
+3. *Cross-cluster references stay inside ``mirror/``.* Everything else
+   treats a ``Cluster`` as its whole world and is handed a link.
+4. *No wall clock under ``obs/``.* Reports, SLOs and watermarks are
+   virtual-time only — what makes same-seed reports byte-identical.
+5. *One retry policy.* ``sim.network.call_with_retry`` is the only loop
+   around an RPC that a client has, and backoff schedules are built only
+   there and by the three algorithms that are not a retried RPC.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+import pytest
+
+import repro
+
+ROOT = Path(repro.__file__).parent
+
+
+@functools.cache
+def modules():
+    """Every module of ``src/repro``: its place in the package -> its tree."""
+    return {
+        path.relative_to(ROOT).as_posix(): ast.parse(path.read_text())
+        for path in sorted(ROOT.rglob("*.py"))
+    }
+
+#: The query router's candidate sweep (accounted latency, nothing waits),
+#: the gray detector's demotion window and the instance's degraded pause
+#: (between polls) are schedules of their own, not a retried RPC.
+BACKOFF_BUILDERS = {
+    "sim/network.py", "iq/router.py", "clients/gray.py",
+    "streams/runtime/instance.py",
+}
+
+
+def identifiers(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            yield node.arg or ""
+
+
+def calls(tree):
+    """(callee's last name, call node) for every call in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute):
+                yield func.attr, node
+            elif isinstance(func, ast.Name):
+                yield func.id, node
+
+
+def imported(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+def busy_wait(where, tree):
+    if where.startswith("sim/"):
+        return
+    yield from (name for name in identifiers(tree) if "idle_advance" in name)
+    for name, call in calls(tree):
+        if name == "advance" and call.args and ast.unparse(call.args[0]).startswith("idle"):
+            yield ast.unparse(call)
+
+
+def raw_stores(where, tree):
+    if not where.startswith(("streams/", "iq/")):
+        yield from (ast.unparse(call) for name, call in calls(tree) if name == "stores")
+
+
+def cross_cluster(where, tree):
+    if where.startswith("mirror/"):
+        return
+    yield from (
+        name for name, _ in calls(tree)
+        if name in ("LinkedNetwork", "InterClusterLink")
+    )
+    yield from (
+        module for module in imported(tree)
+        if module == "repro.mirror" or module.startswith("repro.mirror.")
+    )
+
+
+def wall_clock(where, tree):
+    if where.startswith("obs/"):
+        yield from (m for m in imported(tree) if m in ("time", "datetime"))
+
+
+def second_retry_policy(where, tree):
+    if where not in BACKOFF_BUILDERS:
+        yield from (name for name, _ in calls(tree) if name == "ExponentialBackoff")
+    if where.startswith("clients/"):
+        for loop in ast.walk(tree):
+            if isinstance(loop, ast.While):
+                yield from (
+                    f"while ...: {ast.unparse(call)[:40]}"
+                    for name, call in calls(loop) if name == "call"
+                )
+
+
+#: rule -> the smallest module that breaks it: (where it sits, its source).
+RULES = {
+    busy_wait: ("streams/runtime/instance.py", "clock.advance(idle_ms)"),
+    raw_stores: ("ksql/engine.py", "task.stores()['counts']"),
+    cross_cluster: ("clients/consumer.py", "from repro.mirror.netlink import LinkedNetwork"),
+    wall_clock: ("obs/health.py", "import time\nnow = time.time()"),
+    second_retry_policy: (
+        "clients/admin.py",
+        "def create(self):\n"
+        "    while True:\n"
+        "        try:\n"
+        "            return self._network.call('create_topic', 0, fn)\n"
+        "        except RetriableError:\n"
+        "            pass\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+def test_layering_rule_holds_and_still_bites(rule):
+    offences = {
+        where: found
+        for where, tree in modules().items()
+        if (found := sorted(set(rule(where, tree))))
+    }
+    assert not offences
+    where, mutant = RULES[rule]
+    assert where in modules()    # the rule was run where the mutant would sit
+    assert list(rule(where, ast.parse(mutant)))
+
+
+def test_backoff_is_built_in_four_places_and_one_of_them_is_the_call_policy():
+    built = {
+        where for where, tree in modules().items()
+        if any(name == "ExponentialBackoff" for name, _ in calls(tree))
+    }
+    assert built == BACKOFF_BUILDERS
+    assert list(second_retry_policy("clients/producer.py", ast.parse(
+        "backoff = ExponentialBackoff(0.5, 50.0)"
+    )))
+
+
+def test_the_cluster_is_the_only_routing_truth_and_recovery_is_never_none():
+    """What the one call path replaced stays gone: the clients' leader and
+    metadata caches, the ``if rec is not None`` guard around every recovery
+    note outside ``obs/``, and the dead ``except ProducerFencedError`` (it
+    is not a ``RetriableError``) of the hand-rolled loops."""
+    offences = []
+    for where, tree in modules().items():
+        offences += [
+            f"{where}: {name}" for name in set(identifiers(tree))
+            if name in ("_leader_cache", "_metadata_cache", "_topic_metadata")
+        ]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Compare)
+                and not where.startswith("obs/")
+                and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+                and ast.unparse(node.left).rsplit(".", 1)[-1] in ("rec", "recovery")
+            ):
+                offences.append(f"{where}: {ast.unparse(node)}")
+            if (
+                isinstance(node, ast.ExceptHandler)
+                and where.startswith("clients/")
+                and node.type is not None
+                and "ProducerFencedError" in ast.unparse(node.type)
+            ):
+                offences.append(f"{where}: except {ast.unparse(node.type)}")
+    assert not offences
