@@ -69,6 +69,10 @@ class Consumer:
         self._tracer = cluster.tracer
         self._subscription: Tuple[str, ...] = ()
         self._assignment: List[TopicPartition] = []
+        # Bumped wherever ``_assignment`` is rebound — also by an adoption
+        # that grants the same partitions — so an embedding runtime can
+        # tell "nothing was (re)assigned since I last looked" from one int.
+        self.assignment_epoch = 0
         self._manual_assignment = False
         self._positions: Dict[TopicPartition, int] = {}
         self._paused: set = set()
@@ -146,6 +150,7 @@ class Consumer:
         """
         self._manual_assignment = True
         self._assignment = list(partitions)
+        self.assignment_epoch += 1
         if self.config.auto_offset_reset != "none":
             for tp in partitions:
                 self.position(tp)
@@ -168,6 +173,7 @@ class Consumer:
         assigned = coordinator.assignment(group, self._member_id, self._generation)
         old = set(self._assignment)
         self._assignment = assigned
+        self.assignment_epoch += 1
         newly = [tp for tp in assigned if tp not in old]
         if newly:
             committed = coordinator.fetch_committed(group, newly)
@@ -219,6 +225,7 @@ class Consumer:
         if not coordinator.is_member(self.config.group_id, self._member_id):
             self._partitions_lost = True
             self._assignment = []
+            self.assignment_epoch += 1
             self._positions.clear()
         self._member_id, self._generation = coordinator.join_group(
             self.config.group_id,

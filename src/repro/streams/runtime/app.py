@@ -64,16 +64,29 @@ class KafkaStreams:
             cluster.topic_metadata(spec.topic)   # must already exist
         self._create_repartition_topics()
         self._task_counts = self._validate_copartitioning()
+        # Fixed for the app's life (``migrate_to`` insists on equal counts).
+        self._task_ids = sorted(
+            TaskId(sub_id, partition)
+            for sub_id, count in self._task_counts.items()
+            for partition in range(count)
+        )
         self._create_changelog_topics()
+        # Bumped whenever the inputs of task / standby placement other than
+        # a consumer's own assignment move: the assignor ran (warm-ups), or
+        # an instance's ``tasks`` / ``alive`` changed. An instance re-syncs
+        # its placement only when this or its consumer's
+        # ``assignment_epoch`` differs from what its last sync saw.
+        self.placement_epoch = 0
 
-        task_partitions: Dict[TaskId, List[TopicPartition]] = {}
-        for sub in self._sub_topologies.values():
-            for partition in range(self._task_counts[sub.sub_id]):
-                task_id = TaskId(sub.sub_id, partition)
-                task_partitions[task_id] = [
-                    TopicPartition(self.resolve_topic(topic), partition)
-                    for topic in sorted(sub.source_topics)
-                ]
+        task_partitions: Dict[TaskId, List[TopicPartition]] = {
+            task_id: [
+                TopicPartition(self.resolve_topic(topic), task_id.partition)
+                for topic in sorted(
+                    self._sub_topologies[task_id.sub_id].source_topics
+                )
+            ]
+            for task_id in self._task_ids
+        }
         self.assignor = StreamsAssignor(task_partitions)
         self.assignor.bind(self)
         cluster.group_coordinator.set_assignor(
@@ -157,11 +170,7 @@ class KafkaStreams:
         return self._sub_topologies[sub_id]
 
     def task_ids(self) -> List[TaskId]:
-        return sorted(
-            TaskId(sub_id, p)
-            for sub_id, count in self._task_counts.items()
-            for p in range(count)
-        )
+        return list(self._task_ids)
 
     # -- rebalance availability accounting ---------------------------------------------------
 

@@ -121,6 +121,10 @@ class StreamsAssignor:
     # -- assignment --------------------------------------------------------------------
 
     def __call__(self, members, partitions) -> Dict[str, List[TopicPartition]]:
+        if self._app is not None:
+            # ``_warmups`` is rewritten below: every instance re-derives
+            # its standby set on its next step.
+            self._app.placement_epoch += 1
         member_ids = sorted(members)
         if not member_ids:
             self._warmups = {}

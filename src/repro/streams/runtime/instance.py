@@ -35,8 +35,9 @@ from repro.errors import (
 )
 # (ProducerFencedError is both caught around commits — wrapped as
 # TaskMigratedError — and around the processing loop directly.)
+from repro.streams.runtime.standby import StandbyTask
 from repro.streams.runtime.task import StreamTask, TaskId
-from repro.util import ExponentialBackoff
+from repro.util import ExponentialBackoff, stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streams.runtime.app import KafkaStreams
@@ -53,9 +54,17 @@ class StreamsInstance:
         self.instance_id = instance_id
         self.config: StreamsConfig = app.config
         self.cluster = app.cluster
+        # ``tasks`` and ``alive`` feed every instance's placement (who may
+        # shadow what), so they change only here and in the four helpers
+        # below, each of which bumps ``app.placement_epoch``.
         self.tasks: Dict[TaskId, StreamTask] = {}
         self.standby_tasks: Dict[TaskId, Any] = {}
         self.alive = True
+        app.placement_epoch += 1
+        # (consumer.assignment_epoch, app.placement_epoch) as the last
+        # *completed* _sync_tasks() found them; step() syncs again only
+        # when the pair has moved.
+        self._synced_epochs: Optional[tuple] = None
         self.commits_performed = 0
         self.commits_deferred = 0      # speculative commits awaiting upstream
         self.speculation_rollbacks = 0
@@ -143,6 +152,24 @@ class StreamsInstance:
 
         self.query_server = QueryServer(self)
 
+    # -- the only writers of ``tasks`` / ``alive`` -----------------------------------------
+
+    def _adopt_task(self, task_id: TaskId, task: StreamTask) -> None:
+        self.tasks[task_id] = task
+        self.app.placement_epoch += 1
+
+    def _drop_task(self, task_id: TaskId) -> StreamTask:
+        self.app.placement_epoch += 1
+        return self.tasks.pop(task_id)
+
+    def _drop_all_tasks(self) -> None:
+        self.tasks.clear()
+        self.app.placement_epoch += 1
+
+    def _go_down(self) -> None:
+        self.alive = False
+        self.app.placement_epoch += 1
+
     def _on_rebalance_revoke(self) -> None:
         if not self.alive or not self.tasks:
             return
@@ -187,7 +214,7 @@ class StreamsInstance:
                 committed_at = self.cluster.clock.now
             for task_id in sorted(lost_tasks):
                 self.app.note_task_closed(task_id, committed_at)
-                self.tasks.pop(task_id).close()
+                self._drop_task(task_id).close()
                 producer = self._task_producers.pop(task_id, None)
                 if producer is not None:
                     producer.close()
@@ -237,7 +264,8 @@ class StreamsInstance:
     # -- the poll/process/commit cycle ----------------------------------------------------
 
     def step(self) -> int:
-        """One cycle: poll, sync task set, process, maybe commit.
+        """One cycle: poll, re-sync placement if it moved, process, maybe
+        commit.
 
         Returns the number of records processed.
         """
@@ -259,7 +287,10 @@ class StreamsInstance:
                 # We were kicked from the group (zombie scenario): nothing
                 # processed since the last commit may survive.
                 raise TaskMigratedError("partitions lost: member was kicked")
-            self._sync_tasks()
+            if self._synced_epochs != (
+                self.consumer.assignment_epoch, self.app.placement_epoch
+            ):
+                self._sync_tasks()
             self._route_batches(batches)
             restored = self._drive_restores()
             if self._tracer.enabled:
@@ -331,7 +362,15 @@ class StreamsInstance:
         this instance's ongoing transaction, so dropping them without a
         commit would later commit that data without its input offsets and
         break exactly-once.
+
+        Everything read here — the consumer's assignment, every instance's
+        ``tasks`` / ``alive``, the assignor's warm-ups — bumps one of the two
+        epochs when it changes, so ``step`` calls this only when the pair
+        has moved since the last sync that ran to the end. The pair is read
+        *before* the sync: a bump made while it runs (its own task changes
+        included) costs one more, idempotent, sync on the next step.
         """
+        epochs = (self.consumer.assignment_epoch, self.app.placement_epoch)
         assigned_tasks: Dict[TaskId, List[TopicPartition]] = {}
         for tp in self.consumer.assignment():
             task_id = self.app.assignor.task_for(tp)
@@ -342,7 +381,7 @@ class StreamsInstance:
             self.commit()
             for task_id in removed:
                 self.app.note_task_closed(task_id, self._last_commit_ms)
-                self.tasks.pop(task_id).close()
+                self._drop_task(task_id).close()
                 producer = self._task_producers.pop(task_id, None)
                 if producer is not None:
                     producer.close()
@@ -358,7 +397,8 @@ class StreamsInstance:
             # Pause the new partitions and retry on a later poll — the
             # KIP-447 UNSTABLE_OFFSET_COMMIT backoff. (Anything already
             # fetched for them is dropped by _route_batches; the seek below
-            # re-fetches it once the task exists.)
+            # re-fetches it once the task exists.) Not a completed sync:
+            # the epochs stay unrecorded, so the next step comes back.
             for task_id in to_create:
                 for tp in assigned_tasks[task_id]:
                     self.consumer.pause(tp)
@@ -409,8 +449,9 @@ class StreamsInstance:
             task.first_process_listener = self.app.first_process_listener_for(
                 task_id
             )
-            self.tasks[task_id] = task
+            self._adopt_task(task_id, task)
         self._sync_standbys()
+        self._synced_epochs = epochs
 
     def _sync_standbys(self) -> None:
         """Maintain warm shadow stores for stateful tasks owned elsewhere.
@@ -424,9 +465,6 @@ class StreamsInstance:
         **warmup** tasks the assignor earmarked for it — standbys built
         solely so a pending migration can complete without a cold restore.
         """
-        from repro.streams.runtime.standby import StandbyTask
-        from repro.util import stable_hash
-
         warmups = self.app.assignor.warmup_tasks_for(self.consumer.member_id)
         replicas = self.config.num_standby_replicas
         wanted = set()
@@ -771,7 +809,7 @@ class StreamsInstance:
                     pass
         for task in self.tasks.values():
             task.close()
-        self.tasks.clear()
+        self._drop_all_tasks()
         self._reset_positions_to_committed()
         self._last_commit_ms = self.cluster.clock.now
         self._commit_due = False
@@ -811,7 +849,7 @@ class StreamsInstance:
         for task_id, task in self.tasks.items():
             self.app.note_task_closed(task_id, self._last_commit_ms)
             task.close()
-        self.tasks.clear()
+        self._drop_all_tasks()
         if self.consumer.member_id is not None:
             # Release any partitions the coordinator is still waiting on
             # this member to hand over — its state is gone, so the last
@@ -842,20 +880,20 @@ class StreamsInstance:
         for task_id, task in self.tasks.items():
             self.app.note_task_closed(task_id, self._last_commit_ms)
             task.close()
-        self.tasks.clear()
+        self._drop_all_tasks()
         for producer in self._all_producers():
             producer.close()
         self.consumer.close()
         self._cancel_timers()
-        self.alive = False
+        self._go_down()
 
     def crash(self) -> None:
         """Abrupt failure: nothing is committed or aborted; any open
         transaction dangles until fenced or timed out. The group
         coordinator eventually notices via session expiry (the dead
         instance no longer heartbeats and fails its liveness probe)."""
-        self.alive = False
+        self._go_down()
         for task_id in self.tasks:
             self.app.note_task_closed(task_id, self._last_commit_ms)
-        self.tasks.clear()
+        self._drop_all_tasks()
         self._cancel_timers()

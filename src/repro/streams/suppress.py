@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.streams.processor import Processor
 from repro.streams.records import Change, ColumnChunk, StreamRecord
@@ -61,8 +61,9 @@ class SuppressProcessor(Processor):
         self._grace_ms = grace_ms
         self._final = suppressed.mode == UNTIL_WINDOW_CLOSES
         self._wait = 0.0 if self._final else suppressed.time_limit_ms
-        # key -> (latest_new, pre-run old, latest ts, first buffered at, headers)
-        self._buffer: Dict[Any, Tuple[Any, Any, float, float, dict]] = {}
+        # key -> (latest_new, pre-run old, latest ts, first buffered at,
+        # the latest revision's headers — the frozen object itself, shared)
+        self._buffer: Dict[Any, Tuple[Any, Any, float, float, Mapping]] = {}
         # (due, insertion number, key) for exactly the buffered keys.
         self._index: List[Tuple[float, int, Any]] = []
         self._inserted = 0
@@ -107,14 +108,12 @@ class SuppressProcessor(Processor):
                         "until_window_closes requires windowed keys; got "
                         f"{type(key).__name__}"
                     )
-                buffer[key] = (change.new, change.old, timestamp, timestamp, dict(h))
+                buffer[key] = (change.new, change.old, timestamp, timestamp, h)
                 heappush(index, (due, self._inserted, key))
                 self._inserted += 1
             else:
                 self.records_suppressed += 1
-                buffer[key] = (
-                    change.new, pending[1], timestamp, pending[3], dict(h)
-                )
+                buffer[key] = (change.new, pending[1], timestamp, pending[3], h)
             if stream_time - index[0][0] >= wait:
                 self._emit_due(stream_time, out)
         return out

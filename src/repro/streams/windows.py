@@ -16,7 +16,10 @@ DEFAULT_GRACE_MS = 24 * 3600 * 1000.0
 
 @dataclass(frozen=True)
 class Window:
-    """A half-open time interval [start, end)."""
+    """A half-open time interval [start, end).
+
+    Hashed once, at construction (see :class:`Windowed`).
+    """
 
     start: float
     end: float
@@ -24,6 +27,13 @@ class Window:
     def __post_init__(self) -> None:
         if self.end <= self.start:
             raise ValueError(f"window end {self.end} must exceed start {self.start}")
+        object.__setattr__(self, "_hash", hash((self.start, self.end)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Window, (self.start, self.end)
 
     def contains(self, timestamp: float) -> bool:
         return self.start <= timestamp < self.end
@@ -38,10 +48,27 @@ class Windowed:
 
     Windowed aggregate results are keyed by (original key, window), as in
     Figure 6 where results are "indexed by the window start time".
+
+    A result key is built once per live window and then hashed by every
+    store, suppression-buffer and heap operation on it, so the hash is
+    computed where the key is built and ``__hash__`` hands it back. The
+    cached value is not a field (``==``, ``repr`` and ``fields()`` do not
+    see it) and never travels: copies and pickles rebuild through the
+    constructor, because a ``str`` key hashes differently in another
+    process. The wrapped key must therefore be hashable at construction.
     """
 
     key: Any
     window: Window
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.key, self.window)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Windowed, (self.key, self.window)
 
     def __repr__(self) -> str:
         return f"Windowed({self.key!r}, {self.window})"

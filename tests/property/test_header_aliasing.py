@@ -20,6 +20,9 @@ Traced, the task and the sink stamp copies — frozen ones: an operator's
 write raises all the same, and the source log's objects carry no stamp.
 """
 
+from contextlib import ExitStack, contextmanager
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,8 +34,16 @@ from repro.log.record import NO_HEADERS, FrozenHeaders
 from repro.mirror import Federation
 from repro.streams import KafkaStreams, StreamsBuilder
 from repro.streams.processor import Processor
+from repro.streams.suppress import SuppressProcessor, Suppressed
+from repro.streams.windows import TimeWindows, Window, Windowed
 
-from tests.streams.harness import drain_topic, stored_headers
+from tests.streams.harness import (
+    drain_topic,
+    make_cluster,
+    record_path,
+    stored_headers,
+    vectorised,
+)
 
 TOPICS = ("in", "copy", "out")
 
@@ -208,3 +219,140 @@ def test_a_traced_run_stamps_frozen_copies(drawn):
             for record in outputs:
                 assert unstamped(record.headers) == originals[record.value]
                 assert {"__t_fetched", "__t_processed", "__t_emitted"} <= set(record.headers)
+
+
+# -- suppress: the one operator that holds headers across records ---------------
+
+
+class SeesSuppressed(Processor):
+    """Downstream of ``suppress``: keeps the header objects it is handed,
+    after trying to write through them."""
+
+    seen = []
+
+    def process(self, record):
+        with pytest.raises(TypeError):
+            record.headers["seen"] = True
+        SeesSuppressed.seen.append((record.key, record.value, record.headers))
+        self.context.forward(record)
+
+
+@contextmanager
+def absorbed_headers(by_n):
+    """Record every header object handed to ``SuppressProcessor._absorb``
+    under the ``n`` it carries (one per input record)."""
+    absorb = SuppressProcessor._absorb
+
+    def spying(self, keys, values, timestamps, headers, stream_times):
+        headers = list(headers)
+        for h in headers:
+            by_n[h["n"]] = h
+        return absorb(self, keys, values, timestamps, headers, stream_times)
+
+    with mock.patch.object(SuppressProcessor, "_absorb", spying):
+        yield
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("scalar", [False, True], ids=["chunk", "process"])
+@pytest.mark.parametrize(
+    "policy",
+    [Suppressed.until_window_closes(), Suppressed.until_time_limit(15.0)],
+    ids=["until_window_closes", "until_time_limit"],
+)
+def test_a_suppressed_result_carries_the_last_revisions_own_headers(
+    policy, scalar, traced
+):
+    """``suppress`` buffers, per key, the headers of the latest revision it
+    absorbed — the object it was handed, not a copy: what it emits *is*
+    that object, frozen like every other, on the chunk path and through
+    ``process()``, traced (the task's stamped copy) or not (the log's own)."""
+    cluster = make_cluster(**{"in": 1, "out": 1})
+    if traced:
+        cluster.enable_tracing()
+    builder = StreamsBuilder()
+    (
+        builder.stream("in")
+        .group_by_key()
+        .windowed_by(TimeWindows.of(10.0).grace(10.0))
+        .count(store_name="cells")
+        .suppress(policy)
+        .to_stream()
+        .process(SeesSuppressed)
+        .to("out")
+    )
+    SeesSuppressed.seen = []
+    by_n = {}
+    inputs_of = {}          # windowed key -> [n of each input, in order]
+    with ExitStack() as stack:
+        stack.enter_context(absorbed_headers(by_n))
+        if scalar:
+            stack.enter_context(record_path())
+        app = KafkaStreams(
+            builder.build(),
+            cluster,
+            StreamsConfig(
+                application_id="suppress-alias",
+                processing_guarantee=EXACTLY_ONCE,
+                commit_interval_ms=20.0,
+            ),
+        )
+        app.start(1)
+        producer = Producer(cluster)
+        for n in range(62):
+            # Sixty in-order records, then one far ahead per key to close
+            # every window they opened.
+            key, timestamp = f"k{n % 2}", float(n) if n < 60 else 1_000.0
+            producer.send("in", key=key, value=n, timestamp=timestamp,
+                          partition=0, headers={"n": n, "origin": "test"})
+            start = timestamp // 10 * 10
+            inputs_of.setdefault(
+                Windowed(key, Window(start, start + 10)), []
+            ).append(n)
+            if n % 7 == 6:              # several chunks, cut mid-window
+                producer.flush()
+                app.run_until_idle()
+        producer.flush()
+        cluster.clock.advance(50.0)
+        app.run_until_idle()
+        (suppress,) = [
+            p for task in app.instances[0].tasks.values()
+            for p in task.processors().values()
+            if isinstance(p, SuppressProcessor)
+        ]
+        assert vectorised(suppress) is not scalar
+        app.close()
+
+    assert len(by_n) == 62
+    seen = SeesSuppressed.seen
+    assert len(seen) >= 10                  # five closed windows a key, at least
+    for key, count, headers in seen:
+        # A count of c is the cell's c-th input: the revision it came from.
+        n = inputs_of[key][count - 1]
+        assert headers["n"] == n
+        assert headers is by_n[n], "suppress emitted a copy of the headers"
+        assert type(headers) is FrozenHeaders
+    if policy.mode == "until_window_closes":
+        # Final results only: each is the last revision of its window.
+        assert all(count == len(inputs_of[key]) == 5 for key, count, _ in seen)
+        assert len(seen) == 12
+    assert suppress.records_suppressed > 0
+
+    source = cluster.partition_state(TopicPartition("in", 0)).leader_log()
+    originals = [record.headers for record in source.records()]
+    for key, count, headers in seen:
+        original = originals[inputs_of[key][count - 1]]
+        if traced:
+            assert headers is not original
+            assert unstamped(headers) == unstamped(original)
+        else:
+            assert headers is original      # nothing built between log and here
+    results = drain_topic(cluster, "out")
+    assert [(r.key, r.value) for r in results] == [(k, c) for k, c, _ in seen]
+    for record, (_key, _count, headers) in zip(results, seen):
+        assert type(record.headers) is FrozenHeaders
+        assert unstamped(record.headers) == unstamped(headers)
+        if not traced:
+            assert record.headers is headers
+        with pytest.raises(TypeError):
+            record.headers["x"] = 1

@@ -15,6 +15,7 @@ from repro.streams.processor import (
     ProcessorContext,
 )
 from repro.streams.records import ColumnChunk, StreamRecord
+from repro.streams.runtime.instance import StreamsInstance
 from repro.streams.state.kv_store import InMemoryKeyValueStore
 from repro.streams.state.window_store import InMemoryWindowStore
 from repro.streams.topology import ProcessorNode, SinkNode
@@ -90,6 +91,23 @@ def record_path():
                         cls, "process_batch", Processor.process_batch
                     )
                 )
+        yield
+
+
+@contextmanager
+def sync_every_step():
+    """Context manager: every ``StreamsInstance.step`` inside re-derives
+    task and standby placement whether or not an epoch moved — the loop as
+    it ran before placement was synced on change, and the reference side
+    of ``test_placement_sync``. Patched in from the test side on purpose:
+    the product has no switch that selects it."""
+    step = StreamsInstance.step
+
+    def forgetful_step(self):
+        self._synced_epochs = None
+        return step(self)
+
+    with mock.patch.object(StreamsInstance, "step", forgetful_step):
         yield
 
 

@@ -1,6 +1,8 @@
 """Section 5's completeness path end to end: table join -> re-key ->
 windowed count with grace -> suppress, through the application runtime."""
 
+import hashlib
+
 import pytest
 
 from repro.clients.producer import Producer
@@ -8,11 +10,15 @@ from repro.config import EXACTLY_ONCE, StreamsConfig
 from repro.streams import KafkaStreams, StreamsBuilder
 from repro.streams.suppress import Suppressed
 from repro.streams.windows import TimeWindows, Window, Windowed
+from repro.util import partition_for
 
 from tests.streams.harness import drain_topic, make_cluster, vectorised
 
 USERS = 12
 SEGMENTS = 3
+#: sha1 of ``repr`` of every ``counts`` row as (partition, offset, repr(key),
+#: value), in drain order; recorded at 7226411, the parent of the cached hash.
+RESULT_ROWS_SHA1 = "f02b74c1522e2cab14ab95d9acf073a80ad114c3"
 
 
 def build_join_count_suppress():
@@ -32,9 +38,10 @@ def build_join_count_suppress():
     return builder.build()
 
 
-def test_every_task_of_the_completeness_path_is_chunk_native():
-    """Two instances: every processor of every task has a vectorised
-    ``process_batch``, and the final counts are still the offline counts."""
+@pytest.fixture(scope="module")
+def completeness_run():
+    """The path on two instances, run once for the tests below: yields
+    ``(cluster, app, expected)`` with ``expected`` the offline counts."""
     cluster = make_cluster(events=4, profiles=4, counts=4)
     app = KafkaStreams(
         build_join_count_suppress(),
@@ -73,7 +80,14 @@ def test_every_task_of_the_completeness_path_is_chunk_native():
     for _ in range(3):
         cluster.clock.advance(100.0)
         app.run_until_idle()
+    yield cluster, app, expected
+    app.close()
 
+
+def test_every_task_of_the_completeness_path_is_chunk_native(completeness_run):
+    """Two instances: every processor of every task has a vectorised
+    ``process_batch``, and the final counts are still the offline counts."""
+    cluster, app, expected = completeness_run
     tasks = [task for instance in app.instances for task in instance.tasks.values()]
     assert len(tasks) == 8
     assert all(len(instance.tasks) == 4 for instance in app.instances)
@@ -89,7 +103,24 @@ def test_every_task_of_the_completeness_path_is_chunk_native():
     assert app.metric_total("dropped_records") == 0
     results = {r.key: r.value for r in drain_topic(cluster, "counts")}
     assert results == expected
-    app.close()
+
+
+def test_result_keys_keep_their_repr_partition_and_emission_order(completeness_run):
+    """A windowed key caches its hash; nothing a reader of the sink can see
+    may move with that: how a key prints (the sink partitioner hashes the
+    ``repr``), which partition each result lands in, and the order
+    ``suppress`` emits them in (their offsets) — the last pinned by a
+    digest recorded before the hash was cached."""
+    cluster, _app, expected = completeness_run
+    rows = [
+        (r.partition, r.offset, repr(r.key), r.value)
+        for r in drain_topic(cluster, "counts")
+    ]
+    assert len(rows) == len(expected) == 48
+    assert rows[0][2] == "Windowed('s0', [0.0, 25.0))"
+    for partition, _offset, key_repr, _value in rows:
+        assert partition == partition_for(key_repr, 4)
+    assert hashlib.sha1(repr(rows).encode()).hexdigest() == RESULT_ROWS_SHA1
 
 
 @pytest.mark.xfail(

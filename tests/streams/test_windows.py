@@ -1,7 +1,15 @@
 """Windows, windowed keys, and window assignment."""
 
+import copy
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
+from repro.streams.serde import WINDOWED_KEY_SERDE
 from repro.streams.windows import TimeWindows, Window, Windowed
 
 
@@ -23,6 +31,94 @@ class TestWindow:
         assert a == b
         assert hash(a) == hash(b)
         assert a != Windowed("k", Window(5, 10))
+
+
+class TestHashedOnce:
+    """``Window`` / ``Windowed`` compute their hash where they are built and
+    hand it back from ``__hash__``; nothing else about them may show it."""
+
+    KEYS = [
+        Windowed("user-1", Window(10.0, 15.0)),
+        Windowed(("a", 7), Window(0, 5)),
+        Windowed(None, Window(-5.0, 5.0)),
+    ]
+
+    def test_twins_built_separately_find_each_other(self):
+        for key in self.KEYS:
+            twin = Windowed(key.key, Window(key.window.start, key.window.end))
+            assert twin is not key and twin == key and hash(twin) == hash(key)
+            assert {key: "found"}[twin] == "found"
+            assert {key.window: "found"}[twin.window] == "found"
+        # int and float bounds are one window, as they were one tuple.
+        assert {Window(0, 5): 1}[Window(0.0, 5.0)] == 1
+        assert len(set(self.KEYS) | set(self.KEYS)) == len(self.KEYS)
+
+    def test_the_hash_is_the_field_tuples(self):
+        """Equal to the hash the dataclass generated before it was cached:
+        set and dict layouts holding windowed keys do not move."""
+        for key in self.KEYS:
+            assert hash(key.window) == hash((key.window.start, key.window.end))
+            assert hash(key) == hash((key.key, key.window))
+
+    def test_copies_find_their_twin(self):
+        for key in self.KEYS:
+            for clone in (copy.copy(key), copy.deepcopy(key),
+                          pickle.loads(pickle.dumps(key))):
+                assert clone == key and {key: 1}[clone] == 1
+                assert {key.window: 1}[clone.window] == 1
+
+    def test_a_pickle_from_a_process_with_another_hash_seed_finds_its_twin(self):
+        """A ``str`` hashes differently under another ``PYTHONHASHSEED``: a
+        key that carried its cached hash across would be lost in every
+        dict here. Pickles rebuild through the constructor."""
+        script = (
+            "import pickle, sys\n"
+            "from repro.streams.windows import Window, Windowed\n"
+            "key = Windowed('user-1', Window(10.0, 15.0))\n"
+            "sys.stdout.buffer.write(pickle.dumps((key, hash(key))))\n"
+        )
+        ours = Windowed("user-1", Window(10.0, 15.0))
+        theirs = []
+        for seed in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": os.pathsep.join(sys.path)},
+                capture_output=True, check=True, timeout=60,
+            ).stdout
+            key, their_hash = pickle.loads(out)
+            theirs.append(their_hash)
+            assert key == ours and hash(key) == hash(ours)
+            assert {ours: "found"}[key] == "found"
+        assert theirs[0] != theirs[1], "the seeds did not change str hashing"
+
+    def test_nothing_but_the_hash_is_cached(self):
+        key = self.KEYS[0]
+        assert repr(key) == "Windowed('user-1', [10.0, 15.0))"
+        assert repr(key.window) == "[10.0, 15.0)"
+        assert [f.name for f in dataclasses.fields(key)] == ["key", "window"]
+        assert [f.name for f in dataclasses.fields(key.window)] == ["start", "end"]
+        assert dataclasses.astuple(key) == ("user-1", (10.0, 15.0))
+        assert dataclasses.replace(key, key="user-2") == Windowed("user-2", key.window)
+        assert {dataclasses.replace(key, key="user-2"): 1}[Windowed("user-2", key.window)]
+        # Not a tuple, and not equal to one.
+        assert key != ("user-1", key.window) and not isinstance(key, tuple)
+        assert key.window != (10.0, 15.0)
+
+    def test_still_immutable_and_still_validated(self):
+        key = self.KEYS[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.key = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            key.window.end = 99.0
+        for start, end in ((5, 5), (5, 4), (0.0, -1.0)):
+            with pytest.raises(ValueError):
+                Window(start, end)
+
+    def test_serde_round_trip_finds_its_twin(self):
+        for key in self.KEYS:
+            back = WINDOWED_KEY_SERDE.deserialize(WINDOWED_KEY_SERDE.serialize(key))
+            assert back == key and {key: 1}[back] == 1
 
 
 class TestTumblingWindows:
