@@ -102,9 +102,12 @@ class Cluster:
         self._partitions: Dict[TopicPartition, PartitionState] = {}
         self._placement_cursor = 0
         self._next_producer_id = 1
-        # Bumped whenever routing facts change (leadership, partition
-        # counts); clients key their metadata/leader caches on it.
-        self._metadata_epoch = 0
+        # Monotonic version of the routing facts (leaders and partition
+        # counts), bumped whenever one changes: a client's routing table is
+        # valid only within one epoch. A plain attribute, read on every
+        # send; only this class assigns it
+        # (tests/test_attribute_owner_structure.py).
+        self.metadata_epoch = 0
         # Where components note recovery milestones; a RecoveryTracker
         # (repro.obs.recovery) puts itself here with ``install()``.
         self.recovery = NO_RECOVERY
@@ -169,7 +172,7 @@ class Cluster:
                 min_insync_replicas=min(self.config.min_insync_replicas, rf),
                 compacted=compacted,
             )
-        self._metadata_epoch += 1
+        self.metadata_epoch += 1
         return meta
 
     def create_partitions(self, name: str, new_partition_count: int) -> TopicMetadata:
@@ -197,7 +200,7 @@ class Cluster:
                 compacted=meta.compacted,
             )
         meta.num_partitions = new_partition_count
-        self._metadata_epoch += 1
+        self.metadata_epoch += 1
         return meta
 
     def _place_replicas(self, rf: int) -> List[int]:
@@ -234,12 +237,6 @@ class Cluster:
             raise BrokerUnavailableError(f"{tp}: no live leader")
         return leader
 
-    @property
-    def metadata_epoch(self) -> int:
-        """Monotonic version of the cluster's routing facts (leaders and
-        partition counts). Client caches are valid only within one epoch."""
-        return self._metadata_epoch
-
     # -- invariant probes (read-only; used by repro.sim.invariants) -----------------
 
     def partition_states(self) -> Dict[TopicPartition, PartitionState]:
@@ -264,7 +261,7 @@ class Cluster:
             return None
         old = state.leader
         state.transfer_leadership(candidates[0])
-        self._metadata_epoch += 1
+        self.metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "partition.leader_change",
@@ -372,7 +369,7 @@ class Cluster:
             return
         broker.alive = False
         self.network.set_broker_down(broker_id)
-        self._metadata_epoch += 1
+        self.metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "broker.crash", f"broker-{broker_id}", "lifecycle",
@@ -396,7 +393,7 @@ class Cluster:
             return
         broker.alive = True
         self.network.set_broker_down(broker_id, down=False)
-        self._metadata_epoch += 1
+        self.metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "broker.restart", f"broker-{broker_id}", "lifecycle",

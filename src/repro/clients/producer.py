@@ -17,7 +17,7 @@ Reproduces the client-side behaviour of Sections 4.1–4.2:
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
@@ -32,7 +32,7 @@ from repro.log.columnar import ColumnarSlab
 from repro.log.record import NO_HEADERS, NO_SEQUENCE, FrozenHeaders
 from repro.obs.tracer import TRACE_ID_HEADER
 from repro.sim.network import call_with_retry
-from repro.util import partition_for
+from repro.util import MEMO_KEY_TYPES, RouteMemo, partition_for
 
 # "Every type in this iterable is FrozenHeaders", decided in C.
 _ALL_FROZEN = frozenset((FrozenHeaders,)).issuperset
@@ -44,30 +44,22 @@ class _ColumnBuffer:
     ``send()`` appends four scalars instead of building an intermediate
     ``Record``; the flush path hands the columns to the broker as one
     :class:`~repro.log.columnar.ColumnarSlab`, and the partition log
-    stores those very lists — a buffer whose slab was delivered is
-    replaced, never appended to again."""
+    stores those very lists — a buffer whose slab was sent is replaced,
+    never appended to again.
 
-    __slots__ = ("keys", "values", "timestamps", "headers")
+    ``sealed`` is a slab that was sent and never acknowledged: the broker
+    may hold it already, so it goes again exactly as it was (same records,
+    same base sequence — the broker de-duplicates it) before anything
+    buffered here, whose sequence follows on from it."""
 
-    def __init__(self) -> None:
+    __slots__ = ("keys", "values", "timestamps", "headers", "sealed")
+
+    def __init__(self, sealed: Optional[ColumnarSlab] = None) -> None:
         self.keys: List[Any] = []
         self.values: List[Any] = []
         self.timestamps: List[float] = []
         self.headers: List[Mapping[str, Any]] = []
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def __bool__(self) -> bool:
-        return bool(self.keys)
-
-    def disown(self) -> None:
-        """Move the pending records onto fresh lists, leaving the old ones
-        to whoever else holds them."""
-        self.keys = list(self.keys)
-        self.values = list(self.values)
-        self.timestamps = list(self.timestamps)
-        self.headers = list(self.headers)
+        self.sealed = sealed
 
 
 class Producer:
@@ -81,26 +73,29 @@ class Producer:
         self._clock = cluster.clock
         self._tracer = cluster.tracer
 
+        self.transactional = self.config.transactional_id is not None
         self.producer_id = -1
         self.producer_epoch = -1
-        if self.config.enable_idempotence and self.config.transactional_id is None:
+        if self.config.enable_idempotence and not self.transactional:
             self.producer_id = cluster.allocate_producer_id()
             self.producer_epoch = 0
 
         self._sequences: Dict[TopicPartition, int] = {}
         self._pending: Dict[TopicPartition, _ColumnBuffer] = {}
-        # topic -> its TopicPartitions, indexed by partition number, so
-        # that ``send`` builds none per record; rebuilt whenever the
-        # cluster's metadata epoch moves. Where a partition's leader is,
-        # is asked of the cluster at every RPC.
+        # topic -> (its TopicPartitions indexed by partition number, the
+        # default partitioner's key -> TopicPartition memo), so that
+        # ``send`` builds none per record and hashes a repeated key once;
+        # both dropped whenever the cluster's metadata epoch moves. Where
+        # a partition's leader is, is asked of the cluster at every RPC.
         self._routing_epoch = -1
-        self._partition_table: Dict[str, List[TopicPartition]] = {}
+        self._routes: Dict[str, Tuple[List[TopicPartition], RouteMemo]] = {}
         self._in_transaction = False
         self._txn_registered_partitions: set = set()
         # Partitions written this transaction but not yet registered with
         # the coordinator; registered in one batched RPC at flush time
         # (Section 4.3: "producers can batch multiple writing partitions
-        # in a single registration request").
+        # in a single registration request"). A partition is queued when
+        # its buffer is created (``_new_buffer``).
         self._txn_unregistered: set = set()
         self._initialized_transactions = False
         self._closed = False
@@ -111,10 +106,6 @@ class Producer:
         self.retries_performed = 0
 
     # -- transactions lifecycle -----------------------------------------------------
-
-    @property
-    def transactional(self) -> bool:
-        return self.config.transactional_id is not None
 
     def _call_coordinator(self, api: str, tp: TopicPartition, fn, cost: float):
         """One coordinator RPC, to whoever leads the coordinator's log
@@ -271,25 +262,27 @@ class Producer:
         if self._closed:
             raise KafkaError("producer is closed")
         in_transaction = self._in_transaction
-        if not in_transaction and self.config.transactional_id is not None:
+        if not in_transaction and self.transactional:
             raise InvalidTxnStateError(
                 "transactional producers must send within a transaction"
             )
         epoch = self.cluster.metadata_epoch
         if epoch != self._routing_epoch:
-            self._partition_table.clear()
+            self._routes.clear()
             self._routing_epoch = epoch
-        table = self._partition_table.get(topic)
-        if table is None:
-            table = self._partition_table[topic] = self.cluster.partitions_for(topic)
+        route = self._routes.get(topic)
+        if route is None:
+            route = self._routes[topic] = self._route(topic)
+        table, memo = route
         if partition is None:
-            tp = table[partition_for(key, len(table))]
+            if type(key) in MEMO_KEY_TYPES:
+                tp = memo[key]
+            else:
+                tp = table[partition_for(key, len(table))]
         elif 0 <= partition < len(table):
             tp = table[partition]
         else:
             tp = TopicPartition(topic, partition)    # fails at leader lookup
-        if in_transaction and tp not in self._txn_registered_partitions:
-            self._txn_unregistered.add(tp)
         tracer = self._tracer
         if tracer.enabled and TRACE_ID_HEADER not in (headers or ()):
             # First send of a fresh record: root of its causal chain. Hops
@@ -304,7 +297,7 @@ class Producer:
             headers = FrozenHeaders(headers)
         bucket = self._pending.get(tp)
         if bucket is None:
-            bucket = self._pending[tp] = _ColumnBuffer()
+            bucket = self._new_buffer(tp)
         keys = bucket.keys
         keys.append(key)
         bucket.values.append(value)
@@ -343,11 +336,9 @@ class Producer:
                 "transactional producers must send within a transaction"
             )
         tp = TopicPartition(topic, partition)
-        if self._in_transaction and tp not in self._txn_registered_partitions:
-            self._txn_unregistered.add(tp)
         bucket = self._pending.get(tp)
         if bucket is None:
-            bucket = self._pending[tp] = _ColumnBuffer()
+            bucket = self._new_buffer(tp)
         bucket.keys.extend(keys)
         bucket.values.extend(values)
         bucket.timestamps.extend(timestamps)
@@ -361,6 +352,30 @@ class Producer:
             self._pending[tp] = _ColumnBuffer()
         return tp
 
+    def _route(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
+        """``topic``'s partition table, as of the current metadata epoch,
+        and an empty key memo for it."""
+        table = self.cluster.partitions_for(topic)
+        count = len(table)
+        return table, RouteMemo(lambda key: table[partition_for(key, count)])
+
+    def _new_buffer(self, tp: TopicPartition) -> _ColumnBuffer:
+        """Open ``tp``'s buffer; inside a transaction, queue ``tp`` for
+        registration unless it is registered already.
+
+        This is the one place a record's partition is enlisted, which holds
+        because inside a transaction every partition with a buffer is
+        registered or queued: a transaction begins with no buffer (its
+        predecessor's commit or abort flushed them all, ``init_transactions``
+        drops them), every other buffer is made right after its partition's
+        registration (a full batch is replaced, a failed slab sealed, only
+        after ``_register_pending_partitions``), and registering moves a
+        partition from queued to registered."""
+        bucket = self._pending[tp] = _ColumnBuffer()
+        if self._in_transaction and tp not in self._txn_registered_partitions:
+            self._txn_unregistered.add(tp)
+        return bucket
+
     def flush(self) -> None:
         """Send every buffered batch and await acknowledgements. A buffer
         leaves ``_pending`` as it is acknowledged: left there by a later
@@ -368,8 +383,7 @@ class Producer:
         self._register_pending_partitions()
         pending = self._pending
         for tp, bucket in list(pending.items()):
-            if bucket:
-                self._send_batch(tp, bucket)
+            self._send_batch(tp, bucket)
             del pending[tp]
 
     def _register_pending_partitions(self) -> None:
@@ -403,13 +417,23 @@ class Producer:
         self._txn_registered_partitions.update(partitions)
 
     def _send_batch(self, tp: TopicPartition, bucket: _ColumnBuffer) -> None:
+        """Send ``tp``'s ``bucket``: its sealed slab first, unchanged, then
+        its records as a new slab. A new slab that fails is sealed in a
+        fresh buffer for ``tp``: if only its ack was lost the broker's log
+        stores its lists as they are, so nothing may be appended to them,
+        and records sent from now on are sequenced after it."""
+        if bucket.sealed is not None:
+            self._deliver(tp, bucket.sealed)
+            bucket.sealed = None
+        record_count = len(bucket.keys)
+        if not record_count:
+            return
         base_sequence = NO_SEQUENCE
         if self.producer_id != -1:
             base_sequence = self._sequences.get(tp, 0)
-        record_count = len(bucket.keys)
+            self._sequences[tp] = base_sequence + record_count
         # The slab takes ownership of the buffer's column lists; callers
-        # replace the buffer after a send. Retries reuse the same slab (and
-        # base sequence), so the broker can de-duplicate.
+        # replace the buffer after a send.
         batch = ColumnarSlab(
             keys=bucket.keys,
             values=bucket.values,
@@ -420,27 +444,28 @@ class Producer:
             base_sequence=base_sequence,
             is_transactional=self._in_transaction,
         )
-        config = self.config
-        send_started = self._clock.now if self._tracer.enabled else 0.0
         try:
-            # Ridden out through timeouts, leaderless partitions and an ISR
-            # below min, until the attempt cap or the delivery deadline.
-            call_with_retry(
-                self._network, self.cluster, config, "produce", tp,
-                partial(self.cluster.handle_produce, tp, batch, config.acks),
-                self._network.produce_cost(record_count),
-                timeout_ms=config.delivery_timeout_ms, max_retries=config.retries,
-                kind="send_retry", detail={"tp": tp}, on_retry=self._count_retry,
-            )
+            self._deliver(tp, batch)
         except BaseException:
-            # The failed buffer keeps its records for the next attempt —
-            # but if only the ack was lost the broker's log stores this
-            # slab's lists as they are: whatever is buffered next must
-            # land on lists of the buffer's own.
-            bucket.disown()
+            self._pending[tp] = _ColumnBuffer(sealed=batch)
             raise
-        if base_sequence != NO_SEQUENCE:
-            self._sequences[tp] = base_sequence + record_count
+
+    def _deliver(self, tp: TopicPartition, batch: ColumnarSlab) -> None:
+        """One slab to ``tp``'s leader, acknowledged or raised. Retries
+        send the same slab (and base sequence), so the broker can
+        de-duplicate."""
+        config = self.config
+        record_count = len(batch.keys)
+        send_started = self._clock.now if self._tracer.enabled else 0.0
+        # Ridden out through timeouts, leaderless partitions and an ISR
+        # below min, until the attempt cap or the delivery deadline.
+        call_with_retry(
+            self._network, self.cluster, config, "produce", tp,
+            partial(self.cluster.handle_produce, tp, batch, config.acks),
+            self._network.produce_cost(record_count),
+            timeout_ms=config.delivery_timeout_ms, max_retries=config.retries,
+            kind="send_retry", detail={"tp": tp}, on_retry=self._count_retry,
+        )
         if self._tracer.enabled:
             # Acked-produce latency, labeled per partition (includes any
             # retries/backoff this batch rode through).

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 
 def labeled_name(name: str, labels: Dict[str, Any]) -> str:
@@ -59,33 +59,34 @@ class Gauge:
 class Histogram:
     """Stores observations; exposes mean and percentiles.
 
+    ``observe(value)`` is the value list's own ``append``, bound per
+    instance: recording a sample runs no Python frame.
+
     The sorted view is computed lazily and cached: ``snapshot()`` asks for
     three percentiles plus min/max, and the telemetry reporter snapshots
     every histogram on every sample tick, so re-sorting per call would be
     O(n log n) per percentile instead of per batch of observations.
+    Observations only ever add to the list (``reset`` drops the view), so
+    the view is current exactly when it is as long as the list.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._values: List[float] = []
         self._sorted: Optional[List[float]] = None
-
-    def observe(self, value: float) -> None:
-        self._values.append(value)
-        self._sorted = None
+        self.observe: Callable[[float], None] = self._values.append
 
     def observe_many(self, values: List[float]) -> None:
         """Bulk observation for columnar paths: one list extension instead
         of a method call per sample."""
         self._values.extend(values)
-        self._sorted = None
 
     @property
     def count(self) -> int:
         return len(self._values)
 
     def _ordered(self) -> List[float]:
-        if self._sorted is None:
+        if self._sorted is None or len(self._sorted) != len(self._values):
             self._sorted = sorted(self._values)
         return self._sorted
 

@@ -71,11 +71,13 @@ class StageLatencyTracker(LatencyTracker):
         }
 
     def record_output(self, record, received_at_ms: float) -> Optional[float]:
-        latency = super().record_output(record, received_at_ms)
-        if latency is None:
-            return None
+        # LatencyTracker.record_output, inlined: one frame per record.
         headers = record.headers
-        created = headers[CREATED_AT_HEADER]
+        created = headers.get(CREATED_AT_HEADER)
+        if created is None:
+            return None
+        latency = received_at_ms - created
+        self.histogram.observe(latency)
         fetched = headers.get(FETCHED_AT_HEADER)
         processed = headers.get(PROCESSED_AT_HEADER)
         emitted = headers.get(EMITTED_AT_HEADER)

@@ -38,36 +38,41 @@ class SimClock:
     """
 
     def __init__(self, start_ms: float = 0.0) -> None:
-        self._now = float(start_ms)
+        # Current virtual time in milliseconds. A plain attribute, read on
+        # every record; only this class assigns it
+        # (tests/test_attribute_owner_structure.py).
+        self.now = float(start_ms)
         self._timers: List[Tuple[float, int, "Timer"]] = []
         self._seq = itertools.count()
 
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
-
     def advance(self, delta_ms: float) -> None:
-        """Move time forward by ``delta_ms`` milliseconds, firing timers."""
+        """Move time forward by ``delta_ms`` milliseconds, firing timers.
+        Exactly ``advance_to(now + delta_ms)``, without the second call
+        while no timer is due."""
         if delta_ms < 0:
             raise ValueError(f"cannot move time backwards: {delta_ms}")
-        self.advance_to(self._now + delta_ms)
+        deadline_ms = self.now + delta_ms
+        timers = self._timers
+        if timers and timers[0][0] <= deadline_ms:
+            self.advance_to(deadline_ms)
+        else:
+            self.now = deadline_ms
 
     def advance_to(self, deadline_ms: float) -> None:
         """Move time forward to ``deadline_ms``, firing due timers in order."""
-        if deadline_ms < self._now:
+        if deadline_ms < self.now:
             raise ValueError(
-                f"cannot move time backwards: now={self._now}, to={deadline_ms}"
+                f"cannot move time backwards: now={self.now}, to={deadline_ms}"
             )
         while self._timers and self._timers[0][0] <= deadline_ms:
             fire_at, _, timer = heapq.heappop(self._timers)
             # Fire the timer at its own deadline so callbacks observe a
             # consistent "now".
-            self._now = max(self._now, fire_at)
+            self.now = max(self.now, fire_at)
             timer._fire()
         # A callback may itself have advanced the clock (e.g. by charging
         # network latency); never rewind below wherever it left us.
-        self._now = max(self._now, deadline_ms)
+        self.now = max(self.now, deadline_ms)
 
     def schedule(
         self, delay_ms: float, callback: Callable[[], None], wake: bool = True
@@ -81,7 +86,7 @@ class SimClock:
         """
         if delay_ms < 0:
             raise ValueError(f"negative delay: {delay_ms}")
-        timer = Timer(self, self._now + delay_ms, callback, wake=wake)
+        timer = Timer(self, self.now + delay_ms, callback, wake=wake)
         heapq.heappush(self._timers, (timer.deadline, next(self._seq), timer))
         return timer
 

@@ -15,6 +15,7 @@ than stream-time − grace = 13) while [15, 20) survives.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Optional
 
 from repro.streams.processor import Processor
@@ -24,6 +25,12 @@ from repro.streams.windows import TimeWindows, Window, Windowed
 
 Initializer = Callable[[], Any]
 Aggregator = Callable[[Any, Any, Any], Any]      # (key, value, aggregate) -> new
+
+# Change((new, old)) built in C, without the named tuple's Python __new__.
+_CHANGE = partial(tuple.__new__, Change)
+# A key the chunk has not aggregated yet (``None`` is a value an aggregate
+# may hold, so it cannot mark one).
+_ABSENT = object()
 
 
 class StreamAggregateProcessor(Processor):
@@ -82,60 +89,47 @@ class StreamAggregateProcessor(Processor):
         """Grouped column scan: one store get per distinct key on first
         touch, the running aggregate kept in a dict, one store put per key
         at chunk end. The emitted Change sequence is exactly what the
-        scalar path would forward record by record. A cache consolidates
-        emissions across records, which is a per-record protocol: with one,
-        the chunk is walked through :meth:`process`."""
+        scalar path would forward record by record; the key, timestamp
+        and header columns (and the stream times) travel on by reference
+        when no key is null, and as the keyed positions otherwise. A cache
+        consolidates emissions across records, which is a per-record
+        protocol: with one, the chunk is walked through :meth:`process`."""
         if self._cache is not None:
             return super().process_batch(chunk)
         keys = chunk.keys
-        values = chunk.values
-        n = len(keys)
-        self.records_processed += n
-        store = self._store
+        self.records_processed += len(keys)
+        store_get = self._store.get
         initializer = self._initializer
         aggregator = self._aggregator
         pending: dict = {}
-        out_k: list = []
-        out_v: list = []
-        out_t: list = []
-        out_h: list = []
-        append_k = out_k.append
-        append_v = out_v.append
-        append_t = out_t.append
-        append_h = out_h.append
-        for key, value, t, h in zip(
-            keys, values, chunk.timestamps, chunk.headers
-        ):
+        pending_get = pending.get
+        news: list = []
+        olds: list = []
+        append_new = news.append
+        append_old = olds.append
+        for key, value in zip(keys, chunk.values):
             if key is None:
                 continue
-            if key in pending:
-                old = pending[key]
-            else:
-                old = store.get(key)
-            base = old if old is not None else initializer()
-            new = aggregator(key, value, base)
-            pending[key] = new
-            append_k(key)
-            append_v(Change(new, old))
-            append_t(t)
-            append_h(h)
+            old = pending_get(key, _ABSENT)
+            if old is _ABSENT:
+                old = store_get(key)
+            new = pending[key] = aggregator(
+                key, value, old if old is not None else initializer()
+            )
+            append_new(new)
+            append_old(old)
         if pending:
-            store.put_many(list(pending.items()))
-        if not out_k:
+            self._store.put_many(list(pending.items()))
+        if not news:
             return
-        stream_times = chunk.stream_times
-        if len(out_k) != n:
+        changes = list(map(_CHANGE, zip(news, olds)))
+        if len(news) != len(keys):
             # Null-key records were not forwarded but did advance stream time.
-            stream_times = [
-                st
-                for key, st in zip(
-                    keys, chunk.stream_times_from(self.context.stream_time)
-                )
-                if key is not None
-            ]
-        self.context.forward_chunk(
-            ColumnChunk(out_k, out_v, out_t, out_h, stream_times)
-        )
+            chunk = chunk.take(
+                [i for i, key in enumerate(keys) if key is not None],
+                self.context.stream_time,
+            )
+        self.context.forward_chunk(chunk.with_values(changes))
 
     def _emit(self, key: Any, new: Any, old: Any, timestamp: float, headers) -> None:
         self._store.put(key, new)

@@ -14,7 +14,8 @@ replaying its changelogs (see :mod:`repro.streams.runtime.restore`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.broker.partition import TopicPartition
 from repro.errors import RetriableError
@@ -42,7 +43,10 @@ from repro.streams.topology import (
     StateStoreSpec,
     SubTopology,
 )
-from repro.util import partition_for
+from repro.util import MEMO_KEY_TYPES, RouteMemo, partition_for
+
+# "Every type in this iterable may index a RouteMemo", decided in C.
+_ALL_MEMO_KEYS = MEMO_KEY_TYPES.issuperset
 
 
 class TaskId(NamedTuple):
@@ -136,12 +140,11 @@ class StreamTask:
                 self._source_children.setdefault(resolve(topic), []).extend(
                     node.children
                 )
-        # Sink routing cache (resolved topic, partition count) per sink
-        # topic, valid for one cluster metadata epoch.
-        self._sink_routes: Dict[str, tuple] = {}
+        # Sink routing cache (resolved topic, partition count, the default
+        # partitioner's key memo) per sink topic, valid for one cluster
+        # metadata epoch.
+        self._sink_routes: Dict[str, Tuple[str, int, RouteMemo]] = {}
         self._sink_routes_epoch = -1
-        # Default-partitioner memo per (topic, partition count): key -> partition.
-        self._sink_partition_cache: Dict[tuple, Dict[Any, int]] = {}
 
         self._stores: Dict[str, Any] = {}
         self._build_stores()
@@ -499,7 +502,7 @@ class StreamTask:
         """Partition a chunk and hand the column slabs straight to the
         producer — per-partition record order is preserved, and no Record
         objects exist until the broker appends the slab to its log."""
-        topic, num_partitions = self._sink_route(node)
+        topic, num_partitions, memo = self._sink_route(node)
         keys = chunk.keys
         headers = chunk.headers
         if self._tracer.enabled:
@@ -513,17 +516,14 @@ class StreamTask:
             return
         buckets: Dict[int, List[int]] = {}
         if partitioner is None:
-            # Keys repeat heavily under any keyed workload; memoize the
-            # default partitioner per (topic, partition-count) so the hash
-            # runs once per distinct key, not once per record.
-            cache = self._sink_partition_cache.get((topic, num_partitions))
-            if cache is None:
-                cache = self._sink_partition_cache[(topic, num_partitions)] = {}
-            cache_get = cache.get
-            for i, key in enumerate(keys):
-                partition = cache_get(key)
-                if partition is None:
-                    partition = cache[key] = partition_for(key, num_partitions)
+            # Keys repeat heavily under any keyed workload: the hash runs
+            # once per distinct key when every key of the chunk may index
+            # the memo (one check per chunk), else once per record.
+            if _ALL_MEMO_KEYS(map(type, keys)):
+                route = memo.__getitem__
+            else:
+                route = memo.route
+            for i, partition in enumerate(map(route, keys)):
                 buckets.setdefault(partition, []).append(i)
         else:
             values = chunk.values
@@ -577,9 +577,9 @@ class StreamTask:
                 best = fire
         return best
 
-    def _sink_route(self, node: SinkNode) -> tuple:
-        """(resolved topic, partition count) for a sink, cached per cluster
-        metadata epoch — not re-resolved for every chunk."""
+    def _sink_route(self, node: SinkNode) -> Tuple[str, int, RouteMemo]:
+        """(resolved topic, partition count, key memo) for a sink, cached
+        per cluster metadata epoch — not re-resolved for every chunk."""
         epoch = self.cluster.metadata_epoch
         if epoch != self._sink_routes_epoch:
             self._sink_routes.clear()
@@ -587,7 +587,11 @@ class StreamTask:
         route = self._sink_routes.get(node.topic)
         if route is None:
             topic = self.resolve(node.topic)
-            route = (topic, self.cluster.topic_metadata(topic).num_partitions)
+            count = self.cluster.topic_metadata(topic).num_partitions
+            route = (
+                topic, count,
+                RouteMemo(partial(partition_for, num_partitions=count)),
+            )
             self._sink_routes[node.topic] = route
         return route
 

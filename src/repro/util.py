@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from typing import Any, Callable
 
 
 def stable_hash(value: Any) -> int:
@@ -31,6 +31,45 @@ def partition_for(key: Any, num_partitions: int) -> int:
     if key is None:
         return 0
     return stable_hash(key) % num_partitions
+
+
+# -- remembering where a key goes ------------------------------------------------
+#
+# Keys repeat under any keyed workload, so the producer and the Streams sink
+# remember each key's partition rather than hash it again. A dict answers by
+# equality, and equal keys are not always one key to the partitioner:
+# ``1 == True == 1.0`` hash alike yet land on three partitions, and a
+# subclass may redefine ``__eq__`` / ``__hash__`` / ``__repr__``. So a memo
+# is consulted only for keys whose ``type()`` is exactly one of
+# MEMO_KEY_TYPES — between those, equal means identical to ``partition_for``
+# — and holds at most MEMO_MAX_KEYS keys, so that keys used once (one per
+# emitted window, say) cannot grow it without bound. A memo belongs to one
+# partition count and is dropped with the routing table it was built from.
+
+#: The exact key types a key -> partition memo may hold.
+MEMO_KEY_TYPES = frozenset((str, int, bytes))
+
+#: The most keys one memo holds; a miss past it starts the memo over.
+MEMO_MAX_KEYS = 1 << 16
+
+
+class RouteMemo(dict):
+    """``memo[key]`` is ``route(key)``, computed on a key's first lookup
+    and remembered: a hit is one C-level dict lookup. Index it only with
+    keys whose ``type()`` is in :data:`MEMO_KEY_TYPES`."""
+
+    __slots__ = ("route",)
+
+    def __init__(self, route: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.route = route
+
+    def __missing__(self, key: Any) -> Any:
+        value = self.route(key)
+        if len(self) >= MEMO_MAX_KEYS:
+            self.clear()
+        self[key] = value
+        return value
 
 
 class ExponentialBackoff:

@@ -152,6 +152,55 @@ class TestIdempotence:
             records = fast_cluster.partition_state(tp).leader_log().records()
             assert [(r.value, r.sequence) for r in records] == [(1, 0), (2, 1)]
 
+    def test_a_slab_whose_ack_was_lost_goes_again_unchanged(
+        self, fast_cluster, topic
+    ):
+        """A flush that gives up on a slab whose ack was lost leaves the
+        broker holding it. The slab is sealed: the next flush sends it
+        again as it was — same records, same base sequence, so the broker
+        de-duplicates — before a slab of what was sent since, whose
+        sequence follows on. Nothing is stuck and nothing lands twice."""
+        injector = FailureInjector(fast_cluster)
+        p = Producer(fast_cluster, ProducerConfig(retries=1))
+        tp = TopicPartition(topic, 0)
+        p.send(topic, key="k", value=1, partition=0)
+        p.send(topic, key="k", value=2, partition=0)
+        injector.drop_next_produce_ack(count=10**6)
+        with pytest.raises(RequestTimeoutError):
+            p.flush()
+        assert p.has_buffered_records      # the sealed slab still waits
+        fast_cluster.network.clear_faults()
+        p.send(topic, key="k", value=3, partition=0)
+        p.flush()
+        assert not p.has_buffered_records
+        p.send(topic, key="k", value=4, partition=0)
+        p.flush()
+        records = fast_cluster.partition_state(tp).leader_log().records()
+        assert [(r.value, r.sequence) for r in records] == [
+            (1, 0), (2, 1), (3, 2), (4, 3),
+        ]
+        assert p.records_sent == 4
+
+    def test_sealed_slab_goes_before_a_full_batch_of_later_sends(
+        self, fast_cluster, topic
+    ):
+        """A batch that fills up after a failed flush is sent behind the
+        sealed slab, never around it."""
+        injector = FailureInjector(fast_cluster)
+        p = Producer(fast_cluster, ProducerConfig(retries=1, batch_max_records=3))
+        tp = TopicPartition(topic, 0)
+        p.send(topic, key="k", value=0, partition=0)
+        injector.drop_next_produce_request(count=10**6)
+        with pytest.raises(RequestTimeoutError):
+            p.flush()
+        fast_cluster.network.clear_faults()
+        for value in (1, 2, 3):
+            p.send(topic, key="k", value=value, partition=0)
+        records = fast_cluster.partition_state(tp).leader_log().records()
+        assert [(r.value, r.sequence) for r in records] == [
+            (0, 0), (1, 1), (2, 2), (3, 3),
+        ]
+
     def test_sequences_per_partition(self, fast_cluster, topic):
         p = Producer(fast_cluster)
         for i in range(3):

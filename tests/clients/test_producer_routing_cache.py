@@ -113,10 +113,10 @@ class TestRepartitionedTopic:
     def test_stale_metadata_object_is_not_reused(self, fast_cluster, topic):
         p = Producer(fast_cluster)
         p.send(topic, key="x", value=0)
-        before = len(p._partition_table[topic])
+        before = len(p._routes[topic][0])
         AdminClient(fast_cluster).create_partitions(topic, 5)
         p.send(topic, key="x", value=1)
-        after = len(p._partition_table[topic])
+        after = len(p._routes[topic][0])
         assert (before, after) == (2, 5)
 
 

@@ -500,6 +500,47 @@ def test_scalar_only_operator_between_vectorised_ones(build, events, table):
     assert_equals_walk_and_fold(build, events, table)
 
 
+def build_stream_aggregate(kind):
+    """Figure 5's reduce and its two siblings over the same grouped scan;
+    the aggregate's ``None`` result (on a zero) makes the next update of
+    that key start from the initializer again. Downstream of the reduce, a
+    windowed count drops late updates by the stream time each one was
+    forwarded with — the null-keyed records' advance included."""
+    def build():
+        builder = StreamsBuilder()
+        grouped = builder.stream("input").group_by_key()
+        if kind == "count":
+            table = grouped.count(store_name="agg")
+        elif kind == "aggregate":
+            table = grouped.aggregate(
+                tuple, lambda k, v, agg: None if v == 0 else agg + (v,),
+                store_name="agg",
+            )
+        else:
+            table = grouped.reduce(lambda agg, v: agg + v, store_name="agg")
+        stream = table.to_stream().map_values(lambda value: value)
+        if kind == "reduce_windowed":
+            stream = (
+                stream.group_by_key()
+                .windowed_by(TimeWindows.of(25.0).grace(10.0))
+                .count(store_name="wcounts")
+                .to_stream()
+            )
+        stream.to("output")
+        return builder.build()
+
+    return build
+
+
+@pytest.mark.parametrize("kind", ["reduce", "count", "aggregate", "reduce_windowed"])
+@given(workloads())
+@settings(max_examples=15, deadline=None)
+def test_stream_aggregates_with_null_keys_equal_fold(kind, events):
+    """Null-keyed records interleaved with keyed ones: the grouped scan
+    forwards the keyed positions, each with the stream time the fold saw."""
+    assert_equals_walk_and_fold(build_stream_aggregate(kind), events)
+
+
 class Pulse(Processor):
     """Tags every record with the stream time it was processed at and, on
     a stream-time punctuation, reports how many records it has seen since

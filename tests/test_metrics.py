@@ -116,6 +116,14 @@ class TestHistogram:
         hist.observe(20.0)
         assert hist.max() == 20.0
 
+    def test_cached_sort_invalidated_by_observe_many(self):
+        hist = Histogram("h")
+        hist.observe_many([3.0, 1.0])
+        assert hist.max() == 3.0
+        hist.observe_many([])
+        hist.observe_many([9.0, 0.5])
+        assert (hist.min(), hist.max(), hist.count) == (0.5, 9.0, 4)
+
     def test_cached_sort_invalidated_by_reset(self):
         hist = Histogram("h")
         hist.observe(5.0)
