@@ -638,7 +638,8 @@ class GroupCoordinator:
         )
         latest: Dict[TopicPartition, Optional[int]] = {p: None for p in partitions}
         wanted = set(partitions)
-        for (group, topic, partition), offset in zip(result.keys(), result.values()):
+        _, _, keys, values, _ = result.columns()
+        for (group, topic, partition), offset in zip(keys, values):
             target = TopicPartition(topic, partition)
             if group == group_id and target in wanted:
                 latest[target] = offset

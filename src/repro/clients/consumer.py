@@ -8,7 +8,6 @@ consumer's position still advances across markers and filtered spans.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import repeat
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -42,11 +41,6 @@ class ConsumerRecord(NamedTuple):
     key: Any
     value: Any
     headers: Mapping[str, Any]
-
-
-#: ``ConsumerRecord._make`` in C: no Python frame per record and no length
-#: check (``poll`` zips exactly the seven fields).
-_consumer_record = partial(tuple.__new__, ConsumerRecord)
 
 
 class Consumer:
@@ -263,20 +257,17 @@ class Consumer:
 
         The scalar view of :meth:`poll_batches` for plain clients: seven
         fields zipped from the batch's columns, headers as the log holds them.
+        Each record is ``ConsumerRecord._make`` done in C — ``tuple.__new__``
+        over the zipped fields: no Python frame and no length check per
+        record.
         """
         out: List[ConsumerRecord] = []
+        record_type = repeat(ConsumerRecord)
         for batch in self.poll_batches(max_records):
             out += map(
-                _consumer_record,
-                zip(
-                    repeat(batch.topic),
-                    repeat(batch.partition),
-                    batch.offsets(),
-                    batch.timestamps(),
-                    batch.keys(),
-                    batch.values(),
-                    batch.headers(),
-                ),
+                tuple.__new__,
+                record_type,
+                zip(repeat(batch.topic), repeat(batch.partition), *batch.columns()),
             )
         return out
 
@@ -323,10 +314,11 @@ class Consumer:
                     "fetch_error", client=self.config.client_id, partition=str(tp)
                 )
                 continue
-            if batch.valid_count:
+            count = batch.valid_count
+            if count:
                 out.append(batch)
-                budget -= batch.valid_count
-                total += batch.valid_count
+                budget -= count
+                total += count
         self._fetch_cursor += 1
         self.records_consumed += total
         self._records_per_poll.observe(total)

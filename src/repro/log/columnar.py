@@ -18,8 +18,9 @@ columns; a per-record object exists only where a caller asks for one:
 * :class:`ColumnarBatch` — the fetch result: the run of stored batches
   visible at the fetch's isolation level (control batches and the batches
   of aborted transactions are left out), trimmed at both ends to the
-  fetch window. Column accessors (``keys()``, ``values()``, ...)
-  concatenate C-level slices of the stored columns on demand.
+  fetch window. ``columns()`` gathers the five columns a reader sees in
+  one walk of the run; the single-column accessors (``keys()``,
+  ``timestamps()``, ...) serve readers of one column.
 
 * :class:`RecordView` — the scalar edge: a lazy, list-like view of a run
   of stored batches as :class:`~repro.log.record.Record` objects. Each
@@ -31,8 +32,11 @@ from __future__ import annotations
 
 import bisect
 from collections.abc import Sequence
+from itertools import islice
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, List, Mapping, Optional
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Mapping, Optional, Tuple,
+)
 
 from repro.log.record import NO_PRODUCER_ID, NO_SEQUENCE, Record
 
@@ -350,6 +354,59 @@ class ColumnarBatch(_BatchRun):
         return range(self.scanned)
 
     # -- columns ------------------------------------------------------------------
+
+    def columns(self) -> Tuple[
+        List[int], List[float], List[Any], List[Any], List[Mapping[str, Any]]
+    ]:
+        """``(offsets, timestamps, keys, values, headers)`` in one pass over
+        the run: five fresh lists the caller owns, equal to what the five
+        single-column accessors return. Only the first and the last stored
+        batch are sliced; every batch between costs five list extensions.
+        A caller that reads two or more columns of one fetch reads them
+        here."""
+        batches = self._batches
+        if not batches:
+            return [], [], [], [], []
+        lo, hi = self._lo, self._hi
+        first = batches[0]
+        held = first.offsets
+        if len(batches) == 1:
+            return (
+                list(range(first.base_offset + lo, first.base_offset + hi))
+                if held is None else held[lo:hi],
+                first.timestamps[lo:hi],
+                first.keys[lo:hi],
+                first.values[lo:hi],
+                first.headers[lo:hi],
+            )
+        offsets = (
+            list(range(first.base_offset + lo, first.end_offset))
+            if held is None else held[lo:]
+        )
+        timestamps = first.timestamps[lo:]
+        keys = first.keys[lo:]
+        values = first.values[lo:]
+        headers = first.headers[lo:]
+        last = batches[-1]
+        for batch in islice(batches, 1, len(batches) - 1):
+            held = batch.offsets
+            offsets += (
+                range(batch.base_offset, batch.end_offset) if held is None else held
+            )
+            timestamps += batch.timestamps
+            keys += batch.keys
+            values += batch.values
+            headers += batch.headers
+        held = last.offsets
+        offsets += (
+            range(last.base_offset, last.base_offset + hi)
+            if held is None else held[:hi]
+        )
+        timestamps += last.timestamps[:hi]
+        keys += last.keys[:hi]
+        values += last.values[:hi]
+        headers += last.headers[:hi]
+        return offsets, timestamps, keys, values, headers
 
     def keys(self) -> List[Any]:
         return self._gather(_KEYS)

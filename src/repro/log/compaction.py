@@ -85,10 +85,9 @@ def compact_log(log: PartitionLog, drop_tombstones: bool = False) -> int:
         log.log_start_offset, max_records=before, up_to_offset=dirty_from,
         filter_aborted=True,
     )
+    offsets, _, keys, values, _ = clean.columns()
     log.retain_offsets(
-        _survivors(
-            zip(clean.keys(), clean.values(), clean.offsets()), drop_tombstones
-        ),
+        _survivors(zip(keys, values, offsets), drop_tombstones),
         below=dirty_from,
     )
     return before - len(log)

@@ -143,17 +143,29 @@ class MetricsRegistry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
+    # A lookup of a registered metric builds nothing: one dict hit, and an
+    # unlabeled name is its own key.
+
     def counter(self, name: str, **labels: Any) -> Counter:
-        key = labeled_name(name, labels)
-        return self._counters.setdefault(key, Counter(key))
+        key = labeled_name(name, labels) if labels else name
+        metric = self._counters.get(key)
+        if metric is None:
+            metric = self._counters[key] = Counter(key)
+        return metric
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = labeled_name(name, labels)
-        return self._gauges.setdefault(key, Gauge(key))
+        key = labeled_name(name, labels) if labels else name
+        metric = self._gauges.get(key)
+        if metric is None:
+            metric = self._gauges[key] = Gauge(key)
+        return metric
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        key = labeled_name(name, labels)
-        return self._histograms.setdefault(key, Histogram(key))
+        key = labeled_name(name, labels) if labels else name
+        metric = self._histograms.get(key)
+        if metric is None:
+            metric = self._histograms[key] = Histogram(key)
+        return metric
 
     def counters(self, prefix: str = "") -> Dict[str, int]:
         return {

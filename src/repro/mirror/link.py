@@ -143,9 +143,8 @@ class MirrorLink:
             log, log.log_start_offset, max_records=2**31,
             isolation_level=READ_UNCOMMITTED,
         )
-        for (_kind, _group, topic, partition), (src, dst) in zip(
-            result.keys(), result.values()
-        ):
+        _, _, keys, values, _ = result.columns()
+        for (_kind, _group, topic, partition), (src, dst) in zip(keys, values):
             self.translator.record_checkpoint(
                 TopicPartition(topic, partition), src, dst
             )

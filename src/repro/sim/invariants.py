@@ -252,7 +252,8 @@ class ChangelogStateEquivalence(Invariant):
             isolation_level=READ_COMMITTED,
         )
         view: Dict[Any, Any] = {}
-        for key, value in zip(result.keys(), result.values()):
+        _, _, keys, values, _ = result.columns()
+        for key, value in zip(keys, values):
             if value is None:
                 view.pop(key, None)
             else:
@@ -530,7 +531,8 @@ class MirrorPrefixEquality(Invariant):
             max_records=2**31,
             isolation_level=READ_COMMITTED,
         )
-        return list(zip(result.keys(), result.values()))
+        _, _, keys, values, _ = result.columns()
+        return list(zip(keys, values))
 
 
 def _multiset_diff(left: List[Any], right: List[Any]) -> List[Any]:
@@ -565,9 +567,8 @@ def committed_records(
                 max_records=2**31,
                 isolation_level=READ_COMMITTED,
             )
-            rows.extend(
-                zip(repeat(tp.partition), result.keys(), result.values())
-            )
+            _, _, keys, values, _ = result.columns()
+            rows.extend(zip(repeat(tp.partition), keys, values))
         out[topic] = rows
     return out
 

@@ -75,7 +75,8 @@ class GlobalStateStore:
                 max_records=2**31,
                 isolation_level=READ_COMMITTED,
             )
-            for key, value in zip(result.keys(), result.values()):
+            _, _, keys, values, _ = result.columns()
+            for key, value in zip(keys, values):
                 self.store.restore_put(key, value)
             applied += result.valid_count
             self._positions[tp] = result.next_offset

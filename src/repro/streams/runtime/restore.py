@@ -92,7 +92,8 @@ def _replay(
         isolation_level=READ_COMMITTED,
     )
     applied = result.valid_count
-    for key, value in zip(result.keys(), result.values()):
+    _, _, keys, values, _ = result.columns()
+    for key, value in zip(keys, values):
         store.restore_put(key, value)
     # The replay pins the store's position watermark to the exact next
     # offset of the committed prefix — the staleness bound every

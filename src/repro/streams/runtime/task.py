@@ -353,25 +353,20 @@ class StreamTask:
         count = batch.valid_count
         if count == 0:
             return
+        offsets, timestamps, keys, values, headers = batch.columns()
         if self._track_speculation:
             # Producers that never open a transaction are tracked too,
             # and always resolve clean: only transactional appends enter
             # a log's open-transaction map or aborted index.
             deps = self.speculative_deps
-            for pid, offset in zip(batch.producer_ids(), batch.offsets()):
+            for pid, offset in zip(batch.producer_ids(), offsets):
                 if pid >= 0:
                     span = deps.setdefault((tp, pid), [offset, offset])
                     span[0] = min(span[0], offset)
                     span[1] = max(span[1], offset)
         self._batch_fastpath.increment(count)
         self._queues.add_columns(
-            tp,
-            batch.keys(),
-            batch.values(),
-            batch.timestamps(),
-            batch.headers(),
-            batch.offsets(),
-            batch.fetched_at,
+            tp, keys, values, timestamps, headers, offsets, batch.fetched_at
         )
 
     def buffered(self) -> int:

@@ -11,22 +11,31 @@ starts and stops inside a stored batch), across all three isolation
 levels and arbitrary ``from_offset`` / ``max_records`` combinations.
 ``Consumer.poll`` is held to the same standard one layer up: what it hands
 out is the log's own scalar view of each window plus the assignment.
+``ColumnarBatch.columns()`` — the one-walk gather that ``poll`` and the
+Streams intake read — must equal the five single-column accessors over
+logs cut every way the log cuts a stored batch, and ``poll`` /
+``StreamTask.add_batch`` must hand out / queue exactly what those
+accessors would have given them.
 """
 
+import copy
 from typing import List, NamedTuple, Optional
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.cluster import Cluster
 from repro.broker.fetch import fetch
 from repro.broker.partition import TopicPartition
-from repro.clients import Consumer, ConsumerRecord
+from repro.clients import Consumer, ConsumerRecord, Producer
 from repro.config import (
     READ_COMMITTED,
     READ_SPECULATIVE,
     READ_UNCOMMITTED,
     BrokerConfig,
     ConsumerConfig,
+    ProducerConfig,
 )
 from repro.log.partition_log import PartitionLog
 from repro.log.record import (
@@ -36,6 +45,11 @@ from repro.log.record import (
     RecordBatch,
     control_marker,
 )
+from repro.streams.runtime.record_queue import PartitionGroup
+from repro.streams.runtime.task import StreamTask
+
+from tests.integration.test_speculative_processing import downstream_app
+from tests.streams.harness import make_cluster
 
 ISOLATION_LEVELS = (READ_UNCOMMITTED, READ_COMMITTED, READ_SPECULATIVE)
 
@@ -223,6 +237,224 @@ def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
         ] == [
             (r.producer_epoch, r.sequence, r.is_transactional) for r in want.records
         ]
+
+
+def single_columns(batch):
+    """The five client-visible columns, one accessor (one walk) each."""
+    return (
+        batch.offsets(), batch.timestamps(), batch.keys(), batch.values(),
+        batch.headers(),
+    )
+
+
+def cut_log(steps, data) -> PartitionLog:
+    """A scripted log, then any of: compaction holes below the LSO (so
+    ``StoredBatch.offsets`` is set), a follower that mirrors it (its
+    stored batches shared with, or sliced from, the leader's), a
+    ``truncate_to`` and a ``delete_records_before`` — each of which can cut
+    a stored batch in two."""
+    log = build_log(steps)
+    stable = log.last_stable_offset
+    if stable and data.draw(st.booleans(), label="compact"):
+        holes = data.draw(st.sets(st.integers(0, stable - 1)), label="holes")
+        log.retain_offsets(set(range(stable)) - holes, below=stable)
+    if data.draw(st.booleans(), label="follower"):
+        follower = PartitionLog("follower")
+        follower.replicate_mirror(log)
+        follower.high_watermark = log.high_watermark
+        log = follower
+    if data.draw(st.booleans(), label="truncate"):
+        log.truncate_to(
+            data.draw(st.integers(0, log.log_end_offset), label="truncate_to")
+        )
+    if data.draw(st.booleans(), label="delete"):
+        log.delete_records_before(
+            data.draw(st.integers(0, log.high_watermark), label="delete_before")
+        )
+    return log
+
+
+def assert_columns_match(got, want: ReferenceResult) -> None:
+    columns = got.columns()
+    assert columns == single_columns(got)
+    assert columns == (
+        [r.offset for r in want.records],
+        [r.timestamp for r in want.records],
+        [r.key for r in want.records],
+        [r.value for r in want.records],
+        [r.headers for r in want.records],
+    )
+    # Fresh lists the caller owns: none is a stored column, none is shared
+    # with another call.
+    again = got.columns()
+    for column, other in zip(columns, again):
+        assert type(column) is list and column is not other
+    for stored in got._batches:
+        held = (
+            stored.offsets, stored.timestamps, stored.keys, stored.values,
+            stored.headers,
+        )
+        assert not any(column is own for column, own in zip(columns, held))
+    columns[2].append("scribble")
+    assert got.keys() == again[2]
+
+
+@given(log_scripts(), st.data(), OFFSETS, st.integers(min_value=1, max_value=50))
+@settings(max_examples=100, deadline=None)
+def test_columns_equal_the_single_column_accessors(steps, data, from_offset, max_records):
+    """``columns()`` is the five accessors gathered in one walk: over logs
+    with aborted spans, markers, compaction holes, truncation, deleted
+    prefixes and follower copies, for windows cut inside their first and
+    last stored batch, at every isolation level."""
+    log = cut_log(steps, data)
+    from_offset = min(from_offset, log.log_end_offset)
+    for isolation in ISOLATION_LEVELS:
+        got = fetch(log, from_offset, max_records, isolation)
+        assert_columns_match(got, reference_fetch(log, from_offset, max_records, isolation))
+
+
+def test_columns_at_every_window_of_a_cut_log():
+    """Exhaustively: every ``(from_offset, max_records)`` window — both
+    ends at every position, every budget boundary — of a log with an
+    aborted span, markers, holes and a cut first batch, on a follower."""
+    leader = build_log([
+        ("send", 1, 5), ("plain", 3), ("send", 2, 4), ("end", 1, True),
+        ("plain", 8), ("send", 2, 3), ("end", 2, False), ("send", 3, 6),
+        ("end", 3, True), ("plain", 2),
+    ])
+    stable = leader.last_stable_offset
+    leader.retain_offsets(set(range(stable)) - {1, 7, 15, 16, 27}, below=stable)
+    follower = PartitionLog("follower")
+    follower.replicate_mirror(leader)
+    follower.high_watermark = leader.high_watermark
+    follower.delete_records_before(3)
+    for log in (leader, follower):
+        for isolation in ISOLATION_LEVELS:
+            for from_offset in range(log.log_end_offset + 1):
+                for max_records in range(1, 30):
+                    got = fetch(log, from_offset, max_records, isolation)
+                    assert_columns_match(
+                        got, reference_fetch(log, from_offset, max_records, isolation)
+                    )
+
+
+def reference_poll(consumer, max_records):
+    """What ``poll`` built from ``poll_batches`` before ``columns()``: the
+    five single-column accessors zipped, one ``ConsumerRecord`` each."""
+    return [
+        ConsumerRecord(batch.topic, batch.partition, *fields)
+        for batch in consumer.poll_batches(max_records)
+        for fields in zip(*single_columns(batch))
+    ]
+
+
+@given(log_scripts(), log_scripts(), st.data(), st.integers(min_value=1, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_poll_equals_the_accessor_zip_field_by_field(steps, more, data, max_records):
+    """Two consumers in lockstep over two partitions (so one poll holds
+    several fetches, each cut by the shared budget), one through ``poll``,
+    one through the accessor reference: same records, field by field, each
+    a ``ConsumerRecord`` holding the log's own header mappings."""
+    cluster = Cluster(
+        num_brokers=1,
+        config=BrokerConfig(replication_factor=1, min_insync_replicas=1),
+        seed=7,
+    )
+    cluster.network.charge_latency = False
+    cluster.create_topic("equiv", 2)
+    partitions = cluster.partitions_for("equiv")
+    for tp, script in zip(partitions, (steps, more)):
+        log = build_log(script, cluster.partition_state(tp).leader_log())
+        stable = log.last_stable_offset
+        if stable:
+            holes = data.draw(st.sets(st.integers(0, stable - 1)), label="holes")
+            log.retain_offsets(set(range(stable)) - holes, below=stable)
+    for isolation in ISOLATION_LEVELS:
+        config = ConsumerConfig(isolation_level=isolation)
+        polled_by, reference_by = Consumer(cluster, config), Consumer(cluster, config)
+        polled_by.assign(partitions)
+        reference_by.assign(partitions)
+        while True:
+            polled = polled_by.poll(max_records)
+            want = reference_poll(reference_by, max_records)
+            assert polled == want, isolation
+            for got, expected in zip(polled, want):
+                assert type(got) is ConsumerRecord
+                assert got.key is expected.key and got.value is expected.value
+                assert got.headers is expected.headers
+            if not want:
+                break
+        assert [polled_by.position(tp) for tp in partitions] == [
+            reference_by.position(tp) for tp in partitions
+        ]
+
+
+@pytest.mark.parametrize("speculative", [False, True])
+def test_add_batch_queues_the_accessor_columns(speculative):
+    """The Streams intake queues, per fetched batch, exactly the columns
+    the single-column accessors give — and, speculating, notes the same
+    producer spans — over committed, aborted and (at the end) open
+    transactions written in 3-record batches beside a plain producer."""
+    cluster = make_cluster(mid=2, out=2)
+    writers = [
+        Producer(cluster, ProducerConfig(
+            client_id=f"w{i}", transactional_id=f"w{i}", batch_max_records=3,
+        ))
+        for i in range(2)
+    ]
+    plain = Producer(cluster, ProducerConfig(client_id="plain", batch_max_records=4))
+    for writer in writers:
+        writer.init_transactions()
+    app = downstream_app(cluster, speculative)    # a count over "mid"
+    app.start(1)
+    queued, expected, noted = [], [], []
+
+    def spy_add_columns(self, tp, *columns):
+        queued.append((tp, columns))
+        return add_columns(self, tp, *columns)
+
+    def reference_add_batch(self, tp, batch):
+        deps = copy.deepcopy(self.speculative_deps)
+        if batch.valid_count:
+            offsets, timestamps, keys, values, headers = single_columns(batch)
+            expected.append(
+                (tp, (keys, values, timestamps, headers, offsets, batch.fetched_at))
+            )
+            if speculative:
+                for pid, offset in zip(batch.producer_ids(), batch.offsets()):
+                    if pid >= 0:
+                        span = deps.setdefault((tp, pid), [offset, offset])
+                        span[0] = min(span[0], offset)
+                        span[1] = max(span[1], offset)
+        add_batch(self, tp, batch)
+        assert self.speculative_deps == deps
+        noted.append(len(deps))
+
+    add_columns, add_batch = PartitionGroup.add_columns, StreamTask.add_batch
+    value = 0
+    with mock.patch.object(PartitionGroup, "add_columns", spy_add_columns), \
+            mock.patch.object(StreamTask, "add_batch", reference_add_batch):
+        for round_ in range(6):
+            for i, writer in enumerate(writers):
+                writer.begin_transaction()
+                for _ in range(7):
+                    writer.send("mid", key=f"k{value % 5}", value=1, timestamp=float(value))
+                    value += 1
+                writer.flush()
+                if (round_ + i) % 3 == 2:
+                    writer.abort_transaction()
+                elif round_ < 5 or i == 0:
+                    writer.commit_transaction()     # w1's last one stays open
+            for _ in range(5):
+                plain.send("mid", key=f"k{value % 5}", value=1, timestamp=float(value))
+                value += 1
+            plain.flush()
+            app.step()
+            cluster.clock.advance(30.0)
+        app.run_for(200.0)
+    assert queued == expected
+    assert len(queued) >= 6 and max(len(columns[0]) for _, columns in queued) > 7
+    assert any(noted) == speculative
 
 
 @given(log_scripts(), st.data(), st.integers(min_value=1, max_value=21))

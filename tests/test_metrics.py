@@ -1,5 +1,7 @@
 """Metrics primitives and the latency tracker."""
 
+from unittest import mock
+
 import pytest
 
 from repro.log.record import Record
@@ -181,6 +183,30 @@ class TestRegistry:
         hist.observe(2.0)
         assert registry.counters()["c"] == 1
         assert registry.histograms()["h"]["count"] == 1.0
+
+    @pytest.mark.parametrize("kind", [Counter, Gauge, Histogram])
+    def test_a_lookup_hit_builds_no_metric(self, kind):
+        """Only the first lookup of a name constructs a metric; every
+        later one, labeled or not, returns that same object and runs no
+        ``__init__`` (constructions counted through a test-side patch)."""
+        registry = MetricsRegistry()
+        lookup = getattr(registry, kind.__name__.lower())
+        built = []
+        init = kind.__init__
+
+        def counting_init(self, name):
+            built.append(name)
+            init(self, name)
+
+        with mock.patch.object(kind, "__init__", counting_init):
+            bare = lookup("m")
+            labeled = lookup("m", topic="t", partition=3)
+            assert built == ["m", "m{partition=3,topic=t}"]
+            for _ in range(3):
+                assert lookup("m") is bare
+                assert lookup("m", partition=3, topic="t") is labeled
+            assert len(built) == 2
+        assert (bare.name, labeled.name) == ("m", "m{partition=3,topic=t}")
 
 
 class TestScopedSnapshots:

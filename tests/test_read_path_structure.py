@@ -10,6 +10,8 @@ is given, so ``Record(...)`` is constructed in ``repro/log`` only behind
 the lazy scalar view and by the marker factory. On the client side
 ``Consumer.poll`` hands out ``ConsumerRecord``s built from the five columns
 a Kafka consumer can see; origin is the record's ``topic`` / ``partition``.
+A fetched run is walked once for its columns: whoever reads two or more
+columns of one fetch reads them through ``ColumnarBatch.columns()``.
 Headers are frozen once, where a producer takes them, and shared from then
 on: no log, reader, intake, operator hop, sink or mirror builds, copies or
 merges a header mapping per record in an untraced run.
@@ -121,11 +123,11 @@ def test_clients_neither_import_nor_build_the_log_record():
     assert not offenders
 
 
-# What a Kafka consumer can see of a fetched batch. Producer id, epoch,
-# sequence and the transactional flag are batch-level facts of the log.
-CLIENT_VISIBLE = {
-    "topic", "partition", "offsets", "timestamps", "keys", "values", "headers",
-}
+# What a Kafka consumer can see of a fetched batch: where it was read, and
+# ``columns()`` — offsets, timestamps, keys, values and headers, gathered
+# in one walk of the run. Producer id, epoch, sequence and the
+# transactional flag are batch-level facts of the log.
+CLIENT_VISIBLE = {"topic", "partition", "columns"}
 
 
 def function(relative, qualified):
@@ -141,6 +143,9 @@ def function(relative, qualified):
 
 
 def test_poll_reads_only_the_client_visible_columns():
+    """Rewritten for the one-walk contract: ``poll`` used to read the five
+    single-column accessors by name (five walks of each fetched run); it
+    now reads where the batch came from and ``columns()``, nothing else."""
     poll = function("clients/consumer.py", "Consumer.poll")
     read = {
         node.attr
@@ -150,6 +155,103 @@ def test_poll_reads_only_the_client_visible_columns():
         and node.value.id == "batch"
     }
     assert read == CLIENT_VISIBLE
+
+
+# -- one walk per fetched run ------------------------------------------------------
+
+#: A fetch result's single-column accessors (``ColumnarBatch``).
+ACCESSORS = {"offsets", "timestamps", "keys", "values", "headers", "producer_ids"}
+#: The two a ``dict`` has too: a receiver that calls only these is taken
+#: for a fetch result only where the function bound it to one.
+DICT_VIEWS = {"keys", "values"}
+#: Calls whose result is a fetch result.
+FETCHES = {"fetch", "read_columnar", "handle_fetch", "handle_fetch_columnar"}
+
+
+def callee(call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def fetch_results(scope):
+    """Names ``scope`` binds to a fetch result: assigned from a fetch, or
+    the loop variable over ``poll_batches(...)``."""
+    bound = set()
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+            if callee(node.value) in FETCHES:
+                bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            if (
+                isinstance(node.iter, ast.Call)
+                and callee(node.iter) == "poll_batches"
+                and isinstance(node.target, ast.Name)
+            ):
+                bound.add(node.target.id)
+    return bound
+
+
+def repeated_walks(tree):
+    """``(function, receiver, accessors)`` wherever one function calls two
+    or more single-column accessors on the same fetch result — each call
+    one more walk of the run that ``columns()`` would have made once."""
+    found = []
+    for scope in ast.walk(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        called = {}
+        for node in ast.walk(scope):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ACCESSORS
+                and not node.args
+            ):
+                called.setdefault(ast.unparse(node.func.value), set()).add(
+                    node.func.attr
+                )
+        results = fetch_results(scope)
+        found += [
+            (scope.name, receiver, sorted(names))
+            for receiver, names in called.items()
+            if len(names) >= 2 and (names - DICT_VIEWS or receiver in results)
+        ]
+    return found
+
+
+#: Negative controls: where a mutant would sit -> the smallest source that
+#: breaks the rule there. The first is the group coordinator's offset
+#: fetch as it was.
+ONE_WALK_MUTANTS = {
+    "broker/group_coordinator.py": (
+        "def fetch_committed(self, group_id, partitions):\n"
+        "    result = fetch(log, log.log_start_offset, max_records=2**31)\n"
+        "    for key, offset in zip(result.keys(), result.values()):\n"
+        "        pass\n"
+    ),
+    "streams/runtime/task.py": (
+        "def add_batch(self, tp, batch):\n"
+        "    self._queues.add_columns(tp, batch.keys(), batch.timestamps())\n"
+    ),
+}
+
+
+def test_no_function_walks_one_fetch_twice():
+    offences = {
+        path.relative_to(SRC).as_posix(): found
+        for path in sorted(SRC.rglob("*.py"))
+        if (found := repeated_walks(ast.parse(path.read_text())))
+    }
+    assert not offences, (
+        f"read two or more columns of one fetch through columns(): {offences}"
+    )
+    for where, mutant in ONE_WALK_MUTANTS.items():
+        assert (SRC / where).exists()
+        assert repeated_walks(ast.parse(mutant))
+    # ... and a dict's own ``keys()`` / ``values()`` are not a fetch's.
+    assert not repeated_walks(ast.parse(
+        "def f(d):\n    return zip(d.keys(), d.values())\n"
+    ))
 
 
 ORIGIN_HEADERS = ("__topic", "__partition")
