@@ -19,6 +19,7 @@ from repro.errors import (
     KafkaError,
     OffsetOutOfRangeError,
     RetriableError,
+    UnstableOffsetCommitError,
 )
 from repro.log.columnar import ColumnarBatch
 from repro.sim.network import call_with_retry
@@ -70,6 +71,10 @@ class Consumer:
         self._manual_assignment = False
         self._positions: Dict[TopicPartition, int] = {}
         self._paused: set = set()
+        # Partitions waiting for their committed start offset: not fetched
+        # until a poll finds the group's offsets stable (_resolve_withheld,
+        # which skips any no longer assigned). Empty in the steady state.
+        self._withheld: set = set()
         self._member_id: Optional[str] = None
         self._generation = -1
         self._partitions_lost = False
@@ -169,13 +174,7 @@ class Consumer:
         self._assignment = assigned
         self.assignment_epoch += 1
         newly = [tp for tp in assigned if tp not in old]
-        if newly:
-            committed = coordinator.fetch_committed(group, newly)
-            for tp in newly:
-                offset = committed[tp]
-                self._positions[tp] = (
-                    self._reset_offset(tp) if offset is None else offset
-                )
+        self._withheld.update(newly)
         removed = old - set(assigned)
         for tp in removed:
             self._positions.pop(tp, None)
@@ -250,6 +249,22 @@ class Consumer:
             return self.cluster.end_offset(tp, self.config.isolation_level)
         raise OffsetOutOfRangeError(f"{tp}: no committed offset and reset policy is 'none'")
 
+    def _resolve_withheld(self) -> bool:
+        """Start the withheld partitions at the group's committed offsets
+        (or the reset policy), unless an offset commit's markers are still
+        in flight — then False: it would read the commit before (KIP-447)."""
+        coordinator = self.cluster.group_coordinator
+        group = self.config.group_id
+        if not coordinator.offsets_stable(group):
+            return False
+        withheld = [tp for tp in self._assignment if tp in self._withheld]
+        committed = coordinator.fetch_committed(group, withheld)
+        for tp in withheld:
+            offset = committed[tp]
+            self._positions[tp] = self._reset_offset(tp) if offset is None else offset
+        self._withheld.clear()
+        return True
+
     # -- polling ------------------------------------------------------------------------
 
     def poll(self, max_records: Optional[int] = None) -> List[ConsumerRecord]:
@@ -296,6 +311,9 @@ class Consumer:
         budget = self.config.max_poll_records if max_records is None else max_records
         out: List[ColumnarBatch] = []
         active = [tp for tp in self._assignment if tp not in self._paused]
+        if self._withheld and not self._resolve_withheld():
+            withheld = self._withheld
+            active = [tp for tp in active if tp not in withheld]
         if not active:
             return out
         total = 0
@@ -434,12 +452,28 @@ class Consumer:
     # -- positions & commits ---------------------------------------------------------------
 
     def position(self, tp: TopicPartition) -> int:
+        """The next offset to fetch; a withheld partition resolves here or
+        raises while the group's offsets are unstable."""
+        if tp in self._withheld and not self._resolve_withheld():
+            raise UnstableOffsetCommitError(
+                f"{tp}: group {self.config.group_id!r} has an offset commit in flight"
+            )
         if tp not in self._positions:
             self._positions[tp] = self._reset_offset(tp)
         return self._positions[tp]
 
     def seek(self, tp: TopicPartition, offset: int) -> None:
         self._positions[tp] = offset
+        self._withheld.discard(tp)
+
+    def seek_to_committed(self) -> None:
+        """Withhold the whole assignment until the group's committed offsets
+        are stable, then restart it there, as for a new assignment."""
+        if self.config.group_id is None:
+            raise KafkaError("seek_to_committed() requires a group_id")
+        for tp in self._assignment:
+            self._positions.pop(tp, None)
+        self._withheld.update(self._assignment)
 
     def seek_to_beginning(self, tp: TopicPartition) -> None:
         self.seek(tp, self.cluster.partition_state(tp).leader_log().log_start_offset)

@@ -123,6 +123,11 @@ class CommitFailedError(KafkaError):
     """An offset commit was rejected (stale generation / fenced member)."""
 
 
+class UnstableOffsetCommitError(RetriableError):
+    """The group's committed offsets are not final: a transaction on its
+    offsets partition is still open (KIP-447)."""
+
+
 # --- streams ----------------------------------------------------------------
 
 

@@ -152,8 +152,8 @@ class PartitionLog:
         # are serial, so its spans are disjoint and both offset lists are
         # ascending — membership and overlap queries are a bisect away.
         self._aborted_index: Dict[int, Tuple[List[int], List[int], List[AbortedTxn]]] = {}
-        # truncate_to/reset_to removed records: producer and transaction
-        # state may describe them still. The next replicate_mirror heals it.
+        # truncate_to lowered the end, or reset_to: producer and transaction
+        # state may describe what is gone. The next replicate_mirror heals it.
         self._stale = False
 
     # -- basic accessors -------------------------------------------------------
@@ -405,7 +405,7 @@ class PartitionLog:
           ``last_offset``: an abort marker at offset ``m`` indexes a span
           ending at ``m - 1``).
 
-        After :meth:`truncate_to` / :meth:`reset_to` removed records, or
+        After :meth:`truncate_to` lowered the end or :meth:`reset_to`, or
         over a suffix with holes (compaction can take a producer's records
         out of it entirely), that one sync mirrors every producer id and
         the whole aborted index instead.
@@ -599,13 +599,17 @@ class PartitionLog:
             keep -= 1
             head = batches[keep].slice(0, batches[keep].position(offset))
         if keep < len(batches):
-            self._stale = True
             self._count -= sum(len(batch.keys) for batch in batches[keep:])
             del batches[keep:]
             if head is not None:
                 batches.append(head)
                 self._count += len(head)
-        self._next_offset = batches[-1].end_offset if batches else offset
+        end = batches[-1].end_offset if batches else offset
+        if end < self._next_offset:
+            # Also when no batch went: compaction may have emptied the
+            # tail, and the index state still names what it held.
+            self._stale = True
+        self._next_offset = end
         self.high_watermark = min(self.high_watermark, self._next_offset)
 
     def reset_to(self, offset: int) -> None:

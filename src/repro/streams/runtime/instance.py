@@ -184,9 +184,6 @@ class StreamsInstance:
         Tasks whose partitions were truly lost (revoked and not re-granted)
         are committed and closed here, *during* the poll that adopted the
         new assignment; retained tasks are untouched and keep processing.
-        Added partitions are paused until :meth:`_sync_tasks` has sought
-        them to the committed offset of their new task — records fetched
-        before the task exists would otherwise be silently dropped.
         """
         if not self.alive:
             return
@@ -223,8 +220,6 @@ class StreamsInstance:
             metrics.counter(
                 "tasks_retained_total", app=self.config.application_id
             ).increment(retained_tasks)
-        for tp in lost_tps:
-            self.consumer.resume(tp)   # drop stale pause state
 
     def _make_producer(self, transactional_id: Optional[str]) -> Producer:
         producer = Producer(
@@ -361,20 +356,20 @@ class StreamsInstance:
         behaviour of Kafka Streams): their uncommitted sends already sit in
         this instance's ongoing transaction, so dropping them without a
         commit would later commit that data without its input offsets and
-        break exactly-once.
+        break exactly-once. Where a new task's partitions start reading is
+        the consumer's decision: at the committed offsets, once stable.
 
         Everything read here — the consumer's assignment, every instance's
         ``tasks`` / ``alive``, the assignor's warm-ups — bumps one of the two
         epochs when it changes, so ``step`` calls this only when the pair
-        has moved since the last sync that ran to the end. The pair is read
+        has moved since the last sync. The pair is read
         *before* the sync: a bump made while it runs (its own task changes
         included) costs one more, idempotent, sync on the next step.
         """
         epochs = (self.consumer.assignment_epoch, self.app.placement_epoch)
-        assigned_tasks: Dict[TaskId, List[TopicPartition]] = {}
-        for tp in self.consumer.assignment():
-            task_id = self.app.assignor.task_for(tp)
-            assigned_tasks.setdefault(task_id, []).append(tp)
+        assigned_tasks = {
+            self.app.assignor.task_for(tp) for tp in self.consumer.assignment()
+        }
 
         removed = [t for t in self.tasks if t not in assigned_tasks]
         if removed:
@@ -386,44 +381,7 @@ class StreamsInstance:
                 if producer is not None:
                     producer.close()
 
-        to_create = [t for t in sorted(assigned_tasks) if t not in self.tasks]
-        coordinator = self.cluster.group_coordinator
-        if to_create and not coordinator.offsets_stable(
-            self.config.application_id
-        ):
-            # The previous owner's offset commit is still materialising
-            # (transaction markers in flight): reading "last committed"
-            # now could adopt the offsets of the commit *before* it.
-            # Pause the new partitions and retry on a later poll — the
-            # KIP-447 UNSTABLE_OFFSET_COMMIT backoff. (Anything already
-            # fetched for them is dropped by _route_batches; the seek below
-            # re-fetches it once the task exists.) Not a completed sync:
-            # the epochs stay unrecorded, so the next step comes back.
-            for task_id in to_create:
-                for tp in assigned_tasks[task_id]:
-                    self.consumer.pause(tp)
-            self._sync_standbys()
-            return
-
-        for task_id in to_create:
-            partitions = assigned_tasks[task_id]
-            # Partitions paused by an earlier deferral had records fetched
-            # and dropped before the pause took hold: rewind them to the
-            # committed offset so nothing is lost. Never-paused partitions
-            # keep their poll positions — their fetched records are routed
-            # right after this sync, and a rewind would duplicate them.
-            paused = [tp for tp in partitions if tp in self.consumer._paused]
-            if paused:
-                committed = coordinator.fetch_committed(
-                    self.config.application_id, paused
-                )
-                for tp in paused:
-                    offset = committed.get(tp)
-                    if offset is not None:
-                        self.consumer.seek(tp, offset)
-                    else:
-                        self.consumer.seek_to_beginning(tp)
-                    self.consumer.resume(tp)
+        for task_id in sorted(assigned_tasks - self.tasks.keys()):
             producer = self.producer_for(task_id)
             standby_state = None
             standby = self.standby_tasks.pop(task_id, None)
@@ -510,11 +468,13 @@ class StreamsInstance:
         across restoring tasks, smallest lag first, so tasks close to
         completion come online soonest and a mass restore after instance
         loss cannot monopolize the thread (live tasks keep processing
-        between rounds). Returns records applied this round."""
+        between rounds). Without a budget a round is unbounded: such a
+        task only waits for a transaction open on its changelog. Returns
+        records applied this round."""
         restoring = [t for t in self.tasks.values() if t.is_restoring]
         if not restoring:
             return 0
-        budget = self.config.restore_max_records_per_poll
+        budget = self.config.restore_max_records_per_poll or 2**31
         restoring.sort(key=lambda t: t.restore_remaining())
         applied = 0
         for task in restoring:
@@ -524,8 +484,9 @@ class StreamsInstance:
             budget -= step
             applied += step
         if applied == 0 and any(t.is_restoring for t in restoring):
-            # Changelog leaders unavailable (mid-failover): wake shortly
-            # to retry instead of letting an idle driver stall forever.
+            # Changelog leaders unavailable (mid-failover) or a changelog
+            # transaction undecided: wake shortly to retry instead of
+            # letting an idle driver stall forever.
             self.cluster.clock.schedule(10.0, lambda: None)
         return applied
 
@@ -577,9 +538,8 @@ class StreamsInstance:
     def _route_batches(self, batches) -> None:
         """Hand fetched ColumnarBatches to their tasks — already grouped
         per partition by the fetch, so routing is per batch, not per
-        record. Batches for partitions without a live task are dropped;
-        task creation seeks back to the committed offset, so nothing is
-        lost."""
+        record. A batch whose partition has no live task is dropped (none
+        is expected: the sync has just run for this poll's assignment)."""
         for batch in batches:
             tp = TopicPartition(batch.topic, batch.partition)
             task = self.tasks.get(self.app.assignor.task_for(tp))
@@ -810,22 +770,9 @@ class StreamsInstance:
         for task in self.tasks.values():
             task.close()
         self._drop_all_tasks()
-        self._reset_positions_to_committed()
+        self.consumer.seek_to_committed()
         self._last_commit_ms = self.cluster.clock.now
         self._commit_due = False
-
-    def _reset_positions_to_committed(self) -> None:
-        """Rewind the consumer to the group's committed offsets — records
-        fetched into now-discarded tasks must be re-fetched."""
-        coordinator = self.cluster.group_coordinator
-        committed = coordinator.fetch_committed(
-            self.config.application_id, self.consumer.assignment()
-        )
-        for tp, offset in committed.items():
-            if offset is not None:
-                self.consumer.seek(tp, offset)
-            else:
-                self.consumer.seek_to_beginning(tp)
 
     def _handle_migration(self) -> None:
         """This instance lost its tasks (fenced / kicked): abort, drop all
@@ -858,7 +805,7 @@ class StreamsInstance:
                 self.config.application_id, self.consumer.member_id
             )
         self.consumer.subscribe(sorted(self.app.all_source_topics))
-        self._reset_positions_to_committed()
+        self.consumer.seek_to_committed()
 
     def _all_producers(self) -> List[Producer]:
         producers = list(self._task_producers.values())

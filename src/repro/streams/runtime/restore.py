@@ -50,7 +50,8 @@ def restore_store(
     Passing a standby task's position as ``from_offset`` turns a full
     rebuild into an incremental catch-up. ``max_records > 0`` bounds one
     round (restore throttling); ``complete`` reports whether the store
-    reached the committed end of the changelog. ``kind`` labels the
+    reached the committed end of the changelog with no transaction still
+    open on it. ``kind`` labels the
     replay for recovery-phase tracking: active-task rebuilds ("task")
     and checkpoint reloads count toward the restore phase, steady-state
     standby catch-up ("standby") does not. The store must expose
@@ -107,7 +108,13 @@ def _replay(
             cluster.network.fetch_cost()
             + applied * RESTORE_APPLY_COST_MS_PER_RECORD
         )
-    complete = result.next_offset >= log.last_stable_offset
+    # Not complete while a transaction is open on the changelog: it may be
+    # a previous owner's commit whose input offsets land with its markers,
+    # and a store restored without its updates would lose them.
+    complete = (
+        result.next_offset >= log.last_stable_offset
+        and not log.open_transactions()
+    )
     if kind != "standby":
         cluster.recovery.note_restore(
             kind, records=applied, complete=complete, store=store.name

@@ -170,28 +170,19 @@ class StreamTask:
                 for listener in listeners:
                     store.add_listener(listener)
             if spec.changelog:
-                changelog = spec.changelog_topic(self.application_id)
-                if self._restore_budget > 0:
-                    # Deferred: restore_step replays in bounded rounds;
-                    # hooks/listeners attach when the replay completes.
-                    self._pending_restores.append({
-                        "spec": spec,
-                        "store": store,
-                        "changelog": changelog,
-                        "from_offset": from_offset,
-                        "next_offset": from_offset,
-                    })
-                    continue
-                applied, next_offset, _complete = restore_store(
-                    self.cluster,
-                    store,
-                    changelog,
-                    self.task_id.partition,
-                    from_offset=from_offset,
-                )
-                self.restored_records += applied
-                self._finish_restore_setup(spec, store, changelog,
-                                           next_offset, from_offset)
+                # Replayed by restore_step; hooks/listeners attach when the
+                # replay completes.
+                self._pending_restores.append({
+                    "spec": spec,
+                    "store": store,
+                    "changelog": spec.changelog_topic(self.application_id),
+                    "from_offset": from_offset,
+                    "next_offset": from_offset,
+                })
+        if self._restore_budget == 0:
+            # Unthrottled: replay now. A store whose changelog still holds an
+            # open transaction stays pending until a later round.
+            self.restore_step(2**31)
 
     def _finish_restore_setup(
         self, spec: StateStoreSpec, store, changelog: str,

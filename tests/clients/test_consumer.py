@@ -8,8 +8,15 @@ import pytest
 from repro.broker.partition import TopicPartition
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
-from repro.config import READ_COMMITTED, ConsumerConfig
-from repro.errors import KafkaError, OffsetOutOfRangeError
+from repro.config import (
+    COOPERATIVE,
+    EAGER,
+    READ_COMMITTED,
+    READ_UNCOMMITTED,
+    ConsumerConfig,
+    ProducerConfig,
+)
+from repro.errors import KafkaError, OffsetOutOfRangeError, UnstableOffsetCommitError
 
 
 @pytest.fixture
@@ -295,10 +302,90 @@ class TestGroups:
         assert len(c2.assignment()) == 2
 
 
+class TestCommittedStartOffset:
+    """A group member starts an adopted partition at the offset the group
+    committed, read only once no transaction is open on the group's offsets
+    partition (KIP-447): a commit whose markers are still in flight must not
+    be read as the one before it."""
+
+    @pytest.fixture
+    def handover(self, fast_cluster, topic, producer):
+        """Offset 1 committed by a member that left; offset 3 inside the
+        next owner's still-open transaction. Returns (tp, commit)."""
+        produce(producer, topic, 0, *range(5))
+        tp = TopicPartition(topic, 0)
+        old = Consumer(fast_cluster, ConsumerConfig(group_id="g"))
+        old.subscribe([topic])
+        old.commit_sync({tp: 1})
+        old.close()
+        owner = Producer(fast_cluster, ProducerConfig(transactional_id="owner"))
+        owner.init_transactions()
+        owner.begin_transaction()
+        owner.send_offsets_to_transaction({tp: 3}, "g")
+        return tp, owner.commit_transaction
+
+    @pytest.mark.parametrize("isolation", [READ_UNCOMMITTED, READ_COMMITTED])
+    @pytest.mark.parametrize("protocol", [EAGER, COOPERATIVE])
+    def test_adopted_partition_waits_for_the_open_offset_commit(
+        self, fast_cluster, topic, handover, isolation, protocol
+    ):
+        tp, commit = handover
+        member = Consumer(fast_cluster, ConsumerConfig(
+            group_id="g", isolation_level=isolation, rebalance_protocol=protocol,
+        ))
+        member.subscribe([topic])
+        assert tp in member.assignment()
+        fetches = fast_cluster.network.rpc_counts.get("fetch", 0)
+        assert member.poll() == []
+        assert fast_cluster.network.rpc_counts.get("fetch", 0) == fetches
+        commit()
+        assert [r.value for r in member.poll()] == [3, 4]
+
+    def test_position_raises_while_unstable_then_resolves(
+        self, fast_cluster, topic, handover
+    ):
+        tp, commit = handover
+        member = Consumer(fast_cluster, ConsumerConfig(group_id="g"))
+        member.subscribe([topic])
+        with pytest.raises(UnstableOffsetCommitError):
+            member.position(tp)
+        commit()
+        assert member.position(tp) == 3
+
+    def test_seek_ends_the_wait(self, fast_cluster, topic, handover):
+        tp, _ = handover
+        member = Consumer(fast_cluster, ConsumerConfig(group_id="g"))
+        member.subscribe([topic])
+        member.seek(tp, 4)
+        assert member.position(tp) == 4
+        assert [r.value for r in member.poll()] == [4]
+
+    def test_seek_to_committed_rewinds_through_the_same_gate(
+        self, fast_cluster, topic, handover
+    ):
+        tp, commit = handover
+        commit()
+        member = Consumer(fast_cluster, ConsumerConfig(group_id="g"))
+        member.subscribe([topic])
+        assert [r.value for r in member.poll()] == [3, 4]
+        owner = Producer(fast_cluster, ProducerConfig(transactional_id="owner"))
+        owner.init_transactions()
+        owner.begin_transaction()
+        owner.send_offsets_to_transaction({tp: 2}, "g")
+        member.seek_to_committed()
+        assert member.poll() == []
+        owner.commit_transaction()
+        assert [r.value for r in member.poll()] == [2, 3, 4]
+
+    def test_seek_to_committed_requires_a_group(self, fast_cluster, topic):
+        c = Consumer(fast_cluster)
+        c.assign([TopicPartition(topic, 0)])
+        with pytest.raises(KafkaError):
+            c.seek_to_committed()
+
+
 class TestIsolation:
     def test_read_committed_waits_for_marker(self, fast_cluster, topic):
-        from repro.config import ProducerConfig
-
         p = Producer(fast_cluster, ProducerConfig(transactional_id="tid"))
         p.init_transactions()
         c = Consumer(fast_cluster, ConsumerConfig(isolation_level=READ_COMMITTED))

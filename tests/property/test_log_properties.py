@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.broker.partition import PartitionState
 from repro.errors import InvalidProducerEpochError, OutOfOrderSequenceError
@@ -303,6 +303,23 @@ MODEL_OPS = st.tuples(
     ),
 )
 @settings(max_examples=100, deadline=None)
+@example(
+    # Compacting the follower empties its tail (a one-record aborted
+    # transaction and its marker); truncating at its end then lowers the end
+    # to the last record kept while removing no batch. That must still mark
+    # the log stale, or the next sync takes the tail back as a plain suffix
+    # and indexes the abort span a second time.
+    ops=[
+        ("append", "plain", 1, 1, False, False, 0.0),
+        ("append", "transactional", 1, 1, False, False, 0.0),
+        ("marker", "plain", 1, 1, False, False, 0.0),
+        ("sync", "plain", 1, 1, False, False, 0.0),
+        ("compact", "plain", 1, 1, True, False, 0.0),
+        ("truncate", "plain", 1, 1, False, False, 1.0),
+        ("sync", "plain", 1, 1, False, False, 0.0),
+    ],
+    windows=[(0.0, 0.0, 1), (0.0, 0.0, 1)],
+)
 def test_stored_batch_log_equals_the_per_record_model(ops, windows):
     """Slab and scalar appends, markers, retries, epoch bumps, cuts inside
     batches, compaction and follower syncs in any order: every scalar

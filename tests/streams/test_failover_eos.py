@@ -6,12 +6,12 @@ a third of the way through the horizon and replaced. The fault-free run
 on a fresh cluster is the golden output, and the faulted run must commit
 exactly the same rows — nothing lost, nothing twice.
 
-The ledger runs this on cooperative rebalancing with unthrottled restores,
-because that is the configuration on which it holds. The eager protocol
-is pinned here as a seeded strict xfail: it commits rows twice. The
-throttled-restore defect the ledger also names (``restore_max_records_per_poll=500``)
-did not reproduce within 40 seeds; its sweep is written up in
-EXPERIMENTS.md instead of an xfail that would pass.
+Both protocols run here, each unthrottled and with
+``restore_max_records_per_poll=500``. What keeps the eager replacement
+exact: its consumer reads the committed offsets only once the group's
+offsets are stable, so it never starts before the revocation-barrier
+commit, and its stores count as restored only once no transaction is open
+on their changelogs, so they hold that commit's updates.
 """
 
 import random
@@ -37,8 +37,9 @@ KEYS = 2_000
 SLICES = 240
 HORIZON_MS = 3_200.0
 CHAOS_SEED = 7
-#: The ledger's application id. Which ``__consumer_offsets`` partition
-#: the group lands on decides whether the eager defect shows at all.
+#: The ledger's application id. Its group's offsets live on
+#: ``__consumer_offsets-2``, the one placement on which the eager defect
+#: showed.
 APPLICATION_ID = "ledger-failover"
 
 
@@ -121,20 +122,16 @@ def assert_exactly_once(golden, faulted):
 
 @pytest.mark.parametrize("restore_budget", [0, 500])
 def test_cooperative_failover_commits_the_golden_rows(restore_budget):
-    """The ledger's configuration, and the same with throttled restores:
-    the control for the xfail below (same seed, same fault)."""
+    """The ledger's configuration, and the same with throttled restores."""
     golden, faulted = failover_rows(101, COOPERATIVE, restore_budget)
     assert len(golden) == TOTAL
     assert_exactly_once(golden, faulted)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1 (b): under the eager protocol the replacement's "
-    "rebalance commits rows twice (seed 101: 489 surplus rows, none missing; "
-    "every seed tried fails while the group's offsets live on "
-    "__consumer_offsets-2).",
-)
-def test_eager_failover_commits_the_golden_rows():
-    golden, faulted = failover_rows(101, EAGER)
+@pytest.mark.parametrize("restore_budget", [0, 500])
+def test_eager_failover_commits_the_golden_rows(restore_budget):
+    """ROADMAP item 1 (b): before the consumer waited for stable offsets,
+    seed 101 committed 489 rows twice here, unthrottled."""
+    golden, faulted = failover_rows(101, EAGER, restore_budget)
+    assert len(golden) == TOTAL
     assert_exactly_once(golden, faulted)

@@ -16,9 +16,9 @@ from unittest import mock
 
 import pytest
 
-from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import COOPERATIVE, EAGER
+from repro.errors import UnstableOffsetCommitError
 from repro.sim.invariants import (
     CommittedOutputEquality,
     InvariantSuite,
@@ -37,6 +37,7 @@ from tests.streams.harness import sync_every_step
 from tests.streams.test_cooperative_rebalance import (
     KEYS,
     PARTITIONS,
+    expected_counts,
     make_app,      # a keyed count "in" -> "out", EOS, 20 ms commits
     produce,
 )
@@ -121,24 +122,43 @@ def coordinator_kill_during_handover():
 
 def kip447_deferral():
     """A new owner joins while the previous owner's revocation-barrier
-    commit still has markers in flight: its first sync defers (pauses the
-    new partitions, records no epochs) and a later step completes it."""
+    commit still has markers in flight. Its sync runs to the end, but its
+    consumer withholds the adopted partitions (no position, so nothing is
+    fetched) until the markers land, and then starts each at the offset
+    that commit wrote; its tasks' stores are not restored while that
+    commit is still open on their changelogs. The committed counts equal
+    a fault-free run's: no update of the barrier commit is lost."""
     cluster = make_cluster(latency=True)
     # Slow marker appends: the commit's markers outlast the newcomer's poll.
     cluster.network.costs.marker_write_ms = 10.0
     app = make_app(cluster, protocol=EAGER)
     app.start(1)
-    produce(cluster, 200)
+    produce(cluster, 100)
+    app.run_until_idle()            # committed: the offsets a stale read sees
+    produce(cluster, 100, start=100)
     app.step()                      # uncommitted work for the barrier commit
-    with mock.patch.object(
-        Consumer, "pause", autospec=True, side_effect=Consumer.pause
-    ) as pause:
-        newcomer = app.add_instance()
-        app.step()
-        assert pause.call_count, "the new owner's sync was not deferred"
-        assert not newcomer.tasks
+    coordinator = cluster.group_coordinator
+    before = coordinator.fetch_committed(APP, cluster.partitions_for("in"))
+    newcomer = app.add_instance()
+    adopted = newcomer.consumer.assignment()
+    app.step()
+    assert newcomer.tasks, "the new owner's sync did not run to the end"
+    assert not coordinator.offsets_stable(APP), "no commit was in flight"
+    while not coordinator.offsets_stable(APP):
+        for tp in adopted:
+            with pytest.raises(UnstableOffsetCommitError):
+                newcomer.consumer.position(tp)
+        cluster.clock.advance(1.0)
+    starts = {tp: newcomer.consumer.position(tp) for tp in adopted}
+    assert starts == coordinator.fetch_committed(APP, adopted)
+    assert all(starts[tp] != before[tp] for tp in adopted), (
+        "the in-flight commit did not move the adopted partitions"
+    )
+    produce(cluster, 100, start=200)    # counted on top of the restored state
     app.run_until_idle()
     assert sorted(len(i.tasks) for i in app.instances) == [2, 2]
+    latest = {key: count for _, key, count in committed_records(cluster, ["out"])["out"]}
+    assert latest == expected_counts(300), "the new owner lost updates"
     return cluster
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.broker.cluster import Cluster
 from repro.clients.producer import Producer
-from repro.config import StreamsConfig
+from repro.config import ProducerConfig, StreamsConfig
 from repro.obs.recovery import RecoveryTracker
 from repro.streams import KafkaStreams, StreamsBuilder
 from repro.streams.runtime.restore import restore_store
@@ -63,6 +63,29 @@ class TestRestoreStore:
         assert rounds == [5, 5, 5, 5, 3]
         assert offset == 23
         assert store.get("k2") == 22
+
+    def test_not_complete_while_a_transaction_is_open_on_the_changelog(self):
+        # A previous owner's commit still open on the changelog: its input
+        # offsets land with its markers, so a store restored without its
+        # updates is not done yet.
+        cluster = changelog_cluster(8)
+        owner = Producer(cluster, ProducerConfig(transactional_id="owner"))
+        owner.init_transactions()
+        owner.begin_transaction()
+        owner.send("changelog", key="k0", value=100, partition=0)
+        owner.flush()
+        store = InMemoryKeyValueStore("s")
+        applied, next_offset, complete = restore_store(
+            cluster, store, "changelog", 0
+        )
+        assert (applied, next_offset, complete) == (8, 8, False)
+        assert store.get("k0") == 4
+        owner.commit_transaction()
+        applied, next_offset, complete = restore_store(
+            cluster, store, "changelog", 0, from_offset=next_offset
+        )
+        assert (applied, complete) == (1, True)
+        assert store.get("k0") == 100
 
     def test_recovery_tracker_counts_task_but_not_standby_replay(self):
         cluster = changelog_cluster(10)

@@ -1,7 +1,7 @@
 """Structural guard: who may reach into what, across ``src/repro``.
 
 Four layering rules used to be grep steps in CI; a fifth came with the
-one client call path. Each is a function from a module's place in the
+one client call path, a sixth with the one start-offset gate. Each is a function from a module's place in the
 package and its syntax tree to the offences in it, run over every module
 of ``src/repro`` and, as a negative control, over the smallest snippet
 that breaks it — so a rule that stopped seeing anything fails too.
@@ -18,6 +18,11 @@ that breaks it — so a rule that stopped seeing anything fails too.
 5. *One retry policy.* ``sim.network.call_with_retry`` is the only loop
    around an RPC that a client has, and backoff schedules are built only
    there and by the three algorithms that are not a retried RPC.
+6. *One place decides where an adopted partition starts reading.* The
+   consumer turns committed offsets into positions, only once the group's
+   offsets are stable (KIP-447): nothing else asks ``offsets_stable``, and
+   the Streams layer neither reads committed offsets nor pauses its
+   consumer to wait for them.
 """
 
 import ast
@@ -123,6 +128,13 @@ def second_retry_policy(where, tree):
                 )
 
 
+def second_start_offset_gate(where, tree):
+    gates = set() if where == "clients/consumer.py" else {"offsets_stable"}
+    if where.startswith("streams/"):
+        gates |= {"fetch_committed", "pause", "resume"}
+    yield from (ast.unparse(call) for name, call in calls(tree) if name in gates)
+
+
 #: rule -> the smallest module that breaks it: (where it sits, its source).
 RULES = {
     busy_wait: ("streams/runtime/instance.py", "clock.advance(idle_ms)"),
@@ -137,6 +149,11 @@ RULES = {
         "            return self._network.call('create_topic', 0, fn)\n"
         "        except RetriableError:\n"
         "            pass\n",
+    ),
+    second_start_offset_gate: (
+        "streams/runtime/instance.py",
+        "if not coordinator.offsets_stable(self.config.application_id):\n"
+        "    return\n",
     ),
 }
 

@@ -177,9 +177,8 @@ def test_only_a_sync_that_ran_to_the_end_records_the_epochs():
         node for node in own_nodes(sync)
         if isinstance(node, ast.Assign) and is_attr(node.targets[0], "_synced_epochs")
     ]
-    # One recording, the function's last statement — so the KIP-447
-    # deferral `return` above it leaves the epochs unrecorded — of a pair
-    # read in its first, before anything the sync itself changes.
+    # One recording, the function's last statement, of a pair read in its
+    # first, before anything the sync itself changes.
     assert records == [sync.body[-1]]
     first = sync.body[1] if isinstance(sync.body[0], ast.Expr) else sync.body[0]
     assert isinstance(first, ast.Assign)
@@ -187,4 +186,6 @@ def test_only_a_sync_that_ran_to_the_end_records_the_epochs():
         "assignment_epoch", "placement_epoch",
     }
     assert records[0].value.id == first.targets[0].id
-    assert any(isinstance(node, ast.Return) for node in own_nodes(sync))
+    # Every sync runs to the end; waiting for stable offsets is the
+    # consumer's (tests/test_layering_structure.py, rule 6).
+    assert not any(isinstance(node, ast.Return) for node in own_nodes(sync))
