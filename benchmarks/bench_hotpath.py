@@ -43,13 +43,7 @@ from repro.broker.fetch import fetch
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, READ_COMMITTED, ProducerConfig
 from repro.log.partition_log import PartitionLog
-from repro.log.record import (
-    ABORT_MARKER,
-    COMMIT_MARKER,
-    Record,
-    RecordBatch,
-    control_marker,
-)
+from repro.log.record import ABORT_MARKER, COMMIT_MARKER, Record, RecordBatch
 from repro.metrics.reporter import format_table
 
 # Scale factor for workload sizes; CI smoke runs use e.g. HOTPATH_SCALE=0.05.
@@ -104,7 +98,7 @@ def build_txn_log(
         seqs[pid] += txn_size
         appended += txn_size
         marker = ABORT_MARKER if txn_no % abort_every == 0 else COMMIT_MARKER
-        log.append_marker(control_marker(marker, pid, 0))
+        log.append_marker(marker, pid, 0)
         txn_no += 1
     log.high_watermark = log.log_end_offset
     return log

@@ -9,7 +9,7 @@ All RPC entry points used by the clients live here (`handle_produce`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.config import READ_COMMITTED, BrokerConfig
@@ -25,14 +25,12 @@ from repro.broker.group_coordinator import GroupCoordinator
 from repro.broker.partition import (
     CONSUMER_OFFSETS_TOPIC,
     TRANSACTION_STATE_TOPIC,
-    PartitionOffsets,
     PartitionState,
     TopicPartition,
 )
 from repro.broker.txn_coordinator import TransactionCoordinator
-from repro.log.columnar import ColumnarBatch
+from repro.log.columnar import ColumnarBatch, ColumnarSlab
 from repro.log.partition_log import AppendResult
-from repro.log.record import RecordBatch
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.recovery import NO_RECOVERY
 from repro.obs.tracer import Tracer
@@ -282,7 +280,7 @@ class Cluster:
     # -- RPC handlers (called through the Network by clients) -----------------------
 
     def handle_produce(
-        self, tp: TopicPartition, batch: RecordBatch, acks: str = "all"
+        self, tp: TopicPartition, batch: ColumnarSlab, acks: str = "all"
     ) -> AppendResult:
         try:
             result = self.partition_state(tp).append(batch, acks=acks)
@@ -339,10 +337,6 @@ class Cluster:
         if isolation_level == READ_COMMITTED:
             return log.last_stable_offset
         return log.high_watermark
-
-    def partition_offsets(self, tp: TopicPartition) -> PartitionOffsets:
-        """The partition's offset landmarks (lag bookkeeping reads these)."""
-        return self.partition_state(tp).watermarks()
 
     def delete_records(self, tp: TopicPartition, before_offset: int) -> int:
         """Purge records below ``before_offset`` (repartition-topic cleanup)."""

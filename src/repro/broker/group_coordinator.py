@@ -26,7 +26,8 @@ from repro.errors import (
 )
 from repro.broker.fetch import fetch
 from repro.broker.partition import CONSUMER_OFFSETS_TOPIC, TopicPartition
-from repro.log.record import NO_PRODUCER_ID, Record, RecordBatch
+from repro.log.columnar import ColumnarSlab
+from repro.log.record import NO_HEADERS, NO_PRODUCER_ID
 from repro.util import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -571,16 +572,13 @@ class GroupCoordinator:
             if generation is not None:
                 self._check_ownership(group, member_id, offsets)
         tp = self.offsets_partition(group_id)
-        records = [
-            Record(
-                key=(group_id, target.topic, target.partition),
-                value=offset,
-                timestamp=self._cluster.clock.now,
-            )
-            for target, offset in sorted(offsets.items())
-        ]
-        batch = RecordBatch(
-            records=records,
+        ordered = sorted(offsets.items())
+        count = len(ordered)
+        batch = ColumnarSlab(
+            [(group_id, target.topic, target.partition) for target, _ in ordered],
+            [offset for _, offset in ordered],
+            [self._cluster.clock.now] * count,
+            [NO_HEADERS] * count,
             producer_id=producer_id,
             producer_epoch=producer_epoch,
             is_transactional=transactional,

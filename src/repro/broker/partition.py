@@ -23,9 +23,9 @@ from repro.errors import (
     NotEnoughReplicasError,
     NotLeaderError,
 )
+from repro.log.columnar import ColumnarSlab
 from repro.log.compaction import compact_log
 from repro.log.partition_log import AppendResult, PartitionLog
-from repro.log.record import Record, RecordBatch
 
 
 class TopicPartition(NamedTuple):
@@ -43,31 +43,8 @@ CONSUMER_OFFSETS_TOPIC = "__consumer_offsets"
 TRANSACTION_STATE_TOPIC = "__transaction_state"
 
 
-def repartition_topic(application_id: str, name: str) -> str:
-    return f"{application_id}-{name}-repartition"
-
-
 def changelog_topic(application_id: str, store_name: str) -> str:
     return f"{application_id}-{store_name}-changelog"
-
-
-def is_internal_topic(topic: str) -> bool:
-    return topic.startswith("__")
-
-
-class PartitionOffsets(NamedTuple):
-    """One partition's offset landmarks, as of one virtual instant.
-
-    ``log_end`` is the leader's append cursor, ``high_watermark`` the
-    replication frontier visible to read-uncommitted readers, and
-    ``last_stable_offset`` the transaction frontier visible to
-    read-committed readers. ``log_start`` moves with retention deletes.
-    """
-
-    log_start: int
-    log_end: int
-    high_watermark: int
-    last_stable_offset: int
 
 
 class PartitionState:
@@ -156,16 +133,6 @@ class PartitionState:
             raise NotLeaderError(f"{self.tp}: no leader available")
         return self._replicas[self.leader]
 
-    def watermarks(self) -> PartitionOffsets:
-        """The leader's offset landmarks (raises while leaderless)."""
-        log = self.leader_log()
-        return PartitionOffsets(
-            log_start=log.log_start_offset,
-            log_end=log.log_end_offset,
-            high_watermark=log.high_watermark,
-            last_stable_offset=log.last_stable_offset,
-        )
-
     def on_broker_failure(self, broker_id: int) -> None:
         """Remove the broker from the ISR; elect a new leader if needed."""
         if broker_id not in self._replicas:
@@ -252,7 +219,7 @@ class PartitionState:
 
     # -- appends ------------------------------------------------------------------
 
-    def append(self, batch: RecordBatch, acks: str = "all") -> AppendResult:
+    def append(self, batch: ColumnarSlab, acks: str = "all") -> AppendResult:
         """Append on the leader and replicate.
 
         ``acks="all"`` returns with the batch owed to every in-sync
@@ -275,9 +242,17 @@ class PartitionState:
         self._settle()
         return self.leader_log().append_batch(batch)
 
-    def append_marker(self, marker: Record) -> int:
+    def append_marker(
+        self,
+        control_type: str,
+        producer_id: int,
+        producer_epoch: int,
+        timestamp: float = -1.0,
+    ) -> int:
         """Append a transaction marker on the leader and replicate it."""
-        offset = self.leader_log().append_marker(marker)
+        offset = self.leader_log().append_marker(
+            control_type, producer_id, producer_epoch, timestamp
+        )
         self.replicate()
         return offset
 

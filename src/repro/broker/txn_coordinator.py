@@ -39,13 +39,8 @@ from repro.errors import (
     ProducerFencedError,
 )
 from repro.broker.partition import TRANSACTION_STATE_TOPIC, TopicPartition
-from repro.log.record import (
-    ABORT_MARKER,
-    COMMIT_MARKER,
-    Record,
-    RecordBatch,
-    control_marker,
-)
+from repro.log.columnar import ColumnarSlab
+from repro.log.record import ABORT_MARKER, COMMIT_MARKER, NO_HEADERS
 from repro.util import stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -304,10 +299,11 @@ class TransactionCoordinator:
         for index in range(meta.num_partitions):
             tp = TopicPartition(TRANSACTION_STATE_TOPIC, index)
             log = self._cluster.partition_state(tp).leader_log()
-            for record in log.read(log.log_start_offset, up_to_offset=log.log_end_offset):
-                if record.is_control:
-                    continue
-                txn = TxnMetadata.from_snapshot(record.value)
+            snapshots = log.read_columnar(
+                log.log_start_offset, up_to_offset=log.log_end_offset
+            ).values()
+            for snapshot in snapshots:
+                txn = TxnMetadata.from_snapshot(snapshot)
                 self._txns[txn.transactional_id] = txn
                 max_pid = max(max_pid, txn.producer_id + 1)
         self._cluster.reserve_producer_id(max_pid)
@@ -369,10 +365,9 @@ class TransactionCoordinator:
                 partitions=len(txn.partitions),
             )
         tp = self.txn_log_partition(txn.transactional_id)
-        record = Record(
-            key=txn.transactional_id,
-            value=txn.snapshot(),
-            timestamp=self._cluster.clock.now,
+        batch = ColumnarSlab(
+            [txn.transactional_id], [txn.snapshot()],
+            [self._cluster.clock.now], [NO_HEADERS],
         )
         network = self._cluster.network
         state = self._cluster.partition_state(tp)
@@ -380,7 +375,7 @@ class TransactionCoordinator:
         network.call(
             "txn_log_append",
             leader,
-            lambda: state.append(RecordBatch([record]), acks="all"),
+            lambda: state.append(batch, acks="all"),
             base_cost_ms=network.coordinator_cost(),
         )
         self.log_appends += 1
@@ -446,13 +441,10 @@ class TransactionCoordinator:
         txn.partitions = set(partitions)   # keep until markers land
 
     def _write_marker(self, tp: TopicPartition, txn: TxnMetadata, marker_type: str) -> None:
-        marker = control_marker(
-            marker_type,
-            txn.producer_id,
-            txn.producer_epoch,
-            timestamp=self._cluster.clock.now,
+        self._cluster.partition_state(tp).append_marker(
+            marker_type, txn.producer_id, txn.producer_epoch,
+            self._cluster.clock.now,
         )
-        self._cluster.partition_state(tp).append_marker(marker)
         self.markers_written += 1
         tracer = self._cluster.tracer
         if tracer.enabled:

@@ -24,6 +24,9 @@ from repro.errors import (
 from repro.log.columnar import ColumnarBatch
 from repro.sim.network import call_with_retry
 
+#: Records one poll returns at most when its caller names no limit.
+MAX_POLL_RECORDS = 500
+
 
 class ConsumerRecord(NamedTuple):
     """One polled record: the fields Kafka's consumer record has.
@@ -105,7 +108,6 @@ class Consumer:
         # HW otherwise), so lag = visible end − post-fetch position is
         # free. Gauges are cached per partition — this is the poll hot
         # path. The fetch round-trip EWMA feeds the fetch-latency SLO.
-        self._lag: Dict[TopicPartition, int] = {}
         self._lag_gauges: Dict[TopicPartition, Any] = {}
         self._rtt_ewma: Optional[float] = None
         self._rtt_gauge = cluster.metrics.gauge(
@@ -308,7 +310,7 @@ class Consumer:
                 self.config.group_id, self._member_id
             )
         self._maybe_rejoin()
-        budget = self.config.max_poll_records if max_records is None else max_records
+        budget = MAX_POLL_RECORDS if max_records is None else max_records
         out: List[ColumnarBatch] = []
         active = [tp for tp in self._assignment if tp not in self._paused]
         if self._withheld and not self._resolve_withheld():
@@ -423,7 +425,6 @@ class Consumer:
         lag = end - response.next_offset
         if lag < 0:
             lag = 0
-        self._lag[tp] = lag
         gauge = self._lag_gauges.get(tp)
         if gauge is None:
             gauge = self.cluster.metrics.gauge(
@@ -440,14 +441,6 @@ class Consumer:
             rtt if ewma is None else ewma + self.RTT_ALPHA * (rtt - ewma)
         )
         self._rtt_gauge.set(self._rtt_ewma)
-
-    def current_lag(self, tp: TopicPartition) -> Optional[int]:
-        """Records between this consumer and the visible end, as of the
-        last fetch response for the partition (None before any fetch)."""
-        return self._lag.get(tp)
-
-    def lags(self) -> Dict[TopicPartition, int]:
-        return dict(self._lag)
 
     # -- positions & commits ---------------------------------------------------------------
 

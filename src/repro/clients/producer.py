@@ -17,7 +17,7 @@ Reproduces the client-side behaviour of Sections 4.1–4.2:
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
@@ -266,13 +266,12 @@ class Producer:
             raise InvalidTxnStateError(
                 "transactional producers must send within a transaction"
             )
-        epoch = self.cluster.metadata_epoch
-        if epoch != self._routing_epoch:
-            self._routes.clear()
-            self._routing_epoch = epoch
-        route = self._routes.get(topic)
+        route = (
+            self._routes.get(topic)
+            if self.cluster.metadata_epoch == self._routing_epoch else None
+        )
         if route is None:
-            route = self._routes[topic] = self._route(topic)
+            route = self._route_of(topic)
         table, memo = route
         if partition is None:
             if type(key) in MEMO_KEY_TYPES:
@@ -352,12 +351,64 @@ class Producer:
             self._pending[tp] = _ColumnBuffer()
         return tp
 
-    def _route(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
-        """``topic``'s partition table, as of the current metadata epoch,
-        and an empty key memo for it."""
-        table = self.cluster.partitions_for(topic)
+    def send_chunk(
+        self,
+        topic: str,
+        keys: List[Any],
+        values: List[Any],
+        timestamps: List[float],
+        headers: List[Mapping[str, Any]],
+        partitioner: Optional[Callable[[Any, Any, int], int]] = None,
+    ) -> None:
+        """Bulk-buffer a column chunk, each record on its key's partition:
+        ``partitioner(key, value, partition_count)``, else the default one,
+        through the same key memo as :meth:`send`. Each partition's records
+        keep their order and go to :meth:`send_columns` as one chunk, in
+        the order the partitions first appear."""
+        table, memo = self._route_of(topic)
         count = len(table)
-        return table, RouteMemo(lambda key: table[partition_for(key, count)])
+        if count == 1 and partitioner is None:
+            self.send_columns(topic, 0, keys, values, timestamps, headers)
+            return
+        buckets: Dict[int, List[int]] = {}
+        if partitioner is None:
+            # The hash runs once per distinct key when every key of the
+            # chunk may index the memo (one check per chunk), else once
+            # per record.
+            if MEMO_KEY_TYPES.issuperset(map(type, keys)):
+                lookup = memo.__getitem__
+            else:
+                lookup = memo.route
+            for i, tp in enumerate(map(lookup, keys)):
+                buckets.setdefault(tp.partition, []).append(i)
+        else:
+            for i, key in enumerate(keys):
+                buckets.setdefault(partitioner(key, values[i], count), []).append(i)
+        for partition, idx in buckets.items():
+            self.send_columns(
+                topic,
+                partition,
+                [keys[i] for i in idx],
+                [values[i] for i in idx],
+                [timestamps[i] for i in idx],
+                [headers[i] for i in idx],
+            )
+
+    def _route_of(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
+        """``topic``'s partition table, as of the current metadata epoch,
+        and its key memo — both made on the topic's first use in an epoch."""
+        epoch = self.cluster.metadata_epoch
+        if epoch != self._routing_epoch:
+            self._routes.clear()
+            self._routing_epoch = epoch
+        route = self._routes.get(topic)
+        if route is None:
+            table = self.cluster.partitions_for(topic)
+            count = len(table)
+            route = self._routes[topic] = (
+                table, RouteMemo(lambda key: table[partition_for(key, count)])
+            )
+        return route
 
     def _new_buffer(self, tp: TopicPartition) -> _ColumnBuffer:
         """Open ``tp``'s buffer; inside a transaction, queue ``tp`` for

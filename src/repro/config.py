@@ -6,7 +6,7 @@ so users of the real system can map them directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import InvalidConfigError
@@ -112,7 +112,6 @@ class ConsumerConfig:
     group_id: Optional[str] = None
     isolation_level: str = READ_UNCOMMITTED
     auto_offset_reset: str = "earliest"   # "earliest" | "latest" | "none"
-    max_poll_records: int = 500
     session_timeout_ms: float = 10_000.0
     # Protocol this member offers at join_group. The group coordinator
     # negotiates down to EAGER unless *every* member offers COOPERATIVE.

@@ -5,7 +5,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 from repro.log.partition_log import AbortedTxn, PartitionLog
 from repro.log.compaction import compact
@@ -13,7 +12,6 @@ from repro.log.compaction import compact
 __all__ = [
     "Record",
     "RecordBatch",
-    "control_marker",
     "COMMIT_MARKER",
     "ABORT_MARKER",
     "PartitionLog",

@@ -4,7 +4,9 @@ Records move between producer, log and consumer as *batches* of parallel
 columns; a per-record object exists only where a caller asks for one:
 
 * :class:`ColumnarSlab` — the write side. A producer accumulates pending
-  sends as parallel columns and ships the slab to the partition log.
+  sends as parallel columns and ships the slab to the partition log; the
+  coordinators write their offset commits and transaction state the same
+  way.
 
 * :class:`StoredBatch` — what the log keeps. Appending a slab wraps its
   column lists, *by reference*, in one immutable stored batch: a base
@@ -447,12 +449,13 @@ class ColumnarBatch(_BatchRun):
 
 
 class ColumnarSlab:
-    """A write-side batch: parallel columns headed for one partition.
+    """A write-side batch: parallel columns headed for one partition, and
+    the one batch type the log appends (markers go through
+    ``append_marker``).
 
-    Quacks like :class:`~repro.log.record.RecordBatch` for everything the
-    append path needs (producer metadata, ``record_count``,
-    ``last_sequence``). The log adopts the column lists by reference, so
-    whoever builds a slab hands them over for good.
+    Carries the producer metadata of Kafka's batch header; the sequences
+    of its records follow ``base_sequence``. The log adopts the column
+    lists by reference, so whoever builds a slab hands them over for good.
     """
 
     __slots__ = (

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
-from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
     InvalidProducerEpochError,
@@ -46,10 +46,10 @@ from repro.errors import (
 from repro.log.columnar import ColumnarBatch, ColumnarSlab, RecordView, StoredBatch
 from repro.log.record import (
     ABORT_MARKER,
+    COMMIT_MARKER,
+    NO_HEADERS,
     NO_PRODUCER_ID,
     NO_SEQUENCE,
-    Record,
-    RecordBatch,
 )
 
 # How many recent batches of metadata to retain per producer id for
@@ -251,18 +251,15 @@ class PartitionLog:
 
     # -- appends ---------------------------------------------------------------
 
-    def append_batch(self, batch) -> AppendResult:
+    def append_batch(self, batch: ColumnarSlab) -> AppendResult:
         """Append a producer batch with idempotence validation.
 
         Returns the assigned offsets; a recognised retry of an already
         appended batch returns the *original* offsets with
-        ``duplicate=True`` instead of appending again. A
-        :class:`ColumnarSlab`'s column lists are adopted by reference (the
-        sender must not touch them again); a scalar :class:`RecordBatch`
-        is turned into columns first.
+        ``duplicate=True`` instead of appending again. The slab's column
+        lists are adopted by reference: the sender must not touch them
+        again.
         """
-        if not isinstance(batch, ColumnarSlab):
-            batch = _slab_of(batch)
         if batch.producer_id == NO_PRODUCER_ID:
             return self._adopt(batch)
 
@@ -316,9 +313,7 @@ class PartitionLog:
         )
         return result
 
-    def _adopt(
-        self, batch: ColumnarSlab, control_type: Optional[str] = None
-    ) -> AppendResult:
+    def _adopt(self, batch: ColumnarSlab) -> AppendResult:
         """Store ``batch``'s column lists, as they are, at the log end."""
         base_offset = self._next_offset
         count = len(batch.keys)
@@ -334,50 +329,45 @@ class PartitionLog:
                 batch.producer_epoch,
                 batch.base_sequence,
                 batch.is_transactional,
-                control_type,
             )
         )
         self._count += count
         self._next_offset = base_offset + count
-        if (
-            batch.is_transactional
-            and control_type is None
-            and pid not in self._open_txns
-        ):
+        if batch.is_transactional and pid not in self._open_txns:
             self._open_txns[pid] = base_offset
         return AppendResult(base_offset, base_offset + count - 1)
 
-    def append_marker(self, marker: Record) -> int:
+    def append_marker(
+        self,
+        control_type: str,
+        producer_id: int,
+        producer_epoch: int,
+        timestamp: float = -1.0,
+    ) -> int:
         """Append a transaction commit/abort marker — a one-record control
         batch — closing the producer's open transaction on this partition.
         Returns the marker's offset."""
-        if not marker.is_control:
-            raise ValueError("append_marker requires a control record")
-        state = self._producers.get(marker.producer_id)
-        if state is not None and marker.producer_epoch > state.epoch:
+        if control_type not in (COMMIT_MARKER, ABORT_MARKER):
+            raise ValueError(f"unknown marker type: {control_type!r}")
+        state = self._producers.get(producer_id)
+        if state is not None and producer_epoch > state.epoch:
             # Markers carry the (possibly bumped) epoch: once written, any
             # still-running zombie with the old epoch is fenced on this
             # partition too.
-            state.epoch = marker.producer_epoch
+            state.epoch = producer_epoch
             state.batches.clear()
-        first_offset = self._open_txns.pop(marker.producer_id, None)
-        offset = self._adopt(
-            ColumnarSlab(
-                [marker.key],
-                [marker.value],
-                [marker.timestamp],
-                [marker.headers],
-                marker.producer_id,
-                marker.producer_epoch,
-                marker.sequence,
-                marker.is_transactional,
-            ),
-            marker.control_type,
-        ).base_offset
-        if marker.control_type == ABORT_MARKER and first_offset is not None:
-            self._index_aborted(
-                AbortedTxn(marker.producer_id, first_offset, offset - 1)
+        first_offset = self._open_txns.pop(producer_id, None)
+        offset = self._next_offset
+        self._batches.append(
+            StoredBatch(
+                offset, [None], [None], [timestamp], [NO_HEADERS],
+                producer_id, producer_epoch, NO_SEQUENCE, True, control_type,
             )
+        )
+        self._count += 1
+        self._next_offset = offset + 1
+        if control_type == ABORT_MARKER and first_offset is not None:
+            self._index_aborted(AbortedTxn(producer_id, first_offset, offset - 1))
         return offset
 
     def replicate_mirror(self, source: "PartitionLog") -> None:
@@ -682,24 +672,3 @@ class PartitionLog:
         if not self._batches:
             return -1.0
         return self._batches[-1].timestamps[-1]
-
-
-def _slab_of(batch: RecordBatch) -> ColumnarSlab:
-    """Scalar intake: a ``RecordBatch``'s records as columns, built once at
-    the edge. Markers are not data; they arrive through ``append_marker``."""
-    keys: List[Any] = []
-    values: List[Any] = []
-    timestamps: List[float] = []
-    headers: List[Dict[str, Any]] = []
-    for record in batch.records:  # lint: allow-record-loop
-        if record.is_control:
-            raise ValueError("control records are appended with append_marker")
-        keys.append(record.key)
-        values.append(record.value)
-        timestamps.append(record.timestamp)
-        headers.append(record.headers)
-    return ColumnarSlab(
-        keys, values, timestamps, headers,
-        batch.producer_id, batch.producer_epoch, batch.base_sequence,
-        batch.is_transactional,
-    )

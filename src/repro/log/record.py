@@ -1,9 +1,10 @@
-"""Records, batches, and control (transaction-marker) records.
+"""Records and their headers, as the log's scalar readers see them.
 
 A :class:`Record` models one Kafka log entry: a timestamped key/value pair
 plus the producer metadata (producer id, epoch, sequence) that makes
 idempotent and transactional appends possible, and an ``is_control`` flag
-for transaction commit/abort markers (Section 4.2.2 of the paper).
+for transaction commit/abort markers (Section 4.2.2 of the paper). The log
+stores columns; a ``Record`` is built only where a reader asks for one.
 """
 
 from __future__ import annotations
@@ -77,49 +78,30 @@ class Record:
         )
 
 
-@dataclass(slots=True)
-class RecordBatch:
-    """A producer batch appended atomically to one partition log.
+def RecordBatch(
+    records: List[Record],
+    producer_id: int = NO_PRODUCER_ID,
+    producer_epoch: int = -1,
+    base_sequence: int = NO_SEQUENCE,
+    is_transactional: bool = False,
+):
+    """A producer batch written record by record: ``records``' keys,
+    values, timestamps and headers as the
+    :class:`~repro.log.columnar.ColumnarSlab` the log takes.
 
     Only the first record's sequence number is encoded; followers are
     inferred monotonically (Section 4.1). ``base_sequence`` is -1 for
-    non-idempotent producers.
+    non-idempotent producers. Markers are not data; they are appended
+    with ``append_marker``.
     """
+    from repro.log.columnar import ColumnarSlab   # columnar imports Record
 
-    records: List[Record]
-    producer_id: int = NO_PRODUCER_ID
-    producer_epoch: int = -1
-    base_sequence: int = NO_SEQUENCE
-    is_transactional: bool = False
-
-    def __post_init__(self) -> None:
-        if not self.records:
-            raise ValueError("a RecordBatch must contain at least one record")
-
-    @property
-    def last_sequence(self) -> int:
-        if self.base_sequence == NO_SEQUENCE:
-            return NO_SEQUENCE
-        return self.base_sequence + len(self.records) - 1
-
-    @property
-    def record_count(self) -> int:
-        return len(self.records)
-
-
-def control_marker(
-    marker_type: str, producer_id: int, producer_epoch: int, timestamp: float = -1.0
-) -> Record:
-    """Build a transaction commit/abort marker record."""
-    if marker_type not in (COMMIT_MARKER, ABORT_MARKER):
-        raise ValueError(f"unknown marker type: {marker_type!r}")
-    return Record(
-        key=None,
-        value=None,
-        timestamp=timestamp,
-        producer_id=producer_id,
-        producer_epoch=producer_epoch,
-        is_transactional=True,
-        is_control=True,
-        control_type=marker_type,
+    if any(record.is_control for record in records):
+        raise ValueError("control records are appended with append_marker")
+    return ColumnarSlab(
+        [record.key for record in records],
+        [record.value for record in records],
+        [record.timestamp for record in records],
+        [record.headers for record in records],
+        producer_id, producer_epoch, base_sequence, is_transactional,
     )

@@ -182,9 +182,6 @@ class Network:
         else:
             self._down.discard(broker_id)
 
-    def is_down(self, broker_id: int) -> bool:
-        return broker_id in self._down
-
     # -- RPC dispatch ----------------------------------------------------------
 
     def call(

@@ -178,6 +178,3 @@ class PartitionGroup:
 
     def buffered(self) -> int:
         return sum(len(q) for q in self._queues.values())
-
-    def partitions(self) -> List[TopicPartition]:
-        return list(self._order)

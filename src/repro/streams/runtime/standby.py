@@ -43,10 +43,6 @@ class StandbyTask:
             self.positions[spec.name] = 0
         self.update()
 
-    @property
-    def has_state(self) -> bool:
-        return bool(self._specs)
-
     def update(self) -> int:
         """Replay newly committed changelog records into the shadows."""
         applied = 0

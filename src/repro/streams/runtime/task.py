@@ -14,8 +14,7 @@ replaying its changelogs (see :mod:`repro.streams.runtime.restore`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import partial
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
 from repro.errors import RetriableError
@@ -39,14 +38,9 @@ from repro.streams.state import create_store
 from repro.streams.topology import (
     ProcessorNode,
     SinkNode,
-    SourceNode,
     StateStoreSpec,
     SubTopology,
 )
-from repro.util import MEMO_KEY_TYPES, RouteMemo, partition_for
-
-# "Every type in this iterable may index a RouteMemo", decided in C.
-_ALL_MEMO_KEYS = MEMO_KEY_TYPES.issuperset
 
 
 class TaskId(NamedTuple):
@@ -126,12 +120,6 @@ class StreamTask:
         self._queues = PartitionGroup(self.partitions)
         # Committed progress only covers fully processed records.
         self._consumed: Dict[TopicPartition, int] = {}
-        # Event-time watermark bookkeeping: the max processed record
-        # timestamp per input partition. The task's low watermark is the
-        # min across partitions — every record at or below it has been
-        # processed (per partition, up to reordering within the grace
-        # period), which is what the completeness frontier reports.
-        self._processed_ts: Dict[TopicPartition, float] = {}
 
         # topic (resolved) -> source node children
         self._source_children: Dict[str, List[str]] = {}
@@ -140,11 +128,6 @@ class StreamTask:
                 self._source_children.setdefault(resolve(topic), []).extend(
                     node.children
                 )
-        # Sink routing cache (resolved topic, partition count, the default
-        # partitioner's key memo) per sink topic, valid for one cluster
-        # metadata epoch.
-        self._sink_routes: Dict[str, Tuple[str, int, RouteMemo]] = {}
-        self._sink_routes_epoch = -1
 
         self._stores: Dict[str, Any] = {}
         self._build_stores()
@@ -363,16 +346,6 @@ class StreamTask:
     def buffered(self) -> int:
         return self._queues.buffered()
 
-    def low_watermark(self) -> float:
-        """The task's event-time low watermark: the min, across input
-        partitions, of the max processed record timestamp. ``-inf``
-        until every input partition has processed at least one record
-        (an idle partition holds the whole task's watermark down, same
-        as stream-time merging on multi-input joins)."""
-        if len(self._processed_ts) < len(self.partitions):
-            return float("-inf")
-        return min(self._processed_ts.values())
-
     # -- processing -------------------------------------------------------------------------
 
     def process_next_chunk(self) -> int:
@@ -458,8 +431,6 @@ class StreamTask:
                 self.process_chunk_at(child, chunk)
         if max_ts > self.stream_time:
             self.stream_time = max_ts
-        if max_ts > self._processed_ts.get(tp, float("-inf")):
-            self._processed_ts[tp] = max_ts
 
     def process_chunk_at(self, node_name: str, chunk: ColumnChunk) -> None:
         """Deliver a chunk to a node (processor or sink) — the fused
@@ -485,49 +456,17 @@ class StreamTask:
         processor.context.drain()
 
     def _send_chunk_to_sink(self, node: SinkNode, chunk: ColumnChunk) -> None:
-        """Partition a chunk and hand the column slabs straight to the
-        producer — per-partition record order is preserved, and no Record
-        objects exist until the broker appends the slab to its log."""
-        topic, num_partitions, memo = self._sink_route(node)
-        keys = chunk.keys
+        """Hand the chunk's columns straight to the producer, which
+        partitions them — per-partition record order is preserved, and no
+        Record objects exist until the broker appends the slab to its log."""
         headers = chunk.headers
         if self._tracer.enabled:
             now = self.cluster.clock.now
             headers = [{**h, EMITTED_AT_HEADER: now} for h in headers]
-        partitioner = node.partitioner
-        if num_partitions == 1 and partitioner is None:
-            self.producer.send_columns(
-                topic, 0, keys, chunk.values, chunk.timestamps, headers
-            )
-            return
-        buckets: Dict[int, List[int]] = {}
-        if partitioner is None:
-            # Keys repeat heavily under any keyed workload: the hash runs
-            # once per distinct key when every key of the chunk may index
-            # the memo (one check per chunk), else once per record.
-            if _ALL_MEMO_KEYS(map(type, keys)):
-                route = memo.__getitem__
-            else:
-                route = memo.route
-            for i, partition in enumerate(map(route, keys)):
-                buckets.setdefault(partition, []).append(i)
-        else:
-            values = chunk.values
-            for i, key in enumerate(keys):
-                buckets.setdefault(
-                    partitioner(key, values[i], num_partitions), []
-                ).append(i)
-        values = chunk.values
-        timestamps = chunk.timestamps
-        for partition, idx in buckets.items():
-            self.producer.send_columns(
-                topic,
-                partition,
-                [keys[i] for i in idx],
-                [values[i] for i in idx],
-                [timestamps[i] for i in idx],
-                [headers[i] for i in idx],
-            )
+        self.producer.send_chunk(
+            self.resolve(node.topic), chunk.keys, chunk.values,
+            chunk.timestamps, headers, node.partitioner,
+        )
 
     def punctuate_wall_clock(self, now_ms: float) -> None:
         """Fire wall-clock punctuators (called by the instance's loop)."""
@@ -562,24 +501,6 @@ class StreamTask:
             if fire is not None and (best is None or fire < best):
                 best = fire
         return best
-
-    def _sink_route(self, node: SinkNode) -> Tuple[str, int, RouteMemo]:
-        """(resolved topic, partition count, key memo) for a sink, cached
-        per cluster metadata epoch — not re-resolved for every chunk."""
-        epoch = self.cluster.metadata_epoch
-        if epoch != self._sink_routes_epoch:
-            self._sink_routes.clear()
-            self._sink_routes_epoch = epoch
-        route = self._sink_routes.get(node.topic)
-        if route is None:
-            topic = self.resolve(node.topic)
-            count = self.cluster.topic_metadata(topic).num_partitions
-            route = (
-                topic, count,
-                RouteMemo(partial(partition_for, num_partitions=count)),
-            )
-            self._sink_routes[node.topic] = route
-        return route
 
     # -- commit hooks --------------------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set
 
-from repro.broker.partition import changelog_topic, repartition_topic
+from repro.broker.partition import changelog_topic
 from repro.errors import TopologyError
 from repro.streams.processor import Processor
 

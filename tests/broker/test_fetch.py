@@ -10,7 +10,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 
@@ -33,7 +32,7 @@ def txn(log, pid, seq, *values):
 
 
 def end_txn(log, pid, marker):
-    log.append_marker(control_marker(marker, pid, 0))
+    log.append_marker(marker, pid, 0)
     log.high_watermark = log.log_end_offset
 
 

@@ -10,7 +10,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 
@@ -180,11 +179,11 @@ def test_restarted_replica_forgets_transactions_it_aborted_while_diverged():
     assert partition.leader == 1
     diverged = partition.leader_log()           # unreplicated leader appends
     diverged.append_batch(txn(1, "b"))
-    diverged.append_marker(control_marker(ABORT_MARKER, 1, 0))
+    diverged.append_marker(ABORT_MARKER, 1, 0)
     partition.on_broker_failure(1)
     assert partition.leader == 2
     partition.append(txn(1, "c", "d", "e"))
-    partition.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+    partition.append_marker(COMMIT_MARKER, 1, 0)
 
     partition.on_broker_restart(1)
 
@@ -262,11 +261,11 @@ def test_acked_appends_sync_no_follower_until_one_is_looked_at(partition, monkey
 
     for i in range(10):
         partition.append(txn(2 * i, i, i), acks="all")
-        partition.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+        partition.append_marker(COMMIT_MARKER, 1, 0)
     leader = partition.leader_log()
     # Acknowledged means visible: the leader's watermarks do not wait.
     assert leader.high_watermark == leader.last_stable_offset == 30
-    assert partition.watermarks().high_watermark == 30
+    assert partition.leader_log().high_watermark == 30
     assert mirrors == []
 
     follower = partition.replica_log(1)

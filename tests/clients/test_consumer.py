@@ -177,8 +177,8 @@ class TestManualAssignment:
     def test_max_records_below_one_is_rejected(
         self, fast_cluster, topic, producer, method, max_records
     ):
-        """``None`` is the only spelling of "the configured default": an
-        explicit 0 used to become ``max_poll_records`` silently."""
+        """``None`` is the only spelling of "the default"
+        (``MAX_POLL_RECORDS``); 0 or less is an error, not a default."""
         produce(producer, topic, 0, "v")
         tp = TopicPartition(topic, 0)
         c = Consumer(fast_cluster)

@@ -107,9 +107,11 @@ class TestPartitionLogEdges:
         assert log.open_transactions() == {}
 
     def test_append_marker_requires_control_record(self):
+        """A marker is a commit or an abort; no control type is data."""
         log = PartitionLog()
         with pytest.raises(ValueError):
-            log.append_marker(Record(key="k", value=1))
+            log.append_marker(None, 1, 0)
+        assert len(log) == 0
 
 
 class TestConsumerEdges:

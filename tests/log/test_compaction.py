@@ -1,7 +1,5 @@
 """Unit tests for changelog-topic compaction."""
 
-from dataclasses import replace
-
 from repro.log.compaction import compact, compact_log
 from repro.log.partition_log import AbortedTxn, PartitionLog
 from repro.log.record import (
@@ -9,7 +7,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 
@@ -62,7 +59,8 @@ def test_aborted_records_removed():
 def test_control_markers_dropped_when_clean():
     records = [
         rec(0, "a", 1),
-        replace(control_marker(COMMIT_MARKER, 7, 0), offset=1),
+        rec(1, None, None, producer_id=7, producer_epoch=0,
+            is_transactional=True, is_control=True, control_type=COMMIT_MARKER),
     ]
     out = compact(records, dirty_from=10)
     assert [(r.key, r.value) for r in out] == [("a", 1)]
@@ -110,7 +108,7 @@ def test_compaction_after_abort_then_commit():
             is_transactional=True,
         )
     )
-    log.append_marker(control_marker(ABORT_MARKER, 3, 0))
+    log.append_marker(ABORT_MARKER, 3, 0)
     log.append_batch(
         RecordBatch(
             [Record(key="k", value="committed")],
@@ -120,7 +118,7 @@ def test_compaction_after_abort_then_commit():
             is_transactional=True,
         )
     )
-    log.append_marker(control_marker(COMMIT_MARKER, 3, 0))
+    log.append_marker(COMMIT_MARKER, 3, 0)
     log.high_watermark = log.log_end_offset
     compact_log(log)
     assert [r.value for r in log.records() if not r.is_control] == ["committed"]

@@ -14,7 +14,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 
@@ -139,7 +138,7 @@ class TestTransactions:
         log.append_batch(txn_batch(1, 0, 0, "a", "b"))
         log.high_watermark = log.log_end_offset
         assert log.last_stable_offset == 0
-        log.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+        log.append_marker(COMMIT_MARKER, 1, 0)
         log.high_watermark = log.log_end_offset
         assert log.last_stable_offset == log.log_end_offset
 
@@ -148,7 +147,7 @@ class TestTransactions:
         log.append_batch(txn_batch(1, 0, 0, "a"))      # offset 0
         log.append_batch(txn_batch(2, 0, 0, "b"))      # offset 1
         log.high_watermark = log.log_end_offset
-        log.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+        log.append_marker(COMMIT_MARKER, 1, 0)
         log.high_watermark = log.log_end_offset
         # producer 2's txn opened at offset 1 and is still open.
         assert log.last_stable_offset == 1
@@ -156,7 +155,7 @@ class TestTransactions:
     def test_abort_marker_records_aborted_span(self):
         log = PartitionLog()
         log.append_batch(txn_batch(1, 0, 0, "a", "b"))
-        log.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        log.append_marker(ABORT_MARKER, 1, 0)
         spans = log.aborted_transactions()
         assert len(spans) == 1
         assert (spans[0].first_offset, spans[0].last_offset) == (0, 1)
@@ -165,7 +164,7 @@ class TestTransactions:
     def test_marker_with_higher_epoch_fences_old_producer(self):
         log = PartitionLog()
         log.append_batch(txn_batch(1, 0, 0, "a"))
-        log.append_marker(control_marker(ABORT_MARKER, 1, 1))  # bumped epoch
+        log.append_marker(ABORT_MARKER, 1, 1)  # bumped epoch
         with pytest.raises(InvalidProducerEpochError):
             log.append_batch(txn_batch(1, 0, 1, "zombie write"))
 
@@ -182,7 +181,7 @@ class TestReplication:
         leader.append_batch(txn_batch(1, 0, 0, "a"))
         follower.replicate_mirror(leader)
         assert follower.open_transactions() == {1: 0}
-        leader.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        leader.append_marker(ABORT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
         assert follower.open_transactions() == {}
         assert len(follower.aborted_transactions()) == 1
@@ -191,7 +190,7 @@ class TestReplication:
         leader = PartitionLog("leader")
         follower = PartitionLog("follower")
         leader.append_batch(txn_batch(1, 0, 0, "a"))
-        leader.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        leader.append_marker(ABORT_MARKER, 1, 0)
         leader.append_batch(plain_batch(1, 2, 3))
         follower.replicate_mirror(leader)
         assert follower.log_end_offset == leader.log_end_offset
@@ -206,10 +205,10 @@ class TestReplication:
         leader = PartitionLog()
         follower = PartitionLog()
         leader.append_batch(txn_batch(1, 0, 0, "a"))
-        leader.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        leader.append_marker(ABORT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
         leader.append_batch(txn_batch(1, 1, 0, "b"))
-        leader.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        leader.append_marker(ABORT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
         assert follower.aborted_transactions() == leader.aborted_transactions()
         assert len(follower.aborted_transactions()) == 2
@@ -291,13 +290,13 @@ class TestReplication:
         leader.append_batch(txn_batch(1, 0, 0, "a"))
         follower.replicate_mirror(leader)
         follower.append_batch(txn_batch(1, 0, 1, "b"))
-        follower.append_marker(control_marker(ABORT_MARKER, 1, 0))
+        follower.append_marker(ABORT_MARKER, 1, 0)
         assert follower.is_offset_aborted(1, 0)
         follower.truncate_to(1)
         leader.append_batch(txn_batch(1, 0, 1, "c", "d", "e"))
         follower.replicate_mirror(leader)
         assert follower.open_transactions() == leader.open_transactions() == {1: 0}
-        leader.append_marker(control_marker(COMMIT_MARKER, 1, 0))
+        leader.append_marker(COMMIT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
         leader.high_watermark = follower.high_watermark = leader.log_end_offset
         assert follower.aborted_transactions() == []
@@ -316,7 +315,7 @@ class TestReplication:
         follower = PartitionLog()
         leader.append_batch(txn_batch(1, 0, 0, "a"))
         follower.replicate_mirror(leader)
-        follower.append_marker(control_marker(ABORT_MARKER, 1, 1))
+        follower.append_marker(ABORT_MARKER, 1, 1)
         follower.truncate_to(leader.log_end_offset)
         follower.replicate_mirror(leader)
         assert follower.records() == leader.records()

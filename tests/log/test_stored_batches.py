@@ -13,7 +13,7 @@ from repro.broker.partition import PartitionState, TopicPartition
 from repro.log.columnar import ColumnarSlab
 from repro.log.compaction import compact_log
 from repro.log.partition_log import PartitionLog
-from repro.log.record import ABORT_MARKER, COMMIT_MARKER, Record, control_marker
+from repro.log.record import ABORT_MARKER, COMMIT_MARKER, Record
 
 
 def slab(n, pid=-1, sequence=-1, transactional=False, key=None):
@@ -49,10 +49,10 @@ def opcodes(fn) -> int:
     return count
 
 
-def write_and_read(partition, batch, marker) -> None:
+def write_and_read(partition, batch) -> None:
     n = len(batch)
     partition.append(batch)                       # leader append + two syncs
-    partition.append_marker(marker)
+    partition.append_marker(COMMIT_MARKER, 1, 0)
     log = partition.replica_log(2)
     result = log.read_columnar(0, max_records=n - 1, filter_aborted=True)
     assert result.next_offset == n - 1
@@ -71,16 +71,16 @@ def test_append_sync_and_columnar_read_do_no_per_record_work(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(Record, "__init__", counting)
-    marker = control_marker(COMMIT_MARKER, 1, 0)
-    assert built == [marker]                      # the counter counts
+    probe = Record(key=None, value=None)
+    assert built == [probe]                       # the counter counts
     cost = {}
     # The first rounds only warm the interpreter up: once it has specialized
     # a code object, fused instruction pairs count as one.
     for n in [10] * 16 + [10, 1000]:
         partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1, 2])
         batch = slab(n, pid=1, sequence=0, transactional=True)
-        cost[n] = opcodes(lambda: write_and_read(partition, batch, marker))
-    assert built == [marker]
+        cost[n] = opcodes(lambda: write_and_read(partition, batch))
+    assert built == [probe]
     assert cost[1000] == cost[10] > 0
 
 
@@ -88,7 +88,7 @@ def test_followers_hold_the_leaders_stored_batches():
     partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1, 2])
     batch = slab(1000)
     partition.append(batch)
-    partition.append_marker(control_marker(COMMIT_MARKER, 9, 0))
+    partition.append_marker(COMMIT_MARKER, 9, 0)
     leader = partition.leader_log()
     assert leader._batches[0].keys is batch.keys   # adopted, not copied
     for follower in (partition.replica_log(1), partition.replica_log(2)):
@@ -177,7 +177,7 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
         for pid in (1, 2):
             partition.append(slab(3, pid=pid, sequence=sequences[pid], transactional=True))
             sequences[pid] += 3
-            partition.append_marker(control_marker(ABORT_MARKER, pid, 0))
+            partition.append_marker(ABORT_MARKER, pid, 0)
         purge_to = leader.log_end_offset - 4       # inside the last span
         # Purging through the handles: the follower is brought level first.
         assert partition.replica_log(1) is follower
@@ -195,7 +195,7 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
     assert leader.read_columnar(purge_to).valid_count == 3
     # And the follower still syncs by the "last k spans" rule.
     partition.append(slab(2, pid=1, sequence=sequences[1], transactional=True))
-    partition.append_marker(control_marker(ABORT_MARKER, 1, 0))
+    partition.append_marker(ABORT_MARKER, 1, 0)
     assert partition.replica_log(1) is follower
     assert follower.aborted_transactions() == leader.aborted_transactions()
     assert follower._aborted_index == leader._aborted_index

@@ -43,7 +43,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 from repro.streams.runtime.record_queue import PartitionGroup
 from repro.streams.runtime.task import StreamTask
@@ -170,7 +169,7 @@ def build_log(steps, log: Optional[PartitionLog] = None) -> PartitionLog:
         else:
             _, pid, commit = step
             marker = COMMIT_MARKER if commit else ABORT_MARKER
-            log.append_marker(control_marker(marker, pid, 0))
+            log.append_marker(marker, pid, 0)
     log.high_watermark = log.log_end_offset
     return log
 

@@ -1,7 +1,5 @@
 """Property-based tests on the log layer's core invariants."""
 
-from dataclasses import replace
-
 from hypothesis import example, given, settings, strategies as st
 
 from repro.broker.partition import PartitionState
@@ -14,7 +12,6 @@ from repro.log.record import (
     COMMIT_MARKER,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 keys = st.sampled_from(["a", "b", "c", "d", "e"])
@@ -114,7 +111,7 @@ def test_read_committed_sees_exactly_committed_data(steps):
         else:
             _, pid, commit = step
             marker = COMMIT_MARKER if commit else ABORT_MARKER
-            log.append_marker(control_marker(marker, pid, 0))
+            log.append_marker(marker, pid, 0)
             if commit:
                 committed.extend(pending[pid])
             pending[pid] = []
@@ -150,7 +147,7 @@ def test_lso_never_exceeds_high_watermark(steps):
         else:
             _, pid, commit = step
             marker = COMMIT_MARKER if commit else ABORT_MARKER
-            log.append_marker(control_marker(marker, pid, 0))
+            log.append_marker(marker, pid, 0)
         log.high_watermark = log.log_end_offset
         assert log.last_stable_offset <= log.high_watermark
         assert log.last_stable_offset >= 0
@@ -216,11 +213,15 @@ class FlatLog:
             ))
             self.end += 1
 
-    def marker(self, marker):
-        first = self.open.pop(marker.producer_id, None)
-        if marker.control_type == ABORT_MARKER and first is not None:
-            self.aborted.append(AbortedTxn(marker.producer_id, first, self.end - 1))
-        self.records.append(replace(marker, offset=self.end))
+    def marker(self, control_type, pid, epoch, timestamp):
+        first = self.open.pop(pid, None)
+        if control_type == ABORT_MARKER and first is not None:
+            self.aborted.append(AbortedTxn(pid, first, self.end - 1))
+        self.records.append(Record(
+            None, None, timestamp, offset=self.end, producer_id=pid,
+            producer_epoch=epoch, is_transactional=True, is_control=True,
+            control_type=control_type,
+        ))
         self.end += 1
 
     def truncate_to(self, offset):
@@ -372,11 +373,9 @@ def test_stored_batch_log_equals_the_per_record_model(ops, windows):
             )
         elif name == "marker":
             epochs[pid] += other
-            marker = control_marker(
-                COMMIT_MARKER if flag else ABORT_MARKER, pid, epochs[pid], 7.0
-            )
-            assert leader.append_marker(marker) == lead.end
-            lead.marker(marker)
+            marker = (COMMIT_MARKER if flag else ABORT_MARKER, pid, epochs[pid], 7.0)
+            assert leader.append_marker(*marker) == lead.end
+            lead.marker(*marker)
             last_sent.pop(pid, None)
         elif name == "bump":
             epochs[pid] += 1

@@ -21,7 +21,6 @@ from repro.log.record import (
     NO_SEQUENCE,
     Record,
     RecordBatch,
-    control_marker,
 )
 
 PIDS = st.integers(min_value=1, max_value=4)
@@ -186,7 +185,7 @@ def test_follower_equals_leader_after_every_sync(ops):
                 value += 1
                 log.append_batch(batch_for(log, what, pid, epoch, arg, value))
             else:
-                log.append_marker(control_marker(what, pid, epoch + arg))
+                log.append_marker(what, pid, epoch + arg)
                 if not on_follower:
                     epochs[pid] += arg
         elif name == "retry":
@@ -230,7 +229,7 @@ def test_follower_equals_leader_after_every_sync(ops):
     # The leader moves on for every producer; the synced follower does not.
     for pid, epoch in epochs.items():
         leader.append_batch(batch_for(leader, "idempotent", pid, epoch + 1, 2, "x"))
-        leader.append_marker(control_marker(ABORT_MARKER, pid, epoch + 2))
+        leader.append_marker(ABORT_MARKER, pid, epoch + 2)
     assert describe(follower) == snapshot
 
 
@@ -349,7 +348,8 @@ def apply(partition, op, batch):
             result = partition.append(batch, acks=args[0])
             return (result.base_offset, result.last_offset, result.duplicate)
         if name == "marker":
-            return partition.append_marker(batch)
+            what, pid = args[:2]
+            return partition.append_marker(what, pid, batch)
         if name == "replicate":
             return partition.replicate()
         if name == "delete":
@@ -422,7 +422,7 @@ def test_sync_on_demand_equals_sync_inside_every_append(ops):
             elif name == "marker":
                 what, pid, bump = args
                 epochs[pid] += bump
-                batch = control_marker(what, pid, epochs[pid])
+                batch = epochs[pid]             # the marker's epoch
         outcome = apply(lazy, op, batch)
         assert outcome == apply(eager, op, batch), op
         assert eager._owed_end is None

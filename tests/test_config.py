@@ -89,7 +89,7 @@ def test_field_count_is_pinned():
     assert counts == {
         "BrokerConfig": 3,
         "ProducerConfig": 11,
-        "ConsumerConfig": 11,
+        "ConsumerConfig": 10,
         "StreamsConfig": 14,
     }
-    assert sum(counts.values()) == 39
+    assert sum(counts.values()) == 38

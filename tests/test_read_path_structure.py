@@ -3,11 +3,9 @@
 ``repro/log`` and ``repro/broker/fetch.py`` are the one implementation of
 the fetch; a ``for record in batch.records``-style loop there reintroduces
 per-record materialization (and a second copy of the visibility rule).
-Write-side intake of a scalar ``RecordBatch`` is the only legitimate
-per-record loop in these files and carries a ``# lint: allow-record-loop``
-marker on the loop line. On the write path the log stores the batches it
-is given, so ``Record(...)`` is constructed in ``repro/log`` only behind
-the lazy scalar view and by the marker factory. On the client side
+On the write path every writer hands the log a ``ColumnarSlab`` and a
+marker is appended by its fields, so ``Record(...)`` is constructed in
+``src`` only behind the lazy scalar view. On the client side
 ``Consumer.poll`` hands out ``ConsumerRecord``s built from the five columns
 a Kafka consumer can see; origin is the record's ``topic`` / ``partition``.
 A fetched run is walked once for its columns: whoever reads two or more
@@ -24,7 +22,6 @@ import repro
 
 SRC = Path(repro.__file__).parent
 READ_PATH = sorted((SRC / "log").glob("*.py")) + [SRC / "broker" / "fetch.py"]
-MARKER = "lint: allow-record-loop"
 LOOPS = (ast.For, ast.AsyncFor, ast.comprehension)
 
 
@@ -40,17 +37,13 @@ def iterates_records(loop) -> bool:
 
 
 def test_no_per_record_loops_on_the_read_path():
-    offenders = []
-    for path in READ_PATH:
-        source = path.read_text()
-        lines = source.splitlines()
-        for loop in loops(ast.parse(source)):
-            if iterates_records(loop) and MARKER not in lines[loop.iter.lineno - 1]:
-                offenders.append(f"{path.relative_to(SRC)}:{loop.iter.lineno}")
-    assert not offenders, (
-        "per-record loop on the columnar read path (write-side RecordBatch "
-        f"intake carries '# {MARKER}'): {offenders}"
-    )
+    offenders = [
+        f"{path.relative_to(SRC)}:{loop.iter.lineno}"
+        for path in READ_PATH
+        for loop in loops(ast.parse(path.read_text()))
+        if iterates_records(loop)
+    ]
+    assert not offenders, f"per-record loop on the columnar read path: {offenders}"
 
 
 def test_broker_fetch_is_loop_free():
@@ -61,16 +54,24 @@ def test_broker_fetch_is_loop_free():
     assert not [n for n in ast.walk(tree) if isinstance(n, ast.While)]
 
 
-# Where ``repro/log`` may build a ``Record``: the per-batch scalar view
+# Where ``src`` may build a ``Record``: the per-batch scalar view
 # (``PartitionLog.read`` / ``records`` / ``ColumnarBatch.records`` all end
-# there) and the factory for the marker a coordinator hands to
-# ``append_marker``.
-RECORD_BUILDERS = {("columnar.py", "StoredBatch.records"), ("record.py", "control_marker")}
+# there). Nothing writes one.
+RECORD_BUILDERS = {("log/columnar.py", "StoredBatch.records")}
+# Where ``src`` may build a ``ColumnarSlab``: the producer's flush, the two
+# coordinators' own log writes, and the scalar constructor for callers that
+# write record by record.
+SLAB_BUILDERS = {
+    ("clients/producer.py", "Producer._send_batch"),
+    ("broker/group_coordinator.py", "GroupCoordinator.commit_offsets"),
+    ("broker/txn_coordinator.py", "TransactionCoordinator._persist"),
+    ("log/record.py", "RecordBatch"),
+}
 
 
-def sites(path, matches):
+def sites(source, matches):
     """Enclosing qualified name (``Class.method``, ``""`` at module level)
-    of every node of ``path`` that ``matches``."""
+    of every node of ``source`` that ``matches``."""
     found = []
 
     def visit(node, scope):
@@ -82,28 +83,74 @@ def sites(path, matches):
                 found.append(".".join(scope))
             visit(child, inner)
 
-    visit(ast.parse(path.read_text()), [])
+    visit(ast.parse(source), [])
     return found
 
 
-def record_constructions(path):
-    """(file, enclosing qualified name) of every ``Record(...)`` call."""
-    return [
-        (path.name, scope)
-        for scope in sites(
-            path,
-            lambda node: isinstance(node, ast.Call)
+def sources(directory=SRC):
+    """Path relative to ``src/repro`` -> source, for every module below
+    ``directory``."""
+    return {
+        path.relative_to(SRC).as_posix(): path.read_text()
+        for path in sorted(directory.rglob("*.py"))
+    }
+
+
+def constructions(name, modules):
+    """(file, enclosing qualified name) of every ``name(...)`` call."""
+    def built(node):
+        return (
+            isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
-            and node.func.id == "Record",
+            and node.func.id == name
         )
-    ]
+
+    return {
+        (relative, scope)
+        for relative, source in modules.items()
+        for scope in sites(source, built)
+    }
 
 
 def test_the_log_builds_records_only_behind_the_scalar_view():
-    built = {
-        site for path in (SRC / "log").glob("*.py") for site in record_constructions(path)
+    modules = sources()
+    assert constructions("Record", modules) == RECORD_BUILDERS
+    assert constructions("ColumnarSlab", modules) == SLAB_BUILDERS
+    # The guard sees a writer that builds records again: an offset commit
+    # as it was.
+    where = "broker/group_coordinator.py"
+    modules[where] += (
+        "\n\ndef commit_offsets(group_id, target, offset, now):\n"
+        "    return Record(key=(group_id, target), value=offset, timestamp=now)\n"
+    )
+    assert constructions("Record", modules) == RECORD_BUILDERS | {
+        (where, "commit_offsets")
     }
-    assert built == RECORD_BUILDERS
+
+
+def test_markers_are_appended_by_their_fields():
+    """Control type, producer id and epoch (and a timestamp) — never a
+    marker record built somewhere else and handed over."""
+    calls = [
+        node
+        for source in sources().values()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and callee(node) == "append_marker"
+    ]
+    assert len(calls) >= 2      # the coordinator's, and the partition's relay
+    assert all(len(call.args) + len(call.keywords) >= 3 for call in calls)
+
+
+def test_only_the_scalar_checker_imports_the_log_record_outside_the_log():
+    importers = {
+        relative
+        for relative, source in sources().items()
+        if not relative.startswith("log/")
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and any(alias.name in ("Record", "RecordBatch") for alias in node.names)
+    }
+    assert importers == {"sim/invariants.py"}
 
 
 # -- the client edge ------------------------------------------------------------
@@ -111,16 +158,15 @@ def test_the_log_builds_records_only_behind_the_scalar_view():
 
 def test_clients_neither_import_nor_build_the_log_record():
     offenders = []
-    for path in sorted((SRC / "clients").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        offenders += record_constructions(path)
+    for relative, source in sources(SRC / "clients").items():
         offenders += [
-            (path.name, f"import at line {node.lineno}")
-            for node in ast.walk(tree)
+            (relative, f"import at line {node.lineno}")
+            for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom)
             and any(alias.name == "Record" for alias in node.names)
         ]
     assert not offenders
+    assert not constructions("Record", sources(SRC / "clients"))
 
 
 # What a Kafka consumer can see of a fetched batch: where it was read, and
@@ -327,6 +373,7 @@ HEADER_HOPS = [
     ("streams/runtime/task.py", "StreamTask.add_batch"),
     ("streams/runtime/task.py", "StreamTask._dispatch"),
     ("streams/runtime/task.py", "StreamTask._send_chunk_to_sink"),
+    ("clients/producer.py", "Producer.send_chunk"),
     ("mirror/link.py", "MirrorLink._mirror"),
 ]
 
@@ -349,10 +396,10 @@ def name_sites(name):
     """(file, enclosing qualified name) of every use of the bare name
     ``name`` anywhere in ``src`` (imports are not uses)."""
     return {
-        (path.relative_to(SRC).as_posix(), scope)
-        for path in SRC.rglob("*.py")
+        (relative, scope)
+        for relative, source in sources().items()
         for scope in sites(
-            path, lambda node: isinstance(node, ast.Name) and node.id == name
+            source, lambda node: isinstance(node, ast.Name) and node.id == name
         )
     }
 
