@@ -30,8 +30,10 @@ def fetch(
     The result is a :class:`ColumnarBatch` — the visible run of the log's
     stored batches — with no per-record scanning or materialization:
     marker skipping and aborted-span filtering are decided per stored
-    batch inside :meth:`PartitionLog.read_columnar`. ``result.records``
-    is the scalar view for callers that want one.
+    batch inside :meth:`PartitionLog.read_columnar`, which walks the
+    batches of a fetch near the log end and finds a longer fetch's run
+    through the log's scan index, with no Python step per batch.
+    ``result.records`` is the scalar view for callers that want one.
     """
     if isolation_level == READ_COMMITTED:
         limit = log.last_stable_offset

@@ -19,6 +19,12 @@ On top of plain appends the log implements
   aborted transactions are recorded in an index so they can be filtered
   out — a whole stored batch at a time, since a batch has one producer
   and a transaction's span begins and ends on batch boundaries;
+* **reads with no Python step per batch**: a read near the log end
+  walks its stored batches, and a longer one finds its run through a
+  *scan index* — cumulative record counts over a prefix of the stored
+  batches, plus which batches hold data and which of those are visible —
+  with a few bisects and one ``compress``. Reads build the index; every
+  cut that moves a batch, and every aborted span indexed, cuts it back;
 * **log compaction** hooks for changelog topics, and ``delete_records`` for
   repartition-topic truncation.
 
@@ -32,10 +38,11 @@ compaction) replaces it with a new batch built from slices.
 from __future__ import annotations
 
 import bisect
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from operator import attrgetter
+from itertools import accumulate, compress, islice, repeat
+from operator import attrgetter, gt, is_, mul
 from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import (
@@ -60,6 +67,18 @@ _PRODUCER_BATCH_CACHE = 5
 # spans by last offset.
 _BASE_OFFSET = attrgetter("base_offset")
 _LAST_OFFSET = attrgetter("last_offset")
+# What the scan index reads of a stored batch, in C.
+_KEYS = attrgetter("keys")
+_CONTROL_TYPE = attrgetter("control_type")
+_PRODUCER_ID = attrgetter("producer_id")
+
+# A read that starts fewer stored batches than this before the log end
+# walks them; a longer one jumps through the scan index. Indexing a batch
+# costs about three walks of it and pays back only when later reads come
+# back to it, which a tail read of a growing log never does: the
+# benchmark's tail reads start at most 10 batches back (EXPERIMENTS.md,
+# "Long fetches jump instead of walking").
+_JUMP_MIN_BATCHES = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,6 +174,14 @@ class PartitionLog:
         # truncate_to lowered the end, or reset_to: producer and transaction
         # state may describe what is gone. The next replicate_mirror heals it.
         self._stale = False
+        # Scan index over the prefix ``_batches[:_indexed]`` (_index_to).
+        # _counts: for each i, the records of all batches, of data batches
+        # and of visible data batches (outside aborted spans) before batch
+        # i — one entry more than batches. _masks: a byte a batch saying
+        # whether it holds data, and whether it is visible.
+        self._indexed = 0
+        self._counts: Tuple[array, ...] = ()
+        self._masks: Tuple[bytearray, ...] = ()
 
     # -- basic accessors -------------------------------------------------------
 
@@ -206,24 +233,11 @@ class PartitionLog:
         firsts.append(span.first_offset)
         lasts.append(span.last_offset)
         spans.append(span)
-
-    def _prune_aborted(self) -> None:
-        """Forget the spans that lie wholly below the log start: nothing
-        they could mask is retained. Spans are indexed in marker order, so
-        both the list and each producer's entry lose a prefix."""
-        start = self.log_start_offset
-        aborted = self._aborted
-        if not aborted or aborted[0].last_offset >= start:
-            return
-        del aborted[: bisect.bisect_left(aborted, start, key=_LAST_OFFSET)]
-        index = self._aborted_index
-        for pid in list(index):
-            firsts, lasts, spans = index[pid]
-            gone = bisect.bisect_left(lasts, start)
-            if gone == len(lasts):
-                del index[pid]
-            elif gone:
-                del firsts[:gone], lasts[:gone], spans[:gone]
+        # One producer's spans are indexed in offset order, so the new span
+        # changes is_offset_aborted only from its first offset on.
+        self._cut_scan_index(
+            bisect.bisect_left(self._batches, span.first_offset, key=_BASE_OFFSET)
+        )
 
     def is_offset_aborted(self, producer_id: int, offset: int) -> bool:
         """True iff ``offset`` lies in an aborted span of ``producer_id``.
@@ -441,6 +455,7 @@ class PartitionLog:
             self._open_txns.clear()
             self._aborted.clear()
             self._aborted_index.clear()
+            self._cut_scan_index(0)
             pids = source._producers.keys() | source._open_txns.keys()
             spans = source._aborted
         elif markers:
@@ -473,11 +488,17 @@ class PartitionLog:
         mask_controls: bool,
         filter_aborted: bool,
     ) -> Tuple[List[StoredBatch], int, int, int, int, int]:
-        """Walk the stored batches over ``[from_offset, limit)`` until
-        ``max_records`` visible records are found: one step per *batch*,
-        visibility decided per batch. Returns the visible run as
+        """The visible run over ``[from_offset, limit)``, up to
+        ``max_records`` visible records, visibility decided per *batch*:
         ``(batches, lo, hi, visible, scanned, next_offset)`` — the first
         batch starts at position ``lo``, the last stops before ``hi``.
+        ``mask_controls`` hides control batches; ``filter_aborted``, which
+        comes only with it, hides the batches of aborted spans too.
+
+        A read that starts :data:`_JUMP_MIN_BATCHES` stored batches or more
+        before the log end jumps through the scan index (:meth:`_jump`); a
+        shorter one — a Streams intake, a tail read — walks
+        (:meth:`_walk`), which is also the index's test oracle.
         """
         if from_offset < self.log_start_offset or from_offset > self._next_offset:
             raise OffsetOutOfRangeError(
@@ -485,11 +506,27 @@ class PartitionLog:
                 f"[{self.log_start_offset}, {self._next_offset}]"
             )
         batches = self._batches
+        first = max(bisect.bisect_right(batches, from_offset, key=_BASE_OFFSET) - 1, 0)
+        scan = self._walk if len(batches) - first < _JUMP_MIN_BATCHES else self._jump
+        return scan(first, from_offset, max_records, limit, mask_controls, filter_aborted)
+
+    def _walk(
+        self,
+        first: int,
+        from_offset: int,
+        max_records: int,
+        limit: int,
+        mask_controls: bool,
+        filter_aborted: bool,
+    ) -> Tuple[List[StoredBatch], int, int, int, int, int]:
+        """:meth:`_scan` one step per stored batch from ``_batches[first]``,
+        the last batch at or before ``from_offset`` (or the first one),
+        until ``max_records`` visible records are found."""
+        batches = self._batches
         aborted = self._aborted_index if filter_aborted else None
         run: List[StoredBatch] = []
         lo = hi = visible = scanned = 0
         last: Optional[StoredBatch] = None
-        first = max(bisect.bisect_right(batches, from_offset, key=_BASE_OFFSET) - 1, 0)
         for batch in islice(batches, first, None):
             base = batch.base_offset
             if base >= limit or visible >= max_records:
@@ -526,6 +563,101 @@ class PartitionLog:
             last, end = batch, b
         next_offset = from_offset if last is None else last.offset_at(end - 1) + 1
         return run, lo, hi, visible, scanned, next_offset
+
+    def _jump(
+        self,
+        first: int,
+        from_offset: int,
+        max_records: int,
+        limit: int,
+        mask_controls: bool,
+        filter_aborted: bool,
+    ) -> Tuple[List[StoredBatch], int, int, int, int, int]:
+        """:meth:`_walk`'s result through the scan index, with no step per
+        batch: a bisect for the batches below ``limit``, one on the mode's
+        cumulative count for the batch that fills ``max_records``, and one
+        ``compress`` of the mode's mask for the run. Only the first and the
+        last batch of the window are looked at, to cut them."""
+        batches = self._batches
+        stop = bisect.bisect_left(batches, limit, first, key=_BASE_OFFSET)
+        if stop <= first or max_records <= 0:
+            return [], 0, 0, 0, 0, from_offset
+        head, tail = batches[first], batches[stop - 1]
+        # Positions [a, b) of the window's first and last batch.
+        a = 0 if head.base_offset >= from_offset else head.position(from_offset)
+        b = len(tail.keys) if tail.end_offset <= limit else tail.position(limit)
+        if first == stop - 1:
+            if a >= b:
+                return [], 0, 0, 0, 0, from_offset
+        elif a == len(head.keys):
+            # from_offset lies past the head's last retained record.
+            first += 1
+            a = 0
+        self._index_to(stop)
+        cum_all, cum_data, cum_visible = self._counts
+        if not mask_controls:
+            cum, mask = cum_all, None
+        elif filter_aborted:
+            cum, mask = cum_visible, self._masks[1]
+        else:
+            cum, mask = cum_data, self._masks[0]
+        counted_head = mask is None or mask[first]
+        # Counted positions before the window, and inside it.
+        before = cum[first] + (a if counted_head else 0)
+        total = cum[stop] - before
+        if mask is None or mask[stop - 1]:
+            total -= len(tail.keys) - b
+        if total < max_records:
+            k, end, visible = stop - 1, b, total
+        else:
+            # Batch k holds the record that fills the budget.
+            k = bisect.bisect_left(cum, before + max_records, first + 1, stop + 1) - 1
+            end, visible = before + max_records - cum[k], max_records
+        last = batches[k]
+        scanned = cum_all[k + 1] - cum_all[first] - a - (len(last.keys) - end)
+        next_offset = last.offset_at(end - 1) + 1
+        if mask is None:
+            run = batches[first:k + 1]
+        else:
+            run = list(compress(batches[first:k + 1], mask[first:k + 1]))
+        if not run:
+            return run, 0, 0, 0, scanned, next_offset
+        lo = a if counted_head else 0
+        hi = end if mask is None or mask[k] else len(run[-1].keys)
+        return run, lo, hi, visible, scanned, next_offset
+
+    def _index_to(self, stop: int) -> None:
+        """Extend the scan index over ``_batches[:stop]``: a few C-level
+        passes over the batches it does not cover yet. A batch is visible
+        when it holds data and :meth:`is_offset_aborted` says no for its
+        producer and base offset — the walk's own test."""
+        n = self._indexed
+        if n >= stop:
+            return
+        new = self._batches[n:stop]
+        lengths = list(map(len, map(_KEYS, new)))
+        data = bytes(map(is_, map(_CONTROL_TYPE, new), repeat(None)))
+        aborted = map(
+            self.is_offset_aborted, map(_PRODUCER_ID, new), map(_BASE_OFFSET, new)
+        )
+        visible = bytes(map(gt, data, aborted))
+        if n == 0:
+            # Built afresh: the first long read, or one after a cut to nothing.
+            self._counts = (array("q", [0]), array("q", [0]), array("q", [0]))
+            self._masks = (bytearray(), bytearray())
+        counted = (lengths, map(mul, lengths, data), map(mul, lengths, visible))
+        for cum, counts in zip(self._counts, counted):
+            cum[n:] = array("q", accumulate(counts, initial=cum[n]))
+        for mask, bits in zip(self._masks, (data, visible)):
+            mask[n:] = bits
+        self._indexed = stop
+
+    def _cut_scan_index(self, batch: int) -> None:
+        """Forget the scan index from stored batch ``batch`` on: called by
+        whatever moves a batch or changes its visibility (appends need
+        not)."""
+        if batch < self._indexed:
+            self._indexed = batch
 
     def read(
         self,
@@ -591,6 +723,7 @@ class PartitionLog:
         if keep < len(batches):
             self._count -= sum(len(batch.keys) for batch in batches[keep:])
             del batches[keep:]
+            self._cut_scan_index(keep)
             if head is not None:
                 batches.append(head)
                 self._count += len(head)
@@ -614,6 +747,7 @@ class PartitionLog:
         self._open_txns.clear()
         self._aborted.clear()
         self._aborted_index.clear()
+        self._cut_scan_index(0)
         # Producers whose records the leader already deleted still have
         # sequence state there; no suffix will ever name them.
         self._stale = True
@@ -639,9 +773,23 @@ class PartitionLog:
             batches[:gone] = [tail]
         else:
             del batches[:gone]
+        self._cut_scan_index(0)
         self._count -= removed
         self.log_start_offset = offset
-        self._prune_aborted()
+        # Forget the spans that lie wholly below the new start: nothing they
+        # could mask is retained. Spans are indexed in marker order, so both
+        # the list and each producer's entry lose a prefix.
+        aborted = self._aborted
+        if aborted and aborted[0].last_offset < offset:
+            del aborted[: bisect.bisect_left(aborted, offset, key=_LAST_OFFSET)]
+            index = self._aborted_index
+            for pid in list(index):
+                firsts, lasts, spans = index[pid]
+                pruned = bisect.bisect_left(lasts, offset)
+                if pruned == len(lasts):
+                    del index[pid]
+                elif pruned:
+                    del firsts[:pruned], lasts[:pruned], spans[:pruned]
         return removed
 
     # -- compaction hook ---------------------------------------------------------
@@ -665,6 +813,7 @@ class PartitionLog:
                     continue
             compacted.append(batch)
         self._batches = compacted
+        self._cut_scan_index(0)
 
     # -- queries used by coordinators ---------------------------------------------
 

@@ -15,9 +15,13 @@ out is the log's own scalar view of each window plus the assignment.
 Streams intake read — must equal the five single-column accessors over
 logs cut every way the log cuts a stored batch, and ``poll`` /
 ``StreamTask.add_batch`` must hand out / queue exactly what those
-accessors would have given them.
+accessors would have given them. A read that starts far from the log end
+jumps through the log's scan index instead of walking: the jump must land
+exactly where the walk does, on every window, with reads interleaved
+between every mutation that can leave the index stale.
 """
 
+import bisect
 import copy
 from typing import List, NamedTuple, Optional
 from unittest import mock
@@ -27,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.broker.cluster import Cluster
 from repro.broker.fetch import fetch
-from repro.broker.partition import TopicPartition
+from repro.broker.partition import PartitionState, TopicPartition
 from repro.clients import Consumer, ConsumerRecord, Producer
 from repro.config import (
     READ_COMMITTED,
@@ -37,7 +41,7 @@ from repro.config import (
     ConsumerConfig,
     ProducerConfig,
 )
-from repro.log.partition_log import PartitionLog
+from repro.log.partition_log import _JUMP_MIN_BATCHES, PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
     COMMIT_MARKER,
@@ -548,6 +552,196 @@ def test_page_boundary_between_aborted_span_and_commit_marker():
                 want = reference_fetch(log, from_offset, max_records, isolation)
                 assert got.records == want.records
                 assert got.next_offset == want.next_offset
+
+
+# -- the scan index: a long read jumps, and lands where the walk would -----------
+
+#: What a scan can be asked for: ``read()`` sees every batch, a fetch masks
+#: control batches, a read-committed (or speculative) fetch aborted ones too.
+SCAN_MODES = ((False, False), (True, False), (True, True))
+FRACTION = st.floats(min_value=0.0, max_value=1.0)
+# Leader appends (transactional, idempotent and plain batches; markers
+# that commit, abort or close nothing), compaction, purges (that the
+# follower misses, so that its next sync resets it, or not), and the
+# follower's own cuts and appends: each is read, then healed by a sync.
+OP_ARGS = {
+    "send": (st.sampled_from(PIDS), SIZES, st.booleans()),
+    "plain": (SIZES,),
+    "end": (st.sampled_from(PIDS), st.booleans()),
+    "compact": (st.sets(st.integers(0, 127), max_size=6),),
+    "delete": (FRACTION, st.booleans()),
+    "truncate": (FRACTION,),
+    "diverge": (st.sampled_from(PIDS), st.booleans()),
+    "reset": (st.sampled_from(PIDS), SIZES),
+    "sync": (),
+    "read": (FRACTION,),
+}
+LOG_OPS = st.sampled_from(
+    ["send"] * 8 + ["plain"] * 3 + ["end"] * 6
+    + ["compact", "delete", "truncate", "diverge", "reset"]
+    + ["sync"] * 2 + ["read"] * 3
+).flatmap(lambda kind: st.tuples(st.just(kind), *OP_ARGS[kind]))
+
+
+def assert_jump_lands_where_the_walk_does(log, fraction):
+    """Every window the log can be read at — each ``from_offset`` from the
+    log start to its end; limits at the end, at the LSO and at ``fraction``
+    of the log; budgets that stop in the first batch, inside the run and
+    never — in all three modes: the same run of stored batches (the same
+    objects), ``lo``, ``hi``, visible and scanned counts and
+    ``next_offset``."""
+    start, end = log.log_start_offset, log.log_end_offset
+    limits = {end, log.last_stable_offset, start + round(fraction * (end - start))}
+    bases = [batch.base_offset for batch in log._batches]
+    for from_offset in range(start, end + 1):
+        # The stored batch a scan from there starts at: _scan's own bisect.
+        first = max(bisect.bisect_right(bases, from_offset) - 1, 0)
+        for limit in limits:
+            for max_records in (1, 4, 10**6):
+                for mode in SCAN_MODES:
+                    args = (first, from_offset, max_records, limit, *mode)
+                    walked, jumped = log._walk(*args), log._jump(*args)
+                    assert len(jumped[0]) == len(walked[0]), args
+                    assert all(a is b for a, b in zip(jumped[0], walked[0])), args
+                    assert jumped[1:] == walked[1:], args
+
+
+def play(ops):
+    """A leader and its follower driven through ``ops``; each ``read``,
+    and one at the end, compares the two scans on both logs. Reads build
+    the scan index over the whole log (one limit is its end), so an index
+    that a later mutation left stale shows at the next read."""
+    leader, follower = PartitionLog("leader"), PartitionLog("follower")
+    sequences = {pid: 0 for pid in PIDS}
+
+    def sync():
+        PartitionState._sync_follower(follower, leader)
+
+    def batch(pid, size, sequence, transactional=True):
+        return RecordBatch(
+            [Record(key="t", value=i) for i in range(size)],
+            producer_id=pid, producer_epoch=0,
+            base_sequence=sequence, is_transactional=transactional,
+        )
+
+    for op in ops + [("sync",), ("read", 0.5)]:
+        kind = op[0]
+        if kind == "send":
+            _, pid, size, transactional = op
+            leader.append_batch(batch(pid, size, sequences[pid], transactional))
+            sequences[pid] += size
+        elif kind == "plain":
+            leader.append_batch(
+                RecordBatch([Record(key="p", value=i) for i in range(op[1])])
+            )
+        elif kind == "end":
+            _, pid, commit = op
+            leader.append_marker(COMMIT_MARKER if commit else ABORT_MARKER, pid, 0)
+        elif kind == "compact":
+            sync()      # followers are level first, as PartitionState.compact has them
+            stable = leader.last_stable_offset
+            leader.retain_offsets(set(range(stable)) - op[1], below=stable)
+        elif kind == "delete":
+            _, fraction, follower_too = op
+            sync()
+            offset = round(fraction * leader.high_watermark)
+            leader.delete_records_before(offset)
+            if follower_too:
+                follower.delete_records_before(offset)
+        elif kind == "truncate":
+            sync()
+            start = follower.log_start_offset
+            follower.truncate_to(start + round(op[1] * (follower.log_end_offset - start)))
+            assert_jump_lands_where_the_walk_does(follower, 1.0)
+            sync()
+        elif kind == "diverge":
+            # A follower that led briefly: it appends on its own (a batch,
+            # or an abort marker for data it shares with the leader), is
+            # read, and is cut back to the leader as PartitionState._rejoin
+            # does — the sync after the cut heals its index state.
+            _, pid, abort = op
+            sync()
+            if abort:
+                follower.append_marker(ABORT_MARKER, pid, 0)
+            else:
+                follower.append_batch(batch(pid, 1, sequences[pid]))
+            assert_jump_lands_where_the_walk_does(follower, 1.0)
+            follower.truncate_to(leader.log_end_offset)
+            sync()
+        elif kind == "reset":
+            # Restarted at the leader's log start, the follower appends on
+            # its own before it is cut back and mirrored again.
+            _, pid, size = op
+            follower.reset_to(leader.log_start_offset)
+            follower.append_batch(batch(pid, size, 0))
+            assert_jump_lands_where_the_walk_does(follower, 1.0)
+            follower.truncate_to(follower.log_start_offset)
+            sync()
+        elif kind == "sync":
+            sync()
+        else:
+            for log in (leader, follower):
+                assert_jump_lands_where_the_walk_does(log, op[1])
+        leader.high_watermark = leader.log_end_offset
+
+
+@given(st.lists(LOG_OPS, min_size=15, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_a_jump_through_the_scan_index_lands_where_the_walk_does(ops):
+    """``_jump`` against ``_walk``, its oracle, called directly (``_scan``
+    sends logs this short to the walk), with reads interleaved between
+    every kind of mutation that moves a stored batch or changes whether it
+    is visible."""
+    play(ops)
+
+
+@pytest.mark.parametrize("mutation", [
+    [("end", 1, False)],                                # an abort marker
+    [("end", 1, False), ("sync",)],                     # ... mirrored
+    [("delete", 0.4, True)],
+    [("delete", 0.4, False), ("sync",)],                # missed: reset, mirrored
+    [("truncate", 0.3)],                                # read stale, healed
+    [("diverge", 1, True)],                             # heal drops a span
+    [("reset", 1, 1)],
+    [("end", 1, True), ("compact", {1, 5})],
+], ids=[
+    "abort", "mirrored-abort", "delete", "missed-delete", "truncate", "heal",
+    "reset", "compact",
+])
+def test_each_cut_of_the_scan_index_is_needed(mutation):
+    """One script per way to invalidate the index: read both logs
+    (building it over every batch), change them that one way, read again.
+    Each fails with the cut it needs deleted from the log."""
+    play([
+        ("send", 1, 3, True), ("send", 2, 2, True), ("plain", 2), ("end", 2, True),
+        ("sync",), ("read", 1.0), *mutation, ("read", 1.0),
+    ])
+
+
+def test_a_scan_jumps_only_when_it_starts_far_from_the_log_end():
+    """The crossover is the read's own distance from the log end, counted
+    in stored batches: a tail read walks, a longer one jumps."""
+    log = build_log([("send", 1, 2), ("end", 1, True)] * _JUMP_MIN_BATCHES)
+    taken = []
+
+    def spy(name):
+        scan = getattr(PartitionLog, name)
+
+        def spied(self, *args):
+            taken.append(name)
+            return scan(self, *args)
+
+        return spied
+
+    starts = [
+        log._batches[-count].base_offset
+        for count in (2 * _JUMP_MIN_BATCHES, _JUMP_MIN_BATCHES, _JUMP_MIN_BATCHES - 1, 1)
+    ]
+    with mock.patch.object(PartitionLog, "_walk", spy("_walk")), \
+            mock.patch.object(PartitionLog, "_jump", spy("_jump")):
+        for from_offset in starts:
+            log.read_columnar(from_offset, 10, filter_aborted=True)
+    assert taken == ["_jump", "_jump", "_walk", "_walk"]
 
 
 @given(log_scripts())

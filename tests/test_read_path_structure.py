@@ -12,7 +12,9 @@ A fetched run is walked once for its columns: whoever reads two or more
 columns of one fetch reads them through ``ColumnarBatch.columns()``.
 Headers are frozen once, where a producer takes them, and shared from then
 on: no log, reader, intake, operator hop, sink or mirror builds, copies or
-merges a header mapping per record in an untraced run.
+merges a header mapping per record in an untraced run. The log's scan index
+is cut back by every method that moves a stored batch or changes which
+ones are aborted.
 """
 
 import ast
@@ -425,3 +427,98 @@ def test_headers_are_frozen_where_a_producer_takes_them():
         node for node in untraced(dispatch)
         if isinstance(node, ast.Name) and node.id == "FrozenHeaders"
     ]
+
+
+# -- the scan index: whatever invalidates it cuts it ---------------------------------
+
+#: ``PartitionLog`` methods that delete, rebind or replace entries of
+#: ``_batches`` (appending at the end moves no stored batch), or that write
+#: the aborted spans: each must call ``_cut_scan_index``. A closed list: a
+#: new writer joins it, cut included.
+SCAN_INDEX_CUTTERS = {
+    "_index_aborted", "replicate_mirror", "truncate_to", "reset_to",
+    "delete_records_before", "retain_offsets",
+}
+#: Attribute -> the in-place list calls that leave every entry where it was.
+INDEX_INPUTS = {
+    "_batches": {"append", "extend"},
+    "_aborted": set(),
+    "_aborted_index": set(),
+}
+
+
+def writes(method, attribute, end_appends):
+    """Does ``method`` write ``self.<attribute>`` (or a local name bound to
+    it) other than by ``end_appends``?"""
+    own = f"self.{attribute}"
+    names = {own} | {
+        ast.unparse(target)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Assign) and ast.unparse(node.value) == own
+        for target in node.targets
+    }
+
+    def subscripted(node):
+        return isinstance(node, ast.Subscript) and ast.unparse(node.value) in names
+
+    for node in ast.walk(method):
+        if isinstance(node, ast.Delete) and any(map(subscripted, node.targets)):
+            return True
+        if isinstance(node, ast.Assign) and any(
+            subscripted(target) or ast.unparse(target) == own
+            for target in node.targets
+        ):
+            return True
+        if isinstance(node, ast.AugAssign) and ast.unparse(node.target) in names:
+            if not (isinstance(node.op, ast.Add) and end_appends):
+                return True
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and ast.unparse(node.func.value) in names
+            and node.func.attr not in end_appends | {"get"}
+        ):
+            return True
+    return False
+
+
+def scan_index_offences(log_class):
+    """(writers of the index's inputs, writers among them that never call
+    ``self._cut_scan_index``)."""
+    methods = [
+        node for node in log_class.body
+        if isinstance(node, ast.FunctionDef) and node.name != "__init__"
+    ]
+    writers = {
+        method.name
+        for method in methods
+        for attribute, end_appends in INDEX_INPUTS.items()
+        if writes(method, attribute, end_appends)
+    }
+    uncut = {
+        method.name
+        for method in methods
+        if method.name in writers
+        and "self._cut_scan_index" not in {
+            ast.unparse(node.func) for node in ast.walk(method)
+            if isinstance(node, ast.Call)
+        }
+    }
+    return writers, uncut
+
+
+def test_every_write_that_invalidates_the_scan_index_cuts_it():
+    log_class = function("log/partition_log.py", "PartitionLog")
+    assert scan_index_offences(log_class) == (SCAN_INDEX_CUTTERS, set())
+    # The planted mutant: delete_records_before without its cut.
+    (delete,) = [
+        node for node in log_class.body
+        if getattr(node, "name", "") == "delete_records_before"
+    ]
+    delete.body = [
+        statement for statement in delete.body
+        if "_cut_scan_index" not in ast.unparse(statement)
+    ]
+    assert scan_index_offences(log_class) == (
+        SCAN_INDEX_CUTTERS, {"delete_records_before"}
+    )
