@@ -171,6 +171,14 @@ class Producer:
         """True when unflushed sends are sitting in the client buffer."""
         return bool(self._pending)
 
+    @property
+    def buffer_room(self) -> int:
+        """How many more records can be buffered, wherever they go, before
+        some partition's batch fills and is sent (at least 1)."""
+        return self.config.batch_max_records - max(
+            (len(bucket.keys) for bucket in self._pending.values()), default=0
+        )
+
     def send_offsets_to_transaction(
         self,
         offsets: Dict[TopicPartition, int],
@@ -364,7 +372,18 @@ class Producer:
         ``partitioner(key, value, partition_count)``, else the default one,
         through the same key memo as :meth:`send`. Each partition's records
         keep their order and go to :meth:`send_columns` as one chunk, in
-        the order the partitions first appear."""
+        the order the partitions first appear.
+
+        Traced, a record whose headers carry no trace id is a fresh record
+        and gets one, in record order, as :meth:`send` would give it."""
+        tracer = self._tracer
+        if tracer.enabled:
+            new_trace_id = tracer.new_trace_id
+            headers = [
+                hdrs if TRACE_ID_HEADER in hdrs
+                else FrozenHeaders(hdrs, **{TRACE_ID_HEADER: new_trace_id()})
+                for hdrs in headers
+            ]
         table, memo = self._route_of(topic)
         count = len(table)
         if count == 1 and partitioner is None:

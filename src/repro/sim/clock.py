@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable, List, Optional, Tuple
 
 
@@ -106,6 +107,20 @@ class SimClock:
             if best is None or deadline < best:
                 best = deadline
         return best
+
+    def next_deadline(self) -> float:
+        """Deadline of the earliest pending timer of either flavour, or
+        ``inf``: an advance that stops short of it fires nothing.
+
+        Unlike :meth:`next_wake_deadline` this counts housekeeping timers,
+        which fire during an advance all the same. Cancelled entries at the
+        top of the heap are pruned; one deeper in may make the answer
+        early, never late.
+        """
+        timers = self._timers
+        while timers and timers[0][2].cancelled:
+            heapq.heappop(timers)
+        return timers[0][0] if timers else math.inf
 
     def pending_timers(self) -> int:
         """Number of scheduled (possibly cancelled) timers; for tests."""

@@ -5,11 +5,9 @@ conversation, at the platform's modest steady rate.
 
 from __future__ import annotations
 
-import random
-from typing import Optional
+from typing import Any, List, Optional, Tuple
 
 from repro.broker.cluster import Cluster
-from repro.metrics.latency import CREATED_AT_HEADER
 from repro.workloads.generator import LatenessModel, WorkloadGenerator
 
 EVENT_TYPES = [
@@ -49,30 +47,30 @@ class ConversationGenerator(WorkloadGenerator):
         self.close_fraction = close_fraction
         self._seq_in_conversation: dict = {}
 
-    def produce_one(self) -> None:
-        now = self.cluster.clock.now
-        conversation = self.next_key()
-        seq = self._seq_in_conversation.get(conversation, 0)
-        self._seq_in_conversation[conversation] = seq + 1
-        if self.rng.random() < self.close_fraction:
-            event_type = "conversation_closed"
-        else:
-            event_type = self.rng.choice(EVENT_TYPES)
-        amount = (
-            self.rng.choice([120, 480, 960]) if event_type == "payment" else 0
-        )
-        event_time = max(0.0, now - self.lateness.sample(self.rng))
-        self.producer.send(
-            self.topic,
-            key=conversation,
-            value={
+    def _draw(
+        self, times: List[float], first_sequence: int
+    ) -> Tuple[List[Any], List[Any], List[float]]:
+        """Per record: the conversation, whether it closes (else its event
+        type), a payment's amount, then the lateness."""
+        rng = self.rng
+        keys: List[Any] = []
+        values: List[Any] = []
+        event_times: List[float] = []
+        for created in times:
+            conversation = self._key_strings[rng.randrange(self.key_space)]
+            seq = self._seq_in_conversation.get(conversation, 0)
+            self._seq_in_conversation[conversation] = seq + 1
+            if rng.random() < self.close_fraction:
+                event_type = "conversation_closed"
+            else:
+                event_type = rng.choice(EVENT_TYPES)
+            amount = rng.choice([120, 480, 960]) if event_type == "payment" else 0
+            keys.append(conversation)
+            values.append({
                 "conversation": conversation,
                 "seq": seq,
                 "type": event_type,
                 "amount": amount,
-            },
-            timestamp=event_time,
-            headers={CREATED_AT_HEADER: now},
-        )
-        self._sequence += 1
-        self.records_produced += 1
+            })
+            event_times.append(max(0.0, created - self.lateness.sample(rng)))
+        return keys, values, event_times

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
@@ -16,6 +17,8 @@ from repro.errors import (
     ProducerFencedError,
     RequestTimeoutError,
 )
+from repro.log.record import FrozenHeaders
+from repro.obs.tracer import TRACE_ID_HEADER
 from repro.sim.failures import FailureInjector
 
 
@@ -73,6 +76,70 @@ class TestPlainProduce:
 
         with pytest.raises(KafkaError):
             p.send(topic, key="k", value=1)
+
+
+class TestSendChunkRootsTraces:
+    """Traced, ``send_chunk`` gives a fresh record its trace id exactly as
+    ``send`` would: in record order, before the chunk is split by
+    partition; a record that carries one keeps it."""
+
+    HEADERS = [
+        {"created_at": 0.0},
+        {TRACE_ID_HEADER: "inherited", "created_at": 1.0},
+        {},
+        FrozenHeaders(created_at=3.0),
+        {"created_at": 4.0},
+        FrozenHeaders({TRACE_ID_HEADER: "also-inherited"}),
+        {"created_at": 6.0},
+    ]
+
+    def stored(self, traced, chunk):
+        cluster = Cluster(num_brokers=3, seed=7)
+        cluster.network.charge_latency = False
+        cluster.create_topic("t", 3)
+        if traced:
+            cluster.enable_tracing()
+        producer = Producer(cluster)
+        keys = [f"k{i}" for i in range(len(self.HEADERS))]
+        values = list(range(len(keys)))
+        timestamps = [float(i) for i in values]
+        headers = [dict(h) if type(h) is dict else h for h in self.HEADERS]
+        if chunk:
+            producer.send_chunk("t", keys, values, timestamps, headers)
+        else:
+            for i, key in enumerate(keys):
+                producer.send("t", key=key, value=values[i],
+                              timestamp=timestamps[i], headers=headers[i])
+        producer.flush()
+        logs = [
+            [(r.value, type(r.headers), list(r.headers.items()))
+             for r in cluster.partition_state(TopicPartition("t", p))
+             .leader_log().records()]
+            for p in range(3)
+        ]
+        return logs, cluster.tracer.new_trace_id()
+
+    def test_chunk_equals_record_by_record_sends(self):
+        assert self.stored(True, chunk=True) == self.stored(True, chunk=False)
+
+    def test_ids_follow_record_order(self):
+        logs, next_id = self.stored(True, chunk=True)
+        ids = dict(
+            (value, dict(items)[TRACE_ID_HEADER])
+            for log in logs for value, _, items in log
+        )
+        assert [ids[i] for i in range(7)] == [
+            "t000001", "inherited", "t000002", "t000003", "t000004",
+            "also-inherited", "t000005",
+        ]
+        assert next_id == "t000006"
+
+    def test_untraced_chunks_get_no_ids(self):
+        logs, next_id = self.stored(False, chunk=True)
+        ids = {dict(items).get(TRACE_ID_HEADER) for log in logs for _, _, items in log}
+        assert ids == {None, "inherited", "also-inherited"}
+        assert next_id == "t000001"
+        assert self.stored(False, chunk=True) == self.stored(False, chunk=False)
 
 
 class TestIdempotence:

@@ -410,23 +410,29 @@ def test_headers_are_frozen_where_a_producer_takes_them():
     """``FrozenHeaders`` is constructed at the producer's two entry points
     — ``send`` has to copy the caller's dict anyway, ``send_columns`` tests
     a column per call (``_ALL_FROZEN``, at module level) and copies the
-    exceptions — and, traced only, where a task stamps a chunk. The log
-    adopts what it is given; everyone else shares what those made."""
+    exceptions — and, traced only, where ``send_chunk`` roots a fresh
+    record's trace and where a task stamps a chunk. The log adopts what it
+    is given; everyone else shares what those made."""
     assert name_sites("FrozenHeaders") == {
         ("log/record.py", ""),                      # NO_HEADERS
         ("log/record.py", "FrozenHeaders.__reduce__"),
         ("clients/producer.py", ""),                # _ALL_FROZEN
         ("clients/producer.py", "Producer.send"),
         ("clients/producer.py", "Producer.send_columns"),
+        ("clients/producer.py", "Producer.send_chunk"),
         ("streams/runtime/task.py", "StreamTask._dispatch"),
     }
-    # ... in ``_dispatch`` only under ``tracer.enabled``, and nowhere in the
-    # log: its direct writers (coordinators, markers) carry no headers.
-    dispatch = function("streams/runtime/task.py", "StreamTask._dispatch")
-    assert not [
-        node for node in untraced(dispatch)
-        if isinstance(node, ast.Name) and node.id == "FrozenHeaders"
-    ]
+    # ... in ``send_chunk`` and ``_dispatch`` only under ``tracer.enabled``,
+    # and nowhere in the log: its direct writers (coordinators, markers)
+    # carry no headers.
+    for relative, qualified in [
+        ("clients/producer.py", "Producer.send_chunk"),
+        ("streams/runtime/task.py", "StreamTask._dispatch"),
+    ]:
+        assert not [
+            node for node in untraced(function(relative, qualified))
+            if isinstance(node, ast.Name) and node.id == "FrozenHeaders"
+        ], qualified
 
 
 # -- the scan index: whatever invalidates it cuts it ---------------------------------
