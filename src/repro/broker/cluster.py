@@ -70,14 +70,9 @@ class Cluster:
         network: Optional[Network] = None,
         seed: int = 17,
         tracer: Optional[Tracer] = None,
-        name: str = "cluster",
     ) -> None:
         if num_brokers < 1:
             raise ValueError("need at least one broker")
-        # Region/cluster identity: surfaced by federation topologies and
-        # IQ routing metadata (cluster-qualified owners); cosmetic for a
-        # standalone cluster.
-        self.name = name
         self.config = config or BrokerConfig()
         self.config.validate()
         self.clock = clock or SimClock()

@@ -54,16 +54,11 @@ class Consumer:
         self,
         cluster: Cluster,
         config: Optional[ConsumerConfig] = None,
-        network: Optional[Any] = None,
     ):
         self.cluster = cluster
         self.config = config or ConsumerConfig()
         self.config.validate()
-        # ``network`` overrides the RPC path while ``cluster`` stays the
-        # logical target — how a consumer in one region reads another
-        # region's brokers through an inter-cluster link proxy
-        # (repro.mirror.netlink) without knowing about regions itself.
-        self._network = network if network is not None else cluster.network
+        self._network = cluster.network
         self._tracer = cluster.tracer
         self._subscription: Tuple[str, ...] = ()
         self._assignment: List[TopicPartition] = []

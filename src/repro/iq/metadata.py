@@ -28,20 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass
 class KeyQueryMetadata:
-    """Where a (store, partition) can be served, at a routing epoch.
-
-    ``cluster`` names the region whose coordinator issued the epoch:
-    after a region failover the application re-registers with another
-    cluster's coordinator, and a cached answer naming the old region is
-    stale no matter what its epoch says.
-    """
+    """Where a (store, partition) can be served, at a routing epoch."""
 
     store: str
     partition: int
     epoch: int
     owner: Optional["StreamsInstance"] = None
     standbys: List["StreamsInstance"] = field(default_factory=list)
-    cluster: Optional[str] = None
 
     def candidates(self, allow_standbys: bool = True) -> List["StreamsInstance"]:
         """Instances to try, owner first (the only strong-read target)."""
@@ -56,12 +49,7 @@ class MetadataService:
 
     def __init__(self, app: "KafkaStreams") -> None:
         self.app = app
-
-    @property
-    def cluster(self):
-        # Read through the app on every call: a region failover rebinds
-        # ``app.cluster``, and routing must follow the live coordinator.
-        return self.app.cluster
+        self.cluster = app.cluster
 
     # -- epochs ----------------------------------------------------------------
 
@@ -101,7 +89,6 @@ class MetadataService:
             epoch=self.epoch(),
             owner=owner,
             standbys=standbys,
-            cluster=getattr(self.cluster, "name", None),
         )
 
     def all_partitions(self, store: str) -> List[KeyQueryMetadata]:

@@ -27,7 +27,7 @@ class FrozenHeaders(dict):
     dict, ``send_columns`` keeps a column that arrives frozen and freezes a
     copy of any other; the log's direct writers (coordinators, markers)
     carry none — and that object is what the log, every replica, poll,
-    chunk, operator, sink and mirror share from then on. Reads, ``==``
+    chunk, operator and sink share from then on. Reads, ``==``
     against a plain dict and ``dict(headers)``, the caller's own mutable
     copy, stay the C-level ``dict`` ones.
     """

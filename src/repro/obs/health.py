@@ -104,10 +104,9 @@ def default_slos(
     max_fetch_rtt_ms: float = 4.0,
     max_failure_ratio: float = 0.0,
     max_recovery_gap_ms: float = 1_500.0,
-    max_mirror_lag_records: float = 500.0,
 ) -> Tuple[SLO, ...]:
     """The stock objectives: freshness, lag, strong-read availability,
-    fetch latency, recovery-gap duration, mirror replication lag."""
+    fetch latency, recovery-gap duration."""
     return (
         SLO(
             "freshness",
@@ -141,15 +140,6 @@ def default_slos(
             indicator="recovery_gap_ms",
             threshold=max_recovery_gap_ms,
             description="no open fault stays unrecovered past the bound",
-        ),
-        SLO(
-            "mirror-replication",
-            indicator="max_mirror_lag",
-            threshold=max_mirror_lag_records,
-            description=(
-                "cross-cluster mirrors keep up with their sources "
-                "(per-link replication lag stays bounded)"
-            ),
         ),
     )
 
@@ -348,22 +338,6 @@ class HealthMonitor:
         set_indicator(
             "strong_read_failure_ratio", (df / dq) if dq > 0 else 0.0
         )
-
-        # Cross-cluster replication: worst per-partition mirror lag and
-        # offset-translation gap, scanned from the gauges MirrorLink
-        # refreshes in its target cluster's registry. Zero when this
-        # cluster is not the target of any mirror — the SLO then never
-        # breaches, so federated and single-cluster runs share one stock
-        # SLO set.
-        mirror_lag = 0.0
-        mirror_gap = 0.0
-        for key, value in self.cluster.metrics.gauges().items():
-            if key.startswith("mirror.lag{"):
-                mirror_lag = max(mirror_lag, value)
-            elif key.startswith("mirror.translation_gap{"):
-                mirror_gap = max(mirror_gap, value)
-        set_indicator("max_mirror_lag", mirror_lag)
-        set_indicator("max_translation_gap", mirror_gap)
 
         # Recovery gap: how long the oldest unrecovered fault has been open.
         gap = 0.0

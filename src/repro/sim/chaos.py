@@ -40,18 +40,9 @@ from repro.sim.invariants import (
     RebalanceContinuity,
 )
 
-# Inter-cluster faults: these act on federation mirror links (WAN paths),
-# not on any single cluster, and require ``mirror_links`` to be handed to
-# the controller — with none registered they are skipped like any other
-# fault with no viable target.
-MIRROR_KINDS = (
-    "mirror_link_partition",
-    "mirror_link_flap",
-)
-
-# The default draw repertoire: every fault a single-cluster run can
-# inject. Trim via ChaosConfig.kinds to focus a run.
-DEFAULT_KINDS = (
+# The fault repertoire (the validation universe and the default draw).
+# Trim via ChaosConfig.kinds to focus a run.
+ALL_KINDS = (
     "broker_crash",
     "leader_churn",
     "txn_coordinator_kill",
@@ -61,12 +52,6 @@ DEFAULT_KINDS = (
     "gray_broker",
     "link_fault",
 )
-
-# The full fault repertoire (the validation universe). Mirror kinds are
-# opt-in: they only make sense with mirror_links, so keeping them out of
-# DEFAULT_KINDS means federating a run never perturbs the seeded RNG walk
-# of existing single-cluster timelines.
-ALL_KINDS = DEFAULT_KINDS + MIRROR_KINDS
 
 
 @dataclass
@@ -87,11 +72,6 @@ class ChaosConfig:
     gray_duration_ms: float = 250.0
     # Severed client↔broker link duration.
     link_duration_ms: float = 200.0
-    # Inter-cluster link partition duration (mirror_link_partition) and
-    # flap shape (mirror_link_flap: cut/heal cycles of this width each).
-    mirror_partition_ms: float = 250.0
-    mirror_flap_count: int = 3
-    mirror_flap_ms: float = 60.0
     # Lost-acknowledgement burst length.
     ack_drop_count: int = 3
     # Never take down more brokers than this at once: with RF=3 and
@@ -100,7 +80,7 @@ class ChaosConfig:
     max_dead_brokers: int = 1
     # Evaluate the invariant suite at most once per this much virtual time.
     invariant_check_interval_ms: float = 100.0
-    kinds: Tuple[str, ...] = DEFAULT_KINDS
+    kinds: Tuple[str, ...] = ALL_KINDS
     # Optional per-kind draw weights for schedule(); kinds absent from the
     # mapping draw with weight 1.0. Keys must name members of ``kinds``.
     kind_weights: Optional[Dict[str, float]] = None
@@ -131,12 +111,6 @@ class ChaosConfig:
             )
         if self.max_dead_brokers < 1:
             raise ValueError("max_dead_brokers must be >= 1")
-        if self.mirror_partition_ms <= 0:
-            raise ValueError("mirror_partition_ms must be > 0")
-        if self.mirror_flap_count < 1:
-            raise ValueError("mirror_flap_count must be >= 1")
-        if self.mirror_flap_ms <= 0:
-            raise ValueError("mirror_flap_ms must be > 0")
 
 
 def validate_kinds(kinds: Iterable[str]) -> Tuple[str, ...]:
@@ -174,28 +148,12 @@ class ChaosController:
         seed: int = 0,
         config: Optional[ChaosConfig] = None,
         invariants: Optional[InvariantSuite] = None,
-        mirror_links: Optional[List[Any]] = None,
     ) -> None:
         self.cluster = cluster
         self.apps = list(apps or [])
         self.seed = seed
         self.config = config or ChaosConfig()
         self.invariants = invariants
-        # Accept MirrorLink actors or bare InterClusterLinks; faults act on
-        # the underlying WAN path either way, deduplicated by identity (two
-        # mirrors over one path share its single up/down state).
-        links = []
-        for entry in mirror_links or []:
-            link = getattr(entry, "link", entry)
-            if not any(link is seen for seen in links):
-                links.append(link)
-        self.mirror_links = links
-        if not self.mirror_links and set(self.config.kinds) <= set(MIRROR_KINDS):
-            raise ValueError(
-                "config selects only inter-cluster fault kinds "
-                f"{tuple(self.config.kinds)} but no mirror_links were given: "
-                "this run could never inject anything"
-            )
         if self.invariants is not None and self.apps:
             # Rebalance continuity is checked on every chaos run with apps:
             # instance crashes and replacements are rebalance storms, and
@@ -225,11 +183,9 @@ class ChaosController:
 
         self._pending: List[str] = []
         self._event_timers: List[Any] = []
-        # broker_id -> restart timer; instance repairs as (app, timer);
-        # inter-cluster link repairs/flap toggles as (link, timer).
+        # broker_id -> restart timer; instance repairs as (app, timer).
         self._broker_repairs: dict = {}
         self._instance_repairs: List[Tuple[Any, Any]] = []
-        self._link_repairs: List[Tuple[Any, Any]] = []
         self._stopped = False
         self._last_check_ms = cluster.clock.now
 
@@ -510,63 +466,6 @@ class ChaosController:
             f"for {self.config.link_duration_ms:.0f}ms"
         )
 
-    def _apply_mirror_link_partition(self) -> None:
-        candidates = [link for link in self.mirror_links if link.up]
-        if not candidates:
-            return self._skip("mirror_link_partition")
-        link = self.rng.choice(candidates)
-        duration = self.config.mirror_partition_ms
-        link.partition()
-        timer = self.cluster.clock.schedule(
-            duration, lambda l=link: self._heal_link(l)
-        )
-        self._link_repairs.append((link, timer))
-        self._note_window("mirror_link_partition", duration)
-        self._record(
-            f"mirror_link_partition: link {link.name} cut "
-            f"(heal +{duration:.0f}ms)"
-        )
-
-    def _apply_mirror_link_flap(self) -> None:
-        """Cut/heal the link ``mirror_flap_count`` times at a fixed cadence
-        — the restart-heavy regime that stresses checkpoint replay and
-        exactly-once resumption rather than one long outage."""
-        candidates = [link for link in self.mirror_links if link.up]
-        if not candidates:
-            return self._skip("mirror_link_flap")
-        link = self.rng.choice(candidates)
-        cfg = self.config
-        link.partition()
-        # Toggle i fires at i*flap_ms: odd toggles heal, even ones re-cut;
-        # the last index is odd, so the flap always ends healed.
-        toggles = cfg.mirror_flap_count * 2 - 1
-        for i in range(1, toggles + 1):
-            timer = self.cluster.clock.schedule(
-                i * cfg.mirror_flap_ms,
-                lambda l=link, up=(i % 2 == 1): self._toggle_link(l, up),
-            )
-            self._link_repairs.append((link, timer))
-        window = toggles * cfg.mirror_flap_ms
-        self._note_window("mirror_link_flap", window)
-        self._record(
-            f"mirror_link_flap: link {link.name} x{cfg.mirror_flap_count} "
-            f"cuts of {cfg.mirror_flap_ms:.0f}ms over {window:.0f}ms"
-        )
-
-    def _toggle_link(self, link, up: bool) -> None:
-        if up and not link.up:
-            link.heal()
-        elif not up and link.up:
-            link.partition()
-
-    def _heal_link(self, link) -> None:
-        self._link_repairs = [
-            (l, t) for l, t in self._link_repairs if not (l is link and t.fired)
-        ]
-        if not link.up:
-            link.heal()
-            self._record_repair(f"repair: heal link {link.name}")
-
     # -- teardown ---------------------------------------------------------------------
 
     def quiesce(self) -> None:
@@ -584,13 +483,6 @@ class ChaosController:
             timer.cancel()
         self._broker_repairs.clear()
         self.injector.heal()            # clears faults + restarts brokers
-        for _link, timer in self._link_repairs:
-            timer.cancel()
-        self._link_repairs.clear()
-        for link in self.mirror_links:
-            if not link.up:
-                link.heal()
-                self._record_repair(f"repair: heal link {link.name}")
         for app, timer in self._instance_repairs:
             if not timer.fired:
                 timer.cancel()

@@ -458,83 +458,6 @@ class FinalStateEquality(Invariant):
             )
 
 
-class MirrorPrefixEquality(Invariant):
-    """The mirrored committed log is a prefix-equal translation of its
-    source (the cross-cluster extension of replica consistency).
-
-    For every partition of every mirrored topic, the target's
-    read-committed ``(key, value)`` sequence must equal the first
-    ``len(target)`` records of the source's — the mirror may be *behind*
-    (link cut, lag) but never reordered, duplicated, or divergent, and
-    never ahead of committed source data. Holds continuously, including
-    mid-outage; with ``require_complete_final=True`` the final check also
-    demands the mirror fully drained (no residual lag at quiescence).
-
-    Only valid for topics the mirror is the sole writer of on the target
-    — an application appending its own records there (e.g. its output
-    topic after a failover) legitimately diverges from the source.
-    """
-
-    name = "mirror-prefix-equality"
-
-    def __init__(
-        self,
-        source,
-        target,
-        topics: List[str],
-        require_complete_final: bool = False,
-    ) -> None:
-        self.source = source
-        self.target = target
-        self.topics = sorted(topics)
-        self.require_complete_final = require_complete_final
-
-    def check(self, cluster, final: bool = False) -> None:
-        # The chaos controller passes its own (single) cluster; this
-        # invariant spans two and ignores the argument.
-        del cluster
-        for topic in self.topics:
-            if not self.target.has_topic(topic):
-                continue  # nothing mirrored yet
-            for tp in self.source.partitions_for(topic):
-                src = self._committed(self.source, tp)
-                dst = self._committed(self.target, tp)
-                if len(dst) > len(src):
-                    self._fail(
-                        f"{tp}: target holds {len(dst)} committed records, "
-                        f"ahead of the source's {len(src)}"
-                    )
-                if dst != src[: len(dst)]:
-                    diverge = next(
-                        i for i, (d, s) in enumerate(zip(dst, src)) if d != s
-                    )
-                    self._fail(
-                        f"{tp}: mirrored log diverges from source at "
-                        f"offset {diverge}: target {dst[diverge]!r} vs "
-                        f"source {src[diverge]!r}"
-                    )
-                if final and self.require_complete_final and len(dst) != len(src):
-                    self._fail(
-                        f"{tp}: mirror not drained at quiescence — "
-                        f"{len(dst)} of {len(src)} records mirrored"
-                    )
-
-    @staticmethod
-    def _committed(cluster, tp: TopicPartition) -> List[Tuple[Any, Any]]:
-        state = cluster.partition_state(tp)
-        if state.leader is None:
-            return []
-        log = state.leader_log()
-        result = fetch(
-            log,
-            log.log_start_offset,
-            max_records=2**31,
-            isolation_level=READ_COMMITTED,
-        )
-        _, _, keys, values, _ = result.columns()
-        return list(zip(keys, values))
-
-
 def _multiset_diff(left: List[Any], right: List[Any]) -> List[Any]:
     """Elements of ``left`` beyond their multiplicity in ``right``."""
     remaining = list(right)

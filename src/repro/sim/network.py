@@ -290,10 +290,8 @@ def call_with_retry(
     again through retriable failures (Section 4.1: it may or may not have
     been applied; the broker de-duplicates).
 
-    Each attempt is exactly one ``network.call`` — of a :class:`Network` or
-    of anything else with ``call`` and ``clock``, such as an inter-cluster
-    link's proxy — to whoever ``cluster`` says leads ``tp`` *now*; a failed
-    lookup is retried like a failed call. Between attempts the virtual
+    Each attempt is exactly one ``network.call`` to whoever ``cluster`` says
+    leads ``tp`` *now*; a failed lookup is retried like a failed call. Between attempts the virtual
     clock advances by the capped exponential backoff of the client's
     ``config``, so recovery scheduled on timers happens *during* the wait.
     Gives up by re-raising the last error once ``timeout_ms`` have passed

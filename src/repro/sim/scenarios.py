@@ -109,24 +109,6 @@ SCENARIOS: Dict[str, Scenario] = {
             ((0.2, "link_fault"), (0.55, "link_fault")),
             {"link_duration_ms": 300.0},
         ),
-        Scenario(
-            "mirror_link_partition",
-            "the inter-cluster mirror link partitions mid-run and heals",
-            ((0.3, "mirror_link_partition"),),
-            {"mirror_partition_ms": 400.0},
-        ),
-        Scenario(
-            "mirror_link_flap",
-            "the inter-cluster link flaps — repeated short cuts and heals",
-            ((0.25, "mirror_link_flap"),),
-            {"mirror_flap_count": 3, "mirror_flap_ms": 80.0},
-        ),
-        Scenario(
-            "mirror_region_stress",
-            "a link partition while the source region also loses a broker",
-            ((0.2, "mirror_link_partition"), (0.35, "broker_crash")),
-            {"mirror_partition_ms": 300.0},
-        ),
     )
 }
 
@@ -205,7 +187,6 @@ class ScenarioHarness:
         horizon_ms: float = 3_000.0,
         chaos_overrides: Optional[Dict[str, Any]] = None,
         health=None,
-        mirror_links: Optional[List[Any]] = None,
     ) -> None:
         self.cluster = cluster
         self.app = app
@@ -233,7 +214,6 @@ class ScenarioHarness:
             seed=seed,
             config=self.config,
             invariants=invariants,
-            mirror_links=mirror_links,
         )
         self._armed = False
 

@@ -64,7 +64,6 @@ class KafkaStreams:
             cluster.topic_metadata(spec.topic)   # must already exist
         self._create_repartition_topics()
         self._task_counts = self._validate_copartitioning()
-        # Fixed for the app's life (``migrate_to`` insists on equal counts).
         self._task_ids = sorted(
             TaskId(sub_id, partition)
             for sub_id, count in self._task_counts.items()
@@ -236,65 +235,6 @@ class KafkaStreams:
     def close(self) -> None:
         for instance in list(self.instances):
             self.remove_instance(instance)
-
-    # -- region failover ----------------------------------------------------------------------
-
-    def migrate_to(self, cluster: Cluster, planned: bool = True) -> None:
-        """Move this application to another cluster (region failover).
-
-        With ``planned=True`` every instance commits and leaves the group
-        first, so its final source offsets are exact; a *planned* caller
-        should additionally wait for the mirror to drain
-        (``MirrorLink.drained()``) and push one last group sync before
-        restarting instances, which makes the move lossless end to end.
-        With ``planned=False`` instances crash in place — the source
-        region is presumed lost — and the application resumes from the
-        last offsets the mirror managed to sync, reprocessing at most the
-        unsynced tail.
-
-        The handle is rebound but **no instances are started**: callers
-        decide when the new region is ready (mirror drained, offsets
-        synced) and then call :meth:`add_instance` / :meth:`start` as on
-        day one. Instances restore state from the mirrored changelog
-        topics and resume input from the translated committed offsets the
-        mirror published to the new region's group coordinator.
-        """
-        if cluster is self.cluster:
-            return
-        if cluster.clock is not self.cluster.clock:
-            raise ValueError(
-                "migration requires clusters sharing one clock "
-                "(a Federation provides this)"
-            )
-        for instance in list(self.instances):
-            if planned:
-                self.remove_instance(instance)
-            else:
-                self.crash_instance(instance)
-        self.cluster = cluster
-        # Re-run day-one topic setup against the new region. Mirrored
-        # topics (sources, repartition, changelogs) already exist there
-        # with identical partition counts; anything missing is created
-        # empty, and a partition-count mismatch is a real topology error.
-        for spec in self.topology.global_tables().values():
-            cluster.topic_metadata(spec.topic)
-        self._create_repartition_topics()
-        new_counts = self._validate_copartitioning()
-        if new_counts != self._task_counts:
-            raise TopologyError(
-                f"task counts changed across migration: "
-                f"{self._task_counts} -> {new_counts}"
-            )
-        self._create_changelog_topics()
-        cluster.group_coordinator.set_assignor(
-            self.config.application_id, self.assignor
-        )
-        # Region-scoped lazy singletons are rebuilt on next use; open
-        # unavailability windows reference the old region's rebalances.
-        self._metadata_service = None
-        self._query_router = None
-        self._watermarks = None
-        self._task_unavailable_since.clear()
 
     # -- driving ------------------------------------------------------------------------------
 

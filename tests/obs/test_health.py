@@ -69,7 +69,7 @@ class TestValidation:
         assert ge.breached(1.9)
         assert le.budget == pytest.approx(0.1)
 
-    def test_default_slos_cover_the_six_indicators(self):
+    def test_default_slos_cover_the_five_indicators(self):
         slos = default_slos()
         assert {s.indicator for s in slos} == {
             "frontier_stall_ms",
@@ -77,7 +77,6 @@ class TestValidation:
             "max_fetch_rtt_ms",
             "strong_read_failure_ratio",
             "recovery_gap_ms",
-            "max_mirror_lag",
         }
         assert all(s.windows == DEFAULT_WINDOWS for s in slos)
 

@@ -4,14 +4,14 @@ Records with drawn header dicts enter a source topic through both producer
 entry points (``send`` copies the caller's dict, ``send_columns`` hands a
 column of them over), are polled both ways, run through a pass-through and
 a reduce (a scalar operator on the way tries to write into what it is
-handed), land in a sink and a changelog, cross a ``MirrorLink`` into a
-second cluster and are read back from a follower there. Afterwards:
+handed), land in a sink and a changelog, and are read back from a follower
+too. Afterwards:
 
-* every header mapping reachable from any log of either cluster is frozen
+* every header mapping reachable from any log of the cluster is frozen
   (a write through it raises ``TypeError``);
 * nothing between ``Producer.send`` and the last reader built another one:
-  the pass-through's sink, the reduce's sink and every mirrored log hold the
-  *same objects* as the source log, which are what ``poll`` and
+  the pass-through's sink and the reduce's sink, leader and follower, hold
+  the *same objects* as the source log, which are what ``poll`` and
   ``poll_batches`` hand out;
 * their contents are the drawn dicts, and the dicts the caller kept are
   still the caller's — changing them afterwards reaches nothing.
@@ -31,7 +31,6 @@ from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, StreamsConfig
 from repro.log.record import NO_HEADERS, FrozenHeaders
-from repro.mirror import Federation
 from repro.streams import KafkaStreams, StreamsBuilder
 from repro.streams.processor import Processor
 from repro.streams.suppress import SuppressProcessor, Suppressed
@@ -102,42 +101,37 @@ def produce(cluster, drawn):
 
 
 def run(drawn, traced=False):
-    """Produce ``drawn`` in the east, run the topology and the mirror to
-    idle; returns both clusters and the dicts the producer was handed."""
-    fed = Federation(regions=("east", "west"), seed=7, charge_latency=False)
-    east, west = fed.cluster("east"), fed.cluster("west")
+    """Produce ``drawn``, run the topology to idle; returns the cluster and
+    the dicts the producer was handed."""
+    cluster = make_cluster(**{topic: 1 for topic in TOPICS})
     if traced:
-        east.enable_tracing()
-    for topic in TOPICS:
-        east.create_topic(topic, 1)
-    fed.add_mirror("east", "west", TOPICS)
+        cluster.enable_tracing()
     app = KafkaStreams(
         build_topology(),
-        east,
+        cluster,
         StreamsConfig(
             application_id="alias",
             processing_guarantee=EXACTLY_ONCE,
             commit_interval_ms=20.0,
         ),
     )
-    fed.register(app)
     app.start(1)
     WritesToHeaders.refused = 0
-    handed = produce(east, drawn)
-    fed.run_until_idle()
-    east.clock.advance(50.0)
-    fed.run_until_idle()
+    handed = produce(cluster, drawn)
+    app.run_until_idle()
+    cluster.clock.advance(50.0)
+    app.run_until_idle()
     assert WritesToHeaders.refused == len(drawn)     # inside ``process`` too
-    return east, west, handed
+    return cluster, handed
 
 
 @settings(max_examples=15, deadline=None)
 @given(drawn=records)
 def test_every_reader_shares_the_headers_the_source_log_holds(drawn):
-    east, west, handed = run(drawn)
+    cluster, handed = run(drawn)
 
     # What the source log holds: frozen, equal to what was drawn, whichever way in.
-    source = east.partition_state(TopicPartition("in", 0)).leader_log()
+    source = cluster.partition_state(TopicPartition("in", 0)).leader_log()
     frozen = [record.headers for record in source.records()]
     assert frozen == [headers for _, headers, _ in drawn]
 
@@ -148,8 +142,8 @@ def test_every_reader_shares_the_headers_the_source_log_holds(drawn):
     assert frozen == [headers for _, headers, _ in drawn]
 
     # poll and poll_batches hand out those very objects ...
-    polled = drain_topic(east, "in")
-    consumer = Consumer(east)
+    polled = drain_topic(cluster, "in")
+    consumer = Consumer(cluster)
     consumer.assign([TopicPartition("in", 0)])
     (batch,) = consumer.poll_batches(max_records=100)
     for got in ([r.headers for r in polled], batch.headers(),
@@ -157,41 +151,32 @@ def test_every_reader_shares_the_headers_the_source_log_holds(drawn):
         assert len(got) == len(frozen)
         assert all(a is b for a, b in zip(got, frozen))
 
-    # ... and so do the sinks (value ``i`` names the input record), on both
-    # clusters, leader and follower alike. (``send`` — the mirror's way in —
-    # stores every empty mapping as the one shared empty.)
+    # ... and so do the sinks (value ``i`` names the input record), leader
+    # and follower alike. (``send`` stores every empty mapping as the one
+    # shared empty.)
     def same(headers, original):
         return headers is original or (not original and headers is NO_HEADERS)
 
-    for cluster in (east, west):
-        for topic in ("copy", "out"):
-            state = cluster.partition_state(TopicPartition(topic, 0))
-            follower = next(b for b in sorted(state.isr) if b != state.leader)
-            for log in (state.leader_log(), state.replica_log(follower)):
-                outputs = [r for r in log.records() if not r.is_control]
-                assert len(outputs) == len(drawn)
-                assert all(same(r.headers, frozen[r.value]) for r in outputs)
-    mirrored = west.partition_state(TopicPartition("in", 0)).leader_log()
-    assert all(
-        same(record.headers, original)
-        for record, original in zip(mirrored.records(), frozen, strict=True)
-    )
-    changelog = east.partition_state(
+    for topic in ("copy", "out"):
+        state = cluster.partition_state(TopicPartition(topic, 0))
+        follower = next(b for b in sorted(state.isr) if b != state.leader)
+        for log in (state.leader_log(), state.replica_log(follower)):
+            outputs = [r for r in log.records() if not r.is_control]
+            assert len(outputs) == len(drawn)
+            assert all(same(r.headers, frozen[r.value]) for r in outputs)
+    changelog = cluster.partition_state(
         TopicPartition("alias-latest-changelog", 0)
     ).leader_log()
     assert [r.headers for r in changelog.records() if not r.is_control]
     assert all(r.headers is NO_HEADERS for r in changelog.records())
 
-    # By type, everywhere: data, changelog, offsets, transaction log, mirror
-    # checkpoints — a producer froze them, or the writer carried none.
-    for cluster in (east, west):
-        everything = list(stored_headers(cluster))
-        assert everything
-        assert {type(h) for h in everything} == {FrozenHeaders}
+    # By type, everywhere: data, changelog, offsets, transaction log — a
+    # producer froze them, or the writer carried none.
+    everything = list(stored_headers(cluster))
+    assert everything
+    assert {type(h) for h in everything} == {FrozenHeaders}
     with pytest.raises(TypeError):
         polled[0].headers["x"] = 1
-    with pytest.raises(TypeError):
-        mirrored.records()[0].headers.update(x=1)
 
 
 def unstamped(headers):
@@ -205,20 +190,19 @@ def test_a_traced_run_stamps_frozen_copies(drawn):
     an operator sees refuse writes like the log's own (checked inside
     ``run``), everything stored is frozen, and the source log's objects —
     shared with every other reader — were stamped by copy, not in place."""
-    east, west, _ = run(drawn, traced=True)
+    cluster, _ = run(drawn, traced=True)
     originals = [headers for _, headers, _ in drawn]
-    source = east.partition_state(TopicPartition("in", 0)).leader_log()
+    source = cluster.partition_state(TopicPartition("in", 0)).leader_log()
     assert [unstamped(r.headers) for r in source.records()] == originals
     assert not [k for r in source.records() for k in r.headers if k.startswith("__t_")]
-    for cluster in (east, west):
-        assert {type(h) for h in stored_headers(cluster)} == {FrozenHeaders}
-        for topic in ("copy", "out"):
-            log = cluster.partition_state(TopicPartition(topic, 0)).leader_log()
-            outputs = [r for r in log.records() if not r.is_control]
-            assert len(outputs) == len(drawn)
-            for record in outputs:
-                assert unstamped(record.headers) == originals[record.value]
-                assert {"__t_fetched", "__t_processed", "__t_emitted"} <= set(record.headers)
+    assert {type(h) for h in stored_headers(cluster)} == {FrozenHeaders}
+    for topic in ("copy", "out"):
+        log = cluster.partition_state(TopicPartition(topic, 0)).leader_log()
+        outputs = [r for r in log.records() if not r.is_control]
+        assert len(outputs) == len(drawn)
+        for record in outputs:
+            assert unstamped(record.headers) == originals[record.value]
+            assert {"__t_fetched", "__t_processed", "__t_emitted"} <= set(record.headers)
 
 
 # -- suppress: the one operator that holds headers across records ---------------

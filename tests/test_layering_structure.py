@@ -1,7 +1,7 @@
 """Structural guard: who may reach into what, across ``src/repro``.
 
-Four layering rules used to be grep steps in CI; a fifth came with the
-one client call path, a sixth with the one start-offset gate. Each is a function from a module's place in the
+Three layering rules used to be grep steps in CI; a fourth came with the
+one client call path, a fifth with the one start-offset gate. Each is a function from a module's place in the
 package and its syntax tree to the offences in it, run over every module
 of ``src/repro`` and, as a negative control, over the smallest snippet
 that breaks it — so a rule that stopped seeing anything fails too.
@@ -11,14 +11,12 @@ that breaks it — so a rule that stopped seeing anything fails too.
 2. *State stores are queried through the IQ layer.* A raw
    ``task.stores()`` bypasses read-only views, position watermarks and
    consistency levels; only the streams runtime and ``iq/`` may call it.
-3. *Cross-cluster references stay inside ``mirror/``.* Everything else
-   treats a ``Cluster`` as its whole world and is handed a link.
-4. *No wall clock under ``obs/``.* Reports, SLOs and watermarks are
+3. *No wall clock under ``obs/``.* Reports, SLOs and watermarks are
    virtual-time only — what makes same-seed reports byte-identical.
-5. *One retry policy.* ``sim.network.call_with_retry`` is the only loop
+4. *One retry policy.* ``sim.network.call_with_retry`` is the only loop
    around an RPC that a client has, and backoff schedules are built only
    there and by the three algorithms that are not a retried RPC.
-6. *One place decides where an adopted partition starts reading.* The
+5. *One place decides where an adopted partition starts reading.* The
    consumer turns committed offsets into positions, only once the group's
    offsets are stable (KIP-447): nothing else asks ``offsets_stable``, and
    the Streams layer neither reads committed offsets nor pauses its
@@ -98,19 +96,6 @@ def raw_stores(where, tree):
         yield from (ast.unparse(call) for name, call in calls(tree) if name == "stores")
 
 
-def cross_cluster(where, tree):
-    if where.startswith("mirror/"):
-        return
-    yield from (
-        name for name, _ in calls(tree)
-        if name in ("LinkedNetwork", "InterClusterLink")
-    )
-    yield from (
-        module for module in imported(tree)
-        if module == "repro.mirror" or module.startswith("repro.mirror.")
-    )
-
-
 def wall_clock(where, tree):
     if where.startswith("obs/"):
         yield from (m for m in imported(tree) if m in ("time", "datetime"))
@@ -139,7 +124,6 @@ def second_start_offset_gate(where, tree):
 RULES = {
     busy_wait: ("streams/runtime/instance.py", "clock.advance(idle_ms)"),
     raw_stores: ("ksql/engine.py", "task.stores()['counts']"),
-    cross_cluster: ("clients/consumer.py", "from repro.mirror.netlink import LinkedNetwork"),
     wall_clock: ("obs/health.py", "import time\nnow = time.time()"),
     second_retry_policy: (
         "clients/admin.py",

@@ -11,8 +11,8 @@ a Kafka consumer can see; origin is the record's ``topic`` / ``partition``.
 A fetched run is walked once for its columns: whoever reads two or more
 columns of one fetch reads them through ``ColumnarBatch.columns()``.
 Headers are frozen once, where a producer takes them, and shared from then
-on: no log, reader, intake, operator hop, sink or mirror builds, copies or
-merges a header mapping per record in an untraced run. The log's scan index
+on: no log, reader, intake, operator hop or sink builds, copies or merges
+a header mapping per record in an untraced run. The log's scan index
 is cut back by every method that moves a stored batch or changes which
 ones are aborted.
 """
@@ -376,7 +376,6 @@ HEADER_HOPS = [
     ("streams/runtime/task.py", "StreamTask._dispatch"),
     ("streams/runtime/task.py", "StreamTask._send_chunk_to_sink"),
     ("clients/producer.py", "Producer.send_chunk"),
-    ("mirror/link.py", "MirrorLink._mirror"),
 ]
 
 
