@@ -67,7 +67,6 @@ class Cluster:
         num_brokers: int = 3,
         config: Optional[BrokerConfig] = None,
         clock: Optional[SimClock] = None,
-        network: Optional[Network] = None,
         seed: int = 17,
         tracer: Optional[Tracer] = None,
     ) -> None:
@@ -84,7 +83,7 @@ class Cluster:
         # be toggled at any point (`cluster.tracer.enabled = True`).
         # None check, not truthiness: an empty Tracer is falsy (__len__).
         self.tracer = Tracer(self.clock) if tracer is None else tracer
-        self.network = network or Network(
+        self.network = Network(
             self.clock, NetworkCosts(), seed=seed, metrics=self.metrics
         )
         self.network.tracer = self.tracer

@@ -32,7 +32,9 @@ def fetch(
     marker skipping and aborted-span filtering are decided per stored
     batch inside :meth:`PartitionLog.read_columnar`, which walks the
     batches of a fetch near the log end and finds a longer fetch's run
-    through the log's scan index, with no Python step per batch.
+    through the log's scan index, with no Python step per batch. A
+    filtering fetch of records read twice before gets a window on the
+    log's column prefix, so its ``columns()`` are five slices.
     ``result.records`` is the scalar view for callers that want one.
     """
     if isolation_level == READ_COMMITTED:

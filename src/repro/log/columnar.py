@@ -21,7 +21,8 @@ columns; a per-record object exists only where a caller asks for one:
   visible at the fetch's isolation level (control batches and the batches
   of aborted transactions are left out), trimmed at both ends to the
   fetch window. ``columns()`` gathers the five columns a reader sees in
-  one walk of the run; the single-column accessors (``keys()``,
+  one walk of the run, or, for records read twice before, slices them
+  out of the log's column prefix; the single-column accessors (``keys()``,
   ``timestamps()``, ...) serve readers of one column.
 
 * :class:`RecordView` — the scalar edge: a lazy, list-like view of a run
@@ -302,9 +303,13 @@ class ColumnarBatch(_BatchRun):
 
     ``next_offset`` can exceed the last returned record's offset + 1,
     because markers and aborted records are consumed position-wise but not
-    returned; ``scanned`` counts those positions too. The consumer stamps
-    the origin ``topic`` / ``partition`` — and, traced, the virtual time
-    of the fetch as ``fetched_at`` — before handing the batch to the app.
+    returned; ``scanned`` counts those positions too. A fetch of records
+    read twice before carries a *window* ``(prefix, start, end)`` on the
+    log's column prefix: five lists that hold the run's visible columns at
+    ``[start, end)`` and that the log only ever extends at their end. The
+    consumer stamps the origin ``topic`` / ``partition`` — and, traced,
+    the virtual time of the fetch as ``fetched_at`` — before handing the
+    batch to the app.
     """
 
     __slots__ = (
@@ -316,6 +321,7 @@ class ColumnarBatch(_BatchRun):
         "partition",
         "fetched_at",
         "_view",
+        "_window",
     )
 
     def __init__(
@@ -328,8 +334,10 @@ class ColumnarBatch(_BatchRun):
         hi: int = 0,
         count: int = 0,
         scanned: int = 0,
+        window: Optional[Tuple[Tuple[List[Any], ...], int, int]] = None,
     ) -> None:
         super().__init__(batches, lo, hi, count)
+        self._window = window
         self.scanned = scanned
         self.next_offset = next_offset
         self.high_watermark = high_watermark
@@ -362,10 +370,18 @@ class ColumnarBatch(_BatchRun):
     ]:
         """``(offsets, timestamps, keys, values, headers)`` in one pass over
         the run: five fresh lists the caller owns, equal to what the five
-        single-column accessors return. Only the first and the last stored
-        batch are sliced; every batch between costs five list extensions.
-        A caller that reads two or more columns of one fetch reads them
+        single-column accessors return. With a window they are five slices
+        of it; otherwise only the first and the last stored batch are
+        sliced, and every batch between costs five list extensions. A
+        caller that reads two or more columns of one fetch reads them
         here."""
+        window = self._window
+        if window is not None:
+            (offsets, timestamps, keys, values, headers), start, end = window
+            return (
+                offsets[start:end], timestamps[start:end], keys[start:end],
+                values[start:end], headers[start:end],
+            )
         batches = self._batches
         if not batches:
             return [], [], [], [], []

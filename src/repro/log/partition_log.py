@@ -23,8 +23,11 @@ On top of plain appends the log implements
   walks its stored batches, and a longer one finds its run through a
   *scan index* — cumulative record counts over a prefix of the stored
   batches, plus which batches hold data and which of those are visible —
-  with a few bisects and one ``compress``. Reads build the index; every
-  cut that moves a batch, and every aborted span indexed, cuts it back;
+  with a few bisects and one ``compress``. A log read a third time also
+  keeps its visible records' columns end to end over the indexed prefix,
+  so such a read-committed fetch is five slices. Reads build the index;
+  every cut that moves a batch, and every aborted span indexed, cuts it
+  back;
 * **log compaction** hooks for changelog topics, and ``delete_records`` for
   repartition-topic truncation.
 
@@ -182,6 +185,19 @@ class PartitionLog:
         self._indexed = 0
         self._counts: Tuple[array, ...] = ()
         self._masks: Tuple[bytearray, ...] = ()
+        # Column prefix over ``_batches[:_columned]`` (never past
+        # _indexed): the offsets, timestamps, keys, values and headers of
+        # its visible data batches, end to end, so batch i's visible
+        # records start at ``_counts[2][i]``. Only ever extended at the
+        # end: a cut replaces the lists, so a batch that slices them keeps
+        # its snapshot (_column_to, _cut_scan_index). The two offsets are
+        # how far filtering reads have reached, and how far re-reads
+        # (filtering reads that start below the first) have: only a read
+        # that starts below the second builds the prefix or slices it.
+        self._columned = 0
+        self._prefix: Tuple[List, ...] = ()
+        self._read_once_to = 0
+        self._read_twice_to = 0
 
     # -- basic accessors -------------------------------------------------------
 
@@ -480,15 +496,28 @@ class PartitionLog:
 
     # -- reads -------------------------------------------------------------------
 
+    def _first(self, from_offset: int) -> int:
+        """The stored batch a read from ``from_offset`` starts at: the last
+        one at or before it, or the first one."""
+        if from_offset < self.log_start_offset or from_offset > self._next_offset:
+            raise OffsetOutOfRangeError(
+                f"{self.name}: offset {from_offset} outside "
+                f"[{self.log_start_offset}, {self._next_offset}]"
+            )
+        batches = self._batches
+        return max(bisect.bisect_right(batches, from_offset, key=_BASE_OFFSET) - 1, 0)
+
     def _scan(
         self,
+        first: int,
         from_offset: int,
         max_records: int,
         limit: int,
         mask_controls: bool,
         filter_aborted: bool,
     ) -> Tuple[List[StoredBatch], int, int, int, int, int]:
-        """The visible run over ``[from_offset, limit)``, up to
+        """The visible run over ``[from_offset, limit)`` from stored batch
+        ``first`` (:meth:`_first`), up to
         ``max_records`` visible records, visibility decided per *batch*:
         ``(batches, lo, hi, visible, scanned, next_offset)`` — the first
         batch starts at position ``lo``, the last stops before ``hi``.
@@ -500,14 +529,8 @@ class PartitionLog:
         shorter one — a Streams intake, a tail read — walks
         (:meth:`_walk`), which is also the index's test oracle.
         """
-        if from_offset < self.log_start_offset or from_offset > self._next_offset:
-            raise OffsetOutOfRangeError(
-                f"{self.name}: offset {from_offset} outside "
-                f"[{self.log_start_offset}, {self._next_offset}]"
-            )
-        batches = self._batches
-        first = max(bisect.bisect_right(batches, from_offset, key=_BASE_OFFSET) - 1, 0)
-        scan = self._walk if len(batches) - first < _JUMP_MIN_BATCHES else self._jump
+        near_end = len(self._batches) - first < _JUMP_MIN_BATCHES
+        scan = self._walk if near_end else self._jump
         return scan(first, from_offset, max_records, limit, mask_controls, filter_aborted)
 
     def _walk(
@@ -652,12 +675,57 @@ class PartitionLog:
             mask[n:] = bits
         self._indexed = stop
 
+    def _column_to(self, stop: int) -> None:
+        """Extend the column prefix over ``_batches[:stop]``: five list
+        extensions per visible data batch it does not cover yet, at the
+        lists' end only."""
+        n = self._columned
+        if n >= stop:
+            return
+        self._index_to(stop)
+        if n == 0:
+            self._prefix = ([], [], [], [], [])
+        offsets, timestamps, keys, values, headers = self._prefix
+        for batch in compress(islice(self._batches, n, stop), self._masks[1][n:stop]):
+            held = batch.offsets
+            offsets += (
+                range(batch.base_offset, batch.end_offset) if held is None else held
+            )
+            timestamps += batch.timestamps
+            keys += batch.keys
+            values += batch.values
+            headers += batch.headers
+        self._columned = stop
+
+    def _window(
+        self, first: int, from_offset: int, valid: int, next_offset: int
+    ) -> Tuple[Tuple[List, ...], int, int]:
+        """Where a third read's ``valid`` visible records sit in the column
+        prefix, extended first if the run ends past it (batch ``k`` ends
+        past it exactly when ``next_offset``, which lies inside ``k``, does):
+        ``(prefix, start, end)``. The run starts at position ``a`` of batch
+        ``first`` if that batch is visible, else at the next visible one."""
+        batches = self._batches
+        columned = self._columned
+        if not columned or batches[columned - 1].end_offset < next_offset:
+            self._column_to(bisect.bisect_left(batches, next_offset, key=_BASE_OFFSET))
+        head = batches[first]
+        a = 0 if head.base_offset >= from_offset else head.position(from_offset)
+        start = self._counts[2][first] + (a if self._masks[1][first] else 0)
+        return self._prefix, start, start + valid
+
     def _cut_scan_index(self, batch: int) -> None:
-        """Forget the scan index from stored batch ``batch`` on: called by
-        whatever moves a batch or changes its visibility (appends need
-        not)."""
+        """Forget the scan index and the column prefix from stored batch
+        ``batch`` on: called by whatever moves a batch or changes its
+        visibility (appends need not). The prefix is replaced by a copy of
+        its still-valid head, never truncated in place: a batch handed out
+        before the cut keeps slicing the lists it was given."""
         if batch < self._indexed:
             self._indexed = batch
+        if batch < self._columned:
+            end = self._counts[2][batch]
+            self._prefix = tuple(column[:end] for column in self._prefix)
+            self._columned = batch
 
     def read(
         self,
@@ -676,7 +744,7 @@ class PartitionLog:
         """
         limit = self.high_watermark if up_to_offset is None else up_to_offset
         run, lo, hi, count, _, _ = self._scan(
-            from_offset, max_records, limit, False, False
+            self._first(from_offset), from_offset, max_records, limit, False, False
         )
         return RecordView(run, lo, hi, count)
 
@@ -700,14 +768,30 @@ class PartitionLog:
         ``next_offset`` advances past every *scanned* position (including
         masked ones), and scanning stops as soon as ``max_records`` valid
         records are found.
+
+        A filtering read of records that filtering reads have covered
+        twice already carries a window on the column prefix (extended to
+        cover the run if need be), and its ``columns()`` are five slices.
+        Building the prefix costs about one walk of the batches it covers,
+        so it pays back only from the third read on: a log read once, or
+        tailed and then read once more, builds none.
         """
         limit = self.high_watermark if up_to_offset is None else up_to_offset
+        first = self._first(from_offset)
         run, lo, hi, valid, scanned, next_offset = self._scan(
-            from_offset, max_records, limit, True, filter_aborted
+            first, from_offset, max_records, limit, True, filter_aborted
         )
+        window = None
+        if filter_aborted:
+            if valid and from_offset < self._read_twice_to:
+                window = self._window(first, from_offset, valid, next_offset)
+            if from_offset < self._read_once_to and next_offset > self._read_twice_to:
+                self._read_twice_to = next_offset
+            if next_offset > self._read_once_to:
+                self._read_once_to = next_offset
         return ColumnarBatch(
             next_offset, self.high_watermark, self.last_stable_offset,
-            run, lo, hi, valid, scanned,
+            run, lo, hi, valid, scanned, window,
         )
 
     # -- cuts (copy-on-write: stored batches may be shared) ------------------------

@@ -18,7 +18,10 @@ logs cut every way the log cuts a stored batch, and ``poll`` /
 accessors would have given them. A read that starts far from the log end
 jumps through the log's scan index instead of walking: the jump must land
 exactly where the walk does, on every window, with reads interleaved
-between every mutation that can leave the index stale.
+between every mutation that can leave the index stale. A read-committed
+or speculative read of records read twice before slices the log's column
+prefix: its columns must equal the walk's, and a batch handed out before
+a cut must keep its columns after it.
 """
 
 import bisect
@@ -41,6 +44,7 @@ from repro.config import (
     ConsumerConfig,
     ProducerConfig,
 )
+from repro.log.columnar import ColumnarBatch
 from repro.log.partition_log import _JUMP_MIN_BATCHES, PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
@@ -604,15 +608,61 @@ def assert_jump_lands_where_the_walk_does(log, fraction):
                     assert len(jumped[0]) == len(walked[0]), args
                     assert all(a is b for a, b in zip(jumped[0], walked[0])), args
                     assert jumped[1:] == walked[1:], args
+                    # A fetch's limit is the LSO or the log end. Re-read
+                    # every 4-record window there, and each whole one: a
+                    # long window from every offset would make the check
+                    # quadratic in the log's length.
+                    if (
+                        mode == (True, True)
+                        and limit in (end, log.last_stable_offset)
+                        and (max_records == 4 or from_offset == start)
+                    ):
+                        assert_a_reread_slices_what_the_walk_gathers(log, walked, args)
+
+
+def assert_a_reread_slices_what_the_walk_gathers(log, walked, args):
+    """The read-committed (or speculative) fetch of the window, read until
+    it is a third read (at most three times): it carries a window on the
+    column prefix, and its ``columns()`` equal, field by field, what
+    ``columns()`` gathers from the walk's run."""
+    _, from_offset, max_records, limit = args[:4]
+    run, lo, hi, visible, scanned, next_offset = walked
+    for _ in range(3 if visible else 1):
+        got = log.read_columnar(from_offset, max_records, limit, filter_aborted=True)
+        if got._window is not None:
+            break
+    assert got._window is not None or not visible, args
+    assert (got.valid_count, got.next_offset) == (visible, next_offset), args
+    gathered = ColumnarBatch(next_offset, 0, 0, run, lo, hi, visible, scanned)
+    assert got.columns() == gathered.columns(), args
+
+
+def hold_rereads(logs):
+    """Third reads of each whole log, speculative (open transactions
+    included), with the columns they give now: ``play`` checks at its end
+    that a later cut left them as they were."""
+    held = []
+    for log in logs:
+        for _ in range(3):
+            got = log.read_columnar(
+                log.log_start_offset, up_to_offset=log.log_end_offset,
+                filter_aborted=True,
+            )
+        assert got._window is not None or not got
+        held.append((got, got.columns()))
+    return held
 
 
 def play(ops):
     """A leader and its follower driven through ``ops``; each ``read``,
-    and one at the end, compares the two scans on both logs. Reads build
-    the scan index over the whole log (one limit is its end), so an index
-    that a later mutation left stale shows at the next read."""
+    and one at the end, compares the two scans on both logs and a re-read
+    against the walk. Reads build the scan index and the column prefix
+    over the whole log (one limit is its end), so an index that a later
+    mutation left stale shows at the next read. Each ``hold`` keeps a
+    third read of both logs, whose columns must not change to the end."""
     leader, follower = PartitionLog("leader"), PartitionLog("follower")
     sequences = {pid: 0 for pid in PIDS}
+    held = []
 
     def sync():
         PartitionState._sync_follower(follower, leader)
@@ -679,10 +729,14 @@ def play(ops):
             sync()
         elif kind == "sync":
             sync()
+        elif kind == "hold":
+            held += hold_rereads((leader, follower))
         else:
             for log in (leader, follower):
                 assert_jump_lands_where_the_walk_does(log, op[1])
         leader.high_watermark = leader.log_end_offset
+    for batch, columns in held:
+        assert batch.columns() == columns
 
 
 @given(st.lists(LOG_OPS, min_size=15, max_size=40))
@@ -704,17 +758,22 @@ def test_a_jump_through_the_scan_index_lands_where_the_walk_does(ops):
     [("diverge", 1, True)],                             # heal drops a span
     [("reset", 1, 1)],
     [("end", 1, True), ("compact", {1, 5})],
+    # An abort that cuts the column prefix in its middle, not at batch 0:
+    # what the prefix held past the cut must not come back.
+    [("send", 3, 2, True), ("read", 1.0), ("end", 3, False), ("plain", 2)],
 ], ids=[
     "abort", "mirrored-abort", "delete", "missed-delete", "truncate", "heal",
-    "reset", "compact",
+    "reset", "compact", "late-abort",
 ])
 def test_each_cut_of_the_scan_index_is_needed(mutation):
     """One script per way to invalidate the index: read both logs
-    (building it over every batch), change them that one way, read again.
-    Each fails with the cut it needs deleted from the log."""
+    (building it and the column prefix over every batch), hold a re-read
+    of each, change them that one way, read again. Each fails with the cut
+    it needs deleted from the log, or with the cut leaving the prefix in
+    place; the held re-reads keep their columns through the cut."""
     play([
         ("send", 1, 3, True), ("send", 2, 2, True), ("plain", 2), ("end", 2, True),
-        ("sync",), ("read", 1.0), *mutation, ("read", 1.0),
+        ("sync",), ("read", 1.0), ("hold",), *mutation, ("read", 1.0),
     ])
 
 

@@ -14,7 +14,8 @@ Headers are frozen once, where a producer takes them, and shared from then
 on: no log, reader, intake, operator hop or sink builds, copies or merges
 a header mapping per record in an untraced run. The log's scan index
 is cut back by every method that moves a stored batch or changes which
-ones are aborted.
+ones are aborted, and its column prefix, which fetch results slice, is
+only ever extended at its end or replaced.
 """
 
 import ast
@@ -527,3 +528,98 @@ def test_every_write_that_invalidates_the_scan_index_cuts_it():
     assert scan_index_offences(log_class) == (
         SCAN_INDEX_CUTTERS, {"delete_records_before"}
     )
+
+
+# -- the column prefix: extended at its end, replaced by a cut -----------------------
+
+#: ``PartitionLog`` methods -> what each may do to the column prefix. Only a
+#: cut (and a build afresh) rebinds it, and only its extender writes its
+#: lists, only at their end: a fetch result slices them, so a write
+#: anywhere else would change the columns of a batch already handed out.
+#: A closed list.
+PREFIX_WRITERS = {
+    "__init__": {"rebinds"},
+    "_column_to": {"rebinds", "extends"},        # built afresh, then extended
+    "_cut_scan_index": {"rebinds"},              # a copy of its valid head
+}
+END_APPENDS = {"append", "extend"}
+
+
+def prefix_writes(method):
+    """What ``method`` does to the column prefix: a subset of ``rebinds``
+    (``self._prefix`` itself), ``extends`` (``+=``, ``append`` or
+    ``extend`` on one of its lists) and ``writes inside`` (any other write
+    to one of its lists). A list is ``self._prefix[i]`` or a local name
+    unpacked or iterated from ``self._prefix``."""
+    own = "self._prefix"
+    names = set()
+    for node in ast.walk(method):
+        if isinstance(node, ast.Assign) and ast.unparse(node.value) == own:
+            bound = node.targets
+        elif isinstance(node, (ast.For, ast.comprehension)) and ast.unparse(node.iter) == own:
+            bound = [node.target]
+        else:
+            continue
+        names |= {
+            name.id for target in bound for name in ast.walk(target)
+            if isinstance(name, ast.Name)
+        }
+
+    def is_list(node):
+        return ast.unparse(node) in names or (
+            isinstance(node, ast.Subscript) and ast.unparse(node.value) == own
+        )
+
+    def inside(node):
+        return isinstance(node, ast.Subscript) and is_list(node.value)
+
+    found = set()
+    for node in ast.walk(method):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(ast.unparse(target) == own for target in targets):
+                found.add("rebinds")
+            elif isinstance(node, ast.AugAssign) and is_list(node.target):
+                found.add("extends" if isinstance(node.op, ast.Add) else "writes inside")
+            elif any(map(inside, targets)):
+                found.add("writes inside")
+        elif isinstance(node, ast.Delete) and any(
+            is_list(target) or inside(target) for target in node.targets
+        ):
+            found.add("writes inside")
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and is_list(node.func.value)
+        ):
+            found.add("extends" if node.func.attr in END_APPENDS else "writes inside")
+    return found
+
+
+def prefix_writers(log_class):
+    """method name -> what it does to the column prefix, for every method
+    that does something."""
+    return {
+        node.name: found
+        for node in log_class.body
+        if isinstance(node, ast.FunctionDef) and (found := prefix_writes(node))
+    }
+
+
+def test_the_column_prefix_is_extended_only_at_its_end_and_replaced_only_by_a_cut():
+    log_class = function("log/partition_log.py", "PartitionLog")
+    assert prefix_writers(log_class) == PREFIX_WRITERS
+    # The planted mutants: the cut truncates the lists in place, and a read
+    # appends to one.
+    (cut,) = [
+        node for node in log_class.body
+        if getattr(node, "name", "") == "_cut_scan_index"
+    ]
+    cut.body += ast.parse("for column in self._prefix:\n    del column[end:]").body
+    (window,) = [
+        node for node in log_class.body if getattr(node, "name", "") == "_window"
+    ]
+    window.body.insert(0, ast.parse("self._prefix[0].append(first)").body[0])
+    writers = prefix_writers(log_class)
+    assert writers["_cut_scan_index"] == {"rebinds", "writes inside"}
+    assert writers["_window"] == {"extends"}
