@@ -141,7 +141,7 @@ class BarrierEngine:
 
     # Actor protocol (repro.sim.scheduler.Driver), so the checkpoint
     # baseline can share a driver — and a deterministic timeline — with
-    # Streams apps and ksql queries on the same cluster.
+    # Streams apps on the same cluster.
     def poll(self) -> int:
         return self.step()
 

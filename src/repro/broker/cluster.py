@@ -66,23 +66,20 @@ class Cluster:
         self,
         num_brokers: int = 3,
         config: Optional[BrokerConfig] = None,
-        clock: Optional[SimClock] = None,
         seed: int = 17,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         if num_brokers < 1:
             raise ValueError("need at least one broker")
         self.config = config or BrokerConfig()
         self.config.validate()
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         # One registry for brokers and the network, so fault-injection
         # counters land next to the broker counters chaos runs report.
         self.metrics = MetricsRegistry()
         # Always a real (if disabled) tracer on the shared clock, so every
         # component can cache the reference at construction and tracing can
         # be toggled at any point (`cluster.tracer.enabled = True`).
-        # None check, not truthiness: an empty Tracer is falsy (__len__).
-        self.tracer = Tracer(self.clock) if tracer is None else tracer
+        self.tracer = Tracer(self.clock)
         self.network = Network(
             self.clock, NetworkCosts(), seed=seed, metrics=self.metrics
         )

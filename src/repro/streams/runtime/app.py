@@ -48,13 +48,9 @@ class KafkaStreams:
         # record the task processes after reopening; the gap lands in the
         # rebalance_unavailability_ms histogram.
         self._task_unavailable_since: Dict[TaskId, float] = {}
-        # Interactive queries: routing metadata, the client router, and the
-        # live store-update listener registry (push queries subscribe here;
-        # the shared dict means stores rebuilt after a migration re-attach
-        # the same listeners).
+        # Interactive queries: routing metadata and the client router.
         self._metadata_service = None
         self._query_router = None
-        self._store_listeners: Dict[str, List[Any]] = {}
 
         self._sub_topologies: Dict[int, SubTopology] = {
             sub.sub_id: sub for sub in topology.sub_topologies()
@@ -250,8 +246,7 @@ class KafkaStreams:
 
     # Actor protocol (repro.sim.scheduler.Driver): the whole app is one
     # pollable work source, so a single driver can co-schedule several
-    # apps — or an app, the checkpoint baseline, and a ksql query —
-    # against one cluster.
+    # apps — or an app and the checkpoint baseline — against one cluster.
     def poll(self) -> int:
         return self.step()
 
@@ -342,35 +337,6 @@ class KafkaStreams:
 
             self._query_router = QueryRouter(self, **kwargs)
         return self._query_router
-
-    @property
-    def store_listeners(self) -> Dict[str, List[Any]]:
-        """Live registry handed to every StreamTask at construction."""
-        return self._store_listeners
-
-    def add_store_listener(self, store_name: str, listener) -> None:
-        """Subscribe ``listener(key, value)`` to every update of
-        ``store_name`` — on stores alive now *and* on any rebuilt later
-        (push queries survive task migrations). Changelog-restore replays
-        do not fire listeners; only live writes do."""
-        self._store_listeners.setdefault(store_name, []).append(listener)
-        for instance in self.instances:
-            for task in instance.tasks.values():
-                store = task.stores().get(store_name)
-                if store is not None and hasattr(store, "add_listener"):
-                    store.add_listener(listener)
-
-    def remove_store_listener(self, store_name: str, listener) -> None:
-        """Unsubscribe ``listener`` from registry and live stores (a push
-        query closing)."""
-        listeners = self._store_listeners.get(store_name)
-        if listeners is not None and listener in listeners:
-            listeners.remove(listener)
-        for instance in self.instances:
-            for task in instance.tasks.values():
-                store = task.stores().get(store_name)
-                if store is not None and hasattr(store, "remove_listener"):
-                    store.remove_listener(listener)
 
     def store_contents(self, store_name: str) -> Dict[Any, Any]:
         """Merge a store's entries across all tasks hosting it (the

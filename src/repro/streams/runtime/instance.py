@@ -401,7 +401,6 @@ class StreamsInstance:
                 },
                 track_speculation=self.config.speculative,
                 restore_listener=self._notify_restore,
-                store_listeners=self.app.store_listeners,
                 restore_budget_per_poll=self.config.restore_max_records_per_poll,
             )
             task.first_process_listener = self.app.first_process_listener_for(

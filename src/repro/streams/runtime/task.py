@@ -66,7 +66,6 @@ class StreamTask:
         global_stores: Optional[Dict[str, Any]] = None,
         track_speculation: bool = False,
         restore_listener: Optional[Callable] = None,
-        store_listeners: Optional[Dict[str, List[Callable]]] = None,
         restore_budget_per_poll: int = 0,
     ) -> None:
         # (tp, producer_id) -> [min offset, max offset] consumed from that
@@ -99,10 +98,6 @@ class StreamTask:
         # loss cannot starve live tasks on the same instance.
         self._restore_budget = restore_budget_per_poll
         self._pending_restores: List[Dict[str, Any]] = []
-        # Live registry of store update listeners (push-query
-        # subscriptions), shared with the app: stores built later — e.g.
-        # after a task migration — attach the same subscriptions.
-        self._store_listeners = store_listeners or {}
         # One-shot hook fired when this task processes its first record —
         # set by the instance only for tasks reopening after a revocation,
         # so per-task unavailability windows close at the exact virtual
@@ -148,13 +143,9 @@ class StreamTask:
             else:
                 store, from_offset = create_store(spec), 0
             self._stores[spec.name] = store
-            listeners = self._store_listeners.get(spec.name)
-            if listeners and hasattr(store, "add_listener"):
-                for listener in listeners:
-                    store.add_listener(listener)
             if spec.changelog:
-                # Replayed by restore_step; hooks/listeners attach when the
-                # replay completes.
+                # Replayed by restore_step; the changelog hooks attach when
+                # the replay completes.
                 self._pending_restores.append({
                     "spec": spec,
                     "store": store,

@@ -86,9 +86,6 @@ class InMemoryKeyValueStore(KeyValueStore):
         self._data: Dict[Any, Any] = {}
         self._on_update = on_update
         self._on_update_many: Optional[BulkUpdateHook] = None
-        # Push-query subscriptions: called after every applied write
-        # (including bulk ones), never during restore.
-        self._listeners: List[UpdateHook] = []
         self._position = 0
         self.puts = 0
         self.gets = 0
@@ -100,14 +97,6 @@ class InMemoryKeyValueStore(KeyValueStore):
         self, on_update_many: Optional[BulkUpdateHook]
     ) -> None:
         self._on_update_many = on_update_many
-
-    def add_listener(self, listener: UpdateHook) -> None:
-        """Subscribe to live updates (ksql EMIT CHANGES push queries)."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: UpdateHook) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def get(self, key: Any) -> Any:
         self.gets += 1
@@ -124,9 +113,6 @@ class InMemoryKeyValueStore(KeyValueStore):
         self._position += 1
         if self._on_update is not None:
             self._on_update(key, value)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(key, value)
 
     def put_many(self, items: List[Tuple[Any, Any]]) -> None:
         if not items:
@@ -146,10 +132,6 @@ class InMemoryKeyValueStore(KeyValueStore):
         elif self._on_update is not None:
             for key, value in items:
                 self._on_update(key, value)
-        if self._listeners:
-            for key, value in items:
-                for listener in self._listeners:
-                    listener(key, value)
 
     def delete(self, key: Any) -> None:
         self.puts += 1
@@ -157,9 +139,6 @@ class InMemoryKeyValueStore(KeyValueStore):
         self._position += 1
         if self._on_update is not None:
             self._on_update(key, None)   # tombstone
-        if self._listeners:
-            for listener in self._listeners:
-                listener(key, None)
 
     def restore_put(self, key: Any, value: Any) -> None:
         """Apply a changelog record during restoration (no hook — the

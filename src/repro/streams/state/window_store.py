@@ -69,7 +69,6 @@ class InMemoryWindowStore(WindowStore):
         self._data: Dict[Tuple[Any, float], Any] = {}
         self._on_update = on_update
         self._on_update_many: Optional[BulkUpdateHook] = None
-        self._listeners: List[UpdateHook] = []
         self._position = 0
         self.expired_entries = 0
         # Lower bound on every live entry's window start (exact until an
@@ -83,15 +82,6 @@ class InMemoryWindowStore(WindowStore):
         self, on_update_many: Optional[BulkUpdateHook]
     ) -> None:
         self._on_update_many = on_update_many
-
-    def add_listener(self, listener: UpdateHook) -> None:
-        """Subscribe to live updates; called with the (key, window start)
-        composite key (ksql EMIT CHANGES push queries)."""
-        self._listeners.append(listener)
-
-    def remove_listener(self, listener: UpdateHook) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
 
     def fetch(self, key: Any, window_start: float) -> Any:
         return self._data.get((key, window_start))
@@ -110,14 +100,10 @@ class InMemoryWindowStore(WindowStore):
         self._position += 1
         if self._on_update is not None:
             self._on_update(composite, value)
-        if self._listeners:
-            for listener in self._listeners:
-                listener(composite, value)
 
     def put_many(self, items: List[Tuple[Tuple[Any, float], Any]]) -> None:
         """Apply many ``((key, window_start), value)`` puts at once: the
-        same store contents, position and listener calls as one
-        :meth:`put` each, but a single bulk-hook call, so the changelog
+        same store contents and position as one :meth:`put` each, but a single bulk-hook call, so the changelog
         gets one column slab instead of one send per entry."""
         if not items:
             return
@@ -130,10 +116,6 @@ class InMemoryWindowStore(WindowStore):
         elif self._on_update is not None:
             for composite, value in items:
                 self._on_update(composite, value)
-        if self._listeners:
-            for composite, value in items:
-                for listener in self._listeners:
-                    listener(composite, value)
 
     def restore_put(self, composite_key: Tuple[Any, float], value: Any) -> None:
         """Apply a changelog record during restoration."""

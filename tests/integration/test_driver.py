@@ -7,8 +7,8 @@ Covers the properties the refactor must preserve or provide:
   contents, and sink outputs;
 * seed equivalence — the driver-based ``run_until_idle`` yields the same
   sink outputs the old step-loop (step / commit / tick 1 ms) produced;
-* co-scheduling — one Driver can interleave a Streams app, the
-  checkpoint baseline, and a ksql query on one cluster and one timeline;
+* co-scheduling — one Driver can interleave two Streams apps and the
+  checkpoint baseline on one cluster and one timeline;
 * session expiry — a silently crashed instance is evicted by its session
   timer and its tasks migrate, while live members survive big time jumps.
 """
@@ -18,7 +18,6 @@ from repro.barriers.object_store import ObjectStore
 from repro.broker.cluster import Cluster
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, StreamsConfig
-from repro.ksql import KsqlEngine
 from repro.sim.failures import FailureInjector
 from repro.sim.scheduler import Driver
 from repro.streams import KafkaStreams, StreamsBuilder
@@ -213,8 +212,10 @@ def test_driver_matches_step_loop_on_revision_topology():
 # -- co-scheduling ----------------------------------------------------------------
 
 
-def test_one_driver_coschedules_streams_barriers_and_ksql():
-    cluster = make_cluster(**{"raw": 1, "streams-out": 1, "barrier-out": 1})
+def test_one_driver_coschedules_two_streams_apps_and_barriers():
+    cluster = make_cluster(
+        **{"raw": 1, "streams-out": 1, "barrier-out": 1, "doubled": 1}
+    )
 
     builder = StreamsBuilder()
     builder.stream("raw").group_by_key().count("totals").to_stream().to(
@@ -240,16 +241,23 @@ def test_one_driver_coschedules_streams_barriers_and_ksql():
         checkpoint_interval_ms=200.0,
     )
 
-    ksql = KsqlEngine(cluster)
-    ksql.execute(
-        "CREATE STREAM raw WITH (KAFKA_TOPIC='raw');"
-        "CREATE STREAM doubled AS SELECT value * 2 AS value FROM raw;"
+    doubler = StreamsBuilder()
+    doubler.stream("raw").map_values(lambda v: v * 2).to("doubled")
+    doubling_app = KafkaStreams(
+        doubler.build(),
+        cluster,
+        StreamsConfig(
+            application_id="co-doubler",
+            processing_guarantee=EXACTLY_ONCE,
+            commit_interval_ms=100.0,
+        ),
     )
+    doubling_app.start(1)
 
     driver = Driver(cluster.clock)
     driver.register(app)
     driver.register(engine)
-    driver.register(ksql)
+    driver.register(doubling_app)
 
     producer = Producer(cluster)
     for i in range(12):
@@ -265,9 +273,9 @@ def test_one_driver_coschedules_streams_barriers_and_ksql():
         "k1": 4,
         "k2": 4,
     }
-    doubled = drain_topic(cluster, ksql.catalog["doubled"].topic)
+    doubled = drain_topic(cluster, "doubled")
     assert len(doubled) == 12
-    assert all(r.value["value"] == 2 for r in doubled)
+    assert all(r.value == 2 for r in doubled)
 
 
 # -- session expiry ---------------------------------------------------------------

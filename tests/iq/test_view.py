@@ -136,14 +136,3 @@ class TestPutMany:
         store.put_many([("b", 2), ("c", 3)])
         assert dict(store.all()) == {"a": 10, "b": 20, "c": 30}
         assert store.position() == 3
-
-    def test_put_many_notifies_listeners_per_item(self):
-        store = InMemoryKeyValueStore("kv")
-        seen = []
-        listener = lambda k, v: seen.append((k, v))  # noqa: E731
-        store.add_listener(listener)
-        store.put_many([("a", 1), ("b", 2)])
-        assert seen == [("a", 1), ("b", 2)]
-        store.remove_listener(listener)
-        store.put_many([("c", 3)])
-        assert seen == [("a", 1), ("b", 2)]

@@ -34,17 +34,19 @@ class TestDisabled:
 
     def test_empty_tracer_survives_wiring(self):
         """Tracer defines __len__, so a span-less tracer is falsy — the
-        Driver/Cluster plumbing must check None, not truthiness, or an
-        enabled tracer gets silently swapped for the no-op before the
-        first span is recorded."""
+        Driver plumbing must check None, not truthiness, or an enabled
+        tracer gets silently swapped for the no-op before the first span
+        is recorded. A Cluster always builds its own tracer on its own
+        clock."""
         from repro.broker.cluster import Cluster
         from repro.sim.scheduler import Driver
 
         tracer, clock = make_tracer()
         assert not tracer.spans and not tracer     # falsy while empty
         assert Driver(clock, tracer=tracer).tracer is tracer
-        cluster = Cluster(num_brokers=1, clock=clock, tracer=tracer)
-        assert cluster.tracer is tracer
+        cluster = Cluster(num_brokers=1)
+        assert isinstance(cluster.tracer, Tracer)
+        assert cluster.tracer.clock is cluster.clock
 
 
 class TestSpans:

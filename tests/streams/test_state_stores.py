@@ -95,23 +95,20 @@ class TestWindowStore:
 
     def test_put_many_equals_puts_with_one_bulk_hook_call(self):
         items = [(("k", 0.0), 1), (("k", 5.0), 2), (("k", 0.0), None)]
-        single, seen = [], []
+        single = []
         one = InMemoryWindowStore("w", retention_ms=100)
         one.set_update_hook(lambda k, v: single.append((k, v)))
-        one.add_listener(lambda k, v: seen.append((k, v)))
         for (key, start), value in items:
             one.put(key, start, value)
 
-        slabs, bulk_seen = [], []
+        slabs = []
         many = InMemoryWindowStore("w", retention_ms=100)
         many.set_update_hook(lambda k, v: pytest.fail("scalar hook used"))
         many.set_bulk_update_hook(slabs.append)
-        many.add_listener(lambda k, v: bulk_seen.append((k, v)))
         many.put_many(items)
         many.put_many([])
 
         assert slabs == [items] and single == items
-        assert bulk_seen == seen == items
         assert dict(many.all()) == dict(one.all()) == {("k", 5.0): 2}
         assert many.position() == one.position() == 3
         assert many.expire_before(5.0) == 0            # (k, 0.0) was deleted

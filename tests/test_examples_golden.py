@@ -2,7 +2,7 @@
 
 Every example is an end-to-end run on the virtual clock with its seeds
 fixed, so what it prints is a fingerprint of the whole stack: a change that
-claims to move no record must leave all seven byte-identical. The goldens
+claims to move no record must leave all six byte-identical. The goldens
 live in ``tests/golden/examples/<example>.out``. Re-record them only for an
 intended behaviour change, from the commit whose output they should hold::
 

@@ -123,7 +123,7 @@ def second_start_offset_gate(where, tree):
 #: rule -> the smallest module that breaks it: (where it sits, its source).
 RULES = {
     busy_wait: ("streams/runtime/instance.py", "clock.advance(idle_ms)"),
-    raw_stores: ("ksql/engine.py", "task.stores()['counts']"),
+    raw_stores: ("barriers/engine.py", "task.stores()['counts']"),
     wall_clock: ("obs/health.py", "import time\nnow = time.time()"),
     second_retry_policy: (
         "clients/admin.py",
