@@ -10,7 +10,7 @@ All RPC entry points used by the clients live here (`handle_produce`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import READ_COMMITTED, BrokerConfig
 from repro.errors import (
@@ -36,6 +36,7 @@ from repro.obs.recovery import NO_RECOVERY
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
 from repro.sim.network import Network, NetworkCosts
+from repro.util import RouteMemo, partition_for
 
 # How many partitions each coordinator's own log is spread over.
 OFFSETS_TOPIC_PARTITIONS = 4
@@ -97,6 +98,17 @@ class Cluster:
         # send; only this class assigns it
         # (tests/test_attribute_owner_structure.py).
         self.metadata_epoch = 0
+        # topic -> (its TopicPartitions indexed by partition number, the
+        # default partitioner's key -> TopicPartition memo), as of
+        # ``_routes_epoch``: every producer and Streams sink on this cluster
+        # routes through the one memo (``route_of``), so a key is hashed
+        # once per epoch, not once per client.
+        self._routes: Dict[str, Tuple[List[TopicPartition], RouteMemo]] = {}
+        self._routes_epoch = 0
+        # ``broker.produced_records``, registered on the first counted
+        # produce, so a cluster that stored no record lists no such counter
+        # (a registry reset keeps the held reference valid).
+        self._produced_records = None
         # Where components note recovery milestones; a RecoveryTracker
         # (repro.obs.recovery) puts itself here with ``install()``.
         self.recovery = NO_RECOVERY
@@ -214,6 +226,23 @@ class Cluster:
         meta = self.topic_metadata(topic)
         return [TopicPartition(topic, p) for p in range(meta.num_partitions)]
 
+    def route_of(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
+        """``topic``'s partition table, as of the current metadata epoch,
+        and its key memo (``memo[key]`` is the key's ``TopicPartition``
+        under the default partitioner) — both made on the topic's first
+        use in an epoch and dropped when the epoch moves."""
+        if self._routes_epoch != self.metadata_epoch:
+            self._routes.clear()
+            self._routes_epoch = self.metadata_epoch
+        route = self._routes.get(topic)
+        if route is None:
+            table = self.partitions_for(topic)
+            count = len(table)
+            route = self._routes[topic] = (
+                table, RouteMemo(lambda key: table[partition_for(key, count)])
+            )
+        return route
+
     def partition_state(self, tp: TopicPartition) -> PartitionState:
         state = self._partitions.get(tp)
         if state is None:
@@ -273,17 +302,23 @@ class Cluster:
     def handle_produce(
         self, tp: TopicPartition, batch: ColumnarSlab, acks: str = "all"
     ) -> AppendResult:
+        state = self._partitions.get(tp)
+        if state is None:
+            raise UnknownTopicOrPartitionError(str(tp))
         try:
-            result = self.partition_state(tp).append(batch, acks=acks)
+            result = state.append(batch, acks=acks)
         except NotEnoughReplicasError:
             # Surface under-replicated rejections: chaos runs and the
             # min-ISR tests observe how often acks=all writes were refused.
             self.metrics.counter("broker.not_enough_replicas").increment()
             raise
         if not result.duplicate:
-            self.metrics.counter("broker.produced_records").increment(
-                batch.record_count
-            )
+            produced = self._produced_records
+            if produced is None:
+                produced = self._produced_records = self.metrics.counter(
+                    "broker.produced_records"
+                )
+            produced.increment(len(batch.keys))
         return result
 
     def handle_fetch(

@@ -82,11 +82,11 @@ class Producer:
 
         self._sequences: Dict[TopicPartition, int] = {}
         self._pending: Dict[TopicPartition, _ColumnBuffer] = {}
-        # topic -> (its TopicPartitions indexed by partition number, the
-        # default partitioner's key -> TopicPartition memo), so that
-        # ``send`` builds none per record and hashes a repeated key once;
-        # both dropped whenever the cluster's metadata epoch moves. Where
-        # a partition's leader is, is asked of the cluster at every RPC.
+        # topic -> the cluster's route (``Cluster.route_of``: its
+        # TopicPartitions by partition number and the key -> TopicPartition
+        # memo every client on the cluster shares), held for one metadata
+        # epoch so that ``send`` reaches it with one dict lookup. Where a
+        # partition's leader is, is asked of the cluster at every RPC.
         self._routing_epoch = -1
         self._routes: Dict[str, Tuple[List[TopicPartition], RouteMemo]] = {}
         self._in_transaction = False
@@ -414,19 +414,15 @@ class Producer:
             )
 
     def _route_of(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
-        """``topic``'s partition table, as of the current metadata epoch,
-        and its key memo — both made on the topic's first use in an epoch."""
+        """``topic``'s partition table and key memo, as of the current
+        metadata epoch: the cluster's own (:meth:`Cluster.route_of`)."""
         epoch = self.cluster.metadata_epoch
         if epoch != self._routing_epoch:
             self._routes.clear()
             self._routing_epoch = epoch
         route = self._routes.get(topic)
         if route is None:
-            table = self.cluster.partitions_for(topic)
-            count = len(table)
-            route = self._routes[topic] = (
-                table, RouteMemo(lambda key: table[partition_for(key, count)])
-            )
+            route = self._routes[topic] = self.cluster.route_of(topic)
         return route
 
     def _new_buffer(self, tp: TopicPartition) -> _ColumnBuffer:

@@ -44,6 +44,7 @@ import bisect
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, compress, islice, repeat
 from operator import attrgetter, gt, is_, mul
 from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
@@ -94,7 +95,7 @@ class AbortedTxn:
     last_offset: int
 
 
-@dataclass
+@dataclass(slots=True)
 class AppendResult:
     """Outcome of an (idempotent) append."""
 
@@ -110,6 +111,11 @@ class _BatchMeta(NamedTuple):
     last_sequence: int
     base_offset: int
     last_offset: int
+
+
+# _BatchMeta((base_sequence, ...)) built in C, without the named tuple's
+# Python __new__.
+_BATCH_META = partial(tuple.__new__, _BatchMeta)
 
 
 class _ProducerIdState:
@@ -286,9 +292,11 @@ class PartitionLog:
 
         Returns the assigned offsets; a recognised retry of an already
         appended batch returns the *original* offsets with
-        ``duplicate=True`` instead of appending again. The slab's column
-        lists are adopted by reference: the sender must not touch them
-        again.
+        ``duplicate=True`` instead of appending again. A batch that starts
+        past the producer's last sequence is never a duplicate (every
+        cached batch ends at or below it), so only a batch that does not
+        is looked up in the duplicate cache. The slab's column lists are
+        adopted by reference: the sender must not touch them again.
         """
         if batch.producer_id == NO_PRODUCER_ID:
             return self._adopt(batch)
@@ -319,28 +327,29 @@ class PartitionLog:
             # two such batches are distinct appends, not retries.
             return self._adopt(batch)
 
-        duplicate = state.find_duplicate(batch)
-        if duplicate is not None:
-            return AppendResult(
-                duplicate.base_offset, duplicate.last_offset, duplicate=True
-            )
+        base_sequence = batch.base_sequence
+        last_sequence = state.last_sequence
+        if base_sequence <= last_sequence:
+            duplicate = state.find_duplicate(batch)
+            if duplicate is not None:
+                return AppendResult(
+                    duplicate.base_offset, duplicate.last_offset, duplicate=True
+                )
 
-        expected = state.last_sequence + 1
-        if state.last_sequence != NO_SEQUENCE and batch.base_sequence != expected:
+        if last_sequence != NO_SEQUENCE and base_sequence != last_sequence + 1:
             raise OutOfOrderSequenceError(
                 f"{self.name}: producer {batch.producer_id} sent sequence "
-                f"{batch.base_sequence}, expected {expected}"
+                f"{base_sequence}, expected {last_sequence + 1}"
             )
 
         result = self._adopt(batch)
-        state.batches.append(
-            _BatchMeta(
-                batch.base_sequence,
-                batch.last_sequence,
-                result.base_offset,
-                result.last_offset,
-            )
-        )
+        base_offset, last_offset = result.base_offset, result.last_offset
+        state.batches.append(_BATCH_META((
+            base_sequence,
+            base_sequence + last_offset - base_offset,
+            base_offset,
+            last_offset,
+        )))
         return result
 
     def _adopt(self, batch: ColumnarSlab) -> AppendResult:

@@ -44,7 +44,6 @@ from repro.broker.cluster import Cluster
 from repro.clients.producer import Producer
 from repro.config import ProducerConfig
 from repro.metrics.latency import CREATED_AT_HEADER
-from repro.util import partition_for
 
 
 @dataclass(frozen=True)
@@ -98,13 +97,10 @@ class WorkloadGenerator:
         )
         self.records_produced = 0
         self._sequence = 0
-        # The key-string table (a key is drawn as an index into it) and the
-        # columnar path's key -> partition map, invalidated when the topic's
-        # partition count changes.
+        # The key-string table (a key is drawn as an index into it).
         self._key_strings = [
             f"{key_prefix}-{i}" for i in range(key_space)
         ]
-        self._partition_cache: tuple = (-1, {})
 
     @property
     def interarrival_ms(self) -> float:
@@ -206,8 +202,9 @@ class WorkloadGenerator:
         """Columnar twin of :meth:`produce_for`: the same record stream
         (key distribution, rate, lateness model, creation stamps), built as
         whole columns and handed to :meth:`Producer.send_columns` — one
-        bulk rng draw for the keys, one memoized partition hash per
-        distinct key, and one clock advance for the whole slice, where
+        bulk rng draw for the keys, each key routed through the cluster's
+        key memo (:meth:`Cluster.route_of`), and one clock advance for the
+        whole slice, where
         :meth:`produce_for` stops at every timer deadline. (The rng
         consumption differs from the scalar path, so a given seed yields
         different — equally distributed — keys.)
@@ -243,20 +240,14 @@ class WorkloadGenerator:
         values = [value_fn(rng, sequence + i) for i in range(n)]
         headers = [{CREATED_AT_HEADER: created} for created in times]
 
-        num_partitions = self.cluster.topic_metadata(self.topic).num_partitions
-        pcache_partitions, pcache = self._partition_cache
-        if pcache_partitions != num_partitions:
-            pcache = {}
-            self._partition_cache = (num_partitions, pcache)
-        pcache_get = pcache.get
+        # Every key is a str of ``_key_strings``, so each may index the memo.
+        memo = self.cluster.route_of(self.topic)[1]
         buckets: dict = {}
         buckets_get = buckets.get
         for key, value, event_time, hdrs in zip(
             keys, values, event_times, headers
         ):
-            partition = pcache_get(key)
-            if partition is None:
-                partition = pcache[key] = partition_for(key, num_partitions)
+            partition = memo[key].partition
             bucket = buckets_get(partition)
             if bucket is None:
                 bucket = buckets[partition] = ([], [], [], [])

@@ -1,25 +1,33 @@
 """Client routing: the cluster is the only routing truth.
 
-Producer and consumer ask the cluster who leads a partition at every RPC;
-the one thing the producer keeps is a per-topic table of
-``TopicPartition``s (so that ``send`` builds none per record), dropped
-whenever the cluster's metadata epoch moves. A leader failover or a
-repartitioned topic — both bump the epoch — must never be served stale.
+Producer and consumer ask the cluster who leads a partition at every RPC.
+The routing a producer uses is the cluster's own: ``Cluster.route_of``
+keeps, per topic, a table of ``TopicPartition``s (so that ``send`` builds
+none per record) and a key -> ``TopicPartition`` memo (so that a key is
+hashed once), shared by every producer and Streams sink on that cluster
+and dropped whenever the cluster's metadata epoch moves. A leader failover
+or a repartitioned topic — both bump the epoch — must never be served
+stale, and no memo outlives its cluster or serves another one.
 """
+
+from collections import Counter
 
 import pytest
 
+from repro import util
+from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
 from repro.clients.admin import AdminClient
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
-from repro.config import ConsumerConfig, ProducerConfig
+from repro.config import ConsumerConfig, ProducerConfig, StreamsConfig
 from repro.errors import (
     InvalidTxnStateError,
     KafkaError,
     UnknownTopicOrPartitionError,
 )
 from repro.sim.failures import FailureInjector
+from repro.streams import KafkaStreams, StreamsBuilder
 from repro.util import partition_for
 
 
@@ -202,3 +210,82 @@ class TestPartitionTable:
         t.init_transactions()
         with pytest.raises(InvalidTxnStateError):
             t.send(topic, key="k", value=3)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Counts, per value, the hashes the default partitioner computes."""
+    counts = Counter()
+    stable_hash = util.stable_hash
+
+    def counting(value):
+        counts[value] += 1
+        return stable_hash(value)
+
+    monkeypatch.setattr(util, "stable_hash", counting)
+    return counts
+
+
+def passthrough_app(cluster):
+    """A Streams app whose sink routes ``in``'s records onto ``out`` by key."""
+    builder = StreamsBuilder()
+    builder.stream("in").to("out")
+    app = KafkaStreams(builder.build(), cluster, StreamsConfig(application_id="pass"))
+    app.start(1)
+    return app
+
+
+class TestOneMemoPerCluster:
+    """Every producer and Streams sink on a cluster routes through the
+    cluster's one key memo; a metadata-epoch move drops it for all of them,
+    and another cluster keeps its own."""
+
+    KEY = "user-42"
+
+    def route_everywhere(self, cluster, app, count, hashed):
+        """Send ``KEY`` to ``out`` from two producers and through the sink;
+        each must land on ``partition_for(KEY, count)``. Returns how often
+        the clients hashed ``KEY`` to get there."""
+        want = TopicPartition("out", partition_for(self.KEY, count))
+        before = hashed[self.KEY]
+        for client in ("first", "second"):
+            producer = Producer(cluster, ProducerConfig(client_id=client))
+            assert producer.send("out", key=self.KEY, value=client) == want
+            producer.flush()
+        feeder = Producer(cluster)
+        feeder.send("in", key=self.KEY, value="sink", partition=0)
+        feeder.flush()
+        app.run_until_idle()
+        log = cluster.partition_state(want).leader_log()
+        assert [r.value for r in log.records()][-3:] == ["first", "second", "sink"]
+        return hashed[self.KEY] - before
+
+    def test_producers_and_a_sink_hash_a_key_once(self, fast_cluster, hashed):
+        fast_cluster.create_topic("in", 1)
+        fast_cluster.create_topic("out", 4)
+        app = passthrough_app(fast_cluster)
+        assert self.route_everywhere(fast_cluster, app, 4, hashed) == 1
+
+    def test_create_partitions_drops_the_memo_for_all(self, fast_cluster, hashed):
+        fast_cluster.create_topic("in", 1)
+        fast_cluster.create_topic("out", 4)
+        app = passthrough_app(fast_cluster)
+        assert self.route_everywhere(fast_cluster, app, 4, hashed) == 1
+        table, memo = fast_cluster.route_of("out")
+        AdminClient(fast_cluster).create_partitions("out", 9)
+        assert self.route_everywhere(fast_cluster, app, 9, hashed) == 1
+        new_table, new_memo = fast_cluster.route_of("out")
+        assert (len(table), len(new_table)) == (4, 9)
+        assert new_memo is not memo
+
+    def test_a_second_cluster_never_shares_the_memo(self, hashed):
+        first, second = Cluster(num_brokers=1, seed=7), Cluster(num_brokers=1, seed=7)
+        first.create_topic("t", 2)
+        second.create_topic("t", 5)
+        want = {first: partition_for(self.KEY, 2), second: partition_for(self.KEY, 5)}
+        hashed.clear()
+        for cluster in (first, second, first, second):
+            tp = Producer(cluster).send("t", key=self.KEY, value=0)
+            assert tp == TopicPartition("t", want[cluster])
+        assert first.route_of("t")[1] is not second.route_of("t")[1]
+        assert hashed[self.KEY] == 2                 # once on each cluster

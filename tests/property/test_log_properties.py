@@ -1,5 +1,6 @@
 """Property-based tests on the log layer's core invariants."""
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.broker.partition import PartitionState
@@ -283,7 +284,7 @@ FRACTIONS = st.floats(min_value=0.0, max_value=1.0)
 MODEL_OPS = st.tuples(
     st.sampled_from(
         ["append"] * 6 + ["marker"] * 4 + ["sync"] * 3 + ["delete"] * 2
-        + ["retry", "bump", "truncate", "reset", "compact"]
+        + ["retry"] * 2 + ["gap", "bump", "truncate", "reset", "compact"]
     ),
     st.sampled_from(
         ["plain", "idempotent", "transactional", "transactional", "sequence-less"]
@@ -321,15 +322,36 @@ MODEL_OPS = st.tuples(
     ],
     windows=[(0.0, 0.0, 1), (0.0, 0.0, 1)],
 )
+@example(
+    # One producer's seven batches in one epoch: a retry of any of the last
+    # five is a duplicate (the latest, one record long, starts at the
+    # producer's last sequence), one of an older batch is out of order, and
+    # so is a batch that skips a sequence number.
+    ops=[("append", "idempotent", 1, 2, False, False, 0.0)] * 6 + [
+        ("append", "idempotent", 1, 1, False, False, 0.0),
+        ("retry", "plain", 1, 1, False, False, 0.0),
+        ("retry", "plain", 1, 1, False, False, 0.25),
+        ("retry", "plain", 1, 1, False, False, 0.3),
+        ("retry", "plain", 1, 1, False, False, 1.0),
+        ("gap", "plain", 1, 1, False, False, 0.0),
+        ("append", "idempotent", 1, 1, True, False, 0.0),
+    ],
+    windows=[(0.0, 1.0, 12), (0.5, 0.5, 3)],
+)
 def test_stored_batch_log_equals_the_per_record_model(ops, windows):
-    """Slab and scalar appends, markers, retries, epoch bumps, cuts inside
-    batches, compaction and follower syncs in any order: every scalar
-    accessor of the leader and of the follower reads exactly what a flat
-    per-record log would hold."""
+    """Slab and scalar appends, markers, retries, sequence gaps, epoch
+    bumps, cuts inside batches, compaction and follower syncs in any order:
+    every scalar accessor of the leader and of the follower reads exactly
+    what a flat per-record log would hold. A retry of one of a producer's
+    last five batches is a duplicate with the original offsets; a retry of
+    an older batch, or a batch that skips a sequence number, is refused as
+    out of order."""
     leader, follower = PartitionLog("leader"), PartitionLog("follower")
     models = {id(leader): FlatLog(), id(follower): FlatLog()}
     epochs = {pid: 0 for pid in (1, 2, 3)}
-    last_sent = {}
+    # pid -> (batch, result) of every sequenced batch it appended since its
+    # last marker or epoch bump, oldest first.
+    sent = {}
     value = 0
     for name, kind, pid, size, flag, other, fraction in ops:
         lead = models[id(leader)]
@@ -360,26 +382,38 @@ def test_stored_batch_log_equals_the_per_record_model(ops, windows):
             lead.append(columns, *header)
             assert result.last_offset == lead.end - 1
             if sequence >= 0:
-                last_sent[pid] = (batch, result)
-        elif name == "retry" and pid in last_sent:
-            batch, first = last_sent[pid]
-            try:
+                sent.setdefault(pid, []).append((batch, result))
+        elif name == "retry" and sent.get(pid):
+            history = sent[pid]
+            index = min(int(fraction * len(history)), len(history) - 1)
+            batch, first = history[index]
+            if len(history) - index > 5:              # older than the cache
+                with pytest.raises(OutOfOrderSequenceError):
+                    leader.append_batch(batch)
+            else:
                 retry = leader.append_batch(batch)
-            except (InvalidProducerEpochError, OutOfOrderSequenceError):
-                continue                              # fenced, or out of the cache
-            assert retry.duplicate
-            assert (retry.base_offset, retry.last_offset) == (
-                first.base_offset, first.last_offset
+                assert retry.duplicate
+                assert (retry.base_offset, retry.last_offset) == (
+                    first.base_offset, first.last_offset
+                )
+        elif name == "gap" and sent.get(pid):
+            last = sent[pid][-1][0]
+            base = last.base_sequence + len(last.keys) + 1
+            gap = ColumnarSlab(
+                ["k"] * size, [0] * size, [0.0] * size, [{}] * size,
+                pid, epochs[pid], base, last.is_transactional,
             )
+            with pytest.raises(OutOfOrderSequenceError):
+                leader.append_batch(gap)
         elif name == "marker":
             epochs[pid] += other
             marker = (COMMIT_MARKER if flag else ABORT_MARKER, pid, epochs[pid], 7.0)
             assert leader.append_marker(*marker) == lead.end
             lead.marker(*marker)
-            last_sent.pop(pid, None)
+            sent.pop(pid, None)
         elif name == "bump":
             epochs[pid] += 1
-            last_sent.pop(pid, None)
+            sent.pop(pid, None)
         elif name == "sync":
             leader.high_watermark = lead.hw = lead.end
             PartitionState._sync_follower(follower, leader)
