@@ -7,7 +7,6 @@ Figure 5.b.
 """
 
 from repro.barriers.object_store import ObjectStore
-from repro.barriers.checkpoint import Barrier, BarrierAligner
 from repro.barriers.engine import BarrierEngine
 
-__all__ = ["ObjectStore", "Barrier", "BarrierAligner", "BarrierEngine"]
+__all__ = ["ObjectStore", "BarrierEngine"]

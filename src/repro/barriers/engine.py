@@ -18,11 +18,11 @@ sink. Exactly-once is achieved the way the paper describes for Flink
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
-from repro.barriers.checkpoint import CheckpointMetadata
 from repro.barriers.object_store import ObjectStore
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
@@ -35,6 +35,16 @@ PROCESS_COST_MS_PER_RECORD = 0.008
 
 # reduce_fn(key, value, state_value_or_None) -> new_state_value
 ReduceFn = Callable[[Any, Any, Optional[Any]], Any]
+
+
+@dataclass
+class CheckpointMetadata:
+    """A completed checkpoint: enough to restore the engine."""
+
+    checkpoint_id: int
+    state_path: str
+    source_offsets: Dict[Any, int] = field(default_factory=dict)
+    completed_at_ms: float = 0.0
 
 
 class BarrierEngine:

@@ -201,6 +201,3 @@ class QueryUnavailableError(QueryError):
 
     retriable = False
 
-
-class SerializationError(StreamsError):
-    """A record key or value could not be (de)serialized."""

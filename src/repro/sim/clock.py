@@ -24,12 +24,11 @@ class SimClock:
 
     Timers fire (in timestamp order) whenever the clock is advanced past
     their deadline. They are used for transaction timeouts, group session
-    timeouts, streams commit intervals, punctuations, and checkpoint
-    intervals.
+    timeouts, streams commit intervals and checkpoint intervals.
 
     Timers come in two flavours. *Wake* timers (the default) represent
     deadlines after which new work becomes possible — a commit interval
-    elapsing, a punctuation firing, an async marker write landing — and are
+    elapsing, a checkpoint falling due, an async marker write landing — and are
     what :class:`~repro.sim.scheduler.Driver` jumps the clock to when every
     actor is idle. *Housekeeping* timers (``wake=False``) are defensive
     deadlines such as transaction timeouts and group session expiry: they

@@ -10,8 +10,8 @@ deterministic timeline.
 The :class:`Driver` replaces those loops with standard discrete-event
 scheduling. *Actors* (duck-typed: ``poll() -> int`` records processed, plus
 an optional ``flush()`` for end-of-run commits) register with the driver;
-time-driven behaviour (commit intervals, punctuations, checkpoint
-intervals, async marker writes) registers *wake* timers on the shared
+time-driven behaviour (commit intervals, checkpoint intervals, async
+marker writes) registers *wake* timers on the shared
 :class:`~repro.sim.clock.SimClock`. One driver cycle polls every actor;
 when all of them report no progress the driver flushes pending work and
 jumps the clock directly to the next wake deadline instead of creeping
@@ -132,7 +132,7 @@ class Driver:
         Each cycle polls every actor. When a full cycle processes nothing,
         the driver flushes (commits buffered input downstream) and re-polls;
         if still nothing, it jumps the clock to the next wake deadline —
-        a pending commit interval, punctuation, or in-flight marker write —
+        a pending commit interval, checkpoint, or in-flight marker write —
         and tries again. After ``idle_jump_limit`` consecutive unproductive
         jumps (or when no wake deadline exists) the run concludes with a
         final flush/poll/flush pass so deferred speculative commits and

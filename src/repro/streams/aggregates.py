@@ -20,7 +20,6 @@ from typing import Any, Callable, Optional
 
 from repro.streams.processor import Processor
 from repro.streams.records import Change, ColumnChunk, StreamRecord
-from repro.streams.state.cache import StoreCache
 from repro.streams.windows import TimeWindows, Window, Windowed
 
 Initializer = Callable[[], Any]
@@ -34,56 +33,40 @@ _ABSENT = object()
 
 
 class StreamAggregateProcessor(Processor):
-    """Non-windowed aggregation of a grouped stream into a table.
-
-    Optionally caches writes: with a cache, consecutive updates to one key
-    within a commit interval consolidate into a single changelog append and
-    a single downstream Change.
-    """
+    """Non-windowed aggregation of a grouped stream into a table."""
 
     def __init__(
         self,
         store_name: str,
         initializer: Initializer,
         aggregator: Aggregator,
-        cache_entries: int = 0,
     ) -> None:
         self._store_name = store_name
         self._initializer = initializer
         self._aggregator = aggregator
-        self._cache_entries = cache_entries
-        self._cache: Optional[StoreCache] = None
         self.records_processed = 0
 
     def init(self, context) -> None:
         super().init(context)
         self._store = context.state_store(self._store_name)
-        if self._cache_entries > 0:
-            self._cache = StoreCache(self._cache_entries, self._emit)
 
     def process(self, record: StreamRecord) -> None:
         self.records_processed += 1
         key = record.key
         if key is None:
             return
-        if self._cache is not None and self._cache.contains(key):
-            old = self._cache.get(key)
-        else:
-            old = self._store.get(key)
+        old = self._store.get(key)
         base = old if old is not None else self._initializer()
         new = self._aggregator(key, record.value, base)
-        if self._cache is not None:
-            self._cache.put(key, new, old, record.timestamp, record.headers)
-        else:
-            self._store.put(key, new)
-            self.context.forward(
-                StreamRecord(
-                    key=key,
-                    value=Change(new, old),
-                    timestamp=record.timestamp,
-                    headers=record.headers,
-                )
+        self._store.put(key, new)
+        self.context.forward(
+            StreamRecord(
+                key=key,
+                value=Change(new, old),
+                timestamp=record.timestamp,
+                headers=record.headers,
             )
+        )
 
     def process_batch(self, chunk: ColumnChunk) -> None:
         """Grouped column scan: one store get per distinct key on first
@@ -91,11 +74,7 @@ class StreamAggregateProcessor(Processor):
         at chunk end. The emitted Change sequence is exactly what the
         scalar path would forward record by record; the key, timestamp
         and header columns (and the stream times) travel on by reference
-        when no key is null, and as the keyed positions otherwise. A cache
-        consolidates emissions across records, which is a per-record
-        protocol: with one, the chunk is walked through :meth:`process`."""
-        if self._cache is not None:
-            return super().process_batch(chunk)
+        when no key is null, and as the keyed positions otherwise."""
         keys = chunk.keys
         self.records_processed += len(keys)
         store_get = self._store.get
@@ -131,21 +110,6 @@ class StreamAggregateProcessor(Processor):
             )
         self.context.forward_chunk(chunk.with_values(changes))
 
-    def _emit(self, key: Any, new: Any, old: Any, timestamp: float, headers) -> None:
-        self._store.put(key, new)
-        self.context.forward(
-            StreamRecord(
-                key=key,
-                value=Change(new, old),
-                timestamp=timestamp,
-                headers=headers,
-            )
-        )
-
-    def on_commit(self) -> None:
-        if self._cache is not None:
-            self._cache.flush()
-
 
 class WindowedAggregateProcessor(Processor):
     """Windowed aggregation with per-operator grace period.
@@ -164,14 +128,11 @@ class WindowedAggregateProcessor(Processor):
         windows: TimeWindows,
         initializer: Initializer,
         aggregator: Aggregator,
-        cache_entries: int = 0,
     ) -> None:
         self._store_name = store_name
         self._windows = windows
         self._initializer = initializer
         self._aggregator = aggregator
-        self._cache_entries = cache_entries
-        self._cache: Optional[StoreCache] = None
         self.records_processed = 0
         self.dropped_records = 0
         self.revisions_emitted = 0
@@ -182,8 +143,6 @@ class WindowedAggregateProcessor(Processor):
     def init(self, context) -> None:
         super().init(context)
         self._store = context.state_store(self._store_name)
-        if self._cache_entries > 0:
-            self._cache = StoreCache(self._cache_entries, self._emit_windowed)
 
     def process_batch(self, chunk: ColumnChunk) -> None:
         """Grouped column scan over windowed updates.
@@ -197,10 +156,7 @@ class WindowedAggregateProcessor(Processor):
         (key, window) in a single ``put_many`` at chunk end; the trailing
         ``expire_before`` with the final bound removes the same windows the
         scalar path's monotonically increasing per-record calls would have.
-        A caching aggregate walks the chunk through :meth:`process`.
         """
-        if self._cache is not None:
-            return super().process_batch(chunk)
         keys = chunk.keys
         self.records_processed += len(keys)
         windows = self._windows
@@ -288,46 +244,22 @@ class WindowedAggregateProcessor(Processor):
 
     def _update_window(self, record: StreamRecord, window: Window) -> None:
         key = record.key
-        cache_key = (key, window.start)
-        if self._cache is not None and self._cache.contains(cache_key):
-            old = self._cache.get(cache_key)
-        else:
-            old = self._store.fetch(key, window.start)
+        old = self._store.fetch(key, window.start)
         base = old if old is not None else self._initializer()
         new = self._aggregator(key, record.value, base)
         if old is not None:
             # Every update after a window's first emission revises a
             # previously emitted result.
             self.revisions_emitted += 1
-        if self._cache is not None:
-            self._cache.put(cache_key, new, old, record.timestamp, record.headers)
-        else:
-            self._store.put(key, window.start, new)
-            self.context.forward(
-                StreamRecord(
-                    key=Windowed(key, window),
-                    value=Change(new, old),
-                    timestamp=record.timestamp,
-                    headers=record.headers,
-                )
-            )
-
-    def _emit_windowed(self, cache_key, new, old, timestamp: float, headers) -> None:
-        key, window_start = cache_key
-        window = Window(window_start, window_start + self._windows.size_ms)
-        self._store.put(key, window_start, new)
+        self._store.put(key, window.start, new)
         self.context.forward(
             StreamRecord(
                 key=Windowed(key, window),
                 value=Change(new, old),
-                timestamp=timestamp,
-                headers=headers,
+                timestamp=record.timestamp,
+                headers=record.headers,
             )
         )
-
-    def on_commit(self) -> None:
-        if self._cache is not None:
-            self._cache.flush()
 
 
 def count_initializer() -> int:

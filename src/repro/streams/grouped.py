@@ -42,12 +42,10 @@ class KGroupedStream:
             return SessionWindowedKStream(self, windows)
         return TimeWindowedKStream(self, windows)
 
-    def count(
-        self, store_name: Optional[str] = None, cache_entries: int = 0
-    ) -> "KTable":
+    def count(self, store_name: Optional[str] = None) -> "KTable":
         """Running count per key, as an evolving table."""
         return self.aggregate(
-            count_initializer, count_aggregator, store_name, cache_entries,
+            count_initializer, count_aggregator, store_name,
             prefix="KSTREAM-COUNT",
         )
 
@@ -55,14 +53,12 @@ class KGroupedStream:
         self,
         reducer: Callable[[Any, Any], Any],
         store_name: Optional[str] = None,
-        cache_entries: int = 0,
     ) -> "KTable":
         """Combine values per key with ``reducer(aggregate, value)``."""
         return self.aggregate(
             reduce_initializer,
             reduce_adapter(reducer),
             store_name,
-            cache_entries,
             prefix="KSTREAM-REDUCE",
         )
 
@@ -71,7 +67,6 @@ class KGroupedStream:
         initializer: Callable[[], Any],
         aggregator: Callable[[Any, Any, Any], Any],
         store_name: Optional[str] = None,
-        cache_entries: int = 0,
         prefix: str = "KSTREAM-AGGREGATE",
     ) -> "KTable":
         """General aggregation: ``aggregator(key, value, aggregate)``."""
@@ -83,9 +78,7 @@ class KGroupedStream:
         node = topo.unique_name(prefix)
         topo.add_processor(
             node,
-            lambda: StreamAggregateProcessor(
-                store, initializer, aggregator, cache_entries
-            ),
+            lambda: StreamAggregateProcessor(store, initializer, aggregator),
             parents=[self.node],
             stores=[store],
         )
@@ -104,12 +97,10 @@ class TimeWindowedKStream:
         self._grouped = grouped
         self.windows = windows
 
-    def count(
-        self, store_name: Optional[str] = None, cache_entries: int = 0
-    ) -> "KTable":
+    def count(self, store_name: Optional[str] = None) -> "KTable":
         """Windowed count (the Figure 2 pageview example)."""
         return self.aggregate(
-            count_initializer, count_aggregator, store_name, cache_entries,
+            count_initializer, count_aggregator, store_name,
             prefix="KSTREAM-WINDOWED-COUNT",
         )
 
@@ -117,13 +108,11 @@ class TimeWindowedKStream:
         self,
         reducer: Callable[[Any, Any], Any],
         store_name: Optional[str] = None,
-        cache_entries: int = 0,
     ) -> "KTable":
         return self.aggregate(
             reduce_initializer,
             reduce_adapter(reducer),
             store_name,
-            cache_entries,
             prefix="KSTREAM-WINDOWED-REDUCE",
         )
 
@@ -132,7 +121,6 @@ class TimeWindowedKStream:
         initializer: Callable[[], Any],
         aggregator: Callable[[Any, Any, Any], Any],
         store_name: Optional[str] = None,
-        cache_entries: int = 0,
         prefix: str = "KSTREAM-WINDOWED-AGGREGATE",
     ) -> "KTable":
         from repro.streams.ktable import KTable
@@ -150,7 +138,7 @@ class TimeWindowedKStream:
         topo.add_processor(
             node,
             lambda: WindowedAggregateProcessor(
-                store, windows, initializer, aggregator, cache_entries
+                store, windows, initializer, aggregator
             ),
             parents=[self._grouped.node],
             stores=[store],

@@ -11,55 +11,13 @@ without incurring any network overhead").
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import StateStoreError
 from repro.streams.records import ColumnChunk, StreamRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streams.runtime.task import StreamTask
-
-
-PUNCTUATION_STREAM_TIME = "stream_time"
-PUNCTUATION_WALL_CLOCK = "wall_clock"
-
-
-class Punctuation:
-    """A scheduled recurring callback (Processor API ``schedule``)."""
-
-    def __init__(
-        self, interval_ms: float, punctuation_type: str, callback
-    ) -> None:
-        if interval_ms <= 0:
-            raise ValueError("punctuation interval must be positive")
-        if punctuation_type not in (PUNCTUATION_STREAM_TIME, PUNCTUATION_WALL_CLOCK):
-            raise ValueError(f"unknown punctuation type: {punctuation_type!r}")
-        self.interval_ms = interval_ms
-        self.punctuation_type = punctuation_type
-        self.callback = callback
-        self.next_fire: Optional[float] = None
-        self.cancelled = False
-        self.fired = 0
-
-    def cancel(self) -> None:
-        self.cancelled = True
-
-    def maybe_fire(self, now: float) -> bool:
-        """Fire (possibly repeatedly, catching up) if ``now`` passed the
-        deadline; returns whether anything fired."""
-        if self.cancelled:
-            return False
-        if self.next_fire is None:
-            self.next_fire = now + self.interval_ms
-            return False
-        fired = False
-        while now >= self.next_fire and not self.cancelled:
-            fire_at = self.next_fire
-            self.next_fire += self.interval_ms
-            self.fired += 1
-            fired = True
-            self.callback(fire_at)
-        return fired
 
 
 class Processor:
@@ -93,22 +51,11 @@ class Processor:
             context._position_time = None
 
     def on_commit(self) -> None:
-        """Hook invoked when the owning task commits (flush caches etc.)."""
+        """Hook invoked when the owning task commits, inside its
+        transaction; what it forwards commits with it."""
 
     def close(self) -> None:
         """Hook invoked when the owning task closes."""
-
-
-class ForwardingProcessor(Processor):
-    """Convenience base for stateless one-in-N-out processors built from a
-    function returning zero or more output records."""
-
-    def __init__(self, fn: Callable[[StreamRecord], List[StreamRecord]]):
-        self._fn = fn
-
-    def process(self, record: StreamRecord) -> None:
-        for out in self._fn(record):
-            self.context.forward(out)
 
 
 class FusedStatelessProcessor(Processor):
@@ -330,8 +277,7 @@ class ProcessorContext:
     def drain(self) -> None:
         """Pass on what :meth:`forward` collected, one chunk per target in
         first-forward order. Called by the runtime after every call into
-        the processor that may forward (``process_batch``, ``on_commit``,
-        a punctuation)."""
+        the processor that may forward (``process_batch``, ``on_commit``)."""
         pending = self._pending
         if pending:
             self._pending = {}
@@ -357,23 +303,6 @@ class ProcessorContext:
                 f"{self.node_name}: store {name!r} not connected to this node"
             )
         return self._task.state_store(name)
-
-    # -- punctuation ---------------------------------------------------------------
-
-    def schedule(
-        self, interval_ms: float, punctuation_type: str, callback
-    ) -> Punctuation:
-        """Register a recurring callback on stream time or wall-clock time
-        (the Processor API's ``schedule``). ``callback(timestamp)`` may
-        forward records through this context."""
-
-        def fire(timestamp: float) -> None:
-            callback(timestamp)
-            self.drain()
-
-        punctuation = Punctuation(interval_ms, punctuation_type, fire)
-        self._task.register_punctuation(punctuation)
-        return punctuation
 
     # -- metadata -----------------------------------------------------------------
 

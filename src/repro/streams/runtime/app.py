@@ -263,10 +263,10 @@ class KafkaStreams:
 
         Discrete-event semantics: when a cycle processes nothing, pending
         work is committed and the clock jumps straight to the next due
-        timer (commit interval, punctuation, in-flight transaction
-        markers) instead of creeping forward in 1 ms idle ticks. Always
-        finishes with commits on every instance so all outputs are visible
-        to read-committed consumers.
+        timer (commit interval, in-flight transaction markers) instead of
+        creeping forward in 1 ms idle ticks. Always finishes with commits
+        on every instance so all outputs are visible to read-committed
+        consumers.
         """
         return self._driver.run_until_idle(max_cycles=max_steps)
 

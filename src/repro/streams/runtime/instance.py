@@ -119,8 +119,6 @@ class StreamsInstance:
         # deadline instead of creeping toward it 1 ms at a time.
         self._commit_due = False
         self._commit_timer = None
-        # Wake timer for the earliest wall-clock punctuation across tasks.
-        self._punct_timer = None
         # Global tables: one full local replica per instance.
         from repro.streams.global_table import GlobalStateStore
 
@@ -324,14 +322,11 @@ class StreamsInstance:
                 for producer in self._all_producers():
                     if producer._in_transaction:
                         producer.flush()
-            now = self.cluster.clock.now
-            for task in self.tasks.values():
-                task.punctuate_wall_clock(now)
             for standby in self.standby_tasks.values():
                 standby.update()
             if self._commit_interval_elapsed():
                 self.commit()
-            self._arm_timers()
+            self._arm_commit_timer()
             return processed + restored
         except TaskMigratedError:
             self._handle_migration()
@@ -575,10 +570,10 @@ class StreamsInstance:
             for p in self._all_producers()
         )
 
-    def _arm_timers(self) -> None:
-        """(Re-)register this instance's next deadlines as wake timers.
+    def _arm_commit_timer(self) -> None:
+        """(Re-)register this instance's commit deadline as a wake timer.
 
-        Called at the end of every step. The commit timer is armed only
+        Called at the end of every step. The timer is armed only
         while there is uncommitted work — an idle instance has nothing to
         commit, so arming would just keep an idle driver spinning through
         empty commit intervals.
@@ -597,33 +592,10 @@ class StreamsInstance:
             self._commit_timer.cancel()
             self._commit_timer = None
 
-        deadline = None
-        for task in self.tasks.values():
-            fire = task.next_wall_punctuation()
-            if fire is not None and (deadline is None or fire < deadline):
-                deadline = fire
-        timer = self._punct_timer
-        if deadline is None:
-            if timer is not None:
-                timer.cancel()
-                self._punct_timer = None
-            return
-        if timer is None or timer.fired or timer.cancelled or timer.deadline != deadline:
-            if timer is not None:
-                timer.cancel()
-            # The callback is empty: the timer exists so the driver jumps
-            # to the punctuation deadline; the next step() then fires the
-            # punctuator at its exact scheduled time.
-            self._punct_timer = clock.schedule(
-                max(0.0, deadline - clock.now), lambda: None
-            )
-
-    def _cancel_timers(self) -> None:
-        for attr in ("_commit_timer", "_punct_timer"):
-            timer = getattr(self, attr)
-            if timer is not None:
-                timer.cancel()
-                setattr(self, attr, None)
+    def _cancel_commit_timer(self) -> None:
+        if self._commit_timer is not None:
+            self._commit_timer.cancel()
+            self._commit_timer = None
         self._commit_due = False
 
     # -- commit ---------------------------------------------------------------------------------
@@ -830,7 +802,7 @@ class StreamsInstance:
         for producer in self._all_producers():
             producer.close()
         self.consumer.close()
-        self._cancel_timers()
+        self._cancel_commit_timer()
         self._go_down()
 
     def crash(self) -> None:
@@ -842,4 +814,4 @@ class StreamsInstance:
         for task_id in self.tasks:
             self.app.note_task_closed(task_id, self._last_commit_ms)
         self._drop_all_tasks()
-        self._cancel_timers()
+        self._cancel_commit_timer()

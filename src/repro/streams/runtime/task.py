@@ -13,7 +13,6 @@ replaying its changelogs (see :mod:`repro.streams.runtime.restore`).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro.broker.partition import TopicPartition
@@ -25,12 +24,7 @@ from repro.obs.stages import (
     PROCESSED_AT_HEADER,
 )
 from repro.obs.tracer import TRACE_ID_HEADER
-from repro.streams.processor import (
-    PUNCTUATION_STREAM_TIME,
-    PUNCTUATION_WALL_CLOCK,
-    Processor,
-    ProcessorContext,
-)
+from repro.streams.processor import Processor, ProcessorContext
 from repro.streams.records import ColumnChunk
 from repro.streams.runtime.record_queue import PartitionGroup
 from repro.streams.runtime.restore import restore_store
@@ -126,7 +120,6 @@ class StreamTask:
 
         self._stores: Dict[str, Any] = {}
         self._build_stores()
-        self._punctuations: List[Any] = []
         self._processors: Dict[str, Processor] = {}
         self._build_processors()
         self._batch_fastpath = cluster.metrics.counter(
@@ -346,11 +339,7 @@ class StreamTask:
         Stream time is published to the task only after a chunk is
         dispatched; processors see finer-grained stream time per position
         (``ColumnChunk.stream_times_from``, ``context.stream_time`` inside
-        ``Processor.process``). A stream-time punctuation is a chunk
-        boundary: the run is cut after the first position whose stream
-        time reaches the earliest deadline — after the first position while
-        a punctuation is still unarmed — so punctuators are armed and fire
-        exactly where they would when processing record by record.
+        ``Processor.process``).
         """
         if self._pending_restores:
             return 0
@@ -359,31 +348,7 @@ class StreamTask:
             return 0
         tp, chunk, last_offset = item
         count = len(chunk)
-        children = self._source_children[tp.topic]
-        stream_times = None
-        start = 0
-        while start < count:
-            end = count
-            due = self._next_punctuation(
-                PUNCTUATION_STREAM_TIME, unarmed=float("-inf")
-            )
-            if due is not None:
-                if stream_times is None:
-                    stream_times = chunk.stream_times_from(self.stream_time)
-                end = min(count, bisect_left(stream_times, due, start) + 1)
-            if end - start == count:
-                part = chunk
-            else:
-                part = ColumnChunk(
-                    chunk.keys[start:end],
-                    chunk.values[start:end],
-                    chunk.timestamps[start:end],
-                    chunk.headers[start:end],
-                    fetched_at=chunk.fetched_at,
-                )
-            self._dispatch(tp, children, part)
-            self._punctuate(PUNCTUATION_STREAM_TIME, self.stream_time)
-            start = end
+        self._dispatch(tp, self._source_children[tp.topic], chunk)
         self._consumed[tp] = last_offset + 1
         self.records_processed += count
         if self.first_process_listener is not None:
@@ -459,45 +424,14 @@ class StreamTask:
             chunk.timestamps, headers, node.partitioner,
         )
 
-    def punctuate_wall_clock(self, now_ms: float) -> None:
-        """Fire wall-clock punctuators (called by the instance's loop)."""
-        self._punctuate(PUNCTUATION_WALL_CLOCK, now_ms)
-
-    def register_punctuation(self, punctuation) -> None:
-        self._punctuations.append(punctuation)
-
-    def _punctuate(self, punctuation_type: str, now: float) -> None:
-        if self._pending_restores:
-            return
-        for punctuation in self._punctuations:
-            if punctuation.punctuation_type == punctuation_type:
-                punctuation.maybe_fire(now)
-
-    def _next_punctuation(
-        self, punctuation_type: str, unarmed: Optional[float] = None
-    ) -> Optional[float]:
-        """Earliest deadline among the live punctuations of one type, None
-        without one; a punctuation its first ``maybe_fire`` has yet to arm
-        counts as due at ``unarmed`` (not at all, by default)."""
-        best: Optional[float] = None
-        for punctuation in self._punctuations:
-            if (
-                punctuation.punctuation_type != punctuation_type
-                or punctuation.cancelled
-            ):
-                continue
-            fire = punctuation.next_fire
-            if fire is None:
-                fire = unarmed
-            if fire is not None and (best is None or fire < best):
-                best = fire
-        return best
-
     # -- commit hooks --------------------------------------------------------------------------
 
     def prepare_commit(self) -> None:
-        """Flush caches and suppression buffers (may forward more records),
-        then flush stores. Must run inside the ongoing transaction."""
+        """Run every processor's commit hook in topology order, handing on
+        what each forwards before the next one runs (a time-limited
+        suppress flushes its buffer, a stream-stream left join its expired
+        unmatched records), then flush stores. Must run inside the ongoing
+        transaction."""
         for processor in self._processors.values():
             processor.on_commit()
             processor.context.drain()
@@ -560,14 +494,6 @@ class StreamTask:
     def processors(self) -> Dict[str, Processor]:
         """Public view of the task's live processor nodes (metrics, tests)."""
         return dict(self._processors)
-
-    def next_wall_punctuation(self) -> Optional[float]:
-        """Earliest pending wall-clock punctuation deadline, or None.
-
-        Drivers register this as a wake timer so idle time jumps straight
-        to the next punctuation instead of creeping toward it.
-        """
-        return self._next_punctuation(PUNCTUATION_WALL_CLOCK)
 
     def close(self) -> None:
         for processor in self._processors.values():

@@ -3,7 +3,6 @@
 from repro.errors import TopologyError
 from repro.streams.state.kv_store import InMemoryKeyValueStore, KeyValueStore
 from repro.streams.state.window_store import InMemoryWindowStore, WindowStore
-from repro.streams.state.cache import StoreCache
 
 
 def create_store(spec):
@@ -22,5 +21,4 @@ __all__ = [
     "InMemoryKeyValueStore",
     "WindowStore",
     "InMemoryWindowStore",
-    "StoreCache",
 ]

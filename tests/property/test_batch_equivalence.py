@@ -17,13 +17,13 @@ modes, whose emissions depend on the stream time each record is processed
 at — including the advance made by records that were never forwarded to
 them.
 
-The walk itself — forward-and-drain, stream time per position, chunks cut
-at stream-time punctuations, the commit-flush cascade — has a reference
-too: ``ReferenceTask``, a test-side fold of the sub-topology over its input
-one record at a time through ``Processor.process`` alone. The cases at the
-end of the file (a scalar-only operator between vectorised ones, a
-punctuator, a caching aggregate, a speculative app whose upstream aborts)
-must equal it.
+The walk itself — forward-and-drain, stream time per position, the
+commit-flush cascade — has a reference too: ``ReferenceTask``, a test-side
+fold of the sub-topology over its input one record at a time through
+``Processor.process`` alone. The cases at the end of the file (a
+scalar-only operator between vectorised ones, two commit-time forwarders in
+a row committed once, a speculative app whose upstream aborts) must equal
+it.
 """
 
 from contextlib import nullcontext
@@ -40,8 +40,6 @@ from repro.config import (
     StreamsConfig,
 )
 from repro.streams import JoinWindows, KafkaStreams, StreamsBuilder
-from repro.streams.processor import PUNCTUATION_STREAM_TIME, Processor
-from repro.streams.records import StreamRecord
 from repro.streams.suppress import SuppressProcessor, Suppressed
 from repro.streams.windows import SessionWindows, TimeWindows
 
@@ -541,94 +539,90 @@ def test_stream_aggregates_with_null_keys_equal_fold(kind, events):
     assert_equals_walk_and_fold(build_stream_aggregate(kind), events)
 
 
-class Pulse(Processor):
-    """Tags every record with the stream time it was processed at and, on
-    a stream-time punctuation, reports how many records it has seen since
-    the last one — so a misplaced cut, a stale stream time or a forward
-    handed on late each change the output."""
-
-    def __init__(self, interval_ms):
-        self._interval_ms = interval_ms
-        self.seen = 0
-
-    def init(self, context):
-        super().init(context)
-        context.schedule(self._interval_ms, PUNCTUATION_STREAM_TIME, self.tick)
-
-    def process(self, record):
-        self.seen += 1
-        self.context.forward(
-            record.with_value((record.value, self.context.stream_time))
-        )
-
-    def tick(self, fire_at):
-        self.context.forward(
-            StreamRecord(
-                "tick", (fire_at, self.seen, self.context.stream_time), fire_at
-            )
-        )
-        self.seen = 0
-
-
-def build_pulse():
-    """Two punctuators on different periods, the second counting what the
-    first forwards (its ticks included), then a vectorised operator."""
-    builder = StreamsBuilder()
-    (
-        builder.stream("input")
-        .process(lambda: Pulse(30.0))
-        .process(lambda: Pulse(45.0))
-        .map_values(lambda tagged: tagged)
-        .to("output")
-    )
-    return builder.build()
-
-
-@given(workloads())
-@settings(max_examples=15, deadline=None)
-def test_stream_time_punctuator_cuts_chunks_where_records_would_fire_it(events):
-    """Fire times, the records seen between fires and the order of ticks
-    among the forwarded records equal the per-record fold."""
-    assert_equals_walk_and_fold(build_pulse, events)
-
-
-def build_cached_count_time_limited():
-    """A caching count (evictions forward mid-chunk, the rest at commit)
-    feeding a time-limited suppress, which must see that commit flush
-    before its own."""
+def build_suppress_chain():
+    """Two time-limited suppresses in a row: at a commit the first one's
+    flush feeds the second one's buffer, which must flush it in the same
+    commit."""
     builder = StreamsBuilder()
     (
         builder.stream("input")
         .group_by_key()
-        .count(store_name="counts", cache_entries=2)
+        .count(store_name="counts")
         .suppress(Suppressed.until_time_limit(30.0))
+        .suppress(Suppressed.until_time_limit(45.0))
         .to_stream()
         .to("output")
     )
     return builder.build()
 
 
-def build_cached_windowed_count():
+def build_left_join_suppress():
+    """A stream-stream left join feeding a count and a suppress whose time
+    limit no workload reaches, so only a commit flushes it. The left side's
+    commit hook emits its unmatched records whose window has closed; the
+    left side is the table-update stream here, so the input's last record
+    (after every update) closes its windows and only that hook emits
+    them."""
     builder = StreamsBuilder()
     (
-        builder.stream("input")
+        builder.stream("table")
+        .left_join(
+            builder.stream("input"),
+            lambda left, right: (left, right),
+            JoinWindows.of(15.0).grace(10.0),
+        )
         .group_by_key()
-        .windowed_by(TimeWindows.of(25.0).grace(10.0))
-        .count(store_name="wcounts", cache_entries=3)
+        .count(store_name="counts")
+        .suppress(Suppressed.until_time_limit(10_000.0))
         .to_stream()
         .to("output")
     )
     return builder.build()
+
+
+def run_one_commit(build, events, table):
+    """The chunk-executed app over the whole input, then exactly one
+    commit: its committed output (topic, key, value, timestamp)."""
+    cluster = make_cluster(input=1, table=1, output=1, other=1)
+    app = KafkaStreams(
+        build(),
+        cluster,
+        StreamsConfig(
+            application_id="equiv",
+            processing_guarantee=EXACTLY_ONCE,
+            commit_interval_ms=1e9,
+        ),
+    )
+    app.start(1)
+    producer = Producer(cluster)
+    for topic, records in (("table", table), ("input", events)):
+        for key, value, timestamp in records:
+            producer.send(topic, key=key, value=value, timestamp=timestamp)
+    producer.flush()
+    while app.step():
+        pass
+    (instance,) = app.instances
+    instance.commit()
+    output, _ = observe(cluster, app)
+    app.close()
+    return [(topic, k, v, ts) for topic, _, k, v, ts, _ in output]
 
 
 @pytest.mark.parametrize(
-    "build", [build_cached_count_time_limited, build_cached_windowed_count],
-    ids=["count_suppress", "windowed"],
+    "build", [build_suppress_chain, build_left_join_suppress],
+    ids=["suppress_chain", "left_join_suppress"],
 )
-@given(workloads())
+@given(workloads(), table_updates())
 @settings(max_examples=10, deadline=None)
-def test_caching_aggregate_equals_fold(build, events):
-    assert_equals_walk_and_fold(build, events)
+def test_one_commit_runs_the_commit_hooks_in_topology_order(build, events, table):
+    """What one operator's commit hook forwards reaches the next one's
+    before that hook runs, so one commit commits what the fold's one commit
+    emits. A later commit would flush anything left behind, so only the
+    output of the first commit shows the order."""
+    if build is not build_left_join_suppress:
+        table = []
+    fold_out, _ = reference_fold(build, events, table)
+    assert run_one_commit(build, events, table) == fold_out
 
 
 def run_speculative(events, aborts, batch):

@@ -91,27 +91,6 @@ def test_change_stream_replays_to_final_state(records):
     assert replayed == dict(store.all())
 
 
-@given(record_specs)
-@settings(max_examples=60, deadline=None)
-def test_cached_and_uncached_aggregation_agree(records):
-    """The write cache changes *when* results are emitted, never *what*
-    the final state is."""
-
-    def run(cache_entries):
-        store = InMemoryKeyValueStore("s")
-        processor = StreamAggregateProcessor(
-            "s", count_initializer, count_aggregator, cache_entries
-        )
-        processor, task = init_processor(processor, stores={"s": store})
-        for key, ts in records:
-            task.stream_time = max(task.stream_time, ts)
-            processor.process(StreamRecord(key=key, value=1, timestamp=ts))
-        processor.on_commit()
-        return dict(store.all())
-
-    assert run(0) == run(1000)
-
-
 @given(record_specs, st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_deterministic_given_same_input_order(records, seed):

@@ -45,8 +45,7 @@ CATEGORIES = ["a", "b", "c", "d", "e"]
 def make_app(cluster, protocol=EAGER, standbys=0, record_path=False):
     """The two-stage counting app. With ``record_path`` each sub-topology
     carries a :class:`Ticker`, so every task walks a scalar-only operator
-    through its chunks and cuts them at its stream-time punctuations; the
-    committed output is the same."""
+    through its chunks; the committed output is the same."""
     builder = StreamsBuilder()
     stream = builder.stream("in")
     if record_path:
@@ -195,9 +194,9 @@ def test_chaos_matrix_invariants_hold(seed, protocol, golden):
 @pytest.mark.parametrize("seed", list(range(10)))
 def test_chaos_matrix_record_path(seed, golden):
     """The ten-seed chaos matrix over the ``Ticker`` topology (the base
-    ``process_batch`` walk and punctuation cuts in each sub-topology): the
-    committed output must equal the fault-free golden run of the plain
-    topology — how records move never changes what is committed."""
+    ``process_batch`` walk in each sub-topology): the committed output must
+    equal the fault-free golden run of the plain topology — how records
+    move never changes what is committed."""
     cluster, app, chaos, suite = run_chaos(
         seed=seed, golden=golden, record_path=True
     )

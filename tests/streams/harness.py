@@ -9,7 +9,6 @@ from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import READ_COMMITTED, ConsumerConfig, StreamsConfig
 from repro.streams.processor import (
-    PUNCTUATION_STREAM_TIME,
     FusedStatelessProcessor,
     Processor,
     ProcessorContext,
@@ -112,13 +111,8 @@ def sync_every_step():
 
 
 class Ticker(Processor):
-    """Forwards every record unchanged and keeps a stream-time punctuator:
-    a scalar-only operator whose sub-topology's chunks are cut where the
-    punctuation falls due."""
-
-    def init(self, context):
-        super().init(context)
-        context.schedule(50.0, PUNCTUATION_STREAM_TIME, lambda now: None)
+    """Forwards every record unchanged: a scalar-only operator, so its
+    chunks go through the base ``process_batch`` walk."""
 
     def process(self, record):
         self.context.forward(record)
@@ -161,7 +155,6 @@ class FakeTask:
     def __init__(self, stores: Optional[Dict[str, Any]] = None):
         self._stores = stores or {}
         self.forwarded: List[tuple] = []
-        self.punctuations: List[Any] = []
         self.stream_time = float("-inf")
         self.task_id = "fake-0"
         self.application_id = "test-app"
@@ -177,14 +170,6 @@ class FakeTask:
 
     def state_store(self, name: str):
         return self._stores[name]
-
-    def register_punctuation(self, punctuation) -> None:
-        self.punctuations.append(punctuation)
-
-    def punctuate(self, punctuation_type: str, now: float) -> None:
-        for punctuation in self.punctuations:
-            if punctuation.punctuation_type == punctuation_type:
-                punctuation.maybe_fire(now)
 
 
 class EagerContext(ProcessorContext):
@@ -218,8 +203,8 @@ class ReferenceTask(FakeTask):
     first, through nothing but ``Processor.process`` — the order of
     execution the operators are defined against, and the test-side
     reference a chunk-executed task's committed output must equal. Stream
-    time advances before each source record; stream-time punctuations are
-    checked after it; ``commit`` runs the commit hooks in task order."""
+    time advances before each source record; ``commit`` runs the commit
+    hooks in task order."""
 
     def __init__(self, sub_topology):
         super().__init__({
@@ -260,7 +245,6 @@ class ReferenceTask(FakeTask):
                     self.process_chunk_at(
                         child, ColumnChunk([key], [value], [timestamp], [{}])
                     )
-            self.punctuate(PUNCTUATION_STREAM_TIME, self.stream_time)
 
     def commit(self) -> None:
         for processor in self.processors.values():

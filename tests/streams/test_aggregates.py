@@ -1,4 +1,4 @@
-"""Aggregation processors: counts, reduces, caching, revision Changes."""
+"""Aggregation processors: counts, reduces, revision Changes."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,10 +26,10 @@ def feed(processor, task, key, value, ts):
 
 
 class TestStreamAggregate:
-    def make(self, cache_entries=0):
+    def make(self):
         store = InMemoryKeyValueStore("agg")
         processor = StreamAggregateProcessor(
-            "agg", count_initializer, count_aggregator, cache_entries
+            "agg", count_initializer, count_aggregator
         )
         processor, task = init_processor(processor, stores={"agg": store})
         return processor, task, store
@@ -54,25 +54,6 @@ class TestStreamAggregate:
         feed(processor, task, None, 1, 0)
         assert forwarded_records(task) == []
         assert store.approximate_num_entries() == 0
-
-    def test_cache_consolidates_until_commit(self):
-        processor, task, store = self.make(cache_entries=100)
-        for i in range(5):
-            feed(processor, task, "a", 1, i)
-        assert forwarded_records(task) == []     # nothing emitted yet
-        assert store.get("a") is None            # store write deferred too
-        processor.on_commit()
-        changes = [r.value for r in forwarded_records(task)]
-        assert changes == [Change(5, None)]      # one consolidated Change
-        assert store.get("a") == 5
-
-    def test_cache_reads_its_own_pending_writes(self):
-        processor, task, store = self.make(cache_entries=100)
-        feed(processor, task, "a", 1, 0)
-        processor.on_commit()
-        feed(processor, task, "a", 1, 1)
-        processor.on_commit()
-        assert store.get("a") == 2
 
     def test_reduce_adapter_first_value_initializes(self):
         store = InMemoryKeyValueStore("agg")
@@ -175,11 +156,11 @@ class TestStreamAggregateChunk:
 
 
 class TestWindowedAggregateEdges:
-    def make(self, windows=None, cache_entries=0):
+    def make(self, windows=None):
         windows = windows or TimeWindows.of(10).grace(5)
         store = InMemoryWindowStore("agg", retention_ms=windows.retention_ms)
         processor = WindowedAggregateProcessor(
-            "agg", windows, count_initializer, count_aggregator, cache_entries
+            "agg", windows, count_initializer, count_aggregator
         )
         processor, task = init_processor(processor, stores={"agg": store})
         return processor, task, store
@@ -204,16 +185,6 @@ class TestWindowedAggregateEdges:
         feed(processor, task, "k", 1, 20)
         feed(processor, task, "k", 1, 25)    # bound = 20; window 20 kept
         assert store.fetch("k", 20) == 2
-
-    def test_windowed_cache_consolidates(self):
-        processor, task, store = self.make(cache_entries=100)
-        for i in range(3):
-            feed(processor, task, "k", 1, i)
-        assert forwarded_records(task) == []
-        processor.on_commit()
-        (record,) = forwarded_records(task)
-        assert record.value == Change(3, None)
-        assert store.fetch("k", 0) == 3
 
     def test_distinct_keys_distinct_windows(self):
         processor, task, store = self.make()

@@ -1,17 +1,11 @@
-"""DSL extensions: branch, to_table, session windows and punctuation run
-end-to-end through the application runtime."""
+"""DSL extensions: branch, to_table and session windows run end-to-end
+through the application runtime."""
 
 import pytest
 
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, StreamsConfig
 from repro.streams import KafkaStreams, StreamsBuilder
-from repro.streams.processor import (
-    PUNCTUATION_STREAM_TIME,
-    PUNCTUATION_WALL_CLOCK,
-    Processor,
-    Punctuation,
-)
 from repro.streams.windows import SessionWindows
 
 from tests.streams.harness import drain_topic, latest_by_key, make_cluster
@@ -108,90 +102,3 @@ class TestSessionWindowsEndToEnd:
         spans = {(k.window.start, v) for k, v in live.items()}
         assert spans == {(0.0, 3), (500.0, 2)}
 
-
-class _PunctuatingProcessor(Processor):
-    """Emits a heartbeat record on a stream-time schedule."""
-
-    def init(self, context):
-        super().init(context)
-        self.stream_fires = []
-        self.wall_fires = []
-        context.schedule(
-            10.0, PUNCTUATION_STREAM_TIME,
-            lambda ts: self.stream_fires.append(ts),
-        )
-        context.schedule(
-            50.0, PUNCTUATION_WALL_CLOCK,
-            lambda ts: self.wall_fires.append(ts),
-        )
-
-    def process(self, record):
-        self.context.forward(record)
-
-
-class TestPunctuation:
-    def test_punctuation_validation(self):
-        with pytest.raises(ValueError):
-            Punctuation(0, PUNCTUATION_STREAM_TIME, lambda ts: None)
-        with pytest.raises(ValueError):
-            Punctuation(10, "lunar_time", lambda ts: None)
-
-    def test_cancelled_punctuation_never_fires(self):
-        fired = []
-        p = Punctuation(10, PUNCTUATION_STREAM_TIME, lambda ts: fired.append(ts))
-        p.maybe_fire(0.0)     # arms at 10
-        p.cancel()
-        p.maybe_fire(100.0)
-        assert fired == []
-
-    def test_catch_up_fires_every_interval(self):
-        fired = []
-        p = Punctuation(10, PUNCTUATION_STREAM_TIME, lambda ts: fired.append(ts))
-        p.maybe_fire(0.0)
-        p.maybe_fire(35.0)
-        assert fired == [10.0, 20.0, 30.0]
-
-    def test_stream_time_punctuation_through_app(self):
-        cluster = make_cluster(**{"in": 1, "out": 1})
-        builder = StreamsBuilder()
-        holder = {}
-
-        def supplier():
-            processor = _PunctuatingProcessor()
-            holder["p"] = processor
-            return processor
-
-        builder.stream("in").process(supplier).to("out")
-        app = KafkaStreams(builder.build(), cluster,
-                           StreamsConfig(application_id="punct"))
-        app.start(1)
-        producer = Producer(cluster)
-        for ts in (0.0, 5.0, 25.0, 60.0):
-            producer.send("in", key="k", value=1, timestamp=ts)
-        producer.flush()
-        app.run_until_idle()
-        processor = holder["p"]
-        # Stream time reached 60: fires at 10,20,...,60 (armed at ts 0).
-        assert processor.stream_fires == [10.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-
-    def test_wall_clock_punctuation_through_app(self):
-        cluster = make_cluster(**{"in": 1, "out": 1})
-        builder = StreamsBuilder()
-        holder = {}
-
-        def supplier():
-            processor = _PunctuatingProcessor()
-            holder["p"] = processor
-            return processor
-
-        builder.stream("in").process(supplier).to("out")
-        app = KafkaStreams(builder.build(), cluster,
-                           StreamsConfig(application_id="punctw"))
-        app.start(1)
-        producer = Producer(cluster)
-        producer.send("in", key="k", value=1, timestamp=0.0)
-        producer.flush()
-        app.step()
-        cluster.clock.advance(500.0)
-        app.step()
-        assert len(holder["p"].wall_fires) >= 1

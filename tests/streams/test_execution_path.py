@@ -1,7 +1,6 @@
 """Every task runs column chunks, whatever its sub-topology is made of:
 vectorised operators, operators defined only per record (walked through
-the chunk), punctuators (the chunk is cut where they fall due) and
-speculative reads. None of that may change what is committed, and what a
+the chunk) and speculative reads. None of that may change what is committed, and what a
 chunk reports (stage stamps, changelog timestamps, per-node spans) must be
 what processing its records one by one would have reported."""
 
@@ -232,8 +231,8 @@ def test_default_process_batch_shows_each_position_its_stream_time():
 
 
 def build_mixed():
-    """vectorised filter -> Ticker (scalar only, stream-time punctuator) ->
-    branch (scalar only, one child each) -> vectorised count / map_values."""
+    """vectorised filter -> Ticker (scalar only) -> branch (scalar only, one
+    child each) -> vectorised count / map_values."""
     builder = StreamsBuilder()
     evens, odds = (
         builder.stream("input")
@@ -281,12 +280,6 @@ def test_mixed_topology_runs_chunks_and_commits_golden_output():
             expected_other.append((0, key, i * 10, float(i * 4)))
     assert committed(cluster) == expected_counts
     assert committed(cluster, "other") == expected_other
-    (ticker,) = [p for p in task.processors().values() if isinstance(p, Ticker)]
-    (punctuation,) = task._punctuations
-    # Armed by the first record (stream time 0; that the filter drops it
-    # upstream of the Ticker changes nothing), due every 50 ms from then
-    # on, last record at 236.
-    assert punctuation.fired == 4 and punctuation.next_fire == 250.0
 
 
 def test_traced_chunks_carry_one_span_per_node():
@@ -327,11 +320,11 @@ def test_traced_chunks_carry_one_span_per_node():
         )
 
 
-def run_counts(with_punctuator):
+def run_counts(with_ticker):
     cluster = make_cluster(input=2, output=2)
     builder = StreamsBuilder()
     stream = builder.stream("input")
-    if with_punctuator:
+    if with_ticker:
         stream = stream.process(Ticker)
     stream.group_by_key().count(store_name="counts").to_stream().to("output")
     app = start(cluster, builder.build())
@@ -347,6 +340,8 @@ def run_counts(with_punctuator):
 
 
 def test_punctuator_task_runs_chunks_and_commits_the_same_output():
+    """A scalar-only ``Ticker`` ahead of the count: the task still runs
+    every record in chunks, and commits what the count alone commits."""
     plain_out, plain_fast = run_counts(False)
     out, fast = run_counts(True)
     assert plain_fast == fast == 40

@@ -1,8 +1,7 @@
-"""State stores: KV, window (with GC), and the write cache."""
+"""State stores: KV and window (with GC)."""
 
 import pytest
 
-from repro.streams.state.cache import StoreCache
 from repro.streams.state.kv_store import InMemoryKeyValueStore
 from repro.streams.state.window_store import InMemoryWindowStore
 
@@ -137,48 +136,3 @@ class TestWindowStore:
         with pytest.raises(ValueError):
             InMemoryWindowStore("w", retention_ms=-1)
 
-
-class TestStoreCache:
-    def make(self, max_entries=10):
-        emitted = []
-        cache = StoreCache(
-            max_entries,
-            lambda k, new, old, ts, headers=None: emitted.append((k, new, old, ts)),
-        )
-        return cache, emitted
-
-    def test_consolidates_updates_per_key(self):
-        cache, emitted = self.make()
-        cache.put("k", 1, None, 0.0)
-        cache.put("k", 2, 1, 1.0)
-        cache.put("k", 3, 2, 2.0)
-        assert emitted == []
-        cache.flush()
-        # One emission spanning the whole run: old is the pre-run value.
-        assert emitted == [("k", 3, None, 2.0)]
-
-    def test_eviction_emits_oldest(self):
-        cache, emitted = self.make(max_entries=2)
-        cache.put("a", 1, None, 0.0)
-        cache.put("b", 2, None, 0.0)
-        cache.put("c", 3, None, 0.0)
-        assert emitted == [("a", 1, None, 0.0)]
-
-    def test_get_returns_pending_value(self):
-        cache, _ = self.make()
-        assert cache.get("k") is None
-        cache.put("k", 9, None, 0.0)
-        assert cache.get("k") == 9
-        assert cache.contains("k")
-
-    def test_flush_empties_cache(self):
-        cache, emitted = self.make()
-        cache.put("a", 1, None, 0.0)
-        cache.put("b", 2, None, 0.0)
-        assert cache.flush() == 2
-        assert len(cache) == 0
-        assert len(emitted) == 2
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            StoreCache(0, lambda *a: None)
