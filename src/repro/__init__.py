@@ -13,7 +13,6 @@ Public API layers:
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
-from repro.clients.admin import AdminClient
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import (
@@ -37,7 +36,6 @@ __all__ = [
     "TopicPartition",
     "Producer",
     "Consumer",
-    "AdminClient",
     "BrokerConfig",
     "ProducerConfig",
     "ConsumerConfig",

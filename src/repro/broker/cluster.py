@@ -56,7 +56,6 @@ class TopicMetadata:
     name: str
     num_partitions: int
     replication_factor: int
-    compacted: bool = False
     internal: bool = False
 
 
@@ -92,19 +91,12 @@ class Cluster:
         self._partitions: Dict[TopicPartition, PartitionState] = {}
         self._placement_cursor = 0
         self._next_producer_id = 1
-        # Monotonic version of the routing facts (leaders and partition
-        # counts), bumped whenever one changes: a client's routing table is
-        # valid only within one epoch. A plain attribute, read on every
-        # send; only this class assigns it
-        # (tests/test_attribute_owner_structure.py).
-        self.metadata_epoch = 0
         # topic -> (its TopicPartitions indexed by partition number, the
-        # default partitioner's key -> TopicPartition memo), as of
-        # ``_routes_epoch``: every producer and Streams sink on this cluster
-        # routes through the one memo (``route_of``), so a key is hashed
-        # once per epoch, not once per client.
+        # default partitioner's key -> TopicPartition memo): a topic keeps
+        # the partition count it was created with, so every producer and
+        # Streams sink on this cluster routes through the one memo
+        # (``route_of``) and a key is hashed once, not once per client.
         self._routes: Dict[str, Tuple[List[TopicPartition], RouteMemo]] = {}
-        self._routes_epoch = 0
         # ``broker.produced_records``, registered on the first counted
         # produce, so a cluster that stored no record lists no such counter
         # (a registry reset keeps the held reference valid).
@@ -124,13 +116,11 @@ class Cluster:
         self.create_topic(
             CONSUMER_OFFSETS_TOPIC,
             OFFSETS_TOPIC_PARTITIONS,
-            compacted=True,
             internal=True,
         )
         self.create_topic(
             TRANSACTION_STATE_TOPIC,
             TRANSACTION_LOG_PARTITIONS,
-            compacted=True,
             internal=True,
         )
 
@@ -153,7 +143,6 @@ class Cluster:
         name: str,
         num_partitions: int,
         replication_factor: Optional[int] = None,
-        compacted: bool = False,
         internal: bool = False,
     ) -> TopicMetadata:
         if name in self.topics:
@@ -162,7 +151,7 @@ class Cluster:
             raise ValueError("num_partitions must be >= 1")
         rf = replication_factor or min(self.config.replication_factor, len(self.brokers))
         rf = min(rf, len(self.brokers))
-        meta = TopicMetadata(name, num_partitions, rf, compacted, internal)
+        meta = TopicMetadata(name, num_partitions, rf, internal)
         self.topics[name] = meta
         for p in range(num_partitions):
             tp = TopicPartition(name, p)
@@ -171,37 +160,7 @@ class Cluster:
                 tp,
                 broker_ids,
                 min_insync_replicas=min(self.config.min_insync_replicas, rf),
-                compacted=compacted,
             )
-        self.metadata_epoch += 1
-        return meta
-
-    def create_partitions(self, name: str, new_partition_count: int) -> TopicMetadata:
-        """Grow a topic to ``new_partition_count`` partitions.
-
-        As in Kafka, partitions can only be added, never removed. Bumps the
-        metadata epoch so client routing caches stop mapping keys onto the
-        old partition count.
-        """
-        meta = self.topic_metadata(name)
-        if new_partition_count <= meta.num_partitions:
-            raise ValueError(
-                f"{name}: new partition count {new_partition_count} must exceed "
-                f"current {meta.num_partitions}"
-            )
-        for p in range(meta.num_partitions, new_partition_count):
-            tp = TopicPartition(name, p)
-            broker_ids = self._place_replicas(meta.replication_factor)
-            self._partitions[tp] = PartitionState(
-                tp,
-                broker_ids,
-                min_insync_replicas=min(
-                    self.config.min_insync_replicas, meta.replication_factor
-                ),
-                compacted=meta.compacted,
-            )
-        meta.num_partitions = new_partition_count
-        self.metadata_epoch += 1
         return meta
 
     def _place_replicas(self, rf: int) -> List[int]:
@@ -227,13 +186,10 @@ class Cluster:
         return [TopicPartition(topic, p) for p in range(meta.num_partitions)]
 
     def route_of(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
-        """``topic``'s partition table, as of the current metadata epoch,
-        and its key memo (``memo[key]`` is the key's ``TopicPartition``
-        under the default partitioner) — both made on the topic's first
-        use in an epoch and dropped when the epoch moves."""
-        if self._routes_epoch != self.metadata_epoch:
-            self._routes.clear()
-            self._routes_epoch = self.metadata_epoch
+        """``topic``'s partition table and its key memo (``memo[key]`` is
+        the key's ``TopicPartition`` under the default partitioner), both
+        made on the topic's first use and kept for the cluster's
+        lifetime."""
         route = self._routes.get(topic)
         if route is None:
             table = self.partitions_for(topic)
@@ -279,7 +235,6 @@ class Cluster:
             return None
         old = state.leader
         state.transfer_leadership(candidates[0])
-        self.metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "partition.leader_change",
@@ -368,17 +323,6 @@ class Cluster:
         """Purge records below ``before_offset`` (repartition-topic cleanup)."""
         return self.partition_state(tp).delete_records_before(before_offset)
 
-    def run_compaction(self) -> Dict[TopicPartition, int]:
-        """Compact every compacted topic's partitions; returns removals."""
-        removed = {}
-        for tp, state in self._partitions.items():
-            if not state.compacted or state.leader is None:
-                continue
-            n = state.compact()
-            if n:
-                removed[tp] = n
-        return removed
-
     # -- failure handling -------------------------------------------------------------
 
     def crash_broker(self, broker_id: int) -> None:
@@ -389,7 +333,6 @@ class Cluster:
             return
         broker.alive = False
         self.network.set_broker_down(broker_id)
-        self.metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "broker.crash", f"broker-{broker_id}", "lifecycle",
@@ -413,7 +356,6 @@ class Cluster:
             return
         broker.alive = True
         self.network.set_broker_down(broker_id, down=False)
-        self.metadata_epoch += 1
         if self.tracer.enabled:
             self.tracer.event(
                 "broker.restart", f"broker-{broker_id}", "lifecycle",

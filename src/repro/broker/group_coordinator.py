@@ -5,8 +5,8 @@ join a group, the coordinator assigns partitions and bumps a *generation*
 on every membership change, and stale-generation commits are rejected so a
 kicked (zombie) member cannot clobber progress.
 
-Committed offsets are **records in the compacted ``__consumer_offsets``
-topic** (Section 4.2: "offset commits in Kafka are translated internally as
+Committed offsets are **records in the ``__consumer_offsets`` topic**
+(Section 4.2: "offset commits in Kafka are translated internally as
 appends to an internal Kafka topic"). Transactional producers commit
 offsets *inside* their transaction by writing to this topic with their
 producer id, so the offsets become visible if and only if the transaction

@@ -24,7 +24,6 @@ from repro.errors import (
     NotLeaderError,
 )
 from repro.log.columnar import ColumnarSlab
-from repro.log.compaction import compact_log
 from repro.log.partition_log import AppendResult, PartitionLog
 
 
@@ -55,7 +54,6 @@ class PartitionState:
         tp: TopicPartition,
         broker_ids: List[int],
         min_insync_replicas: int = 1,
-        compacted: bool = False,
     ) -> None:
         if not broker_ids:
             raise ValueError("a partition needs at least one replica")
@@ -69,7 +67,6 @@ class PartitionState:
         # replicate() and paid by _settle(); None while they are level.
         self._owed_end: Optional[int] = None
         self.min_insync_replicas = min_insync_replicas
-        self.compacted = compacted
         # Clean-election bookkeeping: when the whole ISR is gone, only the
         # replicas that were in the ISR at that moment hold every acked
         # record and may lead again. Others wait (no unclean election).
@@ -92,7 +89,7 @@ class PartitionState:
         Runs before anything observes a follower or changes who is one
         (``replica_log``, broker failure / restart, leadership transfer) and
         before the leader log changes in any way other than an acknowledged
-        append (``acks != "all"``, record deletion, compaction)."""
+        append (``acks != "all"``, record deletion)."""
         owed = self._owed_end
         if owed is None:
             return
@@ -280,13 +277,6 @@ class PartitionState:
             if broker_id != self.leader:
                 log.delete_records_before(offset)
         return removed
-
-    def compact(self) -> int:
-        """Compact the leader's log; returns how many records it removed."""
-        # Level first: followers take the batches as they were appended,
-        # never a suffix that compaction has already rewritten.
-        self._settle()
-        return compact_log(self.leader_log())
 
     @staticmethod
     def _sync_follower(follower: PartitionLog, leader_log: PartitionLog) -> None:

@@ -1,7 +1,6 @@
-"""Client-side APIs: producer (idempotent/transactional), consumer, admin."""
+"""Client-side APIs: producer (idempotent/transactional) and consumer."""
 
 from repro.clients.producer import Producer
 from repro.clients.consumer import Consumer, ConsumerRecord
-from repro.clients.admin import AdminClient
 
-__all__ = ["Producer", "Consumer", "ConsumerRecord", "AdminClient"]
+__all__ = ["Producer", "Consumer", "ConsumerRecord"]

@@ -84,10 +84,9 @@ class Producer:
         self._pending: Dict[TopicPartition, _ColumnBuffer] = {}
         # topic -> the cluster's route (``Cluster.route_of``: its
         # TopicPartitions by partition number and the key -> TopicPartition
-        # memo every client on the cluster shares), held for one metadata
-        # epoch so that ``send`` reaches it with one dict lookup. Where a
-        # partition's leader is, is asked of the cluster at every RPC.
-        self._routing_epoch = -1
+        # memo every client on the cluster shares), held so that ``send``
+        # reaches it with one dict lookup. Where a partition's leader is,
+        # is asked of the cluster at every RPC.
         self._routes: Dict[str, Tuple[List[TopicPartition], RouteMemo]] = {}
         self._in_transaction = False
         self._txn_registered_partitions: set = set()
@@ -274,10 +273,7 @@ class Producer:
             raise InvalidTxnStateError(
                 "transactional producers must send within a transaction"
             )
-        route = (
-            self._routes.get(topic)
-            if self.cluster.metadata_epoch == self._routing_epoch else None
-        )
+        route = self._routes.get(topic)
         if route is None:
             route = self._route_of(topic)
         table, memo = route
@@ -414,12 +410,8 @@ class Producer:
             )
 
     def _route_of(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
-        """``topic``'s partition table and key memo, as of the current
-        metadata epoch: the cluster's own (:meth:`Cluster.route_of`)."""
-        epoch = self.cluster.metadata_epoch
-        if epoch != self._routing_epoch:
-            self._routes.clear()
-            self._routing_epoch = epoch
+        """``topic``'s partition table and key memo: the cluster's own
+        (:meth:`Cluster.route_of`)."""
         route = self._routes.get(topic)
         if route is None:
             route = self._routes[topic] = self.cluster.route_of(topic)

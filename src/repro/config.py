@@ -48,7 +48,6 @@ class BrokerConfig:
 
     replication_factor: int = 3
     min_insync_replicas: int = 2
-    transaction_timeout_ms: float = 60_000.0
 
     def validate(self) -> None:
         if self.replication_factor < 1:

@@ -7,7 +7,6 @@ from repro.log.record import (
     RecordBatch,
 )
 from repro.log.partition_log import AbortedTxn, PartitionLog
-from repro.log.compaction import compact
 
 __all__ = [
     "Record",
@@ -16,5 +15,4 @@ __all__ = [
     "ABORT_MARKER",
     "PartitionLog",
     "AbortedTxn",
-    "compact",
 ]

@@ -13,8 +13,8 @@ columns; a per-record object exists only where a caller asks for one:
   offset plus the batch-level producer id, epoch, base sequence and
   transactional / control flags (Kafka's batch header). A stored batch is
   never mutated and never merged with a neighbour, so followers hold the
-  leader's stored batches by reference; truncation, deletion and
-  compaction *inside* a batch build a new one from slices. Its headers
+  leader's stored batches by reference; truncation and deletion *inside*
+  a batch build a new one from a slice. Its headers
   (:class:`~repro.log.record.FrozenHeaders`) reach every reader as they are.
 
 * :class:`ColumnarBatch` — the fetch result: the run of stored batches
@@ -33,7 +33,6 @@ columns; a per-record object exists only where a caller asks for one:
 
 from __future__ import annotations
 
-import bisect
 from collections.abc import Sequence
 from itertools import islice
 from operator import attrgetter
@@ -48,13 +47,11 @@ class StoredBatch:
     """One appended batch as the log stores it. Immutable once built.
 
     ``keys`` / ``values`` / ``timestamps`` / ``headers`` are the parallel
-    columns of the retained records. ``base_offset`` is the offset of the
-    first and ``end_offset`` one past the offset of the last of them;
-    ``offsets`` lists every offset explicitly only once compaction has
-    punched holes (``None`` means contiguous from ``base_offset``).
-    ``base_sequence`` is the sequence number of the first retained record;
-    sequences advance with offsets. A control batch (``control_type`` set)
-    holds one transaction marker.
+    columns of the retained records, at offsets ``base_offset`` up to
+    ``end_offset`` (exclusive) with no gap. ``base_sequence`` is the
+    sequence number of the first retained record; sequences advance with
+    offsets. A control batch (``control_type`` set) holds one transaction
+    marker.
     """
 
     __slots__ = (
@@ -64,7 +61,6 @@ class StoredBatch:
         "values",
         "timestamps",
         "headers",
-        "offsets",
         "producer_id",
         "producer_epoch",
         "base_sequence",
@@ -85,17 +81,13 @@ class StoredBatch:
         base_sequence: int = NO_SEQUENCE,
         is_transactional: bool = False,
         control_type: Optional[str] = None,
-        offsets: Optional[List[int]] = None,
     ) -> None:
         self.base_offset = base_offset
-        self.end_offset = (
-            base_offset + len(keys) if offsets is None else offsets[-1] + 1
-        )
+        self.end_offset = base_offset + len(keys)
         self.keys = keys
         self.values = values
         self.timestamps = timestamps
         self.headers = headers
-        self.offsets = offsets
         self.producer_id = producer_id
         self.producer_epoch = producer_epoch
         self.base_sequence = base_sequence
@@ -108,63 +100,44 @@ class StoredBatch:
 
     def position(self, offset: int) -> int:
         """Index of the first retained record at or beyond ``offset``."""
-        if self.offsets is not None:
-            return bisect.bisect_left(self.offsets, offset)
         return min(max(offset - self.base_offset, 0), len(self.keys))
 
     def offset_at(self, position: int) -> int:
-        if self.offsets is not None:
-            return self.offsets[position]
         return self.base_offset + position
 
     # -- derived columns (sliceable, one entry per retained record) -------------
 
     def offset_column(self) -> Sequence:
-        if self.offsets is not None:
-            return self.offsets
         return range(self.base_offset, self.end_offset)
 
     def sequence_column(self) -> Sequence:
         first = self.base_sequence
         if first == NO_SEQUENCE:
             return [NO_SEQUENCE] * len(self.keys)
-        if self.offsets is None:
-            return range(first, first + len(self.keys))
-        shift = first - self.base_offset
-        return [offset + shift for offset in self.offsets]
+        return range(first, first + len(self.keys))
 
     def producer_id_column(self) -> List[int]:
         return [self.producer_id] * len(self.keys)
 
     # -- copy-on-write ------------------------------------------------------------
 
-    def _derive(self, pick: Callable[[Sequence], List[Any]]) -> "StoredBatch":
-        offsets = pick(self.offset_column())
-        base_offset = offsets[0]
+    def slice(self, lo: int, hi: Optional[int] = None) -> "StoredBatch":
+        """A new batch holding positions ``[lo, hi)`` (must be non-empty)."""
         base_sequence = self.base_sequence
         if base_sequence != NO_SEQUENCE:
-            base_sequence += base_offset - self.base_offset
+            base_sequence += lo
         return StoredBatch(
-            base_offset,
-            pick(self.keys),
-            pick(self.values),
-            pick(self.timestamps),
-            pick(self.headers),
+            self.base_offset + lo,
+            self.keys[lo:hi],
+            self.values[lo:hi],
+            self.timestamps[lo:hi],
+            self.headers[lo:hi],
             self.producer_id,
             self.producer_epoch,
             base_sequence,
             self.is_transactional,
             self.control_type,
-            None if offsets[-1] - base_offset == len(offsets) - 1 else offsets,
         )
-
-    def slice(self, lo: int, hi: Optional[int] = None) -> "StoredBatch":
-        """A new batch holding positions ``[lo, hi)`` (must be non-empty)."""
-        return self._derive(lambda column: list(column[lo:hi]))
-
-    def take(self, positions: List[int]) -> "StoredBatch":
-        """A new batch holding ``positions`` (ascending, non-empty)."""
-        return self._derive(lambda column: [column[i] for i in positions])
 
     # -- the scalar edge ------------------------------------------------------------
 
@@ -297,7 +270,7 @@ class ColumnarBatch(_BatchRun):
 
     The run holds exactly the records visible at the fetch's isolation
     level, in offset order; its stored batches are the log's own and are
-    immutable, so later truncation or compaction cannot corrupt the view.
+    immutable, so later truncation or deletion cannot corrupt the view.
     Every accessor returns a fresh list the caller owns (the *elements* —
     keys, values, read-only header mappings — are shared with the log).
 
@@ -387,39 +360,27 @@ class ColumnarBatch(_BatchRun):
             return [], [], [], [], []
         lo, hi = self._lo, self._hi
         first = batches[0]
-        held = first.offsets
         if len(batches) == 1:
             return (
-                list(range(first.base_offset + lo, first.base_offset + hi))
-                if held is None else held[lo:hi],
+                list(range(first.base_offset + lo, first.base_offset + hi)),
                 first.timestamps[lo:hi],
                 first.keys[lo:hi],
                 first.values[lo:hi],
                 first.headers[lo:hi],
             )
-        offsets = (
-            list(range(first.base_offset + lo, first.end_offset))
-            if held is None else held[lo:]
-        )
+        offsets = list(range(first.base_offset + lo, first.end_offset))
         timestamps = first.timestamps[lo:]
         keys = first.keys[lo:]
         values = first.values[lo:]
         headers = first.headers[lo:]
         last = batches[-1]
         for batch in islice(batches, 1, len(batches) - 1):
-            held = batch.offsets
-            offsets += (
-                range(batch.base_offset, batch.end_offset) if held is None else held
-            )
+            offsets += range(batch.base_offset, batch.end_offset)
             timestamps += batch.timestamps
             keys += batch.keys
             values += batch.values
             headers += batch.headers
-        held = last.offsets
-        offsets += (
-            range(last.base_offset, last.base_offset + hi)
-            if held is None else held[:hi]
-        )
+        offsets += range(last.base_offset, last.base_offset + hi)
         timestamps += last.timestamps[:hi]
         keys += last.keys[:hi]
         values += last.values[:hi]

@@ -28,14 +28,16 @@ On top of plain appends the log implements
   so such a read-committed fetch is five slices. Reads build the index;
   every cut that moves a batch, and every aborted span indexed, cuts it
   back;
-* **log compaction** hooks for changelog topics, and ``delete_records`` for
-  repartition-topic truncation.
+* ``delete_records`` for repartition-topic truncation.
+
+Offsets have no gaps: the retained records sit at every offset from
+``log_start_offset`` up to ``log_end_offset``.
 
 The log itself is single-writer (the partition leader); replication shares
 the appended batches (:meth:`PartitionLog.replicate_mirror`, driven by
 :class:`repro.broker.partition.PartitionState`). Stored batches are never
-mutated and never merged: whatever cuts inside one (truncation, deletion,
-compaction) replaces it with a new batch built from slices.
+mutated and never merged: whatever cuts inside one (truncation, deletion)
+replaces it with a new batch built from a slice.
 """
 
 from __future__ import annotations
@@ -166,7 +168,6 @@ class PartitionLog:
         # Sorted by base offset, non-overlapping; entries are immutable and
         # may be shared with other replicas' logs.
         self._batches: List[StoredBatch] = []
-        self._count = 0                      # retained records
         self._next_offset = 0
         self.log_start_offset = 0
         self.high_watermark = 0              # managed by replication
@@ -226,11 +227,11 @@ class PartitionLog:
         its ``Record`` objects the first time any view touches them."""
         batches = self._batches
         return RecordView(
-            list(batches), 0, len(batches[-1]) if batches else 0, self._count
+            list(batches), 0, len(batches[-1]) if batches else 0, len(self)
         )
 
     def __len__(self) -> int:
-        return self._count
+        return self._next_offset - self.log_start_offset
 
     def open_transactions(self) -> Dict[int, int]:
         """producer_id -> first offset of its open transaction.
@@ -370,7 +371,6 @@ class PartitionLog:
                 batch.is_transactional,
             )
         )
-        self._count += count
         self._next_offset = base_offset + count
         if batch.is_transactional and pid not in self._open_txns:
             self._open_txns[pid] = base_offset
@@ -403,7 +403,6 @@ class PartitionLog:
                 producer_id, producer_epoch, NO_SEQUENCE, True, control_type,
             )
         )
-        self._count += 1
         self._next_offset = offset + 1
         if control_type == ABORT_MARKER and first_offset is not None:
             self._index_aborted(AbortedTxn(producer_id, first_offset, offset - 1))
@@ -434,10 +433,9 @@ class PartitionLog:
           ``last_offset``: an abort marker at offset ``m`` indexes a span
           ending at ``m - 1``).
 
-        After :meth:`truncate_to` lowered the end or :meth:`reset_to`, or
-        over a suffix with holes (compaction can take a producer's records
-        out of it entirely), that one sync mirrors every producer id and
-        the whole aborted index instead.
+        After :meth:`truncate_to` lowered the end or :meth:`reset_to`, that
+        one sync mirrors every producer id and the whole aborted index
+        instead.
         """
         start = self._next_offset
         end = source._next_offset
@@ -452,13 +450,11 @@ class PartitionLog:
         # the sync costs what it copies, not a search of the whole log.
         theirs = source._batches
         idx = len(theirs)
-        copied = 0
         markers = 0
         pids: Set[int] = set()
         while idx and theirs[idx - 1].base_offset >= start:
             idx -= 1
             batch = theirs[idx]
-            copied += len(batch.keys)
             pids.add(batch.producer_id)
             if batch.control_type is not None:
                 markers += 1
@@ -467,14 +463,12 @@ class PartitionLog:
             straddler = theirs[idx - 1]
             rest = straddler.slice(straddler.position(start))
             suffix.insert(0, rest)
-            copied += len(rest)
             pids.add(rest.producer_id)
         self._batches += suffix
-        self._count += copied
         self._next_offset = end
 
         spans: Iterable[AbortedTxn] = ()
-        if self._stale or copied != end - start:
+        if self._stale:
             self._stale = False
             self._producers.clear()
             self._open_txns.clear()
@@ -618,13 +612,8 @@ class PartitionLog:
         # Positions [a, b) of the window's first and last batch.
         a = 0 if head.base_offset >= from_offset else head.position(from_offset)
         b = len(tail.keys) if tail.end_offset <= limit else tail.position(limit)
-        if first == stop - 1:
-            if a >= b:
-                return [], 0, 0, 0, 0, from_offset
-        elif a == len(head.keys):
-            # from_offset lies past the head's last retained record.
-            first += 1
-            a = 0
+        if first == stop - 1 and a >= b:
+            return [], 0, 0, 0, 0, from_offset
         self._index_to(stop)
         cum_all, cum_data, cum_visible = self._counts
         if not mask_controls:
@@ -696,10 +685,7 @@ class PartitionLog:
             self._prefix = ([], [], [], [], [])
         offsets, timestamps, keys, values, headers = self._prefix
         for batch in compress(islice(self._batches, n, stop), self._masks[1][n:stop]):
-            held = batch.offsets
-            offsets += (
-                range(batch.base_offset, batch.end_offset) if held is None else held
-            )
+            offsets += range(batch.base_offset, batch.end_offset)
             timestamps += batch.timestamps
             keys += batch.keys
             values += batch.values
@@ -814,16 +800,12 @@ class PartitionLog:
             keep -= 1
             head = batches[keep].slice(0, batches[keep].position(offset))
         if keep < len(batches):
-            self._count -= sum(len(batch.keys) for batch in batches[keep:])
             del batches[keep:]
             self._cut_scan_index(keep)
             if head is not None:
                 batches.append(head)
-                self._count += len(head)
         end = batches[-1].end_offset if batches else offset
         if end < self._next_offset:
-            # Also when no batch went: compaction may have emptied the
-            # tail, and the index state still names what it held.
             self._stale = True
         self._next_offset = end
         self.high_watermark = min(self.high_watermark, self._next_offset)
@@ -832,7 +814,6 @@ class PartitionLog:
         """Discard everything and restart the log at ``offset`` (a follower
         resyncing against a leader whose older records were deleted)."""
         self._batches.clear()
-        self._count = 0
         self._next_offset = offset
         self.log_start_offset = offset
         self.high_watermark = offset
@@ -856,18 +837,13 @@ class PartitionLog:
             return 0
         batches = self._batches
         gone = bisect.bisect_left(batches, offset, key=_BASE_OFFSET)
-        tail: Optional[StoredBatch] = None
         if gone and batches[gone - 1].end_offset > offset:
             straddler = batches[gone - 1]
-            tail = straddler.slice(straddler.position(offset))
-        removed = sum(len(batch.keys) for batch in batches[:gone])
-        if tail is not None:
-            removed -= len(tail)
-            batches[:gone] = [tail]
+            batches[:gone] = [straddler.slice(straddler.position(offset))]
         else:
             del batches[:gone]
         self._cut_scan_index(0)
-        self._count -= removed
+        removed = offset - self.log_start_offset
         self.log_start_offset = offset
         # Forget the spans that lie wholly below the new start: nothing they
         # could mask is retained. Spans are indexed in marker order, so both
@@ -884,29 +860,6 @@ class PartitionLog:
                 elif pruned:
                     del firsts[:pruned], lasts[:pruned], spans[:pruned]
         return removed
-
-    # -- compaction hook ---------------------------------------------------------
-
-    def retain_offsets(self, keep: Set[int], below: int) -> None:
-        """Drop every record below offset ``below`` whose offset is not in
-        ``keep`` (log compaction). Offsets of retained records stay; a
-        batch that loses records is replaced, one that loses all of them
-        disappears."""
-        compacted: List[StoredBatch] = []
-        for batch in self._batches:
-            if batch.base_offset < below:
-                offsets = batch.offset_column()
-                kept = [
-                    i for i, o in enumerate(offsets) if o >= below or o in keep
-                ]
-                if len(kept) < len(offsets):
-                    self._count -= len(offsets) - len(kept)
-                    if kept:
-                        compacted.append(batch.take(kept))
-                    continue
-            compacted.append(batch)
-        self._batches = compacted
-        self._cut_scan_index(0)
 
     # -- queries used by coordinators ---------------------------------------------
 

@@ -157,9 +157,7 @@ class KafkaStreams:
                     continue
                 topic = spec.changelog_topic(self.config.application_id)
                 if not self.cluster.has_topic(topic):
-                    self.cluster.create_topic(
-                        topic, self._task_counts[sub.sub_id], compacted=True
-                    )
+                    self.cluster.create_topic(topic, self._task_counts[sub.sub_id])
 
     def sub_topology(self, sub_id: int) -> SubTopology:
         return self._sub_topologies[sub_id]

@@ -154,8 +154,8 @@ class InMemoryWindowStore(WindowStore):
         doomed = [ck for ck in data if ck[1] < min_window_start]
         for composite in doomed:
             del data[composite]
-            # GC is local bookkeeping: the changelog keeps its (compacted)
-            # history; restoration re-applies retention separately.
+            # GC is local bookkeeping: the changelog keeps its history;
+            # restoration re-applies retention separately.
         self.expired_entries += len(doomed)
         self._min_start = min((ck[1] for ck in data), default=float("inf"))
         return len(doomed)

@@ -24,7 +24,7 @@ class StateStoreSpec:
 
     ``kind`` is "kv" or "window"; window stores carry a retention period
     (window size + grace) used for garbage collection. When ``changelog``
-    is true every update is mirrored to a compacted changelog topic, making
+    is true every update is mirrored to a changelog topic, making
     the store a disposable materialized view (Section 4).
     """
 

@@ -44,8 +44,7 @@ def partition_for(key: Any, num_partitions: int) -> int:
 # MEMO_KEY_TYPES — between those, equal means identical to ``partition_for``
 # — and holds at most MEMO_MAX_KEYS keys, so that keys used once (one per
 # emitted window, say) cannot grow it without bound. A memo belongs to one
-# partition count and is dropped with the routing table it was built from.
-# It lives on the Cluster (``Cluster.route_of``: one per topic, shared by
+# topic, whose partition count is fixed when it is created. It lives on the Cluster (``Cluster.route_of``: one per topic, shared by
 # every producer and Streams sink on that cluster) and never outlives it:
 # no memo is module-level, so no hit carries from one cluster to the next.
 

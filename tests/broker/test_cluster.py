@@ -1,4 +1,4 @@
-"""Cluster-level behaviour: topics, metadata, failures, compaction."""
+"""Cluster-level behaviour: topics, metadata, failures, record deletion."""
 
 import pytest
 
@@ -20,7 +20,8 @@ from repro.log.record import Record, RecordBatch
 def test_internal_topics_created_at_startup(cluster):
     assert cluster.has_topic(CONSUMER_OFFSETS_TOPIC)
     assert cluster.has_topic(TRANSACTION_STATE_TOPIC)
-    assert cluster.topic_metadata(CONSUMER_OFFSETS_TOPIC).compacted
+    assert cluster.topic_metadata(CONSUMER_OFFSETS_TOPIC).internal
+    assert cluster.user_topics() == []
 
 
 def test_create_topic_and_metadata(cluster):
@@ -112,20 +113,6 @@ def test_delete_records(cluster):
     state = cluster.partition_state(tp)
     for broker_id in cluster.brokers:
         assert state.replica_log(broker_id).log_start_offset == 5
-
-
-def test_run_compaction_only_touches_compacted_topics(cluster):
-    cluster.create_topic("plain", 1)
-    cluster.create_topic("compacted", 1, compacted=True)
-    for topic in ("plain", "compacted"):
-        tp = TopicPartition(topic, 0)
-        for i in range(4):
-            cluster.handle_produce(tp, RecordBatch([Record(key="same", value=i)]))
-    removed = cluster.run_compaction()
-    assert TopicPartition("compacted", 0) in removed
-    assert TopicPartition("plain", 0) not in removed
-    plain_log = cluster.partition_state(TopicPartition("plain", 0)).leader_log()
-    assert len(plain_log) == 4
 
 
 def test_producer_id_allocation_unique(cluster):

@@ -348,12 +348,9 @@ def test_election_cuts_what_an_in_sync_follower_holds_past_the_new_leader(partit
         assert values == ["acked", "x", "y", "z"]
 
 
-def test_purge_and_compaction_reach_followers_that_were_behind(partition):
+def test_purge_reaches_followers_that_were_behind(partition):
     keyed = RecordBatch([Record(key=f"k{i % 2}", value=i) for i in range(6)])
     partition.append(keyed, acks="all")
     assert partition.delete_records_before(2) == 2
     for log in logs(partition):
         assert (log.log_start_offset, len(log)) == (2, 4)
-    assert partition.compact() == 2
-    # Compaction rewrites the leader only; followers keep what was appended.
-    assert [len(log) for log in logs(partition)] == [2, 4, 4]

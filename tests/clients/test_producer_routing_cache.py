@@ -5,9 +5,10 @@ The routing a producer uses is the cluster's own: ``Cluster.route_of``
 keeps, per topic, a table of ``TopicPartition``s (so that ``send`` builds
 none per record) and a key -> ``TopicPartition`` memo (so that a key is
 hashed once), shared by every producer and Streams sink on that cluster
-and dropped whenever the cluster's metadata epoch moves. A leader failover
-or a repartitioned topic — both bump the epoch — must never be served
-stale, and no memo outlives its cluster or serves another one.
+for its lifetime: a topic keeps the partition count it was created with,
+and a leader failover changes who serves a partition, never which
+partition a key goes to. No memo outlives its cluster or serves another
+one.
 """
 
 from collections import Counter
@@ -17,7 +18,6 @@ import pytest
 from repro import util
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
-from repro.clients.admin import AdminClient
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import ConsumerConfig, ProducerConfig, StreamsConfig
@@ -81,7 +81,7 @@ class TestLeaderFailover:
         p.flush()
         assert [r.value for r in c.poll()] == [2]
 
-    def test_restart_also_bumps_epoch(self, fast_cluster, topic):
+    def test_send_across_a_leader_crash_and_restart(self, fast_cluster, topic):
         tp = TopicPartition(topic, 0)
         p = Producer(fast_cluster)
         p.send(topic, key="k", value=1, partition=0)
@@ -97,45 +97,13 @@ class TestLeaderFailover:
         assert log_values(fast_cluster, tp) == [1, 2, 3]
 
 
-class TestRepartitionedTopic:
-    def test_send_uses_new_partition_count(self, fast_cluster, topic):
-        p = Producer(fast_cluster)
-        # Build the partition table at 2 partitions.
-        p.send(topic, key="x", value=0)
-        p.flush()
-
-        AdminClient(fast_cluster).create_partitions(topic, 8)
-
-        # Pick a key that maps differently under the two counts; the next
-        # send must use the *new* count, not the table built before.
-        key = next(
-            k
-            for k in (f"k{i}" for i in range(1000))
-            if partition_for(k, 2) != partition_for(k, 8)
-        )
-        tp = p.send(topic, key=key, value=1)
-        assert tp.partition == partition_for(key, 8)
-        p.flush()
-        assert log_values(fast_cluster, tp) == [1]
-
-    def test_stale_metadata_object_is_not_reused(self, fast_cluster, topic):
-        p = Producer(fast_cluster)
-        p.send(topic, key="x", value=0)
-        before = len(p._routes[topic][0])
-        AdminClient(fast_cluster).create_partitions(topic, 5)
-        p.send(topic, key="x", value=1)
-        after = len(p._routes[topic][0])
-        assert (before, after) == (2, 5)
-
-
 class _Name(str):
     """A str subclass hashes like the str it is."""
 
 
 class TestPartitionTable:
-    """``send`` routes through a per-topic list of ``TopicPartition``s,
-    rebuilt per routing epoch: every key must still land where
-    ``partition_for`` says."""
+    """``send`` routes through a per-topic list of ``TopicPartition``s:
+    every key must still land where ``partition_for`` says."""
 
     KEYS = (
         [f"user-{i}" for i in range(200)]
@@ -146,40 +114,22 @@ class TestPartitionTable:
     def test_keys_land_where_partition_for_says_across_fig5_growth(
         self, fast_cluster
     ):
-        fast_cluster.create_topic("fig5", 4)
+        """Figure 5's input and output partition counts, one topic each;
+        the second round of sends is served from the memo."""
         p = Producer(fast_cluster)
-
-        def send_all(count):
-            for key in self.KEYS:
-                tp = p.send("fig5", key=key, value=count)
-                assert tp == TopicPartition("fig5", partition_for(key, count)), key
+        for count in (4, 10):
+            topic = f"fig5-{count}"
+            fast_cluster.create_topic(topic, count)
+            for round_ in range(2):
+                for key in self.KEYS:
+                    tp = p.send(topic, key=key, value=round_)
+                    assert tp == TopicPartition(topic, partition_for(key, count)), key
             p.flush()
-
-        send_all(4)
-        AdminClient(fast_cluster).create_partitions("fig5", 10)
-        send_all(10)
-        landed = [
-            log_values(fast_cluster, tp) for tp in fast_cluster.partitions_for("fig5")
-        ]
-        assert sum(len(values) for values in landed) == 2 * len(self.KEYS)
-        # Partitions 4..9 did not exist for the first round.
-        assert all(set(values) == {10} for values in landed[4:])
-
-    def test_table_follows_an_epoch_bump_seen_by_the_leader_cache_first(
-        self, fast_cluster, topic
-    ):
-        """A flush between the bump and the next send routes by the
-        cluster and keeps no epoch of its own: the table is still dropped
-        by the send that follows."""
-        p = Producer(fast_cluster)
-        key = next(
-            k for k in (f"k{i}" for i in range(1000))
-            if partition_for(k, 2) != partition_for(k, 8)
-        )
-        p.send(topic, key=key, value=0)
-        AdminClient(fast_cluster).create_partitions(topic, 8)
-        p.flush()
-        assert p.send(topic, key=key, value=1).partition == partition_for(key, 8)
+            landed = [
+                log_values(fast_cluster, tp)
+                for tp in fast_cluster.partitions_for(topic)
+            ]
+            assert sum(len(values) for values in landed) == 2 * len(self.KEYS)
 
     def test_explicit_partition_is_taken_as_given(self, fast_cluster, topic):
         p = Producer(fast_cluster, ProducerConfig(retries=0))
@@ -237,8 +187,7 @@ def passthrough_app(cluster):
 
 class TestOneMemoPerCluster:
     """Every producer and Streams sink on a cluster routes through the
-    cluster's one key memo; a metadata-epoch move drops it for all of them,
-    and another cluster keeps its own."""
+    cluster's one key memo, and another cluster keeps its own."""
 
     KEY = "user-42"
 
@@ -265,18 +214,6 @@ class TestOneMemoPerCluster:
         fast_cluster.create_topic("out", 4)
         app = passthrough_app(fast_cluster)
         assert self.route_everywhere(fast_cluster, app, 4, hashed) == 1
-
-    def test_create_partitions_drops_the_memo_for_all(self, fast_cluster, hashed):
-        fast_cluster.create_topic("in", 1)
-        fast_cluster.create_topic("out", 4)
-        app = passthrough_app(fast_cluster)
-        assert self.route_everywhere(fast_cluster, app, 4, hashed) == 1
-        table, memo = fast_cluster.route_of("out")
-        AdminClient(fast_cluster).create_partitions("out", 9)
-        assert self.route_everywhere(fast_cluster, app, 9, hashed) == 1
-        new_table, new_memo = fast_cluster.route_of("out")
-        assert (len(table), len(new_table)) == (4, 9)
-        assert new_memo is not memo
 
     def test_a_second_cluster_never_shares_the_memo(self, hashed):
         first, second = Cluster(num_brokers=1, seed=7), Cluster(num_brokers=1, seed=7)

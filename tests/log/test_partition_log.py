@@ -7,7 +7,6 @@ from repro.errors import (
     OffsetOutOfRangeError,
     OutOfOrderSequenceError,
 )
-from repro.log.compaction import compact_log
 from repro.log.partition_log import PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
@@ -255,22 +254,6 @@ class TestReplication:
         leader.delete_records_before(2)
         with pytest.raises(ValueError):
             follower.replicate_mirror(leader)
-
-    def test_replicate_mirror_over_a_compacted_suffix_learns_every_producer(self):
-        """Compaction can take a producer's records out of the suffix the
-        follower still has to copy; its sequence state must arrive anyway."""
-        leader = PartitionLog()
-        follower = PartitionLog()
-        leader.append_batch(idem_batch(1, 0, 0, "v1"))
-        follower.replicate_mirror(leader)
-        leader.append_batch(idem_batch(2, 0, 0, "v2"))
-        leader.append_batch(idem_batch(1, 0, 1, "v3"))
-        leader.high_watermark = leader.log_end_offset
-        compact_log(leader)                      # same key: only "v3" stays
-        assert [r.value for r in leader.records()] == ["v3"]
-        follower.replicate_mirror(leader)
-        assert [r.value for r in follower.records()] == ["v1", "v3"]
-        assert follower.append_batch(idem_batch(2, 0, 0, "v2")).duplicate
 
     def test_truncate_to(self):
         log = PartitionLog()

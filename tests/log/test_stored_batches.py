@@ -11,7 +11,6 @@ import sys
 
 from repro.broker.partition import PartitionState, TopicPartition
 from repro.log.columnar import ColumnarSlab
-from repro.log.compaction import compact_log
 from repro.log.partition_log import PartitionLog
 from repro.log.record import ABORT_MARKER, COMMIT_MARKER, Record
 
@@ -101,16 +100,13 @@ def test_followers_hold_the_leaders_stored_batches():
 def test_cuts_inside_a_shared_batch_copy_instead_of_writing():
     partition = PartitionState(TopicPartition("t", 0), broker_ids=[0, 1, 2])
     partition.append(slab(1000, key="same"))
-    leader, truncated, compacted = (partition.replica_log(b) for b in (0, 1, 2))
+    leader, truncated = (partition.replica_log(b) for b in (0, 1))
     shared = leader._batches[0]
     before = (list(shared.keys), list(shared.values), shared.base_offset, shared.end_offset)
 
     truncated.truncate_to(400)
     assert truncated.log_end_offset == 400 and len(truncated) == 400
     assert truncated.read_columnar(0, up_to_offset=400).values() == shared.values[:400]
-
-    assert compact_log(compacted) == 999
-    assert [r.offset for r in compacted.records()] == [999]
 
     leader.delete_records_before(250)              # the leader's own cut, too
     assert leader._batches[0] is not shared
@@ -154,16 +150,11 @@ def test_cut_batches_keep_offsets_and_sequences():
     log.truncate_to(6)
     assert [(r.offset, r.sequence, r.value) for r in log.records()] == whole[2:6]
     log.high_watermark = 6
-    log.retain_offsets({3, 5}, below=6)
-    assert [(r.offset, r.sequence, r.value) for r in log.records()] == [
-        whole[3], whole[5]
-    ]
-    assert log._batches[0].offsets == [3, 5]
-    # A fetch from inside the hole starts at the next retained record.
+    # A fetch from inside a cut batch starts at its offset and sequence.
     result = log.read_columnar(4)
-    assert result.offsets() == [5] and result.next_offset == 6
-    assert [r.sequence for r in result.records] == [15]
-    assert log.log_end_offset == 6 and len(log) == 2
+    assert result.offsets() == [4, 5] and result.next_offset == 6
+    assert [r.sequence for r in result.records] == [14, 15]
+    assert log.log_end_offset == 6 and len(log) == 4
 
 
 def test_aborted_index_is_pruned_with_the_records_it_masks():

@@ -255,16 +255,11 @@ def single_columns(batch):
 
 
 def cut_log(steps, data) -> PartitionLog:
-    """A scripted log, then any of: compaction holes below the LSO (so
-    ``StoredBatch.offsets`` is set), a follower that mirrors it (its
+    """A scripted log, then any of: a follower that mirrors it (its
     stored batches shared with, or sliced from, the leader's), a
     ``truncate_to`` and a ``delete_records_before`` — each of which can cut
     a stored batch in two."""
     log = build_log(steps)
-    stable = log.last_stable_offset
-    if stable and data.draw(st.booleans(), label="compact"):
-        holes = data.draw(st.sets(st.integers(0, stable - 1)), label="holes")
-        log.retain_offsets(set(range(stable)) - holes, below=stable)
     if data.draw(st.booleans(), label="follower"):
         follower = PartitionLog("follower")
         follower.replicate_mirror(log)
@@ -297,11 +292,8 @@ def assert_columns_match(got, want: ReferenceResult) -> None:
     for column, other in zip(columns, again):
         assert type(column) is list and column is not other
     for stored in got._batches:
-        held = (
-            stored.offsets, stored.timestamps, stored.keys, stored.values,
-            stored.headers,
-        )
-        assert not any(column is own for column, own in zip(columns, held))
+        held = (stored.timestamps, stored.keys, stored.values, stored.headers)
+        assert not any(column is own for column, own in zip(columns[1:], held))
     columns[2].append("scribble")
     assert got.keys() == again[2]
 
@@ -310,8 +302,7 @@ def assert_columns_match(got, want: ReferenceResult) -> None:
 @settings(max_examples=100, deadline=None)
 def test_columns_equal_the_single_column_accessors(steps, data, from_offset, max_records):
     """``columns()`` is the five accessors gathered in one walk: over logs
-    with aborted spans, markers, compaction holes, truncation, deleted
-    prefixes and follower copies, for windows cut inside their first and
+    with aborted spans, markers, truncation, deleted prefixes and follower copies, for windows cut inside their first and
     last stored batch, at every isolation level."""
     log = cut_log(steps, data)
     from_offset = min(from_offset, log.log_end_offset)
@@ -323,14 +314,12 @@ def test_columns_equal_the_single_column_accessors(steps, data, from_offset, max
 def test_columns_at_every_window_of_a_cut_log():
     """Exhaustively: every ``(from_offset, max_records)`` window — both
     ends at every position, every budget boundary — of a log with an
-    aborted span, markers, holes and a cut first batch, on a follower."""
+    aborted span, markers and a cut first batch, on a follower."""
     leader = build_log([
         ("send", 1, 5), ("plain", 3), ("send", 2, 4), ("end", 1, True),
         ("plain", 8), ("send", 2, 3), ("end", 2, False), ("send", 3, 6),
         ("end", 3, True), ("plain", 2),
     ])
-    stable = leader.last_stable_offset
-    leader.retain_offsets(set(range(stable)) - {1, 7, 15, 16, 27}, below=stable)
     follower = PartitionLog("follower")
     follower.replicate_mirror(leader)
     follower.high_watermark = leader.high_watermark
@@ -355,9 +344,9 @@ def reference_poll(consumer, max_records):
     ]
 
 
-@given(log_scripts(), log_scripts(), st.data(), st.integers(min_value=1, max_value=40))
+@given(log_scripts(), log_scripts(), st.integers(min_value=1, max_value=40))
 @settings(max_examples=60, deadline=None)
-def test_poll_equals_the_accessor_zip_field_by_field(steps, more, data, max_records):
+def test_poll_equals_the_accessor_zip_field_by_field(steps, more, max_records):
     """Two consumers in lockstep over two partitions (so one poll holds
     several fetches, each cut by the shared budget), one through ``poll``,
     one through the accessor reference: same records, field by field, each
@@ -371,11 +360,7 @@ def test_poll_equals_the_accessor_zip_field_by_field(steps, more, data, max_reco
     cluster.create_topic("equiv", 2)
     partitions = cluster.partitions_for("equiv")
     for tp, script in zip(partitions, (steps, more)):
-        log = build_log(script, cluster.partition_state(tp).leader_log())
-        stable = log.last_stable_offset
-        if stable:
-            holes = data.draw(st.sets(st.integers(0, stable - 1)), label="holes")
-            log.retain_offsets(set(range(stable)) - holes, below=stable)
+        build_log(script, cluster.partition_state(tp).leader_log())
     for isolation in ISOLATION_LEVELS:
         config = ConsumerConfig(isolation_level=isolation)
         polled_by, reference_by = Consumer(cluster, config), Consumer(cluster, config)
@@ -464,13 +449,13 @@ def test_add_batch_queues_the_accessor_columns(speculative):
     assert any(noted) == speculative
 
 
-@given(log_scripts(), st.data(), st.integers(min_value=1, max_value=21))
+@given(log_scripts(), st.integers(min_value=1, max_value=21))
 @settings(max_examples=80, deadline=None)
-def test_poll_hands_out_the_logs_scalar_view(steps, data, max_records):
+def test_poll_hands_out_the_logs_scalar_view(steps, max_records):
     """Page by page, ``poll()`` returns the records ``fetch().records``
     shows for the same window — offset, timestamp, key, value and headers
     the log's, topic and partition the assignment's, never more than
-    ``max_records`` — over transactional logs with compaction holes, at
+    ``max_records`` — over transactional logs, at
     every isolation level, with pages that end inside a stored batch."""
     cluster = Cluster(
         num_brokers=1,
@@ -481,10 +466,6 @@ def test_poll_hands_out_the_logs_scalar_view(steps, data, max_records):
     cluster.create_topic("equiv", 1)
     tp = TopicPartition("equiv", 0)
     log = build_log(steps, cluster.partition_state(tp).leader_log())
-    stable = log.last_stable_offset
-    if stable:
-        holes = data.draw(st.sets(st.integers(0, stable - 1)), label="compacted away")
-        log.retain_offsets(set(range(stable)) - holes, below=stable)
     for isolation in ISOLATION_LEVELS:
         consumer = Consumer(cluster, ConsumerConfig(isolation_level=isolation))
         consumer.assign([tp])
@@ -565,14 +546,13 @@ def test_page_boundary_between_aborted_span_and_commit_marker():
 SCAN_MODES = ((False, False), (True, False), (True, True))
 FRACTION = st.floats(min_value=0.0, max_value=1.0)
 # Leader appends (transactional, idempotent and plain batches; markers
-# that commit, abort or close nothing), compaction, purges (that the
+# that commit, abort or close nothing), purges (that the
 # follower misses, so that its next sync resets it, or not), and the
 # follower's own cuts and appends: each is read, then healed by a sync.
 OP_ARGS = {
     "send": (st.sampled_from(PIDS), SIZES, st.booleans()),
     "plain": (SIZES,),
     "end": (st.sampled_from(PIDS), st.booleans()),
-    "compact": (st.sets(st.integers(0, 127), max_size=6),),
     "delete": (FRACTION, st.booleans()),
     "truncate": (FRACTION,),
     "diverge": (st.sampled_from(PIDS), st.booleans()),
@@ -582,7 +562,7 @@ OP_ARGS = {
 }
 LOG_OPS = st.sampled_from(
     ["send"] * 8 + ["plain"] * 3 + ["end"] * 6
-    + ["compact", "delete", "truncate", "diverge", "reset"]
+    + ["delete", "truncate", "diverge", "reset"]
     + ["sync"] * 2 + ["read"] * 3
 ).flatmap(lambda kind: st.tuples(st.just(kind), *OP_ARGS[kind]))
 
@@ -687,10 +667,6 @@ def play(ops):
         elif kind == "end":
             _, pid, commit = op
             leader.append_marker(COMMIT_MARKER if commit else ABORT_MARKER, pid, 0)
-        elif kind == "compact":
-            sync()      # followers are level first, as PartitionState.compact has them
-            stable = leader.last_stable_offset
-            leader.retain_offsets(set(range(stable)) - op[1], below=stable)
         elif kind == "delete":
             _, fraction, follower_too = op
             sync()
@@ -757,13 +733,12 @@ def test_a_jump_through_the_scan_index_lands_where_the_walk_does(ops):
     [("truncate", 0.3)],                                # read stale, healed
     [("diverge", 1, True)],                             # heal drops a span
     [("reset", 1, 1)],
-    [("end", 1, True), ("compact", {1, 5})],
     # An abort that cuts the column prefix in its middle, not at batch 0:
     # what the prefix held past the cut must not come back.
     [("send", 3, 2, True), ("read", 1.0), ("end", 3, False), ("plain", 2)],
 ], ids=[
     "abort", "mirrored-abort", "delete", "missed-delete", "truncate", "heal",
-    "reset", "compact", "late-abort",
+    "reset", "late-abort",
 ])
 def test_each_cut_of_the_scan_index_is_needed(mutation):
     """One script per way to invalidate the index: read both logs

@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from repro.broker.partition import PartitionState
 from repro.errors import InvalidProducerEpochError, OutOfOrderSequenceError
 from repro.log.columnar import ColumnarSlab
-from repro.log.compaction import compact, compact_log
 from repro.log.partition_log import AbortedTxn, PartitionLog
 from repro.log.record import (
     ABORT_MARKER,
@@ -15,7 +14,6 @@ from repro.log.record import (
     RecordBatch,
 )
 
-keys = st.sampled_from(["a", "b", "c", "d", "e"])
 values = st.integers(min_value=0, max_value=1000)
 
 
@@ -154,38 +152,6 @@ def test_lso_never_exceeds_high_watermark(steps):
         assert log.last_stable_offset >= 0
 
 
-@given(
-    st.lists(
-        st.tuples(keys, st.one_of(st.none(), values)),
-        min_size=1,
-        max_size=60,
-    )
-)
-@settings(max_examples=80, deadline=None)
-def test_compaction_preserves_latest_value_per_key(puts):
-    """The compacted log materializes to the same table as the full log."""
-    records = [
-        Record(key=k, value=v, offset=i) for i, (k, v) in enumerate(puts)
-    ]
-
-    def materialize(recs):
-        table = {}
-        for r in recs:
-            if r.value is None:
-                table.pop(r.key, None)
-            else:
-                table[r.key] = r.value
-        return table
-
-    compacted = compact(records, dirty_from=len(records) + 1)
-    assert materialize(compacted) == materialize(records)
-    offsets = [r.offset for r in compacted]
-    assert offsets == sorted(offsets)
-    # At most one record per key survives.
-    surviving_keys = [r.key for r in compacted]
-    assert len(surviving_keys) == len(set(surviving_keys))
-
-
 # -- the stored-batch log against the per-record log it replaced ---------------------
 
 
@@ -241,9 +207,6 @@ class FlatLog:
             self.start = offset
             self.aborted = [s for s in self.aborted if s.last_offset >= offset]
 
-    def compact(self):
-        self.records = compact(self.records, self.aborted, dirty_from=self.lso)
-
     def sync_from(self, leader):
         """``PartitionState._sync_follower`` for a follower that never
         appended on its own."""
@@ -259,6 +222,14 @@ class FlatLog:
         return [
             r for r in self.records if from_offset <= r.offset < up_to_offset
         ][:max_records]
+
+
+def assert_offsets_have_no_gap(log):
+    """The stored batches' offsets, end to end, are every offset from the
+    log start to the log end, and ``len(log)`` counts them."""
+    offsets = [offset for batch in log._batches for offset in batch.offset_column()]
+    assert offsets == list(range(log.log_start_offset, log.log_end_offset))
+    assert len(log) == len(offsets)
 
 
 def assert_matches_model(log, model, windows):
@@ -284,7 +255,7 @@ FRACTIONS = st.floats(min_value=0.0, max_value=1.0)
 MODEL_OPS = st.tuples(
     st.sampled_from(
         ["append"] * 6 + ["marker"] * 4 + ["sync"] * 3 + ["delete"] * 2
-        + ["retry"] * 2 + ["gap", "bump", "truncate", "reset", "compact"]
+        + ["retry"] * 2 + ["gap", "bump", "truncate", "reset"]
     ),
     st.sampled_from(
         ["plain", "idempotent", "transactional", "transactional", "sequence-less"]
@@ -306,23 +277,6 @@ MODEL_OPS = st.tuples(
 )
 @settings(max_examples=100, deadline=None)
 @example(
-    # Compacting the follower empties its tail (a one-record aborted
-    # transaction and its marker); truncating at its end then lowers the end
-    # to the last record kept while removing no batch. That must still mark
-    # the log stale, or the next sync takes the tail back as a plain suffix
-    # and indexes the abort span a second time.
-    ops=[
-        ("append", "plain", 1, 1, False, False, 0.0),
-        ("append", "transactional", 1, 1, False, False, 0.0),
-        ("marker", "plain", 1, 1, False, False, 0.0),
-        ("sync", "plain", 1, 1, False, False, 0.0),
-        ("compact", "plain", 1, 1, True, False, 0.0),
-        ("truncate", "plain", 1, 1, False, False, 1.0),
-        ("sync", "plain", 1, 1, False, False, 0.0),
-    ],
-    windows=[(0.0, 0.0, 1), (0.0, 0.0, 1)],
-)
-@example(
     # One producer's seven batches in one epoch: a retry of any of the last
     # five is a duplicate (the latest, one record long, starts at the
     # producer's last sequence), one of an older batch is out of order, and
@@ -340,9 +294,9 @@ MODEL_OPS = st.tuples(
 )
 def test_stored_batch_log_equals_the_per_record_model(ops, windows):
     """Slab and scalar appends, markers, retries, sequence gaps, epoch
-    bumps, cuts inside batches, compaction and follower syncs in any order:
-    every scalar accessor of the leader and of the follower reads exactly
-    what a flat per-record log would hold. A retry of one of a producer's
+    bumps, cuts inside batches and follower syncs in any order: every
+    scalar accessor of the leader and of the follower reads exactly what a
+    flat per-record log would hold, and their offsets have no gap. A retry of one of a producer's
     last five batches is a duplicate with the original offsets; a retry of
     an older batch, or a batch that skips a sequence number, is refused as
     out of order."""
@@ -434,11 +388,6 @@ def test_stored_batch_log_equals_the_per_record_model(ops, windows):
                 kept = len(model.records)
                 model.delete_records_before(before)
                 assert log.delete_records_before(before) == kept - len(model.records)
-        elif name == "compact":
-            log = follower if flag else leader
-            model = models[id(log)]
-            kept = len(model.records)
-            model.compact()
-            assert compact_log(log) == kept - len(model.records)
         for log in (leader, follower):
+            assert_offsets_have_no_gap(log)
             assert_matches_model(log, models[id(log)], windows)

@@ -14,7 +14,7 @@ each sync compares everything a leader-to-be will be asked about.
 from hypothesis import given, settings, strategies as st
 
 from repro.broker.partition import PartitionState, TopicPartition
-from repro.errors import KafkaError, NotLeaderError
+from repro.errors import KafkaError
 from repro.log.record import (
     ABORT_MARKER,
     COMMIT_MARKER,
@@ -22,6 +22,8 @@ from repro.log.record import (
     Record,
     RecordBatch,
 )
+
+from tests.property.test_log_properties import assert_offsets_have_no_gap
 
 PIDS = st.integers(min_value=1, max_value=4)
 SIZES = st.integers(min_value=1, max_value=4)
@@ -253,7 +255,6 @@ TWIN_OPS = st.one_of(
     st.tuples(st.just("replicate")),
     st.tuples(st.just("bump"), PIDS),
     st.tuples(st.just("delete"), FRACTION),
-    st.tuples(st.just("compact")),
     *[st.tuples(st.just("crash"), BROKER)] * 2,
     *[st.tuples(st.just("restart"), BROKER)] * 2,
     st.tuples(st.just("transfer"), st.integers(min_value=0, max_value=1)),
@@ -264,7 +265,7 @@ TWIN_OPS = st.one_of(
     st.tuples(st.just("unreplicated, then"), st.just("rejoin"), PIDS, SIZES, BROKER),
 )
 # The ops after which a follower's log may be looked at, frozen or promoted.
-OBSERVING = {"delete", "compact", "crash", "restart", "transfer", "read"}
+OBSERVING = {"delete", "crash", "restart", "transfer", "read"}
 
 
 def twin_primitive(ops):
@@ -319,10 +320,8 @@ def describe_partition(partition):
     }
 
 
-def assert_in_sync_followers_hold_the_acked_prefix(partition, compacted):
-    """Below the high watermark an in-sync follower is the leader's log.
-    Compaction rewrites the leader alone, so after one only the offsets
-    both still hold are compared."""
+def assert_in_sync_followers_hold_the_acked_prefix(partition):
+    """Below the high watermark an in-sync follower is the leader's log."""
     if partition.leader is None:
         return
     leader = partition.leader_log()
@@ -335,9 +334,7 @@ def assert_in_sync_followers_hold_the_acked_prefix(partition, compacted):
         assert follower.log_start_offset == start
         assert follower.last_stable_offset == leader.last_stable_offset
         mine = {r.offset: r for r in follower.read(start, up_to_offset=hw)}
-        if not compacted:
-            assert mine == theirs
-        assert all(mine[at] == theirs[at] for at in mine.keys() & theirs.keys())
+        assert mine == theirs
 
 
 def apply(partition, op, batch):
@@ -355,8 +352,6 @@ def apply(partition, op, batch):
         if name == "delete":
             end = partition.leader_log().log_end_offset
             return partition.delete_records_before(int(args[0] * end))
-        if name == "compact":
-            return partition.compact()
         if name == "crash":
             return partition.on_broker_failure(args[0])
         if name == "restart":
@@ -381,19 +376,17 @@ def test_sync_on_demand_equals_sync_inside_every_append(ops):
     def twin(cls):
         return cls(
             TopicPartition("t", 0), broker_ids=list(BROKERS), min_insync_replicas=2,
-            compacted=True,
         )
 
     lazy, eager = twin(PartitionState), twin(CopyingPartitionState)
     epochs = {pid: 0 for pid in range(1, 5)}
     down = set()
-    compacted = False
     value = 0
 
     def assert_twins_agree(op):
         assert describe_partition(lazy) == describe_partition(eager), op
         for partition in (lazy, eager):
-            assert_in_sync_followers_hold_the_acked_prefix(partition, compacted)
+            assert_in_sync_followers_hold_the_acked_prefix(partition)
 
     for op in twin_primitive(ops):
         name, *args = op
@@ -426,8 +419,9 @@ def test_sync_on_demand_equals_sync_inside_every_append(ops):
         outcome = apply(lazy, op, batch)
         assert outcome == apply(eager, op, batch), op
         assert eager._owed_end is None
-        if name == "compact" and outcome not in (0, NotLeaderError):
-            compacted = True
+        for partition in (lazy, eager):
+            for log in partition._replicas.values():
+                assert_offsets_have_no_gap(log)
         if name in OBSERVING:
             # Every in-sync follower is level after these: compare
             # without looking.

@@ -53,7 +53,6 @@ class TestAppSetup:
         changelogs = [t for t in topics if t.startswith("pv-") and "changelog" in t]
         assert len(repartitions) == 1
         assert len(changelogs) == 1
-        assert cluster.topic_metadata(changelogs[0]).compacted
         # Changelog partitions == downstream task count (3).
         assert cluster.topic_metadata(changelogs[0]).num_partitions == 3
 

@@ -87,9 +87,9 @@ def test_field_count_is_pinned():
         for cls in (BrokerConfig, ProducerConfig, ConsumerConfig, StreamsConfig)
     }
     assert counts == {
-        "BrokerConfig": 3,
+        "BrokerConfig": 2,
         "ProducerConfig": 11,
         "ConsumerConfig": 10,
         "StreamsConfig": 14,
     }
-    assert sum(counts.values()) == 38
+    assert sum(counts.values()) == 37

@@ -126,11 +126,11 @@ RULES = {
     raw_stores: ("barriers/engine.py", "task.stores()['counts']"),
     wall_clock: ("obs/health.py", "import time\nnow = time.time()"),
     second_retry_policy: (
-        "clients/admin.py",
-        "def create(self):\n"
+        "clients/consumer.py",
+        "def commit(self):\n"
         "    while True:\n"
         "        try:\n"
-        "            return self._network.call('create_topic', 0, fn)\n"
+        "            return self._network.call('commit_offsets', 0, fn)\n"
         "        except RetriableError:\n"
         "            pass\n",
     ),

