@@ -17,9 +17,9 @@ Reproduces the shape of Bloomberg's deployment on the simulated stack:
 Run:  python examples/bloomberg_mxflow.py
 """
 
-from repro import Cluster, Consumer, ConsumerConfig
-from repro.config import EXACTLY_ONCE, READ_COMMITTED, StreamsConfig
-from repro.streams import KafkaStreams, StreamsBuilder, TimeWindows
+from repro import Cluster
+from repro.config import EXACTLY_ONCE, StreamsConfig
+from repro.streams import KafkaStreams, StateCatalog, StreamsBuilder, TimeWindows
 from repro.workloads.market_data import MarketDataGenerator
 
 
@@ -76,26 +76,10 @@ def main():
     print(f"  ticks produced: {generator.records_produced}")
 
     # --- the state catalog service: consistent snapshots from changelogs ---
-    changelog = next(
-        t for t in cluster.topics if t.startswith("mxflow-") and "changelog" in t
-    )
-    catalog = Consumer(
-        cluster,
-        ConsumerConfig(
-            client_id="state-catalog", isolation_level=READ_COMMITTED
-        ),
-    )
-    catalog.assign(cluster.partitions_for(changelog))
-    snapshot = {}
-    while True:
-        records = catalog.poll(max_records=100_000)
-        if not records:
-            break
-        for record in records:
-            if record.value is None:
-                snapshot.pop(record.key, None)
-            else:
-                snapshot[record.key] = record.value
+    store_name = next(iter(app.topology.stores()))
+    catalog = StateCatalog(cluster, "mxflow", store_name)
+    catalog.refresh()
+    changelog, snapshot = catalog.topic, catalog.all()
 
     print(f"\nState catalog rebuilt {len(snapshot)} (instrument, window) "
           f"aggregates by replaying {changelog!r} (read-committed).")
@@ -113,7 +97,6 @@ def main():
 
     # The snapshot equals the live stores: the changelog is the
     # source-of-truth and the store is its disposable materialized view.
-    store_name = next(iter(app.topology.stores()))
     live = app.store_contents(store_name)
     assert live == snapshot
     print("\nSnapshot matches the live state stores exactly "

@@ -27,11 +27,9 @@ from repro.barriers.object_store import ObjectStore
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import ConsumerConfig, ProducerConfig, READ_UNCOMMITTED
+from repro.sim.network import PROCESS_COST_MS_PER_RECORD
 from repro.sim.scheduler import Driver
 from repro.util import partition_for
-
-# Modelled CPU cost per record (same as the streams runtime, for fairness).
-PROCESS_COST_MS_PER_RECORD = 0.008
 
 # reduce_fn(key, value, state_value_or_None) -> new_state_value
 ReduceFn = Callable[[Any, Any, Optional[Any]], Any]

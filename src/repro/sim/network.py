@@ -29,6 +29,10 @@ from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.sim.clock import SimClock
 from repro.util import ExponentialBackoff
 
+# Modelled CPU cost of processing one record, shared by both Figure 5.b
+# engines (the Streams runtime and the barrier baseline) for fairness.
+PROCESS_COST_MS_PER_RECORD = 0.008
+
 
 @dataclass
 class NetworkCosts:

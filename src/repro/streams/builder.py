@@ -60,16 +60,6 @@ class StreamsBuilder:
             source_topics={topic},
         )
 
-    def global_table(self, topic: str, store_name: Optional[str] = None):
-        """A fully replicated (broadcast) table — every instance holds the
-        whole topic's contents, so streams join it on arbitrary keys."""
-        from repro.streams.global_table import GlobalKTable, GlobalTableSpec
-
-        store = store_name or self.topology.unique_name("GLOBAL-TABLE-STORE")
-        spec = GlobalTableSpec(store_name=store, topic=topic)
-        self.topology.add_global_table(spec)
-        return GlobalKTable(self, spec)
-
     def build(self) -> Topology:
         """Finalize and return the topology (validates sub-topologies)."""
         self.topology.sub_topologies()   # raises TopologyError if invalid

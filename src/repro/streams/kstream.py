@@ -10,7 +10,7 @@ of Figure 3.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Set, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.errors import TopologyError
 from repro.streams.joins import (
@@ -45,20 +45,6 @@ class _PassThroughProcessor(Processor):
 
     def process_batch(self, chunk) -> None:
         self.context.forward_chunk(chunk)
-
-
-class _BranchProcessor(Processor):
-    """Routes each record to the first child whose predicate matches."""
-
-    def __init__(self, predicates, children) -> None:
-        self._predicates = predicates
-        self._children = children
-
-    def process(self, record: StreamRecord) -> None:
-        for predicate, child in zip(self._predicates, self._children):
-            if predicate(record.key, record.value):
-                self.context.forward(record, to=child)
-                return
 
 
 class KStream:
@@ -184,30 +170,6 @@ class KStream:
     def peek(self, action: Callable[[Any, Any], None]) -> "KStream":
         return self._stateless("KSTREAM-PEEK", "peek", action)
 
-    def branch(self, *predicates: Callable[[Any, Any], bool]) -> List["KStream"]:
-        """Split the stream: each record goes to the first branch whose
-        predicate matches (unmatched records are dropped). Returns one
-        KStream per predicate."""
-        if not predicates:
-            raise TopologyError("branch() needs at least one predicate")
-        topo = self.builder.topology
-        branch_node = topo.unique_name("KSTREAM-BRANCH")
-        child_names = [
-            topo.unique_name("KSTREAM-BRANCHCHILD") for _ in predicates
-        ]
-        topo.add_processor(
-            branch_node,
-            lambda preds=predicates, children=tuple(child_names): _BranchProcessor(
-                preds, children
-            ),
-            parents=[self.node],
-        )
-        streams = []
-        for child in child_names:
-            topo.add_processor(child, _PassThroughProcessor, parents=[branch_node])
-            streams.append(self._derive(child))
-        return streams
-
     def to_table(self, store_name: Optional[str] = None) -> "KTable":
         """Materialize the stream directly as a table (KStream#toTable):
         each record is an upsert for its key; None values delete."""
@@ -296,18 +258,12 @@ class KStream:
         other,
         joiner: Callable[[Any, Any], Any],
         windows: Optional[JoinWindows] = None,
-        key_selector: Optional[Callable[[Any, Any], Any]] = None,
     ) -> "KStream":
-        """Inner join with another stream (windowed), a table, or a
-        global table (the latter requires ``key_selector``)."""
-        from repro.streams.global_table import GlobalKTable
-
+        """Inner join with another stream (windowed) or a table."""
         if isinstance(other, KStream):
             if windows is None:
                 raise TopologyError("stream-stream joins require JoinWindows")
             return self._stream_join(other, joiner, windows, False, False)
-        if isinstance(other, GlobalKTable):
-            return self._global_join(other, joiner, key_selector, left_join=False)
         return self._table_join(other, joiner, left_join=False)
 
     def left_join(
@@ -315,39 +271,12 @@ class KStream:
         other,
         joiner: Callable[[Any, Any], Any],
         windows: Optional[JoinWindows] = None,
-        key_selector: Optional[Callable[[Any, Any], Any]] = None,
     ) -> "KStream":
-        from repro.streams.global_table import GlobalKTable
-
         if isinstance(other, KStream):
             if windows is None:
                 raise TopologyError("stream-stream joins require JoinWindows")
             return self._stream_join(other, joiner, windows, True, False)
-        if isinstance(other, GlobalKTable):
-            return self._global_join(other, joiner, key_selector, left_join=True)
         return self._table_join(other, joiner, left_join=True)
-
-    def _global_join(
-        self, table, joiner, key_selector, left_join: bool
-    ) -> "KStream":
-        """Global tables are replicated everywhere: no repartition, no
-        co-partitioning — the selector computes the lookup key per record."""
-        from repro.streams.global_table import GlobalTableJoinProcessor
-
-        if key_selector is None:
-            raise TopologyError(
-                "joining a GlobalKTable requires a key_selector(key, value)"
-            )
-        topo = self.builder.topology
-        node = topo.unique_name("KSTREAM-GLOBALJOIN")
-        store = table.store_name
-        topo.add_processor(
-            node,
-            lambda: GlobalTableJoinProcessor(store, key_selector, joiner, left_join),
-            parents=[self.node],
-            stores=[store],
-        )
-        return self._derive(node)
 
     def outer_join(
         self,

@@ -11,7 +11,7 @@ without incurring any network overhead").
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.errors import StateStoreError
 from repro.streams.records import ColumnChunk, StreamRecord
@@ -247,27 +247,18 @@ class ProcessorContext:
         # at; None outside the walk.
         self._position_time: Optional[float] = None
         # Records forwarded since the last drain, as five columns (the
-        # fifth is stream time) per ``to`` target.
-        self._pending: Dict[Optional[str], tuple] = {}
+        # fifth is stream time); None when nothing is pending.
+        self._pending: Optional[tuple] = None
 
     # -- forwarding -----------------------------------------------------------
 
-    def _check_child(self, to: str) -> None:
-        if to not in self._children:
-            raise ValueError(
-                f"{self.node_name}: {to!r} is not a child "
-                f"(children: {self._children})"
-            )
-
-    def forward(self, record: StreamRecord, to: Optional[str] = None) -> None:
-        """Send ``record`` to child node(s): it joins this node's output
+    def forward(self, record: StreamRecord) -> None:
+        """Send ``record`` to every child node: it joins this node's output
         columns, which whoever called into the processor hands on as one
         chunk when the call returns (:meth:`drain`)."""
-        columns = self._pending.get(to)
+        columns = self._pending
         if columns is None:
-            if to is not None:
-                self._check_child(to)
-            columns = self._pending[to] = ([], [], [], [], [])
+            columns = self._pending = ([], [], [], [], [])
         columns[0].append(record.key)
         columns[1].append(record.value)
         columns[2].append(record.timestamp)
@@ -275,23 +266,18 @@ class ProcessorContext:
         columns[4].append(self.stream_time)
 
     def drain(self) -> None:
-        """Pass on what :meth:`forward` collected, one chunk per target in
-        first-forward order. Called by the runtime after every call into
-        the processor that may forward (``process_batch``, ``on_commit``)."""
-        pending = self._pending
-        if pending:
-            self._pending = {}
-            for to, columns in pending.items():
-                self.forward_chunk(ColumnChunk(*columns), to)
+        """Pass on what :meth:`forward` collected as one chunk. Called by
+        the runtime after every call into the processor that may forward
+        (``process_batch``, ``on_commit``)."""
+        columns = self._pending
+        if columns is not None:
+            self._pending = None
+            self.forward_chunk(ColumnChunk(*columns))
 
-    def forward_chunk(self, chunk: ColumnChunk, to: Optional[str] = None) -> None:
-        """Hand a whole chunk to child node(s) — a direct call, no network.
-        Chunks are immutable between stages, so one chunk may be forwarded
-        to several children without copying."""
-        if to is not None:
-            self._check_child(to)
-            self._task.process_chunk_at(to, chunk)
-            return
+    def forward_chunk(self, chunk: ColumnChunk) -> None:
+        """Hand a whole chunk to every child node — a direct call, no
+        network. Chunks are immutable between stages, so one chunk is
+        forwarded to several children without copying."""
         for child in self._children:
             self._task.process_chunk_at(child, chunk)
 

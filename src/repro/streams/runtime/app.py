@@ -56,8 +56,6 @@ class KafkaStreams:
             sub.sub_id: sub for sub in topology.sub_topologies()
         }
         self._repartition_topics: Set[str] = set()
-        for spec in topology.global_tables().values():
-            cluster.topic_metadata(spec.topic)   # must already exist
         self._create_repartition_topics()
         self._task_counts = self._validate_copartitioning()
         self._task_ids = sorted(

@@ -35,15 +35,13 @@ from repro.errors import (
 )
 # (ProducerFencedError is both caught around commits — wrapped as
 # TaskMigratedError — and around the processing loop directly.)
+from repro.sim.network import PROCESS_COST_MS_PER_RECORD
 from repro.streams.runtime.standby import StandbyTask
 from repro.streams.runtime.task import StreamTask, TaskId
 from repro.util import ExponentialBackoff, stable_hash
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.streams.runtime.app import KafkaStreams
-
-# Modelled CPU cost of processing one record through a sub-topology.
-PROCESS_COST_MS_PER_RECORD = 0.008
 
 
 class StreamsInstance:
@@ -119,13 +117,6 @@ class StreamsInstance:
         # deadline instead of creeping toward it 1 ms at a time.
         self._commit_due = False
         self._commit_timer = None
-        # Global tables: one full local replica per instance.
-        from repro.streams.global_table import GlobalStateStore
-
-        self.global_state = {
-            name: GlobalStateStore(self.cluster, spec)
-            for name, spec in app.topology.global_tables().items()
-        }
         # The group coordinator's session timer probes this when the
         # session deadline passes: a live instance (whose background
         # heartbeat thread would have kept the session fresh in real time)
@@ -273,8 +264,6 @@ class StreamsInstance:
                 return 0
             self._degraded_until = None
         try:
-            for global_store in self.global_state.values():
-                global_store.update()
             batches = self.consumer.poll_batches()
             if self.consumer.take_partitions_lost():
                 # We were kicked from the group (zombie scenario): nothing
@@ -391,9 +380,6 @@ class StreamsInstance:
                 producer=producer,
                 resolve=self.app.resolve_topic,
                 standby_state=standby_state,
-                global_stores={
-                    name: gs.store for name, gs in self.global_state.items()
-                },
                 track_speculation=self.config.speculative,
                 restore_listener=self._notify_restore,
                 restore_budget_per_poll=self.config.restore_max_records_per_poll,

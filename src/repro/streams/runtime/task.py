@@ -57,7 +57,6 @@ class StreamTask:
         producer,
         resolve: Callable[[str], str],
         standby_state: Optional[Dict[str, Any]] = None,
-        global_stores: Optional[Dict[str, Any]] = None,
         track_speculation: bool = False,
         restore_listener: Optional[Callable] = None,
         restore_budget_per_poll: int = 0,
@@ -70,8 +69,6 @@ class StreamTask:
         # standby_state: store name -> (warm store, changelog position),
         # handed over by a StandbyTask for incremental restoration.
         self._standby_state = standby_state or {}
-        # Instance-wide read-only global-table stores, shared by tasks.
-        self._global_stores = global_stores or {}
         self.task_id = task_id
         self.sub = sub_topology
         self.application_id = application_id
@@ -476,10 +473,7 @@ class StreamTask:
     # -- context services -------------------------------------------------------------------------
 
     def state_store(self, name: str):
-        store = self._stores.get(name)
-        if store is not None:
-            return store
-        return self._global_stores[name]
+        return self._stores[name]
 
     def stores(self) -> Dict[str, Any]:
         return dict(self._stores)

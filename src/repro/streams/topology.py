@@ -93,7 +93,6 @@ class Topology:
         self._nodes: Dict[str, Any] = {}
         self._stores: Dict[str, StateStoreSpec] = {}
         self._repartition_topics: Dict[str, RepartitionTopicSpec] = {}
-        self._global_tables: Dict[str, Any] = {}   # store name -> spec
         self._node_seq = 0
 
     # -- construction -------------------------------------------------------------
@@ -119,7 +118,7 @@ class Topology:
         self._check_new(name)
         store_names = list(stores or [])
         for store in store_names:
-            if store not in self._stores and store not in self._global_tables:
+            if store not in self._stores:
                 raise TopologyError(f"unknown state store: {store}")
         self._nodes[name] = ProcessorNode(
             name=name, supplier=supplier, stores=store_names
@@ -150,16 +149,6 @@ class Topology:
     ) -> str:
         self._repartition_topics[name] = RepartitionTopicSpec(name, num_partitions)
         return name
-
-    def add_global_table(self, spec) -> str:
-        """Register a global (fully replicated) table store."""
-        if spec.store_name in self._stores or spec.store_name in self._global_tables:
-            raise TopologyError(f"duplicate state store: {spec.store_name}")
-        self._global_tables[spec.store_name] = spec
-        return spec.store_name
-
-    def global_tables(self) -> Dict[str, Any]:
-        return dict(self._global_tables)
 
     def _check_new(self, name: str) -> None:
         if name in self._nodes:
@@ -254,9 +243,7 @@ class Topology:
                 elif isinstance(node, SinkNode):
                     sinks.add(node.topic)
                 elif isinstance(node, ProcessorNode):
-                    store_names.update(
-                        s for s in node.stores if s not in self._global_tables
-                    )
+                    store_names.update(node.stores)
             if not sources:
                 raise TopologyError(
                     f"sub-topology {sorted(component)} has no source node"

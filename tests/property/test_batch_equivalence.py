@@ -45,6 +45,7 @@ from repro.streams.windows import SessionWindows, TimeWindows
 
 from tests.streams.harness import (
     ReferenceTask,
+    Ticker,
     drain_topic,
     make_cluster,
     merge_by_timestamp,
@@ -436,16 +437,21 @@ def assert_equals_walk_and_fold(build, events, table=()):
 
 
 def build_branch_count():
-    """vectorised filter -> scalar-only branch -> vectorised count: the
-    branch hands each child one chunk per input chunk."""
+    """vectorised filter -> scalar-only process node with two vectorised
+    children (filter -> count, filter -> map_values): the scalar node
+    hands each child one chunk per input chunk."""
     builder = StreamsBuilder()
-    small, large = (
-        builder.stream("input")
-        .filter(lambda k, v: v != 0)
-        .branch(lambda k, v: abs(v) < 3, lambda k, v: v > 0)
+    ticked = builder.stream("input").filter(lambda k, v: v != 0).process(Ticker)
+    (
+        ticked.filter(lambda k, v: abs(v) < 3)
+        .group_by_key()
+        .count(store_name="small")
+        .to_stream()
+        .to("output")
     )
-    small.group_by_key().count(store_name="small").to_stream().to("output")
-    large.map_values(lambda v: v * 100).to("other")
+    ticked.filter(lambda k, v: abs(v) >= 3 and v > 0).map_values(
+        lambda v: v * 100
+    ).to("other")
     return builder.build()
 
 

@@ -176,8 +176,8 @@ class EagerContext(ProcessorContext):
     """Context of a processor that a test drives by hand: no runtime
     drains it after each call, so every forward is handed on at once."""
 
-    def forward(self, record, to=None):
-        super().forward(record, to)
+    def forward(self, record):
+        super().forward(record)
         self.drain()
 
 

@@ -1,7 +1,5 @@
-"""DSL extensions: branch, to_table and session windows run end-to-end
+"""DSL extensions: to_table and session windows run end-to-end
 through the application runtime."""
-
-import pytest
 
 from repro.clients.producer import Producer
 from repro.config import EXACTLY_ONCE, StreamsConfig
@@ -9,49 +7,6 @@ from repro.streams import KafkaStreams, StreamsBuilder
 from repro.streams.windows import SessionWindows
 
 from tests.streams.harness import drain_topic, latest_by_key, make_cluster
-
-
-class TestBranch:
-    def test_records_routed_to_first_matching_branch(self):
-        cluster = make_cluster(**{"in": 1, "big": 1, "small": 1})
-        builder = StreamsBuilder()
-        big, small = builder.stream("in").branch(
-            lambda k, v: v >= 10,
-            lambda k, v: True,
-        )
-        big.to("big")
-        small.to("small")
-        app = KafkaStreams(builder.build(), cluster,
-                           StreamsConfig(application_id="branch"))
-        app.start(1)
-        producer = Producer(cluster)
-        for i, value in enumerate([3, 20, 7, 15]):
-            producer.send("in", key=f"k{i}", value=value, timestamp=float(i))
-        producer.flush()
-        app.run_until_idle()
-        assert sorted(r.value for r in drain_topic(cluster, "big", False)) == [15, 20]
-        assert sorted(r.value for r in drain_topic(cluster, "small", False)) == [3, 7]
-
-    def test_unmatched_records_dropped(self):
-        cluster = make_cluster(**{"in": 1, "out": 1})
-        builder = StreamsBuilder()
-        (only,) = builder.stream("in").branch(lambda k, v: v > 100)
-        only.to("out")
-        app = KafkaStreams(builder.build(), cluster,
-                           StreamsConfig(application_id="branch2"))
-        app.start(1)
-        producer = Producer(cluster)
-        producer.send("in", key="k", value=5, timestamp=0.0)
-        producer.flush()
-        app.run_until_idle()
-        assert drain_topic(cluster, "out", False) == []
-
-    def test_branch_requires_predicates(self):
-        builder = StreamsBuilder()
-        from repro.errors import TopologyError
-
-        with pytest.raises(TopologyError):
-            builder.stream("in").branch()
 
 
 class TestToTable:

@@ -181,15 +181,18 @@ def test_bulk_changelog_hook_stamps_the_closing_stream_time():
 
 
 def test_forward_collects_until_drain_then_one_chunk_per_target():
-    class Router(Processor):
+    """Every child is a target: what a processor forwards waits for
+    ``drain``, which hands it on as one chunk to each child in child
+    order, once."""
+    class Doubler(Processor):
         def process(self, record):
-            self.context.forward(record, to="odd" if record.value % 2 else "even")
+            self.context.forward(record)
             if record.value == 3:
-                self.context.forward(record.with_value("both"))
+                self.context.forward(record.with_value("again"))
 
     task = FakeTask()
-    context = ProcessorContext(task, "router", ["even", "odd"], [])
-    processor = Router()
+    context = ProcessorContext(task, "doubler", ["first", "second"], [])
+    processor = Doubler()
     processor.init(context)
     chunks = []
     task.process_chunk_at = lambda node, chunk: chunks.append((node, chunk))
@@ -197,16 +200,14 @@ def test_forward_collects_until_drain_then_one_chunk_per_target():
     for value in (1, 2, 3, 4):
         processor.process(StreamRecord("k", value, float(value)))
     assert chunks == []
-    with pytest.raises(ValueError, match="not a child"):
-        context.forward(StreamRecord("k", 0, 0.0), to="elsewhere")
     context.drain()
-    # Targets in first-forward order; the untargeted chunk goes to every child.
-    assert [(node, chunk.values) for node, chunk in chunks] == [
-        ("odd", [1, 3]), ("even", [2, 4]), ("even", ["both"]), ("odd", ["both"]),
-    ]
-    assert chunks[0][1].stream_times == [100.0, 100.0]
+    assert [node for node, _ in chunks] == ["first", "second"]
+    assert chunks[0][1] is chunks[1][1], "one chunk, shared by the children"
+    assert chunks[0][1].values == [1, 2, 3, "again", 4]
+    assert chunks[0][1].timestamps == [1.0, 2.0, 3.0, 3.0, 4.0]
+    assert chunks[0][1].stream_times == [100.0] * 5
     context.drain()
-    assert len(chunks) == 4, "a drain hands each record on once"
+    assert len(chunks) == 2, "a drain hands each record on once"
 
 
 def test_default_process_batch_shows_each_position_its_stream_time():
@@ -231,15 +232,16 @@ def test_default_process_batch_shows_each_position_its_stream_time():
 
 
 def build_mixed():
-    """vectorised filter -> Ticker (scalar only) -> branch (scalar only, one
-    child each) -> vectorised count / map_values."""
+    """vectorised filter -> Ticker (scalar only, two children) ->
+    vectorised filters -> vectorised count / map_values."""
     builder = StreamsBuilder()
-    evens, odds = (
+    ticked = (
         builder.stream("input")
         .filter(lambda k, v: v % 5 != 0)
         .process(Ticker)
-        .branch(lambda k, v: v % 2 == 0, lambda k, v: True)
     )
+    evens = ticked.filter(lambda k, v: v % 2 == 0)
+    odds = ticked.filter(lambda k, v: v % 2 != 0)
     evens.group_by_key().count(store_name="counts").to_stream().to("output")
     odds.map_values(lambda v: v * 10).to("other")
     return builder.build()
@@ -302,10 +304,8 @@ def test_traced_chunks_carry_one_span_per_node():
         kind = type(processor).__name__
         by_kind[kind] = by_kind.get(kind, 0) + received[name]
     assert by_kind == {
-        "FusedStatelessProcessor": 60 + 24,       # filter, map_values
+        "FusedStatelessProcessor": 60 + 48 + 48 + 24,   # filters, map_values
         "Ticker": 48,
-        "_BranchProcessor": 48,
-        "_PassThroughProcessor": 24 + 24,         # the two branch heads
         "StreamAggregateProcessor": 24,
         "TableToStreamProcessor": 24,
     }

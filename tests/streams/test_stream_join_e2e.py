@@ -1,6 +1,6 @@
-"""Stream-stream and stream-table joins end-to-end through the runtime,
-including the co-partitioning machinery and the paper's delayed left-join
-emission."""
+"""Stream-stream, stream-table and table-table joins end-to-end through
+the runtime, including the co-partitioning machinery and the paper's
+delayed left-join emission."""
 
 import pytest
 
@@ -181,3 +181,59 @@ class TestStreamTableE2E:
         cluster.clock.advance(10.0)
         values = [r.value for r in drain_topic(cluster, "out")]
         assert values == [("a", "b")]
+
+
+def pair(left, right):
+    return (left, right)
+
+
+TABLE_FEED = [("a", "k", "a1", 0), ("b", "k", "b1", 1), ("b", "j", "b2", 2),
+              ("a", "k", None, 3)]
+
+
+@pytest.mark.parametrize(
+    "build, feed, expected",
+    [
+        (
+            lambda b: b.table("a").left_join(b.table("b"), pair).to_stream(),
+            TABLE_FEED,
+            [[("k", ("a1", None))], [("k", ("a1", "b1"))], [], [("k", None)]],
+        ),
+        (
+            lambda b: b.table("a").outer_join(b.table("b"), pair).to_stream(),
+            TABLE_FEED,
+            [[("k", ("a1", None))], [("k", ("a1", "b1"))],
+             [("j", (None, "b2"))], [("k", (None, "b1"))]],
+        ),
+        (
+            # Unmatched sides of either stream wait for stream time to
+            # pass window + grace (10 + 5 after ts 20 closes neither; 200
+            # closes both).
+            lambda b: b.stream("a").outer_join(
+                b.stream("b"), pair, JoinWindows.of(10.0).grace(5.0)
+            ),
+            [("a", "k", "a1", 0), ("b", "k", "b1", 5), ("b", "j", "b2", 10),
+             ("a", "m", "a2", 20), ("a", "z", "a3", 200)],
+            [[], [("k", ("a1", "b1"))], [], [],
+             [("m", ("a2", None)), ("j", (None, "b2"))]],
+        ),
+    ],
+    ids=["table_left_join", "table_outer_join", "stream_outer_join"],
+)
+def test_join_through_the_dsl_commits_the_pinned_sequence(build, feed, expected):
+    """``KTable.left_join`` / ``outer_join`` and ``KStream.outer_join``
+    built through the DSL: what each input record adds to the committed
+    output, one record and one idle run at a time."""
+    cluster = make_cluster(a=1, b=1, out=1)
+
+    app = start(cluster, lambda b: build(b).to("out"), "dslj")
+    producer = Producer(cluster)
+    steps, seen = [], 0
+    for topic, key, value, ts in feed:
+        producer.send(topic, key=key, value=value, timestamp=float(ts))
+        producer.flush()
+        app.run_until_idle()
+        output = [(r.key, r.value) for r in drain_topic(cluster, "out")]
+        steps.append(output[seen:])
+        seen = len(output)
+    assert steps == expected
