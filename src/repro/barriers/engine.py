@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.broker.cluster import Cluster
-from repro.broker.partition import TopicPartition
 from repro.barriers.object_store import ObjectStore
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer

@@ -10,7 +10,7 @@ within the interval" (Section 4.3).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro.sim.clock import SimClock
 

@@ -16,7 +16,7 @@ exactly the hint a retriable ``NotOwnedError`` should carry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, List, Optional, TYPE_CHECKING
 
 from repro.streams.runtime.task import TaskId
 from repro.util import partition_for

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.tracer import Span, Tracer
+from repro.obs.tracer import Tracer
 
 # Virtual milliseconds -> trace-event microseconds.
 _US_PER_MS = 1000.0

@@ -24,13 +24,12 @@ exercise — identical committed output (see
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.broker.partition import (
     CONSUMER_OFFSETS_TOPIC,
     TRANSACTION_STATE_TOPIC,
-    TopicPartition,
 )
 from repro.obs.debug import dump_debug_bundle
 from repro.sim.failures import FailureInjector

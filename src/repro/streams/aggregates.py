@@ -16,6 +16,7 @@ than stream-time − grace = 13) while [15, 20) survives.
 from __future__ import annotations
 
 from functools import partial
+from itertools import count
 from typing import Any, Callable, Optional
 
 from repro.streams.processor import Processor
@@ -137,8 +138,10 @@ class WindowedAggregateProcessor(Processor):
         self.dropped_records = 0
         self.revisions_emitted = 0
         # (key, window start) -> the Windowed output key of a live window,
-        # so the chunk path builds it once per window rather than per record.
+        # so the chunk path builds it once per window rather than per record,
+        # and window start -> its Window, which every key's window shares.
         self._windowed_keys: dict = {}
+        self._windows_at: dict = {}
 
     def init(self, context) -> None:
         super().init(context)
@@ -156,6 +159,9 @@ class WindowedAggregateProcessor(Processor):
         (key, window) in a single ``put_many`` at chunk end; the trailing
         ``expire_before`` with the final bound removes the same windows the
         scalar path's monotonically increasing per-record calls would have.
+        When every record gives one output (no null key, no late record, a
+        tumbling window), the timestamp, header and stream-time columns
+        travel on by reference.
         """
         keys = chunk.keys
         self.records_processed += len(keys)
@@ -163,59 +169,90 @@ class WindowedAggregateProcessor(Processor):
         grace = windows.grace_ms
         size = windows.size_ms
         tumbling = windows.advance_ms == size
-        store = self._store
+        windows_for = windows.windows_for
+        fetch = self._store.fetch
         initializer = self._initializer
         aggregator = self._aggregator
         windowed_keys = self._windowed_keys
+        windowed_get = windowed_keys.get
+        windows_at = self._windows_at
+        stream_times = chunk.stream_times_from(self.context.stream_time)
         pending: dict = {}
+        pending_get = pending.get
+        # One entry per output: its Windowed key, new and old value, and
+        # the chunk position of the record it came from.
         out_k: list = []
-        out_v: list = []
-        out_t: list = []
-        out_h: list = []
-        out_st: list = []
+        news: list = []
+        olds: list = []
+        positions: list = []
+        append_k = out_k.append
+        append_new = news.append
+        append_old = olds.append
+        append_position = positions.append
+        dropped = revised = 0
         # The scalar path garbage-collects while processing keyed records
         # only; mirror that so store contents match exactly even when a
         # chunk ends in key-less records.
         gc_bound: Optional[float] = None
-        for key, value, timestamp, h, stream_time in zip(
-            keys, chunk.values, chunk.timestamps, chunk.headers,
-            chunk.stream_times_from(self.context.stream_time),
+        for i, key, value, timestamp, stream_time in zip(
+            count(), keys, chunk.values, chunk.timestamps, stream_times
         ):
             if key is None:
                 continue
             expiry_bound = gc_bound = stream_time - grace
-            starts = None
             if tumbling:
                 start = (timestamp // size) * size
                 if start >= 0 and start + size > timestamp >= (start - size) + size:
                     # Exactly when windows_for returns this one window.
-                    starts = (start,)
-            if starts is None:
-                starts = [w.start for w in windows.windows_for(timestamp)]
-            for start in starts:
+                    if start < expiry_bound:
+                        dropped += 1
+                        continue
+                    cache_key = (key, start)
+                    old = pending_get(cache_key, _ABSENT)
+                    if old is _ABSENT:
+                        old = fetch(key, start)
+                    if old is None:
+                        new = aggregator(key, value, initializer())
+                    else:
+                        revised += 1
+                        new = aggregator(key, value, old)
+                    pending[cache_key] = new
+                    windowed = windowed_get(cache_key)
+                    if windowed is None:
+                        window = windows_at.get(start)
+                        if window is None:
+                            window = windows_at[start] = Window(start, start + size)
+                        windowed = windowed_keys[cache_key] = Windowed(key, window)
+                    append_k(windowed)
+                    append_new(new)
+                    append_old(old)
+                    append_position(i)
+                    continue
+            for window in windows_for(timestamp):
+                start = window.start
                 if start < expiry_bound:
-                    self.dropped_records += 1
+                    dropped += 1
                     continue
                 cache_key = (key, start)
-                if cache_key in pending:
-                    old = pending[cache_key]
+                old = pending_get(cache_key, _ABSENT)
+                if old is _ABSENT:
+                    old = fetch(key, start)
+                if old is None:
+                    new = aggregator(key, value, initializer())
                 else:
-                    old = store.fetch(key, start)
-                base = old if old is not None else initializer()
-                new = aggregator(key, value, base)
-                if old is not None:
-                    self.revisions_emitted += 1
+                    revised += 1
+                    new = aggregator(key, value, old)
                 pending[cache_key] = new
-                windowed = windowed_keys.get(cache_key)
+                windowed = windowed_get(cache_key)
                 if windowed is None:
-                    windowed = windowed_keys[cache_key] = Windowed(
-                        key, Window(start, start + size)
-                    )
-                out_k.append(windowed)
-                out_v.append(Change(new, old))
-                out_t.append(timestamp)
-                out_h.append(h)
-                out_st.append(stream_time)
+                    windowed = windowed_keys[cache_key] = Windowed(key, window)
+                append_k(windowed)
+                append_new(new)
+                append_old(old)
+                append_position(i)
+        self.dropped_records += dropped
+        self.revisions_emitted += revised
+        store = self._store
         store.put_many(list(pending.items()))
         if gc_bound is not None and store.expire_before(gc_bound):
             self._windowed_keys = {
@@ -223,10 +260,21 @@ class WindowedAggregateProcessor(Processor):
                 for cache_key, windowed in windowed_keys.items()
                 if cache_key[1] >= gc_bound
             }
-        if out_k:
-            self.context.forward_chunk(
-                ColumnChunk(out_k, out_v, out_t, out_h, out_st)
-            )
+            self._windows_at = {
+                start: window for start, window in windows_at.items()
+                if start >= gc_bound
+            }
+        if not out_k:
+            return
+        timestamps, headers = chunk.timestamps, chunk.headers
+        if positions != list(range(len(keys))):
+            timestamps = list(map(timestamps.__getitem__, positions))
+            headers = list(map(headers.__getitem__, positions))
+            stream_times = list(map(stream_times.__getitem__, positions))
+        self.context.forward_chunk(ColumnChunk(
+            out_k, list(map(_CHANGE, zip(news, olds))), timestamps, headers,
+            stream_times,
+        ))
 
     def process(self, record: StreamRecord) -> None:
         self.records_processed += 1

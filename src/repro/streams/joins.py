@@ -14,7 +14,9 @@ The paper's Section 5 distinguishes joins by their *output type*:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import and_, is_not
+from typing import Any, Callable, Optional
 
 from repro.streams.processor import Processor
 from repro.streams.records import Change, ColumnChunk, StreamRecord
@@ -184,28 +186,24 @@ class StreamTableJoinProcessor(Processor):
         )
 
     def process_batch(self, chunk: ColumnChunk) -> None:
-        """One table lookup per record, as in :meth:`process`. The table
-        cannot change under the scan: its updates arrive as chunks of their
-        own, from another queue of the same task."""
+        """One store call looks up the whole chunk's keys, and the records
+        that join are picked in C. The table cannot change under the scan:
+        its updates arrive as chunks of their own, from another queue of
+        the same task."""
         keys = chunk.keys
-        get = self._table.get
-        joiner = self._joiner
-        left_join = self._left_join
-        kept: List[int] = []
-        out_v: list = []
-        for i, (key, value) in enumerate(zip(keys, chunk.values)):
-            if key is None:
-                continue
-            table_value = get(key)
-            if table_value is None and not left_join:
-                continue
-            kept.append(i)
-            out_v.append(joiner(value, table_value))
+        rows = self._table.get_many(keys)
+        joins = map(is_not, keys, repeat(None))
+        if not self._left_join:
+            joins = map(and_, joins, map(is_not, rows, repeat(None)))
+        kept = list(compress(range(len(keys)), joins))
         if not kept:
             return
         if len(kept) != len(keys):
             chunk = chunk.take(kept, self.context.stream_time)
-        self.context.forward_chunk(chunk.with_values(out_v))
+            rows = [rows[i] for i in kept]
+        self.context.forward_chunk(
+            chunk.with_values(list(map(self._joiner, chunk.values, rows)))
+        )
 
 
 class TableTableJoinProcessor(Processor):

@@ -214,7 +214,7 @@ class FusedStatelessProcessor(Processor):
         fn = self._fn
         self.context.forward_chunk(
             ColumnChunk(
-                [fn(k, v) for k, v in zip(chunk.keys, chunk.values)],
+                list(map(fn, chunk.keys, chunk.values)),
                 chunk.values,
                 chunk.timestamps,
                 chunk.headers,

@@ -9,7 +9,7 @@ threads; the virtual clock supplies time).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set
 
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition

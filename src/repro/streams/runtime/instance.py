@@ -11,7 +11,7 @@ duplicated effects (Figure 1).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.broker.partition import TopicPartition
 from repro.clients.consumer import Consumer

@@ -11,7 +11,7 @@ apply one.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from repro.streams.processor import Processor
 from repro.streams.records import Change, StreamRecord

@@ -33,6 +33,12 @@ class KeyValueStore:
     def get(self, key: Any) -> Any:
         raise NotImplementedError
 
+    def get_many(self, keys: List[Any]) -> List[Any]:
+        """The value of each key, in order (``None`` where absent), in one
+        call; the default is one :meth:`get` each. A null key may be among
+        them (a key-less stream record), and its answer goes unread."""
+        return list(map(self.get, keys))
+
     def put(self, key: Any, value: Any) -> None:
         raise NotImplementedError
 
@@ -88,7 +94,6 @@ class InMemoryKeyValueStore(KeyValueStore):
         self._on_update_many: Optional[BulkUpdateHook] = None
         self._position = 0
         self.puts = 0
-        self.gets = 0
 
     def set_update_hook(self, on_update: Optional[UpdateHook]) -> None:
         self._on_update = on_update
@@ -99,8 +104,12 @@ class InMemoryKeyValueStore(KeyValueStore):
         self._on_update_many = on_update_many
 
     def get(self, key: Any) -> Any:
-        self.gets += 1
         return self._data.get(key)
+
+    def get_many(self, keys: List[Any]) -> List[Any]:
+        # Reads the dict directly: a subclass that overrides ``get`` must
+        # override this too.
+        return list(map(self._data.get, keys))
 
     def _apply_put(self, key: Any, value: Any) -> None:
         """The single application hook both write paths route through; a

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Mapping, Tuple
+from math import inf
+from typing import Any, Dict, List, Tuple
 
+from repro.streams.aggregates import _CHANGE
 from repro.streams.processor import Processor
-from repro.streams.records import Change, ColumnChunk, StreamRecord
+from repro.streams.records import ColumnChunk, StreamRecord
 from repro.streams.windows import Windowed
 
 UNTIL_WINDOW_CLOSES = "until_window_closes"
@@ -61,9 +63,10 @@ class SuppressProcessor(Processor):
         self._grace_ms = grace_ms
         self._final = suppressed.mode == UNTIL_WINDOW_CLOSES
         self._wait = 0.0 if self._final else suppressed.time_limit_ms
-        # key -> (latest_new, pre-run old, latest ts, first buffered at,
-        # the latest revision's headers — the frozen object itself, shared)
-        self._buffer: Dict[Any, Tuple[Any, Any, float, float, Mapping]] = {}
+        # key -> [latest_new, pre-run old, latest ts, first buffered at,
+        # the latest revision's headers — the frozen object itself, shared];
+        # a revision rewrites slots 0, 2 and 4 in place.
+        self._buffer: Dict[Any, List[Any]] = {}
         # (due, insertion number, key) for exactly the buffered keys.
         self._index: List[Tuple[float, int, Any]] = []
         self._inserted = 0
@@ -91,31 +94,47 @@ class SuppressProcessor(Processor):
         its record was processed at. Returns the emissions as five columns
         (keys, Changes, timestamps, headers, stream times)."""
         buffer = self._buffer
+        buffer_get = buffer.get
         index = self._index
         wait = self._wait
+        final = self._final
+        grace = self._grace_ms
+        inserted = self._inserted
+        suppressed = 0
+        # index[0][0] whenever the index is not empty.
+        head = index[0][0] if index else inf
         out: tuple = ([], [], [], [], [])
         for key, change, timestamp, h, stream_time in zip(
             keys, values, timestamps, headers, stream_times
         ):
-            pending = buffer.get(key)
+            pending = buffer_get(key)
             if pending is None:
-                if not self._final:
+                if not final:
                     due = timestamp
                 elif isinstance(key, Windowed):
-                    due = key.window.end + self._grace_ms
+                    due = key.window.end + grace
                 else:
                     raise TypeError(
                         "until_window_closes requires windowed keys; got "
                         f"{type(key).__name__}"
                     )
-                buffer[key] = (change.new, change.old, timestamp, timestamp, h)
-                heappush(index, (due, self._inserted, key))
-                self._inserted += 1
+                buffer[key] = [change.new, change.old, timestamp, timestamp, h]
+                heappush(index, (due, inserted, key))
+                inserted += 1
+                if due < head:
+                    head = due
             else:
-                self.records_suppressed += 1
-                buffer[key] = (change.new, pending[1], timestamp, pending[3], h)
-            if stream_time - index[0][0] >= wait:
+                # A revision: the entry keeps its pre-run old value and
+                # first-buffered time, and is updated where it lies.
+                suppressed += 1
+                pending[0] = change.new
+                pending[2] = timestamp
+                pending[4] = h
+            if stream_time - head >= wait:
                 self._emit_due(stream_time, out)
+                head = index[0][0] if index else inf
+        self._inserted = inserted
+        self.records_suppressed += suppressed
         return out
 
     def _emit_due(self, stream_time: float, out: tuple) -> None:
@@ -125,17 +144,19 @@ class SuppressProcessor(Processor):
         while index and stream_time - index[0][0] >= wait:
             due.append(heappop(index)[1:])
         due.sort()   # by insertion number: the buffer's own order
+        pop = self._buffer.pop
         out_k, out_v, out_t, out_h, out_st = out
+        emitted = len(out_k)
         for _, key in due:
-            new, old, ts, _first, headers = self._buffer.pop(key)
+            new, old, ts, _first, headers = pop(key)
             if new is None and old is None:
                 continue
-            self.records_emitted += 1
             out_k.append(key)
-            out_v.append(Change(new, old))
+            out_v.append(_CHANGE((new, old)))
             out_t.append(ts)
             out_h.append(headers)
             out_st.append(stream_time)
+        self.records_emitted += len(out_k) - emitted
 
     def _forward_records(self, out: tuple) -> None:
         for key, change, ts, headers, _ in zip(*out):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import QueryError
 

@@ -129,8 +129,18 @@ def _run_topology(build, events, guarantee, partitions, table,
     app.run_until_idle(max_steps=20_000)
     output, stores = observe(cluster, app)
     fastpath = cluster.metrics.counter("streams.batch_fastpath_total").value
+    counters = {name: app.metric_total(name) for name in COUNTERS}
     app.close()
-    return output, stores, fastpath
+    return output, stores, fastpath, counters
+
+
+#: Processor counters the chunk path adds up once per chunk: the window
+#: conservation law reads ``dropped_records``, the revision-processing
+#: example prints ``revisions_emitted``.
+COUNTERS = (
+    "dropped_records", "revisions_emitted", "records_suppressed",
+    "records_emitted",
+)
 
 
 def observe(cluster, app):
@@ -217,10 +227,10 @@ def build_filtered_windowed_count():
 def test_reduce_topology_batch_equals_scalar(guarantee, events):
     """Figure 5's reduce topology: committed output and final store
     contents are byte-identical on the chunk path and the record path."""
-    scalar_out, scalar_stores, _ = run_topology(
+    scalar_out, scalar_stores, _, _ = run_topology(
         build_reduce, events, batch=False, guarantee=guarantee
     )
-    batch_out, batch_stores, fastpath = run_topology(
+    batch_out, batch_stores, fastpath, _ = run_topology(
         build_reduce, events, batch=True, guarantee=guarantee
     )
     assert batch_out == scalar_out
@@ -233,10 +243,10 @@ def test_reduce_topology_batch_equals_scalar(guarantee, events):
 def test_stateless_chain_batch_equals_scalar(events):
     """filter -> flatMapValues -> mapValues fused into column passes emits
     exactly the scalar record sequence."""
-    scalar_out, _, _ = run_topology(
+    scalar_out, _, _, _ = run_topology(
         build_stateless_chain, events, batch=False, guarantee=EXACTLY_ONCE
     )
-    batch_out, _, fastpath = run_topology(
+    batch_out, _, fastpath, _ = run_topology(
         build_stateless_chain, events, batch=True, guarantee=EXACTLY_ONCE
     )
     assert batch_out == scalar_out
@@ -255,16 +265,18 @@ def test_stateless_chain_batch_equals_scalar(events):
 @settings(max_examples=10, deadline=None)
 def test_windowed_count_batch_equals_scalar(windows, events):
     """The grouped window scan replays scalar stream-time advance exactly:
-    same revisions, same late-record drops, same surviving windows."""
+    same revisions, same late-record drops (and the same counts of both),
+    same surviving windows."""
     build = build_windowed_count(windows)
-    scalar_out, scalar_stores, _ = run_topology(
+    scalar_out, scalar_stores, _, scalar_counters = run_topology(
         build, events, batch=False, guarantee=EXACTLY_ONCE
     )
-    batch_out, batch_stores, _ = run_topology(
+    batch_out, batch_stores, _, batch_counters = run_topology(
         build, events, batch=True, guarantee=EXACTLY_ONCE
     )
     assert batch_out == scalar_out
     assert batch_stores == scalar_stores
+    assert batch_counters == scalar_counters
 
 
 @given(workloads())
@@ -272,10 +284,10 @@ def test_windowed_count_batch_equals_scalar(windows, events):
 def test_filtered_windowed_count_batch_equals_scalar(events):
     """Records a filter or flatMap removed upstream still advanced stream
     time: the window scan drops the same late records either way."""
-    scalar_out, scalar_stores, _ = run_topology(
+    scalar_out, scalar_stores, _, _ = run_topology(
         build_filtered_windowed_count, events, batch=False, guarantee=EXACTLY_ONCE
     )
-    batch_out, batch_stores, fastpath = run_topology(
+    batch_out, batch_stores, fastpath, _ = run_topology(
         build_filtered_windowed_count, events, batch=True, guarantee=EXACTLY_ONCE
     )
     assert batch_out == scalar_out
@@ -337,10 +349,10 @@ def test_table_join_batch_equals_scalar(left_join, events, table):
     between stream records, null-keyed records on either side are dropped,
     and the two inputs of the one task interleave by timestamp."""
     build = build_table_join(left_join)
-    scalar_out, scalar_stores, _ = run_topology(
+    scalar_out, scalar_stores, _, _ = run_topology(
         build, events, batch=False, guarantee=EXACTLY_ONCE, table=table
     )
-    batch_out, batch_stores, fastpath = run_topology(
+    batch_out, batch_stores, fastpath, _ = run_topology(
         build, events, batch=True, guarantee=EXACTLY_ONCE, table=table
     )
     assert batch_out == scalar_out
@@ -354,16 +366,18 @@ def test_suppress_until_window_closes_batch_equals_scalar(events):
     """Only final results, each emitted on the record whose stream time
     closed its window — null-keyed records included — and windows closing
     together leave in the order they were first buffered."""
-    scalar_out, scalar_stores, _ = run_topology(
+    scalar_out, scalar_stores, _, scalar_counters = run_topology(
         build_windowed_count_suppressed, events, batch=False,
         guarantee=EXACTLY_ONCE,
     )
-    batch_out, batch_stores, fastpath = run_topology(
+    batch_out, batch_stores, fastpath, batch_counters = run_topology(
         build_windowed_count_suppressed, events, batch=True,
         guarantee=EXACTLY_ONCE,
     )
     assert batch_out == scalar_out
     assert batch_stores == scalar_stores
+    assert batch_counters == scalar_counters
+    assert batch_counters["records_emitted"] == len(batch_out)
     assert fastpath == len(events)
 
 
@@ -374,16 +388,18 @@ def test_suppress_until_time_limit_batch_equals_scalar(events):
     A commit flushes this buffer, so its output is a function of where
     commits fall; one commit after the whole input keeps that the same in
     both runs (batch commits land on chunk boundaries)."""
-    scalar_out, scalar_stores, _ = run_topology(
+    scalar_out, scalar_stores, _, scalar_counters = run_topology(
         build_count_time_limited, events, batch=False,
         guarantee=EXACTLY_ONCE, commit_interval_ms=500.0,
     )
-    batch_out, batch_stores, fastpath = run_topology(
+    batch_out, batch_stores, fastpath, batch_counters = run_topology(
         build_count_time_limited, events, batch=True,
         guarantee=EXACTLY_ONCE, commit_interval_ms=500.0,
     )
     assert batch_out == scalar_out
     assert batch_stores == scalar_stores
+    assert batch_counters == scalar_counters
+    assert batch_counters["records_emitted"] == len(batch_out)
     assert fastpath == len(events)
 
 
@@ -416,11 +432,11 @@ def assert_equals_walk_and_fold(build, events, table=()):
     """Chunk run == base-walk run (everything), and == the fold (output
     key / value / timestamp per sink topic, store contents). One commit
     after the whole input, so commit-time flushes see the same state."""
-    walk_out, walk_stores, _ = run_topology(
+    walk_out, walk_stores, _, _ = run_topology(
         build, events, batch=False, guarantee=EXACTLY_ONCE, table=table,
         commit_interval_ms=500.0,
     )
-    out, stores, fastpath = run_topology(
+    out, stores, fastpath, _ = run_topology(
         build, events, batch=True, guarantee=EXACTLY_ONCE, table=table,
         commit_interval_ms=500.0,
     )

@@ -8,7 +8,7 @@ from repro.streams.joins import (
     StreamTableJoinProcessor,
     TableTableJoinProcessor,
 )
-from repro.streams.records import Change, StreamRecord
+from repro.streams.records import Change, ColumnChunk, StreamRecord
 from repro.streams.state.kv_store import InMemoryKeyValueStore
 from repro.streams.state.window_store import InMemoryWindowStore
 
@@ -145,6 +145,40 @@ class TestStreamTableJoin:
         processor, task, _ = self.make(left_join=True)
         feed(task, processor, "k", "event", 0)
         assert [r.value for r in forwarded_records(task)] == [("event", None)]
+
+    @pytest.mark.parametrize("left_join", [False, True], ids=["inner", "left"])
+    def test_a_chunk_is_one_store_call_and_joins_like_its_records(self, left_join):
+        keys = ["k", None, "gone", "k", "j", None, "gone"]
+        timestamps = [float(i) for i in range(len(keys))]
+
+        def run(by_chunk):
+            processor, task, table = self.make(left_join)
+            table.put("k", "ctx")
+            table.put("j", "other")
+            calls = []
+            for name in ("get", "get_many"):
+                def spy(*args, _name=name, _method=getattr(table, name)):
+                    calls.append(_name)
+                    return _method(*args)
+                setattr(table, name, spy)
+            if by_chunk:
+                processor.process_batch(ColumnChunk(
+                    keys, list(range(len(keys))), timestamps, [{}] * len(keys)
+                ))
+            else:
+                for i, (key, timestamp) in enumerate(zip(keys, timestamps)):
+                    feed(task, processor, key, i, timestamp)
+            out = [(r.key, r.value, r.timestamp) for r in forwarded_records(task)]
+            return out, calls
+
+        by_chunk, chunk_calls = run(by_chunk=True)
+        by_record, record_calls = run(by_chunk=False)
+        assert chunk_calls == ["get_many"]
+        assert record_calls == ["get"] * 5     # null keys look nothing up
+        assert by_chunk == by_record
+        assert [key for key, _, _ in by_chunk] == (
+            ["k", "gone", "k", "j", "gone"] if left_join else ["k", "k", "j"]
+        )
 
 
 class TestTableTableJoin:

@@ -1,10 +1,12 @@
 """Structural guard: who may reach into what, across ``src/repro``.
 
 Three layering rules used to be grep steps in CI; a fourth came with the
-one client call path, a fifth with the one start-offset gate. Each is a function from a module's place in the
-package and its syntax tree to the offences in it, run over every module
-of ``src/repro`` and, as a negative control, over the smallest snippet
-that breaks it — so a rule that stopped seeing anything fails too.
+one client call path, a fifth with the one start-offset gate, a sixth
+with the deletions that left imports behind. Each is a function from a
+module's place in the package and its syntax tree to the offences in it,
+run over every module of ``src/repro`` and, as a negative control, over
+the smallest snippet that breaks it — so a rule that stopped seeing
+anything fails too.
 
 1. *No busy-wait outside the simulator.* The discrete-event driver owns
    idle time; engine code does not creep the clock forward while idle.
@@ -21,6 +23,9 @@ that breaks it — so a rule that stopped seeing anything fails too.
    offsets are stable (KIP-447): nothing else asks ``offsets_stable``, and
    the Streams layer neither reads committed offsets nor pauses its
    consumer to wait for them.
+6. *Every module-level import is used.* A name a module imports and never
+   reads is what a deletion left behind. Names listed in ``__all__`` count
+   as read, and a package's ``__init__`` is all re-exports.
 """
 
 import ast
@@ -120,6 +125,59 @@ def second_start_offset_gate(where, tree):
     yield from (ast.unparse(call) for name, call in calls(tree) if name in gates)
 
 
+def module_level(tree):
+    """The statements that run at import time: the module body and what
+    sits under its ``if`` / ``try`` blocks, but nothing in a def or class."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        yield node
+        if isinstance(node, (ast.If, ast.Try)):
+            pending += [
+                child for child in ast.iter_child_nodes(node)
+                if isinstance(child, ast.stmt)
+            ]
+            for handler in getattr(node, "handlers", ()):
+                pending += handler.body
+
+
+def annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+
+
+def unused_import(where, tree):
+    if where.endswith("__init__.py"):
+        return
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        # A quoted annotation ("KafkaStreams") reads what it names.
+        read |= {
+            name.id
+            for quoted in ast.walk(annotation)
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str)
+            for name in ast.walk(ast.parse(quoted.value, mode="eval"))
+            if isinstance(name, ast.Name)
+        }
+    for node in module_level(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and ast.unparse(node.targets[0]) == "__all__"
+        ):
+            read |= set(ast.literal_eval(node.value))
+    for node in module_level(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in read:
+                    yield f"{name} (line {node.lineno})"
+
+
 #: rule -> the smallest module that breaks it: (where it sits, its source).
 RULES = {
     busy_wait: ("streams/runtime/instance.py", "clock.advance(idle_ms)"),
@@ -139,6 +197,11 @@ RULES = {
         "if not coordinator.offsets_stable(self.config.application_id):\n"
         "    return\n",
     ),
+    unused_import: (
+        "streams/joins.py",
+        "from typing import List, Tuple\n"
+        "kept: List[int] = []\n",
+    ),
 }
 
 
@@ -153,6 +216,23 @@ def test_layering_rule_holds_and_still_bites(rule):
     where, mutant = RULES[rule]
     assert where in modules()    # the rule was run where the mutant would sit
     assert list(rule(where, ast.parse(mutant)))
+
+
+def test_an_unused_import_is_seen_under_a_guard_and_an_export_is_not_one():
+    guarded = (
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.streams.runtime.app import KafkaStreams\n"
+        "    from repro.streams.runtime.instance import StreamsInstance\n"
+        "def build(app: 'StreamsInstance'):\n"
+        "    import json\n"
+    )
+    assert list(unused_import("iq/view.py", ast.parse(guarded))) == [
+        "KafkaStreams (line 3)"
+    ]
+    exported = "from repro.streams.records import Change\n__all__ = ['Change']\n"
+    assert not list(unused_import("streams/table_ops.py", ast.parse(exported)))
+    assert not list(unused_import("streams/__init__.py", ast.parse(guarded)))
 
 
 def test_backoff_is_built_in_four_places_and_one_of_them_is_the_call_policy():
