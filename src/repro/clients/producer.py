@@ -17,6 +17,8 @@ Reproduces the client-side behaviour of Sections 4.1–4.2:
 from __future__ import annotations
 
 from functools import partial
+from itertools import repeat
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.broker.cluster import Cluster
@@ -36,6 +38,7 @@ from repro.util import MEMO_KEY_TYPES, RouteMemo, partition_for
 
 # "Every type in this iterable is FrozenHeaders", decided in C.
 _ALL_FROZEN = frozenset((FrozenHeaders,)).issuperset
+_PARTITION = attrgetter("partition")
 
 
 class _ColumnBuffer:
@@ -385,7 +388,6 @@ class Producer:
         if count == 1 and partitioner is None:
             self.send_columns(topic, 0, keys, values, timestamps, headers)
             return
-        buckets: Dict[int, List[int]] = {}
         if partitioner is None:
             # The hash runs once per distinct key when every key of the
             # chunk may index the memo (one check per chunk), else once
@@ -394,20 +396,25 @@ class Producer:
                 lookup = memo.__getitem__
             else:
                 lookup = memo.route
-            for i, tp in enumerate(map(lookup, keys)):
-                buckets.setdefault(tp.partition, []).append(i)
+            partitions = map(_PARTITION, map(lookup, keys))
         else:
-            for i, key in enumerate(keys):
-                buckets.setdefault(partitioner(key, values[i], count), []).append(i)
-        for partition, idx in buckets.items():
-            self.send_columns(
-                topic,
-                partition,
-                [keys[i] for i in idx],
-                [values[i] for i in idx],
-                [timestamps[i] for i in idx],
-                [headers[i] for i in idx],
-            )
+            partitions = map(partitioner, keys, values, repeat(count))
+        # One pass: each record's columns onto its partition's, the
+        # partitioner called in record order.
+        buckets: Dict[int, tuple] = {}
+        buckets_get = buckets.get
+        for partition, key, value, timestamp, hdrs in zip(
+            partitions, keys, values, timestamps, headers
+        ):
+            bucket = buckets_get(partition)
+            if bucket is None:
+                bucket = buckets[partition] = ([], [], [], [])
+            bucket[0].append(key)
+            bucket[1].append(value)
+            bucket[2].append(timestamp)
+            bucket[3].append(hdrs)
+        for partition, columns in buckets.items():
+            self.send_columns(topic, partition, *columns)
 
     def _route_of(self, topic: str) -> Tuple[List[TopicPartition], RouteMemo]:
         """``topic``'s partition table and key memo: the cluster's own

@@ -17,7 +17,7 @@ Build a topology with :class:`StreamsBuilder`, then run it with
 
 from repro.streams.builder import StreamsBuilder
 from repro.streams.records import Change, StreamRecord
-from repro.streams.windows import SessionWindows, TimeWindows, Window, Windowed
+from repro.streams.windows import TimeWindows, Window, Windowed
 from repro.streams.suppress import Suppressed
 from repro.streams.joins import JoinWindows
 from repro.streams.queries import StateCatalog
@@ -29,7 +29,6 @@ __all__ = [
     "StreamRecord",
     "Change",
     "TimeWindows",
-    "SessionWindows",
     "Window",
     "Windowed",
     "JoinWindows",

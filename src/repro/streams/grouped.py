@@ -30,16 +30,9 @@ class KGroupedStream:
         self.node = node
         self.source_topics = set(source_topics)
 
-    def windowed_by(self, windows) -> "TimeWindowedKStream":
-        """Window the grouped stream; aggregates become windowed tables.
-
-        Accepts :class:`TimeWindows` (tumbling/hopping) or
-        :class:`~repro.streams.windows.SessionWindows`.
-        """
-        from repro.streams.windows import SessionWindows
-
-        if isinstance(windows, SessionWindows):
-            return SessionWindowedKStream(self, windows)
+    def windowed_by(self, windows: TimeWindows) -> "TimeWindowedKStream":
+        """Window the grouped stream (tumbling or hopping); aggregates
+        become windowed tables."""
         return TimeWindowedKStream(self, windows)
 
     def count(self, store_name: Optional[str] = None) -> "KTable":
@@ -149,83 +142,6 @@ class TimeWindowedKStream:
             store_name=store,
             source_topics=self._grouped.source_topics,
             windows=windows,
-        )
-
-
-class SessionWindowedKStream:
-    """A grouped stream with session windows attached."""
-
-    def __init__(self, grouped: KGroupedStream, windows) -> None:
-        self._grouped = grouped
-        self.windows = windows
-
-    def count(self, store_name: Optional[str] = None) -> "KTable":
-        from repro.streams.sessions import session_count_merger
-
-        return self.aggregate(
-            count_initializer,
-            count_aggregator,
-            merger=session_count_merger,
-            store_name=store_name,
-            prefix="KSTREAM-SESSION-COUNT",
-        )
-
-    def reduce(
-        self,
-        reducer: Callable[[Any, Any], Any],
-        store_name: Optional[str] = None,
-    ) -> "KTable":
-        def merger(key, a, b):
-            if a is None:
-                return b
-            if b is None:
-                return a
-            return reducer(a, b)
-
-        return self.aggregate(
-            lambda: None,
-            lambda k, v, agg: v if agg is None else reducer(agg, v),
-            merger=merger,
-            store_name=store_name,
-            prefix="KSTREAM-SESSION-REDUCE",
-        )
-
-    def aggregate(
-        self,
-        initializer: Callable[[], Any],
-        aggregator: Callable[[Any, Any, Any], Any],
-        merger: Callable[[Any, Any, Any], Any],
-        store_name: Optional[str] = None,
-        prefix: str = "KSTREAM-SESSION-AGGREGATE",
-    ) -> "KTable":
-        """Session aggregation; ``merger(key, agg_a, agg_b)`` combines the
-        aggregates of sessions bridged by a record."""
-        from repro.streams.ktable import KTable
-        from repro.streams.sessions import SessionAggregateProcessor
-
-        builder = self._grouped.builder
-        topo = builder.topology
-        store = store_name or topo.unique_name(f"{prefix}-STORE")
-        topo.add_state_store(
-            StateStoreSpec(
-                name=store, kind="window", retention_ms=self.windows.retention_ms
-            )
-        )
-        windows = self.windows
-        node = topo.unique_name(prefix)
-        topo.add_processor(
-            node,
-            lambda: SessionAggregateProcessor(
-                store, windows, initializer, aggregator, merger
-            ),
-            parents=[self._grouped.node],
-            stores=[store],
-        )
-        return KTable(
-            builder=builder,
-            node=node,
-            store_name=store,
-            source_topics=self._grouped.source_topics,
         )
 
 

@@ -40,6 +40,9 @@ class _AbsorbProcessor(Processor):
 
 
 class _PassThroughProcessor(Processor):
+    """The merge node of a two-sided join: hands on what either side
+    emits."""
+
     def process(self, record: StreamRecord) -> None:
         self.context.forward(record)
 
@@ -138,9 +141,6 @@ class KStream:
         """Keep records for which ``predicate(key, value)`` is true."""
         return self._stateless("KSTREAM-FILTER", "filter", predicate)
 
-    def filter_not(self, predicate: Callable[[Any, Any], bool]) -> "KStream":
-        return self._stateless("KSTREAM-FILTER", "filter_not", predicate)
-
     def map(self, mapper: Callable[[Any, Any], Tuple[Any, Any]]) -> "KStream":
         """Transform each record to a new (key, value); may change the key,
         so downstream key-based operations will repartition."""
@@ -150,65 +150,9 @@ class KStream:
         """Transform values only — key unchanged, no repartition needed."""
         return self._stateless("KSTREAM-MAPVALUES", "map_values", mapper)
 
-    def flat_map(
-        self, mapper: Callable[[Any, Any], Iterable[Tuple[Any, Any]]]
-    ) -> "KStream":
-        return self._stateless(
-            "KSTREAM-FLATMAP", "flat_map", mapper, key_changed=True
-        )
-
-    def flat_map_values(self, mapper: Callable[[Any], Iterable[Any]]) -> "KStream":
-        return self._stateless(
-            "KSTREAM-FLATMAPVALUES", "flat_map_values", mapper
-        )
-
     def select_key(self, selector: Callable[[Any, Any], Any]) -> "KStream":
         return self._stateless(
             "KSTREAM-KEY-SELECT", "select_key", selector, key_changed=True
-        )
-
-    def peek(self, action: Callable[[Any, Any], None]) -> "KStream":
-        return self._stateless("KSTREAM-PEEK", "peek", action)
-
-    def to_table(self, store_name: Optional[str] = None) -> "KTable":
-        """Materialize the stream directly as a table (KStream#toTable):
-        each record is an upsert for its key; None values delete."""
-        from repro.streams.ktable import KTable
-        from repro.streams.table_ops import TableSourceProcessor
-        from repro.streams.topology import StateStoreSpec
-
-        stream = self._maybe_repartition()
-        topo = self.builder.topology
-        store = store_name or topo.unique_name("KSTREAM-TOTABLE-STORE")
-        topo.add_state_store(StateStoreSpec(name=store, kind="kv"))
-        node = topo.unique_name("KSTREAM-TOTABLE")
-        topo.add_processor(
-            node,
-            lambda: TableSourceProcessor(store),
-            parents=[stream.node],
-            stores=[store],
-        )
-        return KTable(
-            builder=self.builder,
-            node=node,
-            store_name=store,
-            source_topics=stream.source_topics,
-        )
-
-    def merge(self, other: "KStream") -> "KStream":
-        """Interleave two streams into one (no ordering guarantee between
-        the inputs beyond per-partition order)."""
-        topo = self.builder.topology
-        name = topo.unique_name("KSTREAM-MERGE")
-        topo.add_processor(
-            name, _PassThroughProcessor, parents=[self.node, other.node]
-        )
-        return KStream(
-            builder=self.builder,
-            node=name,
-            source_topics=self.source_topics | other.source_topics,
-            repartition_required=self.repartition_required
-            or other.repartition_required,
         )
 
     def process(

@@ -59,8 +59,8 @@ class Processor:
 
 
 class FusedStatelessProcessor(Processor):
-    """The DSL's stateless operators (filter / map / flatMap / selectKey /
-    peek and friends) as one processor.
+    """The DSL's stateless operators (filter / map / mapValues /
+    selectKey) as one processor.
 
     The scalar methods define each operator per record; the columnar ones
     transform whole columns in a single pass — list comprehensions over
@@ -70,16 +70,7 @@ class FusedStatelessProcessor(Processor):
     record-for-record.
     """
 
-    KINDS = (
-        "filter",
-        "filter_not",
-        "map",
-        "map_values",
-        "flat_map",
-        "flat_map_values",
-        "select_key",
-        "peek",
-    )
+    KINDS = ("filter", "map", "map_values", "select_key")
 
     def __init__(self, kind: str, fn: Callable) -> None:
         if kind not in self.KINDS:
@@ -97,10 +88,6 @@ class FusedStatelessProcessor(Processor):
         if self._fn(record.key, record.value):
             self.context.forward(record)
 
-    def _scalar_filter_not(self, record: StreamRecord) -> None:
-        if not self._fn(record.key, record.value):
-            self.context.forward(record)
-
     def _scalar_map(self, record: StreamRecord) -> None:
         key, value = self._fn(record.key, record.value)
         self.context.forward(record.with_kv(key, value))
@@ -108,22 +95,10 @@ class FusedStatelessProcessor(Processor):
     def _scalar_map_values(self, record: StreamRecord) -> None:
         self.context.forward(record.with_value(self._fn(record.value)))
 
-    def _scalar_flat_map(self, record: StreamRecord) -> None:
-        for key, value in self._fn(record.key, record.value):
-            self.context.forward(record.with_kv(key, value))
-
-    def _scalar_flat_map_values(self, record: StreamRecord) -> None:
-        for value in self._fn(record.value):
-            self.context.forward(record.with_value(value))
-
     def _scalar_select_key(self, record: StreamRecord) -> None:
         self.context.forward(
             record.with_kv(self._fn(record.key, record.value), record.value)
         )
-
-    def _scalar_peek(self, record: StreamRecord) -> None:
-        self._fn(record.key, record.value)
-        self.context.forward(record)
 
     # -- columnar path --------------------------------------------------------
 
@@ -131,16 +106,6 @@ class FusedStatelessProcessor(Processor):
         fn = self._fn
         keys, values = chunk.keys, chunk.values
         idx = [i for i in range(len(keys)) if fn(keys[i], values[i])]
-        if not idx:
-            return
-        if len(idx) != len(keys):
-            chunk = chunk.take(idx, self.context.stream_time)
-        self.context.forward_chunk(chunk)
-
-    def _batch_filter_not(self, chunk: ColumnChunk) -> None:
-        fn = self._fn
-        keys, values = chunk.keys, chunk.values
-        idx = [i for i in range(len(keys)) if not fn(keys[i], values[i])]
         if not idx:
             return
         if len(idx) != len(keys):
@@ -166,50 +131,6 @@ class FusedStatelessProcessor(Processor):
             chunk.with_values([fn(v) for v in chunk.values])
         )
 
-    def _batch_flat_map(self, chunk: ColumnChunk) -> None:
-        fn = self._fn
-        out_k: list = []
-        out_v: list = []
-        out_t: list = []
-        out_h: list = []
-        out_st: list = []
-        for k, v, t, h, st in zip(
-            chunk.keys, chunk.values, chunk.timestamps, chunk.headers,
-            chunk.stream_times_from(self.context.stream_time),
-        ):
-            for k2, v2 in fn(k, v):
-                out_k.append(k2)
-                out_v.append(v2)
-                out_t.append(t)
-                out_h.append(h)
-                out_st.append(st)
-        if out_k:
-            self.context.forward_chunk(
-                ColumnChunk(out_k, out_v, out_t, out_h, out_st)
-            )
-
-    def _batch_flat_map_values(self, chunk: ColumnChunk) -> None:
-        fn = self._fn
-        out_k: list = []
-        out_v: list = []
-        out_t: list = []
-        out_h: list = []
-        out_st: list = []
-        for k, v, t, h, st in zip(
-            chunk.keys, chunk.values, chunk.timestamps, chunk.headers,
-            chunk.stream_times_from(self.context.stream_time),
-        ):
-            for v2 in fn(v):
-                out_k.append(k)
-                out_v.append(v2)
-                out_t.append(t)
-                out_h.append(h)
-                out_st.append(st)
-        if out_k:
-            self.context.forward_chunk(
-                ColumnChunk(out_k, out_v, out_t, out_h, out_st)
-            )
-
     def _batch_select_key(self, chunk: ColumnChunk) -> None:
         fn = self._fn
         self.context.forward_chunk(
@@ -221,12 +142,6 @@ class FusedStatelessProcessor(Processor):
                 chunk.stream_times,
             )
         )
-
-    def _batch_peek(self, chunk: ColumnChunk) -> None:
-        fn = self._fn
-        for k, v in zip(chunk.keys, chunk.values):
-            fn(k, v)
-        self.context.forward_chunk(chunk)
 
 
 class ProcessorContext:

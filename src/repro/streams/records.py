@@ -35,9 +35,6 @@ class StreamRecord:
     def with_value(self, value: Any) -> "StreamRecord":
         return StreamRecord(self.key, value, self.timestamp, self.headers)
 
-    def with_timestamp(self, timestamp: float) -> "StreamRecord":
-        return StreamRecord(self.key, self.value, timestamp, self.headers)
-
 
 class ColumnChunk:
     """A run of records as parallel columns: the unit a task processes

@@ -272,13 +272,13 @@ class StreamTask:
                 for key, value in items:
                     scalar_hook(key, value)
                 return
-            timestamp = self._changelog_time()
+            keys, values = zip(*items)
             self.producer.send_columns(
                 topic,
                 partition,
-                [key for key, _ in items],
-                [value for _, value in items],
-                [timestamp] * len(items),
+                keys,
+                values,
+                [self._changelog_time()] * len(items),
                 [NO_HEADERS] * len(items),
             )
 

@@ -111,14 +111,9 @@ class InMemoryKeyValueStore(KeyValueStore):
         # override this too.
         return list(map(self._data.get, keys))
 
-    def _apply_put(self, key: Any, value: Any) -> None:
-        """The single application hook both write paths route through; a
-        subclass overriding it changes scalar and bulk writes alike."""
-        self._data[key] = value
-
     def put(self, key: Any, value: Any) -> None:
         self.puts += 1
-        self._apply_put(key, value)
+        self._data[key] = value
         self._position += 1
         if self._on_update is not None:
             self._on_update(key, value)
@@ -127,14 +122,7 @@ class InMemoryKeyValueStore(KeyValueStore):
         if not items:
             return
         self.puts += len(items)
-        if type(self)._apply_put is InMemoryKeyValueStore._apply_put:
-            # Bulk fast path: nothing overrides the application hook, so
-            # one dict.update replaces the per-item calls.
-            self._data.update(items)
-        else:
-            apply_put = self._apply_put
-            for key, value in items:
-                apply_put(key, value)
+        self._data.update(items)
         self._position += len(items)
         if self._on_update_many is not None:
             self._on_update_many(items)
@@ -163,6 +151,3 @@ class InMemoryKeyValueStore(KeyValueStore):
 
     def approximate_num_entries(self) -> int:
         return len(self._data)
-
-    def clear(self) -> None:
-        self._data.clear()

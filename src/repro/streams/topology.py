@@ -167,17 +167,8 @@ class Topology:
 
     # -- accessors -----------------------------------------------------------------
 
-    def node(self, name: str):
-        return self._nodes[name]
-
-    def nodes(self) -> Dict[str, Any]:
-        return dict(self._nodes)
-
     def stores(self) -> Dict[str, StateStoreSpec]:
         return dict(self._stores)
-
-    def store(self, name: str) -> StateStoreSpec:
-        return self._stores[name]
 
     def repartition_topics(self) -> Dict[str, RepartitionTopicSpec]:
         return dict(self._repartition_topics)

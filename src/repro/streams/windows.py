@@ -123,43 +123,3 @@ class TimeWindows:
     def retention_ms(self) -> float:
         """How long window state is retained: size + grace."""
         return self.size_ms + self.grace_ms
-
-
-@dataclass(frozen=True)
-class SessionWindows:
-    """Activity sessions: windows separated by an inactivity gap.
-
-    Two records of one key belong to the same session when their
-    timestamps are at most ``gap_ms`` apart; sessions therefore *merge*
-    when a record bridges two of them. Merging is revision processing at
-    its sharpest: the merged sessions' previously emitted results are
-    retracted (Change with new=None) and the merged session's result is
-    emitted.
-    """
-
-    gap_ms: float
-    grace_ms: float = DEFAULT_GRACE_MS
-
-    @classmethod
-    def with_gap(cls, gap_ms: float) -> "SessionWindows":
-        if gap_ms <= 0:
-            raise ValueError("session gap must be positive")
-        return cls(gap_ms=gap_ms)
-
-    def grace(self, grace_ms: float) -> "SessionWindows":
-        if grace_ms < 0:
-            raise ValueError("grace must be >= 0")
-        return SessionWindows(self.gap_ms, grace_ms)
-
-    @property
-    def retention_ms(self) -> float:
-        return self.gap_ms + self.grace_ms
-
-
-def session_window(first_ts: float, last_ts: float) -> Window:
-    """The Window representing a session spanning [first_ts, last_ts].
-
-    Sessions are closed intervals over event time; a single-event session
-    has first == last, so the half-open Window is padded by one unit.
-    """
-    return Window(first_ts, max(last_ts, first_ts) + 1.0)

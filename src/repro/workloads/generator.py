@@ -201,10 +201,9 @@ class WorkloadGenerator:
     def produce_for_columnar(self, duration_ms: float, flush: bool = True) -> int:
         """Columnar twin of :meth:`produce_for`: the same record stream
         (key distribution, rate, lateness model, creation stamps), built as
-        whole columns and handed to :meth:`Producer.send_columns` — one
-        bulk rng draw for the keys, each key routed through the cluster's
-        key memo (:meth:`Cluster.route_of`), and one clock advance for the
-        whole slice, where
+        whole columns and handed to :meth:`Producer.send_chunk` — one
+        bulk rng draw for the keys and one clock advance for the whole
+        slice, where
         :meth:`produce_for` stops at every timer deadline. (The rng
         consumption differs from the scalar path, so a given seed yields
         different — equally distributed — keys.)
@@ -240,26 +239,9 @@ class WorkloadGenerator:
         values = [value_fn(rng, sequence + i) for i in range(n)]
         headers = [{CREATED_AT_HEADER: created} for created in times]
 
-        # Every key is a str of ``_key_strings``, so each may index the memo.
-        memo = self.cluster.route_of(self.topic)[1]
-        buckets: dict = {}
-        buckets_get = buckets.get
-        for key, value, event_time, hdrs in zip(
-            keys, values, event_times, headers
-        ):
-            partition = memo[key].partition
-            bucket = buckets_get(partition)
-            if bucket is None:
-                bucket = buckets[partition] = ([], [], [], [])
-            bucket[0].append(key)
-            bucket[1].append(value)
-            bucket[2].append(event_time)
-            bucket[3].append(hdrs)
-
         self._sequence = sequence + n
         self.records_produced += n
-        for partition, columns in buckets.items():
-            self.producer.send_columns(self.topic, partition, *columns)
+        self.producer.send_chunk(self.topic, keys, values, event_times, headers)
         clock.advance(t - now)
         if flush:
             self.producer.flush()

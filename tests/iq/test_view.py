@@ -125,14 +125,3 @@ class TestPutMany:
         assert bulk.puts == scalar.puts == 3
         # Changelog mirroring is per-item on both paths.
         assert bulk_updates == scalar_updates == items
-
-    def test_apply_put_override_covers_bulk_writes(self):
-        class Scaled(InMemoryKeyValueStore):
-            def _apply_put(self, key, value):
-                super()._apply_put(key, value * 10)
-
-        store = Scaled("scaled")
-        store.put("a", 1)
-        store.put_many([("b", 2), ("c", 3)])
-        assert dict(store.all()) == {"a": 10, "b": 20, "c": 30}
-        assert store.position() == 3

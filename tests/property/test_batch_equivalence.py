@@ -9,7 +9,7 @@ switch for it) and once as the runtime runs it — and require the committed
 output records (key, value, timestamp, headers, partition order) and the
 final state-store contents to be identical. The Figure 5 reduce topology is
 the anchor case from the paper's throughput experiment; a stateless chain
-exercises the fused filter/flatMap column pass, and a windowed count
+exercises the fused filter/map/selectKey column passes, and a windowed count
 exercises the grouped window scan with per-record expiry bounds. The
 Section 5 completeness path is covered operator by operator: stream-table
 joins (with table tombstones and null stream keys), and both suppress
@@ -41,7 +41,7 @@ from repro.config import (
 )
 from repro.streams import JoinWindows, KafkaStreams, StreamsBuilder
 from repro.streams.suppress import SuppressProcessor, Suppressed
-from repro.streams.windows import SessionWindows, TimeWindows
+from repro.streams.windows import TimeWindows
 
 from tests.streams.harness import (
     ReferenceTask,
@@ -183,7 +183,8 @@ def build_stateless_chain():
     (
         builder.stream("input")
         .filter(lambda k, v: v != 0)
-        .flat_map_values(lambda v: [v, v * 10])
+        .map(lambda k, v: (k, v * 10))
+        .select_key(lambda k, v: (k, v % 3))
         .map_values(lambda v: v + 1)
         .to("output")
     )
@@ -211,7 +212,8 @@ def build_filtered_windowed_count():
     (
         builder.stream("input")
         .filter(lambda k, v: v > 0)
-        .flat_map_values(lambda v: [v] * (v % 3))
+        .map_values(lambda v: v % 3)
+        .filter(lambda k, v: v != 0)
         .group_by_key()
         .windowed_by(TimeWindows.of(25.0).grace(10.0))
         .count(store_name="wcounts")
@@ -241,8 +243,8 @@ def test_reduce_topology_batch_equals_scalar(guarantee, events):
 @given(workloads())
 @settings(max_examples=10, deadline=None)
 def test_stateless_chain_batch_equals_scalar(events):
-    """filter -> flatMapValues -> mapValues fused into column passes emits
-    exactly the scalar record sequence."""
+    """filter -> map -> selectKey -> mapValues fused into column passes
+    emits exactly the scalar record sequence."""
     scalar_out, _, _, _ = run_topology(
         build_stateless_chain, events, batch=False, guarantee=EXACTLY_ONCE
     )
@@ -282,8 +284,8 @@ def test_windowed_count_batch_equals_scalar(windows, events):
 @given(workloads())
 @settings(max_examples=10, deadline=None)
 def test_filtered_windowed_count_batch_equals_scalar(events):
-    """Records a filter or flatMap removed upstream still advanced stream
-    time: the window scan drops the same late records either way."""
+    """Records the filters removed upstream still advanced stream time:
+    the window scan drops the same late records either way."""
     scalar_out, scalar_stores, _, _ = run_topology(
         build_filtered_windowed_count, events, batch=False, guarantee=EXACTLY_ONCE
     )
@@ -407,24 +409,42 @@ def test_suppress_until_time_limit_batch_equals_scalar(events):
 
 
 def reference_fold(build, events, table=()):
-    """What the (single sub-topology, single partition) app must commit
-    and hold after the whole input and one commit: ``ReferenceTask`` over
-    the timestamp-ordered merge of the two inputs (ties to the partition
-    that sorts first, FIFO within one)."""
-    (sub,) = build().sub_topologies()
-    queues = {
-        TopicPartition(topic, 0): [(topic, *record) for record in records]
-        for topic, records in (("input", events), ("table", table))
-    }
-    task = ReferenceTask(sub)
-    task.run(
-        record for _, record in merge_by_timestamp(queues, lambda r: r[3])
-    )
-    task.commit()
+    """What the single-partition app must commit and hold after the whole
+    input and one commit, and how many records its tasks read. Each
+    sub-topology is a ``ReferenceTask`` over the timestamp-ordered merge
+    of the topics it reads (ties to the partition that sorts first, FIFO
+    within one), folded once every sub-topology writing to those topics
+    has been: what one writes to a repartition topic, in that order, is
+    the next one's input."""
+    written = {"input": list(events), "table": list(table)}
+    stores, read = {}, 0
+    pending = build().sub_topologies()
+    while pending:
+        sub = next(
+            sub for sub in pending
+            if not any(sub.source_topics & other.sink_topics for other in pending)
+        )
+        pending.remove(sub)
+        queues = {
+            TopicPartition(topic, 0):
+                [(topic, *record) for record in written.get(topic, ())]
+            for topic in sub.source_topics
+        }
+        merged = [record for _, record in merge_by_timestamp(queues, lambda r: r[3])]
+        read += len(merged)
+        task = ReferenceTask(sub)
+        task.run(merged)
+        task.commit()
+        for topic, *record in task.output:
+            written.setdefault(topic, []).append(record)
+        stores.update(
+            (name, dict(store._data)) for name, store in task._stores.items()
+        )
     return (
-        [record for topic in ("output", "other")
-         for record in task.output if record[0] == topic],
-        {name: dict(store._data) for name, store in task._stores.items()},
+        [(topic, *record) for topic in ("output", "other")
+         for record in written.get(topic, ())],
+        stores,
+        read,
     )
 
 
@@ -442,8 +462,8 @@ def assert_equals_walk_and_fold(build, events, table=()):
     )
     assert out == walk_out
     assert stores == walk_stores
-    assert fastpath == len(events) + len(table)
-    fold_out, fold_stores = reference_fold(build, events, table)
+    fold_out, fold_stores, read = reference_fold(build, events, table)
+    assert fastpath == read
     assert [
         (topic, k, v, ts) for topic, _, k, v, ts, _ in out
     ] == fold_out
@@ -494,13 +514,16 @@ def build_stream_join_windowed_count():
     return builder.build()
 
 
-def build_session_count():
+def build_table_regroup_count():
+    """vectorised table source -> scalar-only group_by map (a row that
+    changes its group forwards a retraction and an accumulation) ->
+    repartition -> scalar-only table count (subtractor, then adder) ->
+    vectorised to_stream: KTable re-aggregation over two sub-topologies."""
     builder = StreamsBuilder()
     (
-        builder.stream("input")
-        .group_by_key()
-        .windowed_by(SessionWindows.with_gap(12.0).grace(15.0))
-        .count(store_name="sessions")
+        builder.table("table", store_name="rows")
+        .group_by(lambda key, row: (row, key))
+        .count(store_name="keys_per_row")
         .to_stream()
         .to("output")
     )
@@ -509,14 +532,13 @@ def build_session_count():
 
 @pytest.mark.parametrize(
     "build",
-    [build_branch_count, build_stream_join_windowed_count, build_session_count],
-    ids=["branch", "stream_join", "sessions"],
+    [build_branch_count, build_stream_join_windowed_count,
+     build_table_regroup_count],
+    ids=["branch", "stream_join", "table_regroup"],
 )
 @given(workloads(), table_updates())
 @settings(max_examples=10, deadline=None)
 def test_scalar_only_operator_between_vectorised_ones(build, events, table):
-    if build is not build_stream_join_windowed_count:
-        table = []
     assert_equals_walk_and_fold(build, events, table)
 
 
@@ -643,7 +665,7 @@ def test_one_commit_runs_the_commit_hooks_in_topology_order(build, events, table
     output of the first commit shows the order."""
     if build is not build_left_join_suppress:
         table = []
-    fold_out, _ = reference_fold(build, events, table)
+    fold_out, _, _ = reference_fold(build, events, table)
     assert run_one_commit(build, events, table) == fold_out
 
 
@@ -707,6 +729,6 @@ def test_speculative_app_below_an_aborting_upstream(events, aborts):
     assert rollbacks == sum(
         aborts[number % len(aborts)] for number in range(transactions)
     )
-    fold_out, fold_stores = reference_fold(build_reduce, committed)
+    fold_out, fold_stores, _ = reference_fold(build_reduce, committed)
     assert [(topic, k, v, ts) for topic, _, k, v, ts, _ in out] == fold_out
     assert {name: data for (_, name), data in stores.items()} == fold_stores

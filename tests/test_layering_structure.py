@@ -26,10 +26,14 @@ anything fails too.
 6. *Every module-level import is used.* A name a module imports and never
    reads is what a deletion left behind. Names listed in ``__all__`` count
    as read, and a package's ``__init__`` is all re-exports.
+
+One more check keeps ``tools/uncalled_allowlist.txt`` honest: every
+function it explains is still defined.
 """
 
 import ast
 import functools
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -273,3 +277,34 @@ def test_the_cluster_is_the_only_routing_truth_and_recovery_is_never_none():
             ):
                 offences.append(f"{where}: except {ast.unparse(node.type)}")
     assert not offences
+
+
+def load_collector():
+    """``tools/uncalled.py`` as a module (``tools`` is not a package)."""
+    path = ROOT.parents[1] / "tools" / "uncalled.py"
+    spec = importlib.util.spec_from_file_location("uncalled", path)
+    collector = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(collector)
+    return collector
+
+
+def stale_entries(allowlist, defined):
+    return sorted(entry for entry in allowlist if entry not in defined)
+
+
+def test_every_allowlisted_uncalled_function_is_still_defined():
+    """Each line of the collector's allowlist names a ``def`` of
+    ``src/repro``, keyed as the collector keys it: a rename or a deletion
+    that leaves its line behind fails here, not in a silent list."""
+    collector = load_collector()
+    defined = {
+        (module, name) for module, name, _, _ in collector.definitions(ROOT)
+    }
+    allowlist = collector.read_allowlist()
+    assert allowlist
+    assert not stale_entries(allowlist, defined)
+    planted = dict(allowlist)
+    planted["repro/streams/kstream.py", "KStream.flat_map"] = "owed: deleted"
+    assert stale_entries(planted, defined) == [
+        ("repro/streams/kstream.py", "KStream.flat_map")
+    ]

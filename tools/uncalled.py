@@ -29,8 +29,14 @@ under ``benchmarks/`` (a dunder aside) is flagged ``[bench]``: the
 benchmarks may import or patch it, as the ledger does ``RecordBatch``.
 
 Zero calls is where to look, not a verdict: a function reached only by a
-fault path, a debug bundle or a test oracle may well stay. It takes a few
-minutes and is not a CI step.
+fault path, a debug bundle or a test oracle may well stay. Each one that
+stays on purpose has a line in ``uncalled_allowlist.txt`` next to this
+file, ``<module> <qualified name>  <reason>`` with the module as printed
+here; those are listed apart, with their reasons, and every other
+uncalled function is unexplained. A tier-1 test
+(``tests/test_layering_structure.py``) fails an allowlist line whose
+function is no longer defined. It takes a few minutes and is not a CI
+step.
 """
 
 from __future__ import annotations
@@ -74,6 +80,19 @@ EXAMPLES = (
     "quickstart.py", "failure_recovery.py", "elastic_scaling.py",
     "revision_processing.py", "bloomberg_mxflow.py", "expedia_conversations.py",
 )
+
+
+ALLOWLIST = Path(__file__).with_name("uncalled_allowlist.txt")
+
+
+def read_allowlist(path: Path = ALLOWLIST) -> dict:
+    """(module, qualified name) -> reason, one per non-comment line."""
+    allowed = {}
+    for line in path.read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            module, name, reason = line.split(None, 2)
+            allowed[module, name] = reason
+    return allowed
 
 
 def export_head(into: Path) -> None:
@@ -170,26 +189,51 @@ def main() -> int:
             if (module, first) not in seen:
                 uncalled[module].append((name, first, last))
                 lines += last - first + 1
+    allowed = read_allowlist()
+    unexplained = {
+        module: [f for f in found if (module, f[0]) not in allowed]
+        for module, found in uncalled.items()
+    }
+    explained = {
+        module: [f for f in found if (module, f[0]) in allowed]
+        for module, found in uncalled.items()
+    }
+    print("Unexplained:")
+    unexplained_total = report(unexplained, used_by_benches)
+    print(f"\nAllowlisted ({ALLOWLIST.name}):")
+    explained_total = report(explained, used_by_benches, allowed)
+    count = sum(map(len, uncalled.values()))
+    print(f"\n{count} of {total} functions uncalled ({lines} lines): "
+          f"{unexplained_total} unexplained, {explained_total} allowlisted")
+    return 0
+
+
+def report(uncalled, used_by_benches, reasons=None) -> str:
+    """Print ``uncalled`` by module, a reason after each name that has
+    one, then its totals by package; returns the grand total."""
     by_package = defaultdict(lambda: [0, 0])
     for module, found in sorted(uncalled.items()):
+        if not found:
+            continue
         span = sum(last - first + 1 for _, first, last in found)
         print(f"{module}: {len(found)} uncalled, {span} lines")
         for name, first, last in found:
             short = name.rsplit(".", 1)[-1]
             dunder = short.startswith("__") and short.endswith("__")
             flag = "  [bench]" if short in used_by_benches and not dunder else ""
-            print(f"    {first:5d}-{last:<5d} {name}{flag}")
+            why = f"  {reasons[module, name]}" if reasons else ""
+            print(f"    {first:5d}-{last:<5d} {name}{flag}{why}")
         parts = module.split("/")
         key = parts[1] if len(parts) > 2 else parts[-1].removesuffix(".py")
         by_package[key][0] += len(found)
         by_package[key][1] += span
-    count = sum(len(found) for found in uncalled.values())
-    print(f"\n{count} of {total} functions uncalled ({lines} lines)")
+    count = sum(n for n, _ in by_package.values())
+    lines = sum(span for _, span in by_package.values())
     print(", ".join(
         f"{key} {n} ({span} lines)"
         for key, (n, span) in sorted(by_package.items(), key=lambda kv: -kv[1][0])
-    ))
-    return 0
+    ) or "none")
+    return f"{count} ({lines} lines)"
 
 
 if __name__ == "__main__":
