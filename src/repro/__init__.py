@@ -8,7 +8,7 @@ Public API layers:
 * :mod:`repro.streams` — the Kafka-Streams-like processing library (DSL,
   tasks, state stores, exactly-once, revision processing);
 * :mod:`repro.barriers` — the checkpoint-based baseline engine;
-* :mod:`repro.sim` — virtual clock, network cost model, failure injection.
+* :mod:`repro.sim` — virtual clock, network cost model, fault rules, chaos.
 """
 
 from repro.broker.cluster import Cluster
@@ -26,7 +26,6 @@ from repro.config import (
     StreamsConfig,
 )
 from repro.sim.clock import SimClock
-from repro.sim.failures import FailureInjector
 from repro.sim.network import FaultRule, Network, NetworkCosts
 
 __version__ = "1.0.0"
@@ -48,6 +47,5 @@ __all__ = [
     "Network",
     "NetworkCosts",
     "FaultRule",
-    "FailureInjector",
     "__version__",
 ]

@@ -54,12 +54,3 @@ class ObjectStore:
         if path not in self._objects:
             raise KeyError(path)
         return self._objects[path]
-
-    def exists(self, path: str) -> bool:
-        return path in self._objects
-
-    def list_paths(self, prefix: str = "") -> list:
-        return sorted(p for p in self._objects if p.startswith(prefix))
-
-    def delete(self, path: str) -> None:
-        self._objects.pop(path, None)

@@ -214,10 +214,6 @@ class GroupCoordinator:
         group = self._groups.get(group_id)
         return group is not None and member_id in group.members
 
-    def members(self, group_id: str) -> List[str]:
-        group = self._groups.get(group_id)
-        return [] if group is None else sorted(group.members)
-
     def _require_member(self, group_id: str, member_id: str) -> GroupState:
         group = self._groups.get(group_id)
         if group is None or member_id not in group.members:

@@ -317,15 +317,6 @@ class TransactionCoordinator:
             elif txn.state == ONGOING:
                 self._arm_abort_timer(txn)
 
-    # -- introspection ----------------------------------------------------------------
-
-    def transaction_state(self, transactional_id: str) -> Optional[str]:
-        txn = self._txns.get(transactional_id)
-        return None if txn is None else txn.state
-
-    def transaction_metadata(self, transactional_id: str) -> Optional[TxnMetadata]:
-        return self._txns.get(transactional_id)
-
     # -- internals ----------------------------------------------------------------------
 
     def _validate(

@@ -466,18 +466,6 @@ class Consumer:
     def seek_to_beginning(self, tp: TopicPartition) -> None:
         self.seek(tp, self.cluster.partition_state(tp).leader_log().log_start_offset)
 
-    def pause(self, tp: TopicPartition) -> None:
-        self._paused.add(tp)
-
-    def resume(self, tp: TopicPartition) -> None:
-        self._paused.discard(tp)
-
-    def end_offsets(self, partitions: List[TopicPartition]) -> Dict[TopicPartition, int]:
-        return {
-            tp: self.cluster.end_offset(tp, self.config.isolation_level)
-            for tp in partitions
-        }
-
     def commit_sync(self, offsets: Optional[Dict[TopicPartition, int]] = None) -> None:
         """Commit positions (non-transactional; EOS commits go through the
         producer's ``send_offsets_to_transaction`` instead)."""
@@ -508,14 +496,6 @@ class Consumer:
             timeout_ms=self.config.default_api_timeout_ms,
             kind="coordinator_retry", detail={"api": "offset_commit"},
         )
-
-    def committed(self, tp: TopicPartition) -> Optional[int]:
-        if self.config.group_id is None:
-            return None
-        result = self.cluster.group_coordinator.fetch_committed(
-            self.config.group_id, [tp]
-        )
-        return result[tp]
 
     def close(self) -> None:
         if self._closed:

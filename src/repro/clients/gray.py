@@ -64,9 +64,6 @@ class GrayFailureDetector:
             self._ewma[broker_id] = prev + self.alpha * (latency_ms - prev)
         self._samples[broker_id] = self._samples.get(broker_id, 0) + 1
 
-    def ewma(self, broker_id: int) -> Optional[float]:
-        return self._ewma.get(broker_id)
-
     def _baseline(self, exclude: int) -> Optional[float]:
         """Median EWMA over the *other* observed brokers."""
         others: List[float] = [

@@ -67,9 +67,6 @@ class MetadataService:
         partitioner (the one the topology's repartition step used)."""
         return partition_for(key, self.app.store_partition_count(store))
 
-    def key_metadata(self, store: str, key: Any) -> KeyQueryMetadata:
-        return self.partition_metadata(store, self.partition_for_key(store, key))
-
     def partition_metadata(self, store: str, partition: int) -> KeyQueryMetadata:
         sub_id = self.app.sub_id_for_store(store)
         if sub_id is None:

@@ -55,13 +55,7 @@ class QueryableStoreView:
     def all(self) -> Iterator[Tuple[Any, Any]]:
         return self._require("all")()
 
-    def approximate_num_entries(self) -> int:
-        return self._require("approximate_num_entries")()
-
     # -- window reads ----------------------------------------------------------
-
-    def fetch(self, key: Any, window_start: float) -> Any:
-        return self._require("fetch")(key, window_start)
 
     def fetch_key_windows(self, key: Any) -> List[Tuple[float, Any]]:
         return self._require("fetch_key_windows")(key)

@@ -258,7 +258,6 @@ class RecordView(_BatchRun, Sequence):
         return f"RecordView({self._records()!r})"
 
 
-_KEYS = attrgetter("keys")
 _VALUES = attrgetter("values")
 _TIMESTAMPS = attrgetter("timestamps")
 _HEADERS = attrgetter("headers")
@@ -387,9 +386,6 @@ class ColumnarBatch(_BatchRun):
         headers += last.headers[:hi]
         return offsets, timestamps, keys, values, headers
 
-    def keys(self) -> List[Any]:
-        return self._gather(_KEYS)
-
     def values(self) -> List[Any]:
         return self._gather(_VALUES)
 
@@ -399,9 +395,6 @@ class ColumnarBatch(_BatchRun):
     def headers(self) -> List[Mapping[str, Any]]:
         """The stored (shared, read-only) headers of the valid records."""
         return self._gather(_HEADERS)
-
-    def offsets(self) -> List[int]:
-        return self._gather(StoredBatch.offset_column)
 
     def producer_ids(self) -> List[int]:
         return self._gather(StoredBatch.producer_id_column)
@@ -469,10 +462,6 @@ class ColumnarSlab:
         self.producer_epoch = producer_epoch
         self.base_sequence = base_sequence
         self.is_transactional = is_transactional
-
-    @property
-    def record_count(self) -> int:
-        return len(self.keys)
 
     @property
     def last_sequence(self) -> int:

@@ -240,10 +240,6 @@ class PartitionLog:
         """
         return self._open_txns
 
-    def aborted_transactions(self) -> List[AbortedTxn]:
-        """All aborted-transaction spans. Read-only view — do not mutate."""
-        return self._aborted
-
     # -- aborted-transaction interval queries ----------------------------------
 
     def _index_aborted(self, span: AbortedTxn) -> None:
@@ -860,10 +856,3 @@ class PartitionLog:
                 elif pruned:
                     del firsts[:pruned], lasts[:pruned], spans[:pruned]
         return removed
-
-    # -- queries used by coordinators ---------------------------------------------
-
-    def last_timestamp(self) -> float:
-        if not self._batches:
-            return -1.0
-        return self._batches[-1].timestamps[-1]

@@ -2,7 +2,7 @@
 
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.metrics.latency import LatencyTracker
-from repro.metrics.reporter import format_series, format_table
+from repro.metrics.reporter import format_table
 
 __all__ = [
     "Counter",
@@ -11,5 +11,4 @@ __all__ = [
     "MetricsRegistry",
     "LatencyTracker",
     "format_table",
-    "format_series",
 ]

@@ -51,8 +51,5 @@ class LatencyTracker:
     def mean_ms(self) -> float:
         return self.histogram.mean()
 
-    def p50_ms(self) -> float:
-        return self.histogram.percentile(50)
-
     def p99_ms(self) -> float:
         return self.histogram.percentile(99)

@@ -10,8 +10,7 @@ name, so existing call sites are untouched.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 
 def labeled_name(name: str, labels: Dict[str, Any]) -> str:
@@ -34,10 +33,6 @@ class Counter:
             raise ValueError("counters only increase")
         self.value += by
 
-    def reset(self) -> None:
-        """Restart the count (e.g. between chaos-run phases)."""
-        self.value = 0
-
 
 class Gauge:
     """A value that can go up and down; reports its last-set value."""
@@ -48,12 +43,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def reset(self) -> None:
-        self.value = 0.0
 
 
 class Histogram:
@@ -116,9 +105,6 @@ class Histogram:
     def max(self) -> float:
         return self._ordered()[-1] if self._values else 0.0
 
-    def min(self) -> float:
-        return self._ordered()[0] if self._values else 0.0
-
     def snapshot(self) -> Dict[str, float]:
         """Summary stats at a point in time (chaos/bench reporting)."""
         return {
@@ -128,11 +114,6 @@ class Histogram:
             "p99": self.percentile(99),
             "max": self.max(),
         }
-
-    def reset(self) -> None:
-        """Discard all observations (e.g. between chaos-run phases)."""
-        self._values.clear()
-        self._sorted = None
 
 
 class MetricsRegistry:
@@ -194,25 +175,3 @@ class MetricsRegistry:
             "gauges": self.gauges(prefix),
             "histograms": self.histograms(prefix),
         }
-
-    def reset(self, prefix: str = "") -> None:
-        """Zero matching counters/gauges and clear matching histograms
-        (keeps the names registered, so held references stay valid). An
-        empty prefix resets everything."""
-        for name, counter in self._counters.items():
-            if name.startswith(prefix):
-                counter.reset()
-        for name, gauge in self._gauges.items():
-            if name.startswith(prefix):
-                gauge.reset()
-        for name, histogram in self._histograms.items():
-            if name.startswith(prefix):
-                histogram.reset()
-
-    @contextmanager
-    def scoped(self, prefix: str = "") -> Iterator["MetricsRegistry"]:
-        """Reset metrics under ``prefix`` on entry so readings taken inside
-        the block reflect only work done there — one grid cell's counters
-        don't bleed into the next when many cells share a process."""
-        self.reset(prefix)
-        yield self

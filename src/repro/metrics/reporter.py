@@ -29,14 +29,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     out = [line(list(headers)), line(["-" * w for w in widths])]
     out.extend(line(row) for row in str_rows)
     return "\n".join(out)
-
-
-def format_series(
-    title: str, xs: Sequence[Any], series: dict
-) -> str:
-    """A titled table with one x column and one column per named series."""
-    headers = [title] + list(series)
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [values[i] for values in series.values()])
-    return format_table(headers, rows)

@@ -5,8 +5,8 @@ for the per-stage latency decomposition, :mod:`repro.obs.telemetry` for
 interval sampling, :mod:`repro.obs.watermarks` for committed lag and the
 completeness frontier, :mod:`repro.obs.health` for the SLO engine and
 burn-rate alerting, :mod:`repro.obs.export` for the JSONL /
-Chrome-trace / summary exporters, :mod:`repro.obs.prometheus` for text
-exposition, :mod:`repro.obs.report` for single-file health reports, and
+Chrome-trace / summary exporters, :mod:`repro.obs.report` for
+single-file health reports, and
 :mod:`repro.obs.debug` for failure debug bundles.
 """
 
@@ -28,7 +28,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_span_log,
 )
-from repro.obs.prometheus import prometheus_text, write_prometheus_text
 from repro.obs.report import (
     health_report,
     render_health_html,
@@ -75,8 +74,6 @@ __all__ = [
     "HealthMonitor",
     "SLO",
     "default_slos",
-    "prometheus_text",
-    "write_prometheus_text",
     "health_report",
     "render_health_html",
     "report_json",

@@ -46,8 +46,7 @@ def dump_debug_bundle(
     clobber each other. ``registries`` maps labels to MetricsRegistry
     instances; ``timeline`` is the chaos controller's event list;
     ``health`` is a :class:`~repro.obs.health.HealthMonitor` whose
-    HTML/JSON report (plus a Prometheus exposition of the registries)
-    rides along for staleness/alert forensics.
+    HTML/JSON report rides along for staleness/alert forensics.
     """
     base = base_dir or dump_dir()
     stamp = int(tracer.now())
@@ -81,12 +80,6 @@ def dump_debug_bundle(
         f.write(run_summary(tracer, registry=first_registry))
         f.write("\n")
 
-    if registries:
-        # Lazy import: debug is imported by the package __init__ before
-        # the exporter modules.
-        from repro.obs.prometheus import write_prometheus_text
-
-        write_prometheus_text(registries, os.path.join(bundle, "metrics.prom"))
     if health is not None:
         from repro.obs.report import write_health_report
 

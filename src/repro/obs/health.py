@@ -433,14 +433,6 @@ class HealthMonitor:
 
     # -- reporting ----------------------------------------------------------------------
 
-    def active_alerts(self) -> List[Alert]:
-        return [self._active[name] for name in sorted(self._active)]
-
-    def fired_alerts(self, severity: Optional[str] = None) -> List[Alert]:
-        if severity is None:
-            return list(self.alerts)
-        return [a for a in self.alerts if a.severity == severity]
-
     def unexpected_alerts(
         self,
         fault_windows: List[Tuple[float, float, str]],

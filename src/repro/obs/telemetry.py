@@ -87,10 +87,6 @@ class TelemetryReporter:
 
     # -- views -------------------------------------------------------------------------
 
-    def latest(self) -> Optional[Dict[str, Any]]:
-        """The most recent sample, or None before the first one."""
-        return self.samples[-1] if self.samples else None
-
     def series(
         self,
         registry_label: str,
@@ -120,7 +116,3 @@ class TelemetryReporter:
                 value = value[field]
             points.append((sample["ts"], value))
         return points
-
-    def reset(self) -> None:
-        self.samples.clear()
-        self._last_sample_ms = float("-inf")

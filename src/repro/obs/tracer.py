@@ -177,25 +177,6 @@ class Tracer:
     def __len__(self) -> int:
         return len(self.spans)
 
-    def by_name(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def by_category(self, category: str) -> List[Span]:
-        return [s for s in self.spans if s.category == category]
-
-    def by_trace(self, trace_id: str) -> List[Span]:
-        """Every span/event tagged with one record's trace id — the causal
-        chain across repartition hops. A span over a whole
-        chunk lists the ids of its records under ``traces``."""
-        return [
-            s for s in self.spans
-            if s.args.get("trace") == trace_id
-            or trace_id in s.args.get("traces", ())
-        ]
-
-    def reset(self) -> None:
-        """Drop recorded spans (keeps `enabled` and the trace-id counter)."""
-        self.spans.clear()
 
 
 class _NoopHandle:

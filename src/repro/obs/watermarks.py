@@ -156,11 +156,6 @@ class WatermarkTracker:
             self.app.config.application_id, self.input_partitions()
         )
 
-    def committed_offsets(self) -> Dict[TopicPartition, Optional[int]]:
-        """The group's committed offset per input partition (this instant)."""
-        self._refresh_memo()
-        return dict(self._memo_committed)
-
     # -- lag ---------------------------------------------------------------------------
 
     def lags(self) -> Dict[TopicPartition, int]:

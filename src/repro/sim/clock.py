@@ -121,10 +121,6 @@ class SimClock:
             heapq.heappop(timers)
         return timers[0][0] if timers else math.inf
 
-    def pending_timers(self) -> int:
-        """Number of scheduled (possibly cancelled) timers; for tests."""
-        return len(self._timers)
-
 
 class Timer:
     """Handle for a scheduled callback; cancellable."""

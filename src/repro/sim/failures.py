@@ -1,15 +1,14 @@
-"""Failure-scenario orchestration (the scenarios of Section 2.1).
+"""The network fault shapes the chaos controller arms (Section 2.1).
 
-Convenience wrappers that arm the failure modes the paper enumerates:
-storage-engine failure (broker crash), stream-processor failure (instance
-crash/restart — driven by the streams runtime), lost inter-processor acks
-(network fault rules), and zombie instances (two producers sharing one
-transactional id).
+Lost produce acks, a gray (slow) broker and a severed client-broker link
+are network fault rules; ``heal`` ends every fault and restarts every
+crashed broker. Broker and instance crashes themselves are
+``Cluster.crash_broker`` and the streams runtime's ``crash_instance``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from repro.sim.network import FaultRule
 
@@ -23,18 +22,6 @@ class FailureInjector:
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
 
-    # -- the storage engine can fail -------------------------------------------------
-
-    def crash_broker(self, broker_id: int) -> None:
-        self.cluster.crash_broker(broker_id)
-
-    def restart_broker(self, broker_id: int) -> None:
-        self.cluster.restart_broker(broker_id)
-
-    def crash_brokers(self, broker_ids: List[int]) -> None:
-        for broker_id in broker_ids:
-            self.cluster.crash_broker(broker_id)
-
     # -- the inter-processor RPC can fail ---------------------------------------------
 
     def drop_next_produce_ack(self, count: int = 1, broker_id: Optional[int] = None) -> FaultRule:
@@ -42,21 +29,6 @@ class FailureInjector:
         producer will retry, and only idempotence prevents a duplicate."""
         return self.cluster.network.add_fault(
             FaultRule(kind="drop_ack", match_api="produce", match_dst=broker_id, count=count)
-        )
-
-    def drop_next_produce_request(
-        self, count: int = 1, broker_id: Optional[int] = None
-    ) -> FaultRule:
-        """The produce request never arrives; the retry is the first append."""
-        return self.cluster.network.add_fault(
-            FaultRule(
-                kind="drop_request", match_api="produce", match_dst=broker_id, count=count
-            )
-        )
-
-    def delay_rpcs(self, api: str, delay_ms: float, count: int = 1) -> FaultRule:
-        return self.cluster.network.add_fault(
-            FaultRule(kind="delay", match_api=api, count=count, delay_ms=delay_ms)
         )
 
     def slow_broker(

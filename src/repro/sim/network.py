@@ -165,20 +165,6 @@ class Network:
     def clear_faults(self) -> None:
         self._rules.clear()
 
-    def active_faults(self) -> List[FaultRule]:
-        """Rules that can still trigger (prunes expired ones)."""
-        now = self.clock.now
-        self._rules = [r for r in self._rules if not r.expired(now)]
-        return list(self._rules)
-
-    def fault_counts(self) -> Dict[str, int]:
-        """Injected-fault counters (``network.faults.*``) from the registry."""
-        return {
-            name: value
-            for name, value in self.metrics.counters().items()
-            if name.startswith("network.faults.")
-        }
-
     def set_broker_down(self, broker_id: int, down: bool = True) -> None:
         """Mark a broker unreachable (RPCs raise BrokerUnavailableError)."""
         if down:
@@ -274,14 +260,6 @@ class Network:
 
     def coordinator_cost(self) -> float:
         return self.costs.rpc_base_ms + self.costs.coordinator_ms
-
-    def marker_cost(self, partition_count: int) -> float:
-        """Cost of writing txn markers to ``partition_count`` partitions.
-
-        Markers to partitions on the same broker are batched into one RPC in
-        Kafka; we approximate with a per-partition append cost plus one base.
-        """
-        return self.costs.rpc_base_ms + self.costs.marker_write_ms * partition_count
 
 
 def call_with_retry(

@@ -71,10 +71,6 @@ class Driver:
         if actor in self._actors:
             self._actors.remove(actor)
 
-    @property
-    def actors(self) -> List[Any]:
-        return list(self._actors)
-
     # -- core cycle -------------------------------------------------------------------
 
     def poll_all(self) -> int:

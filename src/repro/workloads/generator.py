@@ -9,15 +9,14 @@ mechanisms exist to handle.
 A generator at ``rate_per_sec`` sends a record every ``interarrival_ms``
 of virtual time: send, ``clock.advance(step)``, send, ... Between two clock
 events nothing runs but the generator, so nothing can observe one record
-before the next is drawn. :meth:`WorkloadGenerator.produce_for` and
-:meth:`~WorkloadGenerator.produce_batch` therefore produce in *runs*: the
+before the next is drawn. :meth:`WorkloadGenerator.produce_for` therefore produces in *runs*: the
 records whose following ``advance(step)`` fires no timer are drawn in one
 pass (:meth:`~WorkloadGenerator._draw`) and handed to the producer as one
 chunk (``Producer.send_chunk``). A run ends at the first of
 
 * the clock's next timer deadline (``SimClock.next_deadline``; the advance
   after the run's last record crosses it),
-* the slice deadline (``produce_for``) or the count (``produce_batch``),
+* the slice deadline,
 * the producer's ``buffer_room``: a run that could fill a partition's batch
   ends on that record, so the full batch goes out when it always did.
 
@@ -105,12 +104,6 @@ class WorkloadGenerator:
     @property
     def interarrival_ms(self) -> float:
         return 1000.0 / self.rate_per_sec
-
-    def produce_batch(self, count: int, flush: bool = True) -> None:
-        """Produce ``count`` records, advancing virtual time per the rate."""
-        self._produce(math.inf, count)
-        if flush:
-            self.producer.flush()
 
     def produce_for(self, duration_ms: float, flush: bool = True) -> int:
         """Produce at the configured rate for ``duration_ms`` virtual time.

@@ -131,9 +131,7 @@ class TestRecovery:
         from repro.broker.txn_coordinator import COMPLETE_ABORT
 
         # The coordinator aborted the dangling txn during re-registration.
-        state = cluster.txn_coordinator.transaction_state(
-            "barrier-job-sink-txn"
-        )
+        state = cluster.txn_coordinator._txns["barrier-job-sink-txn"].state
         assert state in ("Empty", COMPLETE_ABORT)
         engine.run_for(11_000.0)
         assert latest_by_key(drain_topic(cluster, "out")) == {"a": 1}

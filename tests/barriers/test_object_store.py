@@ -32,16 +32,6 @@ def test_size_adds_latency():
     assert clock.now == pytest.approx(10.0)
 
 
-def test_list_and_delete():
-    store = ObjectStore(SimClock(), charge_latency=False)
-    store.put("job/chk-1/a", 1)
-    store.put("job/chk-2/a", 2)
-    store.put("other", 3)
-    assert store.list_paths("job/") == ["job/chk-1/a", "job/chk-2/a"]
-    store.delete("job/chk-1/a")
-    assert not store.exists("job/chk-1/a")
-
-
 def test_metrics_accumulate():
     store = ObjectStore(SimClock(), put_latency_ms=5.0, per_kb_ms=0.0)
     store.put("a", 1)

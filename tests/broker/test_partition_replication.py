@@ -189,7 +189,7 @@ def test_restarted_replica_forgets_transactions_it_aborted_while_diverged():
 
     leader, replica = partition.leader_log(), partition.replica_log(1)
     assert replica.records() == leader.records()
-    assert replica.aborted_transactions() == leader.aborted_transactions() == []
+    assert replica._aborted == leader._aborted == []
     assert replica.open_transactions() == leader.open_transactions() == {}
     committed = leader.read_columnar(0, filter_aborted=True).values()
     assert committed == ["a", "c", "d", "e"]

@@ -39,7 +39,7 @@ class TestRegistration:
         pid, epoch = coordinator.init_producer_id("app-task-0")
         assert pid >= 1
         assert epoch == 0
-        assert coordinator.transaction_state("app-task-0") == EMPTY
+        assert coordinator._txns["app-task-0"].state == EMPTY
 
     def test_reinit_bumps_epoch_keeps_pid(self, coordinator):
         pid1, epoch1 = coordinator.init_producer_id("tid")
@@ -59,7 +59,7 @@ class TestRegistration:
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "dangling"))
         coordinator.init_producer_id("tid")
         log = fast_cluster.partition_state(tp).leader_log()
-        assert len(log.aborted_transactions()) == 1
+        assert len(log._aborted) == 1
         assert log.open_transactions() == {}
 
 
@@ -73,7 +73,7 @@ class TestTwoPhaseCommit:
         before = coordinator.markers_written
         coordinator.end_transaction("tid", pid, epoch, commit=True)
         assert coordinator.markers_written - before == 3
-        assert coordinator.transaction_state("tid") == COMPLETE_COMMIT
+        assert coordinator._txns["tid"].state == COMPLETE_COMMIT
         for tp in tps:
             log = fast_cluster.partition_state(tp).leader_log()
             markers = [r for r in log.records() if r.is_control]
@@ -86,14 +86,14 @@ class TestTwoPhaseCommit:
         coordinator.add_partitions("tid", pid, epoch, [tp])
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
         coordinator.end_transaction("tid", pid, epoch, commit=False)
-        assert coordinator.transaction_state("tid") == COMPLETE_ABORT
+        assert coordinator._txns["tid"].state == COMPLETE_ABORT
         log = fast_cluster.partition_state(tp).leader_log()
-        assert len(log.aborted_transactions()) == 1
+        assert len(log._aborted) == 1
 
     def test_commit_empty_transaction_is_noop(self, coordinator):
         pid, epoch = coordinator.init_producer_id("tid")
         coordinator.end_transaction("tid", pid, epoch, commit=True)
-        assert coordinator.transaction_state("tid") == EMPTY
+        assert coordinator._txns["tid"].state == EMPTY
 
     def test_new_transaction_after_commit(self, fast_cluster, coordinator, topic):
         pid, epoch = coordinator.init_producer_id("tid")
@@ -102,7 +102,7 @@ class TestTwoPhaseCommit:
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, 1))
         coordinator.end_transaction("tid", pid, epoch, commit=True)
         coordinator.add_partitions("tid", pid, epoch, [tp])
-        assert coordinator.transaction_state("tid") == ONGOING
+        assert coordinator._txns["tid"].state == ONGOING
 
     def test_metadata_persisted_to_txn_log(self, fast_cluster, coordinator):
         pid, epoch = coordinator.init_producer_id("tid")
@@ -159,9 +159,9 @@ class TestTimeout:
         coordinator.add_partitions("tid", pid, epoch, [tp])
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
         fast_cluster.clock.advance(500.0)
-        assert coordinator.transaction_state("tid") == ONGOING
+        assert coordinator._txns["tid"].state == ONGOING
         fast_cluster.clock.advance(600.0)
-        assert coordinator.transaction_state("tid") == COMPLETE_ABORT
+        assert coordinator._txns["tid"].state == COMPLETE_ABORT
         # The explicit sweep finds nothing left to do.
         assert coordinator.abort_timed_out() == []
         # The timed-out producer is fenced when it finally tries to commit.
@@ -177,12 +177,12 @@ class TestTimeout:
         tp = TopicPartition(topic, 0)
         coordinator.add_partitions("tid", pid, epoch, [tp])
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
-        txn = coordinator.transaction_metadata("tid")
+        txn = coordinator._txns["tid"]
         coordinator._disarm_abort_timer(txn)
         fast_cluster.clock.advance(1100.0)
-        assert coordinator.transaction_state("tid") == ONGOING
+        assert coordinator._txns["tid"].state == ONGOING
         assert coordinator.abort_timed_out() == ["tid"]
-        assert coordinator.transaction_state("tid") == COMPLETE_ABORT
+        assert coordinator._txns["tid"].state == COMPLETE_ABORT
 
     def test_commit_before_timeout_cancels_timer(
         self, fast_cluster, coordinator, topic
@@ -192,18 +192,18 @@ class TestTimeout:
         coordinator.add_partitions("tid", pid, epoch, [tp])
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
         coordinator.end_transaction("tid", pid, epoch, commit=True)
-        assert coordinator.transaction_state("tid") == COMPLETE_COMMIT
+        assert coordinator._txns["tid"].state == COMPLETE_COMMIT
         fast_cluster.clock.advance(5000.0)
         # No spurious epoch bump from a stale timeout timer.
-        assert coordinator.transaction_metadata("tid").producer_epoch == epoch
-        assert coordinator.transaction_state("tid") == COMPLETE_COMMIT
+        assert coordinator._txns["tid"].producer_epoch == epoch
+        assert coordinator._txns["tid"].state == COMPLETE_COMMIT
 
 
 class TestRecovery:
     def test_recover_rebuilds_from_txn_log(self, fast_cluster, coordinator, topic):
         pid, epoch = coordinator.init_producer_id("tid")
         coordinator.recover()
-        meta = coordinator.transaction_metadata("tid")
+        meta = coordinator._txns["tid"]
         assert meta is not None
         assert meta.producer_id == pid
         assert meta.producer_epoch == epoch
@@ -216,9 +216,9 @@ class TestRecovery:
         coordinator.add_partitions("tid", pid, epoch, [tp])
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
         coordinator.recover()
-        assert coordinator.transaction_state("tid") == ONGOING
+        assert coordinator._txns["tid"].state == ONGOING
         coordinator.end_transaction("tid", pid, epoch, commit=True)
-        assert coordinator.transaction_state("tid") == COMPLETE_COMMIT
+        assert coordinator._txns["tid"].state == COMPLETE_COMMIT
 
     def test_recover_completes_prepared_abort(self, fast_cluster, coordinator, topic):
         pid, epoch = coordinator.init_producer_id("tid")
@@ -227,13 +227,13 @@ class TestRecovery:
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
         # Force the metadata into PrepareAbort as if the coordinator died
         # mid-abort, then recover.
-        meta = coordinator.transaction_metadata("tid")
+        meta = coordinator._txns["tid"]
         meta.state = "PrepareAbort"
         coordinator._persist(meta)
         coordinator.recover()
-        assert coordinator.transaction_state("tid") == COMPLETE_ABORT
+        assert coordinator._txns["tid"].state == COMPLETE_ABORT
         log = fast_cluster.partition_state(tp).leader_log()
-        assert len(log.aborted_transactions()) == 1
+        assert len(log._aborted) == 1
 
     def test_recover_does_not_reuse_pids(self, fast_cluster, coordinator):
         pid, _ = coordinator.init_producer_id("a")
@@ -252,6 +252,6 @@ class TestRecovery:
         fast_cluster.partition_state(tp).append(txn_batch(pid, epoch, 0, "x"))
         txn_log_tp = coordinator.txn_log_partition("tid")
         fast_cluster.crash_broker(fast_cluster.leader_of(txn_log_tp))
-        assert coordinator.transaction_state("tid") == ONGOING
+        assert coordinator._txns["tid"].state == ONGOING
         coordinator.end_transaction("tid", pid, epoch, commit=True)
-        assert coordinator.transaction_state("tid") == COMPLETE_COMMIT
+        assert coordinator._txns["tid"].state == COMPLETE_COMMIT

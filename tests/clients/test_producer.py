@@ -20,6 +20,7 @@ from repro.errors import (
 from repro.log.record import FrozenHeaders
 from repro.obs.tracer import TRACE_ID_HEADER
 from repro.sim.failures import FailureInjector
+from repro.sim.network import FaultRule
 
 
 @pytest.fixture
@@ -201,14 +202,16 @@ class TestIdempotence:
         the ones before it: they leave the buffer as they are acknowledged,
         so the next flush sends only what is owed — no delivered record is
         sent again under a fresh sequence number."""
-        injector = FailureInjector(fast_cluster)
         p = Producer(fast_cluster, ProducerConfig(retries=1))
         tps = [TopicPartition(topic, n) for n in (0, 1)]
         leaders = [fast_cluster.leader_of(tp) for tp in tps]
         assert leaders[0] != leaders[1]
         p.send(topic, key="k", value=1, partition=0)
         p.send(topic, key="k", value=1, partition=1)
-        injector.drop_next_produce_request(count=50, broker_id=leaders[1])
+        fast_cluster.network.add_fault(FaultRule(
+            kind="drop_request", match_api="produce", match_dst=leaders[1],
+            count=50,
+        ))
         with pytest.raises(RequestTimeoutError):
             p.flush()
         fast_cluster.network.clear_faults()
@@ -253,11 +256,12 @@ class TestIdempotence:
     ):
         """A batch that fills up after a failed flush is sent behind the
         sealed slab, never around it."""
-        injector = FailureInjector(fast_cluster)
         p = Producer(fast_cluster, ProducerConfig(retries=1, batch_max_records=3))
         tp = TopicPartition(topic, 0)
         p.send(topic, key="k", value=0, partition=0)
-        injector.drop_next_produce_request(count=10**6)
+        fast_cluster.network.add_fault(FaultRule(
+            kind="drop_request", match_api="produce", count=10**6,
+        ))
         with pytest.raises(RequestTimeoutError):
             p.flush()
         fast_cluster.network.clear_faults()
@@ -379,7 +383,7 @@ class TestTransactions:
         from repro.broker.txn_coordinator import COMPLETE_ABORT
 
         assert (
-            fast_cluster.txn_coordinator.transaction_state("tid") == COMPLETE_ABORT
+            fast_cluster.txn_coordinator._txns["tid"].state == COMPLETE_ABORT
         )
 
     def test_consecutive_transactions(self, fast_cluster, topic):

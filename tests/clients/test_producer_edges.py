@@ -45,7 +45,7 @@ class TestProducerEdges:
         p.begin_transaction()
         p.send(topic, key="a", value=1, partition=0)
         p.send(topic, key="b", value=2, partition=0)   # triggers auto-flush
-        meta = fast_cluster.txn_coordinator.transaction_metadata("edge")
+        meta = fast_cluster.txn_coordinator._txns["edge"]
         assert TopicPartition(topic, 0) in meta.partitions
         p.commit_transaction()
         consumer = Consumer(
@@ -85,12 +85,6 @@ class TestProducerEdges:
 
 
 class TestPartitionLogEdges:
-    def test_last_timestamp(self):
-        log = PartitionLog()
-        assert log.last_timestamp() == -1.0
-        log.append_batch(RecordBatch([Record(key="k", value=1, timestamp=42.0)]))
-        assert log.last_timestamp() == 42.0
-
     def test_reset_to_clears_everything(self):
         log = PartitionLog()
         log.append_batch(
@@ -120,10 +114,6 @@ class TestConsumerEdges:
         tp = TopicPartition(topic, 0)
         consumer.assign([tp])
         assert consumer.position(tp) == 0
-
-    def test_committed_without_group_is_none(self, fast_cluster, topic):
-        consumer = Consumer(fast_cluster)
-        assert consumer.committed(TopicPartition(topic, 0)) is None
 
     def test_closed_consumer_rejects_poll(self, fast_cluster, topic):
         from repro.errors import KafkaError

@@ -26,7 +26,6 @@ from repro.errors import (
     KafkaError,
     UnknownTopicOrPartitionError,
 )
-from repro.sim.failures import FailureInjector
 from repro.streams import KafkaStreams, StreamsBuilder
 from repro.util import partition_for
 
@@ -52,7 +51,7 @@ class TestLeaderFailover:
         p.flush()
 
         old_leader = fast_cluster.leader_of(tp)
-        FailureInjector(fast_cluster).crash_broker(old_leader)
+        fast_cluster.crash_broker(old_leader)
         new_leader = fast_cluster.leader_of(tp)
         assert new_leader != old_leader
 
@@ -75,7 +74,7 @@ class TestLeaderFailover:
         assert [r.value for r in c.poll()] == [1]
 
         old_leader = fast_cluster.leader_of(tp)
-        FailureInjector(fast_cluster).crash_broker(old_leader)
+        fast_cluster.crash_broker(old_leader)
 
         p.send(topic, key="k", value=2, partition=0)
         p.flush()
@@ -86,12 +85,11 @@ class TestLeaderFailover:
         p = Producer(fast_cluster)
         p.send(topic, key="k", value=1, partition=0)
         p.flush()
-        injector = FailureInjector(fast_cluster)
         victim = fast_cluster.leader_of(tp)
-        injector.crash_broker(victim)
+        fast_cluster.crash_broker(victim)
         p.send(topic, key="k", value=2, partition=0)
         p.flush()
-        injector.restart_broker(victim)
+        fast_cluster.restart_broker(victim)
         p.send(topic, key="k", value=3, partition=0)
         p.flush()
         assert log_values(fast_cluster, tp) == [1, 2, 3]

@@ -19,7 +19,7 @@ from repro.broker.partition import TopicPartition
 from repro.clients.producer import Producer
 from repro.config import ProducerConfig
 from repro.errors import RequestTimeoutError
-from repro.sim.failures import FailureInjector
+from repro.sim.network import FaultRule
 
 
 def script():
@@ -44,7 +44,6 @@ def script():
         return network_call(api, dst, fn, base_cost_ms=base_cost_ms, src=src)
 
     cluster.network.call = call
-    injector = FailureInjector(cluster)
     p = Producer(
         cluster,
         ProducerConfig(transactional_id="reg", retries=1, batch_max_records=3),
@@ -58,7 +57,10 @@ def script():
         broker = None
         if partition is not None:
             broker = cluster.leader_of(TopicPartition("t", partition))
-        injector.drop_next_produce_request(count=10**6, broker_id=broker)
+        cluster.network.add_fault(FaultRule(
+            kind="drop_request", match_api="produce", match_dst=broker,
+            count=10**6,
+        ))
         try:
             p.flush()
         except RequestTimeoutError:

@@ -338,10 +338,10 @@ def test_live_member_survives_large_time_jumps():
     )
     app.start(1)
     coordinator = cluster.group_coordinator
-    assert len(coordinator.members("alive")) == 1
+    assert len(coordinator.assignment_snapshot("alive")) == 1
     # Jump far past the session timeout without a single poll: the
     # liveness probe models the background heartbeat thread, so a healthy
     # (merely idle) instance must not be evicted.
     cluster.clock.advance(60_000.0)
     assert coordinator.expire_sessions() == []
-    assert len(coordinator.members("alive")) == 1
+    assert len(coordinator.assignment_snapshot("alive")) == 1

@@ -67,7 +67,7 @@ def test_step_c_d_partition_registration_precedes_visibility(env):
     producer.begin_transaction()
     producer.send("sink", key="k", value=1, partition=0)
     producer.flush()
-    meta = cluster.txn_coordinator.transaction_metadata("fig4")
+    meta = cluster.txn_coordinator._txns["fig4"]
     assert meta.state == ONGOING
     assert TopicPartition("sink", 0) in meta.partitions
     snapshots = txn_log_records(cluster)

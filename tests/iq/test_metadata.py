@@ -56,8 +56,6 @@ class TestMetadata:
             assert service.partition_for_key(STORE, key) == partition_for(
                 key, count
             )
-            key_meta = service.key_metadata(STORE, key)
-            assert key_meta.partition == service.partition_for_key(STORE, key)
 
     def test_all_partitions_covers_the_store(self, running_app):
         _, app = running_app

@@ -21,7 +21,6 @@ class TestViewReads:
         view = QueryableStoreView(kv([("a", 1), ("b", 2)]))
         assert view.get("a") == 1
         assert view.get("missing") is None
-        assert view.approximate_num_entries() == 2
 
     def test_range_scans(self):
         view = QueryableStoreView(kv([("a", 1), ("b", 2), ("c", 3)]))
@@ -37,7 +36,6 @@ class TestViewReads:
         store.put("k", 100.0, 2)
         store.put("j", 100.0, 7)
         view = QueryableStoreView(store)
-        assert view.fetch("k", 100.0) == 2
         assert view.fetch_key_windows("k") == [(0.0, 1), (100.0, 2)]
         assert view.fetch_range("k", 50.0, 150.0) == [(100.0, 2)]
 

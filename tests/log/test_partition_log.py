@@ -155,7 +155,7 @@ class TestTransactions:
         log = PartitionLog()
         log.append_batch(txn_batch(1, 0, 0, "a", "b"))
         log.append_marker(ABORT_MARKER, 1, 0)
-        spans = log.aborted_transactions()
+        spans = log._aborted
         assert len(spans) == 1
         assert (spans[0].first_offset, spans[0].last_offset) == (0, 1)
         assert spans[0].producer_id == 1
@@ -183,7 +183,7 @@ class TestReplication:
         leader.append_marker(ABORT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
         assert follower.open_transactions() == {}
-        assert len(follower.aborted_transactions()) == 1
+        assert len(follower._aborted) == 1
 
     def test_replicate_mirror_copies_records_and_state(self):
         leader = PartitionLog("leader")
@@ -195,7 +195,7 @@ class TestReplication:
         assert follower.log_end_offset == leader.log_end_offset
         assert follower.records() == leader.records()
         assert follower.open_transactions() == leader.open_transactions()
-        assert follower.aborted_transactions() == leader.aborted_transactions()
+        assert follower._aborted == leader._aborted
         # Idempotent when already caught up.
         follower.replicate_mirror(leader)
         assert follower.log_end_offset == leader.log_end_offset
@@ -209,8 +209,8 @@ class TestReplication:
         leader.append_batch(txn_batch(1, 1, 0, "b"))
         leader.append_marker(ABORT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
-        assert follower.aborted_transactions() == leader.aborted_transactions()
-        assert len(follower.aborted_transactions()) == 2
+        assert follower._aborted == leader._aborted
+        assert len(follower._aborted) == 2
         assert follower.is_offset_aborted(1, 2)
 
     def test_replicate_mirror_snapshots_producer_sequences(self):
@@ -282,7 +282,7 @@ class TestReplication:
         leader.append_marker(COMMIT_MARKER, 1, 0)
         follower.replicate_mirror(leader)
         leader.high_watermark = follower.high_watermark = leader.log_end_offset
-        assert follower.aborted_transactions() == []
+        assert follower._aborted == []
         assert not follower.is_offset_aborted(1, 0)
         committed = leader.read_columnar(0, filter_aborted=True).values()
         assert committed == ["a", "c", "d", "e"]
@@ -303,7 +303,7 @@ class TestReplication:
         follower.replicate_mirror(leader)
         assert follower.records() == leader.records()
         assert follower.open_transactions() == {1: 0}
-        assert follower.aborted_transactions() == []
+        assert follower._aborted == []
         # The cut marker had bumped the epoch; the leader never saw that.
         follower.append_batch(txn_batch(1, 0, 1, "b"))
 

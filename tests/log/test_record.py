@@ -35,7 +35,6 @@ def test_batch_last_sequence_inferred():
         base_sequence=10,
     )
     assert batch.last_sequence == 14
-    assert batch.record_count == 5
 
 
 def test_batch_without_sequence_has_no_last_sequence():

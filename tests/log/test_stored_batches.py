@@ -55,8 +55,8 @@ def write_and_read(partition, batch) -> None:
     log = partition.replica_log(2)
     result = log.read_columnar(0, max_records=n - 1, filter_aborted=True)
     assert result.next_offset == n - 1
-    assert result.keys() == batch.keys[:-1]
-    assert result.offsets() == list(range(n - 1))
+    assert result.columns()[2] == batch.keys[:-1]
+    assert result.columns()[0] == list(range(n - 1))
     assert result.producer_ids() == [1] * (n - 1)
     assert len(log.read(0)) == len(log.records()) == len(log) == n + 1
 
@@ -110,7 +110,7 @@ def test_cuts_inside_a_shared_batch_copy_instead_of_writing():
 
     leader.delete_records_before(250)              # the leader's own cut, too
     assert leader._batches[0] is not shared
-    assert leader.read_columnar(250).offsets() == list(range(250, 1000))
+    assert leader.read_columnar(250).columns()[0] == list(range(250, 1000))
     assert [r.sequence for r in leader.read(250)][:2] == [-1, -1]
 
     assert (list(shared.keys), list(shared.values), shared.base_offset, shared.end_offset) == before
@@ -133,7 +133,7 @@ def test_non_idempotent_retry_stores_the_same_lists_twice():
     log.high_watermark = log.log_end_offset
     result = log.read_columnar(0)
     assert result.values() == batch.values * 2
-    assert result.offsets() == [0, 1, 2, 3, 4, 5]
+    assert result.columns()[0] == [0, 1, 2, 3, 4, 5]
     assert [(r.offset, r.value) for r in log.read(0)] == list(
         zip(range(6), batch.values * 2)
     )
@@ -152,7 +152,7 @@ def test_cut_batches_keep_offsets_and_sequences():
     log.high_watermark = 6
     # A fetch from inside a cut batch starts at its offset and sequence.
     result = log.read_columnar(4)
-    assert result.offsets() == [4, 5] and result.next_offset == 6
+    assert result.columns()[0] == [4, 5] and result.next_offset == 6
     assert [r.sequence for r in result.records] == [14, 15]
     assert log.log_end_offset == 6 and len(log) == 4
 
@@ -174,13 +174,13 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
         assert partition.replica_log(1) is follower
         for log in (leader, follower):
             log.delete_records_before(purge_to)
-            spans = log.aborted_transactions()
+            spans = log._aborted
             assert spans and all(s.last_offset >= purge_to for s in spans)
             assert len(spans) <= 2
             indexed = [s for _, _, entry in log._aborted_index.values() for s in entry]
             assert sorted(indexed, key=lambda s: s.last_offset) == spans
             assert all(lasts for _, lasts, _ in log._aborted_index.values())
-        assert follower.aborted_transactions() == leader.aborted_transactions()
+        assert follower._aborted == leader._aborted
     # The straddling span still masks what is left of its transaction.
     assert leader.read_columnar(purge_to, filter_aborted=True).valid_count == 0
     assert leader.read_columnar(purge_to).valid_count == 3
@@ -188,5 +188,5 @@ def test_aborted_index_is_pruned_with_the_records_it_masks():
     partition.append(slab(2, pid=1, sequence=sequences[1], transactional=True))
     partition.append_marker(ABORT_MARKER, 1, 0)
     assert partition.replica_log(1) is follower
-    assert follower.aborted_transactions() == leader.aborted_transactions()
+    assert follower._aborted == leader._aborted
     assert follower._aborted_index == leader._aborted_index

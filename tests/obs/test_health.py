@@ -102,8 +102,7 @@ class TestAlertOverlap:
         windows = [(250.0, 450.0, "crash"), (2_000.0, 2_100.0, "gray")]
         assert monitor.unexpected_alerts(windows) == [stray]
         assert monitor.uncovered_windows(windows) == [(2_000.0, 2_100.0, "gray")]
-        assert monitor.fired_alerts(PAGE) == [covered]
-        assert monitor.fired_alerts() == [covered, stray]
+        assert monitor.alerts == [covered, stray]
 
 
 def synthetic_monitor(slos, seed=7):
@@ -129,7 +128,7 @@ class TestBurnRateAlerting:
         cluster, monitor = synthetic_monitor(self.SLO_SET)
         drive(cluster, monitor, "lat_ms", [1.0] * 60)
         assert monitor.alerts == []
-        assert monitor.active_alerts() == []
+        assert not any(alert.active for alert in monitor.alerts)
         assert all(s["status"] == "ok" for s in monitor.slo_status())
 
     def test_full_breach_pages_then_resolves(self):
@@ -149,7 +148,7 @@ class TestBurnRateAlerting:
         drive(cluster, monitor, "lat_ms", [1.0] * 60)
         assert not alert.active
         assert alert.resolved_at is not None
-        assert monitor.active_alerts() == []
+        assert not any(alert.active for alert in monitor.alerts)
         assert monitor.slo_status()[0]["status"] == "alerted"
         counters = cluster.metrics.counters()
         assert counters["health.alerts_fired{severity=page,slo=latency}"] == 1
@@ -191,8 +190,8 @@ class TestBurnRateAlerting:
         drive(cluster, monitor, "lat_ms", [1.0] * 40)
         drive(cluster, monitor, "lat_ms", [50.0] * 20)
         drive(cluster, monitor, "lat_ms", [1.0] * 60)
-        fired = tracer.by_name("alert.fired")
-        resolved = tracer.by_name("alert.resolved")
+        fired = [s for s in tracer.spans if s.name == "alert.fired"]
+        resolved = [s for s in tracer.spans if s.name == "alert.resolved"]
         assert len(fired) == 1 and len(resolved) == 1
         assert fired[0].category == "alert"
         assert fired[0].args["slo"] == "latency"

@@ -183,7 +183,7 @@ def test_health_matrix_alert_coverage(seed):
     assert monitor.ticks > 0
     assert monitor.checks == monitor.ticks, "a tick escaped the audit"
     windows = [(ts, ts, desc) for ts, desc in harness.chaos.timeline]
-    fired = monitor.fired_alerts()
+    fired = monitor.alerts
     assert fired, f"{scenario} seed {seed}: chaos fired no alert at all"
     assert monitor.uncovered_windows(windows, slack_ms=SLACK_MS) == [], (
         f"{scenario} seed {seed}: fault windows without any alert"
@@ -194,7 +194,7 @@ def test_health_matrix_alert_coverage(seed):
     # The recovery-gap backstop is what guarantees coverage.
     assert any(a.slo == "recovery-gap" for a in fired)
     # Everything resolves once the cell converges: no alert stays stuck.
-    assert monitor.active_alerts() == []
+    assert not any(alert.active for alert in fired)
 
 
 @pytest.mark.chaos

@@ -61,7 +61,7 @@ class ReferenceTracker:
 
 
 def stats(h):
-    return (h.count, h.mean(), h.min(), h.max(),
+    return (h.count, h.mean(), h.max(),
             [h.percentile(p) for p in (0, 37, 50, 99, 100)])
 
 

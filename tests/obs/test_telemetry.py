@@ -81,15 +81,6 @@ class TestSeries:
         assert reporter.series("app", "counters", "missing") == []
         assert reporter.series("nope", "counters", "n") == []
 
-    def test_reset(self):
-        clock, _, reporter = make_reporter()
-        reporter.sample()
-        reporter.reset()
-        assert list(reporter.samples) == []
-        reporter.poll()                      # samples again from scratch
-        assert len(reporter.samples) == 1
-
-
 class TestRingBuffer:
     def test_max_samples_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -117,14 +108,6 @@ class TestRingBuffer:
             reporter.sample()
             clock.advance(10.0)
         assert len(reporter.samples) == 10
-
-    def test_latest(self):
-        clock, registry, reporter = make_reporter()
-        assert reporter.latest() is None
-        reporter.sample()
-        clock.advance(100.0)
-        reporter.sample()
-        assert reporter.latest()["ts"] == 100.0
 
     def test_series_since_ms(self):
         clock, registry, reporter = make_reporter()

@@ -100,23 +100,3 @@ class TestTraceIds:
         assert [tracer.new_trace_id() for _ in range(3)] == [
             "t000001", "t000002", "t000003"
         ]
-
-    def test_reset_keeps_counter_and_enabled(self):
-        tracer, _ = make_tracer()
-        tracer.new_trace_id()
-        tracer.event("ev", "p", "t")
-        tracer.reset()
-        assert len(tracer) == 0
-        assert tracer.enabled is True
-        assert tracer.new_trace_id() == "t000002"
-
-
-class TestViews:
-    def test_by_name_category_trace(self):
-        tracer, _ = make_tracer()
-        tracer.event("a", "p", "t", category="rpc", trace="t000001")
-        tracer.event("b", "p", "t", category="rpc")
-        tracer.event("a", "p", "t", category="task", trace="t000002")
-        assert len(tracer.by_name("a")) == 2
-        assert len(tracer.by_category("rpc")) == 2
-        assert [s.name for s in tracer.by_trace("t000001")] == ["a"]

@@ -158,7 +158,9 @@ class TestWatermarkTracker:
         cluster = make_cluster(**{"in": 2, "out": 2})
         app = make_app(cluster)
         tracker = WatermarkTracker(app)
-        committed = tracker.committed_offsets()
+        committed = cluster.group_coordinator.fetch_committed(
+            "wm-app", tracker.input_partitions()
+        )
         assert set(committed) == {
             TopicPartition("in", 0),
             TopicPartition("in", 1),
@@ -167,7 +169,9 @@ class TestWatermarkTracker:
         produce_input(cluster, n=24)
         app.run_until_idle()
         cluster.clock.advance(1.0)
-        committed = tracker.committed_offsets()
+        committed = cluster.group_coordinator.fetch_committed(
+            "wm-app", tracker.input_partitions()
+        )
         lags = tracker.lags()
         # A partition that never saw a record never commits; ground truth
         # then falls back to the log start.

@@ -58,7 +58,7 @@ def test_coordinator_state_machine_invariants(ops):
     partition = TopicPartition("data", 0)
 
     for op in ops:
-        state_before = coordinator.transaction_state(tid)
+        state_before = coordinator._txns[tid].state
         try:
             if op == "init":
                 pid, epoch = coordinator.init_producer_id(tid, timeout_ms=100.0)
@@ -76,7 +76,7 @@ def test_coordinator_state_machine_invariants(ops):
         except (InvalidTxnStateError, ProducerFencedError,
                 ConcurrentTransactionsError):
             pass
-        meta = coordinator.transaction_metadata(tid)
+        meta = coordinator._txns[tid]
         assert meta is not None
         assert meta.state in VALID_STATES
         assert meta.producer_epoch >= max_epoch_seen
@@ -124,9 +124,9 @@ def test_recover_is_idempotent_and_faithful(ops):
                 ConcurrentTransactionsError):
             pass
     coordinator.recover()
-    first = coordinator.transaction_metadata(tid).snapshot()
+    first = coordinator._txns[tid].snapshot()
     coordinator.recover()
-    second = coordinator.transaction_metadata(tid).snapshot()
+    second = coordinator._txns[tid].snapshot()
     # Ongoing transactions survive recovery unchanged; completed states
     # stay completed.
     assert first == second

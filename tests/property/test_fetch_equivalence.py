@@ -89,7 +89,7 @@ def reference_fetch(
     records: List[Record] = []
     next_offset = from_offset
     filter_aborted = isolation_level in (READ_COMMITTED, READ_SPECULATIVE)
-    aborted = list(log.aborted_transactions())
+    aborted = list(log._aborted)
     for record in log.records():
         if record.offset < from_offset:
             continue
@@ -233,10 +233,10 @@ def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
         assert len(got.records) == len(want.records)
         assert bool(got) == bool(want.records)
         assert got.next_offset == want.next_offset
-        assert got.keys() == [r.key for r in want.records]
+        assert got.columns()[2] == [r.key for r in want.records]
         assert got.values() == [r.value for r in want.records]
         assert got.timestamps() == [r.timestamp for r in want.records]
-        assert got.offsets() == [r.offset for r in want.records]
+        assert got.columns()[0] == [r.offset for r in want.records]
         assert got.headers() == [r.headers for r in want.records]
         assert got.producer_ids() == [r.producer_id for r in want.records]
         assert [
@@ -247,9 +247,11 @@ def test_column_accessors_match_reference_scan(steps, from_offset, max_records):
 
 
 def single_columns(batch):
-    """The five client-visible columns, one accessor (one walk) each."""
+    """The five client-visible columns, one accessor (one walk) each;
+    offsets and keys, which have none, from the lazy record view."""
     return (
-        batch.offsets(), batch.timestamps(), batch.keys(), batch.values(),
+        [record.offset for record in batch.records], batch.timestamps(),
+        [record.key for record in batch.records], batch.values(),
         batch.headers(),
     )
 
@@ -295,7 +297,7 @@ def assert_columns_match(got, want: ReferenceResult) -> None:
         held = (stored.timestamps, stored.keys, stored.values, stored.headers)
         assert not any(column is own for column, own in zip(columns[1:], held))
     columns[2].append("scribble")
-    assert got.keys() == again[2]
+    assert got.columns()[2] == again[2]
 
 
 @given(log_scripts(), st.data(), OFFSETS, st.integers(min_value=1, max_value=50))
@@ -413,7 +415,7 @@ def test_add_batch_queues_the_accessor_columns(speculative):
                 (tp, (keys, values, timestamps, headers, offsets, batch.fetched_at))
             )
             if speculative:
-                for pid, offset in zip(batch.producer_ids(), batch.offsets()):
+                for pid, offset in zip(batch.producer_ids(), batch.columns()[0]):
                     if pid >= 0:
                         span = deps.setdefault((tp, pid), [offset, offset])
                         span[0] = min(span[0], offset)
@@ -525,10 +527,10 @@ def test_page_boundary_between_aborted_span_and_commit_marker():
         ("plain", 1),          # 7: c
     ])
     first = fetch(log, 0, 2, READ_COMMITTED)
-    assert first.offsets() == [0, 2]
+    assert first.columns()[0] == [0, 2]
     assert first.next_offset == 3
     second = fetch(log, first.next_offset, 2, READ_COMMITTED)
-    assert second.offsets() == [6, 7]
+    assert second.columns()[0] == [6, 7]
     assert second.next_offset == 8
     for isolation in ISOLATION_LEVELS:
         for from_offset in range(log.log_end_offset + 1):
@@ -784,7 +786,7 @@ def test_interval_index_agrees_with_span_list(steps):
     """The per-producer interval index answers membership exactly like a
     linear scan of the aborted-span list, for every (producer, offset)."""
     log = build_log(steps)
-    spans = log.aborted_transactions()
+    spans = log._aborted
     for pid in PIDS:
         for offset in range(log.log_end_offset + 1):
             naive = any(

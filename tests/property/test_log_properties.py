@@ -238,7 +238,7 @@ def assert_matches_model(log, model, windows):
     assert (log.log_start_offset, log.log_end_offset) == (model.start, model.end)
     assert (log.high_watermark, log.last_stable_offset) == (model.hw, model.lso)
     assert log.open_transactions() == model.open
-    assert log.aborted_transactions() == model.aborted
+    assert log._aborted == model.aborted
     span = model.end - model.start
     for lo, width, max_records in windows:
         from_offset = model.start + int(lo * span)

@@ -257,7 +257,7 @@ def test_standby_promotion_restores_from_standby_position(golden):
 def test_quiesce_heals_cluster_and_instances(golden):
     cluster, app, chaos, _ = run_chaos(seed=3, golden=golden)
     assert cluster.alive_brokers() == sorted(cluster.brokers)
-    assert cluster.network.active_faults() == []
+    assert cluster.network._rules == []
     assert app.instances, "quiesce left the app without instances"
 
 
@@ -267,7 +267,7 @@ def test_fault_metrics_exposed(golden):
     # chunk's output at once).
     cluster, _, chaos, _ = run_chaos(seed=8, golden=golden)
     assert any("ack_drop" in desc or "link_fault" in desc for _, desc in chaos.timeline)
-    assert cluster.network.fault_counts().get("network.faults.injected", 0) > 0
+    assert cluster.network.metrics.counters().get("network.faults.injected", 0) > 0
 
 
 # -- scenario-layer cells: targeted fault shapes on the chaos topology ---------------

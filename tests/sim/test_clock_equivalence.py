@@ -65,7 +65,7 @@ def replay(timers, steps, use_advance):
         else:
             clock.advance_to(clock.now + delta)
         seen.append(clock.now)
-    return fired, seen, clock.pending_timers()
+    return fired, seen, len(clock._timers)
 
 
 @given(scenarios())

@@ -1,4 +1,5 @@
-"""FailureInjector scenario helpers: targeting, sustained faults, healing."""
+"""Network fault rules and the FailureInjector shapes: targeting,
+sustained faults, healing."""
 
 import pytest
 
@@ -7,6 +8,7 @@ from repro.clients.producer import Producer
 from repro.config import ProducerConfig
 from repro.errors import RequestTimeoutError
 from repro.sim.failures import FailureInjector
+from repro.sim.network import FaultRule
 
 
 @pytest.fixture
@@ -18,8 +20,9 @@ def cluster():
 
 
 def test_drop_next_produce_request_filters_by_broker(cluster):
-    injector = FailureInjector(cluster)
-    rule = injector.drop_next_produce_request(broker_id=1)
+    rule = cluster.network.add_fault(
+        FaultRule(kind="drop_request", match_api="produce", match_dst=1)
+    )
     applied = []
     cluster.network.call("produce", 0, lambda: applied.append(0))
     with pytest.raises(RequestTimeoutError):
@@ -29,7 +32,7 @@ def test_drop_next_produce_request_filters_by_broker(cluster):
 
 
 def test_drop_next_produce_request_unfiltered_hits_any_broker(cluster):
-    FailureInjector(cluster).drop_next_produce_request()
+    cluster.network.add_fault(FaultRule(kind="drop_request", match_api="produce"))
     with pytest.raises(RequestTimeoutError):
         cluster.network.call("produce", 2, lambda: None)
 
@@ -59,15 +62,15 @@ def test_sever_link_cuts_one_client_broker_path(cluster):
 
 def test_heal_restarts_brokers_and_clears_faults(cluster):
     injector = FailureInjector(cluster)
-    injector.crash_broker(0)
-    injector.crash_broker(1)
-    injector.drop_next_produce_request()
+    cluster.crash_broker(0)
+    cluster.crash_broker(1)
+    cluster.network.add_fault(FaultRule(kind="drop_request", match_api="produce"))
     injector.slow_broker(2, delay_ms=5.0, duration_ms=1000.0)
     assert cluster.alive_brokers() == [2]
 
     injector.heal()
     assert cluster.alive_brokers() == [0, 1, 2]
-    assert cluster.network.active_faults() == []
+    assert cluster.network._rules == []
     # The healed cluster serves acks=all writes again.
     producer = Producer(cluster, ProducerConfig(enable_idempotence=False))
     producer.send("t", key="k", value="v")

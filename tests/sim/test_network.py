@@ -9,6 +9,8 @@ from repro.errors import (
     ProducerFencedError,
     RequestTimeoutError,
 )
+from repro.broker.cluster import Cluster
+from repro.broker.partition import TopicPartition
 from repro.sim.clock import SimClock
 from repro.sim.network import FaultRule, Network, NetworkCosts, call_with_retry
 
@@ -159,15 +161,19 @@ def test_match_src_severs_one_link_only(net):
 
 
 def test_active_faults_prunes_expired(net):
+    """A count rule is spent once it has fired and a timed rule lapses with
+    its window: after both, a call goes through untouched."""
     count_rule = net.add_fault(FaultRule(kind="drop_request", count=1))
     timed_rule = net.add_fault(
         FaultRule(kind="slow", delay_ms=1.0, duration_ms=5.0)
     )
-    assert set(map(id, net.active_faults())) == {id(count_rule), id(timed_rule)}
     with pytest.raises(RequestTimeoutError):
         net.call("produce", 0, lambda: None)
     net.clock.advance(10.0)
-    assert net.active_faults() == []
+    now = net.clock.now
+    assert count_rule.expired(now) and timed_rule.expired(now)
+    assert net.call("produce", 0, lambda: 42, base_cost_ms=0.0) == 42
+    assert net.clock.now == now
 
 
 def test_fault_counters_by_kind_and_api(net):
@@ -177,7 +183,7 @@ def test_fault_counters_by_kind_and_api(net):
         with pytest.raises(RequestTimeoutError):
             net.call("produce", 0, lambda: None)
     net.call("fetch", 0, lambda: None)
-    assert net.fault_counts() == {
+    assert net.metrics.counters("network.faults.") == {
         "network.faults.injected": 3,
         "network.faults.kind.drop_ack": 2,
         "network.faults.kind.delay": 1,
@@ -192,11 +198,36 @@ def test_unknown_fault_kind_rejected(net):
 
 
 def test_marker_cost_grows_linearly():
-    costs = NetworkCosts(jitter_frac=0.0)
-    net = Network(SimClock(), costs)
-    assert net.marker_cost(100) - net.marker_cost(1) == pytest.approx(
-        99 * costs.marker_write_ms
-    )
+    """The transaction coordinator schedules a commit's markers one broker
+    RPC plus one append apiece: on a single broker, 100 partitions finish
+    99 marker appends after one does."""
+
+    def completion_delays(partitions):
+        cluster = Cluster(num_brokers=1, seed=1)
+        cluster.network.costs.jitter_frac = 0.0
+        cluster.create_topic("t", partitions)
+        coordinator = cluster.txn_coordinator
+        pid, epoch = coordinator.init_producer_id("tid", timeout_ms=60_000.0)
+        coordinator.add_partitions(
+            "tid", pid, epoch, [TopicPartition("t", p) for p in range(partitions)]
+        )
+        delays = []
+        schedule = cluster.clock.schedule
+
+        def recording(delay_ms, callback, wake=True):
+            delays.append(delay_ms)
+            return schedule(delay_ms, callback, wake=wake)
+
+        cluster.clock.schedule = recording
+        coordinator.end_transaction("tid", pid, epoch, commit=True)
+        return delays
+
+    costs = NetworkCosts()
+    one, hundred = completion_delays(1), completion_delays(100)
+    # One timer per marker, then the completion at the last marker's delay.
+    assert len(one) == 2 and len(hundred) == 101
+    assert one == [costs.rpc_base_ms + costs.marker_write_ms] * 2
+    assert hundred[-1] - one[-1] == pytest.approx(99 * costs.marker_write_ms)
 
 
 def test_produce_cost_scales_with_records():

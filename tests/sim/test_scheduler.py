@@ -50,9 +50,9 @@ def test_register_is_idempotent_and_ordered():
     driver.register(a)
     driver.register(b)
     driver.register(a)
-    assert driver.actors == [a, b]
+    assert driver._actors == [a, b]
     driver.unregister(a)
-    assert driver.actors == [b]
+    assert driver._actors == [b]
     driver.unregister(a)   # no-op
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.clients.producer import Producer
 from repro.config import AT_LEAST_ONCE, EXACTLY_ONCE, StreamsConfig
 from repro.sim.failures import FailureInjector
+from repro.sim.network import FaultRule
 from repro.streams import KafkaStreams, StreamsBuilder
 
 from tests.streams.harness import drain_topic, latest_by_key, make_cluster
@@ -49,7 +50,7 @@ class TestDriving:
         app.run_until_idle()
         app.close()
         assert app.instances == []
-        assert cluster.group_coordinator.members("edge") == []
+        assert cluster.group_coordinator.assignment_snapshot("edge") == {}
         cluster.clock.advance(10.0)
         assert latest_by_key(drain_topic(cluster, "out")) == {
             "k0": 3, "k1": 3, "k2": 3
@@ -117,16 +118,17 @@ class TestCommitIntervals:
 class TestFailureInjectorHelpers:
     def test_crash_brokers_list(self):
         cluster = make_cluster(**{"in": 1, "out": 1})
-        injector = FailureInjector(cluster)
-        injector.crash_brokers([1, 2])
+        for broker_id in (1, 2):
+            cluster.crash_broker(broker_id)
         assert cluster.alive_brokers() == [0]
-        injector.restart_broker(1)
+        cluster.restart_broker(1)
         assert cluster.alive_brokers() == [0, 1]
 
     def test_drop_request_rule(self):
         cluster = make_cluster(t=1)
-        injector = FailureInjector(cluster)
-        rule = injector.drop_next_produce_request()
+        rule = cluster.network.add_fault(
+            FaultRule(kind="drop_request", match_api="produce")
+        )
         producer = Producer(cluster)
         producer.send("t", key="k", value=1, partition=0)
         producer.flush()       # retry succeeds after the dropped request
@@ -139,8 +141,9 @@ class TestFailureInjectorHelpers:
     def test_delay_rule(self):
         cluster = make_cluster(t=1)
         cluster.network.charge_latency = True
-        injector = FailureInjector(cluster)
-        injector.delay_rpcs("produce", delay_ms=100.0)
+        cluster.network.add_fault(
+            FaultRule(kind="delay", match_api="produce", delay_ms=100.0)
+        )
         before = cluster.clock.now
         producer = Producer(cluster)
         producer.send("t", key="k", value=1, partition=0)
@@ -151,7 +154,9 @@ class TestFailureInjectorHelpers:
     def test_clear_removes_rules(self):
         cluster = make_cluster(t=1)
         injector = FailureInjector(cluster)
-        injector.drop_next_produce_request(count=100)
+        cluster.network.add_fault(
+            FaultRule(kind="drop_request", match_api="produce", count=100)
+        )
         injector.clear()
         producer = Producer(cluster)
         producer.send("t", key="k", value=1, partition=0)

@@ -27,13 +27,16 @@ anything fails too.
    reads is what a deletion left behind. Names listed in ``__all__`` count
    as read, and a package's ``__init__`` is all re-exports.
 
-One more check keeps ``tools/uncalled_allowlist.txt`` honest: every
-function it explains is still defined.
+Three more checks keep ``tools/uncalled.py`` honest: every function its
+allowlist explains is still defined, every reason starts with a group the
+allowlist's header documents, and its ``[bench]`` flag names a benchmark
+only where that file can reach the function by name.
 """
 
 import ast
 import functools
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -308,3 +311,89 @@ def test_every_allowlisted_uncalled_function_is_still_defined():
     assert stale_entries(planted, defined) == [
         ("repro/streams/kstream.py", "KStream.flat_map")
     ]
+
+
+def documented_groups(text):
+    """The groups the allowlist's header lists, one ``#   <group>  <what>``
+    line each."""
+    return {
+        match.group(1)
+        for match in re.finditer(r"^#   ([a-z]+)  ", text, flags=re.MULTILINE)
+    }
+
+
+def undocumented_reasons(allowlist, groups):
+    return sorted(
+        entry for entry, reason in allowlist.items()
+        if re.match(r"([a-z]+)(:|$)", reason) is None
+        or re.match(r"([a-z]+)", reason).group(1) not in groups
+    )
+
+
+def test_every_allowlist_reason_starts_with_a_documented_group():
+    collector = load_collector()
+    groups = documented_groups(collector.ALLOWLIST.read_text())
+    assert {"debug", "ledger", "bench", "fault", "interface", "dunder"} <= groups
+    allowlist = collector.read_allowlist()
+    assert not undocumented_reasons(allowlist, groups)
+    planted = dict(allowlist)
+    planted["repro/sim/network.py", "Network.call"] = "handy: tests call it"
+    planted["repro/sim/clock.py", "SimClock.now"] = "faulty: not a group"
+    assert undocumented_reasons(planted, groups) == [
+        ("repro/sim/clock.py", "SimClock.now"),
+        ("repro/sim/network.py", "Network.call"),
+    ]
+
+
+def test_the_bench_flag_needs_the_owner_and_the_name_in_one_file():
+    collector = load_collector()
+    files = {
+        "bench_acks.py": collector.bench_names(
+            "from repro.sim.failures import FailureInjector\n"
+            "from repro.log.record import RecordBatch\n"
+            "FailureInjector(cluster).drop_next_produce_ack()\n"
+        ),
+        # ``get`` and ``exists`` as any dict's or path's, a name only in a
+        # comment, a function used but never imported from repro, and a
+        # local that shares a module's name.
+        "bench_words.py": collector.bench_names(
+            "import os\n"
+            "from repro.workloads import queries\n"
+            "rows = {}.get('k')  # QueryRouter, format_table\n"
+            "ok = os.path.exists('x')\n"
+            "format_table(rows)\n"
+            "view = queries.snapshot\n"
+        ),
+        # The class unnamed, its module imported.
+        "bench_module.py": collector.bench_names(
+            "import repro.sim.failures\n"
+            "injector.heal()\n"
+        ),
+    }
+    flagged = functools.partial(collector.bench_callers, files)
+    assert flagged(
+        "repro/sim/failures.py", "FailureInjector.drop_next_produce_ack"
+    ) == ["bench_acks.py"]
+    assert flagged("repro/log/record.py", "RecordBatch") == ["bench_acks.py"]
+    assert flagged("repro/iq/router.py", "QueryRouter.get") == []
+    assert flagged("repro/barriers/object_store.py", "ObjectStore.exists") == []
+    assert flagged("repro/metrics/reporter.py", "format_table") == []
+    assert flagged("repro/sim/failures.py", "FailureInjector.__init__") == []
+    assert flagged("repro/iq/view.py", "QueryableStoreView.name") == []
+    assert flagged("repro/streams/queries.py", "StateCatalog.snapshot") == []
+    assert flagged("repro/sim/failures.py", "FailureInjector.heal") == [
+        "bench_module.py"
+    ]
+
+
+def test_an_unexplained_function_fails_the_collector():
+    """``main`` exits 1 exactly when ``split`` leaves a function
+    unexplained; a planted uncalled function with no line is one."""
+    collector = load_collector()
+    allowlist = collector.read_allowlist()
+    found = {"repro/sim/clock.py": [("SimClock.planted", 10, 12)]}
+    unexplained, explained = collector.split(found, allowlist)
+    assert unexplained == found and explained == {"repro/sim/clock.py": []}
+    allowed = {("repro/sim/clock.py", "SimClock.planted"): "debug: planted"}
+    unexplained, _ = collector.split(found, {**allowlist, **allowed})
+    assert not any(unexplained.values())

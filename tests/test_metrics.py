@@ -13,7 +13,7 @@ from repro.metrics.registry import (
     MetricsRegistry,
     labeled_name,
 )
-from repro.metrics.reporter import format_series, format_table
+from repro.metrics.reporter import format_table
 
 
 class TestCounter:
@@ -33,15 +33,8 @@ class TestGauge:
         gauge = Gauge("g")
         assert gauge.value == 0.0
         gauge.set(5.0)
-        gauge.add(2.5)
-        gauge.add(-10.0)                 # gauges go down, unlike counters
+        gauge.set(-2.5)                  # gauges go down, unlike counters
         assert gauge.value == -2.5
-
-    def test_reset(self):
-        gauge = Gauge("g")
-        gauge.set(9.0)
-        gauge.reset()
-        assert gauge.value == 0.0
 
 
 class TestLabels:
@@ -73,8 +66,6 @@ class TestLabels:
         gauge = registry.gauge("depth", task="0_1")
         gauge.set(3.0)
         assert registry.gauges() == {"depth{task=0_1}": 3.0}
-        registry.reset()
-        assert registry.gauges() == {"depth{task=0_1}": 0.0}
         assert registry.gauge("depth", task="0_1") is gauge
 
 
@@ -93,7 +84,7 @@ class TestHistogram:
         assert hist.percentile(50) == pytest.approx(50.5)
         assert hist.percentile(0) == 1.0
         assert hist.percentile(100) == 100.0
-        assert hist.min() == 1.0 and hist.max() == 100.0
+        assert hist.percentile(0) == 1.0 and hist.max() == 100.0
 
     def test_percentile_bounds_validated(self):
         with pytest.raises(ValueError):
@@ -114,7 +105,7 @@ class TestHistogram:
         hist.observe(2.0)               # arrives out of order
         assert hist.percentile(100) == 10.0
         assert hist.percentile(0) == 2.0
-        assert hist.min() == 2.0 and hist.max() == 10.0
+        assert hist.percentile(0) == 2.0 and hist.max() == 10.0
         hist.observe(20.0)
         assert hist.max() == 20.0
 
@@ -124,17 +115,7 @@ class TestHistogram:
         assert hist.max() == 3.0
         hist.observe_many([])
         hist.observe_many([9.0, 0.5])
-        assert (hist.min(), hist.max(), hist.count) == (0.5, 9.0, 4)
-
-    def test_cached_sort_invalidated_by_reset(self):
-        hist = Histogram("h")
-        hist.observe(5.0)
-        assert hist.max() == 5.0
-        hist.reset()
-        assert hist.count == 0 and hist.max() == 0.0
-        hist.observe(1.0)
-        assert hist.percentile(50) == 1.0
-
+        assert (hist.percentile(0), hist.max(), hist.count) == (0.5, 9.0, 4)
 
 class TestRegistry:
     def test_same_name_same_instance(self):
@@ -147,12 +128,6 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.histogram("lat").observe(1.0)
         assert registry.histogram("lat").count == 1
-
-    def test_counter_reset(self):
-        counter = Counter("c")
-        counter.increment(3)
-        counter.reset()
-        assert counter.value == 0
 
     def test_histogram_snapshot(self):
         hist = Histogram("h")
@@ -169,20 +144,6 @@ class TestRegistry:
         registry.histogram("a").observe(5.0)
         snaps = registry.histograms()
         assert snaps["a"]["count"] == 1.0
-
-    def test_reset_keeps_references_valid(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("c")
-        hist = registry.histogram("h")
-        counter.increment(7)
-        hist.observe(1.0)
-        registry.reset()
-        assert counter.value == 0 and hist.count == 0
-        # Held references still feed the same registry entries.
-        counter.increment()
-        hist.observe(2.0)
-        assert registry.counters()["c"] == 1
-        assert registry.histograms()["h"]["count"] == 1.0
 
     @pytest.mark.parametrize("kind", [Counter, Gauge, Histogram])
     def test_a_lookup_hit_builds_no_metric(self, kind):
@@ -210,8 +171,8 @@ class TestRegistry:
 
 
 class TestScopedSnapshots:
-    """Prefix-scoped snapshot/reset: grid cells sharing one process can
-    read and zero only their own counters between runs."""
+    """Prefix-scoped snapshots: grid cells sharing one process can read
+    only their own counters."""
 
     def make_registry(self):
         registry = MetricsRegistry()
@@ -238,27 +199,6 @@ class TestScopedSnapshots:
         }
         assert set(snap["histograms"]) == {"client.rpc_ms", "broker.append_ms"}
 
-    def test_scoped_reset_spares_other_prefixes(self):
-        registry = self.make_registry()
-        registry.reset("client.")
-        assert registry.counters()["client.gray_demotions"] == 0
-        assert registry.gauges()["client.inflight"] == 0.0
-        assert registry.histograms()["client.rpc_ms"]["count"] == 0.0
-        # Untouched prefixes keep their readings.
-        assert registry.counters()["consumer.hedged_fetches"] == 5
-        assert registry.histograms()["broker.append_ms"]["count"] == 1.0
-
-    def test_scoped_context_manager_isolates_a_cell(self):
-        registry = self.make_registry()
-        with registry.scoped("client.") as scoped:
-            assert scoped is registry
-            assert registry.counters()["client.gray_demotions"] == 0
-            registry.counter("client.gray_demotions").increment()
-        # Readings inside the block reflect only work done there.
-        assert registry.counters()["client.gray_demotions"] == 1
-        assert registry.counters()["consumer.hedged_fetches"] == 5
-
-
 class TestLatencyTracker:
     def test_records_latency_from_header(self):
         tracker = LatencyTracker()
@@ -277,7 +217,7 @@ class TestLatencyTracker:
         for latency in (10.0, 20.0, 30.0):
             record = Record(key="k", value=1, headers={CREATED_AT_HEADER: 0.0})
             tracker.record_output(record, latency)
-        assert tracker.p50_ms() == 20.0
+        assert tracker.histogram.percentile(50) == 20.0
         assert tracker.p99_ms() <= 30.0
 
 
@@ -293,8 +233,3 @@ class TestReporter:
         text = format_table(["x"], [[1234.5], [0.1234], [42.0]])
         assert "1,235" in text or "1,234" in text
         assert "0.123" in text
-
-    def test_format_series(self):
-        text = format_series("t", [1, 2], {"a": [10, 20], "b": [30, 40]})
-        assert "t" in text and "a" in text and "b" in text
-        assert "40" in text

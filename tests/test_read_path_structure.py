@@ -208,7 +208,9 @@ def test_poll_reads_only_the_client_visible_columns():
 
 # -- one walk per fetched run ------------------------------------------------------
 
-#: A fetch result's single-column accessors (``ColumnarBatch``).
+#: A fetch result's single-column accessors (``ColumnarBatch``), with
+#: ``offsets`` and ``keys``, which ``columns()`` alone reads: a function
+#: that calls one of them alongside another accessor still counts.
 ACCESSORS = {"offsets", "timestamps", "keys", "values", "headers", "producer_ids"}
 #: The two a ``dict`` has too: a receiver that calls only these is taken
 #: for a fetch result only where the function bound it to one.

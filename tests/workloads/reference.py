@@ -4,7 +4,7 @@
 module docstring). This is the loop it replaced, word for word: draw one
 record, ``Producer.send`` it, ``clock.advance`` one interarrival, repeat.
 A generator driven through :class:`ReferenceLoop` must leave exactly the
-log, clock and counters its own ``produce_for`` / ``produce_batch`` leave.
+log, clock and counters its own ``produce_for`` leaves.
 """
 
 from repro.metrics.latency import CREATED_AT_HEADER
@@ -17,14 +17,6 @@ class ReferenceLoop:
 
     def __init__(self, generator) -> None:
         self.generator = generator
-
-    def produce_batch(self, count: int, flush: bool = True) -> None:
-        generator = self.generator
-        for _ in range(count):
-            self.produce_one()
-            generator.cluster.clock.advance(generator.interarrival_ms)
-        if flush:
-            generator.producer.flush()
 
     def produce_for(self, duration_ms: float, flush: bool = True) -> int:
         generator = self.generator

@@ -1,6 +1,6 @@
 """Run-at-a-time production is the per-record loop, observably.
 
-``WorkloadGenerator.produce_for`` / ``produce_batch`` draw every record
+``WorkloadGenerator.produce_for`` draws every record
 between two clock events in one pass and hand them to the producer as one
 chunk. The property pits that against ``ReferenceLoop``
 (``tests/workloads/reference.py``), the record-at-a-time loop it replaced,
@@ -9,8 +9,8 @@ data whose value draw consumes the rng, conversations with their own draw
 order), late events, a batch size small enough that the producer's room
 cuts runs, timers of both flavours due mid-slice (cancelled, zero-delay,
 one whose callback advances the clock, one that schedules another),
-charged RPC latency, traced and untraced, both entry points and buffers
-carried across calls. The two runs
+charged RPC latency, traced and untraced, and buffers carried across
+calls. The two runs
 must leave the same log (keys, values, timestamps, headers with trace ids,
 offsets, producer sequences), the same clock and counters, and show every
 timer callback the same clock and log.
@@ -73,9 +73,7 @@ TIMERS = st.lists(
 )
 CALLS = st.lists(
     st.tuples(
-        st.sampled_from(["for", "batch"]),
         st.floats(min_value=0.0, max_value=40.0),           # duration_ms
-        st.integers(min_value=0, max_value=60),             # count
         st.booleans(),                                      # flush
     ),
     min_size=1,
@@ -135,11 +133,8 @@ def run(scenario, reference: bool):
 
     loop = ReferenceLoop(generator) if reference else generator
     returned = []
-    for op, duration_ms, count, flush in scenario["calls"]:
-        if op == "for":
-            returned.append(loop.produce_for(duration_ms, flush=flush))
-        else:
-            returned.append(loop.produce_batch(count, flush=flush))
+    for duration_ms, flush in scenario["calls"]:
+        returned.append(loop.produce_for(duration_ms, flush=flush))
     generator.producer.flush()
 
     logs = [
@@ -181,7 +176,7 @@ def test_a_run_ends_where_a_timer_falls_due():
         "kind": "base", "partitions": 2, "late_fraction": 0.0, "rate": 1000.0,
         "batch_max_records": 500, "seed": 3, "traced": False,
         "timers": [(4.5, True, "note"), (7.0, False, "advance"), (0.0, True, "note")],
-        "calls": [("for", 12.0, 0, True)],
+        "calls": [(12.0, True)],
     }
     expected = run(scenario, reference=True)
     assert [label for label, *_ in expected["seen"]] == [2, 0, 1]

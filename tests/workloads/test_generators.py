@@ -17,8 +17,8 @@ class TestWorkloadGenerator:
         cluster = make_cluster(t=1)
         generator = WorkloadGenerator(cluster, "t", rate_per_sec=100.0)
         start = cluster.clock.now
-        generator.produce_batch(50)
-        # 50 records at 100/s -> 500 ms of virtual time.
+        # 500 ms of virtual time at 100/s -> 50 records.
+        assert generator.produce_for(500.0) == 50
         assert cluster.clock.now - start == pytest.approx(500.0)
 
     def test_produce_for_duration(self):
@@ -30,7 +30,7 @@ class TestWorkloadGenerator:
 
     def test_records_carry_created_at(self):
         cluster = make_cluster(t=1)
-        WorkloadGenerator(cluster, "t", rate_per_sec=100.0).produce_batch(3)
+        WorkloadGenerator(cluster, "t", rate_per_sec=100.0).produce_for(30.0)
         records = drain_topic(cluster, "t", read_committed=False)
         assert all(CREATED_AT_HEADER in r.headers for r in records)
 
@@ -39,14 +39,14 @@ class TestWorkloadGenerator:
         generator = WorkloadGenerator(
             cluster, "t", rate_per_sec=100.0, key_space=3, key_prefix="u"
         )
-        generator.produce_batch(30)
+        generator.produce_for(300.0)
         keys = {r.key for r in drain_topic(cluster, "t", read_committed=False)}
         assert keys <= {"u-0", "u-1", "u-2"}
 
     def test_deterministic_given_seed(self):
         def run():
             cluster = make_cluster(t=1)
-            WorkloadGenerator(cluster, "t", rate_per_sec=50.0, seed=9).produce_batch(20)
+            WorkloadGenerator(cluster, "t", rate_per_sec=50.0, seed=9).produce_for(400.0)
             return [
                 (r.key, r.timestamp)
                 for r in drain_topic(cluster, "t", read_committed=False)
@@ -88,7 +88,7 @@ class TestLateness:
     def test_no_lateness_by_default(self):
         cluster = make_cluster(t=1)
         generator = WorkloadGenerator(cluster, "t", rate_per_sec=100.0)
-        generator.produce_batch(10)
+        generator.produce_for(100.0)
         for record in drain_topic(cluster, "t", read_committed=False):
             assert record.timestamp == record.headers[CREATED_AT_HEADER]
 
@@ -98,7 +98,7 @@ class TestLateness:
             cluster, "t", rate_per_sec=100.0,
             lateness=LatenessModel(late_fraction=1.0, mean_late_ms=50.0),
         )
-        generator.produce_batch(50)
+        generator.produce_for(500.0)
         records = drain_topic(cluster, "t", read_committed=False)
         late = [
             r for r in records
@@ -117,7 +117,7 @@ class TestLateness:
                 late_fraction=1.0, mean_late_ms=1000.0, max_late_ms=20.0
             ),
         )
-        generator.produce_batch(50)
+        generator.produce_for(500.0)
         for record in drain_topic(cluster, "t", read_committed=False):
             assert record.headers[CREATED_AT_HEADER] - record.timestamp <= 20.0
 
@@ -125,7 +125,7 @@ class TestLateness:
 class TestDomainGenerators:
     def test_pageviews_shape(self):
         cluster = make_cluster(**{"pageview-events": 1})
-        PageViewGenerator(cluster, rate_per_sec=100.0).produce_batch(10)
+        PageViewGenerator(cluster, rate_per_sec=100.0).produce_for(100.0)
         records = drain_topic(cluster, "pageview-events", read_committed=False)
         for record in records:
             assert {"category", "period", "page"} <= set(record.value)
@@ -134,7 +134,7 @@ class TestDomainGenerators:
         cluster = make_cluster(**{"market-data": 1})
         MarketDataGenerator(
             cluster, rate_per_sec=1000.0, outlier_fraction=0.5, seed=3
-        ).produce_batch(200)
+        ).produce_for(200.0)
         records = drain_topic(cluster, "market-data", read_committed=False)
         outliers = [r for r in records if r.value["outlier_truth"]]
         assert 0 < len(outliers) < len(records)
@@ -143,7 +143,7 @@ class TestDomainGenerators:
 
     def test_conversations_ordered_per_key(self):
         cluster = make_cluster(**{"conversation-events": 2})
-        ConversationGenerator(cluster, rate_per_sec=100.0).produce_batch(100)
+        ConversationGenerator(cluster, rate_per_sec=100.0).produce_for(1000.0)
         records = drain_topic(cluster, "conversation-events", read_committed=False)
         per_conv = {}
         for record in records:

@@ -24,26 +24,29 @@ command set:
 Tests are not callers. It prints, by module, the module-level functions
 and the methods never called, with their line spans and totals. A
 decorated function is keyed on its first decorator line, which is its
-code object's ``co_firstlineno``. A name that also appears in a file
-under ``benchmarks/`` (a dunder aside) is flagged ``[bench]``: the
-benchmarks may import or patch it, as the ledger does ``RecordBatch``.
+code object's ``co_firstlineno``. A function a file under
+``benchmarks/`` may reach by name is flagged ``[bench: <files>]``: a
+method when one file names both the method and its class (or imports
+its module), a module-level function when a file imports it from
+``repro``, as the ledger's ``ladder.py`` does ``RecordBatch``. Dunders
+are never flagged.
 
 Zero calls is where to look, not a verdict: a function reached only by a
-fault path, a debug bundle or a test oracle may well stay. Each one that
-stays on purpose has a line in ``uncalled_allowlist.txt`` next to this
-file, ``<module> <qualified name>  <reason>`` with the module as printed
-here; those are listed apart, with their reasons, and every other
-uncalled function is unexplained. A tier-1 test
-(``tests/test_layering_structure.py``) fails an allowlist line whose
-function is no longer defined. It takes a few minutes and is not a CI
-step.
+fault path or a debug bundle may well stay. Each one that stays on
+purpose has a line in ``uncalled_allowlist.txt`` next to this file,
+``<module> <qualified name>  <reason>`` with the module as printed here;
+those are listed apart, with their reasons, and every other uncalled
+function is unexplained. The exit status is 1 when any function is
+unexplained, else 0; CI's bench-smoke job runs it. Tier-1 tests
+(``tests/test_layering_structure.py``) fail an allowlist line whose
+function is no longer defined or whose reason starts with no group the
+allowlist's header documents. It takes about 40 s on a two-core host.
 """
 
 from __future__ import annotations
 
 import ast
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -157,11 +160,53 @@ def definitions(package: Path):
                 yield module, prefix + node.name, first, node.end_lineno
 
 
-def bench_words(tree: Path) -> set:
-    words = set()
-    for path in (tree / "benchmarks").rglob("*.py"):
-        words |= set(re.findall(r"\w+", path.read_text()))
-    return words
+def bench_names(source: str):
+    """(identifiers, names imported from ``repro``, ``repro`` modules
+    imported) of one benchmark file: every name, attribute and definition
+    it spells out, comments and strings aside."""
+    names, imported, modules = set(), set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.asname or alias.name)
+                if alias.name.split(".")[0] == "repro":
+                    modules.add(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
+            modules.add(node.module)
+            for alias in node.names:
+                names.add(alias.asname or alias.name)
+                imported.add(alias.name)
+                modules.add(f"{node.module}.{alias.name}")
+    return names, imported, modules
+
+
+def bench_files(tree: Path) -> dict:
+    """Path relative to ``benchmarks/`` -> its :func:`bench_names`."""
+    benches = tree / "benchmarks"
+    return {
+        path.relative_to(benches).as_posix(): bench_names(path.read_text())
+        for path in sorted(benches.rglob("*.py"))
+    }
+
+
+def bench_callers(files: dict, module: str, name: str) -> list:
+    """The benchmark files that may reach ``name`` of ``module`` by name."""
+    *owners, short = name.split(".")
+    if short.startswith("__") and short.endswith("__"):
+        return []
+    if not owners:
+        return [path for path, (_, imported, _) in files.items() if short in imported]
+    dotted = module.removesuffix(".py").removesuffix("/__init__").replace("/", ".")
+    return [
+        path for path, (names, _, modules) in files.items()
+        if short in names and (owners[-1] in names or dotted in modules)
+    ]
 
 
 def main() -> int:
@@ -181,7 +226,7 @@ def main() -> int:
             for line in dump.read_text().splitlines():
                 name, _, first = line.rpartition(":")
                 seen.add((Path(name).relative_to(package.parent).as_posix(), int(first)))
-        used_by_benches = bench_words(tree)
+        benches = bench_files(tree)
         uncalled = defaultdict(list)
         total = lines = 0
         for module, name, first, last in definitions(package):
@@ -190,6 +235,20 @@ def main() -> int:
                 uncalled[module].append((name, first, last))
                 lines += last - first + 1
     allowed = read_allowlist()
+    unexplained, explained = split(uncalled, allowed)
+    print("Unexplained:")
+    unexplained_total = report(unexplained, benches)
+    print(f"\nAllowlisted ({ALLOWLIST.name}):")
+    explained_total = report(explained, benches, allowed)
+    count = sum(map(len, uncalled.values()))
+    print(f"\n{count} of {total} functions uncalled ({lines} lines): "
+          f"{unexplained_total} unexplained, {explained_total} allowlisted")
+    return 1 if any(unexplained.values()) else 0
+
+
+def split(uncalled, allowed):
+    """(unexplained, allowlisted): ``uncalled`` by module, each function
+    on the side of whether ``allowed`` has a line for it."""
     unexplained = {
         module: [f for f in found if (module, f[0]) not in allowed]
         for module, found in uncalled.items()
@@ -198,17 +257,10 @@ def main() -> int:
         module: [f for f in found if (module, f[0]) in allowed]
         for module, found in uncalled.items()
     }
-    print("Unexplained:")
-    unexplained_total = report(unexplained, used_by_benches)
-    print(f"\nAllowlisted ({ALLOWLIST.name}):")
-    explained_total = report(explained, used_by_benches, allowed)
-    count = sum(map(len, uncalled.values()))
-    print(f"\n{count} of {total} functions uncalled ({lines} lines): "
-          f"{unexplained_total} unexplained, {explained_total} allowlisted")
-    return 0
+    return unexplained, explained
 
 
-def report(uncalled, used_by_benches, reasons=None) -> str:
+def report(uncalled, benches, reasons=None) -> str:
     """Print ``uncalled`` by module, a reason after each name that has
     one, then its totals by package; returns the grand total."""
     by_package = defaultdict(lambda: [0, 0])
@@ -218,9 +270,8 @@ def report(uncalled, used_by_benches, reasons=None) -> str:
         span = sum(last - first + 1 for _, first, last in found)
         print(f"{module}: {len(found)} uncalled, {span} lines")
         for name, first, last in found:
-            short = name.rsplit(".", 1)[-1]
-            dunder = short.startswith("__") and short.endswith("__")
-            flag = "  [bench]" if short in used_by_benches and not dunder else ""
+            callers = bench_callers(benches, module, name)
+            flag = f"  [bench: {', '.join(callers)}]" if callers else ""
             why = f"  {reasons[module, name]}" if reasons else ""
             print(f"    {first:5d}-{last:<5d} {name}{flag}{why}")
         parts = module.split("/")
