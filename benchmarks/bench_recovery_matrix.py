@@ -23,6 +23,8 @@ uncommitted work a fault can destroy, while the barrier engine's
 checkpoint interval bounds how much state it must reload and replay.
 """
 
+from dataclasses import replace
+
 from harness import (
     WallTimer,
     bench_scale,
@@ -123,7 +125,9 @@ def build_barrier(cluster, checkpoint_interval_ms):
         reduce_fn=lambda key, value, state: (
             value if state is None else max(state, value)
         ),
-        object_store=ObjectStore(cluster.clock, put_latency_ms=5.0),
+        object_store=ObjectStore(
+            cluster.clock, replace(cluster.costs, object_put_ms=5.0)
+        ),
         checkpoint_interval_ms=checkpoint_interval_ms,
         min_files=2,
     )

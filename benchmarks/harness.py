@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.barriers.engine import BarrierEngine
-from repro.barriers.object_store import ObjectStore
 from repro.broker.cluster import Cluster
 from repro.clients.consumer import Consumer
 from repro.config import (
@@ -326,7 +325,6 @@ def run_barrier_reduce(
     input_partitions: int = 4,
     output_partitions: int = 10,
     key_space: int = 64,
-    put_latency_ms: float = 30.0,
     min_files: int = 4,
     seed: int = 101,
     label: Optional[str] = None,
@@ -336,13 +334,11 @@ def run_barrier_reduce(
     cluster = make_bench_cluster(seed)
     cluster.create_topic("input", input_partitions)
     cluster.create_topic("output", output_partitions)
-    store = ObjectStore(cluster.clock, put_latency_ms=put_latency_ms)
     engine = BarrierEngine(
         cluster,
         source_topic="input",
         sink_topic="output",
         reduce_fn=lambda key, value, state: (state or 0) + value,
-        object_store=store,
         checkpoint_interval_ms=checkpoint_interval_ms,
         min_files=min_files,
     )
@@ -387,7 +383,7 @@ def run_barrier_reduce(
         latency=tracker,
     )
     result.extra["checkpoints"] = engine.checkpoints_completed
-    result.extra["object_store_puts"] = store.puts
+    result.extra["object_store_puts"] = engine.store.puts
     result.extra["checkpoint_time_ms"] = engine.checkpoint_time_ms
     result.extra["scheduler_cycles"] = driver.cycles
     result.extra["idle_skipped_ms"] = round(driver.idle_skipped_ms, 3)

@@ -26,7 +26,8 @@ from repro.config import (
     StreamsConfig,
 )
 from repro.sim.clock import SimClock
-from repro.sim.network import FaultRule, Network, NetworkCosts
+from repro.sim.costs import CostModel
+from repro.sim.network import FaultRule, Network
 
 __version__ = "1.0.0"
 
@@ -45,7 +46,7 @@ __all__ = [
     "READ_UNCOMMITTED",
     "SimClock",
     "Network",
-    "NetworkCosts",
+    "CostModel",
     "FaultRule",
     "__version__",
 ]

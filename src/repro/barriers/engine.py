@@ -26,7 +26,6 @@ from repro.barriers.object_store import ObjectStore
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import ConsumerConfig, ProducerConfig, READ_UNCOMMITTED
-from repro.sim.network import PROCESS_COST_MS_PER_RECORD
 from repro.sim.scheduler import Driver
 from repro.util import partition_for
 
@@ -57,7 +56,6 @@ class BarrierEngine:
         checkpoint_interval_ms: float = 1000.0,
         keys_per_file: int = 64,
         min_files: int = 1,
-        alignment_delay_ms: float = 1.0,
         job_name: str = "barrier-job",
     ) -> None:
         if checkpoint_interval_ms <= 0:
@@ -67,13 +65,12 @@ class BarrierEngine:
         self.source_topic = source_topic
         self.sink_topic = sink_topic
         self.reduce_fn = reduce_fn
-        self.store = object_store or ObjectStore(cluster.clock)
+        self.store = object_store or ObjectStore(cluster.clock, cluster.costs)
         self.checkpoint_interval_ms = checkpoint_interval_ms
         self.keys_per_file = keys_per_file
         # Every checkpoint uploads at least one file per stateful operator
         # instance; a parallelism-4 job writes 4 files even for one key.
         self.min_files = max(1, min_files)
-        self.alignment_delay_ms = alignment_delay_ms
         self.job_name = job_name
 
         self.consumer = Consumer(
@@ -140,7 +137,7 @@ class BarrierEngine:
                 headers=record.headers,
             )
         if records:
-            self.clock.advance(len(records) * PROCESS_COST_MS_PER_RECORD)
+            self.clock.advance(len(records) * self.cluster.costs.process_ms_per_record)
             self.records_processed += len(records)
         if self._checkpoint_due or self.clock.now >= self._next_checkpoint_at:
             self.checkpoint()
@@ -194,7 +191,7 @@ class BarrierEngine:
         # Barrier alignment: the barrier flows through the (single-operator)
         # pipeline; with backpressure this grows, here it is a small fixed
         # drain cost.
-        self.clock.advance(self.alignment_delay_ms)
+        self.clock.advance(self.cluster.costs.alignment_ms)
 
         # Incremental, per-file state upload: even one dirty key costs a
         # full file PUT — the fixed cost the paper highlights.

@@ -13,44 +13,34 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from repro.sim.clock import SimClock
+from repro.sim.costs import CostModel
 
 
 class ObjectStore:
-    """Path -> object map with virtual-time PUT/GET latency."""
+    """Path -> object map with virtual-time PUT/GET latency, priced by
+    ``costs`` (the cluster's model, or a copy for a different store)."""
 
     def __init__(
-        self,
-        clock: SimClock,
-        put_latency_ms: float = 25.0,
-        get_latency_ms: float = 10.0,
-        per_kb_ms: float = 0.05,
-        charge_latency: bool = True,
+        self, clock: SimClock, costs: CostModel, charge_latency: bool = True
     ) -> None:
         self.clock = clock
-        self.put_latency_ms = put_latency_ms
-        self.get_latency_ms = get_latency_ms
-        self.per_kb_ms = per_kb_ms
+        self.costs = costs
         self.charge_latency = charge_latency
         self._objects: Dict[str, Any] = {}
         self.puts = 0
-        self.gets = 0
-        self.put_time_ms = 0.0
 
-    def _charge(self, base_ms: float, size_kb: float) -> float:
-        cost = base_ms + self.per_kb_ms * size_kb
+    def _charge(self, cost: float) -> None:
         if self.charge_latency:
             self.clock.advance(cost)
-        return cost
 
     def put(self, path: str, obj: Any, size_kb: float = 4.0) -> None:
         """Upload an object (one state file)."""
         self.puts += 1
-        self.put_time_ms += self._charge(self.put_latency_ms, size_kb)
+        self._charge(self.costs.object_put(size_kb))
         self._objects[path] = obj
 
     def get(self, path: str) -> Any:
-        self.gets += 1
-        self._charge(self.get_latency_ms, 4.0)
+        self._charge(self.costs.object_get(4.0))
         if path not in self._objects:
             raise KeyError(path)
         return self._objects[path]

@@ -35,7 +35,8 @@ from repro.metrics.registry import MetricsRegistry
 from repro.obs.recovery import NO_RECOVERY
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
-from repro.sim.network import Network, NetworkCosts
+from repro.sim.costs import CostModel
+from repro.sim.network import Network
 from repro.util import RouteMemo, partition_for
 
 # How many partitions each coordinator's own log is spread over.
@@ -80,8 +81,9 @@ class Cluster:
         # component can cache the reference at construction and tracing can
         # be toggled at any point (`cluster.tracer.enabled = True`).
         self.tracer = Tracer(self.clock)
+        self.costs = CostModel()
         self.network = Network(
-            self.clock, NetworkCosts(), seed=seed, metrics=self.metrics
+            self.clock, self.costs, seed=seed, metrics=self.metrics
         )
         self.network.tracer = self.tracer
         self.brokers: Dict[int, Broker] = {

@@ -367,7 +367,7 @@ class TransactionCoordinator:
             "txn_log_append",
             leader,
             lambda: state.append(batch, acks="all"),
-            base_cost_ms=network.coordinator_cost(),
+            base_cost_ms=self._cluster.costs.coordinator(),
         )
         self.log_appends += 1
 
@@ -404,13 +404,13 @@ class TransactionCoordinator:
         by_broker: Dict[int, List[TopicPartition]] = {}
         for tp in partitions:
             by_broker.setdefault(self._cluster.leader_of(tp), []).append(tp)
-        clock = self._cluster.clock
+        clock, costs = self._cluster.clock, self._cluster.costs
         seq = txn.completion_seq
         delay = 0.0
         for broker_id in sorted(by_broker):
-            delay += network.costs.rpc_base_ms
+            delay += costs.rpc_base_ms
             for tp in by_broker[broker_id]:
-                delay += network.costs.marker_write_ms
+                delay += costs.marker_write_ms
                 clock.schedule(
                     delay,
                     lambda tp=tp, txn=txn, mt=marker_type, s=seq: (

@@ -68,7 +68,6 @@ class Consumer:
         self.assignment_epoch = 0
         self._manual_assignment = False
         self._positions: Dict[TopicPartition, int] = {}
-        self._paused: set = set()
         # Partitions waiting for their committed start offset: not fetched
         # until a poll finds the group's offsets stable (_resolve_withheld,
         # which skips any no longer assigned). Empty in the steady state.
@@ -307,7 +306,7 @@ class Consumer:
         self._maybe_rejoin()
         budget = MAX_POLL_RECORDS if max_records is None else max_records
         out: List[ColumnarBatch] = []
-        active = [tp for tp in self._assignment if tp not in self._paused]
+        active = self._assignment
         if self._withheld and not self._resolve_withheld():
             withheld = self._withheld
             active = [tp for tp in active if tp not in withheld]
@@ -372,7 +371,7 @@ class Consumer:
             lambda: self.cluster.handle_fetch(
                 tp, position, budget, self.config.isolation_level, replica
             ),
-            base_cost_ms=self._network.fetch_cost(),
+            base_cost_ms=self.cluster.costs.fetch(),
             src=self.config.client_id,
         )
         if gray is not None:
@@ -492,7 +491,7 @@ class Consumer:
                 member_id=self._member_id,
                 generation=self._generation if self._member_id else None,
             ),
-            self._network.produce_cost(len(offsets)),
+            self.cluster.costs.produce(len(offsets)),
             timeout_ms=self.config.default_api_timeout_ms,
             kind="coordinator_retry", detail={"api": "offset_commit"},
         )

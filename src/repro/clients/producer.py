@@ -139,7 +139,7 @@ class Producer:
             lambda: coordinator.init_producer_id(
                 tid, self.config.transaction_timeout_ms
             ),
-            cost=self._network.coordinator_cost(),
+            cost=self.cluster.costs.coordinator(),
         )
         # A re-registration (e.g. recovery after a crash) starts from a
         # clean slate: any client-side remnants of a previous incarnation's
@@ -218,7 +218,7 @@ class Producer:
                 producer_epoch=self.producer_epoch,
                 transactional=True,
             ),
-            cost=self._network.produce_cost(len(offsets)),
+            cost=self.cluster.costs.produce(len(offsets)),
         )
 
     def commit_transaction(self) -> None:
@@ -241,7 +241,7 @@ class Producer:
                 lambda: coordinator.end_transaction(
                     tid, self.producer_id, self.producer_epoch, commit
                 ),
-                cost=self._network.coordinator_cost(),
+                cost=self.cluster.costs.coordinator(),
             )
         finally:
             self._in_transaction = False
@@ -466,18 +466,16 @@ class Producer:
     def _register_txn_partitions(self, partitions: List[TopicPartition]) -> None:
         tid = self.config.transactional_id
         coordinator = self.cluster.txn_coordinator
-        # One batched RPC; its cost grows only marginally with the number
-        # of partitions registered. CONCURRENT_TRANSACTIONS (the previous
+        # One batched RPC. CONCURRENT_TRANSACTIONS (the previous
         # transaction's markers still landing) is retriable like any other
         # transient coordinator failure.
-        cost = self._network.coordinator_cost() + 0.002 * len(partitions)
         self._call_coordinator(
             "add_partitions_to_txn",
             coordinator.txn_log_partition(tid),
             lambda: coordinator.add_partitions(
                 tid, self.producer_id, self.producer_epoch, partitions
             ),
-            cost=cost,
+            cost=self.cluster.costs.add_partitions(len(partitions)),
         )
         self._txn_registered_partitions.update(partitions)
 
@@ -527,7 +525,7 @@ class Producer:
         call_with_retry(
             self._network, self.cluster, config, "produce", tp,
             partial(self.cluster.handle_produce, tp, batch, config.acks),
-            self._network.produce_cost(record_count),
+            self.cluster.costs.produce(record_count),
             timeout_ms=config.delivery_timeout_ms, max_retries=config.retries,
             kind="send_retry", detail={"tp": tp}, on_retry=self._count_retry,
         )

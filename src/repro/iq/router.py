@@ -34,7 +34,7 @@ from repro.errors import (
     StaleEpochError,
     StaleStoreError,
 )
-from repro.iq.server import BOUNDED, QUERY_LOCAL_COST_MS, QueryResult, STRONG
+from repro.iq.server import BOUNDED, QueryResult, STRONG
 from repro.util import ExponentialBackoff
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -179,7 +179,6 @@ class QueryRouter:
         backoff = ExponentialBackoff(
             self.retry_backoff_ms, self.retry_backoff_max_ms
         )
-        hop_cost = self.cluster.network.costs.rpc_base_ms
         elapsed = 0.0
         last_error: Optional[QueryError] = None
         for sweep in range(self.max_attempts):
@@ -190,7 +189,7 @@ class QueryRouter:
             for instance in meta.candidates(
                 allow_standbys=consistency != STRONG
             ):
-                elapsed += hop_cost + QUERY_LOCAL_COST_MS
+                elapsed += self.cluster.costs.query_hop()
                 try:
                     return call(instance.query_server, meta.epoch), elapsed
                 except NotOwnedError as exc:

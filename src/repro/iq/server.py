@@ -44,11 +44,6 @@ if TYPE_CHECKING:  # pragma: no cover
 STRONG = "strong"
 BOUNDED = "bounded_staleness"
 
-# Modelled service cost of one locally-served query (spent as reported
-# latency, not as simulation time: queries are answered off the processing
-# thread, like the paper's separate verifier machine).
-QUERY_LOCAL_COST_MS = 0.05
-
 
 @dataclass
 class QueryResult:

@@ -1,8 +1,9 @@
-"""Simulation substrate: virtual clock, scheduler, network costs, faults,
+"""Simulation substrate: virtual clock, scheduler, cost model, faults,
 chaos orchestration, and invariant checking."""
 
 from repro.sim.clock import SimClock
-from repro.sim.network import FaultRule, Network, NetworkCosts
+from repro.sim.costs import CostModel
+from repro.sim.network import FaultRule, Network
 from repro.sim.failures import FailureInjector
 from repro.sim.scheduler import Driver
 from repro.sim.chaos import ALL_KINDS, ChaosConfig, ChaosController
@@ -22,7 +23,7 @@ __all__ = [
     "SimClock",
     "Driver",
     "Network",
-    "NetworkCosts",
+    "CostModel",
     "FaultRule",
     "FailureInjector",
     "ALL_KINDS",

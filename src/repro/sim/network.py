@@ -1,11 +1,11 @@
-"""Network RPC layer: latency cost model and fault injection.
+"""Network RPC layer: latency charging and fault injection.
 
 Every client→broker and broker→broker interaction in the repro stack is a
 synchronous Python call routed through :meth:`Network.call`. The network
 
 * charges a virtual-time latency for the round trip (request + response),
-  sized by the RPC kind — this is what makes throughput/latency benchmarks
-  meaningful;
+  priced by the caller from :class:`~repro.sim.costs.CostModel` — this is
+  what makes throughput/latency benchmarks meaningful;
 * can inject the failure scenarios of Section 2.1 of the paper, most
   importantly the *lost acknowledgement*: the remote operation **is applied**
   but the caller sees a :class:`~repro.errors.RequestTimeoutError` and will
@@ -27,40 +27,8 @@ from repro.errors import BrokerUnavailableError, RequestTimeoutError, RetriableE
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.sim.clock import SimClock
+from repro.sim.costs import CostModel
 from repro.util import ExponentialBackoff
-
-# Modelled CPU cost of processing one record, shared by both Figure 5.b
-# engines (the Streams runtime and the barrier baseline) for fairness.
-PROCESS_COST_MS_PER_RECORD = 0.008
-
-
-@dataclass
-class NetworkCosts:
-    """Virtual-time cost model (milliseconds) for RPC kinds.
-
-    The defaults are calibrated so that the Figure 5 benchmarks land in the
-    same regime as the paper's i3.large testbed: a produce round trip below
-    a millisecond (batched appends, page-cache writes), coordinator round
-    trips of the same order, and per-partition transaction-marker writes
-    that make end-to-end latency grow linearly with the number of output
-    partitions.
-    """
-
-    rpc_base_ms: float = 0.25          # request/response framing + queueing
-    produce_per_batch_ms: float = 0.15  # leader append of one batch
-    produce_per_record_us: float = 1.0  # marginal per-record append cost (µs)
-    fetch_ms: float = 0.20             # consumer/replica fetch round trip
-    coordinator_ms: float = 2.0        # txn/group coordinator round trip
-                                       # (replicated metadata update)
-    marker_write_ms: float = 0.30      # one txn marker append to one partition
-    jitter_frac: float = 0.10          # +/- fraction of uniform jitter
-
-    def sample(self, rng: random.Random, base_ms: float) -> float:
-        """Latency with deterministic jitter applied."""
-        if base_ms <= 0:
-            return 0.0
-        jitter = base_ms * self.jitter_frac
-        return base_ms + rng.uniform(-jitter, jitter)
 
 
 @dataclass
@@ -122,12 +90,12 @@ class Network:
     def __init__(
         self,
         clock: SimClock,
-        costs: Optional[NetworkCosts] = None,
+        costs: CostModel,
         seed: int = 17,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.clock = clock
-        self.costs = costs or NetworkCosts()
+        self.costs = costs
         self.rng = random.Random(seed)
         self._rules: List[FaultRule] = []
         self._down: set = set()
@@ -243,23 +211,6 @@ class Network:
         if not self.charge_latency:
             return
         self.clock.advance(self.costs.sample(self.rng, base_ms))
-
-    # -- cost helpers used by brokers/clients ----------------------------------
-
-    def produce_cost(self, record_count: int) -> float:
-        """Latency of one produce request carrying ``record_count`` records."""
-        per_record = self.costs.produce_per_record_us / 1000.0
-        return (
-            self.costs.rpc_base_ms
-            + self.costs.produce_per_batch_ms
-            + per_record * record_count
-        )
-
-    def fetch_cost(self) -> float:
-        return self.costs.rpc_base_ms + self.costs.fetch_ms
-
-    def coordinator_cost(self) -> float:
-        return self.costs.rpc_base_ms + self.costs.coordinator_ms
 
 
 def call_with_retry(

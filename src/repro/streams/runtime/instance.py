@@ -35,7 +35,6 @@ from repro.errors import (
 )
 # (ProducerFencedError is both caught around commits — wrapped as
 # TaskMigratedError — and around the processing loop directly.)
-from repro.sim.network import PROCESS_COST_MS_PER_RECORD
 from repro.streams.runtime.standby import StandbyTask
 from repro.streams.runtime.task import StreamTask, TaskId
 from repro.util import ExponentialBackoff, stable_hash
@@ -298,7 +297,9 @@ class StreamsInstance:
                 if round_count == 0:
                     break
                 processed += round_count
-                self.cluster.clock.advance(round_count * PROCESS_COST_MS_PER_RECORD)
+                self.cluster.clock.advance(
+                    round_count * self.cluster.costs.process_ms_per_record
+                )
                 if self._commit_interval_elapsed():
                     self.commit()
                     if self.config.eos_enabled:

@@ -25,13 +25,6 @@ from repro.config import READ_COMMITTED
 if TYPE_CHECKING:  # pragma: no cover
     from repro.broker.cluster import Cluster
 
-# Modelled cost of replaying one changelog record into a store during
-# restoration. Charged (together with one fetch round trip) only when the
-# cluster's network charges latency at all, so recovery time is
-# proportional to how far behind the restore starts — the quantity
-# lag-aware task placement (KIP-441) exists to minimise.
-RESTORE_APPLY_COST_MS_PER_RECORD = 0.02
-
 _UNBOUNDED = 2**31
 
 
@@ -104,10 +97,7 @@ def _replay(
     if rebase is not None:
         rebase(result.next_offset)
     if applied and cluster.network.charge_latency:
-        cluster.clock.advance(
-            cluster.network.fetch_cost()
-            + applied * RESTORE_APPLY_COST_MS_PER_RECORD
-        )
+        cluster.clock.advance(cluster.costs.restore(applied))
     # Not complete while a transaction is open on the changelog: it may be
     # a previous owner's commit whose input offsets land with its markers,
     # and a store restored without its updates would lose them.

@@ -34,7 +34,6 @@ old loop, kept test-side as the oracle.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
@@ -110,32 +109,27 @@ class WorkloadGenerator:
 
         Returns the number of records produced.
         """
-        produced = self._produce(self.cluster.clock.now + duration_ms, math.inf)
+        clock = self.cluster.clock
+        deadline = clock.now + duration_ms
+        produced = 0
+        while clock.now < deadline:
+            produced += self._run(deadline)
         if flush:
             self.producer.flush()
         return produced
 
-    def _produce(self, deadline: float, count: float) -> int:
-        """Send records while the clock is before ``deadline``, at most
-        ``count`` of them, one run at a time; returns how many."""
-        clock = self.cluster.clock
-        produced = 0
-        while produced < count and clock.now < deadline:
-            produced += self._run(deadline, count - produced)
-        return produced
-
-    def _run(self, deadline: float, count: float) -> int:
-        """Produce one run (see the module docstring) starting now, of at
-        most ``count`` records sent before ``deadline``; returns its length.
-        Its first record is due now whatever the timers: a timer due now
-        fires in the advance after it, as it always did."""
+    def _run(self, deadline: float) -> int:
+        """Produce one run (see the module docstring) starting now, of
+        records sent before ``deadline``; returns its length. Its first
+        record is due now whatever the timers: a timer due now fires in the
+        advance after it, as it always did."""
         clock = self.cluster.clock
         producer = self.producer
         step = self.interarrival_ms
         t = clock.now
         bound = min(deadline, clock.next_deadline())
         times = [t]
-        for _ in range(min(count, producer.buffer_room) - 1):
+        for _ in range(producer.buffer_room - 1):
             t += step
             if t >= bound:
                 break

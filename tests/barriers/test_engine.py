@@ -1,6 +1,8 @@
 """The checkpoint-based engine: correctness and the cost profile that
 drives Figure 5.b."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.barriers.engine import BarrierEngine
@@ -20,7 +22,8 @@ def make_engine(cluster, interval_ms=100.0, store=None, **kwargs):
         source_topic="in",
         sink_topic="out",
         reduce_fn=counting_reduce,
-        object_store=store or ObjectStore(cluster.clock, charge_latency=False),
+        object_store=store
+        or ObjectStore(cluster.clock, cluster.costs, charge_latency=False),
         checkpoint_interval_ms=interval_ms,
         **kwargs,
     )
@@ -69,7 +72,10 @@ class TestCheckpointCost:
     def test_minimum_one_file_per_checkpoint(self):
         """Even a single dirty key uploads a whole file — the fixed cost."""
         cluster = make_cluster(**{"in": 1, "out": 1})
-        store = ObjectStore(cluster.clock, put_latency_ms=25.0, per_kb_ms=0.0)
+        store = ObjectStore(
+            cluster.clock,
+            replace(cluster.costs, object_put_ms=25.0, object_per_kb_ms=0.0),
+        )
         engine = make_engine(cluster, interval_ms=50.0, store=store)
         produce(cluster, [("a", 1)])
         engine.run_for(100.0)
@@ -78,7 +84,7 @@ class TestCheckpointCost:
 
     def test_file_count_scales_with_dirty_keys(self):
         cluster = make_cluster(**{"in": 1, "out": 1})
-        store = ObjectStore(cluster.clock, charge_latency=False)
+        store = ObjectStore(cluster.clock, cluster.costs, charge_latency=False)
         engine = make_engine(cluster, interval_ms=10_000.0, store=store,
                              keys_per_file=10)
         produce(cluster, [(f"k{i}", 1) for i in range(35)])
@@ -89,7 +95,7 @@ class TestCheckpointCost:
 
     def test_empty_checkpoint_still_costs_a_file(self):
         cluster = make_cluster(**{"in": 1, "out": 1})
-        store = ObjectStore(cluster.clock, charge_latency=False)
+        store = ObjectStore(cluster.clock, cluster.costs, charge_latency=False)
         engine = make_engine(cluster, interval_ms=10.0, store=store)
         engine.checkpoint()
         assert store.puts == 1

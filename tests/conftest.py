@@ -5,7 +5,6 @@ import pytest
 from repro.broker.cluster import Cluster
 from repro.config import BrokerConfig
 from repro.sim.clock import SimClock
-from repro.sim.network import Network, NetworkCosts
 
 
 @pytest.fixture

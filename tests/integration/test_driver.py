@@ -13,6 +13,8 @@ Covers the properties the refactor must preserve or provide:
   timer and its tasks migrate, while live members survive big time jumps.
 """
 
+from dataclasses import replace
+
 from repro.barriers.engine import BarrierEngine
 from repro.barriers.object_store import ObjectStore
 from repro.broker.cluster import Cluster
@@ -237,7 +239,9 @@ def test_one_driver_coschedules_two_streams_apps_and_barriers():
         source_topic="raw",
         sink_topic="barrier-out",
         reduce_fn=lambda key, value, state: (state or 0) + value,
-        object_store=ObjectStore(cluster.clock, put_latency_ms=5.0),
+        object_store=ObjectStore(
+            cluster.clock, replace(cluster.costs, object_put_ms=5.0)
+        ),
         checkpoint_interval_ms=200.0,
     )
 

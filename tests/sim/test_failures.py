@@ -41,7 +41,7 @@ def test_slow_broker_arms_duration_rule(cluster):
     cluster.network.charge_latency = True
     injector = FailureInjector(cluster)
     injector.slow_broker(0, delay_ms=20.0, duration_ms=100.0)
-    cluster.network.costs.jitter_frac = 0.0
+    cluster.costs.jitter_frac = 0.0
     cluster.network.call("fetch", 0, lambda: None, base_cost_ms=1.0)
     assert cluster.clock.now == pytest.approx(21.0)
     cluster.network.call("fetch", 1, lambda: None, base_cost_ms=1.0)

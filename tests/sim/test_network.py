@@ -1,4 +1,4 @@
-"""Unit tests for the network cost model and fault injection."""
+"""Unit tests for the network's latency charging and fault injection."""
 
 import sys
 
@@ -12,12 +12,13 @@ from repro.errors import (
 from repro.broker.cluster import Cluster
 from repro.broker.partition import TopicPartition
 from repro.sim.clock import SimClock
-from repro.sim.network import FaultRule, Network, NetworkCosts, call_with_retry
+from repro.sim.costs import CostModel
+from repro.sim.network import FaultRule, Network, call_with_retry
 
 
 @pytest.fixture
 def net():
-    return Network(SimClock(), NetworkCosts(jitter_frac=0.0), seed=1)
+    return Network(SimClock(), CostModel(jitter_frac=0.0), seed=1)
 
 
 def test_call_invokes_function_and_returns_result(net):
@@ -30,7 +31,7 @@ def test_call_charges_latency(net):
 
 
 def test_jitter_is_bounded_and_deterministic():
-    costs = NetworkCosts(jitter_frac=0.1)
+    costs = CostModel(jitter_frac=0.1)
     net_a = Network(SimClock(), costs, seed=5)
     net_b = Network(SimClock(), costs, seed=5)
     for _ in range(20):
@@ -204,7 +205,7 @@ def test_marker_cost_grows_linearly():
 
     def completion_delays(partitions):
         cluster = Cluster(num_brokers=1, seed=1)
-        cluster.network.costs.jitter_frac = 0.0
+        cluster.costs.jitter_frac = 0.0
         cluster.create_topic("t", partitions)
         coordinator = cluster.txn_coordinator
         pid, epoch = coordinator.init_producer_id("tid", timeout_ms=60_000.0)
@@ -222,7 +223,7 @@ def test_marker_cost_grows_linearly():
         coordinator.end_transaction("tid", pid, epoch, commit=True)
         return delays
 
-    costs = NetworkCosts()
+    costs = CostModel()
     one, hundred = completion_delays(1), completion_delays(100)
     # One timer per marker, then the completion at the last marker's delay.
     assert len(one) == 2 and len(hundred) == 101
@@ -231,8 +232,8 @@ def test_marker_cost_grows_linearly():
 
 
 def test_produce_cost_scales_with_records():
-    net = Network(SimClock(), NetworkCosts(jitter_frac=0.0))
-    assert net.produce_cost(1000) > net.produce_cost(1)
+    costs = CostModel()
+    assert costs.produce(1000) > costs.produce(1)
 
 
 def test_an_untraced_call_with_nothing_armed_is_one_frame_and_no_rule_scan(net):

@@ -1,5 +1,7 @@
 """Declarative scenario layer: validation, grid, and full harness cells."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.barriers.engine import BarrierEngine
@@ -299,7 +301,9 @@ class TestBarrierAdapter:
                 reduce_fn=lambda key, value, state: (
                     value if state is None else max(state, value)
                 ),
-                object_store=ObjectStore(cluster.clock, put_latency_ms=1.0),
+                object_store=ObjectStore(
+                    cluster.clock, replace(cluster.costs, object_put_ms=1.0)
+                ),
                 checkpoint_interval_ms=50.0,
             )
             return cluster, BarrierAppAdapter(engine)

@@ -130,7 +130,7 @@ def kip447_deferral():
     a fault-free run's: no update of the barrier commit is lost."""
     cluster = make_cluster(latency=True)
     # Slow marker appends: the commit's markers outlast the newcomer's poll.
-    cluster.network.costs.marker_write_ms = 10.0
+    cluster.costs.marker_write_ms = 10.0
     app = make_app(cluster, protocol=EAGER)
     app.start(1)
     produce(cluster, 100)

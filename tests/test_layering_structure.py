@@ -2,11 +2,11 @@
 
 Three layering rules used to be grep steps in CI; a fourth came with the
 one client call path, a fifth with the one start-offset gate, a sixth
-with the deletions that left imports behind. Each is a function from a
-module's place in the package and its syntax tree to the offences in it,
-run over every module of ``src/repro`` and, as a negative control, over
-the smallest snippet that breaks it — so a rule that stopped seeing
-anything fails too.
+with the deletions that left imports behind, a seventh with the one cost
+model. Each is a function from a module's place in the package and its
+syntax tree to the offences in it, run over every module of
+``src/repro`` and, as a negative control, over the smallest snippet that
+breaks it — so a rule that stopped seeing anything fails too.
 
 1. *No busy-wait outside the simulator.* The discrete-event driver owns
    idle time; engine code does not creep the clock forward while idle.
@@ -26,6 +26,11 @@ anything fails too.
 6. *Every module-level import is used.* A name a module imports and never
    reads is what a deletion left behind. Names listed in ``__all__`` count
    as read, and a package's ``__init__`` is all re-exports.
+7. *Every virtual millisecond is priced in ``sim/costs.py``.* Elsewhere
+   no number but ``0`` appears in a ``clock.advance(...)`` argument, in a
+   ``base_cost_ms`` / ``cost`` / ``cost_ms`` value (passed or assigned),
+   or in the coordinator's running marker ``delay +=``; and no other
+   module defines a module-level ``*COST*`` constant.
 
 Three more checks keep ``tools/uncalled.py`` honest: every function its
 allowlist explains is still defined, every reason starts with a group the
@@ -185,6 +190,50 @@ def unused_import(where, tree):
                     yield f"{name} (line {node.lineno})"
 
 
+#: Names whose value, passed or assigned, is what an RPC charges.
+CHARGE_NAMES = {"base_cost_ms", "cost", "cost_ms"}
+
+
+def numbers(node):
+    """The numeric literals in ``node`` other than zero."""
+    return [
+        ast.unparse(found) for found in ast.walk(node)
+        if isinstance(found, ast.Constant)
+        and type(found.value) in (int, float) and found.value != 0
+    ]
+
+
+def charged(tree):
+    """Every expression whose value becomes virtual time."""
+    for name, call in calls(tree):
+        if name == "advance":
+            yield from call.args
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg in CHARGE_NAMES:
+            yield node.value
+        elif isinstance(node, ast.Assign) and any(
+            ast.unparse(target).rsplit(".", 1)[-1] in CHARGE_NAMES
+            for target in node.targets
+        ):
+            yield node.value
+        elif isinstance(node, ast.AugAssign) and ast.unparse(node.target) == "delay":
+            yield node.value
+
+
+def cost_outside_the_model(where, tree):
+    if where == "sim/costs.py":
+        return
+    for node in module_level(tree):
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        yield from (
+            target.id for target in targets
+            if isinstance(target, ast.Name) and "COST" in target.id
+        )
+    for expression in charged(tree):
+        if numbers(expression):
+            yield ast.unparse(expression)
+
+
 #: rule -> the smallest module that breaks it: (where it sits, its source).
 RULES = {
     busy_wait: ("streams/runtime/instance.py", "clock.advance(idle_ms)"),
@@ -208,6 +257,11 @@ RULES = {
         "streams/joins.py",
         "from typing import List, Tuple\n"
         "kept: List[int] = []\n",
+    ),
+    cost_outside_the_model: (
+        "clients/producer.py",
+        "clock.advance(n * 0.008)\n"
+        "cost=c.coordinator() + 0.002 * n\n",
     ),
 }
 
@@ -240,6 +294,27 @@ def test_an_unused_import_is_seen_under_a_guard_and_an_export_is_not_one():
     exported = "from repro.streams.records import Change\n__all__ = ['Change']\n"
     assert not list(unused_import("streams/table_ops.py", ast.parse(exported)))
     assert not list(unused_import("streams/__init__.py", ast.parse(guarded)))
+
+
+def test_a_cost_number_is_seen_wherever_it_hides_outside_the_model():
+    planted = [
+        "clock.advance(n * 0.008)",
+        "cost=c.coordinator() + 0.002 * n",
+        "network.call('fetch', 0, fn, base_cost_ms=0.45)",
+        "for tp in tps:\n    delay += 0.3",
+        "HOP_COST_MS = 0.05",
+    ]
+    for snippet in planted:
+        assert list(cost_outside_the_model("iq/router.py", ast.parse(snippet)))
+        assert not list(cost_outside_the_model("sim/costs.py", ast.parse(snippet)))
+    priced = (
+        "delay = 0.0\n"
+        "delay += costs.marker_write_ms\n"
+        "clock.advance(round_count * costs.process_ms_per_record)\n"
+        "network.call('fetch', 0, fn, base_cost_ms=costs.fetch())\n"
+    )
+    where = "broker/txn_coordinator.py"
+    assert not list(cost_outside_the_model(where, ast.parse(priced)))
 
 
 def test_backoff_is_built_in_four_places_and_one_of_them_is_the_call_policy():
