@@ -26,6 +26,7 @@ from repro.barriers.object_store import ObjectStore
 from repro.clients.consumer import Consumer
 from repro.clients.producer import Producer
 from repro.config import ConsumerConfig, ProducerConfig, READ_UNCOMMITTED
+from repro.sim.costs import ALIGNMENT_MS, PROCESS_MS_PER_RECORD
 from repro.sim.scheduler import Driver
 from repro.util import partition_for
 
@@ -137,7 +138,7 @@ class BarrierEngine:
                 headers=record.headers,
             )
         if records:
-            self.clock.advance(len(records) * self.cluster.costs.process_ms_per_record)
+            self.clock.advance(len(records) * PROCESS_MS_PER_RECORD)
             self.records_processed += len(records)
         if self._checkpoint_due or self.clock.now >= self._next_checkpoint_at:
             self.checkpoint()
@@ -191,7 +192,7 @@ class BarrierEngine:
         # Barrier alignment: the barrier flows through the (single-operator)
         # pipeline; with backpressure this grows, here it is a small fixed
         # drain cost.
-        self.clock.advance(self.cluster.costs.alignment_ms)
+        self.clock.advance(ALIGNMENT_MS)
 
         # Incremental, per-file state upload: even one dirty key costs a
         # full file PUT — the fixed cost the paper highlights.

@@ -1,14 +1,29 @@
 """The one price list of virtual time: every virtual millisecond the
-simulator charges is priced by :class:`CostModel` (DESIGN §4.5 lists each
-field with the charges that read it). A cluster builds one and shares it
-(``cluster.costs`` is ``cluster.network.costs``), so a field changed on it
-moves every charge that reads the field.
+simulator charges is priced here, by a :class:`CostModel` field or, for a
+price nothing sets, a module constant (DESIGN §4.5 lists each with its
+charges). A cluster builds one model and shares it (``cluster.costs`` is
+``cluster.network.costs``): a field changed on it moves every charge.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+
+#: CPU cost of processing one record, shared by both Figure 5.b engines
+#: (the Streams runtime and the barrier baseline) for fairness.
+PROCESS_MS_PER_RECORD = 0.008
+#: Replaying one changelog record into a store: recovery time grows with
+#: how far behind a restore starts, which KIP-441's placement minimises.
+RESTORE_APPLY_MS_PER_RECORD = 0.02
+#: Service cost of one locally-served query (reported latency, not
+#: simulation time: queries are answered off the processing thread).
+QUERY_LOCAL_MS = 0.05
+#: AddPartitionsToTxn grows only marginally with the partitions it adds.
+ADD_PARTITIONS_MS_PER_PARTITION = 0.002
+OBJECT_GET_MS = 10.0
+#: Barrier alignment: a small fixed drain through the pipeline.
+ALIGNMENT_MS = 1.0
 
 
 @dataclass
@@ -25,23 +40,9 @@ class CostModel:
                                        # (replicated metadata update)
     marker_write_ms: float = 0.30      # one txn marker append to one partition
     jitter_frac: float = 0.10          # +/- fraction of uniform jitter
-    # CPU cost of processing one record, shared by both Figure 5.b engines
-    # (the Streams runtime and the barrier baseline) for fairness.
-    process_ms_per_record: float = 0.008
-    # Replaying one changelog record into a store: recovery time grows with
-    # how far behind a restore starts, which KIP-441's placement minimises.
-    restore_apply_ms_per_record: float = 0.02
-    # Service cost of one locally-served query (reported latency, not
-    # simulation time: queries are answered off the processing thread).
-    query_local_ms: float = 0.05
-    # AddPartitionsToTxn grows only marginally with the partitions it adds.
-    add_partitions_ms_per_partition: float = 0.002
     # The fixed per-file cost the paper highlights for Flink (Section 4.3).
     object_put_ms: float = 30.0
-    object_get_ms: float = 10.0
     object_per_kb_ms: float = 0.05
-    # Barrier alignment: a small fixed drain through the pipeline.
-    alignment_ms: float = 1.0
 
     def sample(self, rng: random.Random, base_ms: float) -> float:
         """Latency with deterministic jitter applied."""
@@ -63,18 +64,18 @@ class CostModel:
 
     def add_partitions(self, partitions: int) -> float:
         """One AddPartitionsToTxn registering ``partitions`` partitions."""
-        return self.coordinator() + self.add_partitions_ms_per_partition * partitions
+        return self.coordinator() + ADD_PARTITIONS_MS_PER_PARTITION * partitions
 
     def restore(self, applied: int) -> float:
         """One restore round: a fetch, then ``applied`` records replayed."""
-        return self.fetch() + applied * self.restore_apply_ms_per_record
+        return self.fetch() + applied * RESTORE_APPLY_MS_PER_RECORD
 
     def query_hop(self) -> float:
         """One query sent to one candidate instance and served there."""
-        return self.rpc_base_ms + self.query_local_ms
+        return self.rpc_base_ms + QUERY_LOCAL_MS
 
     def object_put(self, size_kb: float) -> float:
         return self.object_put_ms + self.object_per_kb_ms * size_kb
 
     def object_get(self, size_kb: float) -> float:
-        return self.object_get_ms + self.object_per_kb_ms * size_kb
+        return OBJECT_GET_MS + self.object_per_kb_ms * size_kb

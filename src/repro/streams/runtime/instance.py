@@ -35,6 +35,7 @@ from repro.errors import (
 )
 # (ProducerFencedError is both caught around commits — wrapped as
 # TaskMigratedError — and around the processing loop directly.)
+from repro.sim.costs import PROCESS_MS_PER_RECORD
 from repro.streams.runtime.standby import StandbyTask
 from repro.streams.runtime.task import StreamTask, TaskId
 from repro.util import ExponentialBackoff, stable_hash
@@ -297,9 +298,7 @@ class StreamsInstance:
                 if round_count == 0:
                     break
                 processed += round_count
-                self.cluster.clock.advance(
-                    round_count * self.cluster.costs.process_ms_per_record
-                )
+                self.cluster.clock.advance(round_count * PROCESS_MS_PER_RECORD)
                 if self._commit_interval_elapsed():
                     self.commit()
                     if self.config.eos_enabled:

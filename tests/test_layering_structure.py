@@ -192,6 +192,8 @@ def unused_import(where, tree):
 
 #: Names whose value, passed or assigned, is what an RPC charges.
 CHARGE_NAMES = {"base_cost_ms", "cost", "cost_ms"}
+#: RPC call paths -> the position of the charge when it is passed bare.
+CHARGE_POSITIONS = {"call": 3, "call_with_retry": 6, "_call_coordinator": 3}
 
 
 def numbers(node):
@@ -208,6 +210,8 @@ def charged(tree):
     for name, call in calls(tree):
         if name == "advance":
             yield from call.args
+        elif name in CHARGE_POSITIONS and len(call.args) > CHARGE_POSITIONS[name]:
+            yield call.args[CHARGE_POSITIONS[name]]
     for node in ast.walk(tree):
         if isinstance(node, ast.keyword) and node.arg in CHARGE_NAMES:
             yield node.value
@@ -301,6 +305,9 @@ def test_a_cost_number_is_seen_wherever_it_hides_outside_the_model():
         "clock.advance(n * 0.008)",
         "cost=c.coordinator() + 0.002 * n",
         "network.call('fetch', 0, fn, base_cost_ms=0.45)",
+        "network.call('fetch', 0, fn, 0.45)",
+        "call_with_retry(network, cluster, config, 'produce', tp, fn, 0.4)",
+        "self._call_coordinator('end_txn', tp, fn, costs.coordinator() * 2)",
         "for tp in tps:\n    delay += 0.3",
         "HOP_COST_MS = 0.05",
     ]
@@ -310,8 +317,11 @@ def test_a_cost_number_is_seen_wherever_it_hides_outside_the_model():
     priced = (
         "delay = 0.0\n"
         "delay += costs.marker_write_ms\n"
-        "clock.advance(round_count * costs.process_ms_per_record)\n"
+        "clock.advance(round_count * PROCESS_MS_PER_RECORD)\n"
         "network.call('fetch', 0, fn, base_cost_ms=costs.fetch())\n"
+        "network.call('fetch', 0, fn, costs.fetch(), 'p-1')\n"
+        "call_with_retry(network, cluster, config, 'produce', tp, fn,\n"
+        "                costs.produce(record_count), timeout_ms=30_000)\n"
     )
     where = "broker/txn_coordinator.py"
     assert not list(cost_outside_the_model(where, ast.parse(priced)))
